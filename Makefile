@@ -7,6 +7,7 @@ FUZZTIME ?= 20s
 # so adding a fuzzer is a one-line change here and zero changes in CI.
 FUZZ_TARGETS := \
 	./internal/layout/:FuzzRuns \
+	./internal/layout/:FuzzSegments \
 	./internal/layout/:FuzzBoxOverlaps \
 	./internal/ooc/:FuzzTileKey \
 	./internal/ooc/:FuzzWALRecord \
@@ -15,7 +16,7 @@ FUZZ_TARGETS := \
 	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzTenantHeader
 
-.PHONY: build test race check fuzz vet fmt cover suite baseline load sweep walsweep compsweep clustersweep opsweep mtsweep chaos
+.PHONY: build test race check fuzz vet fmt cover suite bench-layers baseline load sweep walsweep compsweep clustersweep opsweep mtsweep chaos
 
 build:
 	$(GO) build ./...
@@ -51,6 +52,12 @@ cover:
 # The benchmark suite CI gates against BENCH_baseline.json.
 suite:
 	$(GO) run ./cmd/occbench -suite -json BENCH_current.json -baseline BENCH_baseline.json
+
+# Miss-path microbenchmarks (layout run/segment walks, tile read and
+# write-back per layout kind), six samples each: pipe two runs into
+# benchstat to compare commits.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile' -benchmem -count 6 ./internal/layout ./internal/ooc
 
 # Regenerate the checked-in baseline (after an intentional perf change).
 baseline:

@@ -385,6 +385,7 @@ func (s *Schedule) runTile(d *ooc.Disk, mem *ooc.Memory, origin []int64, stats *
 	iterated := false
 	origIv := make([]int64, k)
 	coord := make([]int64, 0, 8)
+	var in []float64 // statement inputs, reused: a StmtFunc may not keep its slice
 	t0 := s.computeStart()
 	s.enumerateWithin(tLo, tHi, func(iv []int64) {
 		if tileErr != nil {
@@ -407,10 +408,10 @@ func (s *Schedule) runTile(d *ooc.Disk, mem *ooc.Memory, origin []int64, stats *
 			if !ss.st.Guarded(origIv) {
 				continue
 			}
-			in := make([]float64, len(ss.inGroup))
+			in = in[:0]
 			for i, gi := range ss.inGroup {
 				coord = elementCoord(coord[:0], s.groups[gi].m, ss.inOff[i], iv)
-				in[i] = tiles[gi].Get(coord)
+				in = append(in, tiles[gi].Get(coord))
 			}
 			v := ss.st.F(in, origIv)
 			coord = elementCoord(coord[:0], s.groups[ss.outGroup].m, ss.outOff, iv)
@@ -503,6 +504,7 @@ func (s *Schedule) runTileEngine(d *ooc.Disk, origin, next []int64, stats *ExecS
 	stats.Tiles++
 	origIv := make([]int64, k)
 	coord := make([]int64, 0, 8)
+	var in []float64 // statement inputs, reused: a StmtFunc may not keep its slice
 	t0 := s.computeStart()
 	s.enumerateWithin(tLo, tHi, func(iv []int64) {
 		stats.Iterations++
@@ -517,10 +519,10 @@ func (s *Schedule) runTileEngine(d *ooc.Disk, origin, next []int64, stats *ExecS
 			if !ss.st.Guarded(origIv) {
 				continue
 			}
-			in := make([]float64, len(ss.inGroup))
+			in = in[:0]
 			for i, gi := range ss.inGroup {
 				coord = elementCoord(coord[:0], s.groups[gi].m, ss.inOff[i], iv)
-				in[i] = tiles[gi].Get(coord)
+				in = append(in, tiles[gi].Get(coord))
 			}
 			v := ss.st.F(in, origIv)
 			coord = elementCoord(coord[:0], s.groups[ss.outGroup].m, ss.outOff, iv)

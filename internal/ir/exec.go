@@ -9,6 +9,7 @@ import "fmt"
 // executor, independent of any file layout choice.
 type Store struct {
 	data map[*Array][]float64
+	in   []float64 // ApplyStmt's input scratch
 }
 
 // NewStore allocates zeroed storage for the given arrays.
@@ -87,11 +88,11 @@ func (s *Store) ApplyStmt(st *Stmt, iv []int64) {
 	if !st.Guarded(iv) {
 		return
 	}
-	in := make([]float64, len(st.In))
-	for i, r := range st.In {
-		in[i] = s.Get(r.Array, r.Element(iv))
+	s.in = s.in[:0]
+	for _, r := range st.In {
+		s.in = append(s.in, s.Get(r.Array, r.Element(iv)))
 	}
-	s.Set(st.Out.Array, st.Out.Element(iv), st.F(in, iv))
+	s.Set(st.Out.Array, st.Out.Element(iv), st.F(s.in, iv))
 }
 
 // Execute runs every nest of the program in order.

@@ -161,7 +161,8 @@ func (l Loop) Trip() int64 {
 
 // StmtFunc computes the value stored by a statement: in holds the
 // values of the statement's read references (in order), iv the current
-// iteration vector.
+// iteration vector. Executors reuse both slices from one call to the
+// next, so a StmtFunc must not retain them.
 type StmtFunc func(in []float64, iv []int64) float64
 
 // GuardEq restricts a statement to iterations where a loop index

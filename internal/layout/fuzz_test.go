@@ -62,12 +62,61 @@ func fuzzBound(v, dim int64) int64 {
 	return v - 2
 }
 
-// FuzzRuns cross-checks every layout kind's run enumerator against the
-// brute-force per-element reference.
-func FuzzRuns(f *testing.F) {
-	// Seed corpus mirroring the table tests (runs_test.go): row-major
-	// full-row bands and square tiles, column-major bands, the Figure-3
-	// call-count shapes, diagonal and blocked layouts.
+// fuzzCase maps arbitrary fuzzed integers to a small layout of one of
+// the seven families (every kind, plus a rank-3 permutation) and a box
+// that may overhang the array on any side. FuzzRuns and FuzzSegments
+// share it, and therefore each other's corpora.
+func fuzzCase(kind uint8, n, m, b1, b2, ga, gb, lo0, lo1, hi0, hi1, lo2, hi2 int64) (*Layout, Box) {
+	n, m = clampPos(n, 12), clampPos(m, 12)
+	b1, b2 = clampPos(b1, 6), clampPos(b2, 6)
+	var l *Layout
+	rank := 2
+	switch kind % 7 {
+	case 0:
+		l = RowMajor(n, m)
+	case 1:
+		l = ColMajor(n, m)
+	case 2:
+		l = Diagonal(n, m)
+	case 3:
+		l = AntiDiagonal(n, m)
+	case 4:
+		l = Blocked(n, m, b1, b2)
+	case 5:
+		// Arbitrary 2-D hyperplane (General falls back to the
+		// closed-form kinds for canonical vectors).
+		g := []int64{clampPos(ga, 4) - 2, clampPos(gb, 4) - 2}
+		if g[0] == 0 && g[1] == 0 {
+			g[0] = 1
+		}
+		l = General(n, m, g)
+	case 6:
+		// Rank-3 permutation layout.
+		k3 := clampPos(b1, 6)
+		perms := [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}}
+		l = NewPermutation([]int64{n, m, k3}, perms[int(clampPos(b2, int64(len(perms))))-1])
+		rank = 3
+	}
+	dims := l.Dims()
+	lo := []int64{fuzzBound(lo0, dims[0]), fuzzBound(lo1, dims[1])}
+	hi := []int64{fuzzBound(hi0, dims[0]), fuzzBound(hi1, dims[1])}
+	if rank == 3 {
+		lo = append(lo, fuzzBound(lo2, dims[2]))
+		hi = append(hi, fuzzBound(hi2, dims[2]))
+	}
+	for d := range lo {
+		if hi[d] < lo[d] {
+			lo[d], hi[d] = hi[d], lo[d]
+		}
+	}
+	return l, NewBox(lo, hi)
+}
+
+// addRunsSeeds seeds a fuzzer with the shapes of the table tests
+// (runs_test.go): row-major full-row bands and square tiles,
+// column-major bands, the Figure-3 call-count shapes, diagonal and
+// blocked layouts.
+func addRunsSeeds(f *testing.F) {
 	f.Add(uint8(0), int64(8), int64(8), int64(2), int64(2), int64(1), int64(1), int64(2), int64(0), int64(5), int64(8), int64(0), int64(1))
 	f.Add(uint8(0), int64(8), int64(8), int64(2), int64(2), int64(1), int64(1), int64(0), int64(0), int64(4), int64(4), int64(0), int64(1))
 	f.Add(uint8(1), int64(8), int64(8), int64(2), int64(2), int64(1), int64(1), int64(0), int64(2), int64(8), int64(5), int64(0), int64(1))
@@ -77,51 +126,15 @@ func FuzzRuns(f *testing.F) {
 	f.Add(uint8(4), int64(8), int64(8), int64(4), int64(4), int64(1), int64(1), int64(1), int64(1), int64(7), int64(7), int64(0), int64(1))
 	f.Add(uint8(5), int64(6), int64(9), int64(3), int64(2), int64(2), int64(3), int64(0), int64(0), int64(6), int64(9), int64(0), int64(1))
 	f.Add(uint8(6), int64(5), int64(4), int64(3), int64(2), int64(1), int64(1), int64(1), int64(0), int64(4), int64(3), int64(1), int64(3))
+}
 
+// FuzzRuns cross-checks every layout kind's run enumerator against the
+// brute-force per-element reference.
+func FuzzRuns(f *testing.F) {
+	addRunsSeeds(f)
 	f.Fuzz(func(t *testing.T, kind uint8, n, m, b1, b2, ga, gb, lo0, lo1, hi0, hi1, lo2, hi2 int64) {
-		n, m = clampPos(n, 12), clampPos(m, 12)
-		b1, b2 = clampPos(b1, 6), clampPos(b2, 6)
-		var l *Layout
-		rank := 2
-		switch kind % 7 {
-		case 0:
-			l = RowMajor(n, m)
-		case 1:
-			l = ColMajor(n, m)
-		case 2:
-			l = Diagonal(n, m)
-		case 3:
-			l = AntiDiagonal(n, m)
-		case 4:
-			l = Blocked(n, m, b1, b2)
-		case 5:
-			// Arbitrary 2-D hyperplane (General falls back to the
-			// closed-form kinds for canonical vectors).
-			g := []int64{clampPos(ga, 4) - 2, clampPos(gb, 4) - 2}
-			if g[0] == 0 && g[1] == 0 {
-				g[0] = 1
-			}
-			l = General(n, m, g)
-		case 6:
-			// Rank-3 permutation layout.
-			k3 := clampPos(b1, 6)
-			perms := [][]int{{0, 1, 2}, {2, 0, 1}, {1, 2, 0}, {2, 1, 0}}
-			l = NewPermutation([]int64{n, m, k3}, perms[int(clampPos(b2, int64(len(perms))))-1])
-			rank = 3
-		}
+		l, box := fuzzCase(kind, n, m, b1, b2, ga, gb, lo0, lo1, hi0, hi1, lo2, hi2)
 		dims := l.Dims()
-		lo := []int64{fuzzBound(lo0, dims[0]), fuzzBound(lo1, dims[1])}
-		hi := []int64{fuzzBound(hi0, dims[0]), fuzzBound(hi1, dims[1])}
-		if rank == 3 {
-			lo = append(lo, fuzzBound(lo2, dims[2]))
-			hi = append(hi, fuzzBound(hi2, dims[2]))
-		}
-		for d := range lo {
-			if hi[d] < lo[d] {
-				lo[d], hi[d] = hi[d], lo[d]
-			}
-		}
-		box := NewBox(lo, hi)
 
 		got := l.Runs(box)
 		want := bruteRuns(l, box)
@@ -141,6 +154,71 @@ func FuzzRuns(f *testing.F) {
 		if clipped := box.Clip(dims); total != clipped.Size() {
 			t.Fatalf("%s box %v: runs cover %d elements, box holds %d", l, box, total, clipped.Size())
 		}
+	})
+}
+
+// checkSegments holds Segments(box) to its contract against oracles
+// that share none of its arithmetic: merged, the segments are exactly
+// the brute-force runs; they are sorted and disjoint in the file; file
+// element Off+i sits where Coord says it does, at box-local row-major
+// index Idx+i·Stride; and those indices are a permutation of the box.
+func checkSegments(t *testing.T, l *Layout, box Box) {
+	t.Helper()
+	segs := l.Segments(box)
+	got, want := RunsOf(segs), bruteRuns(l, box)
+	if len(got) != len(want) {
+		t.Fatalf("%s box %v: segments merge to %d runs, brute force %d\ngot  %v\nwant %v", l, box, len(got), len(want), got, want)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("%s box %v: merged run %d = %v, brute force %v", l, box, i, got[i], want[i])
+		}
+	}
+	for i, r := range l.Runs(box) {
+		if r != want[i] {
+			t.Fatalf("%s box %v: Runs()[%d] = %v, brute force %v", l, box, i, r, want[i])
+		}
+	}
+	clipped := box.Clip(l.Dims())
+	seen := make([]bool, clipped.Size())
+	end := int64(-1)
+	for k, s := range segs {
+		if s.Len < 1 || s.Off < end {
+			t.Fatalf("%s box %v: segment %d = %+v empty, unsorted or overlapping (previous ends at %d)", l, box, k, s, end)
+		}
+		end = s.Off + s.Len
+		for i := int64(0); i < s.Len; i++ {
+			c := l.Coord(s.Off + i)
+			if !clipped.Contains(c) {
+				t.Fatalf("%s box %v: segment %d = %+v covers %v, outside the box", l, box, k, s, c)
+			}
+			var idx int64
+			for d := range c {
+				idx = idx*(clipped.Hi[d]-clipped.Lo[d]) + c[d] - clipped.Lo[d]
+			}
+			if at := s.Idx + i*s.Stride; at != idx {
+				t.Fatalf("%s box %v: segment %d = %+v places offset %d (coord %v) at index %d, want %d", l, box, k, s, s.Off+i, c, at, idx)
+			}
+			if seen[idx] {
+				t.Fatalf("%s box %v: index %d placed twice", l, box, idx)
+			}
+			seen[idx] = true
+		}
+	}
+	for idx, ok := range seen {
+		if !ok {
+			t.Fatalf("%s box %v: index %d never placed", l, box, idx)
+		}
+	}
+}
+
+// FuzzSegments holds the segment walk of every layout kind to
+// checkSegments, over the FuzzRuns generator and seeds.
+func FuzzSegments(f *testing.F) {
+	addRunsSeeds(f)
+	f.Fuzz(func(t *testing.T, kind uint8, n, m, b1, b2, ga, gb, lo0, lo1, hi0, hi1, lo2, hi2 int64) {
+		l, box := fuzzCase(kind, n, m, b1, b2, ga, gb, lo0, lo1, hi0, hi1, lo2, hi2)
+		checkSegments(t, l, box)
 	})
 }
 

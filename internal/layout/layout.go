@@ -17,6 +17,7 @@ package layout
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Kind enumerates layout families.
@@ -49,9 +50,16 @@ type Layout struct {
 	g     []int64 // General2D hyperplane vector
 	block []int64 // Blocked2D block extents
 
-	table    []int64 // General2D: coordinate-linearization -> offset
-	tableInv []int64
-	starts   []int64 // Diagonal/AntiDiagonal: per-diagonal start offsets; Blocked2D: per-block starts
+	// Diagonal/AntiDiagonal: start offset per normalized diagonal, plus
+	// the total size; Blocked2D: start offset per block, row-major over
+	// blocks. Built by the constructor, read-only afterwards.
+	starts []int64
+
+	// General2D: coordinate-linearization -> offset and its inverse.
+	// O(N·M), so built on first use — behind tableOnce, because that
+	// first use may be several concurrent tile reads.
+	tableOnce       sync.Once
+	table, tableInv []int64
 }
 
 // RowMajor returns the row-major layout (last dimension fastest).
@@ -90,12 +98,12 @@ func NewPermutation(dims []int64, perm []int) *Layout {
 
 // Diagonal returns the 2-D diagonal layout (hyperplane (1,-1)).
 func Diagonal(n, m int64) *Layout {
-	return &Layout{kind: Diagonal2D, dims: []int64{n, m}}
+	return &Layout{kind: Diagonal2D, dims: []int64{n, m}, starts: diagStarts(n, m)}
 }
 
 // AntiDiagonal returns the 2-D anti-diagonal layout (hyperplane (1,1)).
 func AntiDiagonal(n, m int64) *Layout {
-	return &Layout{kind: AntiDiagonal2D, dims: []int64{n, m}}
+	return &Layout{kind: AntiDiagonal2D, dims: []int64{n, m}, starts: diagStarts(n, m)}
 }
 
 // Blocked returns the 2-D blocked layout with b1 x b2 blocks.
@@ -103,7 +111,7 @@ func Blocked(n, m, b1, b2 int64) *Layout {
 	if b1 <= 0 || b2 <= 0 {
 		panic("layout: non-positive block extents")
 	}
-	return &Layout{kind: Blocked2D, dims: []int64{n, m}, block: []int64{b1, b2}}
+	return &Layout{kind: Blocked2D, dims: []int64{n, m}, block: []int64{b1, b2}, starts: blockStarts(n, m, b1, b2)}
 }
 
 // General returns the layout for an arbitrary 2-D hyperplane vector g
@@ -270,13 +278,16 @@ func cloneI64(v []int64) []int64 {
 
 func sameSign(a, b int64) bool { return (a > 0) == (b > 0) }
 
+// tables returns the General2D permutation and its inverse, building
+// them on first use.
+func (l *Layout) tables() (table, inv []int64) {
+	l.tableOnce.Do(l.buildTable)
+	return l.table, l.tableInv
+}
+
 // buildTable materializes the General2D permutation: elements sorted by
-// (g·a, a0). Lazy because it is O(N·M) space and only exotic layouts
-// need it.
+// (g·a, a0).
 func (l *Layout) buildTable() {
-	if l.table != nil {
-		return
-	}
 	n, m := l.dims[0], l.dims[1]
 	type ent struct {
 		key, row, lin int64

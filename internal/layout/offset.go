@@ -1,6 +1,9 @@
 package layout
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 // Offset maps array coordinates c to the linear file offset (in
 // elements) under the layout. It is a bijection from the array box to
@@ -24,24 +27,20 @@ func (l *Layout) Offset(c []int64) int64 {
 	case Diagonal2D:
 		// Diagonal d = i - j, ordered d ascending from -(m-1); within a
 		// diagonal, ascending i.
-		i, j := c[0], c[1]
-		d := i - j
-		return l.diagStart(d+l.dims[1]-1) + (i - maxI64(0, d))
+		return l.diagOffset(c[0]-c[1]+l.dims[1]-1, c[0])
 	case AntiDiagonal2D:
 		// Anti-diagonal s = i + j, ascending; within, ascending i.
-		i, j := c[0], c[1]
-		s := i + j
-		return l.diagStart(s) + (i - maxI64(0, s-(l.dims[1]-1)))
+		return l.diagOffset(c[0]+c[1], c[0])
 	case General2D:
-		l.buildTable()
-		return l.table[c[0]*l.dims[1]+c[1]]
+		table, _ := l.tables()
+		return table[c[0]*l.dims[1]+c[1]]
 	case Blocked2D:
 		b1, b2 := l.block[0], l.block[1]
 		bi, bj := c[0]/b1, c[1]/b2
 		ri, rj := c[0]%b1, c[1]%b2
 		// Within-block row-major over the (possibly clipped) block.
 		bw := minI64(b2, l.dims[1]-bj*b2)
-		return l.blockStart(bi, bj) + ri*bw + rj
+		return l.starts[bi*ceilDiv(l.dims[1], b2)+bj] + ri*bw + rj
 	default:
 		panic("layout: unknown kind")
 	}
@@ -49,117 +48,87 @@ func (l *Layout) Offset(c []int64) int64 {
 
 // Coord maps a file offset back to array coordinates (inverse of
 // Offset).
-func (l *Layout) Coord(off int64) []int64 {
+func (l *Layout) Coord(off int64) []int64 { return l.AppendCoord(nil, off) }
+
+// AppendCoord appends the coordinates of file offset off to dst and
+// returns the extended slice: Coord without the allocation, for loops
+// that visit many offsets with one scratch slice.
+func (l *Layout) AppendCoord(dst []int64, off int64) []int64 {
 	if off < 0 || off >= l.Size() {
 		panic("layout: offset out of range")
 	}
 	switch l.kind {
 	case Permutation:
-		c := make([]int64, len(l.dims))
+		base := len(dst)
+		dst = append(dst, l.dims...)
+		c := dst[base:]
 		for k := len(l.perm) - 1; k >= 0; k-- {
 			d := l.perm[k]
 			c[d] = off % l.dims[d]
 			off /= l.dims[d]
 		}
-		return c
-	case Diagonal2D:
-		k := l.findDiag(off)
-		d := k - (l.dims[1] - 1)
-		i := maxI64(0, d) + (off - l.diagStart(k))
-		return []int64{i, i - d}
-	case AntiDiagonal2D:
-		s := l.findDiag(off)
-		i := maxI64(0, s-(l.dims[1]-1)) + (off - l.diagStart(s))
-		return []int64{i, s - i}
-	case General2D:
-		l.buildTable()
-		lin := l.tableInv[off]
-		return []int64{lin / l.dims[1], lin % l.dims[1]}
-	case Blocked2D:
-		starts := l.blockStarts()
-		// Binary search over block starts.
-		lo, hi := 0, len(starts)-1
-		for lo < hi {
-			mid := (lo + hi + 1) / 2
-			if starts[mid] <= off {
-				lo = mid
-			} else {
-				hi = mid - 1
-			}
+		return dst
+	case Diagonal2D, AntiDiagonal2D:
+		k := lastLE(l.starts, off) // never the final (total size) entry: off < Size()
+		i := l.diagFirstRow(k) + off - l.starts[k]
+		if l.kind == Diagonal2D {
+			return append(dst, i, i-(k-(l.dims[1]-1)))
 		}
+		return append(dst, i, k-i)
+	case General2D:
+		_, inv := l.tables()
+		return append(dst, inv[off]/l.dims[1], inv[off]%l.dims[1])
+	case Blocked2D:
+		b := lastLE(l.starts, off)
 		nb2 := ceilDiv(l.dims[1], l.block[1])
-		bi, bj := int64(lo)/nb2, int64(lo)%nb2
-		rem := off - starts[lo]
+		bi, bj := b/nb2, b%nb2
+		rem := off - l.starts[b]
 		bw := minI64(l.block[1], l.dims[1]-bj*l.block[1])
-		return []int64{bi*l.block[0] + rem/bw, bj*l.block[1] + rem%bw}
+		return append(dst, bi*l.block[0]+rem/bw, bj*l.block[1]+rem%bw)
 	default:
 		panic("layout: unknown kind")
 	}
 }
 
-// diagCount returns the number of diagonals (for both diagonal kinds
-// the count is n+m-1).
-func (l *Layout) diagCount() int64 { return l.dims[0] + l.dims[1] - 1 }
+// diagFirstRow returns the smallest row on normalized diagonal k. For
+// AntiDiagonal2D k = i+j; for Diagonal2D k = (i-j) + (m-1). Both
+// parameterizations give the same row range and length profile.
+func (l *Layout) diagFirstRow(k int64) int64 { return maxI64(0, k-(l.dims[1]-1)) }
 
-// diagLen returns the length of normalized diagonal k in [0, n+m-1).
-// For AntiDiagonal2D k = i+j; for Diagonal2D k = (i-j) + (m-1). Both
-// parameterizations give the same length profile.
-func (l *Layout) diagLen(k int64) int64 {
-	n, m := l.dims[0], l.dims[1]
-	return minI64(k, n-1) - maxI64(0, k-(m-1)) + 1
-}
+// diagOffset returns the file offset of the element in row i of
+// normalized diagonal k.
+func (l *Layout) diagOffset(k, i int64) int64 { return l.starts[k] + i - l.diagFirstRow(k) }
 
-// diagStart returns the file offset where normalized diagonal k begins,
-// memoizing the prefix sums.
-func (l *Layout) diagStart(k int64) int64 {
-	if l.starts == nil {
-		starts := make([]int64, l.diagCount()+1)
-		for d := int64(0); d < l.diagCount(); d++ {
-			starts[d+1] = starts[d] + l.diagLen(d)
-		}
-		l.starts = starts
+// diagStarts returns the prefix sums of the diagonal lengths of an
+// n x m array: entry k is where normalized diagonal k begins, the last
+// entry the total size.
+func diagStarts(n, m int64) []int64 {
+	starts := make([]int64, n+m)
+	for k := int64(0); k < n+m-1; k++ {
+		starts[k+1] = starts[k] + minI64(k, n-1) - maxI64(0, k-(m-1)) + 1
 	}
-	return l.starts[k]
+	return starts
 }
 
-// findDiag returns the normalized diagonal containing file offset off.
-func (l *Layout) findDiag(off int64) int64 {
-	l.diagStart(0)
-	lo, hi := int64(0), l.diagCount()-1
-	for lo < hi {
-		mid := (lo + hi + 1) / 2
-		if l.starts[mid] <= off {
-			lo = mid
-		} else {
-			hi = mid - 1
+// blockStarts returns per-block start offsets, row-major over blocks.
+func blockStarts(n, m, b1, b2 int64) []int64 {
+	nb1, nb2 := ceilDiv(n, b1), ceilDiv(m, b2)
+	starts := make([]int64, 0, nb1*nb2)
+	var acc int64
+	for bi := int64(0); bi < nb1; bi++ {
+		bh := minI64(b1, n-bi*b1)
+		for bj := int64(0); bj < nb2; bj++ {
+			starts = append(starts, acc)
+			acc += bh * minI64(b2, m-bj*b2)
 		}
 	}
-	return lo
+	return starts
 }
 
-// blockStarts memoizes per-block start offsets, row-major over blocks.
-func (l *Layout) blockStarts() []int64 {
-	if l.starts == nil {
-		nb1 := ceilDiv(l.dims[0], l.block[0])
-		nb2 := ceilDiv(l.dims[1], l.block[1])
-		starts := make([]int64, nb1*nb2)
-		var acc int64
-		for bi := int64(0); bi < nb1; bi++ {
-			bh := minI64(l.block[0], l.dims[0]-bi*l.block[0])
-			for bj := int64(0); bj < nb2; bj++ {
-				bw := minI64(l.block[1], l.dims[1]-bj*l.block[1])
-				starts[bi*nb2+bj] = acc
-				acc += bh * bw
-			}
-		}
-		l.starts = starts
-	}
-	return l.starts
-}
-
-func (l *Layout) blockStart(bi, bj int64) int64 {
-	nb2 := ceilDiv(l.dims[1], l.block[1])
-	return l.blockStarts()[bi*nb2+bj]
+// lastLE returns the largest k with starts[k] <= off, for ascending
+// starts with starts[0] <= off.
+func lastLE(starts []int64, off int64) int64 {
+	return int64(sort.Search(len(starts), func(k int) bool { return starts[k] > off })) - 1
 }
 
 func minI64(a, b int64) int64 {

@@ -2,7 +2,7 @@ package layout
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Box is a half-open rectangular region [Lo[d], Hi[d]) of array
@@ -97,58 +97,105 @@ type Run struct {
 	Off, Len int64
 }
 
-// Runs enumerates the maximal contiguous file segments that together
-// cover exactly the elements of box under the layout, sorted by file
-// offset. The number of runs is the paper's central I/O metric: one
-// I/O request per run (possibly split further by the per-call byte cap
-// and by striping, which the ooc and pfs packages model).
-func (l *Layout) Runs(box Box) []Run {
+// Seg is one constant-stride piece of a box under a layout: Len
+// consecutive file elements starting at offset Off, which sit at
+// positions Idx, Idx+Stride, Idx+2·Stride, ... of the box's own
+// row-major linearization. It tells a tile mover where a file run's
+// elements go without mapping each one through Coord.
+type Seg struct {
+	Off, Len    int64
+	Idx, Stride int64
+}
+
+// Segments enumerates the (clipped) box as constant-stride segments
+// sorted by file offset: together they cover every element of the box
+// exactly once. It is the single per-kind walk of the package — Runs is
+// its merge — so I/O accounting and element placement cannot disagree.
+func (l *Layout) Segments(box Box) []Seg {
 	box = box.Clip(l.dims)
 	if box.Empty() {
 		return nil
 	}
 	switch l.kind {
 	case Permutation:
-		return mergeRuns(l.permSegments(box))
-	case Diagonal2D:
-		return mergeRuns(l.diagSegments(box, true))
-	case AntiDiagonal2D:
-		return mergeRuns(l.diagSegments(box, false))
+		return l.permSegments(box)
+	case Diagonal2D, AntiDiagonal2D:
+		return l.diagSegments(box)
 	case Blocked2D:
-		return mergeRuns(l.blockSegments(box))
+		return l.blockSegments(box)
 	case General2D:
-		return mergeRuns(l.genericSegments(box))
+		return l.tableSegments(box)
 	default:
 		panic("layout: unknown kind")
 	}
+}
+
+// Runs enumerates the maximal contiguous file segments that together
+// cover exactly the elements of box under the layout, sorted by file
+// offset. The number of runs is the paper's central I/O metric: one
+// I/O request per run (possibly split further by the per-call byte cap
+// and by striping, which the ooc and pfs packages model).
+func (l *Layout) Runs(box Box) []Run { return RunsOf(l.Segments(box)) }
+
+// RunsOf coalesces file-adjacent segments (sorted by offset, as
+// Segments returns them) into maximal runs.
+func RunsOf(segs []Seg) []Run {
+	if len(segs) == 0 {
+		return nil
+	}
+	runs := make([]Run, 0, len(segs))
+	for _, s := range segs {
+		if n := len(runs); n > 0 && runs[n-1].Off+runs[n-1].Len == s.Off {
+			runs[n-1].Len += s.Len
+		} else {
+			runs = append(runs, Run{Off: s.Off, Len: s.Len})
+		}
+	}
+	return runs
 }
 
 // RunCount returns len(Runs(box)) without retaining the slice.
 func (l *Layout) RunCount(box Box) int64 { return int64(len(l.Runs(box))) }
 
 // permSegments yields one segment per "row" of the box along the
-// fastest dimension of the permutation order.
-func (l *Layout) permSegments(box Box) []Run {
-	fast := l.perm[len(l.perm)-1]
-	slow := l.perm[:len(l.perm)-1]
-	segLen := box.Hi[fast] - box.Lo[fast]
-	// Iterate the slow dims in perm-lexicographic order so segments come
-	// out already sorted by offset.
-	cur := make([]int64, l.Rank())
-	copy(cur, box.Lo)
-	var segs []Run
+// fastest dimension of the permutation order. The slow dimensions
+// advance odometer-style in permutation order, so segments come out
+// sorted by offset, and each step moves the file offset and the box
+// index by that dimension's stride instead of recomputing them.
+func (l *Layout) permSegments(box Box) []Seg {
+	rank := len(l.dims)
+	scratch := make([]int64, 4*rank)
+	ext, fstr, tstr, pos := scratch[:rank], scratch[rank:2*rank], scratch[2*rank:3*rank], scratch[3*rank:]
+	t := int64(1)
+	for d := rank - 1; d >= 0; d-- {
+		ext[d] = box.Hi[d] - box.Lo[d]
+		tstr[d] = t // box-local row-major stride
+		t *= ext[d]
+	}
+	f, off := int64(1), int64(0)
+	for k := rank - 1; k >= 0; k-- {
+		d := l.perm[k]
+		fstr[d] = f // file stride under the permutation
+		f *= l.dims[d]
+		off += box.Lo[d] * fstr[d]
+	}
+	fast, slow := l.perm[rank-1], l.perm[:rank-1]
+	segs := make([]Seg, 0, t/ext[fast])
+	var idx int64
 	for {
-		cur[fast] = box.Lo[fast]
-		segs = append(segs, Run{Off: l.Offset(cur), Len: segLen})
-		// Advance the slow dims odometer-style, fastest slow dim last.
+		segs = append(segs, Seg{Off: off, Len: ext[fast], Idx: idx, Stride: tstr[fast]})
 		k := len(slow) - 1
 		for ; k >= 0; k-- {
 			d := slow[k]
-			cur[d]++
-			if cur[d] < box.Hi[d] {
+			pos[d]++
+			off += fstr[d]
+			idx += tstr[d]
+			if pos[d] < ext[d] {
 				break
 			}
-			cur[d] = box.Lo[d]
+			off -= pos[d] * fstr[d]
+			idx -= pos[d] * tstr[d]
+			pos[d] = 0
 		}
 		if k < 0 {
 			return segs
@@ -157,99 +204,81 @@ func (l *Layout) permSegments(box Box) []Run {
 }
 
 // diagSegments yields one segment per (anti-)diagonal intersecting the
-// box. For diag=true the family is i-j=c; otherwise i+j=s.
-func (l *Layout) diagSegments(box Box, diag bool) []Run {
+// box, in ascending normalized-diagonal order, which is offset order.
+// Along a diagonal i-j=d both coordinates rise together (index step
+// cols+1); along an anti-diagonal i+j=s the column falls (cols-1).
+func (l *Layout) diagSegments(box Box) []Seg {
 	r0, r1 := box.Lo[0], box.Hi[0]
 	c0, c1 := box.Lo[1], box.Hi[1]
-	var segs []Run
+	cols, m := c1-c0, l.dims[1]
+	diag := l.kind == Diagonal2D
+	kLo, kHi, stride := r0+c0, (r1-1)+(c1-1), cols-1
 	if diag {
-		// d = i - j ranges over [r0-(c1-1), r1-1-c0].
-		for d := r0 - (c1 - 1); d <= r1-1-c0; d++ {
-			iLo := maxI64(r0, d+c0)
-			iHi := minI64(r1-1, d+c1-1)
-			if iHi < iLo {
-				continue
-			}
-			segs = append(segs, Run{Off: l.Offset([]int64{iLo, iLo - d}), Len: iHi - iLo + 1})
-		}
-	} else {
-		for s := r0 + c0; s <= (r1-1)+(c1-1); s++ {
-			iLo := maxI64(r0, s-(c1-1))
-			iHi := minI64(r1-1, s-c0)
-			if iHi < iLo {
-				continue
-			}
-			segs = append(segs, Run{Off: l.Offset([]int64{iLo, s - iLo}), Len: iHi - iLo + 1})
-		}
+		kLo, kHi, stride = r0-(c1-1)+(m-1), (r1-1)-c0+(m-1), cols+1
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].Off < segs[b].Off })
+	segs := make([]Seg, 0, kHi-kLo+1)
+	for k := kLo; k <= kHi; k++ {
+		var iLo, iHi, j int64
+		if diag {
+			d := k - (m - 1)
+			iLo, iHi = maxI64(r0, d+c0), minI64(r1-1, d+c1-1)
+			j = iLo - d
+		} else {
+			iLo, iHi = maxI64(r0, k-(c1-1)), minI64(r1-1, k-c0)
+			j = k - iLo
+		}
+		segs = append(segs, Seg{Off: l.diagOffset(k, iLo), Len: iHi - iLo + 1, Idx: (iLo-r0)*cols + j - c0, Stride: stride})
+	}
 	return segs
 }
 
 // blockSegments yields row segments within each block the box overlaps.
-func (l *Layout) blockSegments(box Box) []Run {
+// Blocks are stored row-major and rows ascend within a block, so the
+// walk is already in offset order.
+func (l *Layout) blockSegments(box Box) []Seg {
 	b1, b2 := l.block[0], l.block[1]
-	var segs []Run
+	nb2 := ceilDiv(l.dims[1], b2)
+	cols := box.Hi[1] - box.Lo[1]
+	segs := make([]Seg, 0, (box.Hi[0]-box.Lo[0])*((box.Hi[1]-1)/b2-box.Lo[1]/b2+1))
 	for bi := box.Lo[0] / b1; bi*b1 < box.Hi[0]; bi++ {
+		rLo := maxI64(box.Lo[0], bi*b1)
+		rHi := minI64(box.Hi[0], (bi+1)*b1)
 		for bj := box.Lo[1] / b2; bj*b2 < box.Hi[1]; bj++ {
-			rLo := maxI64(box.Lo[0], bi*b1)
-			rHi := minI64(box.Hi[0], (bi+1)*b1)
 			cLo := maxI64(box.Lo[1], bj*b2)
 			cHi := minI64(box.Hi[1], (bj+1)*b2)
+			bw := minI64(b2, l.dims[1]-bj*b2) // clipped block width
 			for i := rLo; i < rHi; i++ {
-				segs = append(segs, Run{Off: l.Offset([]int64{i, cLo}), Len: cHi - cLo})
+				segs = append(segs, Seg{
+					Off: l.starts[bi*nb2+bj] + (i-bi*b1)*bw + cLo - bj*b2, Len: cHi - cLo,
+					Idx: (i-box.Lo[0])*cols + cLo - box.Lo[1], Stride: 1,
+				})
 			}
 		}
 	}
-	sort.Slice(segs, func(a, b int) bool { return segs[a].Off < segs[b].Off })
 	return segs
 }
 
-// genericSegments enumerates every element (table-backed layouts only).
-func (l *Layout) genericSegments(box Box) []Run {
+// tableSegments enumerates every element (table-backed layouts only)
+// and merges neighbours that are consecutive both in the file and in
+// the box.
+func (l *Layout) tableSegments(box Box) []Seg {
+	table, inv := l.tables()
+	m, cols := l.dims[1], box.Hi[1]-box.Lo[1]
 	offs := make([]int64, 0, box.Size())
-	cur := make([]int64, l.Rank())
-	copy(cur, box.Lo)
-	for {
-		offs = append(offs, l.Offset(cur))
-		k := l.Rank() - 1
-		for ; k >= 0; k-- {
-			cur[k]++
-			if cur[k] < box.Hi[k] {
-				break
-			}
-			cur[k] = box.Lo[k]
-		}
-		if k < 0 {
-			break
+	for i := box.Lo[0]; i < box.Hi[0]; i++ {
+		for j := box.Lo[1]; j < box.Hi[1]; j++ {
+			offs = append(offs, table[i*m+j])
 		}
 	}
-	sort.Slice(offs, func(a, b int) bool { return offs[a] < offs[b] })
-	segs := make([]Run, 0, len(offs))
+	slices.Sort(offs)
+	segs := make([]Seg, 0, len(offs))
 	for _, o := range offs {
-		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == o {
+		idx := (inv[o]/m-box.Lo[0])*cols + inv[o]%m - box.Lo[1]
+		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == o && segs[n-1].Idx+segs[n-1].Len == idx {
 			segs[n-1].Len++
 		} else {
-			segs = append(segs, Run{Off: o, Len: 1})
+			segs = append(segs, Seg{Off: o, Len: 1, Idx: idx, Stride: 1})
 		}
 	}
 	return segs
-}
-
-// mergeRuns coalesces adjacent segments (sorted by offset) into maximal
-// runs.
-func mergeRuns(segs []Run) []Run {
-	if len(segs) == 0 {
-		return nil
-	}
-	out := segs[:1]
-	for _, s := range segs[1:] {
-		last := &out[len(out)-1]
-		if last.Off+last.Len == s.Off {
-			last.Len += s.Len
-		} else {
-			out = append(out, s)
-		}
-	}
-	return out
 }

@@ -323,14 +323,18 @@ func (d *Disk) account(name string, calls, elems int64, write bool) {
 const setupChunk = 1 << 16
 
 // Fill initializes the whole array in place from a coordinate function
-// WITHOUT accounting I/O (test/benchmark setup, not workload I/O).
+// WITHOUT accounting I/O (test/benchmark setup, not workload I/O). The
+// slice f receives is reused from element to element; f must not keep
+// it.
 func (ar *Array) Fill(f func(c []int64) float64) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
+	var c []int64
 	for base := int64(0); base < size; base += int64(len(buf)) {
 		n := minI64ooc(int64(len(buf)), size-base)
 		for i := int64(0); i < n; i++ {
-			buf[i] = f(ar.Layout.Coord(base + i))
+			c = ar.Layout.AppendCoord(c[:0], base+i)
+			buf[i] = f(c)
 		}
 		if err := ar.backend.WriteAt(buf[:n], base); err != nil {
 			panic(err)
@@ -360,13 +364,15 @@ func (ar *Array) SetAt(c []int64, v float64) {
 func (ar *Array) ToStore(s *ir.Store) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
+	var c []int64
 	for base := int64(0); base < size; base += int64(len(buf)) {
 		n := minI64ooc(int64(len(buf)), size-base)
 		if err := ar.backend.ReadAt(buf[:n], base); err != nil {
 			panic(err)
 		}
 		for i := int64(0); i < n; i++ {
-			s.Set(ar.Meta, ar.Layout.Coord(base+i), buf[i])
+			c = ar.Layout.AppendCoord(c[:0], base+i)
+			s.Set(ar.Meta, c, buf[i])
 		}
 	}
 }
@@ -376,10 +382,12 @@ func (ar *Array) ToStore(s *ir.Store) {
 func (ar *Array) FromStore(s *ir.Store) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
+	var c []int64
 	for base := int64(0); base < size; base += int64(len(buf)) {
 		n := minI64ooc(int64(len(buf)), size-base)
 		for i := int64(0); i < n; i++ {
-			buf[i] = s.Get(ar.Meta, ar.Layout.Coord(base+i))
+			c = ar.Layout.AppendCoord(c[:0], base+i)
+			buf[i] = s.Get(ar.Meta, c)
 		}
 		if err := ar.backend.WriteAt(buf[:n], base); err != nil {
 			panic(err)
@@ -407,29 +415,102 @@ type Tile struct {
 func (ar *Array) ReadTile(box layout.Box) (*Tile, error) {
 	box = box.Clip(ar.Meta.Dims)
 	t := newTile(ar, box)
-	runs := ar.Layout.Runs(box)
+	segs := ar.Layout.Segments(box)
+	runs := layout.RunsOf(segs)
 	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(runs), box.Size(), false)
 	ar.disk.recordRuns(ar.Meta.Name, runs, false)
 	ar.disk.observeRuns(runs)
-	// Move the data: read each run, then scatter into the tile buffer.
-	// Concurrent reads overlap; a concurrent write excludes them.
+	// Move the data: one backend read per run, straight into the tile
+	// where the run is one stretch of it, else scattered from a bounce
+	// buffer. Concurrent reads overlap; a concurrent write excludes them.
 	ar.bmu.RLock()
 	defer ar.bmu.RUnlock()
-	var buf []float64
+	var bounce []float64
 	for _, r := range runs {
-		if int64(cap(buf)) < r.Len {
-			buf = make([]float64, r.Len)
+		var rs []layout.Seg
+		rs, segs = cutRun(segs, r)
+		buf := t.stretch(rs)
+		direct := buf != nil
+		if !direct {
+			if bounce == nil {
+				bounce = make([]float64, longestRun(runs))
+			}
+			buf = bounce[:r.Len]
 		}
-		buf = buf[:r.Len]
 		if err := ar.backend.ReadAt(buf, r.Off); err != nil {
 			return nil, fmt.Errorf("ooc: reading %s run [%d,%d): %w", ar.Meta.Name, r.Off, r.Off+r.Len, err)
 		}
-		for i := int64(0); i < r.Len; i++ {
-			c := ar.Layout.Coord(r.Off + i)
-			t.data[t.index(c)] = buf[i]
+		if !direct {
+			t.scatter(rs, buf, r.Off)
 		}
 	}
 	return t, nil
+}
+
+// scatter places a run read into buf (file offset base onwards) at its
+// segments' tile positions; gather is the inverse, filling buf from the
+// tile. Stride-1 segments are block copies, the rest step by Stride.
+func (t *Tile) scatter(rs []layout.Seg, buf []float64, base int64) {
+	for _, s := range rs {
+		src := buf[s.Off-base:][:s.Len]
+		if s.Stride == 1 {
+			copy(t.data[s.Idx:], src)
+			continue
+		}
+		idx := s.Idx
+		for _, v := range src {
+			t.data[idx] = v
+			idx += s.Stride
+		}
+	}
+}
+
+func (t *Tile) gather(rs []layout.Seg, buf []float64, base int64) {
+	for _, s := range rs {
+		dst := buf[s.Off-base:][:s.Len]
+		if s.Stride == 1 {
+			copy(dst, t.data[s.Idx:])
+			continue
+		}
+		idx := s.Idx
+		for i := range dst {
+			dst[i] = t.data[idx]
+			idx += s.Stride
+		}
+	}
+}
+
+// cutRun splits off the leading segments that make up run r.
+func cutRun(segs []layout.Seg, r layout.Run) (in, rest []layout.Seg) {
+	n := 0
+	for n < len(segs) && segs[n].Off < r.Off+r.Len {
+		n++
+	}
+	return segs[:n], segs[n:]
+}
+
+// stretch returns the part of the tile buffer a run's segments occupy
+// when they are stride-1 and adjacent in the tile as well as in the
+// file, so the backend can move the run with no bounce buffer; else
+// nil.
+func (t *Tile) stretch(rs []layout.Seg) []float64 {
+	next := rs[0].Idx
+	for _, s := range rs {
+		if s.Idx != next || (s.Stride != 1 && s.Len != 1) {
+			return nil
+		}
+		next += s.Len
+	}
+	return t.data[rs[0].Idx:next]
+}
+
+// longestRun sizes the one bounce buffer a tile move allocates.
+func longestRun(runs []layout.Run) int64 {
+	var n int64
+	for _, r := range runs {
+		n = max(n, r.Len)
+	}
+	return n
 }
 
 // TouchRead accounts the I/O of reading the box without moving any
@@ -462,21 +543,24 @@ func (ar *Array) NewTileZero(box layout.Box) *Tile {
 // contiguous run segment (split by the call cap).
 func (t *Tile) WriteTile() error {
 	ar := t.Arr
-	runs := ar.Layout.Runs(t.Box)
+	segs := ar.Layout.Segments(t.Box)
+	runs := layout.RunsOf(segs)
 	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(runs), t.Box.Size(), true)
 	ar.disk.recordRuns(ar.Meta.Name, runs, true)
 	ar.disk.observeRuns(runs)
 	ar.bmu.Lock()
 	defer ar.bmu.Unlock()
-	var buf []float64
+	var bounce []float64
 	for _, r := range runs {
-		if int64(cap(buf)) < r.Len {
-			buf = make([]float64, r.Len)
-		}
-		buf = buf[:r.Len]
-		for i := int64(0); i < r.Len; i++ {
-			c := ar.Layout.Coord(r.Off + i)
-			buf[i] = t.data[t.index(c)]
+		var rs []layout.Seg
+		rs, segs = cutRun(segs, r)
+		buf := t.stretch(rs)
+		if buf == nil {
+			if bounce == nil {
+				bounce = make([]float64, longestRun(runs))
+			}
+			buf = bounce[:r.Len]
+			t.gather(rs, buf, r.Off)
 		}
 		if err := ar.backend.WriteAt(buf, r.Off); err != nil {
 			return fmt.Errorf("ooc: writing %s run [%d,%d): %w", ar.Meta.Name, r.Off, r.Off+r.Len, err)
