@@ -16,7 +16,7 @@ FUZZ_TARGETS := \
 	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzTenantHeader
 
-.PHONY: build test race check fuzz vet fmt cover suite bench-layers baseline load sweep walsweep compsweep clustersweep opsweep mtsweep chaos
+.PHONY: build test race check fuzz vet fmt cover loc suite bench-layers bench-counts baseline load sweep walsweep compsweep clustersweep opsweep mtsweep chaos
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,14 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
+# Non-test Go lines per internal/ package — the unit ROADMAP's code-size
+# bars are stated in.
+loc:
+	@for d in internal/*/; do \
+		printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
+	done | sort -rn
+	@printf '%6d  total\n' "$$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+
 # The benchmark suite CI gates against BENCH_baseline.json.
 suite:
 	$(GO) run ./cmd/occbench -suite -json BENCH_current.json -baseline BENCH_baseline.json
@@ -58,6 +66,26 @@ suite:
 # benchstat to compare commits.
 bench-layers:
 	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile' -benchmem -count 6 ./internal/layout ./internal/ooc
+
+# The repository benchmark's runner-independent gate: one short round of
+# each BENCHMARK.json workload at a fixed seed, comparing the metrics
+# that repeat to the bit for a seed — I/O calls per op, I/O bytes per
+# user byte, ok fraction — exactly against BENCH_counts.json. Any drift
+# is a behaviour change, never noise. After an intentional one,
+# regenerate with `make bench-counts BENCH_COUNTS_UPDATE=1`.
+BENCH_WORKLOADS := hit_point miss_point scan_stream durable_put cluster_mixed kernels
+bench-counts:
+	@set -e; got=$$(for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh -workload $$w -seed 1 -seconds 2 | tail -1 | jq -c --arg w $$w \
+			'{($$w): (.metrics | {io_calls_per_op_p1, io_bytes_per_user_byte_p1, ok_frac} | map_values(.value))}'; \
+	done | jq -s add); \
+	if [ -n "$(BENCH_COUNTS_UPDATE)" ]; then echo "$$got" > BENCH_counts.json; fi; \
+	echo "$$got" | jq -e --slurpfile want BENCH_counts.json '. == $$want[0]' > /dev/null \
+		|| { echo "bench-counts: count metrics drifted from BENCH_counts.json:"; \
+		     echo "$$got" | jq -c --slurpfile want BENCH_counts.json \
+			'to_entries[] | select(.value != $$want[0][.key]) | {workload: .key, got: .value, want: $$want[0][.key]}'; \
+		     exit 1; }; \
+	echo "bench-counts: all six workloads match BENCH_counts.json"
 
 # Regenerate the checked-in baseline (after an intentional perf change).
 baseline:

@@ -1,7 +1,7 @@
 // Command occd is the out-of-core tile-server daemon: it exposes a
 // disk of arrays over HTTP through internal/server, with request
-// coalescing, per-client rate limiting and bounded admission in front
-// of the shared tile engine.
+// coalescing, per-tenant quotas and bounded admission in front of the
+// shared tile engine.
 //
 // Start it empty (clients create arrays via POST /v1/arrays), or
 // pre-create a benchmark kernel's arrays so the daemon serves exactly
@@ -50,8 +50,6 @@ func main() {
 	shards := flag.Int("shards", 1, "shard the tile plane this many ways (1 = single engine); with -dir, backing files stripe to match")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond -inflight")
-	rate := flag.Float64("rate", 0, "per-client requests/second (0 = unlimited)")
-	burst := flag.Int("burst", 0, "per-client burst on top of -rate")
 	tenantWeights := flag.String("tenant-weights", "", "DRR admission weights per tenant, e.g. batch=1,interactive=4 (unlisted tenants weigh 1)")
 	tenantQuotaBytes := flag.Float64("tenant-quota-bytes", 0, "per-tenant payload bytes/second budget (0 = unlimited)")
 	tenantQuotaRPS := flag.Float64("tenant-quota-rps", 0, "per-tenant requests/second budget (0 = unlimited)")
@@ -164,8 +162,6 @@ func main() {
 	srv := server.New(d, eng, server.Config{
 		MaxInflight:   *inflight,
 		QueueDepth:    *queue,
-		RatePerSec:    *rate,
-		Burst:         *burst,
 		MaxArrayElems: *maxArrayElems,
 		MaxTileElems:  *maxTileElems,
 		DurablePuts:   *durablePuts,

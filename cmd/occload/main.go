@@ -99,8 +99,6 @@ func main() {
 	scenario := flag.String("scenario", "", "operator mix: empty/point = single-tile GET/PUT; scan-heavy = streaming range scans over tile stripes; write-heavy = multi-op batch PUTs; mixed = scans+batches+point ops (rows config serve-scan-*/serve-batch-*/serve-mixed-*)")
 	batchOps := flag.Int("batch-ops", 8, "tiles per batch request in the write-heavy/mixed scenarios")
 	arrivalRate := flag.Float64("arrival-rate", 0, "open-loop arrivals/second across all clients: the schedule is fixed before the run and latency is measured from each request's scheduled arrival, so server stalls surface as queueing delay instead of thinning the offered load (coordinated-omission-safe; 0 = closed loop)")
-	rate := flag.Float64("rate", 0, "per-client requests/second (0 = unlimited)")
-	burst := flag.Int("burst", 0, "per-client burst on top of -rate")
 	dir := flag.String("dir", "", "backing directory for array files (empty = in-memory); sweeps use a subdirectory per pass")
 	wal := flag.Bool("wal", false, "write-ahead log tile writes: durable PUTs ack on a group-committed log fsync instead of per-write stripe fsyncs")
 	commitWindow := flag.Duration("commit-window", 0, "with -wal: wait this long before the group commit's log fsync so more writers share it (0 = fsync immediately; writers arriving mid-fsync still batch into the next round)")
@@ -275,8 +273,6 @@ func main() {
 		srv := server.New(d, eng, server.Config{
 			MaxInflight: *inflight,
 			QueueDepth:  *queue,
-			RatePerSec:  *rate,
-			Burst:       *burst,
 			DurablePuts: *durablePuts,
 			Obs:         sink,
 		})

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"time"
 
 	"outcore/internal/layout"
-	"outcore/internal/ooc"
 	"outcore/internal/server"
 )
 
@@ -162,21 +160,8 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 	}
 	gen, _ := strconv.ParseUint(resp.Header.Get(server.TileGenHeader), 10, 64)
 	data := make([]float64, box.Size())
-	if resp.Header.Get("Content-Encoding") == server.WireEncoding {
-		n, err := ooc.DecodeFrame(body, data)
-		if err == nil && n != len(body) {
-			err = fmt.Errorf("%d trailing bytes after the frame", len(body)-n)
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("node %s tile frame: %w", c.ID, err)
-		}
-	} else {
-		if int64(len(body)) != box.Size()*ooc.ElemSize {
-			return nil, 0, fmt.Errorf("node %s tile body: %d bytes for %d elements", c.ID, len(body), box.Size())
-		}
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*ooc.ElemSize:]))
-		}
+	if err := server.DecodeTile(body, resp.Header.Get("Content-Encoding") == server.WireEncoding, data); err != nil {
+		return nil, 0, fmt.Errorf("node %s tile body: %w", c.ID, err)
 	}
 	return data, gen, nil
 }
@@ -185,15 +170,7 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 // the node skipped the write because it already holds storedGen > gen
 // (the router raises its counter and retries with a fresh generation).
 func (c *NodeClient) PutTile(name string, box layout.Box, data []float64, gen uint64, wire bool) (storedGen uint64, stale bool, err error) {
-	var body []byte
-	if wire {
-		body = ooc.AppendFrame(nil, data)
-	} else {
-		body = make([]byte, len(data)*ooc.ElemSize)
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(body[i*ooc.ElemSize:], math.Float64bits(v))
-		}
-	}
+	body := server.EncodeTile(data, wire)
 	req, err := http.NewRequest(http.MethodPut, c.tileURL(name, box), bytes.NewReader(body))
 	if err != nil {
 		return 0, false, err
@@ -246,9 +223,8 @@ func (c *NodeClient) Reduce(name string, box layout.Box, op string) (float64, in
 	return math.Float64frombits(out.Bits), out.Count, nil
 }
 
-// ListArrays fetches the node's array catalog (GET /v1/arrays) into
-// the router's row type — the wire fields match occd's listing.
-func (c *NodeClient) ListArrays() ([]arrayMeta, error) {
+// ListArrays fetches the node's array catalog (GET /v1/arrays).
+func (c *NodeClient) ListArrays() ([]server.ArrayInfo, error) {
 	resp, err := c.HTTP.Get(c.BaseURL + "/v1/arrays")
 	if err != nil {
 		return nil, unavailable(err)
@@ -257,7 +233,7 @@ func (c *NodeClient) ListArrays() ([]arrayMeta, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, c.statusError(resp)
 	}
-	var out []arrayMeta
+	var out []server.ArrayInfo
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("node %s array list: %w", c.ID, err)
 	}

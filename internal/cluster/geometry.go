@@ -24,6 +24,12 @@
 // spanning several grid tiles are decomposed, each piece served by its
 // own tile's replicas, and stitched back into the caller's box-local
 // row-major payload.
+//
+// The package has no HTTP handlers of its own: Router implements
+// server.Plane (catalog, ReadBox/WriteBox/ReduceBox, stats, error
+// mapping) and Router.Handler is the one front end, server.FrontEnd,
+// mounted over it — the same routes, admission, validation and
+// batch/scan/reduce code occd serves its local engine through.
 package cluster
 
 import (

@@ -117,7 +117,7 @@ type LocalCluster struct {
 	routerSrv *httptest.Server
 	nodes     []*LocalNode
 	clients   []*NodeClient
-	arrays    []arrayMeta // creations to replay on node restart
+	arrays    []server.Array // creations to replay on node restart
 }
 
 // NewLocal builds and starts the cluster.
@@ -200,9 +200,10 @@ func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
 		}
 		n.disk.EnableWAL(ooc.WALOptions{Logs: logs})
 	}
-	for _, am := range lc.arrays {
-		if err := lc.createOn(n.disk, am); err != nil {
-			panic(fmt.Sprintf("cluster: recreating %s on %s: %v", am.Name, n.ID, err))
+	for _, a := range lc.arrays {
+		_, err := n.disk.CreateArray(ir.NewArray(a.Name, a.Dims...), a.Layout)
+		if err != nil && !errors.Is(err, ooc.ErrArrayExists) {
+			panic(fmt.Sprintf("cluster: recreating %s on %s: %v", a.Name, n.ID, err))
 		}
 	}
 	n.eng = server.BuildEngine(n.disk, o.Shards, ooc.EngineOptions{Workers: o.Workers, CacheTiles: o.CacheTiles})
@@ -224,21 +225,6 @@ func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
 	n.killed = false
 }
 
-// createOn replays one catalog row onto a disk.
-func (lc *LocalCluster) createOn(d *ooc.Disk, am arrayMeta) error {
-	var l *layout.Layout
-	if am.Layout == "col" {
-		l = layout.ColMajor(am.Dims...)
-	} else {
-		l = layout.RowMajor(am.Dims...)
-	}
-	_, err := d.CreateArray(ir.NewArray(am.Name, am.Dims...), l)
-	if errors.Is(err, ooc.ErrArrayExists) {
-		err = nil
-	}
-	return err
-}
-
 // Nodes returns the node count.
 func (lc *LocalCluster) Nodes() int { return len(lc.nodes) }
 
@@ -252,11 +238,7 @@ func (lc *LocalCluster) CreateArray(name string, dims ...int64) error {
 	if err := c.CreateArray(name, dims, ""); err != nil {
 		return err
 	}
-	elems := int64(1)
-	for _, d := range dims {
-		elems *= d
-	}
-	lc.arrays = append(lc.arrays, arrayMeta{Name: name, Dims: dims, Elems: elems})
+	lc.arrays = append(lc.arrays, server.Array{Name: name, Dims: dims, Layout: layout.RowMajor(dims...)})
 	return nil
 }
 

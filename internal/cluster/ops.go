@@ -1,88 +1,48 @@
-// Router-side batched and streaming operators. The router exposes the
-// same batch/scan/reduce API a single occd node does, but decomposes
-// every box along the routing grid, fans the pieces out to their
-// replica sets (pieceGet/piecePut — the same consistency machinery the
-// tile plane uses), and stitches or merges the results: batch ops keep
-// per-op status, scan chunks are re-framed with router-minted cursors,
-// and reductions combine per-piece partials into one scalar so an
-// aggregate over the whole cluster still costs the client a single
-// round-trip.
+// The router's data plane behind server.Plane: every box is decomposed
+// along the routing grid, the pieces fanned out to their replica sets
+// (pieceGet/piecePut — the consistency machinery in router.go), and
+// the results stitched or merged — reads into one box-local buffer,
+// writes under per-piece generations, reductions as per-piece partials
+// combined into one scalar so an aggregate over the whole cluster
+// still costs the client a single round-trip. The HTTP surface over it
+// (batch/scan/reduce framing, cursors, validation) is server.FrontEnd.
 package cluster
 
 import (
-	"encoding/base64"
-	"encoding/binary"
-	"encoding/json"
+	"context"
 	"errors"
-	"fmt"
-	"io"
-	"math"
-	"net/http"
-	"strconv"
 
 	"outcore/internal/keyhash"
 	"outcore/internal/layout"
-	"outcore/internal/ooc"
 	"outcore/internal/server"
 )
 
-// layoutOf rebuilds the layout an array's tiles are stored under from
-// the catalog row (the create API accepts "row" and "col").
-func layoutOf(am arrayMeta) *layout.Layout {
-	if am.Layout == "col" {
-		return layout.ColMajor(am.Dims...)
+// ReadBox implements server.Plane: the box is read through the
+// replicated plane and lent to render. The router holds no engine, so
+// a paced stream's admission slot protects nothing here and goes back
+// at its first read (server.ReleaseAdmissionEarly).
+func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box, _ string,
+	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
+	server.ReleaseAdmissionEarly(ctx)
+	r.met.gets.Inc()
+	data, gen, err := r.boxGet(server.TenantFrom(ctx), a.Name, box)
+	if err != nil {
+		return nil, 0, false, r.failed(err)
 	}
-	return layout.RowMajor(am.Dims...)
+	return render(data, gen), gen, false, nil
 }
 
-// batchWire mirrors the node's batch request/result wire shapes (the
-// router speaks the same JSON contract; decoding into local structs
-// keeps the wire, not the server's internals, as the coupling).
-type batchWireOp struct {
-	Op   string  `json:"op"`
-	Lo   []int64 `json:"lo"`
-	Hi   []int64 `json:"hi"`
-	Data string  `json:"data_b64,omitempty"`
-}
-
-type batchWireResult struct {
-	Status int    `json:"status"`
-	Error  string `json:"error,omitempty"`
-	Elems  int64  `json:"elems,omitempty"`
-	Data   string `json:"data_b64,omitempty"`
-	Gen    uint64 `json:"gen,omitempty"`
-}
-
-// resolveOpBox validates one op's box against the catalog row.
-func resolveOpBox(am arrayMeta, lo, hi []int64) (layout.Box, int, string) {
-	if len(lo) != len(am.Dims) || len(hi) != len(am.Dims) {
-		return layout.Box{}, http.StatusBadRequest,
-			fmt.Sprintf("box rank %d/%d, array rank %d", len(lo), len(hi), len(am.Dims))
-	}
-	for d := range lo {
-		if lo[d] < 0 {
-			return layout.Box{}, http.StatusBadRequest, fmt.Sprintf("negative coordinate %d", lo[d])
-		}
-		if hi[d] < lo[d] {
-			return layout.Box{}, http.StatusBadRequest,
-				fmt.Sprintf("hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d])
-		}
-	}
-	box := layout.NewBox(lo, hi).Clip(am.Dims)
-	if box.Empty() {
-		return layout.Box{}, http.StatusBadRequest,
-			fmt.Sprintf("box %v is empty after clipping to %v", layout.NewBox(lo, hi), am.Dims)
-	}
-	if box.Size() > server.DefaultMaxTileElems {
-		return layout.Box{}, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("box %v holds %d elements, over the per-op limit of %d", box, box.Size(), server.DefaultMaxTileElems)
-	}
-	return box, 0, ""
+// WriteBox implements server.Plane. The router mints the generations
+// its replicas order writes by, so a caller's gen is ignored and the
+// minted one always reported.
+func (r *Router) WriteBox(ctx context.Context, a server.Array, box layout.Box, data []float64, _ uint64) (uint64, bool, error) {
+	r.met.puts.Inc()
+	gen, err := r.boxPut(server.TenantFrom(ctx), a.Name, box, data)
+	return gen, false, r.failed(err)
 }
 
 // boxGet reads one request box through the replicated plane: grid
-// decomposition, freshest-replica reads, stitching — the tile GET's
-// data path as a reusable call.
+// decomposition, freshest-replica reads, stitching.
 func (r *Router) boxGet(tenant, name string, box layout.Box) ([]float64, uint64, error) {
 	pieces := gridTiles(box, r.opts.TileDim)
 	if len(pieces) == 1 {
@@ -104,9 +64,9 @@ func (r *Router) boxGet(tenant, name string, box layout.Box) ([]float64, uint64,
 }
 
 // boxPut writes one request box through the replicated plane,
-// returning the highest generation assigned. false means some piece
+// returning the highest generation assigned; it fails when some piece
 // missed its write quorum.
-func (r *Router) boxPut(tenant, name string, box layout.Box, data []float64) (uint64, bool) {
+func (r *Router) boxPut(tenant, name string, box layout.Box, data []float64) (uint64, error) {
 	pieces := gridTiles(box, r.opts.TileDim)
 	var maxGen uint64
 	for _, piece := range pieces {
@@ -115,348 +75,35 @@ func (r *Router) boxPut(tenant, name string, box layout.Box, data []float64) (ui
 			pdata = make([]float64, piece.Size())
 			copyRegion(pdata, piece, data, box, piece)
 		}
-		gen, ok := r.piecePut(tenant, name, piece, pdata)
-		if !ok {
-			return 0, false
+		gen, err := r.piecePut(tenant, name, piece, pdata)
+		if err != nil {
+			return 0, err
 		}
 		if gen > maxGen {
 			maxGen = gen
 		}
 	}
-	return maxGen, true
+	return maxGen, nil
 }
 
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
-	r.catalog.mu.Lock()
-	am, ok := r.catalog.m[name]
-	r.catalog.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("no array %q", name), http.StatusNotFound)
-		return
-	}
-	var body struct {
-		Ops []batchWireOp `json:"ops"`
-	}
-	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<28)).Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad batch body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if len(body.Ops) == 0 {
-		http.Error(w, "batch needs at least one op", http.StatusBadRequest)
-		return
-	}
-	if len(body.Ops) > 4096 {
-		http.Error(w, fmt.Sprintf("batch of %d ops over the limit of 4096", len(body.Ops)), http.StatusBadRequest)
-		return
-	}
-	r.met.batches.Inc()
-	tenant := server.TenantOf(req)
-	results := make([]batchWireResult, len(body.Ops))
-	failed := 0
-	for i, op := range body.Ops {
-		// The per-tenant chunk cap paces batch trains the same way it
-		// paces scan chunks: one slot per op, released between ops.
-		chunkDone, ok := r.tenants.AcquireChunk(req.Context(), tenant)
-		if !ok {
-			results[i] = batchWireResult{Status: http.StatusServiceUnavailable, Error: "request canceled"}
-		} else {
-			results[i] = r.batchOne(am, op, tenant)
-			chunkDone()
-		}
-		r.met.batchOps.Inc()
-		if results[i].Status >= 400 {
-			r.met.batchOpErrors.Inc()
-			failed++
-		}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Results []batchWireResult `json:"results"`
-		Failed  int               `json:"failed"`
-	}{results, failed})
-}
-
-func (r *Router) batchOne(am arrayMeta, op batchWireOp, tenant string) batchWireResult {
-	box, status, msg := resolveOpBox(am, op.Lo, op.Hi)
-	if status != 0 {
-		return batchWireResult{Status: status, Error: msg}
-	}
-	switch op.Op {
-	case "get":
-		data, gen, err := r.boxGet(tenant, am.Name, box)
-		if err != nil {
-			return r.batchOpError(err)
-		}
-		r.tenants.DebitBytes(tenant, box.Size()*ooc.ElemSize)
-		payload := make([]byte, len(data)*ooc.ElemSize)
-		for i, v := range data {
-			binary.LittleEndian.PutUint64(payload[i*ooc.ElemSize:], math.Float64bits(v))
-		}
-		return batchWireResult{
-			Status: http.StatusOK,
-			Elems:  box.Size(),
-			Data:   base64.StdEncoding.EncodeToString(payload),
-			Gen:    gen,
-		}
-	case "put":
-		raw, err := base64.StdEncoding.DecodeString(op.Data)
-		if err != nil {
-			return batchWireResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("bad data_b64: %v", err)}
-		}
-		if int64(len(raw)) != box.Size()*ooc.ElemSize {
-			return batchWireResult{Status: http.StatusBadRequest,
-				Error: fmt.Sprintf("payload of %d bytes, want %d for %v", len(raw), box.Size()*ooc.ElemSize, box)}
-		}
-		data := make([]float64, box.Size())
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*ooc.ElemSize:]))
-		}
-		gen, ok := r.boxPut(tenant, am.Name, box, data)
-		if !ok {
-			r.met.quorumFailures.Inc()
-			return batchWireResult{Status: http.StatusServiceUnavailable, Error: "write quorum unavailable"}
-		}
-		r.tenants.DebitBytes(tenant, box.Size()*ooc.ElemSize)
-		return batchWireResult{Status: http.StatusNoContent, Elems: box.Size(), Gen: gen}
-	default:
-		return batchWireResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("unknown op %q (get, put)", op.Op)}
-	}
-}
-
-// batchOpError maps a replication failure onto a per-op status.
-func (r *Router) batchOpError(err error) batchWireResult {
-	if errors.Is(err, ErrUnavailable) {
-		r.met.quorumFailures.Inc()
-		return batchWireResult{Status: http.StatusServiceUnavailable, Error: "no reachable replica"}
-	}
-	r.met.errors.Inc()
-	return batchWireResult{Status: http.StatusBadGateway, Error: err.Error()}
-}
-
-func (r *Router) handleScan(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query()
-	var (
-		am         arrayMeta
-		box        layout.Box
-		chunkElems int64
-		startSeq   uint64
-	)
-	if tok := q.Get("cursor"); tok != "" {
-		cur, err := server.ParseScanCursor(tok)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		r.catalog.mu.Lock()
-		var ok bool
-		am, ok = r.catalog.m[cur.Name]
-		r.catalog.mu.Unlock()
-		if !ok {
-			http.Error(w, fmt.Sprintf("no array %q", cur.Name), http.StatusNotFound)
-			return
-		}
-		if got := layoutOf(am).Name(); got != cur.Layout {
-			http.Error(w, fmt.Sprintf("cursor layout %q does not match array layout %q", cur.Layout, got), http.StatusBadRequest)
-			return
-		}
-		clipped := cur.Box.Clip(am.Dims)
-		if clipped.Empty() || clipped.String() != cur.Box.String() {
-			http.Error(w, fmt.Sprintf("cursor box %v does not fit array dims %v", cur.Box, am.Dims), http.StatusBadRequest)
-			return
-		}
-		box, chunkElems, startSeq = cur.Box, cur.ChunkElems, cur.Seq
-		r.met.scanResumes.Inc()
-	} else {
-		var ok bool
-		am, box, ok = r.target(w, req)
-		if !ok {
-			return
-		}
-		chunkElems = server.DefaultScanChunkElems
-		if v := q.Get("chunk"); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil || n <= 0 {
-				http.Error(w, fmt.Sprintf("bad chunk size %q", v), http.StatusBadRequest)
-				return
-			}
-			chunkElems = n
-		}
-	}
-	if chunkElems > server.DefaultMaxTileElems {
-		chunkElems = server.DefaultMaxTileElems
-	}
-	l := layoutOf(am)
-	plan := layout.PlanScan(l, box, chunkElems)
-	if startSeq > uint64(len(plan)) {
-		http.Error(w, fmt.Sprintf("cursor seq %d past the %d-chunk plan", startSeq, len(plan)), http.StatusBadRequest)
-		return
-	}
-	r.met.scans.Inc()
-	tenant := server.TenantOf(req)
-	compress := acceptsWire(req.Header.Get("Accept-Encoding"))
-	w.Header().Set("Content-Type", server.ScanContentType)
-	w.Header().Set("X-Scan-Chunks", strconv.Itoa(len(plan)))
-	w.Header().Set("X-Scan-Chunk-Elems", strconv.FormatInt(chunkElems, 10))
-	flusher, _ := w.(http.Flusher)
-
-	// With a chunk cap configured, the stream's cost is paid per chunk
-	// from here on — hand the admission slot back so a multi-second
-	// scan cannot pin it while point requests queue behind a resource
-	// DRR never sees. (The router has no engine to drain, so nothing
-	// downstream depends on the slot outliving the stream.)
-	r.tenants.ReleaseAdmissionEarly(req)
-
-	var frame []byte
-	for seq := startSeq; seq < uint64(len(plan)); seq++ {
-		ch := plan[seq]
-		// One chunk slot per fan-out: the tenant's scan train shares
-		// the node pool fairly instead of monopolizing it.
-		chunkDone, ok := r.tenants.AcquireChunk(req.Context(), tenant)
-		if !ok {
-			// Client gone mid-stream; it resumes from its cursor.
-			return
-		}
-		data, _, err := r.boxGet(tenant, am.Name, ch)
-		chunkDone()
-		if err != nil {
-			if seq == startSeq {
-				r.met.errors.Inc()
-				if errors.Is(err, ErrUnavailable) {
-					r.met.quorumFailures.Inc()
-					w.Header().Set("Retry-After", r.retryAfter())
-					http.Error(w, "no reachable replica", http.StatusServiceUnavailable)
-				} else {
-					http.Error(w, err.Error(), http.StatusBadGateway)
-				}
-			}
-			// Mid-stream the connection ends short of the trailer; the
-			// client resumes from its last intact frame's cursor.
-			return
-		}
-		cursor := server.EncodeScanCursor(am.Name, box, chunkElems, l.Name(), seq+1)
-		frame = server.AppendScanFrame(frame[:0], seq, ch, cursor, data, compress)
-		if _, err := w.Write(frame); err != nil {
-			return
-		}
-		r.tenants.DebitBytes(tenant, ch.Size()*ooc.ElemSize)
-		r.met.scanChunks.Inc()
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	frame = server.AppendScanTrailer(frame[:0], uint64(len(plan)))
-	w.Write(frame)
-}
-
-// handleReduce pushes the fold down twice: the client sends one
-// request, the router sends one reduce per grid piece to a live
-// replica, and only scalars travel back up. Partials combine in
-// row-major piece order; a cluster sum's grouping therefore differs
-// from a single node's element-order fold by float associativity
-// (min/max/count are exact), which is the documented contract.
-func (r *Router) handleReduce(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
-	r.catalog.mu.Lock()
-	am, ok := r.catalog.m[name]
-	r.catalog.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("no array %q", name), http.StatusNotFound)
-		return
-	}
-	var body struct {
-		Op string  `json:"op"`
-		Lo []int64 `json:"lo"`
-		Hi []int64 `json:"hi"`
-	}
-	if err := json.NewDecoder(io.LimitReader(req.Body, 1<<20)).Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad reduce body: %v", err), http.StatusBadRequest)
-		return
-	}
-	switch body.Op {
-	case "sum", "min", "max", "count":
-	default:
-		http.Error(w, fmt.Sprintf("unknown reduce op %q (sum, min, max, count)", body.Op), http.StatusBadRequest)
-		return
-	}
-	if len(body.Lo) != len(am.Dims) || len(body.Hi) != len(am.Dims) {
-		http.Error(w, fmt.Sprintf("box rank %d/%d, array rank %d", len(body.Lo), len(body.Hi), len(am.Dims)), http.StatusBadRequest)
-		return
-	}
-	for d := range body.Lo {
-		if body.Lo[d] < 0 || body.Hi[d] < body.Lo[d] {
-			http.Error(w, fmt.Sprintf("bad box dimension %d: [%d,%d)", d, body.Lo[d], body.Hi[d]), http.StatusBadRequest)
-			return
-		}
-	}
-	box := layout.NewBox(body.Lo, body.Hi).Clip(am.Dims)
-	if box.Empty() {
-		http.Error(w, fmt.Sprintf("box %v is empty after clipping to %v", layout.NewBox(body.Lo, body.Hi), am.Dims), http.StatusBadRequest)
-		return
-	}
-	r.met.reduces.Inc()
-	tenant := server.TenantOf(req)
-	var (
-		sum   float64
-		minV  = math.Inf(1)
-		maxV  = math.Inf(-1)
-		count int64
-	)
+// ReduceBox implements server.Plane by pushing the fold down twice:
+// the client sends one request, the router sends one reduce per grid
+// piece to a live replica, and only scalars travel back up. Partials
+// combine in row-major piece order; a cluster sum's grouping therefore
+// differs from a single node's element-order fold by float
+// associativity (min/max/count are exact), which is the documented
+// contract.
+func (r *Router) ReduceBox(ctx context.Context, a server.Array, box layout.Box, op string) (float64, int64, error) {
+	tenant := server.TenantFrom(ctx)
+	fold := server.NewFold(op)
 	for _, piece := range gridTiles(box, r.opts.TileDim) {
-		chunkDone, ok := r.tenants.AcquireChunk(req.Context(), tenant)
-		if !ok {
-			return
-		}
-		value, n, err := r.pieceReduce(tenant, am.Name, piece, body.Op)
-		chunkDone()
+		value, n, err := r.pieceReduce(tenant, a.Name, piece, op)
 		if err != nil {
-			r.met.errors.Inc()
-			if errors.Is(err, ErrUnavailable) {
-				r.met.quorumFailures.Inc()
-				w.Header().Set("Retry-After", r.retryAfter())
-				http.Error(w, "no reachable replica", http.StatusServiceUnavailable)
-			} else {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
-			return
+			return 0, 0, r.failed(err)
 		}
-		switch body.Op {
-		case "sum":
-			sum += value
-		case "min":
-			if value < minV {
-				minV = value
-			}
-		case "max":
-			if value > maxV {
-				maxV = value
-			}
-		}
-		count += n
+		fold.Merge(value, n)
 	}
-	var value float64
-	switch body.Op {
-	case "sum":
-		value = sum
-	case "min":
-		value = minV
-	case "max":
-		value = maxV
-	case "count":
-		value = float64(count)
-	}
-	r.met.reduceElems.Add(count)
-	resp := struct {
-		Op    string   `json:"op"`
-		Lo    []int64  `json:"lo"`
-		Hi    []int64  `json:"hi"`
-		Count int64    `json:"count"`
-		Value *float64 `json:"value,omitempty"`
-		Bits  uint64   `json:"value_bits"`
-	}{Op: body.Op, Lo: box.Lo, Hi: box.Hi, Count: count, Bits: math.Float64bits(value)}
-	if !math.IsNaN(value) && !math.IsInf(value, 0) {
-		resp.Value = &value
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return fold.Value(), fold.Count, nil
 }
 
 // pieceReduce folds one grid piece on a replica: replicas are tried in

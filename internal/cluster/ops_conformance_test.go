@@ -51,6 +51,23 @@ func opsConfCluster(t *testing.T, seed int64) *LocalCluster {
 	return lc
 }
 
+// batchWireOp and batchWireResult are the client's view of the batch
+// wire shapes.
+type batchWireOp struct {
+	Op   string  `json:"op"`
+	Lo   []int64 `json:"lo"`
+	Hi   []int64 `json:"hi"`
+	Data string  `json:"data_b64,omitempty"`
+}
+
+type batchWireResult struct {
+	Status int    `json:"status"`
+	Error  string `json:"error,omitempty"`
+	Elems  int64  `json:"elems,omitempty"`
+	Data   string `json:"data_b64,omitempty"`
+	Gen    uint64 `json:"gen,omitempty"`
+}
+
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
 	t.Helper()
 	raw, _ := json.Marshal(body)

@@ -1,17 +1,12 @@
 package cluster
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"net/http"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,14 +71,6 @@ type member struct {
 	down   atomic.Bool
 }
 
-// arrayMeta is the router's catalog row for one array.
-type arrayMeta struct {
-	Name   string  `json:"name"`
-	Dims   []int64 `json:"dims"`
-	Elems  int64   `json:"elems"`
-	Layout string  `json:"layout,omitempty"`
-}
-
 // genTable assigns monotonically increasing write generations per
 // routing tile. The router is otherwise stateless: the table is an
 // in-memory cache of "the next generation to write", opportunistically
@@ -123,21 +110,12 @@ func (g *genTable) raise(key string, seen uint64) {
 	}
 }
 
-// routerMetrics are the occrouter_* and ooc_cluster_* registry series.
+// routerMetrics are the router plane's registry series (the front end
+// registers occrouter_requests_total, _errors_total, _request_seconds
+// and the batch/scan/reduce families).
 type routerMetrics struct {
-	requests       *obs.Counter
-	errors         *obs.Counter
 	gets           *obs.Counter
 	puts           *obs.Counter
-	batches        *obs.Counter
-	batchOps       *obs.Counter
-	batchOpErrors  *obs.Counter
-	scans          *obs.Counter
-	scanChunks     *obs.Counter
-	scanResumes    *obs.Counter
-	reduces        *obs.Counter
-	reduceElems    *obs.Counter
-	latency        *obs.Histogram
 	readRepairs    *obs.Counter
 	handoffHints   *obs.Counter
 	hintsDrained   *obs.Counter
@@ -149,9 +127,10 @@ type routerMetrics struct {
 	replicas       *obs.Gauge
 }
 
-// Router fans tile requests across the cluster. Create with NewRouter,
-// mount Handler, call Drain on shutdown, and run Probe periodically
-// (the occrouter daemon does; tests call it at chosen points).
+// Router fans tile requests across the cluster: it is the server.Plane
+// behind occrouter's front end. Create with NewRouter, mount Handler,
+// call Drain on shutdown, and run Probe periodically (the occrouter
+// daemon does; tests call it at chosen points).
 type Router struct {
 	opts    Options
 	members []*member
@@ -159,14 +138,10 @@ type Router struct {
 	hints   *hintStore
 	catalog struct {
 		mu sync.Mutex
-		m  map[string]arrayMeta
+		m  map[string]server.Array
 	}
-	mux      *http.ServeMux
-	reg      *obs.Registry
-	met      routerMetrics
-	sem      chan struct{}
-	tenants  *server.TenantPlane
-	draining atomic.Bool
+	front *server.FrontEnd
+	met   routerMetrics
 }
 
 // NewRouter validates the membership and builds the router.
@@ -185,9 +160,6 @@ func NewRouter(o Options) (*Router, error) {
 	}
 	if o.TileDim == 0 {
 		o.TileDim = 8
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = time.Second
 	}
 	if o.MaxInflight <= 0 {
 		o.MaxInflight = 4 * runtime.GOMAXPROCS(0)
@@ -212,7 +184,7 @@ func NewRouter(o Options) (*Router, error) {
 		return nil, err
 	}
 	r.hints = hints
-	r.catalog.m = map[string]arrayMeta{}
+	r.catalog.m = map[string]server.Array{}
 	// The catalog, like the generation table, is an in-memory cache of
 	// state the nodes durably hold: rebuild it from their listings so a
 	// restarted router keeps serving every existing array instead of
@@ -226,23 +198,9 @@ func NewRouter(o Options) (*Router, error) {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	r.reg = reg
 	r.met = routerMetrics{
-		requests: reg.Counter("occrouter_requests_total", "data-plane requests handled by the router"),
-		errors:   reg.Counter("occrouter_errors_total", "router requests that failed (5xx)"),
-		gets:     reg.Counter("occrouter_tile_gets_total", "tile reads routed"),
-		puts:     reg.Counter("occrouter_tile_puts_total", "tile writes routed"),
-		batches:  reg.Counter("occd_batch_requests_total", "batch requests routed"),
-		batchOps: reg.Counter("occd_batch_ops_total", "individual ops carried by routed batches"),
-		batchOpErrors: reg.Counter("occd_batch_op_errors_total",
-			"routed batch ops that answered a per-op 4xx/5xx"),
-		scans:       reg.Counter("occd_scan_requests_total", "streaming range scans routed"),
-		scanChunks:  reg.Counter("occd_scan_chunks_total", "scan chunks stitched and sent by the router"),
-		scanResumes: reg.Counter("occd_scan_resumes_total", "scans resumed from a cursor token"),
-		reduces:     reg.Counter("occd_reduce_requests_total", "pushed-down reductions routed"),
-		reduceElems: reg.Counter("occd_reduce_elems_total", "elements folded by routed reductions"),
-		latency: reg.Histogram("occrouter_request_seconds",
-			"routed request latency in seconds", obs.ExpBuckets(1e-5, 4, 10)),
+		gets:           reg.Counter("occrouter_tile_gets_total", "box reads routed"),
+		puts:           reg.Counter("occrouter_tile_puts_total", "box writes routed"),
 		readRepairs:    reg.Counter("ooc_cluster_read_repairs_total", "stale replicas rewritten after a divergent fan-out read"),
 		handoffHints:   reg.Counter("ooc_cluster_handoff_hints_total", "writes queued as hints for unreachable replicas"),
 		hintsDrained:   reg.Counter("ooc_cluster_hints_drained_total", "hinted writes replayed to a returned replica"),
@@ -257,34 +215,20 @@ func NewRouter(o Options) (*Router, error) {
 	r.met.replicas.Set(float64(o.Replicas))
 	r.met.nodesUp.Set(float64(len(r.members)))
 
-	r.sem = make(chan struct{}, o.MaxInflight)
-	r.tenants = server.NewTenantPlane(server.TenantPlaneOpts{
-		Config:       o.Tenants,
+	r.front = server.NewFrontEnd(r, server.FrontConfig{
 		MetricPrefix: "occrouter",
 		Reg:          reg,
-		Pool:         r.sem,
+		MaxInflight:  o.MaxInflight,
 		QueueDepth:   o.QueueDepth,
+		RetryAfter:   o.RetryAfter,
+		Tenants:      o.Tenants,
 	})
-
-	r.mux = http.NewServeMux()
-	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
-	r.mux.HandleFunc("GET /metrics", r.handleMetrics)
-	r.mux.HandleFunc("GET /v1/stats", r.handleStats)
-	r.mux.HandleFunc("GET /v1/arrays", r.handleArrayList)
-	r.mux.HandleFunc("POST /v1/arrays", r.handleArrayCreate)
-	r.mux.HandleFunc("GET /v1/arrays/{name}", r.handleArrayGet)
-	r.mux.HandleFunc("GET /v1/arrays/{name}/tile", r.timed(r.handleTileGet))
-	r.mux.HandleFunc("PUT /v1/arrays/{name}/tile", r.timed(r.handleTilePut))
-	r.mux.HandleFunc("POST /v1/arrays/{name}/batch", r.timed(r.handleBatch))
-	r.mux.HandleFunc("GET /v1/arrays/{name}/scan", r.timed(r.handleScan))
-	r.mux.HandleFunc("POST /v1/arrays/{name}/reduce", r.timed(r.handleReduce))
 	return r, nil
 }
 
-// Handler returns the HTTP handler to mount: the route table behind
-// the tenant layer, so every request carries a resolved identity (and
-// /t/<id>/-prefixed paths route like their bare forms).
-func (r *Router) Handler() http.Handler { return server.TenantHandler(r.mux) }
+// Handler returns the HTTP handler to mount: the shared front end
+// (server.FrontEnd) over this router's plane.
+func (r *Router) Handler() http.Handler { return r.front.Handler() }
 
 // Replicas returns R.
 func (r *Router) Replicas() int { return r.opts.Replicas }
@@ -293,57 +237,8 @@ func (r *Router) Replicas() int { return r.opts.Replicas }
 // and closes the hint logs. Node lifecycles are not the router's to
 // manage.
 func (r *Router) Drain() error {
-	r.draining.Store(true)
-	r.tenants.FailWaiters()
+	r.front.StopAdmitting()
 	return r.hints.Close()
-}
-
-// timed wraps a data-plane handler with admission — tenant quotas
-// (429 + Retry-After), then a DRR-scheduled slot from the shared pool
-// (503 when the queue is full) — and latency accounting.
-func (r *Router) timed(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, req *http.Request) {
-		if r.draining.Load() {
-			w.Header().Set("Retry-After", r.retryAfter())
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		r.met.requests.Inc()
-		tenant := server.TenantOf(req)
-		if ok, wait := r.tenants.Allow(tenant); !ok {
-			w.Header().Set("Retry-After", retrySecs(wait))
-			http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
-			return
-		}
-		release, ok := r.tenants.Acquire(req, tenant)
-		if !ok {
-			w.Header().Set("Retry-After", r.retryAfter())
-			http.Error(w, "admission queue full", http.StatusServiceUnavailable)
-			return
-		}
-		defer release()
-		req = server.WithAdmissionRelease(req, release)
-		t0 := time.Now()
-		next(w, req)
-		r.met.latency.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// retrySecs renders a Retry-After duration as whole seconds (min 1).
-func retrySecs(d time.Duration) string {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-func (r *Router) retryAfter() string {
-	secs := int64(math.Ceil(r.opts.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 // replicasFor ranks the membership by rendezvous score for key and
@@ -428,10 +323,18 @@ func (r *Router) recoverCatalog() {
 			continue
 		}
 		r.catalog.mu.Lock()
-		for _, am := range arrays {
-			if _, ok := r.catalog.m[am.Name]; !ok {
-				r.catalog.m[am.Name] = am
+		for _, info := range arrays {
+			if _, ok := r.catalog.m[info.Name]; ok {
+				continue
 			}
+			a, err := info.Array()
+			if err != nil {
+				// A layout the create API cannot name (occd -kernel
+				// arrays): boxes route the same under any layout, so serve
+				// it with row-major scan plans.
+				a = server.Array{Name: info.Name, Dims: info.Dims, Layout: layout.RowMajor(info.Dims...)}
+			}
+			r.catalog.m[info.Name] = a
 		}
 		r.catalog.mu.Unlock()
 	}
@@ -439,14 +342,8 @@ func (r *Router) recoverCatalog() {
 
 // syncCatalog replays every known array creation to a returning node.
 func (r *Router) syncCatalog(m *member) bool {
-	r.catalog.mu.Lock()
-	arrays := make([]arrayMeta, 0, len(r.catalog.m))
-	for _, am := range r.catalog.m {
-		arrays = append(arrays, am)
-	}
-	r.catalog.mu.Unlock()
-	for _, am := range arrays {
-		if err := m.client.CreateArray(am.Name, am.Dims, am.Layout); err != nil {
+	for _, a := range r.List() {
+		if err := m.client.CreateArray(a.Name, a.Dims, a.Info().Layout); err != nil {
 			return false
 		}
 	}
@@ -472,31 +369,11 @@ func (r *Router) drainHints(m *member) bool {
 	return err == nil
 }
 
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	if r.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	if req.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		r.reg.WriteJSON(w)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	r.reg.WritePrometheus(w)
-}
-
 // nodeStatsLite mirrors the slice of a node's /v1/stats the router
 // aggregates (decoding into a local struct keeps the wire contract,
 // not the server's internal type, as the coupling).
 type nodeStatsLite struct {
 	Engine    ooc.EngineStats `json:"engine"`
-	Requests  int64           `json:"requests"`
 	Coalesced int64           `json:"coalesced"`
 }
 
@@ -523,59 +400,24 @@ type nodeStat struct {
 }
 
 // routerStatsPayload is the router's /v1/stats JSON. The top-level
-// keys mirror a single occd's payload — engine counters summed over
-// reachable nodes — so tooling that reads occd stats (the load
-// harness's delta reporting included) works unchanged against a
-// router; cluster and nodes carry the distributed story.
+// keys mirror a single occd's payload — the front end's block, plus
+// engine counters summed over reachable nodes — so tooling that reads
+// occd stats (the load harness's delta reporting included) works
+// unchanged against a router; cluster and nodes carry the distributed
+// story.
 type routerStatsPayload struct {
-	Engine            ooc.EngineStats     `json:"engine"`
-	HitRate           float64             `json:"hit_rate"`
-	Requests          int64               `json:"requests"`
-	Coalesced         int64               `json:"coalesced"`
-	RejectedRateLimit int64               `json:"rejected_ratelimit"`
-	RejectedQueue     int64               `json:"rejected_queue"`
-	Inflight          int64               `json:"inflight"`
-	Queued            int64               `json:"queued"`
-	Draining          bool                `json:"draining"`
-	Ops               routerOpsStats      `json:"ops"`
-	Cluster           clusterStats        `json:"cluster"`
-	Nodes             []nodeStat          `json:"nodes"`
-	Tenants           []server.TenantStat `json:"tenants,omitempty"`
+	Engine    ooc.EngineStats `json:"engine"`
+	HitRate   float64         `json:"hit_rate"`
+	Coalesced int64           `json:"coalesced"`
+	server.FrontStats
+	Cluster clusterStats `json:"cluster"`
+	Nodes   []nodeStat   `json:"nodes"`
 }
 
-// routerOpsStats mirrors occd's batch/scan/reduce scorecard keys, with
-// router-side counts (ops the router decomposed and fanned out).
-type routerOpsStats struct {
-	BatchRequests  int64 `json:"batch_requests"`
-	BatchOps       int64 `json:"batch_ops"`
-	BatchOpErrors  int64 `json:"batch_op_errors"`
-	ScanRequests   int64 `json:"scan_requests"`
-	ScanChunks     int64 `json:"scan_chunks"`
-	ScanResumes    int64 `json:"scan_resumes"`
-	ReduceRequests int64 `json:"reduce_requests"`
-	ReduceElems    int64 `json:"reduce_elems"`
-}
-
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	rejQuota, rejQueue := r.tenants.Totals()
+// Stats implements server.Plane.
+func (r *Router) Stats(front server.FrontStats) any {
 	p := routerStatsPayload{
-		Requests:          r.met.requests.Value(),
-		RejectedRateLimit: rejQuota,
-		RejectedQueue:     rejQueue,
-		Inflight:          int64(r.tenants.InflightLen()),
-		Queued:            r.tenants.Queued(),
-		Draining:          r.draining.Load(),
-		Tenants:           r.tenants.Stats(),
-		Ops: routerOpsStats{
-			BatchRequests:  r.met.batches.Value(),
-			BatchOps:       r.met.batchOps.Value(),
-			BatchOpErrors:  r.met.batchOpErrors.Value(),
-			ScanRequests:   r.met.scans.Value(),
-			ScanChunks:     r.met.scanChunks.Value(),
-			ScanResumes:    r.met.scanResumes.Value(),
-			ReduceRequests: r.met.reduces.Value(),
-			ReduceElems:    r.met.reduceElems.Value(),
-		},
+		FrontStats: front,
 		Cluster: clusterStats{
 			Nodes:          len(r.members),
 			Replicas:       r.opts.Replicas,
@@ -595,6 +437,7 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 			HintsQueued: r.hints.Pending(m.client.ID),
 		}
 		if ns.Up {
+			p.Cluster.NodesUp++
 			var lite nodeStatsLite
 			if err := m.client.Stats(&lite); err == nil {
 				es := lite.Engine
@@ -610,139 +453,89 @@ func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
 				p.Coalesced += lite.Coalesced
 			}
 		}
-		if ns.Up {
-			p.Cluster.NodesUp++
-		}
 		p.Nodes = append(p.Nodes, ns)
 	}
 	p.HitRate = p.Engine.HitRate()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(p)
+	return p
 }
 
-func (r *Router) handleArrayList(w http.ResponseWriter, req *http.Request) {
+// Lookup implements server.Plane against the in-memory catalog.
+func (r *Router) Lookup(name string) (server.Array, bool) {
 	r.catalog.mu.Lock()
-	out := make([]arrayMeta, 0, len(r.catalog.m))
-	for _, am := range r.catalog.m {
-		out = append(out, am)
+	defer r.catalog.mu.Unlock()
+	a, ok := r.catalog.m[name]
+	return a, ok
+}
+
+// List implements server.Plane.
+func (r *Router) List() []server.Array {
+	r.catalog.mu.Lock()
+	out := make([]server.Array, 0, len(r.catalog.m))
+	for _, a := range r.catalog.m {
+		out = append(out, a)
 	}
 	r.catalog.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	writeJSON(w, http.StatusOK, out)
+	return out
 }
 
-func (r *Router) handleArrayGet(w http.ResponseWriter, req *http.Request) {
-	name := req.PathValue("name")
-	r.catalog.mu.Lock()
-	am, ok := r.catalog.m[name]
-	r.catalog.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("no array %q", name), http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, am)
-}
-
-// handleArrayCreate fans the creation out to every node: placement can
-// land a tile anywhere, so the array must exist everywhere. Nodes that
-// are down catch up via catalog sync when they return; the create
-// succeeds as long as every REACHABLE node accepted it and at least
-// one did.
-func (r *Router) handleArrayCreate(w http.ResponseWriter, req *http.Request) {
-	var body struct {
-		Name   string  `json:"name"`
-		Dims   []int64 `json:"dims"`
-		Layout string  `json:"layout"`
-	}
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		http.Error(w, fmt.Sprintf("bad create body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if body.Name == "" || len(body.Dims) == 0 {
-		http.Error(w, "create needs a name and dims", http.StatusBadRequest)
-		return
-	}
-	elems := int64(1)
-	for _, d := range body.Dims {
-		if d <= 0 {
-			http.Error(w, fmt.Sprintf("non-positive extent %d", d), http.StatusBadRequest)
-			return
-		}
-		elems *= d
-	}
+// Create fans the creation out to every node: placement can land a
+// tile anywhere, so the array must exist everywhere. Nodes that are
+// down catch up via catalog sync when they return; the create succeeds
+// as long as every REACHABLE node accepted it and at least one did.
+func (r *Router) Create(_ context.Context, a server.Array) error {
 	acks := 0
-	var hardErr error
 	for _, m := range r.members {
 		if m.down.Load() {
 			continue
 		}
-		if err := m.client.CreateArray(body.Name, body.Dims, body.Layout); err != nil {
+		if err := m.client.CreateArray(a.Name, a.Dims, a.Info().Layout); err != nil {
 			if errors.Is(err, ErrUnavailable) {
 				r.markDown(m)
 				continue
 			}
-			hardErr = err
-			break
+			return err
 		}
 		acks++
 	}
-	if hardErr != nil {
-		r.met.errors.Inc()
-		http.Error(w, hardErr.Error(), http.StatusBadRequest)
-		return
-	}
 	if acks == 0 {
-		r.met.errors.Inc()
-		w.Header().Set("Retry-After", r.retryAfter())
-		http.Error(w, "no reachable node accepted the create", http.StatusServiceUnavailable)
-		return
+		return errNoNode
 	}
-	am := arrayMeta{Name: body.Name, Dims: body.Dims, Elems: elems, Layout: body.Layout}
 	r.catalog.mu.Lock()
-	r.catalog.m[body.Name] = am
+	r.catalog.m[a.Name] = a
 	r.catalog.mu.Unlock()
-	writeJSON(w, http.StatusCreated, am)
+	return nil
 }
 
-// target resolves {name} + lo/hi into a clipped box against the
-// catalog, writing the 4xx itself on failure.
-func (r *Router) target(w http.ResponseWriter, req *http.Request) (arrayMeta, layout.Box, bool) {
-	name := req.PathValue("name")
-	r.catalog.mu.Lock()
-	am, ok := r.catalog.m[name]
-	r.catalog.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("no array %q", name), http.StatusNotFound)
-		return am, layout.Box{}, false
+// The replication failures a request can end in; all are ErrUnavailable
+// (503 + Retry-After), told apart for the message.
+var (
+	errNoNode   = fmt.Errorf("%w: no reachable node accepted the create", ErrUnavailable)
+	errNoQuorum = fmt.Errorf("%w: write quorum unavailable", ErrUnavailable)
+)
+
+// Status implements server.Plane: losing the replica set is a
+// retryable 503; anything else a node said that the front end's own
+// validation did not already catch is a bad gateway.
+func (r *Router) Status(err error) (int, string) {
+	switch {
+	case errors.Is(err, errNoNode):
+		return http.StatusServiceUnavailable, "no reachable node accepted the create"
+	case errors.Is(err, errNoQuorum):
+		return http.StatusServiceUnavailable, "write quorum unavailable"
+	case errors.Is(err, ErrUnavailable):
+		return http.StatusServiceUnavailable, "no reachable replica"
 	}
-	lo, err := parseCoords(req.URL.Query().Get("lo"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad lo: %v", err), http.StatusBadRequest)
-		return am, layout.Box{}, false
+	return http.StatusBadGateway, err.Error()
+}
+
+// failed tallies a data-plane failure before it goes back to the front
+// end.
+func (r *Router) failed(err error) error {
+	if errors.Is(err, ErrUnavailable) {
+		r.met.quorumFailures.Inc()
 	}
-	hi, err := parseCoords(req.URL.Query().Get("hi"))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad hi: %v", err), http.StatusBadRequest)
-		return am, layout.Box{}, false
-	}
-	if len(lo) != len(am.Dims) || len(hi) != len(am.Dims) {
-		http.Error(w, fmt.Sprintf("tile rank %d/%d, array rank %d", len(lo), len(hi), len(am.Dims)), http.StatusBadRequest)
-		return am, layout.Box{}, false
-	}
-	for d := range lo {
-		if hi[d] < lo[d] {
-			http.Error(w, fmt.Sprintf("hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d]), http.StatusBadRequest)
-			return am, layout.Box{}, false
-		}
-	}
-	box := layout.NewBox(lo, hi).Clip(am.Dims)
-	if box.Empty() {
-		http.Error(w, fmt.Sprintf("tile %v is empty after clipping to %v", layout.NewBox(lo, hi), am.Dims), http.StatusBadRequest)
-		return am, layout.Box{}, false
-	}
-	return am, box, true
+	return err
 }
 
 // pieceGet reads one grid-tile piece: fan out to the whole replica
@@ -825,10 +618,10 @@ func (r *Router) pieceGet(tenant, name string, piece layout.Box) ([]float64, uin
 
 // piecePut writes one grid-tile piece to its replica set under a fresh
 // generation: live replicas synchronously, down or failing replicas as
-// durable hints. ok requires a sloppy quorum — at least one live ack,
+// durable hints. Success requires a sloppy quorum — at least one live ack,
 // and live acks plus durably queued hints reaching majority. The live
 // fan-out carries tenant's identity; hint replay stays untenanted.
-func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64) (uint64, bool) {
+func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64) (uint64, error) {
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
 
@@ -902,163 +695,9 @@ func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64)
 		}
 		quorum := r.opts.Replicas/2 + 1
 		if acks >= 1 && acks+hinted >= quorum {
-			return gen, true
+			return gen, nil
 		}
-		return gen, false
+		return 0, errNoQuorum
 	}
-	return 0, false
-}
-
-func (r *Router) handleTileGet(w http.ResponseWriter, req *http.Request) {
-	am, box, ok := r.target(w, req)
-	if !ok {
-		return
-	}
-	r.met.gets.Inc()
-	tenant := server.TenantOf(req)
-	pieces := gridTiles(box, r.opts.TileDim)
-	out := make([]float64, box.Size())
-	var maxGen uint64
-	for _, piece := range pieces {
-		data, gen, err := r.pieceGet(tenant, am.Name, piece)
-		if err != nil {
-			r.met.errors.Inc()
-			if errors.Is(err, ErrUnavailable) {
-				r.met.quorumFailures.Inc()
-				w.Header().Set("Retry-After", r.retryAfter())
-				http.Error(w, "no reachable replica", http.StatusServiceUnavailable)
-			} else {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
-			return
-		}
-		if gen > maxGen {
-			maxGen = gen
-		}
-		if len(pieces) == 1 {
-			out = data
-			break
-		}
-		copyRegion(out, box, data, piece, piece)
-	}
-	var payload []byte
-	compress := acceptsWire(req.Header.Get("Accept-Encoding"))
-	if compress {
-		payload = ooc.AppendFrame(nil, out)
-		w.Header().Set("Content-Encoding", server.WireEncoding)
-	} else {
-		payload = make([]byte, len(out)*ooc.ElemSize)
-		for i, v := range out {
-			binary.LittleEndian.PutUint64(payload[i*ooc.ElemSize:], math.Float64bits(v))
-		}
-	}
-	r.tenants.DebitBytes(tenant, box.Size()*ooc.ElemSize)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set(server.TileGenHeader, strconv.FormatUint(maxGen, 10))
-	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
-	w.Write(payload)
-}
-
-func (r *Router) handleTilePut(w http.ResponseWriter, req *http.Request) {
-	am, box, ok := r.target(w, req)
-	if !ok {
-		return
-	}
-	r.met.puts.Inc()
-	want := box.Size() * ooc.ElemSize
-	raw, err := io.ReadAll(io.LimitReader(req.Body, want+64))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("tile payload: %v", err), http.StatusBadRequest)
-		return
-	}
-	data := make([]float64, box.Size())
-	switch enc := req.Header.Get("Content-Encoding"); enc {
-	case "":
-		if int64(len(raw)) != want {
-			http.Error(w, fmt.Sprintf("tile payload: %d bytes, want %d for %v", len(raw), want, box), http.StatusBadRequest)
-			return
-		}
-		for i := range data {
-			data[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[i*ooc.ElemSize:]))
-		}
-	case server.WireEncoding:
-		n, err := ooc.DecodeFrame(raw, data)
-		if err == nil && n != len(raw) {
-			err = fmt.Errorf("%d trailing bytes after the frame", len(raw)-n)
-		}
-		if err != nil {
-			http.Error(w, fmt.Sprintf("tile frame: %v", err), http.StatusBadRequest)
-			return
-		}
-	default:
-		http.Error(w, fmt.Sprintf("unsupported Content-Encoding %q (only %s)", enc, server.WireEncoding), http.StatusUnsupportedMediaType)
-		return
-	}
-
-	tenant := server.TenantOf(req)
-	pieces := gridTiles(box, r.opts.TileDim)
-	var maxGen uint64
-	for _, piece := range pieces {
-		var pdata []float64
-		if len(pieces) == 1 {
-			pdata = data
-		} else {
-			pdata = make([]float64, piece.Size())
-			copyRegion(pdata, piece, data, box, piece)
-		}
-		gen, ok := r.piecePut(tenant, am.Name, piece, pdata)
-		if !ok {
-			r.met.errors.Inc()
-			r.met.quorumFailures.Inc()
-			w.Header().Set("Retry-After", r.retryAfter())
-			http.Error(w, "write quorum unavailable", http.StatusServiceUnavailable)
-			return
-		}
-		if gen > maxGen {
-			maxGen = gen
-		}
-	}
-	r.tenants.DebitBytes(tenant, box.Size()*ooc.ElemSize)
-	w.Header().Set(server.TileGenHeader, strconv.FormatUint(maxGen, 10))
-	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// acceptsWire mirrors the node-side Accept-Encoding check.
-func acceptsWire(header string) bool {
-	for _, part := range strings.Split(header, ",") {
-		c, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(c) == server.WireEncoding {
-			return true
-		}
-	}
-	return false
-}
-
-// parseCoords parses "1,2,3" into coordinates.
-func parseCoords(s string) ([]int64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing coordinates")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("coordinate %q: %w", p, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("negative coordinate %d", v)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	return 0, errNoQuorum
 }

@@ -162,6 +162,39 @@ func TestRouterRestartRecoversCatalog(t *testing.T) {
 	}
 }
 
+// TestRouterRestartKeepsLayout: the nodes' listings carry each array's
+// layout, so a replacement router rebuilds a col-major array as
+// col-major — a scan cursor minted before the restart resumes after it,
+// in column order, and the recovered catalog row still says "col"
+// (which is what catalog sync would re-create on a returning node).
+func TestRouterRestartKeepsLayout(t *testing.T) {
+	lc := newTestCluster(t, 3, 2)
+	dims := []int64{4 * testTile, 4 * testTile}
+	if err := lc.Client().CreateArray("C", dims, "col"); err != nil {
+		t.Fatalf("create col array: %v", err)
+	}
+	url := fmt.Sprintf("%s/v1/arrays/C/scan?lo=0,0&hi=%d,%d&chunk=%d", lc.RouterURL, dims[0], dims[1], testTile*testTile)
+	before := routerScan(t, url)
+	if len(before) < 3 {
+		t.Fatalf("scan delivered %d chunks; want a multi-chunk stream", len(before))
+	}
+	if err := lc.RestartRouter(); err != nil {
+		t.Fatalf("router restart: %v", err)
+	}
+	resumed := routerScan(t, lc.RouterURL+"/v1/arrays/C/scan?cursor="+before[0].Cursor)
+	if len(resumed) != len(before)-1 {
+		t.Fatalf("resume after restart delivered %d chunks, want %d", len(resumed), len(before)-1)
+	}
+	for i, ch := range resumed {
+		if ch.Box.String() != before[i+1].Box.String() {
+			t.Fatalf("resumed chunk %d: %v, want %v — not the col-major plan", i, ch.Box, before[i+1].Box)
+		}
+	}
+	if a, ok := lc.Router.Lookup("C"); !ok || a.Info().Layout != "col" {
+		t.Errorf("recovered catalog row for C: %+v (found %v), want layout col", a.Info(), ok)
+	}
+}
+
 // TestPartialPutHintedHandoff writes through a one-replica-down
 // window: the write acks on a sloppy quorum (one live ack + one
 // durable hint), and after the node heals the drained hint leaves the

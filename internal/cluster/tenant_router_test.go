@@ -126,8 +126,14 @@ func TestRouterScanReleasesAdmissionEarly(t *testing.T) {
 	// The first chunk is only written after the handler released its
 	// admission slot, so observing the chunk means the one-slot pool
 	// must already be empty — stream still open.
-	if n := r.tenants.InflightLen(); n != 0 {
-		t.Errorf("scan stream holds %d admission slots mid-stream; the chunk cap should pay per chunk instead", n)
+	var st struct {
+		Inflight int64 `json:"inflight"`
+	}
+	if err := NewNodeClient("router", hts.URL).Stats(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Inflight != 0 {
+		t.Errorf("scan stream holds %d admission slots mid-stream; the chunk cap should pay per chunk instead", st.Inflight)
 	}
 	chunks := 1
 	for {

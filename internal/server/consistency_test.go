@@ -97,14 +97,14 @@ func TestReadYourWritesAcrossFlights(t *testing.T) {
 	ts.createArray(t, "A", 8, 8)
 
 	box := layout.NewBox([]int64{0, 0}, []int64{8, 8})
-	lk := ts.srv.lockFor("A")
-	staleKey := tileFlightKey(lk, "A", box)
+	lk := ts.srv.plane.lockFor("A")
+	staleKey := flightKey(lk, "A", box, "raw")
 
 	started := make(chan struct{})
 	block := make(chan struct{})
 	staleDone := make(chan []byte, 1)
 	go func() {
-		payload, _, _, _ := ts.srv.flights.do(staleKey, func() ([]byte, uint64, error) {
+		payload, _, _, _ := ts.srv.plane.flights.do(staleKey, func() ([]byte, uint64, error) {
 			close(started)
 			<-block
 			return encodePayload(make([]float64, 8*8)), 0, nil // pre-write zeros
@@ -121,7 +121,7 @@ func TestReadYourWritesAcrossFlights(t *testing.T) {
 	if status != http.StatusNoContent {
 		t.Fatalf("put: %d %s", status, out)
 	}
-	if got := tileFlightKey(lk, "A", box); got == staleKey {
+	if got := flightKey(lk, "A", box, "raw"); got == staleKey {
 		t.Fatalf("flight key %q did not change across an acknowledged write", got)
 	}
 

@@ -221,7 +221,7 @@ func TestDrainQueuedWriteNeverFalselyAcknowledged(t *testing.T) {
 		resp.Body.Close()
 		putStatus <- resp.StatusCode
 	}()
-	for ts.srv.tenants.Queued() == 0 {
+	for ts.srv.front.tenants.Queued() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("PUT never queued")
 		}

@@ -1,0 +1,675 @@
+package server
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync/atomic"
+	"time"
+
+	"outcore/internal/layout"
+	"outcore/internal/obs"
+	"outcore/internal/ooc"
+)
+
+// Data-plane size limits. Both are per-server caps with sane
+// defaults; Config fields set to a negative value disable them.
+const (
+	// DefaultMaxArrayElems caps a created array's total element count
+	// (2^28 elements = 2 GiB of float64 backing).
+	DefaultMaxArrayElems = int64(1) << 28
+	// DefaultMaxTileElems caps a single tile request's element count
+	// after clipping (2^22 elements = 32 MiB payload).
+	DefaultMaxTileElems = int64(1) << 22
+)
+
+// WireEncoding is the tile content coding the server negotiates: a
+// codec frame (see ooc.AppendFrame) instead of raw little-endian
+// float64. Offered via Accept-Encoding on GET and declared via
+// Content-Encoding on PUT.
+const WireEncoding = "x-ooc-gorilla"
+
+// Cluster replication headers. The router versions every replicated
+// write with a per-tile generation; nodes gate PUTs on it and report
+// it on GETs, which is what lets the router rank replicas by freshness
+// and repair the stale ones. Requests without these headers get the
+// exact pre-cluster behavior.
+const (
+	// TileGenHeader carries a write generation: on a PUT request, the
+	// generation to record (cells covered by an overlapping recorded
+	// box with a newer generation keep the newer bytes; the write lands
+	// on the rest); on GET and PUT responses, the plane's recorded
+	// generation.
+	TileGenHeader = "X-Tile-Gen"
+	// TileWantGenHeader, set to any non-empty value on a GET, asks for
+	// the box's write generation on the response even when it is 0.
+	TileWantGenHeader = "X-Tile-Want-Gen"
+	// TileStaleHeader marks a 204 PUT response whose write was skipped
+	// entirely because newer recorded generations cover every cell of
+	// the box; the response's TileGenHeader reports the newest of them.
+	TileStaleHeader = "X-Tile-Stale"
+)
+
+// FrontConfig wires a FrontEnd. Zero sizes and limits get the occd
+// defaults.
+type FrontConfig struct {
+	// MetricPrefix names the daemon's own families: "occd" registers
+	// occd_requests_total, "occrouter" occrouter_requests_total. The
+	// batch/scan/reduce families are occd_* on both.
+	MetricPrefix string
+	// Reg receives the families (and backs GET /metrics).
+	Reg *obs.Registry
+	// Series are the admission and wire series only occd publishes.
+	Series FrontSeries
+
+	MaxInflight   int           // admission slots (default 2*GOMAXPROCS)
+	QueueDepth    int           // waiters across the tenant queues (default 64)
+	RetryAfter    time.Duration // hint on 503s (default 1s)
+	MaxArrayElems int64         // see Config
+	MaxTileElems  int64         // see Config
+	Tenants       TenantConfig
+	Clock         func() time.Time // quota clock (tests)
+}
+
+// FrontSeries are series the front end drives but does not name: occd
+// has always published them, occrouter never has, so the owner
+// registers the ones it exposes and NewFrontEnd backs the rest with
+// unpublished series.
+type FrontSeries struct {
+	Inflight      *obs.Gauge   // admission slots held
+	RejectedRate  *obs.Counter // 429s
+	RejectedQueue *obs.Counter // 503s from a full queue
+	WireRaw       *obs.Counter // logical tile bytes moved over HTTP
+	WireBytes     *obs.Counter // bytes on the wire after negotiation
+}
+
+// FrontEnd is the one HTTP surface of the serving stack: route table,
+// tenant resolution, admission, box validation, payload and codec
+// negotiation, and the tile/batch/scan/reduce/array handlers, over
+// whichever Plane it is given. occd's Server and occrouter's Router
+// each own one.
+type FrontEnd struct {
+	plane    Plane
+	cfg      FrontConfig
+	mux      *http.ServeMux
+	tenants  *TenantPlane
+	pool     chan struct{}
+	draining atomic.Bool
+
+	requests *obs.Counter
+	errors   *obs.Counter
+	latency  *obs.Histogram
+	series   FrontSeries
+	ops      opsMetrics
+}
+
+// NewFrontEnd builds the front end over p.
+func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
+	if cfg.MaxInflight <= 0 {
+		cfg.MaxInflight = 2 * runtime.GOMAXPROCS(0)
+	}
+	if cfg.QueueDepth <= 0 {
+		cfg.QueueDepth = 64
+	}
+	if cfg.RetryAfter <= 0 {
+		cfg.RetryAfter = time.Second
+	}
+	if cfg.MaxArrayElems == 0 {
+		cfg.MaxArrayElems = DefaultMaxArrayElems
+	}
+	if cfg.MaxTileElems == 0 {
+		cfg.MaxTileElems = DefaultMaxTileElems
+	}
+	reg, pre := cfg.Reg, cfg.MetricPrefix
+	// Series the owner does not publish still count, in a registry
+	// nobody exposes.
+	s, quiet := cfg.Series, obs.NewRegistry()
+	orQuiet := func(c *obs.Counter, name string) *obs.Counter {
+		if c == nil {
+			c = quiet.Counter(name, "")
+		}
+		return c
+	}
+	s.RejectedRate = orQuiet(s.RejectedRate, "rejected_ratelimit")
+	s.RejectedQueue = orQuiet(s.RejectedQueue, "rejected_queue")
+	s.WireRaw = orQuiet(s.WireRaw, "wire_raw_bytes")
+	s.WireBytes = orQuiet(s.WireBytes, "wire_bytes")
+	fe := &FrontEnd{
+		plane:    p,
+		cfg:      cfg,
+		pool:     make(chan struct{}, cfg.MaxInflight),
+		requests: reg.Counter(pre+"_requests_total", "data-plane requests admitted"),
+		errors:   reg.Counter(pre+"_errors_total", "data-plane requests that failed (5xx)"),
+		latency: reg.Histogram(pre+"_request_seconds",
+			"admitted request latency in seconds", obs.ExpBuckets(1e-5, 4, 10)),
+		series: s,
+		ops: opsMetrics{
+			batchRequests:  reg.Counter("occd_batch_requests_total", "batch requests admitted"),
+			batchOps:       reg.Counter("occd_batch_ops_total", "individual ops carried by batch requests"),
+			batchOpErrors:  reg.Counter("occd_batch_op_errors_total", "batch ops that answered a per-op 4xx/5xx"),
+			scanRequests:   reg.Counter("occd_scan_requests_total", "streaming range scans started"),
+			scanChunks:     reg.Counter("occd_scan_chunks_total", "scan chunks framed and sent"),
+			scanResumes:    reg.Counter("occd_scan_resumes_total", "scans resumed from a cursor token"),
+			reduceRequests: reg.Counter("occd_reduce_requests_total", "pushed-down reductions served"),
+			reduceElems:    reg.Counter("occd_reduce_elems_total", "elements folded by pushed-down reductions"),
+		},
+	}
+	fe.tenants = NewTenantPlane(TenantPlaneOpts{
+		Config:       cfg.Tenants,
+		MetricPrefix: pre,
+		Reg:          reg,
+		Pool:         fe.pool,
+		QueueDepth:   cfg.QueueDepth,
+		Clock:        cfg.Clock,
+		Inflight:     s.Inflight,
+	})
+	fe.mux = http.NewServeMux()
+	fe.mux.HandleFunc("GET /healthz", fe.handleHealthz)
+	fe.mux.HandleFunc("GET /metrics", fe.handleMetrics)
+	fe.mux.HandleFunc("GET /v1/stats", fe.handleStats)
+	fe.mux.HandleFunc("GET /v1/arrays", fe.admit(fe.handleArrayList))
+	fe.mux.HandleFunc("POST /v1/arrays", fe.admit(fe.handleArrayCreate))
+	fe.mux.HandleFunc("GET /v1/arrays/{name}", fe.admit(fe.handleArrayGet))
+	fe.mux.HandleFunc("GET /v1/arrays/{name}/tile", fe.admit(fe.handleTileGet))
+	fe.mux.HandleFunc("PUT /v1/arrays/{name}/tile", fe.admit(fe.handleTilePut))
+	fe.mux.HandleFunc("POST /v1/arrays/{name}/batch", fe.admit(fe.handleBatch))
+	fe.mux.HandleFunc("GET /v1/arrays/{name}/scan", fe.admit(fe.handleScan))
+	fe.mux.HandleFunc("POST /v1/arrays/{name}/reduce", fe.admit(fe.handleReduce))
+	return fe
+}
+
+// Handler returns the HTTP handler to mount: the tenant-resolution
+// layer (X-Tenant header, /t/<id>/ path prefix, 400 on malformed ids)
+// over the route table.
+func (fe *FrontEnd) Handler() http.Handler { return TenantHandler(fe.mux) }
+
+// StopAdmitting begins a drain: new data-plane requests answer 503,
+// healthz flips, and every request parked in a tenant queue is failed
+// with 503 — failed, not falsely acknowledged. Idempotent.
+func (fe *FrontEnd) StopAdmitting() {
+	fe.draining.Store(true)
+	fe.tenants.FailWaiters()
+}
+
+// Draining reports whether StopAdmitting has run.
+func (fe *FrontEnd) Draining() bool { return fe.draining.Load() }
+
+// Quiesce runs fn while no admitted request holds a slot. Call after
+// StopAdmitting: with admission off and the queues flushed, filling
+// the pool is a barrier over every handler still running, so fn sees a
+// plane nobody is mid-operation on.
+func (fe *FrontEnd) Quiesce(fn func()) {
+	for i := 0; i < cap(fe.pool); i++ {
+		fe.pool <- struct{}{}
+	}
+	fn()
+	// Let any straggler run (and fail fast against the closed plane)
+	// instead of hanging until its client gives up.
+	for i := 0; i < cap(fe.pool); i++ {
+		<-fe.pool
+	}
+}
+
+// admitted is what admission hands a data-plane handler: the resolved
+// tenant, and the slot's release for the stream handler that may give
+// it back before returning (idempotent; admit releases regardless).
+type admitted struct {
+	tenant  string
+	release func()
+}
+
+type handler func(http.ResponseWriter, *http.Request, admitted)
+
+// admit is the data-plane gate: drain check, per-tenant quotas (429),
+// then the weighted fair admission queue — per-tenant queues drained
+// by deficit round-robin over the shared inflight pool (503 when the
+// queue is full).
+func (fe *FrontEnd) admit(next handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if fe.draining.Load() {
+			fe.unavailable(w, "draining")
+			return
+		}
+		tenant := TenantOf(r)
+		if ok, retry := fe.tenants.Allow(tenant); !ok {
+			fe.series.RejectedRate.Inc()
+			w.Header().Set("Retry-After", retrySeconds(retry))
+			http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
+			return
+		}
+		release, ok := fe.tenants.Acquire(r, tenant)
+		if !ok {
+			fe.series.RejectedQueue.Inc()
+			fe.unavailable(w, "admission queue full")
+			return
+		}
+		defer release()
+		fe.requests.Inc()
+		t0 := time.Now()
+		next(w, r, admitted{tenant, release})
+		fe.latency.Observe(time.Since(t0).Seconds())
+	}
+}
+
+// unavailable answers 503 with the configured Retry-After hint.
+func (fe *FrontEnd) unavailable(w http.ResponseWriter, msg string) {
+	w.Header().Set("Retry-After", retrySeconds(fe.cfg.RetryAfter))
+	http.Error(w, msg, http.StatusServiceUnavailable)
+}
+
+// failure maps a plane error to the status and message the client
+// sees, counting the 5xx.
+func (fe *FrontEnd) failure(err error) (int, string) {
+	code, msg := fe.plane.Status(err)
+	if code >= 500 {
+		fe.errors.Inc()
+	}
+	return code, msg
+}
+
+// planeError answers a failed plane call.
+func (fe *FrontEnd) planeError(w http.ResponseWriter, err error) {
+	code, msg := fe.failure(err)
+	if code == http.StatusServiceUnavailable {
+		fe.unavailable(w, msg)
+		return
+	}
+	http.Error(w, msg, code)
+}
+
+// meterWire tallies one tile transfer: the global wire counters the
+// compression scorecard reads, and the tenant's byte meter/quota.
+func (fe *FrontEnd) meterWire(tenant string, raw, wire int64) {
+	fe.series.WireRaw.Add(raw)
+	fe.series.WireBytes.Add(wire)
+	fe.tenants.DebitBytes(tenant, raw)
+}
+
+// retrySeconds renders a Retry-After value, rounding up to at least 1
+// (the header carries whole seconds).
+func retrySeconds(d time.Duration) string {
+	secs := int64(math.Ceil(d.Seconds()))
+	if secs < 1 {
+		secs = 1
+	}
+	return strconv.FormatInt(secs, 10)
+}
+
+func (fe *FrontEnd) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	if fe.draining.Load() {
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	fmt.Fprintln(w, "ok")
+}
+
+func (fe *FrontEnd) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Query().Get("format") == "json" {
+		w.Header().Set("Content-Type", "application/json")
+		if err := fe.cfg.Reg.WriteJSON(w); err != nil {
+			fe.errors.Inc()
+		}
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	if err := fe.cfg.Reg.WritePrometheus(w); err != nil {
+		fe.errors.Inc()
+	}
+}
+
+func (fe *FrontEnd) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, fe.plane.Stats(FrontStats{
+		Requests:          fe.requests.Value(),
+		RejectedRateLimit: fe.series.RejectedRate.Value(),
+		RejectedQueue:     fe.series.RejectedQueue.Value(),
+		Inflight:          int64(len(fe.pool)),
+		Queued:            fe.tenants.Queued(),
+		Draining:          fe.draining.Load(),
+		Tenants:           fe.tenants.Stats(),
+		Ops: OpsStats{
+			BatchRequests:  fe.ops.batchRequests.Value(),
+			BatchOps:       fe.ops.batchOps.Value(),
+			BatchOpErrors:  fe.ops.batchOpErrors.Value(),
+			ScanRequests:   fe.ops.scanRequests.Value(),
+			ScanChunks:     fe.ops.scanChunks.Value(),
+			ScanResumes:    fe.ops.scanResumes.Value(),
+			ReduceRequests: fe.ops.reduceRequests.Value(),
+			ReduceElems:    fe.ops.reduceElems.Value(),
+		},
+		WireRawBytes: fe.series.WireRaw.Value(),
+		WireBytes:    fe.series.WireBytes.Value(),
+	}))
+}
+
+func (fe *FrontEnd) handleArrayList(w http.ResponseWriter, r *http.Request, _ admitted) {
+	arrays := fe.plane.List()
+	out := make([]ArrayInfo, len(arrays))
+	for i, a := range arrays {
+		out[i] = a.Info()
+	}
+	writeJSON(w, http.StatusOK, out)
+}
+
+func (fe *FrontEnd) handleArrayCreate(w http.ResponseWriter, r *http.Request, _ admitted) {
+	// The body is a catalog row: Layout picks the file layout the tiles
+	// are stored under, "row" (default) or "col".
+	var req ArrayInfo
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		httpError(w, http.StatusBadRequest, "bad create body: %v", err)
+		return
+	}
+	if req.Name == "" || strings.ContainsAny(req.Name, "/\\ \t\n") {
+		httpError(w, http.StatusBadRequest, "bad array name %q", req.Name)
+		return
+	}
+	if len(req.Dims) == 0 {
+		httpError(w, http.StatusBadRequest, "array needs at least one dimension")
+		return
+	}
+	for _, d := range req.Dims {
+		if d <= 0 {
+			httpError(w, http.StatusBadRequest, "non-positive extent %d", d)
+			return
+		}
+	}
+	elems, ok := checkedProduct(req.Dims)
+	if !ok {
+		httpError(w, http.StatusBadRequest, "dims %v overflow the element count", req.Dims)
+		return
+	}
+	if lim := fe.cfg.MaxArrayElems; lim > 0 && elems > lim {
+		httpError(w, http.StatusBadRequest, "array of %d elements exceeds the server limit of %d", elems, lim)
+		return
+	}
+	a, err := req.Array()
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := fe.plane.Create(r.Context(), a); err != nil {
+		fe.planeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusCreated, a.Info())
+}
+
+// lookup resolves the {name} path segment, answering 404 itself.
+func (fe *FrontEnd) lookup(w http.ResponseWriter, name string) (Array, bool) {
+	a, ok := fe.plane.Lookup(name)
+	if !ok {
+		httpError(w, http.StatusNotFound, "no array %q", name)
+	}
+	return a, ok
+}
+
+func (fe *FrontEnd) handleArrayGet(w http.ResponseWriter, r *http.Request, _ admitted) {
+	if a, ok := fe.lookup(w, r.PathValue("name")); ok {
+		writeJSON(w, http.StatusOK, a.Info())
+	}
+}
+
+// resolveBox validates lo/hi against the array and clips — the one box
+// check behind tile, batch, scan and reduce requests. limit caps the
+// clipped element count (0: none; a scan's memory is bounded by its
+// chunk, a reduce's by the plane's). A non-zero status is the 4xx.
+func resolveBox(a Array, lo, hi []int64, limit int64) (layout.Box, int, string) {
+	rank := len(a.Dims)
+	if len(lo) != rank || len(hi) != rank {
+		return layout.Box{}, http.StatusBadRequest,
+			fmt.Sprintf("box rank %d/%d, array rank %d", len(lo), len(hi), rank)
+	}
+	for d := range lo {
+		if lo[d] < 0 {
+			return layout.Box{}, http.StatusBadRequest, fmt.Sprintf("negative coordinate %d", lo[d])
+		}
+		if hi[d] < lo[d] {
+			return layout.Box{}, http.StatusBadRequest,
+				fmt.Sprintf("hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d])
+		}
+	}
+	box := layout.NewBox(lo, hi).Clip(a.Dims)
+	if box.Empty() {
+		return layout.Box{}, http.StatusBadRequest,
+			fmt.Sprintf("box %v is empty after clipping to %v", layout.NewBox(lo, hi), a.Dims)
+	}
+	// The clipped size cannot overflow (array creation capped the dims
+	// product), but it can still be an unreasonable single request.
+	if limit > 0 && box.Size() > limit {
+		return layout.Box{}, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("box %v holds %d elements, over the per-request limit of %d", box, box.Size(), limit)
+	}
+	return box, 0, ""
+}
+
+// queryBox resolves {name} plus the lo/hi query params, writing the
+// 4xx response itself on failure.
+func (fe *FrontEnd) queryBox(w http.ResponseWriter, r *http.Request, limit int64) (Array, layout.Box, bool) {
+	a, ok := fe.lookup(w, r.PathValue("name"))
+	if !ok {
+		return a, layout.Box{}, false
+	}
+	q := r.URL.Query()
+	lo, err := parseCoords(q.Get("lo"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad lo: %v", err)
+		return a, layout.Box{}, false
+	}
+	hi, err := parseCoords(q.Get("hi"))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad hi: %v", err)
+		return a, layout.Box{}, false
+	}
+	box, status, msg := resolveBox(a, lo, hi, limit)
+	if status != 0 {
+		http.Error(w, msg, status)
+		return a, layout.Box{}, false
+	}
+	return a, box, true
+}
+
+// renderRaw and renderWire are the two tile body renderings; the share
+// keys name them so concurrent GETs negotiating different encodings
+// never share a body.
+func renderRaw(data []float64, _ uint64) []byte  { return EncodeTile(data, false) }
+func renderWire(data []float64, _ uint64) []byte { return EncodeTile(data, true) }
+
+func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admitted) {
+	ar, box, ok := fe.queryBox(w, r, fe.cfg.MaxTileElems)
+	if !ok {
+		return
+	}
+	share, render := "raw", renderRaw
+	compress := acceptsWireEncoding(r.Header.Get("Accept-Encoding"))
+	if compress {
+		share, render = WireEncoding, renderWire
+	}
+	payload, gen, shared, err := fe.plane.ReadBox(r.Context(), ar, box, share, render)
+	if err != nil {
+		fe.planeError(w, err)
+		return
+	}
+	fe.meterWire(a.tenant, box.Size()*ooc.ElemSize, int64(len(payload)))
+	w.Header().Set("Content-Type", "application/octet-stream")
+	if compress {
+		w.Header().Set("Content-Encoding", WireEncoding)
+	}
+	if gen != 0 || r.Header.Get(TileWantGenHeader) != "" {
+		w.Header().Set(TileGenHeader, strconv.FormatUint(gen, 10))
+	}
+	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
+	w.Header().Set("X-Tile-Coalesced", strconv.FormatBool(shared))
+	w.Write(payload)
+}
+
+func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request, a admitted) {
+	ar, box, ok := fe.queryBox(w, r, fe.cfg.MaxTileElems)
+	if !ok {
+		return
+	}
+	var gen uint64
+	if v := r.Header.Get(TileGenHeader); v != "" {
+		g, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad %s %q: %v", TileGenHeader, v, err)
+			return
+		}
+		gen = g
+	}
+	enc := r.Header.Get("Content-Encoding")
+	if enc != "" && enc != WireEncoding {
+		httpError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q (only %s)", enc, WireEncoding)
+		return
+	}
+	// A frame never exceeds raw-plus-header (AppendFrame's raw fallback
+	// guarantees it), which bounds the read; the real size check is
+	// DecodeTile's. The body is decoded into scratch before the plane
+	// sees it: a short or half-decoded payload must never land in a
+	// cached tile.
+	want := box.Size() * ooc.ElemSize
+	body, err := readBody(r, want+frameMaxOverhead)
+	data := ooc.GetF64(int(box.Size()))
+	defer ooc.PutF64(data)
+	if err == nil {
+		err = DecodeTile(body, enc == WireEncoding, data)
+	}
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "tile payload: %v (want %d elements for %v)", err, box.Size(), box)
+		return
+	}
+	fe.meterWire(a.tenant, want, int64(len(body)))
+	stored, stale, err := fe.plane.WriteBox(r.Context(), ar, box, data, gen)
+	if err != nil {
+		fe.planeError(w, err)
+		return
+	}
+	if stored != 0 {
+		w.Header().Set(TileGenHeader, strconv.FormatUint(stored, 10))
+	}
+	if stale {
+		w.Header().Set(TileStaleHeader, "true")
+	}
+	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
+	w.WriteHeader(http.StatusNoContent)
+}
+
+// acceptsWireEncoding reports whether an Accept-Encoding header offers
+// WireEncoding (comma-separated codings, optional ;q parameters).
+func acceptsWireEncoding(header string) bool {
+	for _, part := range strings.Split(header, ",") {
+		c, _, _ := strings.Cut(part, ";")
+		if strings.TrimSpace(c) == WireEncoding {
+			return true
+		}
+	}
+	return false
+}
+
+// parseCoords parses "1,2,3" into coordinates.
+func parseCoords(s string) ([]int64, error) {
+	if s == "" {
+		return nil, fmt.Errorf("missing coordinates")
+	}
+	parts := strings.Split(s, ",")
+	out := make([]int64, len(parts))
+	for i, p := range parts {
+		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("coordinate %q: %w", p, err)
+		}
+		if v < 0 {
+			return nil, fmt.Errorf("negative coordinate %d", v)
+		}
+		out[i] = v
+	}
+	return out, nil
+}
+
+// checkedProduct multiplies positive extents, reporting overflow
+// instead of wrapping (a created array's element count must stay a
+// valid int64 before any limit comparison happens).
+func checkedProduct(dims []int64) (int64, bool) {
+	n := int64(1)
+	for _, d := range dims {
+		if d <= 0 || n > math.MaxInt64/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// frameMaxOverhead bounds how much larger than the raw payload a codec
+// frame can be: the 16-byte header plus word-padding slack (the raw
+// fallback caps the payload itself at the logical size).
+const frameMaxOverhead = 24
+
+// readBody reads a request body of at most max bytes; a longer body
+// than the box can hold is a malformed request, not silent truncation.
+func readBody(r *http.Request, max int64) ([]byte, error) {
+	body := make([]byte, max)
+	n, err := io.ReadFull(r.Body, body)
+	switch err {
+	case nil:
+		var extra [1]byte
+		if m, _ := r.Body.Read(extra[:]); m > 0 {
+			return nil, fmt.Errorf("body longer than the tile")
+		}
+	case io.EOF, io.ErrUnexpectedEOF:
+	default:
+		return nil, err
+	}
+	return body[:n], nil
+}
+
+// EncodeTile renders a tile body: raw little-endian float64 (the wire
+// format, matching the file backend's on-disk encoding), or with wire
+// set a WireEncoding codec frame.
+func EncodeTile(data []float64, wire bool) []byte {
+	if wire {
+		return ooc.AppendFrame(nil, data)
+	}
+	out := make([]byte, len(data)*ooc.ElemSize)
+	for i, v := range data {
+		binary.LittleEndian.PutUint64(out[i*ooc.ElemSize:], math.Float64bits(v))
+	}
+	return out
+}
+
+// DecodeTile fills data from a tile body in either encoding, which
+// must hold exactly len(data) elements and nothing after them. On
+// error data's contents are unspecified.
+func DecodeTile(body []byte, wire bool, data []float64) error {
+	if wire {
+		n, err := ooc.DecodeFrame(body, data)
+		if err == nil && n != len(body) {
+			err = fmt.Errorf("%d trailing bytes after the frame", len(body)-n)
+		}
+		return err
+	}
+	if len(body) != len(data)*ooc.ElemSize {
+		return fmt.Errorf("%d payload bytes for %d elements", len(body), len(data))
+	}
+	for i := range data {
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*ooc.ElemSize:]))
+	}
+	return nil
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	enc.Encode(v)
+}
+
+func httpError(w http.ResponseWriter, status int, format string, args ...any) {
+	http.Error(w, fmt.Sprintf(format, args...), status)
+}

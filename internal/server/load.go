@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"outcore/internal/layout"
-	"outcore/internal/ooc"
 )
 
 // LoadSpec configures the synthetic multi-client tile workload the
@@ -29,7 +28,7 @@ type LoadSpec struct {
 	Dims     []int64 // its extents (tile grid derivation)
 	TileEdge int64   // tile edge in elements per dimension
 
-	Clients  int     // concurrent clients (each its own X-Client-ID)
+	Clients  int     // concurrent clients
 	Requests int     // total requests across all clients
 	ZipfS    float64 // zipf skew parameter (>1); <=1 = uniform
 	ReadFrac float64 // fraction of reads (rest are tile writes)
@@ -195,7 +194,6 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 			tally := &tallies[c]
 			rng := rand.New(rand.NewSource(spec.Seed + int64(c)*7919))
 			pick := picker(rng, spec.ZipfS, len(tiles))
-			id := fmt.Sprintf("load-client-%d", c)
 			for i := 0; i < per; i++ {
 				t0 := time.Now()
 				if interarrival > 0 {
@@ -216,7 +214,7 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 				case opScan:
 					var chunks int64
 					var pointEq int64
-					status, chunks, pointEq, err = doScanRequest(client, id, spec, tiles[pick()], rng)
+					status, chunks, pointEq, err = doScanRequest(client, spec, tiles[pick()], rng)
 					tally.scans++
 					tally.scanChunks += chunks
 					tally.pointTrips += pointEq
@@ -225,7 +223,7 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 					if n <= 0 {
 						n = 8
 					}
-					status, err = doBatchRequest(client, id, spec, tiles, pick, n, rng)
+					status, err = doBatchRequest(client, spec, tiles, pick, n, rng)
 					isPut = true
 					tally.batches++
 					tally.batchOps += int64(n)
@@ -233,7 +231,7 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 				default:
 					read := rng.Float64() < spec.ReadFrac
 					isPut = !read
-					status, err = doTileRequest(client, id, spec.Tenant, spec.BaseURL, spec.Array, tiles[pick()], read, spec.Compress, rng)
+					status, err = doTileRequest(client, spec.Tenant, spec.BaseURL, spec.Array, tiles[pick()], read, spec.Compress, rng)
 					tally.pointTrips++
 				}
 				d := time.Since(t0)
@@ -338,7 +336,7 @@ func (spec LoadSpec) pickOp(rng *rand.Rand) int {
 // tile per frame — the same bytes a client would otherwise move with
 // one point GET per tile on the stripe. Returns the chunk count
 // consumed and that point-GET equivalent.
-func doScanRequest(client *http.Client, id string, spec LoadSpec, tile layout.Box, rng *rand.Rand) (int, int64, int64, error) {
+func doScanRequest(client *http.Client, spec LoadSpec, tile layout.Box, rng *rand.Rand) (int, int64, int64, error) {
 	last := len(tile.Lo) - 1
 	lo := append([]int64{}, tile.Lo...)
 	hi := append([]int64{}, tile.Hi...)
@@ -359,7 +357,6 @@ func doScanRequest(client *http.Client, id string, spec LoadSpec, tile layout.Bo
 	if spec.Compress {
 		req.Header.Set("Accept-Encoding", WireEncoding)
 	}
-	req.Header.Set("X-Client-ID", id)
 	if spec.Tenant != "" {
 		req.Header.Set(TenantHeader, spec.Tenant)
 	}
@@ -389,7 +386,7 @@ func doScanRequest(client *http.Client, id string, spec LoadSpec, tile layout.Bo
 // doBatchRequest issues one multi-op batch PUT over n picked tiles
 // (smooth payloads, like the point writes). The per-op statuses fold
 // into one verdict: any failed op fails the request.
-func doBatchRequest(client *http.Client, id string, spec LoadSpec, tiles []layout.Box, pick func() int, n int, rng *rand.Rand) (int, error) {
+func doBatchRequest(client *http.Client, spec LoadSpec, tiles []layout.Box, pick func() int, n int, rng *rand.Rand) (int, error) {
 	type wireOp struct {
 		Op   string  `json:"op"`
 		Lo   []int64 `json:"lo"`
@@ -405,7 +402,7 @@ func doBatchRequest(client *http.Client, id string, spec LoadSpec, tiles []layou
 			data[j] = tileBase + float64(j)*0.25
 		}
 		ops = append(ops, wireOp{Op: "put", Lo: box.Lo, Hi: box.Hi,
-			Data: base64.StdEncoding.EncodeToString(encodePayload(data))})
+			Data: base64.StdEncoding.EncodeToString(EncodeTile(data, false))})
 	}
 	body, _ := json.Marshal(map[string]any{"ops": ops})
 	req, err := http.NewRequest(http.MethodPost,
@@ -414,7 +411,6 @@ func doBatchRequest(client *http.Client, id string, spec LoadSpec, tiles []layou
 		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Client-ID", id)
 	if spec.Tenant != "" {
 		req.Header.Set(TenantHeader, spec.Tenant)
 	}
@@ -439,13 +435,13 @@ func doBatchRequest(client *http.Client, id string, spec LoadSpec, tiles []layou
 	return resp.StatusCode, nil
 }
 
-// doTileRequest issues one tile read or write as client id and returns
+// doTileRequest issues one tile read or write and returns
 // the HTTP status. Write bodies are smooth tiles — a random per-tile
 // base plus a dyadic ramp, the locally-coherent shape scientific
 // kernels produce — so compression legs measure a realistic wire win
 // rather than the noise floor. With compress set, writes travel as
 // codec frames and reads offer the coding via Accept-Encoding.
-func doTileRequest(client *http.Client, id, tenant, base, array string, box layout.Box, read, compress bool, rng *rand.Rand) (int, error) {
+func doTileRequest(client *http.Client, tenant, base, array string, box layout.Box, read, compress bool, rng *rand.Rand) (int, error) {
 	url := fmt.Sprintf("%s/v1/arrays/%s/tile?lo=%s&hi=%s", base, array, coordList(box.Lo), coordList(box.Hi))
 	var req *http.Request
 	var err error
@@ -460,19 +456,14 @@ func doTileRequest(client *http.Client, id, tenant, base, array string, box layo
 		for i := range data {
 			data[i] = tileBase + float64(i)*0.25
 		}
-		if compress {
-			req, err = http.NewRequest(http.MethodPut, url, bytes.NewReader(ooc.AppendFrame(nil, data)))
-			if err == nil {
-				req.Header.Set("Content-Encoding", WireEncoding)
-			}
-		} else {
-			req, err = http.NewRequest(http.MethodPut, url, bytes.NewReader(encodePayload(data)))
+		req, err = http.NewRequest(http.MethodPut, url, bytes.NewReader(EncodeTile(data, compress)))
+		if err == nil && compress {
+			req.Header.Set("Content-Encoding", WireEncoding)
 		}
 	}
 	if err != nil {
 		return 0, err
 	}
-	req.Header.Set("X-Client-ID", id)
 	if tenant != "" {
 		req.Header.Set(TenantHeader, tenant)
 	}

@@ -181,20 +181,6 @@ func TestRunLoadMixedScenario(t *testing.T) {
 	}
 }
 
-func TestRateLimiterEvictionBound(t *testing.T) {
-	l := newRateLimiter(1, 1, func() time.Time { return time.Unix(0, 0) })
-	l.maxClients = 8
-	for i := 0; i < 100; i++ {
-		l.allow(string(rune('a' + i)))
-	}
-	if len(l.buckets) > 8 {
-		t.Errorf("limiter kept %d buckets, bound is 8", len(l.buckets))
-	}
-	if l.lru.Len() != len(l.buckets) {
-		t.Errorf("lru length %d != buckets %d", l.lru.Len(), len(l.buckets))
-	}
-}
-
 // TestRunLoadCompressed runs the harness with wire compression against
 // a compression-enabled server: every request still lands, and the
 // scorecard's wire delta shows fewer bytes crossed than moved.

@@ -132,10 +132,9 @@ type batchResponse struct {
 	Failed  int           `json:"failed"`
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ar := s.disk.ArrayByName(r.PathValue("name"))
-	if ar == nil {
-		httpError(w, http.StatusNotFound, "no array %q", r.PathValue("name"))
+func (fe *FrontEnd) handleBatch(w http.ResponseWriter, r *http.Request, a admitted) {
+	ar, ok := fe.lookup(w, r.PathValue("name"))
+	if !ok {
 		return
 	}
 	var req batchRequest
@@ -151,24 +150,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "batch of %d ops over the limit of %d", len(req.Ops), maxBatchOps)
 		return
 	}
-	s.met.ops.batchRequests.Inc()
-	tenant := TenantOf(r)
+	fe.ops.batchRequests.Inc()
 	resp := batchResponse{Results: make([]batchResult, len(req.Ops))}
 	for i, op := range req.Ops {
 		// Each op counts against the tenant's in-flight chunk cap, so a
-		// wide batch shares engine capacity like a scan's chunk train
+		// wide batch shares plane capacity like a scan's chunk train
 		// instead of monopolizing it from inside one admission slot.
-		chunkDone, ok := s.tenants.AcquireChunk(r.Context(), tenant)
+		chunkDone, ok := fe.tenants.AcquireChunk(r.Context(), a.tenant)
 		if !ok {
 			resp.Results[i] = batchResult{Status: http.StatusServiceUnavailable, Error: "request canceled"}
 			resp.Failed++
 			continue
 		}
-		resp.Results[i] = s.batchOne(ar, op, tenant)
+		resp.Results[i] = fe.batchOne(r, ar, op, a.tenant)
 		chunkDone()
-		s.met.ops.batchOps.Inc()
+		fe.ops.batchOps.Inc()
 		if resp.Results[i].Status >= 400 {
-			s.met.ops.batchOpErrors.Inc()
+			fe.ops.batchOpErrors.Inc()
 			resp.Failed++
 		}
 	}
@@ -176,21 +174,23 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchOne runs one op with exactly the single-tile handlers'
-// semantics: the same box validation and limits, the same per-array
-// lock discipline, the same generation merge, and — under DurablePuts
-// — the same flush-before-ack durability for every applied put.
-func (s *Server) batchOne(ar *ooc.Array, op batchOp, tenant string) batchResult {
-	box, status, msg := s.resolveBox(ar, op.Lo, op.Hi)
+// semantics: the same box validation and limits, and the same plane
+// read and write paths.
+func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp, tenant string) batchResult {
+	box, status, msg := resolveBox(ar, op.Lo, op.Hi, fe.cfg.MaxTileElems)
 	if status != 0 {
 		return batchResult{Status: status, Error: msg}
 	}
+	raw := box.Size() * ooc.ElemSize
 	switch op.Op {
 	case "get":
-		payload, gen, err := s.readBoxPayload(ar, box)
+		// Unshared: the batch itself is the amortization.
+		payload, gen, _, err := fe.plane.ReadBox(r.Context(), ar, box, "", renderRaw)
 		if err != nil {
-			return s.batchEngineError(err)
+			status, msg := fe.failure(err)
+			return batchResult{Status: status, Error: msg}
 		}
-		s.meterWire(tenant, box.Size()*ooc.ElemSize, int64(len(payload)))
+		fe.meterWire(tenant, raw, int64(len(payload)))
 		return batchResult{
 			Status: http.StatusOK,
 			Elems:  box.Size(),
@@ -198,132 +198,25 @@ func (s *Server) batchOne(ar *ooc.Array, op batchOp, tenant string) batchResult 
 			Gen:    gen,
 		}
 	case "put":
-		raw, err := base64.StdEncoding.DecodeString(op.Data)
+		body, err := base64.StdEncoding.DecodeString(op.Data)
 		if err != nil {
 			return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("bad data_b64: %v", err)}
 		}
-		if int64(len(raw)) != box.Size()*ooc.ElemSize {
-			return batchResult{Status: http.StatusBadRequest,
-				Error: fmt.Sprintf("payload of %d bytes, want %d for %v", len(raw), box.Size()*ooc.ElemSize, box)}
-		}
 		data := ooc.GetF64(int(box.Size()))
 		defer ooc.PutF64(data)
-		decodePayload(raw, data)
-		s.meterWire(tenant, box.Size()*ooc.ElemSize, int64(len(raw)))
-		stored, stale, err := s.applyPut(ar, box, data, op.Gen, op.Gen != 0)
+		if err := DecodeTile(body, false, data); err != nil {
+			return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("%v (%v)", err, box)}
+		}
+		fe.meterWire(tenant, raw, raw)
+		stored, stale, err := fe.plane.WriteBox(r.Context(), ar, box, data, op.Gen)
 		if err != nil {
-			return s.batchEngineError(err)
+			status, msg := fe.failure(err)
+			return batchResult{Status: status, Error: msg}
 		}
-		res := batchResult{Status: http.StatusNoContent, Elems: box.Size(), Stale: stale}
-		if op.Gen != 0 {
-			res.Gen = stored
-		}
-		return res
+		return batchResult{Status: http.StatusNoContent, Elems: box.Size(), Gen: stored, Stale: stale}
 	default:
 		return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("unknown op %q (get, put)", op.Op)}
 	}
-}
-
-// batchEngineError maps an engine failure onto a per-op status the
-// same way engineError maps it onto a response.
-func (s *Server) batchEngineError(err error) batchResult {
-	if err == ooc.ErrEngineClosed {
-		return batchResult{Status: http.StatusServiceUnavailable, Error: "engine closed"}
-	}
-	s.met.errors.Inc()
-	return batchResult{Status: http.StatusInternalServerError, Error: err.Error()}
-}
-
-// resolveBox validates lo/hi against the array exactly as tileTarget
-// does for query params, returning a non-zero HTTP status on failure.
-func (s *Server) resolveBox(ar *ooc.Array, lo, hi []int64) (layout.Box, int, string) {
-	rank := len(ar.Meta.Dims)
-	if len(lo) != rank || len(hi) != rank {
-		return layout.Box{}, http.StatusBadRequest,
-			fmt.Sprintf("box rank %d/%d, array rank %d", len(lo), len(hi), rank)
-	}
-	for d := range lo {
-		if lo[d] < 0 {
-			return layout.Box{}, http.StatusBadRequest, fmt.Sprintf("negative coordinate %d", lo[d])
-		}
-		if hi[d] < lo[d] {
-			return layout.Box{}, http.StatusBadRequest,
-				fmt.Sprintf("hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d])
-		}
-	}
-	box := layout.NewBox(lo, hi).Clip(ar.Meta.Dims)
-	if box.Empty() {
-		return layout.Box{}, http.StatusBadRequest,
-			fmt.Sprintf("box %v is empty after clipping to %v", layout.NewBox(lo, hi), ar.Meta.Dims)
-	}
-	if lim := s.cfg.MaxTileElems; lim > 0 && box.Size() > lim {
-		return layout.Box{}, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("box %v holds %d elements, over the per-op limit of %d", box, box.Size(), lim)
-	}
-	return box, 0, ""
-}
-
-// readBoxPayload reads one box under the shared tile lock and returns
-// its raw payload and write generation — the batch-get twin of the
-// tile GET flight body (batch gets don't coalesce; the batch itself is
-// the amortization).
-func (s *Server) readBoxPayload(ar *ooc.Array, box layout.Box) ([]byte, uint64, error) {
-	lk := s.lockFor(ar.Meta.Name)
-	lk.mu.RLock()
-	defer lk.mu.RUnlock()
-	h, err := s.eng.Acquire(ar, box)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer s.eng.Release(h, false)
-	return encodePayload(h.Tile().Data()), lk.overlapGen(box), nil
-}
-
-// applyPut lands one decoded write with the single-tile PUT's exact
-// semantics: per-cell LWW generation merge under the exclusive lock,
-// flight-key versioning, and flush-before-ack under DurablePuts.
-// Returns the stored generation and whether the write was wholly
-// superseded (stale).
-func (s *Server) applyPut(ar *ooc.Array, box layout.Box, src []float64, gen uint64, genGated bool) (uint64, bool, error) {
-	lk := s.lockFor(ar.Meta.Name)
-	lk.mu.Lock()
-	var apply []layout.Box // nil: the whole box; non-nil: the merge remainder
-	if genGated {
-		if newer := lk.newerOverlaps(box, gen); len(newer) > 0 {
-			if apply = subtractBoxes(box, newer); len(apply) == 0 {
-				stored := lk.overlapGen(box)
-				lk.mu.Unlock()
-				return stored, true, nil
-			}
-		}
-	}
-	h, err := s.eng.Acquire(ar, box)
-	if err != nil {
-		lk.mu.Unlock()
-		return 0, false, err
-	}
-	if apply == nil {
-		copy(h.Tile().Data(), src)
-	} else {
-		for _, region := range apply {
-			copyBoxLocal(h.Tile().Data(), src, box, region)
-		}
-	}
-	s.eng.Release(h, true)
-	if genGated {
-		lk.setGen(box.String(), box, gen)
-	}
-	lk.gen.Add(1)
-	lk.mu.Unlock()
-	if s.cfg.DurablePuts {
-		if err := s.eng.FlushOverlapping(ar, box); err != nil {
-			return 0, false, err
-		}
-		if err := ar.Sync(); err != nil {
-			return 0, false, err
-		}
-	}
-	return gen, false, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -406,44 +299,45 @@ func ParseScanCursor(token string) (ScanCursor, error) {
 	return c, nil
 }
 
-func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
+func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitted) {
 	q := r.URL.Query()
 	var (
-		ar         *ooc.Array
+		ar         Array
 		box        layout.Box
 		chunkElems int64
 		startSeq   uint64
 	)
+	lim := fe.cfg.MaxTileElems
 	if tok := q.Get("cursor"); tok != "" {
 		cur, err := ParseScanCursor(tok)
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
-		ar = s.disk.ArrayByName(cur.Name)
-		if ar == nil {
-			httpError(w, http.StatusNotFound, "no array %q", cur.Name)
+		var ok bool
+		if ar, ok = fe.lookup(w, cur.Name); !ok {
 			return
 		}
 		if got := ar.Layout.Name(); got != cur.Layout {
 			httpError(w, http.StatusBadRequest, "cursor layout %q does not match array layout %q", cur.Layout, got)
 			return
 		}
-		clipped := cur.Box.Clip(ar.Meta.Dims)
+		clipped := cur.Box.Clip(ar.Dims)
 		if clipped.Empty() || clipped.String() != cur.Box.String() {
-			httpError(w, http.StatusBadRequest, "cursor box %v does not fit array dims %v", cur.Box, ar.Meta.Dims)
+			httpError(w, http.StatusBadRequest, "cursor box %v does not fit array dims %v", cur.Box, ar.Dims)
 			return
 		}
 		box, chunkElems, startSeq = cur.Box, cur.ChunkElems, cur.Seq
-		if lim := s.cfg.MaxTileElems; lim > 0 && chunkElems > lim {
+		if lim > 0 && chunkElems > lim {
 			httpError(w, http.StatusBadRequest, "cursor chunk size %d over the per-request limit %d", chunkElems, lim)
 			return
 		}
-		s.met.ops.scanResumes.Inc()
+		fe.ops.scanResumes.Inc()
 	} else {
+		// No per-request element cap: a scan's memory is bounded by its
+		// chunk size, so the box may cover the whole array.
 		var ok bool
-		ar, box, ok = s.scanTarget(w, r)
-		if !ok {
+		if ar, box, ok = fe.queryBox(w, r, 0); !ok {
 			return
 		}
 		chunkElems = DefaultScanChunkElems
@@ -455,7 +349,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 			}
 			chunkElems = n
 		}
-		if lim := s.cfg.MaxTileElems; lim > 0 && chunkElems > lim {
+		if lim > 0 && chunkElems > lim {
 			chunkElems = lim
 		}
 	}
@@ -464,7 +358,7 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "cursor seq %d past the %d-chunk plan", startSeq, len(plan))
 		return
 	}
-	s.met.ops.scanRequests.Inc()
+	fe.ops.scanRequests.Inc()
 	compress := acceptsWireEncoding(r.Header.Get("Accept-Encoding"))
 
 	w.Header().Set("Content-Type", ScanContentType)
@@ -476,90 +370,54 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	// chunk size, not the scan size.
 	frame := ooc.GetBuf(int(chunkElems)*ooc.ElemSize + 256)[:0]
 	defer ooc.PutBuf(frame)
-	lk := s.lockFor(ar.Meta.Name)
-	name, layoutName := ar.Meta.Name, ar.Layout.Name()
-	tenant := TenantOf(r)
-	for seq := startSeq; seq < uint64(len(plan)); seq++ {
-		ch := plan[seq]
+	layoutName := ar.Layout.Name()
+	// With a chunk cap the stream's cost is paid per chunk from here on,
+	// so a plane that does not need the admission slot to outlive the
+	// stream may hand it back (see ReleaseAdmissionEarly).
+	ctx := fe.tenants.offerAdmissionRelease(r.Context(), a.release)
+	var (
+		seq uint64
+		ch  layout.Box
+	)
+	// Each chunk is framed straight from the elements the plane lends,
+	// exactly like a tile GET of the chunk box.
+	render := func(data []float64, _ uint64) []byte {
+		cursor := EncodeScanCursor(ar.Name, box, chunkElems, layoutName, seq+1)
+		frame = AppendScanFrame(frame[:0], seq, ch, cursor, data, compress)
+		return frame
+	}
+	for seq = startSeq; seq < uint64(len(plan)); seq++ {
+		ch = plan[seq]
 		// Each chunk claims one of the tenant's in-flight chunk slots
-		// before touching the engine, and releases it before the next
-		// chunk — so a scan's chunk train shares engine capacity at the
-		// configured per-tenant width instead of arriving as fast as
-		// the stream drains.
-		chunkDone, ok := s.tenants.AcquireChunk(r.Context(), tenant)
+		// before touching the plane, and releases it before the next
+		// chunk — so a scan's chunk train shares capacity at the
+		// configured per-tenant width instead of arriving as fast as the
+		// stream drains.
+		chunkDone, ok := fe.tenants.AcquireChunk(ctx, a.tenant)
 		if !ok {
 			return // client went away while the cap was saturated
 		}
-		// Each chunk is read under the shared lock exactly like a tile
-		// GET of the chunk box; the lock is dropped between chunks so
-		// writers are never starved by a long scan.
-		lk.mu.RLock()
-		h, err := s.eng.Acquire(ar, ch)
+		_, _, _, err := fe.plane.ReadBox(ctx, ar, ch, "", render)
+		chunkDone()
 		if err != nil {
-			lk.mu.RUnlock()
-			chunkDone()
 			if seq == startSeq {
-				s.engineError(w, err)
+				fe.planeError(w, err)
 			}
 			// Mid-stream: the connection just ends short of the trailer;
 			// the framing makes the truncation visible to the client.
 			return
 		}
-		cursor := EncodeScanCursor(name, box, chunkElems, layoutName, seq+1)
-		frame = AppendScanFrame(frame[:0], seq, ch, cursor, h.Tile().Data(), compress)
-		s.eng.Release(h, false)
-		lk.mu.RUnlock()
-		chunkDone()
-
 		if _, err := w.Write(frame); err != nil {
 			return // client went away; it resumes from its last good cursor
 		}
-		s.met.ops.scanChunks.Inc()
-		s.meterWire(tenant, ch.Size()*ooc.ElemSize, int64(len(frame)))
+		fe.ops.scanChunks.Inc()
+		fe.meterWire(a.tenant, ch.Size()*ooc.ElemSize, int64(len(frame)))
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
 	frame = AppendScanTrailer(frame[:0], uint64(len(plan)))
 	w.Write(frame)
-}
-
-// scanTarget resolves {name} + lo/hi like tileTarget but without the
-// per-request element cap: a scan's memory is bounded by its chunk
-// size, so the box may cover the whole array.
-func (s *Server) scanTarget(w http.ResponseWriter, r *http.Request) (*ooc.Array, layout.Box, bool) {
-	ar := s.disk.ArrayByName(r.PathValue("name"))
-	if ar == nil {
-		httpError(w, http.StatusNotFound, "no array %q", r.PathValue("name"))
-		return nil, layout.Box{}, false
-	}
-	lo, err := parseCoords(r.URL.Query().Get("lo"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad lo: %v", err)
-		return nil, layout.Box{}, false
-	}
-	hi, err := parseCoords(r.URL.Query().Get("hi"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad hi: %v", err)
-		return nil, layout.Box{}, false
-	}
-	rank := len(ar.Meta.Dims)
-	if len(lo) != rank || len(hi) != rank {
-		httpError(w, http.StatusBadRequest, "box rank %d/%d, array rank %d", len(lo), len(hi), rank)
-		return nil, layout.Box{}, false
-	}
-	for d := range lo {
-		if hi[d] < lo[d] {
-			httpError(w, http.StatusBadRequest, "hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d])
-			return nil, layout.Box{}, false
-		}
-	}
-	box := layout.NewBox(lo, hi).Clip(ar.Meta.Dims)
-	if box.Empty() {
-		httpError(w, http.StatusBadRequest, "box %v is empty after clipping to %v", layout.NewBox(lo, hi), ar.Meta.Dims)
-		return nil, layout.Box{}, false
-	}
-	return ar, box, true
 }
 
 // AppendScanFrame renders one data frame (see the wire format above),
@@ -610,7 +468,7 @@ func AppendScanTrailer(dst []byte, total uint64) []byte {
 }
 
 // appendPayload appends the raw wire form of data (little-endian
-// float64) to dst — encodePayload without the allocation.
+// float64) to dst.
 func appendPayload(dst []byte, data []float64) []byte {
 	for _, v := range data {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
@@ -692,19 +550,8 @@ func (sr *ScanReader) Next() (*ScanChunk, error) {
 	cursor := string(rest[int(rank)*16 : int(rank)*16+int(cursorLen)])
 	payload := rest[int(rank)*16+int(cursorLen) : len(rest)-4]
 	data := make([]float64, box.Size())
-	if flags&scanFlagCompressed != 0 {
-		n, err := ooc.DecodeFrame(payload, data)
-		if err == nil && n != len(payload) {
-			err = fmt.Errorf("%d trailing bytes", len(payload)-n)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("scan frame %d: %v", seq, err)
-		}
-	} else {
-		if int64(len(payload)) != box.Size()*ooc.ElemSize {
-			return nil, fmt.Errorf("scan frame %d: %d payload bytes for %d elements", seq, len(payload), box.Size())
-		}
-		decodePayload(payload, data)
+	if err := DecodeTile(payload, flags&scanFlagCompressed != 0, data); err != nil {
+		return nil, fmt.Errorf("scan frame %d: %v", seq, err)
 	}
 	return &ScanChunk{Seq: seq, Box: box, Cursor: cursor, Data: data}, nil
 }
@@ -739,10 +586,9 @@ type reduceResponse struct {
 // to the client-side fold, not merely close.
 var reduceOps = map[string]bool{"sum": true, "min": true, "max": true, "count": true}
 
-func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	ar := s.disk.ArrayByName(r.PathValue("name"))
-	if ar == nil {
-		httpError(w, http.StatusNotFound, "no array %q", r.PathValue("name"))
+func (fe *FrontEnd) handleReduce(w http.ResponseWriter, r *http.Request, a admitted) {
+	ar, ok := fe.lookup(w, r.PathValue("name"))
+	if !ok {
 		return
 	}
 	var req reduceRequest
@@ -754,29 +600,26 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "unknown reduce op %q (sum, min, max, count)", req.Op)
 		return
 	}
-	rank := len(ar.Meta.Dims)
-	if len(req.Lo) != rank || len(req.Hi) != rank {
-		httpError(w, http.StatusBadRequest, "box rank %d/%d, array rank %d", len(req.Lo), len(req.Hi), rank)
+	// No element cap: the plane folds in bounded chunks.
+	box, status, msg := resolveBox(ar, req.Lo, req.Hi, 0)
+	if status != 0 {
+		http.Error(w, msg, status)
 		return
 	}
-	for d := range req.Lo {
-		if req.Lo[d] < 0 || req.Hi[d] < req.Lo[d] {
-			httpError(w, http.StatusBadRequest, "bad box dimension %d: [%d,%d)", d, req.Lo[d], req.Hi[d])
-			return
-		}
+	fe.ops.reduceRequests.Inc()
+	// A fold occupies the plane like a chunk train does; it takes one of
+	// the tenant's chunk slots for its duration.
+	chunkDone, ok := fe.tenants.AcquireChunk(r.Context(), a.tenant)
+	if !ok {
+		return // client went away while the cap was saturated
 	}
-	box := layout.NewBox(req.Lo, req.Hi).Clip(ar.Meta.Dims)
-	if box.Empty() {
-		httpError(w, http.StatusBadRequest, "box %v is empty after clipping to %v", layout.NewBox(req.Lo, req.Hi), ar.Meta.Dims)
-		return
-	}
-	s.met.ops.reduceRequests.Inc()
-	value, count, err := s.reduceBox(ar, box, req.Op)
+	value, count, err := fe.plane.ReduceBox(r.Context(), ar, box, req.Op)
+	chunkDone()
 	if err != nil {
-		s.engineError(w, err)
+		fe.planeError(w, err)
 		return
 	}
-	s.met.ops.reduceElems.Add(count)
+	fe.ops.reduceElems.Add(count)
 	resp := reduceResponse{Op: req.Op, Lo: box.Lo, Hi: box.Hi, Count: count, Bits: math.Float64bits(value)}
 	if !math.IsNaN(value) && !math.IsInf(value, 0) {
 		resp.Value = &value
@@ -784,61 +627,73 @@ func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// reduceBox folds the box tile-side, chunked through the engine so a
-// whole-array reduce stays within cache memory. Chunks are row-major
-// slabs regardless of layout: the fold must visit elements in the
-// box's row-major order for sum exactness (the engine underneath still
-// does layout-aware backend I/O per chunk).
-func (s *Server) reduceBox(ar *ooc.Array, box layout.Box, op string) (float64, int64, error) {
-	chunk := DefaultScanChunkElems
-	if lim := s.cfg.MaxTileElems; lim > 0 && chunk > lim {
-		chunk = lim
-	}
-	lk := s.lockFor(ar.Meta.Name)
-	var (
-		sum   float64
-		minV  = math.Inf(1)
-		maxV  = math.Inf(-1)
-		count int64
-	)
-	for _, ch := range layout.PlanRowMajor(box, chunk) {
-		lk.mu.RLock()
-		h, err := s.eng.Acquire(ar, ch)
-		if err != nil {
-			lk.mu.RUnlock()
-			return 0, 0, err
-		}
-		data := h.Tile().Data()
-		switch op {
-		case "sum":
-			for _, v := range data {
-				sum += v
-			}
-		case "min":
-			for _, v := range data {
-				if v < minV {
-					minV = v
-				}
-			}
-		case "max":
-			for _, v := range data {
-				if v > maxV {
-					maxV = v
-				}
-			}
-		}
-		count += int64(len(data))
-		s.eng.Release(h, false)
-		lk.mu.RUnlock()
-	}
-	switch op {
+// Fold accumulates one reduce: Add folds a run of elements in order,
+// Merge folds another Fold's result in as a partial. Sum accumulates in
+// call order, so a plane that adds a box's elements in row-major order
+// is bit-identical to a client folding a plain GET's payload.
+type Fold struct {
+	op       string
+	sum      float64
+	min, max float64
+	Count    int64
+}
+
+// NewFold starts a fold for op (one of sum, min, max, count).
+func NewFold(op string) *Fold {
+	return &Fold{op: op, min: math.Inf(1), max: math.Inf(-1)}
+}
+
+// Add folds data's elements in.
+func (f *Fold) Add(data []float64) {
+	switch f.op {
 	case "sum":
-		return sum, count, nil
+		for _, v := range data {
+			f.sum += v
+		}
 	case "min":
-		return minV, count, nil
+		for _, v := range data {
+			if v < f.min {
+				f.min = v
+			}
+		}
 	case "max":
-		return maxV, count, nil
+		for _, v := range data {
+			if v > f.max {
+				f.max = v
+			}
+		}
+	}
+	f.Count += int64(len(data))
+}
+
+// Merge folds in a partial result: the value and count another fold of
+// the same op produced over a disjoint piece.
+func (f *Fold) Merge(value float64, count int64) {
+	switch f.op {
+	case "sum":
+		f.sum += value
+	case "min":
+		if value < f.min {
+			f.min = value
+		}
+	case "max":
+		if value > f.max {
+			f.max = value
+		}
+	}
+	f.Count += count
+}
+
+// Value returns the fold's result.
+func (f *Fold) Value() float64 {
+	switch f.op {
+	case "sum":
+		return f.sum
+	case "min":
+		return f.min
+	case "max":
+		return f.max
 	default: // count
-		return float64(count), count, nil
+		return float64(f.Count)
 	}
 }

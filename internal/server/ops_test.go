@@ -678,7 +678,7 @@ func FuzzScanCursor(f *testing.F) {
 // target (array G stays untouched whatever happens to F).
 func FuzzBatchRequest(f *testing.F) {
 	srv, hs := newFuzzServer(f)
-	if _, err := srv.disk.CreateArray(ir.NewArray("G", 8, 8), layout.RowMajor(8, 8)); err != nil {
+	if _, err := srv.plane.disk.CreateArray(ir.NewArray("G", 8, 8), layout.RowMajor(8, 8)); err != nil {
 		f.Fatal(err)
 	}
 	sentinel := layout.NewBox([]int64{0, 0}, []int64{8, 8})
@@ -735,10 +735,10 @@ func FuzzBatchRequest(f *testing.F) {
 // is a described 500.
 func TestBatchEngineErrorMapping(t *testing.T) {
 	ts := newTestServer(t, Config{}, nil)
-	if r := ts.srv.batchEngineError(ooc.ErrEngineClosed); r.Status != http.StatusServiceUnavailable {
-		t.Errorf("closed engine: %d, want 503", r.Status)
+	if code, _ := ts.srv.front.failure(ooc.ErrEngineClosed); code != http.StatusServiceUnavailable {
+		t.Errorf("closed engine: %d, want 503", code)
 	}
-	if r := ts.srv.batchEngineError(errors.New("stripe torn")); r.Status != http.StatusInternalServerError || r.Error != "stripe torn" {
-		t.Errorf("generic failure: %+v, want a described 500", r)
+	if code, msg := ts.srv.front.failure(errors.New("stripe torn")); code != http.StatusInternalServerError || msg != "stripe torn" {
+		t.Errorf("generic failure: %d %q, want a described 500", code, msg)
 	}
 }

@@ -4,29 +4,38 @@
 // clients asking for rectangular tiles, the engine underneath turning
 // them into few, large, layout-aware backend calls.
 //
-// The serving core does real multi-tenant work on top of the engine:
+// The package has two halves joined by the Plane interface (plane.go).
+// FrontEnd (front.go, ops.go) is the one HTTP surface — routes, tenant
+// resolution, admission, box validation, payload and codec
+// negotiation, the tile/batch/scan/reduce/array handlers — and serves
+// any Plane; internal/cluster mounts the same front end over its
+// fan-out. This file is the plane occd serves: the local engine.
 //
-//   - Request coalescing: concurrent GETs of the same tile join one
-//     flight (one acquire, one payload encode, one backend read), with
-//     an exact exported count of coalesced requests.
-//   - Admission control: per-client token-bucket rate limiting (429 +
-//     Retry-After) in front of a bounded wait queue over a bounded
-//     worker semaphore (503 + Retry-After when the queue overflows), so
-//     overload degrades with backpressure instead of collapse.
+// What the stack does on top of the engine:
+//
+//   - Request coalescing (plane): concurrent GETs of the same tile join
+//     one flight (one acquire, one payload encode, one backend read),
+//     with an exact exported count of coalesced requests.
+//   - Admission control (front end): per-tenant token-bucket quotas
+//     (429 + Retry-After) in front of weighted-fair per-tenant queues
+//     over a bounded slot pool (503 + Retry-After when the queues
+//     overflow), so overload degrades with backpressure instead of
+//     collapse.
 //   - Graceful drain: new work is refused while in-flight requests
 //     finish (Drain itself waits them out, even when the HTTP server's
 //     shutdown grace period expired first), then every dirty tile is
 //     flushed and the backends synced and closed, so an acknowledged
 //     write survives a SIGTERM.
-//   - Consistency: tile access is serialized per array — GETs share a
-//     reader lock, a PUT excludes them — so concurrent clients can
-//     never tear the pinned in-memory tile a request is encoding or
+//   - Consistency (plane): tile access is serialized per array — GETs
+//     share a reader lock, a PUT excludes them — so concurrent clients
+//     can never tear the pinned in-memory tile a request is encoding or
 //     decoding, and a GET issued after a PUT's 204 observes that write
 //     (the write generation versions the coalescing flight key).
-//   - Abuse limits: array creation caps the overflow-checked element
-//     count (Config.MaxArrayElems, 400) and tile requests cap the
-//     clipped per-request element count (Config.MaxTileElems, 413), so
-//     a client cannot drive unbounded allocations.
+//   - Abuse limits (front end): array creation caps the
+//     overflow-checked element count (Config.MaxArrayElems, 400) and
+//     tile requests cap the clipped per-request element count
+//     (Config.MaxTileElems, 413), so a client cannot drive unbounded
+//     allocations.
 //
 // API (payloads are raw little-endian float64, box-local row-major;
 // clients offering "Accept-Encoding: x-ooc-gorilla" on tile GETs get
@@ -48,17 +57,10 @@
 package server
 
 import (
-	"encoding/binary"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
-	"math"
-	"net"
 	"net/http"
-	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,17 +69,6 @@ import (
 	"outcore/internal/layout"
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
-)
-
-// Data-plane size limits. Both are per-server caps with sane
-// defaults; Config fields set to a negative value disable them.
-const (
-	// DefaultMaxArrayElems caps a created array's total element count
-	// (2^28 elements = 2 GiB of float64 backing).
-	DefaultMaxArrayElems = int64(1) << 28
-	// DefaultMaxTileElems caps a single tile request's element count
-	// after clipping (2^22 elements = 32 MiB payload).
-	DefaultMaxTileElems = int64(1) << 22
 )
 
 // Config tunes the serving core. The zero value gets sane defaults
@@ -90,13 +81,6 @@ type Config struct {
 	// QueueDepth bounds how many requests may wait for an inflight
 	// slot (default 64). Beyond it the server answers 503.
 	QueueDepth int
-	// RatePerSec is the per-client token refill rate; 0 disables rate
-	// limiting. Clients are keyed by the X-Client-ID header, falling
-	// back to the remote address.
-	RatePerSec float64
-	// Burst is the per-client bucket capacity (default: RatePerSec
-	// rounded up, at least 1).
-	Burst int
 	// RetryAfter is the hint returned with 503 responses (default 1s);
 	// 429 responses compute the exact token refill wait instead.
 	RetryAfter time.Duration
@@ -121,41 +105,45 @@ type Config struct {
 	// outside cluster mode.
 	NodeID string
 	// Tenants is the multi-tenant isolation plane: DRR weights,
-	// per-tenant request/byte quotas, and the in-flight chunk cap. The
-	// zero value keeps every tenant equal and unmetered.
+	// per-tenant request/byte quotas (the one rate limit: 429 +
+	// Retry-After), and the in-flight chunk cap. The zero value keeps
+	// every tenant equal and unmetered.
 	Tenants TenantConfig
 	// Obs supplies the metrics registry behind /metrics (a registry is
 	// created when absent, so the endpoints always work).
 	Obs *obs.Sink
-	// Clock overrides time.Now for the rate limiter (tests).
+	// Clock overrides time.Now for the tenant quotas (tests).
 	Clock func() time.Time
 }
 
 // Server serves one Disk through one tile engine — a single
-// ooc.Engine or an ooc.ShardedEngine partitioning the plane. Create
-// with New, mount Handler, and call Drain after the HTTP server has
-// shut down.
+// ooc.Engine or an ooc.ShardedEngine partitioning the plane: the
+// shared front end over the engine plane. Create with New, mount
+// Handler, and call Drain after the HTTP server has shut down.
 type Server struct {
-	disk *ooc.Disk
-	eng  ooc.TileEngine
-	cfg  Config
-	reg  *obs.Registry
-	mux  *http.ServeMux
-
-	flights   flightGroup
-	limiter   *rateLimiter // nil = unlimited
-	sem       chan struct{}
-	tenants   *TenantPlane
-	draining  atomic.Bool
+	front     *FrontEnd
+	plane     *enginePlane
 	drainOnce sync.Once
 	drainErr  error
+}
+
+// enginePlane is the Plane occd serves: one disk's arrays read and
+// written through the tile engine under the per-array tile lock.
+type enginePlane struct {
+	disk    *ooc.Disk
+	eng     ooc.TileEngine
+	nodeID  string
+	durable bool
+	// reduceChunk bounds the elements a reduce pins at once.
+	reduceChunk int64
+
+	flights   flightGroup
+	coalesced *obs.Counter
 
 	// locks serializes the data plane per array; see tileLock. The map
 	// only grows, bounded by the number of arrays ever addressed.
 	lockMu sync.Mutex
 	locks  map[string]*tileLock
-
-	met serverMetrics
 }
 
 // tileLock serializes tile data access for one array. Tile GETs read
@@ -326,68 +314,15 @@ func copyBoxLocal(dst, src []float64, box, region layout.Box) {
 }
 
 // lockFor returns (creating on first use) the array's tile lock.
-func (s *Server) lockFor(name string) *tileLock {
-	s.lockMu.Lock()
-	defer s.lockMu.Unlock()
-	l, ok := s.locks[name]
+func (p *enginePlane) lockFor(name string) *tileLock {
+	p.lockMu.Lock()
+	defer p.lockMu.Unlock()
+	l, ok := p.locks[name]
 	if !ok {
 		l = &tileLock{}
-		s.locks[name] = l
+		p.locks[name] = l
 	}
 	return l
-}
-
-// serverMetrics are the serving-layer registry series.
-type serverMetrics struct {
-	requests      *obs.Counter
-	errors        *obs.Counter
-	coalesced     *obs.Counter
-	rejectedRate  *obs.Counter
-	rejectedQueue *obs.Counter
-	inflight      *obs.Gauge
-	latency       *obs.Histogram
-	wireRaw       *obs.Counter // logical tile bytes moved over HTTP
-	wireBytes     *obs.Counter // bytes actually on the wire (after negotiation)
-	ops           opsMetrics   // batch/scan/reduce series (ops.go)
-}
-
-// WireEncoding is the tile content coding the server negotiates: a
-// codec frame (see ooc.AppendFrame) instead of raw little-endian
-// float64. Offered via Accept-Encoding on GET and declared via
-// Content-Encoding on PUT.
-const WireEncoding = "x-ooc-gorilla"
-
-// Cluster replication headers. The router versions every replicated
-// write with a per-tile generation; nodes gate PUTs on it and report
-// it on GETs, which is what lets the router rank replicas by freshness
-// and repair the stale ones. Requests without these headers get the
-// exact pre-cluster behavior.
-const (
-	// TileGenHeader carries a write generation: on a PUT request, the
-	// generation to record (cells covered by an overlapping recorded
-	// box with a newer generation keep the newer bytes; the write lands
-	// on the rest); on GET and PUT responses, the node's recorded
-	// generation.
-	TileGenHeader = "X-Tile-Gen"
-	// TileWantGenHeader, set to any non-empty value on a GET, asks the
-	// node to report the box's write generation on the response.
-	TileWantGenHeader = "X-Tile-Want-Gen"
-	// TileStaleHeader marks a 204 PUT response whose write was skipped
-	// entirely because newer recorded generations cover every cell of
-	// the box; the response's TileGenHeader reports the newest of them.
-	TileStaleHeader = "X-Tile-Stale"
-)
-
-// acceptsWireEncoding reports whether an Accept-Encoding header offers
-// WireEncoding (comma-separated codings, optional ;q parameters).
-func acceptsWireEncoding(header string) bool {
-	for _, part := range strings.Split(header, ",") {
-		c, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(c) == WireEncoding {
-			return true
-		}
-	}
-	return false
 }
 
 // MaxShards bounds the -shards flag: past it, per-shard caches get so
@@ -419,264 +354,277 @@ func BuildEngine(d *ooc.Disk, shards int, o ooc.EngineOptions) ooc.TileEngine {
 // be running over the same disk; the server takes ownership of both at
 // Drain (engine closed, disk synced and closed).
 func New(d *ooc.Disk, eng ooc.TileEngine, cfg Config) *Server {
-	if cfg.MaxInflight <= 0 {
-		cfg.MaxInflight = 2 * runtime.GOMAXPROCS(0)
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.Burst <= 0 {
-		cfg.Burst = int(math.Ceil(cfg.RatePerSec))
-	}
-	if cfg.MaxArrayElems == 0 {
-		cfg.MaxArrayElems = DefaultMaxArrayElems
-	}
-	if cfg.MaxTileElems == 0 {
-		cfg.MaxTileElems = DefaultMaxTileElems
-	}
 	reg := cfg.Obs.MetricsOf()
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	s := &Server{
-		disk:  d,
-		eng:   eng,
-		cfg:   cfg,
-		reg:   reg,
-		sem:   make(chan struct{}, cfg.MaxInflight),
-		locks: map[string]*tileLock{},
+	p := &enginePlane{
+		disk:        d,
+		eng:         eng,
+		nodeID:      cfg.NodeID,
+		durable:     cfg.DurablePuts,
+		reduceChunk: DefaultScanChunkElems,
+		coalesced:   reg.Counter("occd_coalesced_requests_total", "tile reads served by joining an in-flight fetch"),
+		locks:       map[string]*tileLock{},
 	}
-	if cfg.RatePerSec > 0 {
-		s.limiter = newRateLimiter(cfg.RatePerSec, cfg.Burst, cfg.Clock)
+	if lim := cfg.MaxTileElems; lim > 0 && lim < p.reduceChunk {
+		p.reduceChunk = lim
 	}
-	s.met = serverMetrics{
-		requests:      reg.Counter("occd_requests_total", "data-plane requests admitted"),
-		errors:        reg.Counter("occd_errors_total", "data-plane requests that failed (5xx)"),
-		coalesced:     reg.Counter("occd_coalesced_requests_total", "tile reads served by joining an in-flight fetch"),
-		rejectedRate:  reg.Counter("occd_rejected_ratelimit_total", "requests rejected by the per-client rate limit (429)"),
-		rejectedQueue: reg.Counter("occd_rejected_queue_total", "requests rejected by the full admission queue (503)"),
-		inflight:      reg.Gauge("occd_inflight", "requests currently holding an engine slot"),
-		latency: reg.Histogram("occd_request_seconds",
-			"admitted request latency in seconds", obs.ExpBuckets(1e-5, 4, 10)),
-		wireRaw:   reg.Counter("occd_wire_raw_bytes_total", "logical tile payload bytes served or accepted"),
-		wireBytes: reg.Counter("occd_wire_bytes_total", "tile payload bytes on the wire after content negotiation"),
-		ops: opsMetrics{
-			batchRequests:  reg.Counter("occd_batch_requests_total", "batch requests admitted"),
-			batchOps:       reg.Counter("occd_batch_ops_total", "individual ops carried by batch requests"),
-			batchOpErrors:  reg.Counter("occd_batch_op_errors_total", "batch ops that answered a per-op 4xx/5xx"),
-			scanRequests:   reg.Counter("occd_scan_requests_total", "streaming range scans started"),
-			scanChunks:     reg.Counter("occd_scan_chunks_total", "scan chunks framed and sent"),
-			scanResumes:    reg.Counter("occd_scan_resumes_total", "scans resumed from a cursor token"),
-			reduceRequests: reg.Counter("occd_reduce_requests_total", "pushed-down reductions served"),
-			reduceElems:    reg.Counter("occd_reduce_elems_total", "elements folded by pushed-down reductions"),
+	return &Server{plane: p, front: NewFrontEnd(p, FrontConfig{
+		MetricPrefix:  "occd",
+		Reg:           reg,
+		MaxInflight:   cfg.MaxInflight,
+		QueueDepth:    cfg.QueueDepth,
+		RetryAfter:    cfg.RetryAfter,
+		MaxArrayElems: cfg.MaxArrayElems,
+		MaxTileElems:  cfg.MaxTileElems,
+		Tenants:       cfg.Tenants,
+		Clock:         cfg.Clock,
+		Series: FrontSeries{
+			Inflight:      reg.Gauge("occd_inflight", "requests currently holding an engine slot"),
+			RejectedRate:  reg.Counter("occd_rejected_ratelimit_total", "requests rejected by a tenant quota (429)"),
+			RejectedQueue: reg.Counter("occd_rejected_queue_total", "requests rejected by the full admission queue (503)"),
+			WireRaw:       reg.Counter("occd_wire_raw_bytes_total", "logical tile payload bytes served or accepted"),
+			WireBytes:     reg.Counter("occd_wire_bytes_total", "tile payload bytes on the wire after content negotiation"),
 		},
-	}
-	s.tenants = NewTenantPlane(TenantPlaneOpts{
-		Config:       cfg.Tenants,
-		MetricPrefix: "occd",
-		Reg:          reg,
-		Pool:         s.sem,
-		QueueDepth:   cfg.QueueDepth,
-		Clock:        cfg.Clock,
-		Inflight:     s.met.inflight,
-	})
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/arrays", s.admit(s.handleArrayList))
-	s.mux.HandleFunc("POST /v1/arrays", s.admit(s.handleArrayCreate))
-	s.mux.HandleFunc("GET /v1/arrays/{name}", s.admit(s.handleArrayGet))
-	s.mux.HandleFunc("GET /v1/arrays/{name}/tile", s.admit(s.handleTileGet))
-	s.mux.HandleFunc("PUT /v1/arrays/{name}/tile", s.admit(s.handleTilePut))
-	s.mux.HandleFunc("POST /v1/arrays/{name}/batch", s.admit(s.handleBatch))
-	s.mux.HandleFunc("GET /v1/arrays/{name}/scan", s.admit(s.handleScan))
-	s.mux.HandleFunc("POST /v1/arrays/{name}/reduce", s.admit(s.handleReduce))
-	return s
+	})}
 }
 
-// Handler returns the HTTP handler to mount: the tenant-resolution
-// layer (X-Tenant header, /t/<id>/ path prefix, 400 on malformed ids)
-// over the route table.
-func (s *Server) Handler() http.Handler { return TenantHandler(s.mux) }
+// Handler returns the HTTP handler to mount (see FrontEnd.Handler).
+func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
 // Drain finishes the server's storage side: it stops admitting new
 // data-plane work, waits for every in-flight request to finish, then
 // flushes every dirty tile through the engine, syncs the backends and
 // closes disk and engine. Normally the HTTP server's Shutdown has
 // already waited out in-flight requests; when it gave up (drain
-// timeout), Drain's own barrier still guarantees no handler is
-// mid-engine-operation when the engine closes — otherwise a PUT could
-// be acknowledged with 204 while its dirty tile, pinned during Close,
-// silently missed the final flush. Requests parked in the tenant
-// queues when the barrier closes are failed with 503 up front
-// (FailWaiters) — failed, not falsely acknowledged, and no queue slot
-// survives the drain. Drain is idempotent; the first error wins.
+// timeout), Drain's own barrier (FrontEnd.Quiesce) still guarantees no
+// handler is mid-engine-operation when the engine closes — otherwise a
+// PUT could be acknowledged with 204 while its dirty tile, pinned
+// during Close, silently missed the final flush. Drain is idempotent;
+// the first error wins.
 func (s *Server) Drain() error {
-	s.draining.Store(true)
+	s.front.StopAdmitting()
 	s.drainOnce.Do(func() {
-		// Flush the tenant queues first: a parked waiter holds no slot,
-		// so the fill loop below would otherwise wait forever for
-		// handed-off slots that keep feeding the queues.
-		s.tenants.FailWaiters()
-		// Admission of new work is off (draining flag), so filling the
-		// inflight semaphore is a barrier over every handler that holds
-		// a slot: when the loop completes, no request is touching the
-		// engine and every acknowledged write has released its dirty
-		// tile, unpinned, for Close to flush.
-		for i := 0; i < cap(s.sem); i++ {
-			s.sem <- struct{}{}
-		}
-		err := s.eng.Close()
-		if cerr := s.disk.Close(); err == nil {
-			err = cerr
-		}
-		// Release the barrier so queued waiters can run (and fail fast
-		// against the closed engine) instead of hanging until their
-		// clients give up.
-		for i := 0; i < cap(s.sem); i++ {
-			<-s.sem
-		}
-		s.drainErr = err
+		s.front.Quiesce(func() {
+			s.drainErr = s.plane.eng.Close()
+			if err := s.plane.disk.Close(); s.drainErr == nil {
+				s.drainErr = err
+			}
+		})
 	})
 	return s.drainErr
 }
 
 // Draining reports whether Drain has begun (healthz flips to 503).
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.front.Draining() }
 
-// clientID keys the rate limiter: the X-Client-ID header when present
-// (load balancers and the load harness set it), else the remote host.
-func clientID(r *http.Request) string {
-	if id := r.Header.Get("X-Client-ID"); id != "" {
-		return id
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
+// arrayOf renders a disk array as a catalog row.
+func arrayOf(ar *ooc.Array) Array {
+	return Array{Name: ar.Meta.Name, Dims: ar.Meta.Dims, Layout: ar.Layout}
 }
 
-// admit is the data-plane gate: drain check, per-client rate limit
-// (429), per-tenant quotas (429), then the weighted fair admission
-// queue — per-tenant queues drained by deficit round-robin over the
-// shared inflight pool (503 when the queue is full).
-func (s *Server) admit(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		if s.limiter != nil {
-			if ok, retry := s.limiter.allow(clientID(r)); !ok {
-				s.met.rejectedRate.Inc()
-				w.Header().Set("Retry-After", retrySeconds(retry))
-				http.Error(w, "per-client rate limit exceeded", http.StatusTooManyRequests)
-				return
+func (p *enginePlane) Lookup(name string) (Array, bool) {
+	ar := p.disk.ArrayByName(name)
+	if ar == nil {
+		return Array{}, false
+	}
+	return arrayOf(ar), true
+}
+
+func (p *enginePlane) List() []Array {
+	arrays := p.disk.Arrays()
+	out := make([]Array, len(arrays))
+	for i, ar := range arrays {
+		out[i] = arrayOf(ar)
+	}
+	return out
+}
+
+func (p *enginePlane) Create(_ context.Context, a Array) error {
+	_, err := p.disk.CreateArray(ir.NewArray(a.Name, a.Dims...), a.Layout)
+	return err
+}
+
+// open resolves a catalog row to the disk array and its tile lock. The
+// front end looks every array up first, so the error is only for a
+// caller bypassing it.
+func (p *enginePlane) open(a Array) (*ooc.Array, *tileLock, error) {
+	ar := p.disk.ArrayByName(a.Name)
+	if ar == nil {
+		return nil, nil, fmt.Errorf("no array %q", a.Name)
+	}
+	return ar, p.lockFor(a.Name), nil
+}
+
+// ReadBox pins the box under the shared tile lock and renders from the
+// pinned tile. With a share key the read is a coalescing flight.
+func (p *enginePlane) ReadBox(_ context.Context, a Array, box layout.Box, share string,
+	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
+	ar, lk, err := p.open(a)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if share == "" {
+		out, gen, err := p.read(ar, lk, box, render)
+		return out, gen, false, err
+	}
+	out, gen, coalesced, err := p.flights.do(flightKey(lk, a.Name, box, share), func() ([]byte, uint64, error) {
+		return p.read(ar, lk, box, render)
+	})
+	if coalesced {
+		p.coalesced.Inc()
+	}
+	return out, gen, coalesced, err
+}
+
+func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render func([]float64, uint64) []byte) ([]byte, uint64, error) {
+	// Shared lock: concurrent reads overlap freely; a PUT to this array
+	// is excluded while the pinned tile's buffer is rendered, and the
+	// lock is dropped between a scan's chunks so writers are never
+	// starved by a long stream.
+	lk.mu.RLock()
+	defer lk.mu.RUnlock()
+	h, err := p.eng.Acquire(ar, box)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer p.eng.Release(h, false)
+	// The generation is read under the same lock hold as the bytes, so a
+	// replica never reports a freshness its payload lacks.
+	g := lk.overlapGen(box)
+	return render(h.Tile().Data(), g), g, nil
+}
+
+// flightKey names the coalescing flight for (array, box, rendering).
+// The write generation in the key keeps read-your-writes: a GET that
+// starts after a PUT's 204 reads a bumped generation and so can only
+// land on a flight whose leader acquired the tile after that write
+// applied. Flights keyed by older generations may still be in the
+// map, but no new-generation reader can join them.
+func flightKey(lk *tileLock, name string, box layout.Box, share string) string {
+	return fmt.Sprintf("%s|g%d|%s|%s", name, lk.gen.Load(), box.String(), share)
+}
+
+// WriteBox lands one write: per-cell LWW generation merge under the
+// exclusive lock, flight-key versioning, and flush-before-ack under
+// DurablePuts.
+func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src []float64, gen uint64) (uint64, bool, error) {
+	ar, lk, err := p.open(a)
+	if err != nil {
+		return 0, false, err
+	}
+	// Exclusive lock: while this write copies into the pinned tile's
+	// buffer and releases it dirty, no reader of the same array holds a
+	// pin — which both prevents torn reads of the shared slice and
+	// upholds the engine's contract that a dirty release never races
+	// overlapping pinned tiles (so overlap invalidation cannot skip a
+	// reader-pinned stale entry).
+	lk.mu.Lock()
+	// Replicated writes are last-writer-wins by generation, per cell:
+	// generations are comparable across box shapes (overlapping boxes
+	// share a routing tile — see the boxGens comment), so any recorded
+	// overlapping box with a strictly newer generation supersedes the
+	// cells it covers, and the write applies only to the remainder.
+	// That keeps the bytes a pure function of the writes seen, whatever
+	// order a sub-box PUT, a full-tile PUT, a hint replay, and a
+	// read-repair rewrite arrive in — gating on the exact box key alone
+	// would let an older differently-shaped write roll back newer cells
+	// while overlapGen still reported the newer generation, diverging
+	// the replicas invisibly. Equal generations re-apply — a handoff
+	// replay or retry of the same write is idempotent.
+	var apply []layout.Box // nil: the whole box; non-nil: the merge remainder
+	if gen != 0 {
+		if newer := lk.newerOverlaps(box, gen); len(newer) > 0 {
+			if apply = subtractBoxes(box, newer); len(apply) == 0 {
+				// Newer writes blanket every cell: skip, and report the
+				// newest overlapping generation so the router catches
+				// its counter up.
+				stored := lk.overlapGen(box)
+				lk.mu.Unlock()
+				return stored, true, nil
 			}
 		}
-		tenant := TenantOf(r)
-		if ok, retry := s.tenants.Allow(tenant); !ok {
-			s.met.rejectedRate.Inc()
-			w.Header().Set("Retry-After", retrySeconds(retry))
-			http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
-			return
+	}
+	h, err := p.eng.Acquire(ar, box)
+	if err != nil {
+		lk.mu.Unlock()
+		return 0, false, err
+	}
+	if apply == nil {
+		copy(h.Tile().Data(), src)
+	} else {
+		for _, region := range apply {
+			copyBoxLocal(h.Tile().Data(), src, box, region)
 		}
-		release, ok := s.tenants.Acquire(r, tenant)
-		if !ok {
-			s.met.rejectedQueue.Inc()
-			w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-			http.Error(w, "admission queue full", http.StatusServiceUnavailable)
-			return
+	}
+	p.eng.Release(h, true)
+	if gen != 0 {
+		lk.setGen(box.String(), box, gen)
+	}
+	lk.gen.Add(1) // version GET flights past this write before acknowledging
+	lk.mu.Unlock()
+	if p.durable {
+		// Push this write to stable storage before the ack. The flush
+		// happens outside the tile lock so concurrent PUTs to the same
+		// array overlap here — and on a WAL-enabled disk the Sync is a
+		// group commit, so they share one log fsync.
+		if err := p.eng.FlushOverlapping(ar, box); err != nil {
+			return 0, false, err
 		}
-		defer release()
-		s.met.requests.Inc()
-		t0 := time.Now()
-		next(w, r)
-		s.met.latency.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// meterWire tallies one tile transfer: the global wire counters the
-// compression scorecard reads, and the tenant's byte meter/quota.
-func (s *Server) meterWire(tenant string, raw, wire int64) {
-	s.met.wireRaw.Add(raw)
-	s.met.wireBytes.Add(wire)
-	s.tenants.DebitBytes(tenant, raw)
-}
-
-// retrySeconds renders a Retry-After value, rounding up to at least 1
-// (the header carries whole seconds).
-func retrySeconds(d time.Duration) string {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := s.reg.WriteJSON(w); err != nil {
-			s.met.errors.Inc()
+		if err := ar.Sync(); err != nil {
+			return 0, false, err
 		}
-		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil {
-		s.met.errors.Inc()
+	return gen, false, nil
+}
+
+// ReduceBox folds the box tile-side, chunked through the engine so a
+// whole-array reduce stays within cache memory. Chunks are row-major
+// slabs regardless of layout: the fold must visit elements in the
+// box's row-major order for sum exactness (the engine underneath still
+// does layout-aware backend I/O per chunk).
+func (p *enginePlane) ReduceBox(_ context.Context, a Array, box layout.Box, op string) (float64, int64, error) {
+	ar, lk, err := p.open(a)
+	if err != nil {
+		return 0, 0, err
 	}
+	fold := NewFold(op)
+	add := func(data []float64, _ uint64) []byte { fold.Add(data); return nil }
+	for _, ch := range layout.PlanRowMajor(box, p.reduceChunk) {
+		if _, _, err := p.read(ar, lk, ch, add); err != nil {
+			return 0, 0, err
+		}
+	}
+	return fold.Value(), fold.Count, nil
+}
+
+// Status maps engine failures: an array that already exists is a
+// conflict, a closed engine means we are shutting down (503), anything
+// else is a real 500.
+func (p *enginePlane) Status(err error) (int, string) {
+	switch {
+	case errors.Is(err, ooc.ErrArrayExists):
+		return http.StatusConflict, err.Error()
+	case errors.Is(err, ooc.ErrEngineClosed):
+		return http.StatusServiceUnavailable, "engine closed"
+	}
+	return http.StatusInternalServerError, err.Error()
 }
 
 // statsPayload is the /v1/stats JSON: live engine counters plus the
-// serving-layer counters the load harness reports deltas of. Shards
-// (present only for a sharded plane) is the per-shard scorecard: the
-// engine-level counters broken out per partition, in shard order.
+// front end's block. Shards (present only for a sharded plane) is the
+// per-shard scorecard: the engine-level counters broken out per
+// partition, in shard order.
 type statsPayload struct {
-	NodeID            string            `json:"node_id,omitempty"`
-	Engine            ooc.EngineStats   `json:"engine"`
-	HitRate           float64           `json:"hit_rate"`
-	Shards            []shardStat       `json:"shards,omitempty"`
-	WAL               *ooc.WALStats     `json:"wal,omitempty"`
-	Compression       *compressionStats `json:"compression,omitempty"`
-	Requests          int64             `json:"requests"`
-	Coalesced         int64             `json:"coalesced"`
-	RejectedRateLimit int64             `json:"rejected_ratelimit"`
-	RejectedQueue     int64             `json:"rejected_queue"`
-	Inflight          int64             `json:"inflight"`
-	Queued            int64             `json:"queued"`
-	Draining          bool              `json:"draining"`
-	Ops               opsStats          `json:"ops"`
-	// Tenants is the per-tenant scorecard (absent until a non-default
-	// tenant shows up, so untenanted deployments keep their shape).
-	Tenants []TenantStat `json:"tenants,omitempty"`
-}
-
-// opsStats is the batch/scan/reduce scorecard block of /v1/stats.
-type opsStats struct {
-	BatchRequests  int64 `json:"batch_requests"`
-	BatchOps       int64 `json:"batch_ops"`
-	BatchOpErrors  int64 `json:"batch_op_errors"`
-	ScanRequests   int64 `json:"scan_requests"`
-	ScanChunks     int64 `json:"scan_chunks"`
-	ScanResumes    int64 `json:"scan_resumes"`
-	ReduceRequests int64 `json:"reduce_requests"`
-	ReduceElems    int64 `json:"reduce_elems"`
+	NodeID      string            `json:"node_id,omitempty"`
+	Engine      ooc.EngineStats   `json:"engine"`
+	HitRate     float64           `json:"hit_rate"`
+	Shards      []shardStat       `json:"shards,omitempty"`
+	WAL         *ooc.WALStats     `json:"wal,omitempty"`
+	Compression *compressionStats `json:"compression,omitempty"`
+	Coalesced   int64             `json:"coalesced"`
+	FrontStats
 }
 
 // compressionStats is the /v1/stats compression scorecard, present
@@ -697,491 +645,28 @@ type shardStat struct {
 	HitRate float64         `json:"hit_rate"`
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	es := s.eng.Stats()
-	p := statsPayload{
-		NodeID:            s.cfg.NodeID,
-		Engine:            es,
-		HitRate:           es.HitRate(),
-		Requests:          s.met.requests.Value(),
-		Coalesced:         s.met.coalesced.Value(),
-		RejectedRateLimit: s.met.rejectedRate.Value(),
-		RejectedQueue:     s.met.rejectedQueue.Value(),
-		Inflight:          int64(len(s.sem)),
-		Queued:            s.tenants.Queued(),
-		Draining:          s.draining.Load(),
-		Tenants:           s.tenants.Stats(),
-		Ops: opsStats{
-			BatchRequests:  s.met.ops.batchRequests.Value(),
-			BatchOps:       s.met.ops.batchOps.Value(),
-			BatchOpErrors:  s.met.ops.batchOpErrors.Value(),
-			ScanRequests:   s.met.ops.scanRequests.Value(),
-			ScanChunks:     s.met.ops.scanChunks.Value(),
-			ScanResumes:    s.met.ops.scanResumes.Value(),
-			ReduceRequests: s.met.ops.reduceRequests.Value(),
-			ReduceElems:    s.met.ops.reduceElems.Value(),
-		},
+func (p *enginePlane) Stats(front FrontStats) any {
+	es := p.eng.Stats()
+	out := statsPayload{
+		NodeID:     p.nodeID,
+		Engine:     es,
+		HitRate:    es.HitRate(),
+		WAL:        p.disk.WALStats(),
+		Coalesced:  p.coalesced.Value(),
+		FrontStats: front,
 	}
-	if se, ok := s.eng.(*ooc.ShardedEngine); ok {
+	if se, ok := p.eng.(*ooc.ShardedEngine); ok {
 		for i, ss := range se.ShardStats() {
-			p.Shards = append(p.Shards, shardStat{Shard: i, Engine: ss, HitRate: ss.HitRate()})
+			out.Shards = append(out.Shards, shardStat{Shard: i, Engine: ss, HitRate: ss.HitRate()})
 		}
 	}
-	p.WAL = s.disk.WALStats()
-	if cs := s.disk.CompressionStats(); cs != nil {
-		p.Compression = &compressionStats{
+	if cs := p.disk.CompressionStats(); cs != nil {
+		out.Compression = &compressionStats{
 			CompressionStats: *cs,
-			WireRawBytes:     s.met.wireRaw.Value(),
-			WireBytes:        s.met.wireBytes.Value(),
+			WireRawBytes:     front.WireRawBytes,
+			WireBytes:        front.WireBytes,
 			Pool:             ooc.ReadPoolStats(),
 		}
 	}
-	writeJSON(w, http.StatusOK, p)
-}
-
-// arrayInfo is the wire form of an array's metadata.
-type arrayInfo struct {
-	Name   string  `json:"name"`
-	Dims   []int64 `json:"dims"`
-	Elems  int64   `json:"elems"`
-	Layout string  `json:"layout,omitempty"`
-}
-
-func infoOf(ar *ooc.Array) arrayInfo {
-	return arrayInfo{Name: ar.Meta.Name, Dims: ar.Meta.Dims, Elems: ar.Meta.Len()}
-}
-
-func (s *Server) handleArrayList(w http.ResponseWriter, r *http.Request) {
-	arrays := s.disk.Arrays()
-	out := make([]arrayInfo, len(arrays))
-	for i, ar := range arrays {
-		out[i] = infoOf(ar)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// createRequest is the POST /v1/arrays body. Layout picks the file
-// layout the tiles are stored under: "row" (default) or "col".
-type createRequest struct {
-	Name   string  `json:"name"`
-	Dims   []int64 `json:"dims"`
-	Layout string  `json:"layout"`
-}
-
-func (s *Server) handleArrayCreate(w http.ResponseWriter, r *http.Request) {
-	var req createRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad create body: %v", err)
-		return
-	}
-	if req.Name == "" || strings.ContainsAny(req.Name, "/\\ \t\n") {
-		httpError(w, http.StatusBadRequest, "bad array name %q", req.Name)
-		return
-	}
-	if len(req.Dims) == 0 {
-		httpError(w, http.StatusBadRequest, "array needs at least one dimension")
-		return
-	}
-	for _, d := range req.Dims {
-		if d <= 0 {
-			httpError(w, http.StatusBadRequest, "non-positive extent %d", d)
-			return
-		}
-	}
-	elems, ok := checkedProduct(req.Dims)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "dims %v overflow the element count", req.Dims)
-		return
-	}
-	if lim := s.cfg.MaxArrayElems; lim > 0 && elems > lim {
-		httpError(w, http.StatusBadRequest, "array of %d elements exceeds the server limit of %d", elems, lim)
-		return
-	}
-	var l *layout.Layout
-	switch req.Layout {
-	case "", "row":
-		l = layout.RowMajor(req.Dims...)
-	case "col":
-		l = layout.ColMajor(req.Dims...)
-	default:
-		httpError(w, http.StatusBadRequest, "unknown layout %q (row, col)", req.Layout)
-		return
-	}
-	ar, err := s.disk.CreateArray(ir.NewArray(req.Name, req.Dims...), l)
-	if err != nil {
-		if errors.Is(err, ooc.ErrArrayExists) {
-			httpError(w, http.StatusConflict, "%v", err)
-		} else {
-			s.met.errors.Inc()
-			httpError(w, http.StatusInternalServerError, "%v", err)
-		}
-		return
-	}
-	writeJSON(w, http.StatusCreated, infoOf(ar))
-}
-
-func (s *Server) handleArrayGet(w http.ResponseWriter, r *http.Request) {
-	ar := s.disk.ArrayByName(r.PathValue("name"))
-	if ar == nil {
-		httpError(w, http.StatusNotFound, "no array %q", r.PathValue("name"))
-		return
-	}
-	writeJSON(w, http.StatusOK, infoOf(ar))
-}
-
-// tileTarget resolves {name} + lo/hi query params into a clipped,
-// validated box, writing the 4xx response itself on failure.
-func (s *Server) tileTarget(w http.ResponseWriter, r *http.Request) (*ooc.Array, layout.Box, bool) {
-	ar := s.disk.ArrayByName(r.PathValue("name"))
-	if ar == nil {
-		httpError(w, http.StatusNotFound, "no array %q", r.PathValue("name"))
-		return nil, layout.Box{}, false
-	}
-	lo, err := parseCoords(r.URL.Query().Get("lo"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad lo: %v", err)
-		return nil, layout.Box{}, false
-	}
-	hi, err := parseCoords(r.URL.Query().Get("hi"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad hi: %v", err)
-		return nil, layout.Box{}, false
-	}
-	rank := len(ar.Meta.Dims)
-	if len(lo) != rank || len(hi) != rank {
-		httpError(w, http.StatusBadRequest, "tile rank %d/%d, array rank %d", len(lo), len(hi), rank)
-		return nil, layout.Box{}, false
-	}
-	for d := range lo {
-		if hi[d] < lo[d] {
-			httpError(w, http.StatusBadRequest, "hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d])
-			return nil, layout.Box{}, false
-		}
-	}
-	box := layout.NewBox(lo, hi).Clip(ar.Meta.Dims)
-	if box.Empty() {
-		httpError(w, http.StatusBadRequest, "tile %v is empty after clipping to %v", layout.NewBox(lo, hi), ar.Meta.Dims)
-		return nil, layout.Box{}, false
-	}
-	// The clipped size cannot overflow (array creation capped the dims
-	// product), but it can still be an unreasonable single request.
-	if lim := s.cfg.MaxTileElems; lim > 0 && box.Size() > lim {
-		httpError(w, http.StatusRequestEntityTooLarge,
-			"tile %v holds %d elements, over the per-request limit of %d", box, box.Size(), lim)
-		return nil, layout.Box{}, false
-	}
-	return ar, box, true
-}
-
-func (s *Server) handleTileGet(w http.ResponseWriter, r *http.Request) {
-	ar, box, ok := s.tileTarget(w, r)
-	if !ok {
-		return
-	}
-	compress := acceptsWireEncoding(r.Header.Get("Accept-Encoding"))
-	lk := s.lockFor(ar.Meta.Name)
-	// Requests negotiating different encodings must not join the same
-	// flight — they need different bodies — so the encoding is part of
-	// the flight key.
-	key := tileFlightKey(lk, ar.Meta.Name, box)
-	if compress {
-		key += "|" + WireEncoding
-	}
-	payload, gen, coalesced, err := s.flights.do(key, func() ([]byte, uint64, error) {
-		// Shared lock: concurrent GETs overlap freely; a PUT to this
-		// array is excluded while the pinned tile's buffer is encoded.
-		lk.mu.RLock()
-		defer lk.mu.RUnlock()
-		h, err := s.eng.Acquire(ar, box)
-		if err != nil {
-			return nil, 0, err
-		}
-		defer s.eng.Release(h, false)
-		// The generation is read under the same lock hold as the bytes,
-		// so a replica never reports a freshness its payload lacks.
-		g := lk.overlapGen(box)
-		if compress {
-			return ooc.AppendFrame(nil, h.Tile().Data()), g, nil
-		}
-		return encodePayload(h.Tile().Data()), g, nil
-	})
-	if coalesced {
-		s.met.coalesced.Inc()
-	}
-	if err != nil {
-		s.engineError(w, err)
-		return
-	}
-	s.meterWire(TenantOf(r), box.Size()*ooc.ElemSize, int64(len(payload)))
-	w.Header().Set("Content-Type", "application/octet-stream")
-	if compress {
-		w.Header().Set("Content-Encoding", WireEncoding)
-	}
-	if r.Header.Get(TileWantGenHeader) != "" {
-		w.Header().Set(TileGenHeader, strconv.FormatUint(gen, 10))
-	}
-	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
-	w.Header().Set("X-Tile-Coalesced", strconv.FormatBool(coalesced))
-	w.Write(payload)
-}
-
-func (s *Server) handleTilePut(w http.ResponseWriter, r *http.Request) {
-	ar, box, ok := s.tileTarget(w, r)
-	if !ok {
-		return
-	}
-	var gen uint64
-	genGated := false
-	if v := r.Header.Get(TileGenHeader); v != "" {
-		g, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "bad %s %q: %v", TileGenHeader, v, err)
-			return
-		}
-		gen, genGated = g, true
-	}
-	want := box.Size() * ooc.ElemSize
-	var body []byte
-	var err error
-	compress := false
-	switch enc := r.Header.Get("Content-Encoding"); enc {
-	case "":
-		body, err = readBody(r, want)
-	case WireEncoding:
-		compress = true
-		// A frame never exceeds raw-plus-header (AppendFrame's raw
-		// fallback guarantees it), which bounds the read; the real size
-		// check is the frame's own element count below.
-		body, err = readBodyMax(r, want+frameMaxOverhead)
-	default:
-		httpError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q (only %s)", enc, WireEncoding)
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "tile payload: %v (want %d bytes for %v)", err, want, box)
-		return
-	}
-	s.meterWire(TenantOf(r), want, int64(len(body)))
-	// A compressed body is decoded into scratch BEFORE the tile is
-	// acquired: DecodeFrame leaves its destination unspecified on error,
-	// and a half-decoded frame must never land in a cached tile. It also
-	// enforces that the frame's element count is exactly the tile's.
-	var decoded []float64
-	if compress {
-		decoded = ooc.GetF64(int(box.Size()))
-		defer ooc.PutF64(decoded)
-		n, err := ooc.DecodeFrame(body, decoded)
-		if err == nil && n != len(body) {
-			err = fmt.Errorf("%d trailing bytes after the frame", len(body)-n)
-		}
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "tile frame: %v (want %d elements for %v)", err, box.Size(), box)
-			return
-		}
-	}
-	// Exclusive lock: while this PUT decodes into the pinned tile's
-	// buffer and releases it dirty, no GET of the same array holds a
-	// pin — which both prevents torn reads of the shared slice and
-	// upholds the engine's contract that a dirty release never races
-	// overlapping pinned tiles (so overlap invalidation cannot skip a
-	// reader-pinned stale entry).
-	lk := s.lockFor(ar.Meta.Name)
-	lk.mu.Lock()
-	// Replicated writes are last-writer-wins by generation, per cell:
-	// generations are comparable across box shapes (overlapping boxes
-	// share a routing tile — see the boxGens comment), so any recorded
-	// overlapping box with a strictly newer generation supersedes the
-	// cells it covers, and the write applies only to the remainder.
-	// That keeps the bytes a pure function of the writes seen, whatever
-	// order a sub-box PUT, a full-tile PUT, a hint replay, and a
-	// read-repair rewrite arrive in — gating on the exact box key alone
-	// would let an older differently-shaped write roll back newer cells
-	// while overlapGen still reported the newer generation, diverging
-	// the replicas invisibly. Equal generations re-apply — a handoff
-	// replay or retry of the same write is idempotent.
-	var apply []layout.Box // nil: the whole box; non-nil: the merge remainder
-	if genGated {
-		if newer := lk.newerOverlaps(box, gen); len(newer) > 0 {
-			if apply = subtractBoxes(box, newer); len(apply) == 0 {
-				// Newer writes blanket every cell: skip, and report the
-				// newest overlapping generation so the router catches
-				// its counter up.
-				stored := lk.overlapGen(box)
-				lk.mu.Unlock()
-				w.Header().Set(TileGenHeader, strconv.FormatUint(stored, 10))
-				w.Header().Set(TileStaleHeader, "true")
-				w.WriteHeader(http.StatusNoContent)
-				return
-			}
-		}
-	}
-	h, err := s.eng.Acquire(ar, box)
-	if err != nil {
-		lk.mu.Unlock()
-		s.engineError(w, err)
-		return
-	}
-	switch {
-	case apply == nil && compress:
-		copy(h.Tile().Data(), decoded)
-	case apply == nil:
-		decodePayload(body, h.Tile().Data())
-	default:
-		// Partial apply: land only the un-superseded regions.
-		scratch := decoded
-		if !compress {
-			scratch = ooc.GetF64(int(box.Size()))
-			defer ooc.PutF64(scratch)
-			decodePayload(body, scratch)
-		}
-		for _, region := range apply {
-			copyBoxLocal(h.Tile().Data(), scratch, box, region)
-		}
-	}
-	s.eng.Release(h, true)
-	if genGated {
-		lk.setGen(box.String(), box, gen)
-	}
-	lk.gen.Add(1) // version GET flights past this write before acknowledging
-	lk.mu.Unlock()
-	if s.cfg.DurablePuts {
-		// Push this write to stable storage before the ack. The flush
-		// happens outside the tile lock so concurrent PUTs to the same
-		// array overlap here — and on a WAL-enabled disk the Sync is a
-		// group commit, so they share one log fsync.
-		if err := s.eng.FlushOverlapping(ar, box); err != nil {
-			s.engineError(w, err)
-			return
-		}
-		if err := ar.Sync(); err != nil {
-			s.engineError(w, err)
-			return
-		}
-	}
-	if genGated {
-		w.Header().Set(TileGenHeader, strconv.FormatUint(gen, 10))
-	}
-	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// engineError maps engine failures: a closed engine means we are
-// shutting down (503), anything else is a real 500.
-func (s *Server) engineError(w http.ResponseWriter, err error) {
-	if err == ooc.ErrEngineClosed {
-		w.Header().Set("Retry-After", retrySeconds(s.cfg.RetryAfter))
-		httpError(w, http.StatusServiceUnavailable, "engine closed")
-		return
-	}
-	s.met.errors.Inc()
-	httpError(w, http.StatusInternalServerError, "%v", err)
-}
-
-// parseCoords parses "1,2,3" into coordinates.
-func parseCoords(s string) ([]int64, error) {
-	if s == "" {
-		return nil, fmt.Errorf("missing coordinates")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int64, len(parts))
-	for i, p := range parts {
-		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("coordinate %q: %w", p, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("negative coordinate %d", v)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// tileFlightKey names the coalescing flight for (array, box). The
-// write generation in the key keeps read-your-writes: a GET that
-// starts after a PUT's 204 reads a bumped generation and so can only
-// land on a flight whose leader acquired the tile after that write
-// applied. Flights keyed by older generations may still be in the
-// map, but no new-generation reader can join them.
-func tileFlightKey(lk *tileLock, name string, box layout.Box) string {
-	return fmt.Sprintf("%s|g%d|%s", name, lk.gen.Load(), box.String())
-}
-
-// checkedProduct multiplies positive extents, reporting overflow
-// instead of wrapping (a created array's element count must stay a
-// valid int64 before any limit comparison happens).
-func checkedProduct(dims []int64) (int64, bool) {
-	n := int64(1)
-	for _, d := range dims {
-		if d <= 0 || n > math.MaxInt64/d {
-			return 0, false
-		}
-		n *= d
-	}
-	return n, true
-}
-
-// frameMaxOverhead bounds how much larger than the raw payload a codec
-// frame can be: the 16-byte header plus word-padding slack (the raw
-// fallback caps the payload itself at the logical size).
-const frameMaxOverhead = 24
-
-// readBodyMax reads a variable-length body of at most max bytes
-// (compressed tile frames; the frame decoder validates the contents).
-func readBodyMax(r *http.Request, max int64) ([]byte, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, max))
-	if err != nil {
-		return nil, err
-	}
-	var extra [1]byte
-	if m, _ := r.Body.Read(extra[:]); m > 0 {
-		return nil, fmt.Errorf("body longer than the tile")
-	}
-	return body, nil
-}
-
-// readBody reads exactly want bytes of request body.
-func readBody(r *http.Request, want int64) ([]byte, error) {
-	body := make([]byte, want)
-	n, err := io.ReadFull(r.Body, body)
-	if err != nil {
-		return nil, fmt.Errorf("short body: %d of %d bytes", n, want)
-	}
-	// A longer body than the box holds is a malformed request, not
-	// silent truncation.
-	var extra [1]byte
-	if m, _ := r.Body.Read(extra[:]); m > 0 {
-		return nil, fmt.Errorf("body longer than the tile")
-	}
-	return body, nil
-}
-
-// encodePayload renders elements as little-endian float64 bytes (the
-// tile wire format, matching the file backend's on-disk encoding).
-func encodePayload(data []float64) []byte {
-	out := make([]byte, len(data)*ooc.ElemSize)
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(out[i*ooc.ElemSize:], math.Float64bits(v))
-	}
 	return out
-}
-
-// decodePayload fills data from the wire format; len(b) must be
-// exactly len(data)*ElemSize (callers validate).
-func decodePayload(b []byte, data []float64) {
-	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*ooc.ElemSize:]))
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	http.Error(w, fmt.Sprintf(format, args...), status)
 }

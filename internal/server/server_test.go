@@ -16,6 +16,16 @@ import (
 	"outcore/internal/ooc"
 )
 
+// encodePayload and decodePayload are the raw tile wire format, as the
+// tests' clients speak it.
+func encodePayload(data []float64) []byte { return EncodeTile(data, false) }
+
+func decodePayload(b []byte, data []float64) {
+	if err := DecodeTile(b, false, data); err != nil {
+		panic(err)
+	}
+}
+
 // instrumentedBackend counts and optionally delays backend reads; the
 // coalescing and drain tests hang off it via Disk.WrapBackend.
 type instrumentedBackend struct {
@@ -92,7 +102,7 @@ func (ts *testServer) do(t *testing.T, method, url string, body []byte) (int, []
 
 func (ts *testServer) createArray(t *testing.T, name string, dims ...int64) {
 	t.Helper()
-	body, _ := json.Marshal(createRequest{Name: name, Dims: dims})
+	body, _ := json.Marshal(ArrayInfo{Name: name, Dims: dims})
 	status, out, _ := ts.do(t, http.MethodPost, ts.url("/v1/arrays"), body)
 	if status != http.StatusCreated {
 		t.Fatalf("create %s: status %d, body %s", name, status, out)
@@ -109,7 +119,7 @@ func TestEndpoints(t *testing.T) {
 
 	// Create, duplicate-create, list, get.
 	ts.createArray(t, "A", 8, 8)
-	body, _ := json.Marshal(createRequest{Name: "A", Dims: []int64{8, 8}})
+	body, _ := json.Marshal(ArrayInfo{Name: "A", Dims: []int64{8, 8}})
 	if status, _, _ := ts.do(t, http.MethodPost, ts.url("/v1/arrays"), body); status != http.StatusConflict {
 		t.Errorf("duplicate create: status %d, want 409", status)
 	}
@@ -263,15 +273,18 @@ func TestColdTileCoalescing(t *testing.T) {
 	}
 }
 
+// TestRateLimitBackpressure: the per-tenant request bucket is the one
+// rate limit on the admit path — 429 + Retry-After when a tenant's
+// bucket is empty, other tenants unaffected, refill by the clock.
 func TestRateLimitBackpressure(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
-	ts := newTestServer(t, Config{RatePerSec: 1, Burst: 2, Clock: clock}, nil)
-	ts.createArray(t, "A", 4, 4) // spends one token of the default client
+	ts := newTestServer(t, Config{Tenants: TenantConfig{QuotaRPS: 2}, Clock: clock}, nil)
+	ts.createArray(t, "A", 4, 4) // spends one token of the default tenant
 
-	get := func(id string) (int, http.Header) {
+	get := func(tenant string) (int, http.Header) {
 		req, _ := http.NewRequest(http.MethodGet, ts.url("/v1/arrays/A/tile?lo=0,0&hi=2,2"), nil)
-		req.Header.Set("X-Client-ID", id)
+		req.Header.Set(TenantHeader, tenant)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -281,8 +294,8 @@ func TestRateLimitBackpressure(t *testing.T) {
 		return resp.StatusCode, resp.Header
 	}
 
-	// Fresh client: burst of 2 admitted, third rejected with a
-	// Retry-After hint, other clients unaffected.
+	// Fresh tenant: burst of 2 admitted, third rejected with a
+	// Retry-After hint, other tenants unaffected.
 	if status, _ := get("alice"); status != 200 {
 		t.Fatalf("first: %d", status)
 	}
@@ -293,16 +306,28 @@ func TestRateLimitBackpressure(t *testing.T) {
 	if status != http.StatusTooManyRequests {
 		t.Fatalf("third: status %d, want 429", status)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("429 without Retry-After")
+	if hdr.Get("Retry-After") != "1" {
+		t.Errorf("429 Retry-After = %q, want the 0.5s refill wait rounded up to 1", hdr.Get("Retry-After"))
 	}
 	if status, _ := get("bob"); status != 200 {
 		t.Errorf("bob rejected by alice's bucket: %d", status)
 	}
 	// Tokens refill with the clock.
-	now = now.Add(1100 * time.Millisecond)
+	now = now.Add(600 * time.Millisecond)
 	if status, _ := get("alice"); status != 200 {
 		t.Errorf("after refill: %d", status)
+	}
+	var st statsPayload
+	_, out, _ := ts.do(t, http.MethodGet, ts.url("/v1/stats"), nil)
+	if err := json.Unmarshal(out, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.RejectedRateLimit != 1 {
+		t.Errorf("rejected_ratelimit = %d, want 1", st.RejectedRateLimit)
+	}
+	_, metrics, _ := ts.do(t, http.MethodGet, ts.url("/metrics"), nil)
+	if !strings.Contains(string(metrics), "occd_rejected_ratelimit_total 1") {
+		t.Error("occd_rejected_ratelimit_total did not count the 429")
 	}
 }
 

@@ -23,10 +23,7 @@ import (
 // but is kept out of the per-tenant scorecards and metric families, so
 // single-tenant deployments see no new surface.
 const (
-	// TenantHeader names the request's tenant; it generalizes the
-	// per-client X-Client-ID (which still feeds the per-client rate
-	// limiter — a tenant is a paying workload, a client is one of its
-	// connections).
+	// TenantHeader names the request's tenant.
 	TenantHeader = "X-Tenant"
 	// DefaultTenant is the identity of untenanted traffic.
 	DefaultTenant = "default"
@@ -98,8 +95,11 @@ type tenantCtxKey struct{}
 // TenantOf returns the tenant identity TenantHandler resolved for
 // this request, or DefaultTenant when the request never passed
 // through the tenant plane (direct mux tests, internal probes).
-func TenantOf(r *http.Request) string {
-	if t, ok := r.Context().Value(tenantCtxKey{}).(string); ok && t != "" {
+func TenantOf(r *http.Request) string { return TenantFrom(r.Context()) }
+
+// TenantFrom is TenantOf for a request's context — what a Plane sees.
+func TenantFrom(ctx context.Context) string {
+	if t, ok := ctx.Value(tenantCtxKey{}).(string); ok && t != "" {
 		return t
 	}
 	return DefaultTenant
@@ -220,9 +220,7 @@ type TenantPlane struct {
 	now      func() time.Time
 	inflight *obs.Gauge
 
-	rejQuota atomic.Int64 // 429s from tenant quotas
-	rejQueue atomic.Int64 // 503s from a full or draining queue
-	queued   atomic.Int64 // waiters across all tenant queues
+	queued atomic.Int64 // waiters across all tenant queues
 
 	mu      sync.Mutex
 	closed  bool // FailWaiters ran; no new waiters, no handoffs
@@ -391,7 +389,6 @@ func (p *TenantPlane) Allow(tenant string) (bool, time.Duration) {
 	}
 	if retry > 0 {
 		ts.rejected.Inc()
-		p.rejQuota.Add(1)
 		return false, retry
 	}
 	if p.cfg.QuotaRPS > 0 {
@@ -433,7 +430,6 @@ func (p *TenantPlane) Acquire(r *http.Request, tenant string) (release func(), o
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		p.rejQueue.Add(1)
 		return nil, false
 	}
 	ts := p.stateLocked(tenant)
@@ -449,7 +445,6 @@ func (p *TenantPlane) Acquire(r *http.Request, tenant string) (release func(), o
 	}
 	if p.queued.Load() >= int64(p.depth) {
 		p.mu.Unlock()
-		p.rejQueue.Add(1)
 		return nil, false
 	}
 	w := &tenantWaiter{ts: ts, res: make(chan bool, 1)}
@@ -465,7 +460,6 @@ func (p *TenantPlane) Acquire(r *http.Request, tenant string) (release func(), o
 	select {
 	case granted := <-w.res:
 		if !granted {
-			p.rejQueue.Add(1)
 			return nil, false
 		}
 		p.mu.Lock()
@@ -613,30 +607,28 @@ func (p *TenantPlane) FailWaiters() {
 
 type admissionReleaseKey struct{}
 
-// WithAdmissionRelease stashes a successful Acquire's release on the
-// request context, so a streaming handler further down the stack can
-// hand the slot back early (release is idempotent — the admit
-// wrapper's deferred call stays correct).
-func WithAdmissionRelease(r *http.Request, release func()) *http.Request {
-	return r.WithContext(context.WithValue(r.Context(), admissionReleaseKey{}, release))
+// offerAdmissionRelease stashes a streaming request's slot release on
+// the context its plane calls run under — but only when the plane has
+// a chunk cap, because the per-chunk slots then pace the stream.
+// Without a cap there is no other bound on stream concurrency, so the
+// slot stays held for the stream's whole life.
+func (p *TenantPlane) offerAdmissionRelease(ctx context.Context, release func()) context.Context {
+	if p.cfg.MaxScanInflight <= 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, admissionReleaseKey{}, release)
 }
 
-// ReleaseAdmissionEarly returns a streaming request's admission slot
-// before the stream body runs — but only when the plane has a chunk
-// cap, because the per-chunk slots then pace the stream. Without a
-// cap there is no other bound on stream concurrency, so the slot
-// stays held for the stream's whole life (the pre-tenant behavior).
-//
-// The asymmetry this removes: DRR balances admission grants, not
-// hold times, so one scan pinning a slot for its whole multi-chunk
-// stream stretches a point tenant's tail to the stream length no
-// matter the weights. With the cap configured, the scan's cost is
-// paid per chunk instead, which is the grain the scheduler can see.
-func (p *TenantPlane) ReleaseAdmissionEarly(r *http.Request) {
-	if p.cfg.MaxScanInflight <= 0 {
-		return
-	}
-	if release, ok := r.Context().Value(admissionReleaseKey{}).(func()); ok {
+// ReleaseAdmissionEarly hands back the admission slot of the paced
+// stream ctx belongs to, if it offered one; otherwise it does nothing.
+// A Plane calls it when the slot protects nothing of its own: the
+// router holds no engine, so once a stream pays per chunk its slot
+// would only stall point requests behind a resource DRR never sees
+// (DRR balances admission grants, not hold times). occd's plane never
+// calls it — Drain's barrier counts on a slot outliving its handler's
+// engine work.
+func ReleaseAdmissionEarly(ctx context.Context) {
+	if release, ok := ctx.Value(admissionReleaseKey{}).(func()); ok {
 		release()
 	}
 }
@@ -671,20 +663,6 @@ func (p *TenantPlane) setInflightLocked() {
 
 // Queued is the total waiters parked across all tenant queues.
 func (p *TenantPlane) Queued() int64 { return p.queued.Load() }
-
-// InflightLen is the admission slots currently held (0 with no pool).
-func (p *TenantPlane) InflightLen() int {
-	if p.pool == nil {
-		return 0
-	}
-	return len(p.pool)
-}
-
-// Totals returns the plane-wide rejection tallies: quota 429s and
-// queue-full/draining 503s.
-func (p *TenantPlane) Totals() (rejectedQuota, rejectedQueue int64) {
-	return p.rejQuota.Load(), p.rejQueue.Load()
-}
 
 // TenantStat is one tenant's /v1/stats scorecard row.
 type TenantStat struct {
