@@ -16,7 +16,7 @@ FUZZ_TARGETS := \
 	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzTenantHeader
 
-.PHONY: build test race check fuzz vet fmt cover loc suite bench-layers bench-counts baseline load sweep walsweep compsweep clustersweep opsweep mtsweep chaos
+.PHONY: build test race check fuzz vet fmt cover loc suite bench-layers bench-counts baseline load walsweep compsweep clustersweep opsweep mtsweep chaos
 
 build:
 	$(GO) build ./...
@@ -49,13 +49,15 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Non-test Go lines per internal/ package — the unit ROADMAP's code-size
-# bars are stated in.
+# Non-test Go lines per internal/ package, then cmd/ and the two
+# together — the unit ROADMAP's code-size bars are stated in.
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
 	done | sort -rn
-	@printf '%6d  total\n' "$$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d  internal/ total\n' "$$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d  cmd/\n' "$$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@printf '%6d  internal/ + cmd/\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 
 # The benchmark suite CI gates against BENCH_baseline.json.
 suite:
@@ -96,13 +98,6 @@ load:
 	$(GO) run ./cmd/occload -kernel trans -version c-opt \
 		-clients 16 -requests 4000 -zipf 1.2
 
-# Shard sweep: the identical read-heavy workload once per shard count,
-# reporting throughput vs N. This is the recipe whose rows ride in
-# BENCH_baseline.json (informational — serving rows never gate).
-sweep:
-	$(GO) run ./cmd/occload -kernel trans -version c-opt \
-		-clients 32 -read-frac 1 -requests 100000 -shard-sweep 1,2,4,8
-
 # WAL ack-latency sweep: the identical write-heavy durable-PUT workload
 # with per-PUT fsyncs and then with the group-committed WAL. The
 # acked-PUT p50/p99 split in the scorecard is the WAL's win; these are
@@ -112,10 +107,10 @@ WALSWEEP_DIR ?= /tmp/occ-walsweep
 walsweep:
 	rm -rf $(WALSWEEP_DIR)
 	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 32 \
-		-read-frac 0.2 -requests 16000 -zipf 1 -shards 4 \
+		-read-frac 0.2 -requests 16000 -zipf 1 \
 		-dir $(WALSWEEP_DIR)/sync -durable-puts
 	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 32 \
-		-read-frac 0.2 -requests 16000 -zipf 1 -shards 4 \
+		-read-frac 0.2 -requests 16000 -zipf 1 \
 		-dir $(WALSWEEP_DIR)/wal -durable-puts -wal
 
 # Compression sweep: the focused engine / engine-compress bench leg
@@ -180,8 +175,8 @@ CHAOS_EPISODES ?= 50
 chaos:
 	$(GO) test -race ./internal/dst/ ./internal/faultfs/
 	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES)
-	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -shards 4 -wal
-	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -shards 4 -wal -compress
+	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -wal
+	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -wal -compress
 	$(GO) run ./cmd/occhaos -cluster -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
 	$(GO) run ./cmd/occhaos -tenants -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
 

@@ -36,7 +36,7 @@ func main() {
 	table := flag.Int("table", 0, "reproduce Table 2 or 3")
 	figure := flag.Int("figure", 0, "reproduce Figure 1, 2 or 3")
 	ablation := flag.String("ablation", "", "ablation: tiling, memory, order, storage, optimal, blocked")
-	suiteRun := flag.Bool("suite", false, "run the benchmark suite (kernels x {sequential, engine, engine+prefetch, sharded, compress})")
+	suiteRun := flag.Bool("suite", false, "run the benchmark suite (kernels x {sequential, engine, engine+prefetch, engine-compress})")
 	compressOnly := flag.Bool("compress", false, "with -suite: run only the engine / engine-compress pair — the focused leg whose bytes_disk_raw/bytes_disk and allocs_per_get fields the compression gate reads")
 	jsonOut := flag.String("json", "", "with -suite: write the BENCH JSON report to this file")
 	baseline := flag.String("baseline", "", "with -suite: compare against this BENCH JSON and fail on regressions")

@@ -47,7 +47,7 @@ func main() {
 	maxCall := flag.Int64("maxcall", 8192, "per-call element cap (0 = unlimited)")
 	workers := flag.Int("workers", 4, "engine I/O workers")
 	cacheTiles := flag.Int("cache-tiles", 256, "resident tile bound (LRU)")
-	shards := flag.Int("shards", 1, "shard the tile plane this many ways (1 = single engine); with -dir, backing files stripe to match")
+	stripes := flag.Int("stripes", 1, "with -dir: stripe each array's backing file this many ways (A.s<i>.dat); reopening with -keep needs the count the directory was written with")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond -inflight")
 	tenantWeights := flag.String("tenant-weights", "", "DRR admission weights per tenant, e.g. batch=1,interactive=4 (unlisted tenants weigh 1)")
@@ -58,10 +58,9 @@ func main() {
 	maxTileElems := flag.Int64("max-tile-elems", 0, "cap on one tile request's element count (0 = default, <0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
 	wal := flag.Bool("wal", false, "write-ahead log tile writes: acked durability via group-committed log fsyncs instead of per-write stripe fsyncs")
-	walLogs := flag.Int("wal-logs", 0, "with -wal: number of per-shard logs (0 = one per shard)")
-	walCap := flag.Int64("wal-cap-words", 0, "with -wal: per-log capacity in 8-byte words (0 = default)")
+	walCap := flag.Int64("wal-cap-words", 0, "with -wal: log capacity in 8-byte words (0 = default)")
 	commitWindow := flag.Duration("commit-window", 0, "with -wal: wait this long before the group commit's log fsync so more writers share it (0 = fsync immediately; writers arriving mid-fsync still batch into the next round)")
-	walCheckpoint := flag.Duration("wal-checkpoint", time.Second, "with -wal: background compaction interval (0 = only when a log fills)")
+	walCheckpoint := flag.Duration("wal-checkpoint", time.Second, "with -wal: background compaction interval (0 = only when the log fills)")
 	durablePuts := flag.Bool("durable-puts", false, "make every tile PUT durable before its 204 (with -wal: via the group commit)")
 	compress := flag.Bool("compress", false, "store array backends compressed (Gorilla tile codec) and, with -wal, compress log record payloads; /v1/stats grows a compression scorecard")
 	faults := flag.Int64("faults", 0, "TESTING ONLY: inject deterministic storage faults from this seed (0 = off); failures surface as 5xx")
@@ -69,8 +68,8 @@ func main() {
 	peers := flag.String("peers", "", "with -cluster-node: comma-separated sibling node IDs (gossip-free static membership, recorded for operators; the router owns placement)")
 	flag.Parse()
 
-	if err := server.ValidateShards(*shards); err != nil {
-		fmt.Fprintf(os.Stderr, "occd: -shards: %v\n", err)
+	if *stripes < 1 {
+		fmt.Fprintf(os.Stderr, "occd: -stripes: stripe count %d out of range (valid: >= 1)\n", *stripes)
 		os.Exit(2)
 	}
 	if *peers != "" && *clusterNode == "" {
@@ -100,19 +99,13 @@ func main() {
 		if *keep {
 			d.KeepExisting()
 		}
-		if *shards > 1 {
-			// PFS-style layout: stripe each backing file across as many
-			// sub-files as the plane has shards.
-			d.Stripe(*shards, 0)
+		if *stripes > 1 {
+			// PFS-style layout: one logical file over several sub-files.
+			d.Stripe(*stripes, 0)
 		}
 	}
 	if *wal {
-		logs := *walLogs
-		if logs <= 0 {
-			logs = *shards
-		}
 		d.EnableWAL(ooc.WALOptions{
-			Logs:            logs,
 			CapWords:        *walCap,
 			CommitWindow:    *commitWindow,
 			CheckpointEvery: *walCheckpoint,
@@ -158,7 +151,7 @@ func main() {
 		}
 	}
 
-	eng := server.BuildEngine(d, *shards, ooc.EngineOptions{Workers: *workers, CacheTiles: *cacheTiles, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: *workers, CacheTiles: *cacheTiles, Obs: sink})
 	srv := server.New(d, eng, server.Config{
 		MaxInflight:   *inflight,
 		QueueDepth:    *queue,

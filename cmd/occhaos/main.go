@@ -23,7 +23,6 @@ import (
 
 	"outcore/internal/dst"
 	"outcore/internal/faultfs"
-	"outcore/internal/server"
 )
 
 func main() {
@@ -37,8 +36,7 @@ func main() {
 	putFrac := flag.Float64("put-frac", 0.4, "fraction of client ops that are PUTs")
 	flushEvery := flag.Int("flush-every", 20, "~one flush per this many steps (<0 disables)")
 	crashEvery := flag.Int("crash-every", 50, "~one power cut per this many steps (<0 disables)")
-	shards := flag.Int("shards", 1, "run episodes against a sharded tile plane (1 = single engine); scheduled crashes then mix power cuts with single-shard crashes")
-	wal := flag.Bool("wal", false, "run WAL-backed episodes: writes append to per-shard logs, crashes land mid-commit/mid-compaction, and every reboot replays the surviving log tail")
+	wal := flag.Bool("wal", false, "run WAL-backed episodes: writes append to the log, crashes land mid-commit/mid-compaction, and every reboot replays the surviving log tail")
 	compress := flag.Bool("compress", false, "with -wal: compress log record payloads (codec frames), so crash recovery replays through the compressed format")
 	readErr := flag.Float64("read-err", storm.ReadErr, "probability a backend read fails EIO")
 	writeErr := flag.Float64("write-err", storm.WriteErr, "probability a backend write fails EIO")
@@ -56,11 +54,6 @@ func main() {
 	hintDir := flag.String("hint-dir", "", "with -cluster: durable hint-log directory (empty = in-memory hints)")
 	verbose := flag.Bool("v", false, "print every episode verdict; with a failure, dump its op log and fault schedule")
 	flag.Parse()
-
-	if err := server.ValidateShards(*shards); err != nil {
-		fmt.Fprintf(os.Stderr, "occhaos: -shards: %v\n", err)
-		os.Exit(2)
-	}
 
 	prof := faultfs.Profile{
 		ReadErr:      *readErr,
@@ -127,7 +120,6 @@ func main() {
 			PutFrac:    *putFrac,
 			FlushEvery: *flushEvery,
 			CrashEvery: *crashEvery,
-			Shards:     *shards,
 			WAL:        *wal,
 			Compress:   *compress,
 			Profile:    prof,

@@ -8,12 +8,6 @@
 //	occload -kernel trans -version c-opt -clients 16 -requests 4000 \
 //	    -zipf 1.2 -json BENCH_load.json -metrics-out load-metrics.prom
 //
-// -shards N serves through a sharded tile plane (ooc.ShardedEngine)
-// and prints the per-shard scorecard; -shard-sweep "1,2,4,8" runs the
-// identical workload once per shard count and reports throughput
-// versus N (each pass appends a row to the -json report, config
-// suffixed "-s<N>").
-//
 // -scenario switches the operator mix: scan-heavy streams layout-aware
 // range scans over whole tile stripes (rows config serve-scan-*),
 // write-heavy moves -batch-ops tiles per multi-op batch PUT
@@ -59,7 +53,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -91,22 +84,20 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic tile-choice seed")
 	maxCall := flag.Int64("maxcall", 8192, "per-call element cap (0 = unlimited)")
 	workers := flag.Int("workers", 4, "engine I/O workers")
-	cacheTiles := flag.Int("cache-tiles", 64, "resident tile bound (LRU), plane-wide (split across shards)")
-	shards := flag.Int("shards", 1, "shard the tile plane this many ways (1 = single engine)")
-	shardSweep := flag.String("shard-sweep", "", "comma-separated shard counts (e.g. 1,2,4,8): run the identical workload once per count and report throughput vs N (overrides -shards)")
+	cacheTiles := flag.Int("cache-tiles", 64, "resident tile bound (LRU)")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth")
 	scenario := flag.String("scenario", "", "operator mix: empty/point = single-tile GET/PUT; scan-heavy = streaming range scans over tile stripes; write-heavy = multi-op batch PUTs; mixed = scans+batches+point ops (rows config serve-scan-*/serve-batch-*/serve-mixed-*)")
 	batchOps := flag.Int("batch-ops", 8, "tiles per batch request in the write-heavy/mixed scenarios")
 	arrivalRate := flag.Float64("arrival-rate", 0, "open-loop arrivals/second across all clients: the schedule is fixed before the run and latency is measured from each request's scheduled arrival, so server stalls surface as queueing delay instead of thinning the offered load (coordinated-omission-safe; 0 = closed loop)")
-	dir := flag.String("dir", "", "backing directory for array files (empty = in-memory); sweeps use a subdirectory per pass")
+	dir := flag.String("dir", "", "backing directory for array files (empty = in-memory)")
 	wal := flag.Bool("wal", false, "write-ahead log tile writes: durable PUTs ack on a group-committed log fsync instead of per-write stripe fsyncs")
 	commitWindow := flag.Duration("commit-window", 0, "with -wal: wait this long before the group commit's log fsync so more writers share it (0 = fsync immediately; writers arriving mid-fsync still batch into the next round)")
-	walCapWords := flag.Int64("wal-cap-words", 1<<23, "with -wal: per-log words before an inline checkpoint; each checkpoint stalls appenders for the member fsyncs, so serving runs want it large (log files are sparse)")
+	walCapWords := flag.Int64("wal-cap-words", 1<<23, "with -wal: log words before an inline checkpoint; each checkpoint stalls appenders for the member fsyncs, so serving runs want it large (log files are sparse)")
 	durablePuts := flag.Bool("durable-puts", false, "make every tile PUT durable before its 204 (the write path -wal is built to speed up)")
 	compress := flag.Bool("compress", false, "store array backends compressed, negotiate the x-ooc-gorilla tile wire encoding, and (with -wal) compress log record payloads; episode mode runs its WAL compressed")
 	jsonOut := flag.String("json", "", "write the outcore-bench/v1 report here")
-	metricsOut := flag.String("metrics-out", "", "write Prometheus metrics text here after the run (last sweep pass)")
+	metricsOut := flag.String("metrics-out", "", "write Prometheus metrics text here after the run (last -nodes pass)")
 	faults := flag.Int64("faults", 0, "inject deterministic storage faults from this seed (0 = off)")
 	crashEvery := flag.Int("crash-every", 0, "episode mode: run one dst simulation with a power cut every ~n steps instead of HTTP load (0 = off)")
 	clusterAddr := flag.String("cluster", "", "drive the load at an external occrouter at this base URL instead of serving in-process")
@@ -114,32 +105,19 @@ func main() {
 	replicas := flag.Int("replicas", 2, "cluster mode: copies per tile (capped at the node count)")
 	flag.Parse()
 
-	if err := server.ValidateShards(*shards); err != nil {
-		fmt.Fprintf(os.Stderr, "occload: -shards: %v\n", err)
-		os.Exit(2)
-	}
 	switch *scenario {
 	case "", "point", "scan-heavy", "write-heavy", "mixed", "multi-tenant":
 	default:
 		fmt.Fprintf(os.Stderr, "occload: -scenario: unknown mix %q (valid: point, scan-heavy, write-heavy, mixed, multi-tenant)\n", *scenario)
 		os.Exit(2)
 	}
-	if *scenario == "multi-tenant" && (*clusterAddr != "" || *nodeSweep != "" || *shardSweep != "") {
-		fmt.Fprintln(os.Stderr, "occload: -scenario multi-tenant runs against one in-process server (no -cluster/-nodes/-shard-sweep)")
+	if *scenario == "multi-tenant" && (*clusterAddr != "" || *nodeSweep != "") {
+		fmt.Fprintln(os.Stderr, "occload: -scenario multi-tenant runs against one in-process server (no -cluster/-nodes)")
 		os.Exit(2)
-	}
-	counts := []int{*shards}
-	sweeping := *shardSweep != ""
-	if sweeping {
-		var err error
-		if counts, err = parseShardSweep(*shardSweep); err != nil {
-			fmt.Fprintf(os.Stderr, "occload: -shard-sweep: %v\n", err)
-			os.Exit(2)
-		}
 	}
 
 	if *crashEvery != 0 {
-		runEpisode(*faults, *crashEvery, *requests, *clients, *workers, *cacheTiles, *shards, *wal, *compress)
+		runEpisode(*faults, *crashEvery, *requests, *clients, *workers, *cacheTiles, *wal, *compress)
 		return
 	}
 
@@ -168,7 +146,6 @@ func main() {
 			maxCall:    *maxCall,
 			workers:    *workers,
 			cacheTiles: *cacheTiles,
-			shards:     *shards,
 			inflight:   *inflight,
 			queue:      *queue,
 			compress:   *compress,
@@ -194,7 +171,6 @@ func main() {
 			seed:        *seed,
 			workers:     *workers,
 			cacheTiles:  *cacheTiles,
-			shards:      *shards,
 			wal:         *wal,
 			durablePuts: *durablePuts,
 			compress:    *compress,
@@ -206,180 +182,138 @@ func main() {
 		return
 	}
 
-	var rows []exp.BenchEntry
-	var lastSink *obs.Sink
-	var prevThroughput float64
-	for pass, n := range counts {
-		sink := &obs.Sink{Metrics: obs.NewRegistry()}
-		lastSink = sink
-		prog := k.Build(suite.Config{N2: *n2, N3: *n3, N4: *n4})
-		plan, err := suite.PlanFor(prog, ver)
-		fail(err)
-		base := ooc.NewDisk(*maxCall).Observe(sink)
-		if *compress {
-			ooc.ObservePool(sink)
-			base.EnableCompression()
-		}
-		var inj *faultfs.Injector
-		if *faults != 0 {
-			inj = faultfs.NewStorm(*faults).Observe(sink)
-			inj.Heal() // array creation writes pass through; the storm starts with the load
-			base.WrapBackend(inj.Wrap)
-		}
-		if *dir != "" {
-			// Each pass gets its own subdirectory so a sweep's passes never
-			// contend for the same backing-file locks.
-			passDir := *dir
-			if len(counts) > 1 {
-				passDir = filepath.Join(*dir, fmt.Sprintf("s%d", n))
-			}
-			base.Dir(passDir)
-			if n > 1 {
-				base.Stripe(n, 0)
-			}
-		}
-		if *wal {
-			base.EnableWAL(ooc.WALOptions{
-				Logs:         n,
-				CapWords:     *walCapWords,
-				CommitWindow: *commitWindow,
-				Compress:     *compress,
-				Obs:          sink,
-			})
-		}
-		d, err := codegen.SetupDiskOn(base, prog, plan, nil)
-		fail(err)
-		if inj != nil {
-			inj.Arm()
-		}
-
-		var target *ooc.Array
-		if *array != "" {
-			if target = d.ArrayByName(*array); target == nil {
-				fail(fmt.Errorf("kernel %s has no array %q", k.Name, *array))
-			}
-		} else {
-			for _, ar := range d.Arrays() {
-				if target == nil || ar.Meta.Len() > target.Meta.Len() {
-					target = ar
-				}
-			}
-			if target == nil {
-				fail(fmt.Errorf("kernel %s builds no arrays", k.Name))
-			}
-		}
-
-		eng := server.BuildEngine(d, n, ooc.EngineOptions{Workers: *workers, CacheTiles: *cacheTiles, Obs: sink})
-		srv := server.New(d, eng, server.Config{
-			MaxInflight: *inflight,
-			QueueDepth:  *queue,
-			DurablePuts: *durablePuts,
-			Obs:         sink,
-		})
-		hts := httptest.NewServer(srv.Handler())
-
-		res, err := server.RunLoad(server.LoadSpec{
-			BaseURL:      hts.URL,
-			Array:        target.Meta.Name,
-			Dims:         target.Meta.Dims,
-			TileEdge:     *tileEdge,
-			Clients:      *clients,
-			Requests:     *requests,
-			ZipfS:        *zipf,
-			ReadFrac:     *readFrac,
-			Seed:         *seed,
+	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	prog := k.Build(suite.Config{N2: *n2, N3: *n3, N4: *n4})
+	plan, err := suite.PlanFor(prog, ver)
+	fail(err)
+	base := ooc.NewDisk(*maxCall).Observe(sink)
+	if *compress {
+		ooc.ObservePool(sink)
+		base.EnableCompression()
+	}
+	var inj *faultfs.Injector
+	if *faults != 0 {
+		inj = faultfs.NewStorm(*faults).Observe(sink)
+		inj.Heal() // array creation writes pass through; the storm starts with the load
+		base.WrapBackend(inj.Wrap)
+	}
+	if *dir != "" {
+		base.Dir(*dir)
+	}
+	if *wal {
+		base.EnableWAL(ooc.WALOptions{
+			CapWords:     *walCapWords,
+			CommitWindow: *commitWindow,
 			Compress:     *compress,
-			Scenario:     *scenario,
-			BatchOps:     *batchOps,
-			OpenLoopRate: *arrivalRate,
+			Obs:          sink,
 		})
-		hts.Close()
-		// The per-shard scorecard reads live shard counters, so capture it
-		// before Drain closes the engine.
-		var scorecard []ooc.EngineStats
-		if se, ok := eng.(*ooc.ShardedEngine); ok {
-			scorecard = se.ShardStats()
-		}
-		walStats := d.WALStats()
-		if inj != nil {
-			// Heal before the drain: the engine's flush retry against the
-			// recovered device must land every surviving write — a drain
-			// failure here is a real bug, not an injected one.
-			inj.Heal()
-		}
-		drainErr := srv.Drain()
-		fail(err)
-		fail(drainErr)
+	}
+	d, err := codegen.SetupDiskOn(base, prog, plan, nil)
+	fail(err)
+	if inj != nil {
+		inj.Arm()
+	}
 
-		if pass == 0 {
-			fmt.Printf("occload: %s/%s array %s %v, %d clients x %d requests (zipf %.2f, %d%% reads)\n",
-				k.Name, ver, target.Meta.Name, target.Meta.Dims, *clients, *requests, *zipf, int(*readFrac*100))
+	var target *ooc.Array
+	if *array != "" {
+		if target = d.ArrayByName(*array); target == nil {
+			fail(fmt.Errorf("kernel %s has no array %q", k.Name, *array))
 		}
-		if sweeping {
-			fmt.Printf("shards %d:\n", n)
-		}
-		fmt.Printf("  ok %d, rejected %d, errors %d in %.2fs  (%.0f req/s)\n",
-			res.OK, res.Rejected, res.Errors, res.Seconds, res.Throughput)
-		fmt.Printf("  latency p50 %.2fms, p99 %.2fms\n", res.P50*1e3, res.P99*1e3)
-		if res.PutP99 > 0 {
-			mode := "buffered"
-			if *durablePuts {
-				mode = "durable (per-PUT fsync)"
-				if *wal {
-					mode = "durable (WAL group commit)"
-				}
+	} else {
+		for _, ar := range d.Arrays() {
+			if target == nil || ar.Meta.Len() > target.Meta.Len() {
+				target = ar
 			}
-			fmt.Printf("  acked PUTs: p50 %.2fms, p99 %.2fms  [%s]\n",
-				res.PutP50*1e3, res.PutP99*1e3, mode)
 		}
-		fmt.Printf("  engine: %d hits / %d misses (hit rate %.1f%%), %d coalesced requests\n",
-			res.Hits, res.Misses, 100*res.HitRate, res.Coalesced)
-		printOperators(res)
-		if *compress && res.WireRawBytes > 0 && res.WireBytes > 0 {
-			fmt.Printf("  wire: %d raw bytes moved as %d encoded (%.2fx)\n",
-				res.WireRawBytes, res.WireBytes, float64(res.WireRawBytes)/float64(res.WireBytes))
-		}
-		for i, ss := range scorecard {
-			fmt.Printf("    shard %d: %d hits / %d misses (hit rate %.1f%%), %d evictions, %d writebacks\n",
-				i, ss.Hits, ss.Misses, 100*ss.HitRate(), ss.Evictions, ss.Writebacks)
-		}
-		if walStats != nil {
-			fmt.Printf("  wal: %d appends, %d commits / %d fsyncs (%.1f records per fsync), %d checkpoints\n",
-				walStats.Appends, walStats.Commits, walStats.Fsyncs, walStats.FsyncBatch, walStats.Checkpoints)
-		}
-		if inj != nil {
-			fmt.Printf("  faults: seed %d, %d injected (healed before drain; errors above are expected)\n",
-				*faults, inj.Injected())
-		}
-		if sweeping && pass > 0 && res.Throughput < prevThroughput {
-			fmt.Printf("  note: throughput dropped vs previous pass (%.0f < %.0f req/s)\n",
-				res.Throughput, prevThroughput)
-		}
-		prevThroughput = res.Throughput
-
-		config := fmt.Sprintf("%s-%s-c%d-z%g", configPrefix(*scenario), ver, *clients, *zipf)
-		if sweeping || n > 1 {
-			config += fmt.Sprintf("-s%d", n)
-		}
-		if *arrivalRate > 0 {
-			config += "-ol"
-		}
-		if *durablePuts {
-			config += "-dp"
-		}
-		if *wal {
-			config += "-wal"
-		}
-		if *compress {
-			config += "-comp"
-		}
-		rows = append(rows, exp.LoadBenchEntry(k.Name, config, res))
-		if res.Errors > 0 && inj == nil {
-			fail(fmt.Errorf("%d requests failed", res.Errors))
+		if target == nil {
+			fail(fmt.Errorf("kernel %s builds no arrays", k.Name))
 		}
 	}
 
-	writeReports(*jsonOut, *metricsOut, *n2, *n3, *n4, rows, lastSink)
+	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: *workers, CacheTiles: *cacheTiles, Obs: sink})
+	srv := server.New(d, eng, server.Config{
+		MaxInflight: *inflight,
+		QueueDepth:  *queue,
+		DurablePuts: *durablePuts,
+		Obs:         sink,
+	})
+	hts := httptest.NewServer(srv.Handler())
+
+	res, err := server.RunLoad(server.LoadSpec{
+		BaseURL:      hts.URL,
+		Array:        target.Meta.Name,
+		Dims:         target.Meta.Dims,
+		TileEdge:     *tileEdge,
+		Clients:      *clients,
+		Requests:     *requests,
+		ZipfS:        *zipf,
+		ReadFrac:     *readFrac,
+		Seed:         *seed,
+		Compress:     *compress,
+		Scenario:     *scenario,
+		BatchOps:     *batchOps,
+		OpenLoopRate: *arrivalRate,
+	})
+	hts.Close()
+	walStats := d.WALStats()
+	if inj != nil {
+		// Heal before the drain: the engine's flush retry against the
+		// recovered device must land every surviving write — a drain
+		// failure here is a real bug, not an injected one.
+		inj.Heal()
+	}
+	drainErr := srv.Drain()
+	fail(err)
+	fail(drainErr)
+
+	fmt.Printf("occload: %s/%s array %s %v, %d clients x %d requests (zipf %.2f, %d%% reads)\n",
+		k.Name, ver, target.Meta.Name, target.Meta.Dims, *clients, *requests, *zipf, int(*readFrac*100))
+	fmt.Printf("  ok %d, rejected %d, errors %d in %.2fs  (%.0f req/s)\n",
+		res.OK, res.Rejected, res.Errors, res.Seconds, res.Throughput)
+	fmt.Printf("  latency p50 %.2fms, p99 %.2fms\n", res.P50*1e3, res.P99*1e3)
+	if res.PutP99 > 0 {
+		mode := "buffered"
+		if *durablePuts {
+			mode = "durable (per-PUT fsync)"
+			if *wal {
+				mode = "durable (WAL group commit)"
+			}
+		}
+		fmt.Printf("  acked PUTs: p50 %.2fms, p99 %.2fms  [%s]\n",
+			res.PutP50*1e3, res.PutP99*1e3, mode)
+	}
+	fmt.Printf("  engine: %d hits / %d misses (hit rate %.1f%%), %d coalesced requests\n",
+		res.Hits, res.Misses, 100*res.HitRate, res.Coalesced)
+	printOperators(res)
+	if *compress && res.WireRawBytes > 0 && res.WireBytes > 0 {
+		fmt.Printf("  wire: %d raw bytes moved as %d encoded (%.2fx)\n",
+			res.WireRawBytes, res.WireBytes, float64(res.WireRawBytes)/float64(res.WireBytes))
+	}
+	if walStats != nil {
+		fmt.Printf("  wal: %d appends, %d commits / %d fsyncs (%.1f records per fsync), %d checkpoints\n",
+			walStats.Appends, walStats.Commits, walStats.Fsyncs, walStats.FsyncBatch, walStats.Checkpoints)
+	}
+	if inj != nil {
+		fmt.Printf("  faults: seed %d, %d injected (healed before drain; errors above are expected)\n",
+			*faults, inj.Injected())
+	}
+	config := fmt.Sprintf("%s-%s-c%d-z%g", configPrefix(*scenario), ver, *clients, *zipf)
+	if *arrivalRate > 0 {
+		config += "-ol"
+	}
+	if *durablePuts {
+		config += "-dp"
+	}
+	if *wal {
+		config += "-wal"
+	}
+	if *compress {
+		config += "-comp"
+	}
+	if res.Errors > 0 && inj == nil {
+		fail(fmt.Errorf("%d requests failed", res.Errors))
+	}
+	writeReports(*jsonOut, *metricsOut, *n2, *n3, *n4, []exp.BenchEntry{exp.LoadBenchEntry(k.Name, config, res)}, sink)
 }
 
 // configPrefix names the bench row after the operator mix, so operator
@@ -461,7 +395,6 @@ type mtSpec struct {
 	maxCall    int64
 	workers    int
 	cacheTiles int
-	shards     int
 	inflight   int
 	queue      int
 	compress   bool
@@ -502,7 +435,7 @@ func multiTenantLoad(k suite.Kernel, ver suite.Version, s mtSpec) ([]exp.BenchEn
 		}
 	}
 
-	eng := server.BuildEngine(d, s.shards, ooc.EngineOptions{Workers: s.workers, CacheTiles: s.cacheTiles, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: s.workers, CacheTiles: s.cacheTiles, Obs: sink})
 	srv := server.New(d, eng, server.Config{
 		MaxInflight: s.inflight,
 		QueueDepth:  s.queue,
@@ -621,22 +554,6 @@ func multiTenantLoad(k suite.Kernel, ver suite.Version, s mtSpec) ([]exp.BenchEn
 	return []exp.BenchEntry{pointRow, scanRow}, sink
 }
 
-// parseShardSweep parses "1,2,4,8" into validated shard counts.
-func parseShardSweep(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil {
-			return nil, fmt.Errorf("bad shard count %q: %v", part, err)
-		}
-		if err := server.ValidateShards(n); err != nil {
-			return nil, err
-		}
-		out = append(out, n)
-	}
-	return out, nil
-}
-
 // clusterLoadSpec carries the load-shape flags into cluster mode.
 type clusterLoadSpec struct {
 	addr        string // external occrouter base URL ("" = in-process)
@@ -652,7 +569,6 @@ type clusterLoadSpec struct {
 	seed        int64
 	workers     int
 	cacheTiles  int
-	shards      int
 	wal         bool
 	durablePuts bool
 	compress    bool
@@ -711,7 +627,6 @@ func clusterLoad(k suite.Kernel, spec clusterLoadSpec) ([]exp.BenchEntry, *obs.S
 			Replicas:    spec.replicas,
 			TileDim:     spec.tileEdge,
 			CacheTiles:  spec.cacheTiles,
-			Shards:      spec.shards,
 			Workers:     spec.workers,
 			WAL:         spec.wal,
 			DurablePuts: spec.durablePuts,
@@ -815,7 +730,7 @@ func parseNodeSweep(s string) ([]int, error) {
 // runEpisode is -crash-every: one deterministic dst simulation in
 // place of the HTTP load, reusing the load-shape flags (requests as
 // scheduler steps, clients as logical clients).
-func runEpisode(seed int64, crashEvery, ops, clients, workers, cacheTiles, shards int, wal, compress bool) {
+func runEpisode(seed int64, crashEvery, ops, clients, workers, cacheTiles int, wal, compress bool) {
 	var prof faultfs.Profile
 	if seed != 0 {
 		prof = faultfs.StormProfile()
@@ -827,7 +742,6 @@ func runEpisode(seed int64, crashEvery, ops, clients, workers, cacheTiles, shard
 		CrashEvery: crashEvery,
 		Workers:    workers,
 		CacheTiles: cacheTiles,
-		Shards:     shards,
 		WAL:        wal,
 		Compress:   compress,
 		Profile:    prof,
@@ -844,8 +758,8 @@ func runEpisode(seed int64, crashEvery, ops, clients, workers, cacheTiles, shard
 		if compress {
 			walFlag += " -compress"
 		}
-		fmt.Fprintf(os.Stderr, "occload: reproduce with: occload -faults %d -crash-every %d -requests %d -clients %d -workers %d -cache-tiles %d -shards %d%s\n",
-			seed, crashEvery, ops, clients, workers, cacheTiles, shards, walFlag)
+		fmt.Fprintf(os.Stderr, "occload: reproduce with: occload -faults %d -crash-every %d -requests %d -clients %d -workers %d -cache-tiles %d%s\n",
+			seed, crashEvery, ops, clients, workers, cacheTiles, walFlag)
 		os.Exit(1)
 	}
 }

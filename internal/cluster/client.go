@@ -29,9 +29,9 @@ var ErrUnavailable = errors.New("node unavailable")
 type NodeClient struct {
 	ID      string
 	BaseURL string
-	// HTTP is the transport (default http.DefaultClient with a 10s
-	// timeout). The local harness injects one whose transport can
-	// simulate a network partition.
+	// HTTP is the client requests go through (default: a 10s timeout
+	// over the shared nodeTransport). The local harness injects one
+	// whose transport can simulate a network partition.
 	HTTP *http.Client
 	// Tenant, when set, rides every data-plane request as the X-Tenant
 	// header, so node-side admission schedules the fan-out under the
@@ -40,12 +40,26 @@ type NodeClient struct {
 	Tenant string
 }
 
+// nodeIdleConnsPerHost bounds the idle connections kept per storage
+// node. A router fans R replicas x its concurrent requests at each
+// node; http.DefaultTransport keeps 2 idle per host, so under load
+// every burst beyond two re-dials.
+const nodeIdleConnsPerHost = 64
+
+// nodeTransport is the one connection pool every NodeClient shares.
+var nodeTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConns = 0 // the per-host bound is the limit
+	t.MaxIdleConnsPerHost = nodeIdleConnsPerHost
+	return t
+}()
+
 // NewNodeClient builds a client for one node.
 func NewNodeClient(id, baseURL string) *NodeClient {
 	return &NodeClient{
 		ID:      id,
 		BaseURL: strings.TrimRight(baseURL, "/"),
-		HTTP:    &http.Client{Timeout: 10 * time.Second},
+		HTTP:    &http.Client{Timeout: 10 * time.Second, Transport: nodeTransport},
 	}
 }
 

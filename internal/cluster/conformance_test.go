@@ -49,7 +49,7 @@ type confRef struct {
 	inj  *faultfs.Injector
 	disk *ooc.Disk
 	arr  *ooc.Array
-	eng  ooc.TileEngine
+	eng  *ooc.Engine
 }
 
 func newConfRef(t *testing.T, seed int64) *confRef {

@@ -22,7 +22,6 @@ type LocalOptions struct {
 	Replicas   int   // copies per tile (default 2)
 	TileDim    int64 // routing grid edge (default 8)
 	CacheTiles int   // per-node engine cache bound (default 8)
-	Shards     int   // per-node engine shards (default 1)
 	Workers    int   // per-node engine workers (default 0: deterministic)
 	// WAL runs each node's disk with write-ahead logging, so a killed
 	// node recovers its acknowledged writes on restart.
@@ -63,9 +62,6 @@ func (o LocalOptions) withDefaults() LocalOptions {
 	if o.CacheTiles <= 0 {
 		o.CacheTiles = 8
 	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
 	return o
 }
 
@@ -81,7 +77,7 @@ type LocalNode struct {
 
 	inj     *faultfs.Injector
 	disk    *ooc.Disk
-	eng     ooc.TileEngine
+	eng     *ooc.Engine
 	srv     *server.Server
 	handler atomic.Pointer[http.Handler]
 	hsrv    *httptest.Server
@@ -133,7 +129,7 @@ func NewLocal(o LocalOptions) (*LocalCluster, error) {
 			(*n.handler.Load()).ServeHTTP(w, r)
 		}))
 		n.URL = n.hsrv.URL
-		n.gate = &partitionGate{inner: http.DefaultTransport}
+		n.gate = &partitionGate{inner: nodeTransport}
 		c := NewNodeClient(n.ID, n.URL)
 		c.HTTP = &http.Client{Transport: n.gate}
 		clients[i] = c
@@ -194,11 +190,7 @@ func (lc *LocalCluster) RestartRouter() error {
 func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
 	n.disk = ooc.NewDisk(0).WrapBackend(n.inj.Wrap)
 	if o.WAL {
-		logs := o.Shards
-		if logs < 1 {
-			logs = 1
-		}
-		n.disk.EnableWAL(ooc.WALOptions{Logs: logs})
+		n.disk.EnableWAL(ooc.WALOptions{})
 	}
 	for _, a := range lc.arrays {
 		_, err := n.disk.CreateArray(ir.NewArray(a.Name, a.Dims...), a.Layout)
@@ -206,7 +198,7 @@ func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
 			panic(fmt.Sprintf("cluster: recreating %s on %s: %v", a.Name, n.ID, err))
 		}
 	}
-	n.eng = server.BuildEngine(n.disk, o.Shards, ooc.EngineOptions{Workers: o.Workers, CacheTiles: o.CacheTiles})
+	n.eng = ooc.NewEngine(n.disk, ooc.EngineOptions{Workers: o.Workers, CacheTiles: o.CacheTiles})
 	if o.WAL {
 		if _, err := n.disk.ReplayWAL(); err != nil {
 			panic(fmt.Sprintf("cluster: WAL replay on %s: %v", n.ID, err))

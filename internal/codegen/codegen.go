@@ -54,7 +54,7 @@ type Options struct {
 	// budget, which is not consulted on this path. The caller owns the
 	// engine: Flush/Close it before reading results or I/O stats so
 	// dirty cached tiles reach the backend.
-	Engine ooc.TileEngine
+	Engine *ooc.Engine
 	// Obs, when it carries a trace, emits one KindCompute span per
 	// executed tile (the statement-iteration work between I/O bursts) —
 	// the counterpart to the engine's fetch/prefetch spans that makes
@@ -70,7 +70,7 @@ type Schedule struct {
 	Spec tiling.Spec
 
 	dryRun    bool
-	engine    ooc.TileEngine
+	engine    *ooc.Engine
 	trace     *obs.Trace
 	traceName string
 	bounds    *fm.Bounds
@@ -317,7 +317,7 @@ func (s *Schedule) executeSliceEngine(d *ooc.Disk, t0from, t0to int64, stats *Ex
 		if i+1 < len(origins) {
 			next = origins[i+1]
 		}
-		if err := s.runTileEngine(d, org, next, stats); err != nil {
+		if err := s.runEngineTile(d, org, next, stats); err != nil {
 			return err
 		}
 	}
@@ -436,12 +436,12 @@ func (s *Schedule) runTile(d *ooc.Disk, mem *ooc.Memory, origin []int64, stats *
 	return nil
 }
 
-// runTileEngine processes one tile through the concurrent engine:
+// runEngineTile processes one tile through the concurrent engine:
 // acquire the group footprints from the cache (parallel fetch on
 // misses), kick off prefetches for the next tile's read-only
 // footprints, execute the iterations, and release with dirty marking so
 // write-back happens on eviction or flush.
-func (s *Schedule) runTileEngine(d *ooc.Disk, origin, next []int64, stats *ExecStats) error {
+func (s *Schedule) runEngineTile(d *ooc.Disk, origin, next []int64, stats *ExecStats) error {
 	k := s.Spec.Depth()
 	tLo, tHi := s.tileBounds(origin)
 	if s.countWithin(tLo, tHi) == 0 {

@@ -69,20 +69,19 @@ type Options struct {
 	Profile      faultfs.Profile // fault probabilities (zero = fault-free)
 	Workers      int             // engine workers; 0 keeps the episode replayable
 	CacheTiles   int             // engine cache bound (default 4: smaller than Tiles, forces eviction traffic)
-	Shards       int             // >1 runs the episode against a sharded tile plane (scheduled crashes then alternate between full power cuts and single-shard crashes)
 	MaxCallElems int64           // per-call element cap on the disk (default 0 = unlimited)
 
 	// WAL runs the episode with write-ahead logging: writes append
-	// checksummed records to per-shard logs (one per shard, min one),
-	// flush acknowledgements ride group-committed log fsyncs, and
+	// checksummed records to the log, flush acknowledgements ride
+	// group-committed log fsyncs, and
 	// every reboot replays the surviving log tail before the
 	// durability check — so the contract under test becomes "acked
 	// writes are RECOVERED exactly", crash points landing mid-commit,
-	// mid-apply and mid-compaction included. A single-engine
-	// non-WAL episode's schedule is byte-identical whether or not
-	// these fields exist: every extra scheduler draw is gated on WAL.
+	// mid-apply and mid-compaction included. A non-WAL episode's
+	// schedule is byte-identical whether or not these fields exist:
+	// every extra scheduler draw is gated on WAL.
 	WAL           bool
-	WALCapWords   int64 // per-log capacity in words (default 1024: small, so full-log compaction triggers mid-episode)
+	WALCapWords   int64 // log capacity in words (default 1024: small, so full-log compaction triggers mid-episode)
 	CheckpointOps int   // ~one explicit compaction per this many steps (default 30; <0 disables)
 
 	// Compress runs the WAL with payload compression (codec frames in
@@ -144,7 +143,6 @@ type Result struct {
 	Replayable bool // Workers == 0: the schedule is a pure function of the seed
 
 	Ops, Gets, Puts, Flushes, Crashes int
-	ShardCrashes                      int // single-shard crashes (sharded episodes only; cache lost, no power cut)
 	Checkpoints                       int // scheduled WAL compactions (WAL episodes only)
 	AckedFlushes                      int // flushes that returned nil (durability acknowledgements)
 	GetErrors, PutErrors, FlushErrors int // operations failed by injected faults (surfaced, not hidden)
@@ -170,16 +168,12 @@ func (r *Result) Summary() string {
 	if r.Failed() {
 		verdict = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
 	}
-	shard := ""
-	if r.ShardCrashes > 0 {
-		shard = fmt.Sprintf("+%ds", r.ShardCrashes)
-	}
 	ck := ""
 	if r.Checkpoints > 0 {
 		ck = fmt.Sprintf(" ckpts=%d", r.Checkpoints)
 	}
-	return fmt.Sprintf("seed=%d ops=%d gets=%d puts=%d flushes=%d(%d acked) crashes=%d%s%s faults=%d errs=%d/%d/%d %s",
-		r.Seed, r.Ops, r.Gets, r.Puts, r.Flushes, r.AckedFlushes, r.Crashes, shard, ck,
+	return fmt.Sprintf("seed=%d ops=%d gets=%d puts=%d flushes=%d(%d acked) crashes=%d%s faults=%d errs=%d/%d/%d %s",
+		r.Seed, r.Ops, r.Gets, r.Puts, r.Flushes, r.AckedFlushes, r.Crashes, ck,
 		r.FaultsInjected, r.GetErrors, r.PutErrors, r.FlushErrors, verdict)
 }
 
@@ -194,7 +188,7 @@ type episode struct {
 
 	disk *ooc.Disk
 	arr  *ooc.Array
-	eng  ooc.TileEngine
+	eng  *ooc.Engine
 
 	// The sequential map-of-tiles model, element-exact.
 	volatileT [][]float64 // expected current contents per tile
@@ -233,14 +227,7 @@ func Run(o Options) *Result {
 		ep.res.Ops++
 		switch {
 		case o.CrashEvery > 0 && ep.rng.Float64() < 1/float64(o.CrashEvery):
-			// The extra coin flip only exists in sharded episodes, so a
-			// single-engine episode's schedule is byte-identical whether or
-			// not this branch exists.
-			if o.Shards > 1 && ep.rng.Intn(2) == 1 {
-				ep.crashShard("scheduled")
-			} else {
-				ep.crash("scheduled")
-			}
+			ep.crash("scheduled")
 		case o.FlushEvery > 0 && ep.rng.Float64() < 1/float64(o.FlushEvery):
 			ep.flush()
 		// The compaction draw only exists in WAL episodes, so a non-WAL
@@ -283,11 +270,7 @@ func (ep *episode) open() {
 	}
 	ep.disk = ooc.NewDisk(ep.o.MaxCallElems).WrapBackend(ep.inj.Wrap)
 	if ep.o.WAL {
-		logs := ep.o.Shards
-		if logs < 1 {
-			logs = 1
-		}
-		ep.disk.EnableWAL(ooc.WALOptions{Logs: logs, CapWords: ep.o.WALCapWords, Compress: ep.o.Compress})
+		ep.disk.EnableWAL(ooc.WALOptions{CapWords: ep.o.WALCapWords, Compress: ep.o.Compress})
 	}
 	size := int64(ep.o.Tiles) * ep.o.TileElems
 	arr, err := ep.disk.CreateArray(ir.NewArray(arrayName, size), layout.RowMajor(size))
@@ -297,12 +280,7 @@ func (ep *episode) open() {
 		panic(fmt.Sprintf("dst: creating %s: %v", arrayName, err))
 	}
 	ep.arr = arr
-	eo := ooc.EngineOptions{Workers: ep.o.Workers, CacheTiles: ep.o.CacheTiles}
-	if ep.o.Shards > 1 {
-		ep.eng = ooc.NewShardedEngine(ep.disk, ep.o.Shards, eo)
-	} else {
-		ep.eng = ooc.NewEngine(ep.disk, eo)
-	}
+	ep.eng = ooc.NewEngine(ep.disk, ooc.EngineOptions{Workers: ep.o.Workers, CacheTiles: ep.o.CacheTiles})
 	if ep.o.WAL {
 		if _, err := ep.disk.ReplayWAL(); err != nil {
 			ep.violate("recovery: WAL replay failed: %v", err)
@@ -456,8 +434,8 @@ func (ep *episode) crash(why string) {
 // checkpointOp runs the WAL compaction step at a scheduler-chosen
 // point: member syncs plus log truncation, under whatever faults are
 // armed — so crashes land before, inside and after compactions. A
-// failed checkpoint changes nothing the model tracks (the logs keep
-// their records).
+// failed checkpoint changes nothing the model tracks (the log keeps
+// its records).
 func (ep *episode) checkpointOp() {
 	ep.res.Checkpoints++
 	if err := ep.disk.Checkpoint(); err != nil {
@@ -465,43 +443,6 @@ func (ep *episode) checkpointOp() {
 		return
 	}
 	ep.logf("checkpoint -> ok")
-}
-
-// crashShard kills one shard of a sharded plane: its cached (dirty)
-// tiles are lost, but nothing else is — no power cut, so the store
-// keeps volatile write-backs and the other shards keep their caches.
-// The surviving store contents for the dead shard's tiles must still
-// come from the model's acked-or-pending set, and become the model's
-// current contents (what a fresh shard reads on the next miss).
-func (ep *episode) crashShard(why string) {
-	ep.res.ShardCrashes++
-	se := ep.eng.(*ooc.ShardedEngine)
-	i := ep.rng.Intn(ep.o.Shards)
-	ep.logf("shard-crash %d (%s)", i, why)
-	se.CrashShard(i)
-
-	buf := make([]float64, ep.o.TileElems)
-	for t := 0; t < ep.o.Tiles; t++ {
-		if ooc.ShardOf(arrayName, ep.tileBox(t), ep.o.Shards) != i {
-			continue
-		}
-		if err := ep.inj.ReadDurable(arrayName, buf, int64(t)*ep.o.TileElems); err != nil {
-			ep.violate("shard-crash: reading tile %d: %v", t, err)
-			continue
-		}
-		ack, pend := ep.acked[t], ep.pending[t]
-		for k := range buf {
-			if buf[k] != ack[k] && !contains(pend, buf[k]) {
-				ep.violate("shard-crash: tile %d elem %d = %v, not the acked %v nor any of %d pending writes",
-					t, k, buf[k], ack[k], len(pend))
-				break
-			}
-		}
-		// The dead shard's next miss reads the store: adopt it as the
-		// tile's current contents. Durability bookkeeping is untouched —
-		// power didn't fail.
-		copy(ep.volatileT[t], buf)
-	}
 }
 
 func contains(vals []float64, v float64) bool {

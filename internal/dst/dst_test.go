@@ -182,71 +182,6 @@ func TestCrashDropsUnsyncedWrite(t *testing.T) {
 	}
 }
 
-// TestShardedEpisodesPass runs the storm against sharded planes: the
-// same crash-consistency invariants must hold when the tile plane is
-// partitioned, with scheduled crashes mixing full power cuts and
-// single-shard crashes.
-func TestShardedEpisodesPass(t *testing.T) {
-	var shardCrashes, powerCuts int64
-	for _, shards := range []int{2, 4} {
-		for seed := int64(0); seed < 25; seed++ {
-			res := Run(Options{Seed: seed, Ops: 250, Shards: shards, Profile: stormProfile()})
-			if res.Failed() {
-				t.Errorf("shards=%d seed %d failed: %s", shards, seed, res.Summary())
-				for _, v := range res.Violations {
-					t.Errorf("  %s", v)
-				}
-			}
-			shardCrashes += int64(res.ShardCrashes)
-			powerCuts += int64(res.Crashes)
-		}
-	}
-	if shardCrashes == 0 || powerCuts == 0 {
-		t.Fatalf("degenerate sharded storm: %d shard crashes, %d power cuts", shardCrashes, powerCuts)
-	}
-}
-
-// TestShardedEpisodeDeterministicReplay extends the determinism
-// contract to sharded planes: with Workers=0 the whole plane's backend
-// stream is still a pure function of the seed.
-func TestShardedEpisodeDeterministicReplay(t *testing.T) {
-	opts := Options{Seed: 4321, Ops: 300, Shards: 4, Profile: stormProfile()}
-	a, b := Run(opts), Run(opts)
-	if !a.Replayable {
-		t.Fatal("Workers=0 sharded episodes must report Replayable")
-	}
-	if a.OpLog != b.OpLog || a.FaultSchedule != b.FaultSchedule || a.Summary() != b.Summary() {
-		t.Fatalf("sharded replay diverged: %q vs %q", a.Summary(), b.Summary())
-	}
-}
-
-// TestShardedMatchesSingleEngineSchedule pins the compatibility
-// guarantee that made adding Shards a safe option: a single-engine
-// episode's op log and fault schedule are byte-identical whether the
-// Shards field exists or not (Shards<=1 draws no extra randomness).
-func TestShardedMatchesSingleEngineSchedule(t *testing.T) {
-	a := Run(Options{Seed: 99, Ops: 250, Profile: stormProfile()})
-	b := Run(Options{Seed: 99, Ops: 250, Shards: 1, Profile: stormProfile()})
-	if a.OpLog != b.OpLog || a.FaultSchedule != b.FaultSchedule {
-		t.Fatal("Shards=1 changed the single-engine schedule")
-	}
-}
-
-// TestShardedConcurrentEpisodes puts worker pools under the sharded
-// plane for -race coverage of the cross-shard barrier and
-// invalidation paths.
-func TestShardedConcurrentEpisodes(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		res := Run(Options{Seed: seed, Ops: 200, Workers: 4, Shards: 4, Profile: stormProfile()})
-		if res.Failed() {
-			t.Errorf("concurrent sharded seed %d failed: %s", seed, res.Summary())
-			for _, v := range res.Violations {
-				t.Errorf("  %s", v)
-			}
-		}
-	}
-}
-
 func BenchmarkEpisode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res := Run(Options{Seed: int64(i), Ops: 200, Profile: stormProfile()})
@@ -256,25 +191,23 @@ func BenchmarkEpisode(b *testing.B) {
 	}
 }
 
-// TestWALEpisodesPass runs the storm over WAL-backed planes, single
-// and sharded: power cuts now land mid-commit-window, mid-apply and
-// mid-compaction, the log tails tear, and still no acknowledged write
-// may be lost and no torn trailing record may surface.
+// TestWALEpisodesPass runs the storm over the WAL-backed plane: power
+// cuts now land mid-commit-window, mid-apply and mid-compaction, the
+// log tail tears, and still no acknowledged write may be lost and no
+// torn trailing record may surface.
 func TestWALEpisodesPass(t *testing.T) {
 	var crashes, checkpoints, faults int64
-	for _, shards := range []int{1, 4} {
-		for seed := int64(0); seed < 25; seed++ {
-			res := Run(Options{Seed: seed, Ops: 250, Shards: shards, WAL: true, Profile: stormProfile()})
-			if res.Failed() {
-				t.Errorf("wal shards=%d seed %d failed: %s", shards, seed, res.Summary())
-				for _, v := range res.Violations {
-					t.Errorf("  %s", v)
-				}
+	for seed := int64(0); seed < 50; seed++ {
+		res := Run(Options{Seed: seed, Ops: 250, WAL: true, Profile: stormProfile()})
+		if res.Failed() {
+			t.Errorf("wal seed %d failed: %s", seed, res.Summary())
+			for _, v := range res.Violations {
+				t.Errorf("  %s", v)
 			}
-			crashes += int64(res.Crashes)
-			checkpoints += int64(res.Checkpoints)
-			faults += res.FaultsInjected
 		}
+		crashes += int64(res.Crashes)
+		checkpoints += int64(res.Checkpoints)
+		faults += res.FaultsInjected
 	}
 	// The storm must actually exercise the WAL paths: crashes (each a
 	// log replay), scheduled compactions, and injected faults.
@@ -284,10 +217,10 @@ func TestWALEpisodesPass(t *testing.T) {
 }
 
 // TestWALEpisodeDeterministicReplay extends the determinism contract
-// to WAL episodes: log routing, group commit and replay add no
+// to WAL episodes: logging, group commit and replay add no
 // nondeterminism with Workers=0.
 func TestWALEpisodeDeterministicReplay(t *testing.T) {
-	opts := Options{Seed: 5678, Ops: 300, Shards: 4, WAL: true, Profile: stormProfile()}
+	opts := Options{Seed: 5678, Ops: 300, WAL: true, Profile: stormProfile()}
 	a, b := Run(opts), Run(opts)
 	if !a.Replayable {
 		t.Fatal("Workers=0 WAL episodes must report Replayable")
@@ -356,12 +289,12 @@ func TestWALLyingSyncDetected(t *testing.T) {
 	}
 }
 
-// TestWALConcurrentEpisodes: worker pools over WAL-backed sharded
-// planes for -race coverage of the append path (under the walSet
-// mutex) against the off-mutex group-commit fsync.
+// TestWALConcurrentEpisodes: worker pools over the WAL-backed plane
+// for -race coverage of the append path (under the walSet mutex)
+// against the off-mutex group-commit fsync.
 func TestWALConcurrentEpisodes(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
-		res := Run(Options{Seed: seed, Ops: 200, Workers: 4, Shards: 4, WAL: true, Profile: stormProfile()})
+		res := Run(Options{Seed: seed, Ops: 200, Workers: 4, WAL: true, Profile: stormProfile()})
 		if res.Failed() {
 			t.Errorf("concurrent WAL seed %d failed: %s", seed, res.Summary())
 			for _, v := range res.Violations {
@@ -377,17 +310,15 @@ func TestWALConcurrentEpisodes(t *testing.T) {
 // so a frame that failed to round-trip would surface as lost data).
 func TestWALCompressEpisodesPass(t *testing.T) {
 	var crashes int64
-	for _, shards := range []int{1, 4} {
-		for seed := int64(0); seed < 15; seed++ {
-			res := Run(Options{Seed: seed, Ops: 250, Shards: shards, WAL: true, Compress: true, Profile: stormProfile()})
-			if res.Failed() {
-				t.Errorf("wal-compress shards=%d seed %d failed: %s", shards, seed, res.Summary())
-				for _, v := range res.Violations {
-					t.Errorf("  %s", v)
-				}
+	for seed := int64(0); seed < 30; seed++ {
+		res := Run(Options{Seed: seed, Ops: 250, WAL: true, Compress: true, Profile: stormProfile()})
+		if res.Failed() {
+			t.Errorf("wal-compress seed %d failed: %s", seed, res.Summary())
+			for _, v := range res.Violations {
+				t.Errorf("  %s", v)
 			}
-			crashes += int64(res.Crashes)
 		}
+		crashes += int64(res.Crashes)
 	}
 	if crashes == 0 {
 		t.Fatal("degenerate compress storm: no crashes, nothing replayed")
@@ -398,7 +329,7 @@ func TestWALCompressEpisodesPass(t *testing.T) {
 // to compressed episodes: per-record frame encoding adds no
 // nondeterminism, so a failing compressed seed replays exactly.
 func TestWALCompressDeterministicReplay(t *testing.T) {
-	opts := Options{Seed: 321, Ops: 250, Shards: 4, WAL: true, Compress: true, Profile: stormProfile()}
+	opts := Options{Seed: 321, Ops: 250, WAL: true, Compress: true, Profile: stormProfile()}
 	a, b := Run(opts), Run(opts)
 	if a.OpLog != b.OpLog || a.FaultSchedule != b.FaultSchedule || a.Summary() != b.Summary() {
 		t.Fatalf("compressed WAL replay diverged: %q vs %q", a.Summary(), b.Summary())

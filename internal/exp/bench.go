@@ -31,23 +31,17 @@ type BenchRunConfig struct {
 	Name       string `json:"name"`
 	CacheTiles int    `json:"cache_tiles"`        // 0 = plain sequential runtime
 	Workers    int    `json:"workers"`            // >0 enables async prefetch
-	Shards     int    `json:"shards,omitempty"`   // >1 shards the tile plane (additive field)
 	Compress   bool   `json:"compress,omitempty"` // store array backends compressed (additive field)
 }
 
 // BenchConfigs is the suite's configuration axis: the plain sequential
 // runtime, the LRU-cached engine, the cached engine with an I/O worker
-// pool overlapping prefetches with compute, and the sharded tile plane
-// at 2/4/8 shards (same plane-wide cache budget, split per shard) —
-// the partitioned-cache request streams the conformance suite proves
-// equivalent and the load harness scales with.
+// pool overlapping prefetches with compute, and the cached engine over
+// compressed backends.
 var BenchConfigs = []BenchRunConfig{
 	{Name: "sequential", CacheTiles: 0, Workers: 0},
 	{Name: "engine", CacheTiles: 8, Workers: 0},
 	{Name: "engine+prefetch", CacheTiles: 8, Workers: 4},
-	{Name: "engine-sharded-2", CacheTiles: 8, Workers: 0, Shards: 2},
-	{Name: "engine-sharded-4", CacheTiles: 8, Workers: 0, Shards: 4},
-	{Name: "engine-sharded-8", CacheTiles: 8, Workers: 0, Shards: 8},
 	{Name: "engine-compress", CacheTiles: 8, Workers: 0, Compress: true},
 }
 
@@ -230,7 +224,7 @@ func benchOne(o Options, k suite.Kernel, bc BenchRunConfig) (BenchEntry, error) 
 
 	// (a) Deterministic quantities: dry-run schedule + PFS simulation.
 	st := o.setup(k, suite.COpt, o.Procs)
-	st.CacheTiles, st.Workers, st.Shards = bc.CacheTiles, bc.Workers, bc.Shards
+	st.CacheTiles, st.Workers = bc.CacheTiles, bc.Workers
 	m, err := sim.Run(st)
 	if err != nil {
 		return entry, err
@@ -283,14 +277,9 @@ func benchWall(o Options, k suite.Kernel, bc BenchRunConfig) (float64, ooc.Engin
 	}
 	d.Observe(o.Obs)
 	opts := codegen.Options{Strategy: suite.StrategyFor(suite.COpt), MemBudget: budget, Obs: o.Obs}
-	var eng ooc.TileEngine
+	var eng *ooc.Engine
 	if bc.CacheTiles > 0 {
-		eo := ooc.EngineOptions{Workers: bc.Workers, CacheTiles: bc.CacheTiles, Obs: o.Obs}
-		if bc.Shards > 1 {
-			eng = ooc.NewShardedEngine(d, bc.Shards, eo)
-		} else {
-			eng = ooc.NewEngine(d, eo)
-		}
+		eng = ooc.NewEngine(d, ooc.EngineOptions{Workers: bc.Workers, CacheTiles: bc.CacheTiles, Obs: o.Obs})
 		opts.Engine = eng
 	}
 	mem := ooc.NewMemory(budget)
@@ -322,7 +311,7 @@ func benchWall(o Options, k suite.Kernel, bc BenchRunConfig) (float64, ooc.Engin
 // of a cached tile acquire against the run's own engine and disk — the
 // number the serving layer's zero-copy GET discipline rests on. Returns
 // nil when no array offers a tile to measure.
-func measureAllocsPerGet(d *ooc.Disk, eng ooc.TileEngine) *float64 {
+func measureAllocsPerGet(d *ooc.Disk, eng *ooc.Engine) *float64 {
 	arrays := d.Arrays()
 	if len(arrays) == 0 {
 		return nil
@@ -409,9 +398,9 @@ func CompareBench(base, cur BenchReport, tol float64) ([]BenchRegression, error)
 	var regs []BenchRegression
 	for _, b := range base.Results {
 		if b.Requests > 0 {
-			// Serving-layer rows (the occload harness, including its
-			// shard sweep) are machine-dependent throughput snapshots: a
-			// baseline may carry them for the record, but they never gate
+			// Serving-layer rows (the occload harness) are
+			// machine-dependent throughput snapshots: a baseline may
+			// carry them for the record, but they never gate
 			// and their absence from an occbench suite report is not a
 			// regression.
 			continue

@@ -1,14 +1,14 @@
 // Package keyhash is the pinned tile-key hash the whole plane agrees
 // on: the canonical (array, box) key encoding, an FNV-1a pass over the
 // key bytes, and a murmur3-fmix64 avalanche finalizer. It is shared by
-// the in-process cache map and shard router (internal/ooc) and the
-// multi-process cluster router (internal/cluster), which is the point:
-// placement is an operational contract, so every layer that maps a
-// tile to an owner must provably use the same function.
+// the in-process cache map (internal/ooc) and the multi-process
+// cluster router (internal/cluster), which is the point: placement is
+// an operational contract, so every layer that names a tile or maps it
+// to an owner must provably use the same function.
 //
-// The hash is PINNED. Its outputs are part of the on-disk/operational
-// contract — a tile's owning shard or storage node must never move
-// across runs, processes, releases or machines while the member count
+// The hash is PINNED. Its outputs are part of the operational
+// contract — a tile's owning storage node must never move
+// across runs, processes, releases or machines while the member set
 // is fixed — so any change to the key encoding, the FNV constants or
 // the finalizer is a data-migration event, not a refactor. The pinned
 // anchor tests in this package fail loudly on any drift.
@@ -90,24 +90,10 @@ func Fmix64(h uint64) uint64 {
 }
 
 // Sum returns the pinned 64-bit hash of (name, box), building the key
-// bytes in a stack buffer — routing runs on every tile request, ahead
-// of the cache's zero-alloc hit path, and must not be the one
-// allocation left on it.
+// bytes in a stack buffer so hashing a tile never allocates.
 func Sum(name string, box layout.Box) uint64 {
 	var kb [StackBytes]byte
 	return Bytes(AppendKey(kb[:0], name, box))
-}
-
-// ShardOf deterministically maps a tile to one of n members: Sum
-// modulo the member count. Stable across processes, runs and machines
-// — a tile's owner never moves while the member count is fixed.
-// Callers pass the box exactly as the engine caches it (clipped to
-// the array's dims).
-func ShardOf(name string, box layout.Box, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	return int(Sum(name, box) % uint64(shards))
 }
 
 // Rendezvous scores (keySum, memberSum) for highest-random-weight

@@ -1,7 +1,6 @@
 package keyhash
 
 import (
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -9,91 +8,29 @@ import (
 	"outcore/internal/layout"
 )
 
-// TestShardOfPinned pins ShardOf against precomputed values: the hash
-// is part of the on-disk/operational contract (a tile's owning shard
-// must never move across runs, processes or releases while the shard
-// count is fixed), so these anchors fail loudly if anyone touches the
-// key encoding or the hash function. The values are the ones
-// internal/ooc pinned when the hash lived there — extraction into this
-// package must not have moved a single tile.
-func TestShardOfPinned(t *testing.T) {
+// TestSumPinned pins Sum against precomputed values: the hash is part
+// of the operational contract (a tile's owning storage node must never
+// move across runs, processes or releases while the member set is
+// fixed), so these anchors fail loudly if anyone touches the key
+// encoding or the hash function.
+func TestSumPinned(t *testing.T) {
 	cases := []struct {
 		name   string
 		lo, hi []int64
-		shards int
-		want   int
+		want   uint64
 	}{
-		{"A", []int64{0, 0}, []int64{8, 8}, 2, 1},
-		{"A", []int64{0, 0}, []int64{8, 8}, 4, 1},
-		{"A", []int64{0, 0}, []int64{8, 8}, 8, 1},
-		{"A", []int64{8, 0}, []int64{16, 8}, 8, 3},
-		{"A", []int64{0, 8}, []int64{8, 16}, 8, 6},
-		{"B", []int64{0, 0}, []int64{8, 8}, 8, 6},
-		{"T", []int64{0}, []int64{16}, 4, 3},
-		{"T", []int64{16}, []int64{32}, 4, 3},
-		{"T", []int64{112}, []int64{128}, 4, 0},
+		{"A", []int64{0, 0}, []int64{8, 8}, 0x00e0011b7e038ff9},
+		{"A", []int64{8, 0}, []int64{16, 8}, 0xe849690c3c919193},
+		{"A", []int64{0, 8}, []int64{8, 16}, 0xb23ff839d30b7936},
+		{"B", []int64{0, 0}, []int64{8, 8}, 0xace4b22bff201d0e},
+		{"T", []int64{0}, []int64{16}, 0xaa63a09e88cb5e57},
+		{"T", []int64{16}, []int64{32}, 0x6b9a5bc0bb25a9eb},
+		{"T", []int64{112}, []int64{128}, 0xf8facd5c2aee8b18},
 	}
 	for _, c := range cases {
 		box := layout.NewBox(c.lo, c.hi)
-		if got := ShardOf(c.name, box, c.shards); got != c.want {
-			t.Errorf("ShardOf(%q, %v, %d) = %d, pinned %d", c.name, box, c.shards, got, c.want)
-		}
-	}
-}
-
-// TestShardOfProperties is the quick-check property suite: for
-// arbitrary names, boxes and shard counts the hash is a pure function
-// (same inputs, same shard — it has no hidden state to drift across
-// calls) and always lands in [0, shards).
-func TestShardOfProperties(t *testing.T) {
-	f := func(name string, lo0, lo1, ext0, ext1 uint16, s uint8) bool {
-		shards := int(s)%16 + 1
-		lo := []int64{int64(lo0), int64(lo1)}
-		hi := []int64{lo[0] + int64(ext0) + 1, lo[1] + int64(ext1) + 1}
-		box := layout.NewBox(lo, hi)
-		got := ShardOf(name, box, shards)
-		return got >= 0 && got < shards && got == ShardOf(name, box, shards)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardOfZipfBalance checks placement balance under the load
-// harness's skewed access pattern: the distinct tiles of a zipf-drawn
-// stream over a 64x64 grid of 8x8 tiles must spread across 8 shards
-// within 15% of the per-shard mean. (Balance is a property of the
-// key hash over the key population — skew concentrates traffic, not
-// placement.)
-func TestShardOfZipfBalance(t *testing.T) {
-	const (
-		gridEdge = 64
-		tileEdge = 8
-		shards   = 8
-	)
-	rng := rand.New(rand.NewSource(42))
-	zipf := rand.NewZipf(rng, 1.1, 1, gridEdge*gridEdge-1)
-	distinct := map[uint64]bool{}
-	for draws := 0; draws < 1<<20 && len(distinct) < 3000; draws++ {
-		distinct[zipf.Uint64()] = true
-	}
-	if len(distinct) < 3000 {
-		t.Fatalf("zipf stream produced only %d distinct tiles", len(distinct))
-	}
-	counts := make([]int, shards)
-	for k := range distinct {
-		tr, tc := int64(k)/gridEdge, int64(k)%gridEdge
-		box := layout.NewBox(
-			[]int64{tr * tileEdge, tc * tileEdge},
-			[]int64{(tr + 1) * tileEdge, (tc + 1) * tileEdge},
-		)
-		counts[ShardOf("A", box, shards)]++
-	}
-	mean := float64(len(distinct)) / shards
-	for i, c := range counts {
-		if dev := float64(c)/mean - 1; dev > 0.15 || dev < -0.15 {
-			t.Errorf("shard %d holds %d of %d distinct tiles (%.1f%% off the mean %.0f)",
-				i, c, len(distinct), 100*dev, mean)
+		if got := Sum(c.name, box); got != c.want {
+			t.Errorf("Sum(%q, %v) = %#x, pinned %#x", c.name, box, got, c.want)
 		}
 	}
 }
@@ -113,8 +50,8 @@ func TestSumMatchesBytes(t *testing.T) {
 // TestRendezvousStability is the property rendezvous hashing exists
 // for: removing one member never moves a key between two surviving
 // members — only keys owned by the removed member relocate. Modulo
-// placement (ShardOf) reshuffles almost everything; the cluster
-// router's membership math depends on this difference.
+// placement reshuffles almost everything; the cluster router's
+// membership math depends on this difference.
 func TestRendezvousStability(t *testing.T) {
 	members := []string{"n0", "n1", "n2", "n3", "n4"}
 	sums := make([]uint64, len(members))
@@ -167,8 +104,7 @@ func TestRendezvousStability(t *testing.T) {
 
 // TestRendezvousBalance checks that top-2 rendezvous placement (the
 // cluster's R=2 replica sets) spreads a tile grid across 5 members
-// within 20% of the per-member mean — same obligation as the shard
-// balance test, for the cluster's placement function.
+// within 20% of the per-member mean.
 func TestRendezvousBalance(t *testing.T) {
 	members := []string{"n0", "n1", "n2", "n3", "n4"}
 	sums := make([]uint64, len(members))

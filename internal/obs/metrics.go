@@ -187,8 +187,8 @@ func formatBound(b float64) string {
 
 // baseName strips a label suffix from a metric name: counters and
 // gauges may be registered under labeled names like
-// `ooc_shard_hits_total{shard="0"}`, which belong to the family
-// `ooc_shard_hits_total`. (Histograms render their own labeled sample
+// `occd_tenant_requests_total{tenant="a"}`, which belong to the family
+// `occd_tenant_requests_total`. (Histograms render their own labeled sample
 // lines and must be registered under plain names.)
 func baseName(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {

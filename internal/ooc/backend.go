@@ -243,7 +243,7 @@ func (d *Disk) Close() error {
 	}
 	d.mu.Unlock()
 	if d.wal != nil {
-		if err := d.wal.closeLogs(); err != nil && first == nil {
+		if err := d.wal.closeLog(); err != nil && first == nil {
 			first = err
 		}
 	}
@@ -272,6 +272,37 @@ func (d *Disk) Sync() error {
 // group-committed log fsync — every concurrent caller shares it.
 func (ar *Array) Sync() error { return ar.backend.Sync() }
 
+// checkKeptLayout refuses to reopen a kept directory under a file
+// layout other than the one that wrote it. The file backends create
+// whatever file is missing, so opening "<name>.s<i>.dat" data unstriped
+// (or the reverse, or with another stripe count) would otherwise serve
+// a fresh zero-filled file beside the real data, without an error.
+func (d *Disk) checkKeptLayout(name string) error {
+	if d.dir == "" || !d.keepExisting || d.noBacking {
+		return nil
+	}
+	exists := func(file string) bool {
+		_, err := os.Stat(filepath.Join(d.dir, file))
+		return err == nil
+	}
+	have := 0 // stripe files on disk
+	for exists(fmt.Sprintf("%s.s%d.dat", name, have)) {
+		have++
+	}
+	plain := exists(name + ".dat")
+	switch want := d.stripeN; {
+	case want <= 1 && have > 0 && !plain:
+		return fmt.Errorf("ooc: %s in %s was written striped %d ways; reopen it with the same stripe count (occd -stripes %d)",
+			name, d.dir, have, have)
+	case want > 1 && have == 0 && plain:
+		return fmt.Errorf("ooc: %s in %s was written unstriped; reopen it without striping", name, d.dir)
+	case want > 1 && have > 0 && have != want:
+		return fmt.Errorf("ooc: %s in %s was written striped %d ways, not %d; reopen it with the same stripe count (occd -stripes %d)",
+			name, d.dir, have, want, have)
+	}
+	return nil
+}
+
 // newBackend picks the backend for a new array per the disk's
 // configuration. With compression enabled the base backend is sized
 // for the codec's chunked physical layout and the codec wraps
@@ -281,6 +312,9 @@ func (d *Disk) newBackend(name string, n int64) (Backend, error) {
 	phys := n
 	if d.comp != nil && !d.noBacking {
 		phys = codecPhysWords(n)
+	}
+	if err := d.checkKeptLayout(name); err != nil {
+		return nil, err
 	}
 	var (
 		b   Backend

@@ -1,12 +1,11 @@
 package ooc_test
 
-// The differential conformance suite: seeded operation streams are
-// replayed, in lockstep, against a single-engine plane and sharded
-// planes (N = 2, 4, 8) over identical data, and every observable —
-// tile bytes on reads, durable bytes after power cuts, final array
-// contents, aggregate stats invariants — must agree byte for byte.
-// This is the proof obligation behind ooc.ShardedEngine's claim of
-// being observably identical to one ooc.Engine.
+// The model-differential conformance suite: seeded operation streams
+// are replayed, in lockstep, against a sequential model and the
+// engine planes {engine, engine+WAL, engine+WAL+compress} over
+// identical data, and every observable — tile bytes on reads, durable
+// bytes after power cuts, final array contents, stats invariants —
+// must agree byte for byte.
 //
 // The faultfs injector runs with a zero (fault-free) profile: no
 // errors are injected, but its undo-log crash semantics still apply,
@@ -29,13 +28,13 @@ import (
 const (
 	confEdge      = 64 // array is confEdge x confEdge
 	confTile      = 8  // aligned tile edge
-	confCache     = 8  // plane-wide cache budget (tiles)
+	confCache     = 8  // cache budget (tiles)
 	confOps       = 150
 	confSeeds     = 20
 	confElemCount = confEdge * confEdge
 )
 
-// confWALCapWords sizes WAL-plane logs so the whole op stream fits
+// confWALCapWords sizes the WAL planes' log so the whole op stream fits
 // without an inline full-log checkpoint: an implicit mid-stream
 // checkpoint would sync stripes carrying unacknowledged eviction
 // write-throughs and break crash-equality with the non-WAL planes.
@@ -45,28 +44,24 @@ const confWALCapWords = int64(1) << 15
 
 // confPlane is one plane under test plus its private injector/disk.
 type confPlane struct {
-	name   string
-	shards int
-	wal    bool
-	comp   bool // WAL payload compression (disk compression would change the physical bytes readDurable checks)
-	inj    *faultfs.Injector
-	disk   *ooc.Disk
-	arr    *ooc.Array
-	eng    ooc.TileEngine
+	name string
+	wal  bool
+	comp bool // WAL payload compression (disk compression would change the physical bytes readDurable checks)
+	inj  *faultfs.Injector
+	disk *ooc.Disk
+	arr  *ooc.Array
+	eng  *ooc.Engine
 
 	acquires int64 // Acquire calls since the last (re)open
 }
 
-func newConfPlane(t *testing.T, seed int64, shards int, wal bool) *confPlane {
-	return newConfPlaneComp(t, seed, shards, wal, false)
-}
-
-// newConfPlaneComp additionally turns on WAL payload compression: the
-// plane's acked writes must survive power cuts through compressed log
-// records, byte-for-byte equal to every uncompressed plane.
-func newConfPlaneComp(t *testing.T, seed int64, shards int, wal, comp bool) *confPlane {
+// newConfPlane builds one plane. comp turns on WAL payload
+// compression: the plane's acked writes must survive power cuts through
+// compressed log records, byte-for-byte equal to every uncompressed
+// plane.
+func newConfPlane(t *testing.T, seed int64, wal, comp bool) *confPlane {
 	t.Helper()
-	name := fmt.Sprintf("shards=%d", shards)
+	name := "engine"
 	if wal {
 		name += "+wal"
 	}
@@ -74,11 +69,10 @@ func newConfPlaneComp(t *testing.T, seed int64, shards int, wal, comp bool) *con
 		name += "+comp"
 	}
 	p := &confPlane{
-		name:   name,
-		shards: shards,
-		wal:    wal,
-		comp:   comp,
-		inj:    faultfs.New(seed, faultfs.Profile{}),
+		name: name,
+		wal:  wal,
+		comp: comp,
+		inj:  faultfs.New(seed, faultfs.Profile{}),
 	}
 	p.open(t)
 	return p
@@ -92,19 +86,14 @@ func (p *confPlane) open(t *testing.T) {
 	t.Helper()
 	p.disk = ooc.NewDisk(0).WrapBackend(p.inj.Wrap)
 	if p.wal {
-		p.disk.EnableWAL(ooc.WALOptions{Logs: p.shards, CapWords: confWALCapWords, Compress: p.comp})
+		p.disk.EnableWAL(ooc.WALOptions{CapWords: confWALCapWords, Compress: p.comp})
 	}
 	arr, err := p.disk.CreateArray(ir.NewArray("A", confEdge, confEdge), layout.RowMajor(confEdge, confEdge))
 	if err != nil {
 		t.Fatalf("%s: create: %v", p.name, err)
 	}
 	p.arr = arr
-	eo := ooc.EngineOptions{Workers: 0, CacheTiles: confCache}
-	if p.shards > 1 {
-		p.eng = ooc.NewShardedEngine(p.disk, p.shards, eo)
-	} else {
-		p.eng = ooc.NewEngine(p.disk, eo)
-	}
+	p.eng = ooc.NewEngine(p.disk, ooc.EngineOptions{Workers: 0, CacheTiles: confCache})
 	if p.wal {
 		if _, err := p.disk.ReplayWAL(); err != nil {
 			t.Fatalf("%s: WAL replay: %v", p.name, err)
@@ -171,9 +160,9 @@ func equalSlices(a, b []float64) bool {
 	return true
 }
 
-// TestConformance replays identical seeded op streams against the
-// single and sharded planes and asserts observable equivalence. CI
-// runs it under -race.
+// TestConformance replays seeded op streams against the engine and
+// asserts observable equivalence with the sequential model. CI runs it
+// under -race.
 func TestConformance(t *testing.T) {
 	for seed := int64(1); seed <= confSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -184,7 +173,7 @@ func TestConformance(t *testing.T) {
 }
 
 // TestConformanceWAL replays the same streams with WAL-backed planes
-// (every shard count) in lockstep with a plain single-engine
+// (raw and compressed records) in lockstep with a plain synchronous
 // reference: same byte-equal reads and final contents, and after
 // every power cut the replayed WAL plane must recover exactly the
 // acked model the synchronous reference kept durable.
@@ -198,24 +187,11 @@ func TestConformanceWAL(t *testing.T) {
 }
 
 func runConformanceSeed(t *testing.T, seed int64, wal bool) {
-	var planes []*confPlane
+	planes := []*confPlane{newConfPlane(t, seed, false, false)} // synchronous reference
 	if wal {
-		planes = []*confPlane{
-			newConfPlane(t, seed, 1, false), // synchronous reference
-			newConfPlane(t, seed, 1, true),
-			newConfPlane(t, seed, 2, true),
-			newConfPlane(t, seed, 4, true),
-			newConfPlane(t, seed, 8, true),
-			newConfPlaneComp(t, seed, 1, true, true),
-			newConfPlaneComp(t, seed, 4, true, true),
-		}
-	} else {
-		planes = []*confPlane{
-			newConfPlane(t, seed, 1, false),
-			newConfPlane(t, seed, 2, false),
-			newConfPlane(t, seed, 4, false),
-			newConfPlane(t, seed, 8, false),
-		}
+		planes = append(planes,
+			newConfPlane(t, seed, true, false),
+			newConfPlane(t, seed, true, true))
 	}
 	model := &confModel{
 		volatileA: make([]float64, confElemCount),
@@ -263,7 +239,7 @@ func runConformanceSeed(t *testing.T, seed int64, wal bool) {
 		case u < 0.75: // aligned read
 			get(alignedTile(rng.Int63n(tilesPerEdge), rng.Int63n(tilesPerEdge)))
 
-		case u < 0.90: // unaligned read straddling tile (and shard) borders
+		case u < 0.90: // unaligned read straddling tile borders
 			lo := []int64{rng.Int63n(confEdge), rng.Int63n(confEdge)}
 			hi := []int64{lo[0] + 1 + rng.Int63n(12), lo[1] + 1 + rng.Int63n(12)}
 			get(layout.NewBox(lo, hi).Clip([]int64{confEdge, confEdge}))
@@ -274,7 +250,7 @@ func runConformanceSeed(t *testing.T, seed int64, wal bool) {
 				if err := p.eng.Flush(); err != nil {
 					t.Fatalf("%s: flush: %v", p.name, err)
 				}
-				// Compact the logs at a safe point: immediately after an
+				// Compact the log at a safe point: immediately after an
 				// acknowledged flush the stripes hold exactly the acked
 				// image, so syncing them for truncation keeps the durable
 				// state equal to the synchronous planes'.
@@ -325,8 +301,7 @@ func runConformanceSeed(t *testing.T, seed int64, wal bool) {
 
 	// Stats invariants before Close: every plane saw the same acquire
 	// stream since its last reopen, hits+misses accounts for all of it,
-	// evictions never exceed misses, and a sharded plane's aggregate is
-	// exactly the sum of its per-shard scorecard.
+	// and evictions never exceed misses.
 	for _, p := range planes {
 		st := p.eng.Stats()
 		if st.Acquires() != p.acquires {
@@ -334,20 +309,6 @@ func runConformanceSeed(t *testing.T, seed int64, wal bool) {
 		}
 		if st.Evictions > st.Misses {
 			t.Errorf("%s: evictions %d > misses %d", p.name, st.Evictions, st.Misses)
-		}
-		if se, ok := p.eng.(*ooc.ShardedEngine); ok {
-			var sum ooc.EngineStats
-			for _, ss := range se.ShardStats() {
-				sum.Hits += ss.Hits
-				sum.Misses += ss.Misses
-				sum.Evictions += ss.Evictions
-				sum.Invalidations += ss.Invalidations
-				sum.Writebacks += ss.Writebacks
-				sum.WritebackErrors += ss.WritebackErrors
-			}
-			if sum != st {
-				t.Errorf("%s: ShardStats sum %+v != Stats %+v", p.name, sum, st)
-			}
 		}
 	}
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"outcore/internal/layout"
@@ -130,13 +129,6 @@ type Engine struct {
 	closed   bool
 	firstErr error // first asynchronous write-back failure
 
-	// dirties counts resident dirty entries, maintained alongside
-	// entry.dirty transitions. It is read lock-free by the sharded
-	// plane, which skips the cross-shard overlap scan entirely when a
-	// sibling shard has nothing dirty — the common case on read-heavy
-	// traffic.
-	dirties atomic.Int64
-
 	jobs chan func()
 	wg   sync.WaitGroup
 }
@@ -196,7 +188,6 @@ func NewEngine(d *Disk, o EngineOptions) *Engine {
 // handle (or its Tile) after releasing it is a bug, best-effort caught
 // by the double-release panic.
 type Handle struct {
-	eng      *Engine
 	ent      *entry
 	released bool
 }
@@ -206,9 +197,9 @@ type Handle struct {
 // the only per-request object the hit path would otherwise heap-allocate.
 var handlePool = sync.Pool{New: func() any { return new(Handle) }}
 
-func newHandle(e *Engine, ent *entry) *Handle {
+func newHandle(ent *entry) *Handle {
 	h := handlePool.Get().(*Handle)
-	*h = Handle{eng: e, ent: ent}
+	*h = Handle{ent: ent}
 	return h
 }
 
@@ -247,7 +238,7 @@ func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 			}
 			e.lru.MoveToFront(ent.elem)
 			e.mu.Unlock()
-			return newHandle(e, ent), nil
+			return newHandle(ent), nil
 		}
 		// Miss: reserve the key, make the backend current for this box,
 		// then read outside the lock so independent fetches overlap.
@@ -289,7 +280,7 @@ func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 		ent.tile = t
 		e.evictLocked()
 		e.mu.Unlock()
-		return newHandle(e, ent), nil
+		return newHandle(ent), nil
 	}
 }
 
@@ -360,7 +351,7 @@ func (e *Engine) Release(h *Handle, dirty bool) {
 	}
 	ent.pins--
 	if dirty {
-		e.markDirtyLocked(ent)
+		ent.dirty = true
 		e.invalidateOverlapLocked(ent)
 	}
 	e.lru.MoveToFront(ent.elem)
@@ -449,7 +440,7 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 		e.met.hits.Inc()
 		e.lru.MoveToFront(ent.elem)
 		if write && !ent.dirty {
-			e.markDirtyLocked(ent)
+			ent.dirty = true
 			e.invalidateOverlapLocked(ent)
 		}
 		return
@@ -463,7 +454,7 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 	e.entries[key] = ent
 	ent.elem = e.lru.PushFront(ent)
 	if write {
-		e.markDirtyLocked(ent)
+		ent.dirty = true
 		e.invalidateOverlapLocked(ent)
 	}
 	e.evictLocked()
@@ -554,7 +545,6 @@ func (e *Engine) Abandon() {
 	defer e.mu.Unlock()
 	e.entries = map[TileKey]*entry{}
 	e.lru = list.New()
-	e.dirties.Store(0)
 	e.publishMetricsLocked()
 }
 
@@ -656,20 +646,9 @@ func (e *Engine) writebackLocked(ent *entry) error {
 			e.observeSpan(obs.KindWriteback, ent.arr.Meta.Name, t0, ent.box.Size()*ElemSize)
 		}
 	}
-	if ent.dirty {
-		ent.dirty = false
-		e.dirties.Add(-1)
-	}
+	ent.dirty = false
 	e.met.writebacks.Inc()
 	return nil
-}
-
-// markDirtyLocked flips an entry dirty, keeping the dirty count exact.
-func (e *Engine) markDirtyLocked(ent *entry) {
-	if !ent.dirty {
-		ent.dirty = true
-		e.dirties.Add(1)
-	}
 }
 
 // flushOverlapDirtyLocked makes the backend current for box: every
@@ -690,42 +669,16 @@ func (e *Engine) flushOverlapDirtyLocked(ar *Array, box layout.Box, key TileKey)
 	return first
 }
 
-// DirtyTiles returns the number of resident dirty tiles. It is a
-// single atomic load — the sharded plane's fast path for deciding
-// whether a sibling shard could possibly hold an overlapping dirty
-// tile before taking its lock.
-func (e *Engine) DirtyTiles() int64 { return e.dirties.Load() }
-
 // FlushOverlapping writes back every dirty resident tile of ar that
-// overlaps box (without syncing the backends). It is the cross-shard
-// barrier the sharded plane runs on its sibling shards before the
-// owning shard reads the backend: after it returns nil, a backend read
-// of box observes every released overlapping write those shards held.
+// overlaps box, without syncing the backends: the targeted write-back a
+// per-PUT durability path needs (write back, then Array.Sync) without
+// paying a full Flush. Failed tiles stay dirty.
 func (e *Engine) FlushOverlapping(ar *Array, box layout.Box) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// "" is never a real tile key (tileKey always length-prefixes the
 	// name), so no entry is exempted from the flush.
 	return e.flushOverlapDirtyLocked(ar, box, "")
-}
-
-// InvalidateOverlapping drops every unpinned cache entry of ar whose
-// box overlaps box, writing dirty ones back first (exactly the
-// stale-copy rule a dirty release applies inside one engine, exported
-// so the sharded plane can apply it across shard boundaries after a
-// sibling shard's tile was released dirty).
-func (e *Engine) InvalidateOverlapping(ar *Array, box layout.Box) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.invalidateOverlapBoxLocked(ar, box, nil)
-}
-
-// OverlapsDirty reports whether box overlaps a dirty resident tile of
-// ar — the sharded plane's prefetch gate.
-func (e *Engine) OverlapsDirty(ar *Array, box layout.Box) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.overlapsDirtyLocked(ar, box)
 }
 
 // overlapsDirtyLocked reports whether box overlaps any dirty tile of ar.
@@ -745,18 +698,11 @@ func (e *Engine) overlapsDirtyLocked(ar *Array, box layout.Box) bool {
 // Pinned entries are skipped — overlapping them is outside the engine's
 // consistency contract (see the Engine doc).
 func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
-	e.invalidateOverlapBoxLocked(dirtied.arr, dirtied.box, dirtied)
-}
-
-// invalidateOverlapBoxLocked is invalidateOverlapLocked generalized to
-// an (array, box) pair with an optional exempted entry — nil when the
-// dirtying happened in another shard's cache.
-func (e *Engine) invalidateOverlapBoxLocked(arr *Array, box layout.Box, except *entry) {
 	var prev *list.Element
 	for el := e.lru.Back(); el != nil; el = prev {
 		prev = el.Prev() // removeLocked below unlinks el
 		ent := el.Value.(*entry)
-		if ent == except || ent.arr != arr || ent.pins > 0 || !ent.box.Overlaps(box) {
+		if ent == dirtied || ent.arr != dirtied.arr || ent.pins > 0 || !ent.box.Overlaps(dirtied.box) {
 			continue
 		}
 		if ent.dirty && !ent.loading {
@@ -813,10 +759,6 @@ func (e *Engine) evictLocked() {
 
 // removeLocked deletes the entry from the map and LRU list.
 func (e *Engine) removeLocked(ent *entry) {
-	if ent.dirty {
-		ent.dirty = false
-		e.dirties.Add(-1)
-	}
 	delete(e.entries, ent.key)
 	if ent.elem != nil {
 		e.lru.Remove(ent.elem)

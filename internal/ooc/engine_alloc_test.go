@@ -37,16 +37,3 @@ func TestAcquireHitAllocs(t *testing.T) {
 		t.Fatalf("cached Acquire+Release allocates %.1f objects per op, want 0", allocs)
 	}
 }
-
-// TestShardOfAllocs pins the same contract for shard routing: the
-// sharded plane computes ShardOf before every request, so its key
-// encoding must stay on the stack.
-func TestShardOfAllocs(t *testing.T) {
-	box := layout.NewBox([]int64{128, 256}, []int64{192, 320})
-	allocs := testing.AllocsPerRun(200, func() {
-		_ = ShardOf("somearray", box, 8)
-	})
-	if allocs != 0 {
-		t.Fatalf("ShardOf allocates %.1f objects per op, want 0", allocs)
-	}
-}

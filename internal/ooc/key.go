@@ -8,9 +8,9 @@ import (
 // TileKey canonically identifies a cached tile: the array name plus the
 // clipped tile rectangle. Two (name, box) pairs map to the same key iff
 // the name and every box bound are equal; the encoding (shared with the
-// shard and cluster routers via internal/keyhash) length-prefixes the
-// name so that names containing digits, commas or brackets cannot
-// collide with the coordinate section.
+// cluster router via internal/keyhash) length-prefixes the name so that
+// names containing digits, commas or brackets cannot collide with the
+// coordinate section.
 type TileKey string
 
 // tileKeyStackBytes sizes the stack buffers hot paths build key bytes
@@ -18,12 +18,11 @@ type TileKey string
 const tileKeyStackBytes = keyhash.StackBytes
 
 // appendTileKey appends the canonical key bytes for (name, box) to
-// dst. The encoding is shared by the cache map, ShardOf, walRoute and
-// the cluster router's rendezvous placement — all via
-// internal/keyhash, so router and engine provably agree; tileKey wraps
-// it when a materialized TileKey is needed, while the hot paths
-// (cache-hit Acquire, shard routing) build the bytes in a stack buffer
-// and never allocate.
+// dst. The encoding is shared by the cache map and the cluster
+// router's rendezvous placement — both via internal/keyhash, so router
+// and engine provably agree; tileKey wraps it when a materialized
+// TileKey is needed, while the hot path (cache-hit Acquire) builds the
+// bytes in a stack buffer and never allocates.
 func appendTileKey(dst []byte, name string, box layout.Box) []byte {
 	return keyhash.AppendKey(dst, name, box)
 }

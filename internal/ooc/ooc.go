@@ -220,7 +220,7 @@ func (d *Disk) CreateArray(a *ir.Array, l *layout.Layout) (*Array, error) {
 	if d.wal != nil {
 		// Logs open before the first array so reopen-after-crash adopts
 		// them in a deterministic order.
-		if err := d.wal.ensureLogs(d); err != nil {
+		if err := d.wal.ensureLog(d); err != nil {
 			return nil, err
 		}
 	}

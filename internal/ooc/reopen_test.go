@@ -1,0 +1,154 @@
+package ooc_test
+
+// Reopen-with-the-wrong-geometry tests: a kept directory opened under a
+// file layout or log set other than the one that wrote it must either
+// show the data it holds or refuse — never serve zeros without an
+// error. The file backends create whatever file is missing, so before
+// these checks existed both mistakes "worked" and lost data silently.
+
+import (
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"outcore/internal/ir"
+	"outcore/internal/layout"
+	"outcore/internal/ooc"
+)
+
+func reopenArray() (*ir.Array, *layout.Layout) {
+	return ir.NewArray("A", walTestEdge, walTestEdge), layout.RowMajor(walTestEdge, walTestEdge)
+}
+
+// TestReopenMultiLogWALRefused: an acked write whose only durable copy
+// is a record in "__wal<i>.log" must survive a reopen when i = 0 (the
+// log this build writes) and must make the reopen fail loudly when
+// i >= 1 (a log only an older multi-log build would replay).
+func TestReopenMultiLogWALRefused(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		log    string // file the acked record survives in
+		refuse bool
+	}{
+		{"own log", "__wal0.log", false},
+		{"second log of an N-log WAL", "__wal1.log", true},
+		{"twelfth log of an N-log WAL", "__wal11.log", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meta, lay := reopenArray()
+			opts := ooc.WALOptions{CapWords: 1 << 15}
+
+			// Life 1: one PUT acknowledged by a log fsync, never checkpointed.
+			live := t.TempDir()
+			d1 := ooc.NewDisk(0).Dir(live).EnableWAL(opts)
+			ar, err := d1.CreateArray(meta, lay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := ooc.NewEngine(d1, ooc.EngineOptions{})
+			writeTile(t, eng, ar, walTile(1, 2), 7)
+			if err := eng.FlushOverlapping(ar, walTile(1, 2)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ar.Sync(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Power cut: only what was fsynced reached the media — the log
+			// and the watermark, not the array file's write-through.
+			crashed := t.TempDir()
+			for from, to := range map[string]string{"__wal0.log": c.log, "__walmeta.log": "__walmeta.log"} {
+				b, err := os.ReadFile(filepath.Join(live, from))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(crashed, to), b, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eng.Abandon()
+			d1.Close()
+
+			// Life 2 over the crash image.
+			d2 := ooc.NewDisk(0).Dir(crashed).KeepExisting().EnableWAL(opts)
+			defer d2.Close()
+			ar2, err := d2.CreateArray(meta, lay)
+			if err == nil {
+				_, err = d2.ReplayWAL()
+			}
+			if c.refuse {
+				if err == nil {
+					eng2 := ooc.NewEngine(d2, ooc.EngineOptions{})
+					t.Fatalf("reopen over %s succeeded and reads %v where 7 was acknowledged",
+						c.log, readTile(t, eng2, ar2, walTile(1, 2)))
+				}
+				if !strings.Contains(err.Error(), c.log) || !strings.Contains(err.Error(), "drain") {
+					t.Fatalf("refusal does not name %s or say how to drain it: %v", c.log, err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			eng2 := ooc.NewEngine(d2, ooc.EngineOptions{})
+			if got := readTile(t, eng2, ar2, walTile(1, 2)); got != 7 {
+				t.Fatalf("acked write reads %v after replay, want 7", got)
+			}
+		})
+	}
+}
+
+// TestReopenOtherStripingRefused: a directory written with one stripe
+// count reopens with that count and is refused with any other —
+// unstriped included, in both directions.
+func TestReopenOtherStripingRefused(t *testing.T) {
+	for _, c := range []struct {
+		name            string
+		written, reopen int
+	}{
+		{"unstriped as unstriped", 1, 1},
+		{"4 stripes as 4", 4, 4},
+		{"4 stripes as unstriped", 4, 1},
+		{"unstriped as 4 stripes", 1, 4},
+		{"4 stripes as 2", 4, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meta, lay := reopenArray()
+			dir := t.TempDir()
+			d1 := ooc.NewDisk(0).Dir(dir).Stripe(c.written, 16)
+			ar, err := d1.CreateArray(meta, lay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar.Fill(func([]int64) float64 { return 7 })
+			if err := d1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			d2 := ooc.NewDisk(0).Dir(dir).KeepExisting().Stripe(c.reopen, 16)
+			defer d2.Close()
+			ar2, err := d2.CreateArray(meta, lay)
+			if c.written != c.reopen {
+				if err == nil {
+					eng := ooc.NewEngine(d2, ooc.EngineOptions{})
+					t.Fatalf("reopen succeeded and reads %v, %v where 7 was stored",
+						readTile(t, eng, ar2, walTile(0, 0)), readTile(t, eng, ar2, walTile(3, 3)))
+				}
+				if !strings.Contains(err.Error(), "strip") {
+					t.Fatalf("refusal does not mention striping: %v", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			eng := ooc.NewEngine(d2, ooc.EngineOptions{})
+			for _, box := range []layout.Box{walTile(0, 0), walTile(3, 3)} {
+				if got := readTile(t, eng, ar2, box); got != 7 {
+					t.Fatalf("%v reads %v after reopen, want 7", box, got)
+				}
+			}
+		})
+	}
+}

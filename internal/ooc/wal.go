@@ -5,8 +5,8 @@ package ooc
 // writes. Without a WAL, a durable PUT pays a synchronous write-back
 // plus an fsync of the (striped) array file it happens to land in —
 // a seek-heavy, per-writer cost. With the WAL enabled every array
-// write is first appended as a checksummed redo record to one of N
-// sequential logs and then written through to the array backend; an
+// write is first appended as a checksummed redo record to one
+// sequential log and then written through to the array backend; an
 // acknowledgement only needs the LOG to be durable, and concurrent
 // writers landing within one commit window share a single log fsync
 // (group commit).
@@ -15,32 +15,33 @@ package ooc
 // checkpoint — the compaction step: it syncs every member backend
 // (all applied records are write-through, so the stripes already
 // hold their bytes — the OS page cache is the apply buffer, and the
-// checkpoint loop is what forces it down and truncates), bumps each
+// checkpoint loop is what forces it down and truncates), bumps the
 // log's epoch and resets its head. A crash between checkpoints loses
-// nothing acknowledged: ReplayWAL scans each log's surviving tail,
+// nothing acknowledged: ReplayWAL scans the log's surviving tail,
 // discards torn or stale-epoch records (CRC + epoch + monotone
-// sequence framing), merges the survivors across logs by global
-// sequence number, and re-applies them over the stripe bytes —
-// recovering exactly the state the write-through path had built.
+// sequence framing) and re-applies the survivors over the stripe
+// bytes — recovering exactly the state the write-through path had
+// built.
 //
 // # Ordering
 //
 // One mutex (walSet.mu) makes {allocate seq, append record, write
-// through} a single atomic step, so the global sequence order IS the
-// order writes reached the array backends. Replay applies records in
-// sequence order, which therefore reconstructs the same byte state
-// regardless of how records were routed across the N logs.
+// through} a single atomic step, so the log's record order IS the
+// order writes reached the array backends, and replaying the log front
+// to back reconstructs the same byte state. (Appenders serialise on
+// that mutex for the whole step, which is why there is exactly one
+// log: a second one could not be appended to concurrently.)
 //
 // # Record framing
 //
-// Logs store 8-byte words carried as float64 bit patterns (the
+// The log stores 8-byte words carried as float64 bit patterns (the
 // Backend element type); all packing goes through math.Float64bits /
 // Float64frombits, so no floating-point operation ever touches a
 // word and every bit pattern round-trips through memory and file
-// backends exactly. Word 0 of a log is its header: the current
+// backends exactly. Word 0 of the log is its header: the current
 // epoch. Each record is:
 //
-//	w0  seq    — global sequence number, > 0 (a zeroed log scans empty)
+//	w0  seq    — record sequence number, > 0 (a zeroed log scans empty)
 //	w1  epoch  — must match the log header; stale epochs are pre-truncation garbage
 //	w2  comp<<63 | nameLen<<48 | dataLen
 //	w3  off    — element offset in the target array
@@ -70,6 +71,7 @@ import (
 	"math"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,7 +80,7 @@ import (
 )
 
 const (
-	// walHeaderWords is the per-log header (the epoch word).
+	// walHeaderWords is the log header (the epoch word).
 	walHeaderWords = 1
 	// walRecHeaderWords is the fixed per-record header size.
 	walRecHeaderWords = 5
@@ -87,9 +89,9 @@ const (
 	walMaxNameLen = 255
 	// walLenMask extracts dataLen from the packed length word.
 	walLenMask = (uint64(1) << 48) - 1
-	// DefaultWALCapWords is the per-log capacity (1 Mi words = 8 MiB)
+	// DefaultWALCapWords is the log capacity (1 Mi words = 8 MiB)
 	// when WALOptions.CapWords is zero. Replay cost bounds the useful
-	// size; an inline (stop-the-world) checkpoint when a log fills
+	// size; an inline (stop-the-world) checkpoint when the log fills
 	// bounds the ack-latency cost of setting it too small.
 	DefaultWALCapWords = 1 << 20
 )
@@ -98,15 +100,11 @@ var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // WALOptions configures Disk.EnableWAL.
 type WALOptions struct {
-	// Logs is the number of logs writes are routed across (the
-	// per-shard flavor: one log per engine shard keeps appenders from
-	// contending on a single tail). Clamped to [1, 64]; default 1.
-	Logs int
-	// CapWords is the per-log capacity in 8-byte words, header
-	// included (default DefaultWALCapWords). An append that no longer
-	// fits triggers an inline checkpoint; a record that could never
-	// fit an empty log bypasses logging (write-through only) and
-	// forces the next commit to checkpoint instead of fsyncing logs.
+	// CapWords is the log capacity in 8-byte words, header included
+	// (default DefaultWALCapWords). An append that no longer fits
+	// triggers an inline checkpoint; a record that could never fit an
+	// empty log bypasses logging (write-through only) and forces the
+	// next commit to checkpoint instead of fsyncing the log.
 	CapWords int64
 	// CommitWindow, when positive, makes the group-commit leader wait
 	// this long before issuing the log fsync so more concurrent
@@ -116,9 +114,9 @@ type WALOptions struct {
 	CommitWindow time.Duration
 	// CheckpointEvery, when positive, runs a background compaction
 	// loop: every tick with appended-but-uncompacted records syncs the
-	// member backends and truncates the logs, bounding replay time.
+	// member backends and truncates the log, bounding replay time.
 	// Keep zero for deterministic harness runs (the inline
-	// full-log checkpoint still bounds the logs).
+	// full-log checkpoint still bounds the log).
 	CheckpointEvery time.Duration
 	// Compress encodes record payloads as codec frames when that is
 	// strictly smaller (see the record-framing package comment).
@@ -130,12 +128,6 @@ type WALOptions struct {
 }
 
 func (o WALOptions) withDefaults() WALOptions {
-	if o.Logs < 1 {
-		o.Logs = 1
-	}
-	if o.Logs > 64 {
-		o.Logs = 64
-	}
 	if o.CapWords <= 0 {
 		o.CapWords = DefaultWALCapWords
 	}
@@ -147,7 +139,6 @@ func (o WALOptions) withDefaults() WALOptions {
 
 // WALStats is the WAL scorecard (the /v1/stats "wal" block).
 type WALStats struct {
-	Logs             int     `json:"logs"`
 	CapWords         int64   `json:"cap_words"`
 	PendingWords     int64   `json:"pending_words"` // appended since the last checkpoint (replay depth)
 	LastSeq          uint64  `json:"last_seq"`
@@ -182,9 +173,13 @@ type walMetrics struct {
 	compRaw, compEnc *obs.Counter
 }
 
-// walLog is one sequential log.
+// walLogName names the log ("__wal0.log" under a Dir): the leading
+// underscores keep it out of any array namespace a client could
+// create, and the index is the on-disk name every earlier build wrote.
+const walLogName = "__wal0"
+
+// walLog is the sequential log.
 type walLog struct {
-	name     string
 	back     Backend
 	epoch    uint64
 	head     int64 // next append offset, in words
@@ -198,13 +193,13 @@ type walMember struct {
 	inner Backend
 }
 
-// walSet is the per-disk WAL state: the logs, the protected members,
-// the global sequence counter and the group-commit machinery.
+// walSet is the per-disk WAL state: the log, the protected members,
+// the sequence counter and the group-commit machinery.
 type walSet struct {
 	opts WALOptions
 
-	mu       sync.Mutex // orders {seq alloc, append, write-through}; guards all fields below
-	logs     []*walLog
+	mu       sync.Mutex  // orders {seq alloc, append, write-through}; guards all fields below
+	log      *walLog     // nil until ensureLog opens it
 	meta     Backend     // one-word checkpoint watermark (see checkpointLocked)
 	members  []walMember // sorted by name (checkpoint sync order is deterministic)
 	seq      uint64      // last allocated record sequence number
@@ -261,64 +256,64 @@ func newWALSet(o WALOptions) *walSet {
 	return ws
 }
 
-// ensureLogs opens the N log backends once, before the first array's
-// backend, honoring the disk's dir/keep/wrap configuration. Logs are
-// named "__wal<i>" (files "__wal<i>.log"): the leading underscores
-// keep them out of any array namespace a client could create.
-func (ws *walSet) ensureLogs(d *Disk) error {
+// ensureLog opens the log and watermark backends once, before the
+// first array's backend, honoring the disk's dir/keep/wrap
+// configuration.
+func (ws *walSet) ensureLog(d *Disk) error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	if len(ws.logs) > 0 {
+	if ws.log != nil {
 		return nil
 	}
-	for i := 0; i < ws.opts.Logs; i++ {
-		name := fmt.Sprintf("__wal%d", i)
-		var b Backend
+	if d.dir != "" && d.keepExisting {
+		// Builds that routed records across N logs left "__wal<i>.log",
+		// i >= 1, behind. Their records would never be replayed here, so
+		// acknowledged writes would silently vanish: refuse instead.
+		if extra, _ := filepath.Glob(filepath.Join(d.dir, "__wal[1-9]*.log")); len(extra) > 0 {
+			return fmt.Errorf("ooc: %s holds a multi-log WAL (%s) this build does not replay: "+
+				"drain it with the build that wrote it (a clean shutdown checkpoints every log), "+
+				"then remove those files", d.dir, strings.Join(extra, ", "))
+		}
+	}
+	open := func(name string, words int64) (Backend, error) {
+		var b Backend = newMemBackend(words)
 		if d.dir != "" {
-			fb, err := newFileBackend(filepath.Join(d.dir, name+".log"), ws.opts.CapWords, d.keepExisting)
+			fb, err := newFileBackend(filepath.Join(d.dir, name+".log"), words, d.keepExisting)
 			if err != nil {
-				return fmt.Errorf("ooc: opening WAL log %s: %w", name, err)
+				return nil, fmt.Errorf("ooc: opening WAL file %s: %w", name, err)
 			}
 			b = fb
-		} else {
-			b = newMemBackend(ws.opts.CapWords)
 		}
 		if d.wrapBackend != nil {
 			b = d.wrapBackend(name, b)
 		}
-		lg := &walLog{name: name, back: b, head: walHeaderWords, syncedTo: walHeaderWords}
-		// A kept log carries an earlier life's epoch header and possibly
-		// a surviving record tail. Adopt both NOW, not at replay: any
-		// append stamped with a stale epoch would be discarded as
-		// pre-truncation garbage by the next replay — an acked write
-		// lost — and appends must land after the tail replay will apply,
-		// not over it. A fresh log reads as zeros: epoch 0, empty tail.
-		words := make([]float64, ws.opts.CapWords)
-		if err := b.ReadAt(words, 0); err != nil {
-			return fmt.Errorf("ooc: reading WAL log %s header: %w", name, err)
-		}
-		lg.epoch = math.Float64bits(words[0])
-		_, end := walScan(words, lg.epoch)
-		lg.head, lg.syncedTo = end, end
-		ws.logs = append(ws.logs, lg)
+		return b, nil
 	}
+	b, err := open(walLogName, ws.opts.CapWords)
+	if err != nil {
+		return err
+	}
+	// A kept log carries an earlier life's epoch header and possibly a
+	// surviving record tail. Adopt both NOW, not at replay: any append
+	// stamped with a stale epoch would be discarded as pre-truncation
+	// garbage by the next replay — an acked write lost — and appends
+	// must land after the tail replay will apply, not over it. A fresh
+	// log reads as zeros: epoch 0, empty tail.
+	words := make([]float64, ws.opts.CapWords)
+	if err := b.ReadAt(words, 0); err != nil {
+		return fmt.Errorf("ooc: reading WAL log header: %w", err)
+	}
+	lg := &walLog{back: b, epoch: math.Float64bits(words[0])}
+	_, lg.head = walScan(words, lg.epoch)
+	lg.syncedTo = lg.head
 	// The checkpoint watermark: a single word (element-atomic under the
 	// torn-write model), so a checkpoint can durably record how far the
-	// stripes are authoritative before it truncates any log.
-	var mb Backend
-	if d.dir != "" {
-		fb, err := newFileBackend(filepath.Join(d.dir, "__walmeta.log"), 1, d.keepExisting)
-		if err != nil {
-			return fmt.Errorf("ooc: opening WAL watermark: %w", err)
-		}
-		mb = fb
-	} else {
-		mb = newMemBackend(1)
+	// stripes are authoritative before it truncates the log.
+	if ws.meta, err = open("__walmeta", 1); err != nil {
+		b.Close()
+		return err
 	}
-	if d.wrapBackend != nil {
-		mb = d.wrapBackend("__walmeta", mb)
-	}
-	ws.meta = mb
+	ws.log = lg
 	return nil
 }
 
@@ -337,11 +332,10 @@ func (ws *walSet) attach(name string, inner Backend) Backend {
 // pendingWordsLocked is the replay depth: words appended and not yet
 // compacted away.
 func (ws *walSet) pendingWordsLocked() int64 {
-	var n int64
-	for _, lg := range ws.logs {
-		n += lg.head - walHeaderWords
+	if ws.log == nil {
+		return 0
 	}
-	return n
+	return ws.log.head - walHeaderWords
 }
 
 // compBytes returns the logical vs stored payload bytes of logged
@@ -363,7 +357,7 @@ func (ws *walSet) lastSeq() uint64 {
 // every record appended before the call is durable (log fsync or
 // checkpoint). One leader runs a sync round at a time; every other
 // caller waits for the round and re-checks — so N writers landing
-// within one round (or one CommitWindow) share its fsyncs.
+// within one round (or one CommitWindow) share its fsync.
 func (ws *walSet) commit() error {
 	target := ws.lastSeq()
 	// The durable sequence alone cannot satisfy a commit while an
@@ -405,10 +399,10 @@ func (ws *walSet) commit() error {
 }
 
 // leadRound runs one group-commit round: optionally wait the commit
-// window (letting more writers land), snapshot the frontier, fsync
-// every log with uncovered words, and advance the durable sequence.
+// window (letting more writers land), snapshot the frontier, fsync the
+// log if it has uncovered words, and advance the durable sequence.
 // A round that contains an unlogged (bypass) write-through cannot be
-// covered by log fsyncs and escalates to a full checkpoint.
+// covered by a log fsync and escalates to a full checkpoint.
 func (ws *walSet) leadRound() error {
 	if w := ws.opts.CommitWindow; w > 0 {
 		time.Sleep(w)
@@ -417,70 +411,46 @@ func (ws *walSet) leadRound() error {
 	upTo := ws.seq
 	before := ws.durable.Load()
 	escalate := ws.bypassed
-	type pend struct {
-		lg    *walLog
-		head  int64
-		epoch uint64
-	}
-	var toSync []pend
-	if !escalate {
-		for _, lg := range ws.logs {
-			if lg.head > lg.syncedTo {
-				toSync = append(toSync, pend{lg, lg.head, lg.epoch})
-			}
-		}
-	}
+	lg := ws.log
+	head, epoch := lg.head, lg.epoch
+	dirty := head > lg.syncedTo
 	ws.mu.Unlock()
 
 	if escalate {
 		return ws.checkpoint()
 	}
 
-	// The round's logs sync in a fixed order. Chunk routing keeps one
-	// write burst on one log, so a round usually has exactly one log to
-	// sync; the sequential order also keeps the backend-call schedule
-	// deterministic for the fault-injection harness.
-	var first error
 	var fsyncs int64
-	for _, p := range toSync {
-		if err := p.lg.back.Sync(); err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
+	if dirty {
+		if err := lg.back.Sync(); err != nil {
+			return err
 		}
-		fsyncs++
-		ws.mu.Lock()
-		// A checkpoint may have truncated this log while the fsync was
-		// in flight; the snapshot head then describes the PREVIOUS
-		// epoch's words and advancing syncedTo with it would let the
-		// next commit skip the fsync the new epoch still needs.
-		if p.lg.epoch == p.epoch && p.lg.syncedTo < p.head {
-			p.lg.syncedTo = p.head
-		}
-		ws.mu.Unlock()
+		fsyncs = 1
 	}
 
 	ws.mu.Lock()
+	// A checkpoint may have truncated the log while the fsync was in
+	// flight; the snapshot head then describes the PREVIOUS epoch's
+	// words and advancing syncedTo with it would let the next commit
+	// skip the fsync the new epoch still needs.
+	if lg.epoch == epoch && lg.syncedTo < head {
+		lg.syncedTo = head
+	}
 	ws.c.fsyncs += fsyncs
-	if first == nil {
-		ws.c.commits++
-		if upTo > ws.durable.Load() {
-			ws.durable.Store(upTo)
-		}
+	ws.c.commits++
+	if upTo > ws.durable.Load() {
+		ws.durable.Store(upTo)
 	}
 	m := ws.met
 	ws.mu.Unlock()
 	if m != nil {
 		m.fsyncs.Add(fsyncs)
-		if first == nil {
-			m.commits.Inc()
-			if fsyncs > 0 && upTo > before {
-				m.batch.Observe(float64(upTo - before))
-			}
+		m.commits.Inc()
+		if fsyncs > 0 && upTo > before {
+			m.batch.Observe(float64(upTo - before))
 		}
 	}
-	return first
+	return nil
 }
 
 // checkpoint is the compaction step (see checkpointLocked).
@@ -492,21 +462,25 @@ func (ws *walSet) checkpoint() error {
 
 // checkpointLocked makes every applied record durable in the member
 // (stripe) backends, durably records the watermark, then truncates
-// the logs by bumping each log's epoch header and resetting its head.
+// the log by bumping its epoch header and resetting its head.
 // Holding mu quiesces appenders, so the member syncs cover every
 // appended record's write-through. A member sync or watermark error
-// aborts before any truncation (the logs still cover everything).
+// aborts before the truncation (the log still covers everything).
 //
 // The watermark is the step that makes truncation crash-safe: the
-// epoch-header writes below are NOT fsynced here (the next group
-// commit covers them), so a power cut can revert them and leave the
-// old records durable in the logs — records now OLDER than the
+// epoch-header write below is NOT fsynced here (the next group
+// commit covers it), so a power cut can revert it and leave the
+// old records durable in the log — records now OLDER than the
 // stripe bytes the member syncs just persisted. Replaying those over
 // the stripes would roll acknowledged writes back. The durable
 // watermark (one element-atomic word) tells replay how far the
 // stripes are authoritative, so it discards every surviving record at
 // or below it.
 func (ws *walSet) checkpointLocked() error {
+	lg := ws.log
+	if lg == nil {
+		return nil // no array created yet: nothing logged, nothing to compact
+	}
 	// Member syncs run sequentially in registration order: the fixed
 	// backend-call schedule is what keeps fault-injection runs
 	// replayable, and checkpoints are rare enough (cap-words pressure
@@ -518,29 +492,23 @@ func (ws *walSet) checkpointLocked() error {
 		}
 	}
 	upTo := ws.seq
-	if ws.meta != nil {
-		wm := [1]float64{math.Float64frombits(upTo)}
-		if err := ws.meta.WriteAt(wm[:], 0); err != nil {
-			return fmt.Errorf("ooc: WAL checkpoint watermark: %w", err)
-		}
-		if err := ws.meta.Sync(); err != nil {
-			return fmt.Errorf("ooc: WAL checkpoint watermark sync: %w", err)
-		}
+	wm := [1]float64{math.Float64frombits(upTo)}
+	if err := ws.meta.WriteAt(wm[:], 0); err != nil {
+		return fmt.Errorf("ooc: WAL checkpoint watermark: %w", err)
 	}
-	var first error
-	for _, lg := range ws.logs {
-		next := lg.epoch + 1
-		hdr := [walHeaderWords]float64{math.Float64frombits(next)}
-		if err := lg.back.WriteAt(hdr[:], 0); err != nil {
-			if first == nil {
-				first = fmt.Errorf("ooc: WAL truncating %s: %w", lg.name, err)
-			}
-			continue
-		}
+	if err := ws.meta.Sync(); err != nil {
+		return fmt.Errorf("ooc: WAL checkpoint watermark sync: %w", err)
+	}
+	var truncErr error
+	next := lg.epoch + 1
+	hdr := [walHeaderWords]float64{math.Float64frombits(next)}
+	if err := lg.back.WriteAt(hdr[:], 0); err != nil {
+		truncErr = fmt.Errorf("ooc: WAL truncating %s: %w", walLogName, err)
+	} else {
 		lg.epoch = next
 		lg.head = walHeaderWords
-		// Force the next commit round to fsync this log even without
-		// new records, so the new epoch header becomes durable promptly.
+		// Force the next commit round to fsync the log even without new
+		// records, so the new epoch header becomes durable promptly.
 		lg.syncedTo = 0
 	}
 	ws.bypassed = false
@@ -552,45 +520,38 @@ func (ws *walSet) checkpointLocked() error {
 		m.checkpoints.Inc()
 		m.pending.Set(float64(ws.pendingWordsLocked()))
 	}
-	return first
+	return truncErr
 }
 
-// replay scans each log's surviving tail, merges the valid records
-// across logs by sequence number, and re-applies them to the member
-// backends — reconstructing exactly the write-through order.
+// replay scans the log's surviving tail and re-applies the valid
+// records, in log order, to the member backends — reconstructing
+// exactly the write-through order.
 func (ws *walSet) replay() (WALReplay, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	var rep WALReplay
-	var watermark uint64
-	if ws.meta != nil {
-		var wm [1]float64
-		if err := ws.meta.ReadAt(wm[:], 0); err != nil {
-			return rep, fmt.Errorf("ooc: WAL replay reading watermark: %w", err)
-		}
-		watermark = math.Float64bits(wm[0])
+	var wm [1]float64
+	if err := ws.meta.ReadAt(wm[:], 0); err != nil {
+		return rep, fmt.Errorf("ooc: WAL replay reading watermark: %w", err)
 	}
-	var all []walRecord
-	for _, lg := range ws.logs {
-		words := make([]float64, ws.opts.CapWords)
-		if err := lg.back.ReadAt(words, 0); err != nil {
-			return rep, fmt.Errorf("ooc: WAL replay reading %s: %w", lg.name, err)
-		}
-		lg.epoch = math.Float64bits(words[0])
-		recs, end := walScan(words, lg.epoch)
-		lg.head = end
-		lg.syncedTo = end // the scanned bytes are, by definition, durable
-		if end < int64(len(words)) && math.Float64bits(words[end]) != 0 {
-			rep.Discarded++
-		}
-		all = append(all, recs...)
+	watermark := math.Float64bits(wm[0])
+	lg := ws.log
+	words := make([]float64, ws.opts.CapWords)
+	if err := lg.back.ReadAt(words, 0); err != nil {
+		return rep, fmt.Errorf("ooc: WAL replay reading %s: %w", walLogName, err)
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	lg.epoch = math.Float64bits(words[0])
+	recs, end := walScan(words, lg.epoch)
+	lg.head = end
+	lg.syncedTo = end // the scanned bytes are, by definition, durable
+	if end < int64(len(words)) && math.Float64bits(words[end]) != 0 {
+		rep.Discarded++
+	}
 	byName := map[string]Backend{}
 	for _, m := range ws.members {
 		byName[m.name] = m.inner
 	}
-	for _, r := range all {
+	for _, r := range recs {
 		if r.seq <= watermark {
 			// At or below the checkpoint watermark: the stripes already
 			// hold this record durably (and possibly newer bytes at the
@@ -641,7 +602,6 @@ func (ws *walSet) stats() *WALStats {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
 	s := &WALStats{
-		Logs:             len(ws.logs),
 		CapWords:         ws.opts.CapWords,
 		PendingWords:     ws.pendingWordsLocked(),
 		LastSeq:          ws.seq,
@@ -696,21 +656,17 @@ func (ws *walSet) stopMaintainer() {
 	ws.wg.Wait()
 }
 
-func (ws *walSet) closeLogs() error {
+func (ws *walSet) closeLog() error {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	var first error
-	for _, lg := range ws.logs {
-		if err := lg.back.Close(); err != nil && first == nil {
-			first = err
-		}
+	if ws.log == nil {
+		return nil
 	}
-	if ws.meta != nil {
-		if err := ws.meta.Close(); err != nil && first == nil {
-			first = err
-		}
+	err := ws.log.back.Close()
+	if merr := ws.meta.Close(); err == nil {
+		err = merr
 	}
-	return first
+	return err
 }
 
 // walBackend is the write-through logging wrapper an attached array's
@@ -730,7 +686,7 @@ func (wb *walBackend) Size() int64                           { return wb.inner.S
 func (wb *walBackend) Close() error                          { return wb.inner.Close() }
 
 // WriteAt appends the redo record, then writes through, as one step
-// under the set's mutex — so the global sequence order is the order
+// under the set's mutex — so the log's record order is the order
 // bytes reach the inner backends. An append failure surfaces before
 // the write-through (WAL-first): the head does not advance, and the
 // retry overwrites whatever prefix the failed append tore.
@@ -771,7 +727,7 @@ func (wb *walBackend) WriteAt(buf []float64, off int64) error {
 		}
 		return err
 	}
-	lg := ws.logs[walRoute(wb.name, off, len(ws.logs))]
+	lg := ws.log
 	if lg.head+need > ws.opts.CapWords {
 		// Log full: compact inline (deterministic), then append fresh.
 		if err := ws.checkpointLocked(); err != nil {
@@ -814,42 +770,6 @@ func (wb *walBackend) WriteAt(buf []float64, off int64) error {
 // Sync acknowledges: it returns once every record appended before the
 // call is durable, sharing fsyncs with every concurrent caller.
 func (wb *walBackend) Sync() error { return wb.ws.commit() }
-
-// walRouteChunkWords is the routing granularity: offsets within the
-// same chunk share a log. One logical write (a tile flush) lands as a
-// burst of row-run records a few hundred words apart; routing them by
-// raw offset would scatter the burst over every log and force its
-// group commit to fsync all of them. Chunked routing keeps one
-// writer's burst on one log (one fsync covers it) while different
-// tiles and arrays still spread across logs.
-const walRouteChunkWords = 1 << 12
-
-// walRoute deterministically picks the log for (name, off): FNV-1a
-// over the name and the offset's chunk with a 64-bit avalanche
-// finalizer (the same construction as ShardOf, for the same
-// structured-key reason). A pure function, so a write's log never
-// depends on history.
-func walRoute(name string, off int64, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	chunk := off / walRouteChunkWords
-	for s := uint(0); s < 64; s += 8 {
-		h ^= (uint64(chunk) >> s) & 0xff
-		h *= 1099511628211
-	}
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return int(h % uint64(n))
-}
 
 // walRecord is one decoded redo record.
 type walRecord struct {
@@ -1005,12 +925,12 @@ func walScan(words []float64, epoch uint64) ([]walRecord, int64) {
 // WALReplay summarizes one ReplayWAL pass.
 type WALReplay struct {
 	Applied   int64 // records re-applied over the member backends
-	Discarded int64 // logs whose tail held a torn or stale record
+	Discarded int64 // torn log tail (at most one) plus stale records at or below the watermark
 	Skipped   int64 // valid records naming arrays not (re)created
 }
 
 // EnableWAL turns on write-ahead logging for every subsequently
-// created array: writes append checksummed redo records to the logs
+// created array: writes append checksummed redo records to the log
 // before reaching the array backends, a backend Sync becomes a
 // group-committed log fsync, and Checkpoint/ReplayWAL provide the
 // compaction and recovery halves. Like the other configuration
@@ -1029,20 +949,20 @@ func (d *Disk) EnableWAL(o WALOptions) *Disk {
 func (d *Disk) WALEnabled() bool { return d.wal != nil }
 
 // ReplayWAL recovers acknowledged writes after a reopen: it scans the
-// surviving log tails and re-applies the valid records, in global
-// sequence order, over the array backends. Call it after recreating
+// surviving log tail and re-applies the valid records, in sequence
+// order, over the array backends. Call it after recreating
 // the disk's arrays (records naming arrays that were not recreated
 // are counted in Skipped and left for the next checkpoint to drop)
-// and before tile I/O starts. On a freshly created disk the logs are
+// and before tile I/O starts. On a freshly created disk the log is
 // empty and replay is a no-op.
 func (d *Disk) ReplayWAL() (WALReplay, error) {
 	if d.wal == nil {
 		return WALReplay{}, nil
 	}
-	// Open the logs if no array creation has yet: a reopened disk with
+	// Open the log if no array creation has yet: a reopened disk with
 	// no arrays recreated still reports its surviving records (as
-	// Skipped) instead of silently scanning zero logs.
-	if err := d.wal.ensureLogs(d); err != nil {
+	// Skipped) instead of silently scanning nothing.
+	if err := d.wal.ensureLog(d); err != nil {
 		return WALReplay{}, err
 	}
 	return d.wal.replay()
@@ -1050,7 +970,7 @@ func (d *Disk) ReplayWAL() (WALReplay, error) {
 
 // Checkpoint runs the WAL compaction step now: member backends are
 // synced (making every applied record durable in the stripes) and the
-// logs are truncated. A no-op without a WAL.
+// log is truncated. A no-op without a WAL.
 func (d *Disk) Checkpoint() error {
 	if d.wal == nil {
 		return nil

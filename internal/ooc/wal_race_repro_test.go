@@ -40,7 +40,7 @@ func TestWALStaleSyncedToRepro(t *testing.T) {
 		}
 		return inner
 	})
-	d.EnableWAL(WALOptions{Logs: 1})
+	d.EnableWAL(WALOptions{})
 	arr, err := d.CreateArray(ir.NewArray("a", 64), layout.RowMajor(64))
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestWALStaleSyncedToRepro(t *testing.T) {
 	t.Logf("W2 seq=%d durable=%d log fsyncs during W2 commit=%d", seqW2, durable, after-before)
 	if durable >= seqW2 && after == before {
 		t.Fatalf("W2 (seq %d) reported durable with NO log fsync after checkpoint truncation: "+
-			"stale syncedTo=%d head=%d", seqW2, d.wal.logs[0].syncedTo, d.wal.logs[0].head)
+			"stale syncedTo=%d head=%d", seqW2, d.wal.log.syncedTo, d.wal.log.head)
 	}
 	_ = time.Second
 }

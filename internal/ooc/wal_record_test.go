@@ -159,34 +159,3 @@ func TestWALScanRejections(t *testing.T) {
 		}
 	})
 }
-
-func TestWALRoute(t *testing.T) {
-	if got := walRoute("anything", 99, 1); got != 0 {
-		t.Fatalf("single-log route = %d", got)
-	}
-	seen := map[int]bool{}
-	for i := int64(0); i < 256; i++ {
-		off := i * walRouteChunkWords
-		r := walRoute("A", off, 8)
-		if r < 0 || r >= 8 {
-			t.Fatalf("route %d out of range", r)
-		}
-		if r != walRoute("A", off, 8) {
-			t.Fatalf("route not deterministic at off=%d", off)
-		}
-		seen[r] = true
-	}
-	// The avalanche must spread a single array's chunks over the logs
-	// (FNV alone clusters sequential chunks).
-	if len(seen) < 4 {
-		t.Fatalf("256 chunks landed on only %d of 8 logs", len(seen))
-	}
-	// Within a chunk, every offset shares a log: one tile flush's burst
-	// of row-run records is covered by a single log fsync.
-	want := walRoute("B", 0, 8)
-	for off := int64(0); off < walRouteChunkWords; off += 64 {
-		if r := walRoute("B", off, 8); r != want {
-			t.Fatalf("offset %d routed to log %d, chunk-mate 0 to %d", off, r, want)
-		}
-	}
-}

@@ -78,7 +78,7 @@ func walTile(tr, tc int64) layout.Box {
 
 // writeTile writes v into every element of the tile through the engine
 // and releases it dirty.
-func writeTile(t *testing.T, eng ooc.TileEngine, ar *ooc.Array, box layout.Box, v float64) {
+func writeTile(t *testing.T, eng *ooc.Engine, ar *ooc.Array, box layout.Box, v float64) {
 	t.Helper()
 	hd, err := eng.Acquire(ar, box)
 	if err != nil {
@@ -92,7 +92,7 @@ func writeTile(t *testing.T, eng ooc.TileEngine, ar *ooc.Array, box layout.Box, 
 }
 
 // readTile returns the tile's first element through the engine.
-func readTile(t *testing.T, eng ooc.TileEngine, ar *ooc.Array, box layout.Box) float64 {
+func readTile(t *testing.T, eng *ooc.Engine, ar *ooc.Array, box layout.Box) float64 {
 	t.Helper()
 	hd, err := eng.Acquire(ar, box)
 	if err != nil {
@@ -107,7 +107,7 @@ func readTile(t *testing.T, eng ooc.TileEngine, ar *ooc.Array, box layout.Box) f
 // power cut after an acknowledged flush loses nothing acknowledged and
 // resurrects nothing that was not.
 func TestWALReplayRecoversAckedWrites(t *testing.T) {
-	h := newWALHarness(t, 1, ooc.WALOptions{Logs: 2, CapWords: 1 << 15})
+	h := newWALHarness(t, 1, ooc.WALOptions{CapWords: 1 << 15})
 
 	writeTile(t, h.eng, h.arr, walTile(0, 0), 1)
 	writeTile(t, h.eng, h.arr, walTile(1, 1), 2)
@@ -140,7 +140,7 @@ func TestWALReplayRecoversAckedWrites(t *testing.T) {
 // plane that fsynced the same acknowledged flushes.
 func TestWALCrashReplayMatchesSynchronous(t *testing.T) {
 	prop := func(seed int64) bool {
-		walH := newWALHarness(t, seed, ooc.WALOptions{Logs: 4, CapWords: 1 << 15})
+		walH := newWALHarness(t, seed, ooc.WALOptions{CapWords: 1 << 15})
 		syncInj := faultfs.New(seed, faultfs.Profile{})
 		syncDisk := ooc.NewDisk(0).WrapBackend(syncInj.Wrap)
 		syncArr, err := syncDisk.CreateArray(ir.NewArray("A", walTestEdge, walTestEdge), layout.RowMajor(walTestEdge, walTestEdge))
@@ -160,7 +160,7 @@ func TestWALCrashReplayMatchesSynchronous(t *testing.T) {
 				writeTile(t, walH.eng, walH.arr, box, val)
 				writeTile(t, syncEng, syncArr, box, val)
 			case u < 0.85:
-				for _, e := range []ooc.TileEngine{walH.eng, syncEng} {
+				for _, e := range []*ooc.Engine{walH.eng, syncEng} {
 					if err := e.Flush(); err != nil {
 						t.Fatalf("flush: %v", err)
 					}
@@ -223,7 +223,6 @@ func TestWALGroupCommitBatching(t *testing.T) {
 	h := &walHarness{
 		inj: faultfs.New(42, faultfs.Profile{}),
 		opts: ooc.WALOptions{
-			Logs:         1, // one log: every commit round is one fsync
 			CapWords:     1 << 15,
 			CommitWindow: time.Millisecond,
 		},
@@ -293,10 +292,10 @@ func TestWALGroupCommitBatching(t *testing.T) {
 
 // TestWALCheckpointTruncates pins the compaction contract: a
 // checkpoint makes applied records durable in the stripes and empties
-// the logs, and a crash right after it replays nothing yet loses
+// the log, and a crash right after it replays nothing yet loses
 // nothing.
 func TestWALCheckpointTruncates(t *testing.T) {
-	h := newWALHarness(t, 3, ooc.WALOptions{Logs: 2, CapWords: 1 << 15})
+	h := newWALHarness(t, 3, ooc.WALOptions{CapWords: 1 << 15})
 	writeTile(t, h.eng, h.arr, walTile(0, 1), 5)
 	writeTile(t, h.eng, h.arr, walTile(3, 3), 6)
 	if err := h.eng.Flush(); err != nil {
@@ -346,7 +345,7 @@ func TestWALCheckpointTruncates(t *testing.T) {
 
 // TestWALReopenBeforeArraysKeepsEpochAndSeq pins the occd-without-
 // kernel lifecycle: a reopened disk calls ReplayWAL before any client
-// has recreated an array. The replay must still open the kept logs
+// has recreated an array. The replay must still open the kept log
 // and report the surviving records as Skipped; and the life's own
 // appends must adopt the on-disk epoch header and the skipped
 // records' sequence numbers — an append stamped with a stale epoch,
@@ -354,12 +353,12 @@ func TestWALCheckpointTruncates(t *testing.T) {
 // NEXT replay's epoch/monotonicity cut (an acked write lost).
 func TestWALReopenBeforeArraysKeepsEpochAndSeq(t *testing.T) {
 	inj := faultfs.New(7, faultfs.Profile{})
-	opts := ooc.WALOptions{Logs: 2, CapWords: 1 << 15}
+	opts := ooc.WALOptions{CapWords: 1 << 15}
 	meta := ir.NewArray("A", walTestEdge, walTestEdge)
 	lay := layout.RowMajor(walTestEdge, walTestEdge)
 
-	// Life 1: write, ack, checkpoint (bumps the epoch headers), then one
-	// more acked write so a log fsync makes the bumped headers durable.
+	// Life 1: write, ack, checkpoint (bumps the epoch header), then one
+	// more acked write so a log fsync makes the bumped header durable.
 	d1 := ooc.NewDisk(0).WrapBackend(inj.Wrap).EnableWAL(opts)
 	ar, err := d1.CreateArray(meta, lay)
 	if err != nil {
@@ -427,7 +426,7 @@ func TestWALReopenBeforeArraysKeepsEpochAndSeq(t *testing.T) {
 func TestWALFullLogCheckpointsInline(t *testing.T) {
 	// Each whole-tile record is 5 + 1 + 64 = 70 words; a 256-word log
 	// holds three before compacting.
-	h := newWALHarness(t, 4, ooc.WALOptions{Logs: 1, CapWords: 256})
+	h := newWALHarness(t, 4, ooc.WALOptions{CapWords: 256})
 	tiles := int64(walTestEdge / walTestTile)
 	val := float64(0)
 	for tr := int64(0); tr < tiles; tr++ {
@@ -462,7 +461,7 @@ func TestWALFullLogCheckpointsInline(t *testing.T) {
 func TestWALBypassEscalatesToCheckpoint(t *testing.T) {
 	// Minimum log capacity: a whole-array Fill (1024 words) can never
 	// be framed.
-	h := newWALHarness(t, 5, ooc.WALOptions{Logs: 1, CapWords: 16})
+	h := newWALHarness(t, 5, ooc.WALOptions{CapWords: 16})
 	h.arr.Fill(func(c []int64) float64 { return float64(c[0]*walTestEdge + c[1]) })
 
 	st := h.disk.WALStats()
@@ -490,7 +489,7 @@ func TestWALBypassEscalatesToCheckpoint(t *testing.T) {
 // a short interval, pending records are compacted without any explicit
 // call.
 func TestWALStatsMaintainer(t *testing.T) {
-	h := newWALHarness(t, 6, ooc.WALOptions{Logs: 1, CapWords: 1 << 15, CheckpointEvery: 2 * time.Millisecond})
+	h := newWALHarness(t, 6, ooc.WALOptions{CapWords: 1 << 15, CheckpointEvery: 2 * time.Millisecond})
 	writeTile(t, h.eng, h.arr, walTile(1, 2), 9)
 	if err := h.eng.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)

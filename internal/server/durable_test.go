@@ -18,7 +18,7 @@ func newDurableTestServer(t *testing.T, durable bool) (*testServer, *faultfs.Inj
 	ts := &testServer{}
 	d := ooc.NewDisk(0)
 	d.WrapBackend(inj.Wrap)
-	d.EnableWAL(ooc.WALOptions{Logs: 2})
+	d.EnableWAL(ooc.WALOptions{})
 	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{DurablePuts: durable})

@@ -2,9 +2,8 @@
 // tenant's tail latency survives an aggressive scanner, DRR service
 // shares follow the configured weights, and byte accounting is exact —
 // checked over real HTTP on every serving topology the repo ships:
-// a single-shard occd, a 4-shard occd, and an occrouter fronting three
-// nodes. Lives in package server_test so it can stand the cluster up
-// without an import cycle.
+// one occd, and an occrouter fronting three nodes. Lives in package
+// server_test so it can stand the cluster up without an import cycle.
 package server_test
 
 import (
@@ -60,13 +59,13 @@ func createArrayHTTP(t *testing.T, base, name string, dims ...int64) {
 	}
 }
 
-// startSingle stands up one occd-shaped server (shards-way engine) with
-// a deliberately small admission pool so the two tenant populations
-// actually contend in the DRR queues.
-func startSingle(t *testing.T, shards int, cfg server.TenantConfig) string {
+// startSingle stands up one occd-shaped server with a deliberately
+// small admission pool so the two tenant populations actually contend
+// in the DRR queues.
+func startSingle(t *testing.T, cfg server.TenantConfig) string {
 	t.Helper()
 	d := ooc.NewDisk(0)
-	eng := server.BuildEngine(d, shards, ooc.EngineOptions{Workers: 2, CacheTiles: 32})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 32})
 	srv := server.New(d, eng, server.Config{MaxInflight: 4, QueueDepth: 256, Tenants: cfg})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -108,8 +107,7 @@ func fairnessPlanes() []struct {
 		name  string
 		start func(t *testing.T, cfg server.TenantConfig) string
 	}{
-		{"1-shard", func(t *testing.T, cfg server.TenantConfig) string { return startSingle(t, 1, cfg) }},
-		{"4-shard", func(t *testing.T, cfg server.TenantConfig) string { return startSingle(t, 4, cfg) }},
+		{"occd", startSingle},
 		{"router+3-node", startCluster},
 	}
 }
@@ -210,7 +208,7 @@ func TestDRRSharesConverge(t *testing.T) {
 	d.WrapBackend(func(name string, b ooc.Backend) ooc.Backend {
 		return slowBackend{Backend: b, delay: time.Millisecond}
 	})
-	eng := server.BuildEngine(d, 1, ooc.EngineOptions{Workers: 2, CacheTiles: 2})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 2})
 	srv := server.New(d, eng, server.Config{
 		MaxInflight: 1, QueueDepth: 256,
 		Tenants: server.TenantConfig{Weights: map[string]float64{"gold": 3, "bronze": 1}},

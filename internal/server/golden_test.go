@@ -49,34 +49,6 @@ func goldenServer(t *testing.T) *testServer {
 	return ts
 }
 
-// goldenShardedServer is goldenServer with the engine swapped for a
-// two-shard plane — the wiring cmd/occd builds for -shards 2 — so the
-// goldens pin the per-shard /v1/stats scorecard and the labeled
-// ooc_shard_* metric families.
-func goldenShardedServer(t *testing.T) *testServer {
-	t.Helper()
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
-	ts := &testServer{}
-	d := ooc.NewDisk(0).Observe(sink)
-	eng := BuildEngine(d, 2, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
-	ts.disk = d
-	ts.srv = New(d, eng, Config{Obs: sink})
-	ts.http = httptest.NewServer(ts.srv.Handler())
-	t.Cleanup(func() {
-		ts.http.Close()
-		ts.srv.Drain()
-	})
-	ts.createArray(t, "A", 8, 8)
-	payload := make([]float64, 16)
-	if status, out, _ := ts.do(t, http.MethodPut, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,4"), encodePayload(payload)); status != http.StatusNoContent {
-		t.Fatalf("seed put: %d %s", status, out)
-	}
-	if status, _, _ := ts.do(t, http.MethodGet, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,4"), nil); status != 200 {
-		t.Fatal("seed get failed")
-	}
-	return ts
-}
-
 // goldenWALServer is goldenServer with the write-ahead log enabled and
 // durable PUTs on — the wiring cmd/occd builds for -wal -durable-puts —
 // so the goldens pin the /v1/stats wal scorecard and the ooc_wal_*
@@ -87,7 +59,7 @@ func goldenWALServer(t *testing.T) *testServer {
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	ts := &testServer{}
 	d := ooc.NewDisk(0).Observe(sink)
-	d.EnableWAL(ooc.WALOptions{Logs: 2, Obs: sink})
+	d.EnableWAL(ooc.WALOptions{Obs: sink})
 	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{DurablePuts: true, Obs: sink})
@@ -232,31 +204,6 @@ func TestStatsGoldenSchema(t *testing.T) {
 	checkGolden(t, "stats_schema.golden", keys)
 }
 
-// TestStatsGoldenShardedSchema pins the sharded /v1/stats shape: the
-// shards array (shard index, full engine counter block, hit rate) is
-// what the occload scorecard and TUTORIAL §9 examples consume, so its
-// keys changing is an API change.
-func TestStatsGoldenShardedSchema(t *testing.T) {
-	ts := goldenShardedServer(t)
-	status, out, _ := ts.do(t, http.MethodGet, ts.url("/v1/stats"), nil)
-	if status != 200 {
-		t.Fatalf("stats: %d %s", status, out)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("stats is not JSON: %v\n%s", err, out)
-	}
-	if _, ok := decoded["shards"]; !ok {
-		t.Fatalf("sharded server's /v1/stats has no shards array:\n%s", out)
-	}
-	if arr, ok := decoded["shards"].([]any); ok && len(arr) != 2 {
-		t.Errorf("shards array has %d entries, want one per shard (2)", len(arr))
-	}
-	var keys []string
-	keyPaths("", decoded, &keys)
-	checkGolden(t, "stats_schema_sharded.golden", keys)
-}
-
 // TestStatsGoldenWALSchema pins the WAL-enabled /v1/stats shape: the
 // wal block (sequence watermarks, append/commit/fsync/checkpoint
 // counters, replay tallies) is what the durability runbook and the CI
@@ -306,32 +253,6 @@ func TestMetricsGoldenWALSchema(t *testing.T) {
 	for _, want := range []string{"ooc_wal_appends_total", "ooc_wal_fsyncs_total", "ooc_wal_commits_total"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("WAL /metrics missing family %s", want)
-		}
-	}
-}
-
-// TestMetricsGoldenShardedSchema pins the labeled per-shard metric
-// families a sharded plane adds to /metrics. The per-shard counters
-// register eagerly at construction, so the families are present even
-// before the first flush publishes values.
-func TestMetricsGoldenShardedSchema(t *testing.T) {
-	ts := goldenShardedServer(t)
-	status, out, _ := ts.do(t, http.MethodGet, ts.url("/metrics"), nil)
-	if status != 200 {
-		t.Fatalf("metrics: %d", status)
-	}
-	var families []string
-	for _, line := range strings.Split(string(out), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			families = append(families, strings.TrimPrefix(line, "# TYPE "))
-		}
-	}
-	checkGolden(t, "metrics_families_sharded.golden", families)
-
-	// A labeled family must render one series per shard.
-	for _, want := range []string{`ooc_shard_hits_total{shard="0"}`, `ooc_shard_hits_total{shard="1"}`} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("sharded /metrics missing series %s:\n%s", want, out)
 		}
 	}
 }

@@ -20,13 +20,12 @@ import (
 	"outcore/internal/ooc"
 )
 
-// opsServer builds a served plane with the given shard count — the
-// operator and conformance tests replay the same traffic against
-// 1-shard and 4-shard planes.
-func opsServer(t testing.TB, shards int, cfg Config) (*Server, *httptest.Server) {
+// opsServer builds a served engine plane for the operator and
+// conformance tests.
+func opsServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	d := ooc.NewDisk(0)
-	eng := BuildEngine(d, shards, ooc.EngineOptions{Workers: 2, CacheTiles: 32})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 32})
 	srv := New(d, eng, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -119,7 +118,7 @@ func randData(rng *rand.Rand, n int64) []float64 {
 // TestBatchSemantics checks the per-op contract: statuses, payload
 // round-trips, and explicit partial failure.
 func TestBatchSemantics(t *testing.T) {
-	_, hs := opsServer(t, 1, Config{})
+	_, hs := opsServer(t, Config{})
 	opsCreate(t, hs.URL, "A", []int64{16, 16}, "row")
 
 	put := func(box layout.Box, data []float64) batchOp {
@@ -230,7 +229,7 @@ func TestScanStream(t *testing.T) {
 	for _, layoutName := range []string{"row", "col"} {
 		for _, compress := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s-compress=%v", layoutName, compress), func(t *testing.T) {
-				_, hs := opsServer(t, 1, Config{})
+				_, hs := opsServer(t, Config{})
 				name := "S"
 				dims := []int64{40, 24}
 				opsCreate(t, hs.URL, name, dims, layoutName)
@@ -276,7 +275,7 @@ func TestScanStream(t *testing.T) {
 // TestScanResume: a scan resumed from chunk k's cursor delivers
 // exactly chunks k+1.. — no skips, no double delivery.
 func TestScanResume(t *testing.T) {
-	_, hs := opsServer(t, 1, Config{})
+	_, hs := opsServer(t, Config{})
 	opsCreate(t, hs.URL, "R", []int64{32, 32}, "row")
 	rng := rand.New(rand.NewSource(11))
 	full := layout.NewBox([]int64{0, 0}, []int64{32, 32})
@@ -315,7 +314,7 @@ func TestScanResume(t *testing.T) {
 // TestScanCursorRejection: malformed or mismatched cursors 400 (404
 // for an unknown array), never 5xx.
 func TestScanCursorRejection(t *testing.T) {
-	_, hs := opsServer(t, 1, Config{})
+	_, hs := opsServer(t, Config{})
 	opsCreate(t, hs.URL, "C", []int64{16, 16}, "row")
 	box := layout.NewBox([]int64{0, 0}, []int64{16, 16})
 
@@ -357,7 +356,7 @@ func TestScanCursorRejection(t *testing.T) {
 // plain GET, bit-for-bit (the Bits field carries exactness through
 // JSON).
 func TestReduceMatchesClientFold(t *testing.T) {
-	_, hs := opsServer(t, 1, Config{})
+	_, hs := opsServer(t, Config{})
 	opsCreate(t, hs.URL, "D", []int64{48, 32}, "row")
 	rng := rand.New(rand.NewSource(3))
 	full := layout.NewBox([]int64{0, 0}, []int64{48, 32})
@@ -437,12 +436,13 @@ func TestReduceMatchesClientFold(t *testing.T) {
 }
 
 // TestOperatorConformance is the differential suite's single-node
-// half: across seeds and {1-shard, 4-shard} planes, batch GET/PUT must
-// be observably identical to the same boxes issued as sequential
-// single-tile ops (byte-equal contents AND equal reported write
-// generations), scans must equal concatenated tile GETs in plan order,
-// and reduce must equal the client-side fold. The reference plane
-// replays the same seeded op sequence one tile at a time.
+// (occd) half; internal/cluster runs the router+3-node half. Across
+// seeds, batch GET/PUT must be observably identical to the same boxes
+// issued as sequential single-tile ops (byte-equal contents AND equal
+// reported write generations), scans must equal concatenated tile GETs
+// in plan order, and reduce must equal the client-side fold. The
+// reference plane replays the same seeded op sequence one tile at a
+// time.
 func TestOperatorConformance(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -450,84 +450,42 @@ func TestOperatorConformance(t *testing.T) {
 	}
 	dims := []int64{48, 48}
 	for seed := 0; seed < seeds; seed++ {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("seed%d-shards%d", seed, shards), func(t *testing.T) {
-				t.Parallel()
-				_, subject := opsServer(t, shards, Config{})
-				_, ref := opsServer(t, shards, Config{})
-				layoutName := "row"
-				if seed%2 == 1 {
-					layoutName = "col"
-				}
-				opsCreate(t, subject.URL, "A", dims, layoutName)
-				opsCreate(t, ref.URL, "A", dims, layoutName)
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			_, subject := opsServer(t, Config{})
+			_, ref := opsServer(t, Config{})
+			layoutName := "row"
+			if seed%2 == 1 {
+				layoutName = "col"
+			}
+			opsCreate(t, subject.URL, "A", dims, layoutName)
+			opsCreate(t, ref.URL, "A", dims, layoutName)
 
-				rng := rand.New(rand.NewSource(int64(seed)*7919 + 17))
-				var written []layout.Box
-				gen := uint64(0)
-				// Write phase: batches of generation-gated puts against the
-				// subject; the identical writes land one tile at a time on
-				// the reference.
-				for round := 0; round < 6; round++ {
-					n := 1 + rng.Intn(5)
-					ops := make([]batchOp, 0, n)
-					type w struct {
-						box  layout.Box
-						data []float64
-						gen  uint64
-					}
-					var ws []w
-					for i := 0; i < n; i++ {
-						box := randBox(rng, dims, 16)
-						data := randData(rng, box.Size())
-						gen++
-						ops = append(ops, batchOp{Op: "put", Lo: box.Lo, Hi: box.Hi,
-							Data: base64.StdEncoding.EncodeToString(encodePayload(data)), Gen: gen})
-						ws = append(ws, w{box, data, gen})
-						written = append(written, box)
-					}
-					body, _ := json.Marshal(batchRequest{Ops: ops})
-					resp, err := http.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var out batchResponse
-					if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-						t.Fatal(err)
-					}
-					resp.Body.Close()
-					for i, res := range out.Results {
-						if res.Status != http.StatusNoContent {
-							t.Fatalf("round %d op %d: status %d (%s)", round, i, res.Status, res.Error)
-						}
-					}
-					for _, w := range ws {
-						opsPutTile(t, ref.URL, "A", w.box, w.data, w.gen)
-					}
+			rng := rand.New(rand.NewSource(int64(seed)*7919 + 17))
+			var written []layout.Box
+			gen := uint64(0)
+			// Write phase: batches of generation-gated puts against the
+			// subject; the identical writes land one tile at a time on
+			// the reference.
+			for round := 0; round < 6; round++ {
+				n := 1 + rng.Intn(5)
+				ops := make([]batchOp, 0, n)
+				type w struct {
+					box  layout.Box
+					data []float64
+					gen  uint64
 				}
-
-				// Whole-array contents and per-box generations agree.
-				full := layout.NewBox([]int64{0, 0}, dims)
-				subjectBytes, _ := opsGetTile(t, subject.URL, "A", full)
-				refBytes, _ := opsGetTile(t, ref.URL, "A", full)
-				if !bytes.Equal(subjectBytes, refBytes) {
-					t.Fatal("batch writes diverged from sequential single-tile writes")
+				var ws []w
+				for i := 0; i < n; i++ {
+					box := randBox(rng, dims, 16)
+					data := randData(rng, box.Size())
+					gen++
+					ops = append(ops, batchOp{Op: "put", Lo: box.Lo, Hi: box.Hi,
+						Data: base64.StdEncoding.EncodeToString(encodePayload(data)), Gen: gen})
+					ws = append(ws, w{box, data, gen})
+					written = append(written, box)
 				}
-				for _, box := range written {
-					_, sg := opsGetTile(t, subject.URL, "A", box)
-					_, rg := opsGetTile(t, ref.URL, "A", box)
-					if sg != rg {
-						t.Fatalf("box %v: subject gen %d, reference gen %d", box, sg, rg)
-					}
-				}
-
-				// Batch GET ≡ individual GETs of the same boxes.
-				gets := make([]batchOp, 0, 4)
-				for i := 0; i < 4; i++ {
-					b := randBox(rng, dims, 20)
-					gets = append(gets, batchOp{Op: "get", Lo: b.Lo, Hi: b.Hi})
-				}
-				body, _ := json.Marshal(batchRequest{Ops: gets})
+				body, _ := json.Marshal(batchRequest{Ops: ops})
 				resp, err := http.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Fatal(err)
@@ -538,88 +496,128 @@ func TestOperatorConformance(t *testing.T) {
 				}
 				resp.Body.Close()
 				for i, res := range out.Results {
-					b := layout.NewBox(gets[i].Lo, gets[i].Hi)
-					refPayload, refGen := opsGetTile(t, ref.URL, "A", b)
-					got, _ := base64.StdEncoding.DecodeString(res.Data)
-					if !bytes.Equal(got, refPayload) {
-						t.Fatalf("batch get %v differs from single-tile GET", b)
-					}
-					if res.Gen != refGen {
-						t.Fatalf("batch get %v: gen %d, single-tile gen %d", b, res.Gen, refGen)
+					if res.Status != http.StatusNoContent {
+						t.Fatalf("round %d op %d: status %d (%s)", round, i, res.Status, res.Error)
 					}
 				}
+				for _, w := range ws {
+					opsPutTile(t, ref.URL, "A", w.box, w.data, w.gen)
+				}
+			}
 
-				// Scan ≡ concatenated tile GETs in plan order, resumable at
-				// any chunk.
-				scanBox := randBox(rng, dims, 48)
-				chunkElems := int64(1 + rng.Intn(500))
-				chunks, _ := scanAll(t, subject.URL, "A", boxQuery(scanBox)+fmt.Sprintf("&chunk=%d", chunkElems), rng.Intn(2) == 0)
-				var l *layout.Layout
-				if layoutName == "col" {
-					l = layout.ColMajor(dims...)
-				} else {
-					l = layout.RowMajor(dims...)
+			// Whole-array contents and per-box generations agree.
+			full := layout.NewBox([]int64{0, 0}, dims)
+			subjectBytes, _ := opsGetTile(t, subject.URL, "A", full)
+			refBytes, _ := opsGetTile(t, ref.URL, "A", full)
+			if !bytes.Equal(subjectBytes, refBytes) {
+				t.Fatal("batch writes diverged from sequential single-tile writes")
+			}
+			for _, box := range written {
+				_, sg := opsGetTile(t, subject.URL, "A", box)
+				_, rg := opsGetTile(t, ref.URL, "A", box)
+				if sg != rg {
+					t.Fatalf("box %v: subject gen %d, reference gen %d", box, sg, rg)
 				}
-				plan := layout.PlanScan(l, scanBox, chunkElems)
-				if len(chunks) != len(plan) {
-					t.Fatalf("scan delivered %d chunks, plan has %d", len(chunks), len(plan))
-				}
-				for i, ch := range chunks {
-					if ch.Box.String() != plan[i].String() {
-						t.Fatalf("chunk %d box %v, plan %v", i, ch.Box, plan[i])
-					}
-					refPayload, _ := opsGetTile(t, ref.URL, "A", ch.Box)
-					if !bytes.Equal(encodePayload(ch.Data), refPayload) {
-						t.Fatalf("scan chunk %d differs from tile GET of %v", i, ch.Box)
-					}
-				}
-				if len(chunks) > 1 {
-					k := rng.Intn(len(chunks) - 1)
-					resumed, _ := scanAll(t, subject.URL, "A", "cursor="+chunks[k].Cursor, false)
-					if len(resumed) != len(chunks)-k-1 {
-						t.Fatalf("resume at %d delivered %d chunks, want %d", k, len(resumed), len(chunks)-k-1)
-					}
-					for i, ch := range resumed {
-						if ch.Seq != chunks[k+1+i].Seq {
-							t.Fatalf("resume skipped or repeated: got seq %d, want %d", ch.Seq, chunks[k+1+i].Seq)
-						}
-					}
-				}
+			}
 
-				// Reduce ≡ client-side fold over a single-tile GET.
-				redBox := randBox(rng, dims, 32)
-				refPayload, _ := opsGetTile(t, ref.URL, "A", redBox)
-				refData := make([]float64, redBox.Size())
-				decodePayload(refPayload, refData)
-				var sum float64
-				minV, maxV := math.Inf(1), math.Inf(-1)
-				for _, v := range refData {
-					sum += v
-					if v < minV {
-						minV = v
-					}
-					if v > maxV {
-						maxV = v
+			// Batch GET ≡ individual GETs of the same boxes.
+			gets := make([]batchOp, 0, 4)
+			for i := 0; i < 4; i++ {
+				b := randBox(rng, dims, 20)
+				gets = append(gets, batchOp{Op: "get", Lo: b.Lo, Hi: b.Hi})
+			}
+			body, _ := json.Marshal(batchRequest{Ops: gets})
+			resp, err := http.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out batchResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			for i, res := range out.Results {
+				b := layout.NewBox(gets[i].Lo, gets[i].Hi)
+				refPayload, refGen := opsGetTile(t, ref.URL, "A", b)
+				got, _ := base64.StdEncoding.DecodeString(res.Data)
+				if !bytes.Equal(got, refPayload) {
+					t.Fatalf("batch get %v differs from single-tile GET", b)
+				}
+				if res.Gen != refGen {
+					t.Fatalf("batch get %v: gen %d, single-tile gen %d", b, res.Gen, refGen)
+				}
+			}
+
+			// Scan ≡ concatenated tile GETs in plan order, resumable at
+			// any chunk.
+			scanBox := randBox(rng, dims, 48)
+			chunkElems := int64(1 + rng.Intn(500))
+			chunks, _ := scanAll(t, subject.URL, "A", boxQuery(scanBox)+fmt.Sprintf("&chunk=%d", chunkElems), rng.Intn(2) == 0)
+			var l *layout.Layout
+			if layoutName == "col" {
+				l = layout.ColMajor(dims...)
+			} else {
+				l = layout.RowMajor(dims...)
+			}
+			plan := layout.PlanScan(l, scanBox, chunkElems)
+			if len(chunks) != len(plan) {
+				t.Fatalf("scan delivered %d chunks, plan has %d", len(chunks), len(plan))
+			}
+			for i, ch := range chunks {
+				if ch.Box.String() != plan[i].String() {
+					t.Fatalf("chunk %d box %v, plan %v", i, ch.Box, plan[i])
+				}
+				refPayload, _ := opsGetTile(t, ref.URL, "A", ch.Box)
+				if !bytes.Equal(encodePayload(ch.Data), refPayload) {
+					t.Fatalf("scan chunk %d differs from tile GET of %v", i, ch.Box)
+				}
+			}
+			if len(chunks) > 1 {
+				k := rng.Intn(len(chunks) - 1)
+				resumed, _ := scanAll(t, subject.URL, "A", "cursor="+chunks[k].Cursor, false)
+				if len(resumed) != len(chunks)-k-1 {
+					t.Fatalf("resume at %d delivered %d chunks, want %d", k, len(resumed), len(chunks)-k-1)
+				}
+				for i, ch := range resumed {
+					if ch.Seq != chunks[k+1+i].Seq {
+						t.Fatalf("resume skipped or repeated: got seq %d, want %d", ch.Seq, chunks[k+1+i].Seq)
 					}
 				}
-				want := map[string]float64{"sum": sum, "min": minV, "max": maxV, "count": float64(redBox.Size())}
-				for op, wv := range want {
-					rb, _ := json.Marshal(reduceRequest{Op: op, Lo: redBox.Lo, Hi: redBox.Hi})
-					resp, err := http.Post(subject.URL+"/v1/arrays/A/reduce", "application/json", bytes.NewReader(rb))
-					if err != nil {
-						t.Fatal(err)
-					}
-					var rr reduceResponse
-					if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-						t.Fatal(err)
-					}
-					resp.Body.Close()
-					if rr.Bits != math.Float64bits(wv) {
-						t.Fatalf("reduce %s over %v: bits %x, want %x", op, redBox, rr.Bits, math.Float64bits(wv))
-					}
+			}
+
+			// Reduce ≡ client-side fold over a single-tile GET.
+			redBox := randBox(rng, dims, 32)
+			refPayload, _ := opsGetTile(t, ref.URL, "A", redBox)
+			refData := make([]float64, redBox.Size())
+			decodePayload(refPayload, refData)
+			var sum float64
+			minV, maxV := math.Inf(1), math.Inf(-1)
+			for _, v := range refData {
+				sum += v
+				if v < minV {
+					minV = v
 				}
-			})
-		}
+				if v > maxV {
+					maxV = v
+				}
+			}
+			want := map[string]float64{"sum": sum, "min": minV, "max": maxV, "count": float64(redBox.Size())}
+			for op, wv := range want {
+				rb, _ := json.Marshal(reduceRequest{Op: op, Lo: redBox.Lo, Hi: redBox.Hi})
+				resp, err := http.Post(subject.URL+"/v1/arrays/A/reduce", "application/json", bytes.NewReader(rb))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var rr reduceResponse
+				if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if rr.Bits != math.Float64bits(wv) {
+					t.Fatalf("reduce %s over %v: bits %x, want %x", op, redBox, rr.Bits, math.Float64bits(wv))
+				}
+			}
+		})
 	}
 }
 

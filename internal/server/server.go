@@ -116,9 +116,8 @@ type Config struct {
 	Clock func() time.Time
 }
 
-// Server serves one Disk through one tile engine — a single
-// ooc.Engine or an ooc.ShardedEngine partitioning the plane: the
-// shared front end over the engine plane. Create with New, mount
+// Server serves one Disk through one tile engine: the shared front
+// end over the engine plane. Create with New, mount
 // Handler, and call Drain after the HTTP server has shut down.
 type Server struct {
 	front     *FrontEnd
@@ -131,7 +130,7 @@ type Server struct {
 // written through the tile engine under the per-array tile lock.
 type enginePlane struct {
 	disk    *ooc.Disk
-	eng     ooc.TileEngine
+	eng     *ooc.Engine
 	nodeID  string
 	durable bool
 	// reduceChunk bounds the elements a reduce pins at once.
@@ -325,35 +324,10 @@ func (p *enginePlane) lockFor(name string) *tileLock {
 	return l
 }
 
-// MaxShards bounds the -shards flag: past it, per-shard caches get so
-// small the plane is all eviction churn and the per-shard stats stop
-// meaning anything.
-const MaxShards = 64
-
-// ValidateShards rejects shard counts outside 1..MaxShards. Commands
-// report the error under the named-flag convention
-// ("occd: -shards: ...") and exit 2.
-func ValidateShards(n int) error {
-	if n < 1 || n > MaxShards {
-		return fmt.Errorf("shard count %d out of range (valid: 1..%d)", n, MaxShards)
-	}
-	return nil
-}
-
-// BuildEngine constructs the tile plane a command serves: one Engine
-// for shards <= 1, a ShardedEngine otherwise. Callers validate shards
-// first (ValidateShards).
-func BuildEngine(d *ooc.Disk, shards int, o ooc.EngineOptions) ooc.TileEngine {
-	if shards > 1 {
-		return ooc.NewShardedEngine(d, shards, o)
-	}
-	return ooc.NewEngine(d, o)
-}
-
 // New wires a serving core over the disk and engine. The engine must
 // be running over the same disk; the server takes ownership of both at
 // Drain (engine closed, disk synced and closed).
-func New(d *ooc.Disk, eng ooc.TileEngine, cfg Config) *Server {
+func New(d *ooc.Disk, eng *ooc.Engine, cfg Config) *Server {
 	reg := cfg.Obs.MetricsOf()
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -613,14 +587,11 @@ func (p *enginePlane) Status(err error) (int, string) {
 }
 
 // statsPayload is the /v1/stats JSON: live engine counters plus the
-// front end's block. Shards (present only for a sharded plane) is the
-// per-shard scorecard: the engine-level counters broken out per
-// partition, in shard order.
+// front end's block.
 type statsPayload struct {
 	NodeID      string            `json:"node_id,omitempty"`
 	Engine      ooc.EngineStats   `json:"engine"`
 	HitRate     float64           `json:"hit_rate"`
-	Shards      []shardStat       `json:"shards,omitempty"`
 	WAL         *ooc.WALStats     `json:"wal,omitempty"`
 	Compression *compressionStats `json:"compression,omitempty"`
 	Coalesced   int64             `json:"coalesced"`
@@ -638,13 +609,6 @@ type compressionStats struct {
 	Pool         ooc.PoolStats `json:"pool"`
 }
 
-// shardStat is one shard's row in the scorecard.
-type shardStat struct {
-	Shard   int             `json:"shard"`
-	Engine  ooc.EngineStats `json:"engine"`
-	HitRate float64         `json:"hit_rate"`
-}
-
 func (p *enginePlane) Stats(front FrontStats) any {
 	es := p.eng.Stats()
 	out := statsPayload{
@@ -654,11 +618,6 @@ func (p *enginePlane) Stats(front FrontStats) any {
 		WAL:        p.disk.WALStats(),
 		Coalesced:  p.coalesced.Value(),
 		FrontStats: front,
-	}
-	if se, ok := p.eng.(*ooc.ShardedEngine); ok {
-		for i, ss := range se.ShardStats() {
-			out.Shards = append(out.Shards, shardStat{Shard: i, Engine: ss, HitRate: ss.HitRate()})
-		}
 	}
 	if cs := p.disk.CompressionStats(); cs != nil {
 		out.Compression = &compressionStats{

@@ -263,9 +263,8 @@ type tenantWaiter struct {
 }
 
 // NewTenantPlane builds the plane and eagerly registers the metric
-// families of every explicitly weighted tenant, mirroring the sharded
-// engine's register-at-construction idiom so dashboards and goldens
-// see the families before the first request lands.
+// families of every explicitly weighted tenant, so dashboards and
+// goldens see the families before the first request lands.
 func NewTenantPlane(o TenantPlaneOpts) *TenantPlane {
 	p := &TenantPlane{
 		cfg:      o.Config,

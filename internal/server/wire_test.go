@@ -177,7 +177,7 @@ func goldenCompressServer(t *testing.T) *testServer {
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	ts := &testServer{}
 	d := ooc.NewDisk(0).Observe(sink).EnableCompression()
-	d.EnableWAL(ooc.WALOptions{Logs: 2, Obs: sink, Compress: true})
+	d.EnableWAL(ooc.WALOptions{Obs: sink, Compress: true})
 	ooc.ObservePool(sink)
 	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
 	ts.disk = d

@@ -45,10 +45,6 @@ type Setup struct {
 	// dry-run accounting path is unaffected by it).
 	CacheTiles int
 	Workers    int
-	// Shards > 1 partitions each processor's tile plane across that
-	// many engine shards (ooc.ShardedEngine) instead of one engine —
-	// the sharded configurations of the bench suite run through here.
-	Shards int
 
 	// Obs observes the whole measurement: the dry-run disks feed the
 	// "ooc_io_*" registry series, engines (when CacheTiles > 0) publish
@@ -148,14 +144,9 @@ func RunDetailed(st Setup) (Measurement, pfs.Result, error) {
 		d.Record = true
 		mem := ooc.NewMemory(budget)
 		procOpts := opts
-		var eng ooc.TileEngine
+		var eng *ooc.Engine
 		if st.CacheTiles > 0 {
-			eo := ooc.EngineOptions{Workers: st.Workers, CacheTiles: st.CacheTiles, Obs: st.Obs}
-			if st.Shards > 1 {
-				eng = ooc.NewShardedEngine(d, st.Shards, eo)
-			} else {
-				eng = ooc.NewEngine(d, eo)
-			}
+			eng = ooc.NewEngine(d, ooc.EngineOptions{Workers: st.Workers, CacheTiles: st.CacheTiles, Obs: st.Obs})
 			procOpts.Engine = eng
 		}
 		var iters int64
