@@ -64,10 +64,10 @@ suite:
 	$(GO) run ./cmd/occbench -suite -json BENCH_current.json -baseline BENCH_baseline.json
 
 # Miss-path microbenchmarks (layout run/segment walks, tile read and
-# write-back per layout kind), six samples each: pipe two runs into
-# benchstat to compare commits.
+# write-back per layout kind, the logged tile write under a WAL), six
+# samples each: pipe two runs into benchstat to compare commits.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile' -benchmem -count 6 ./internal/layout ./internal/ooc
+	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile' -benchmem -count 6 ./internal/layout ./internal/ooc
 
 # The repository benchmark's runner-independent gate: one short round of
 # each BENCHMARK.json workload at a fixed seed, comparing the metrics

@@ -109,6 +109,9 @@ type entry struct {
 // tiles are flushed before a miss reads the backend and overlapping
 // cache entries (including in-flight prefetches) are invalidated when a
 // tile is dirtied.
+//
+// Acquire + Release(dirty) is the read-modify-write path; a caller that
+// supplies a whole box writes it with Store, which never reads.
 type Engine struct {
 	disk     *Disk
 	workers  int
@@ -359,6 +362,61 @@ func (e *Engine) Release(h *Handle, dirty bool) {
 	e.mu.Unlock()
 	h.ent = nil
 	handlePool.Put(h)
+}
+
+// Store installs data as the resident dirty tile for (array, box)
+// WITHOUT reading the backend — Acquire + copy + Release(dirty) minus
+// the read, for a caller that supplies every element of the box.
+//
+// data is box-local row-major, must hold exactly the clipped box's
+// elements, and is copied: the caller may recycle it on return. A
+// resident entry is overwritten in place, an in-flight load of the same
+// key is waited for first (as Acquire does), an absent one is created.
+// The tile is then dirtied exactly as a dirty Release does it: older
+// overlapping dirty tiles are written back before they are dropped (so
+// write order is preserved), overlapping clean copies and in-flight
+// prefetches are invalidated, capacity is enforced — and, as for a
+// dirty release, nobody else may hold a pin on an overlapping tile (the
+// same box included). A store reads nothing, so it is neither a hit nor
+// a miss; EngineStats shows it as the Writeback it eventually causes.
+func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
+	box = box.Clip(ar.Meta.Dims)
+	if int64(len(data)) != box.Size() {
+		return fmt.Errorf("ooc: store of %d elements into %s %v, which holds %d", len(data), ar.Meta.Name, box, box.Size())
+	}
+	if ar.disk.noBacking {
+		return fmt.Errorf("ooc: store into %s on a measurement-only (null-backed) disk; use Touch", ar.Meta.Name)
+	}
+	var kb [tileKeyStackBytes]byte
+	keyb := appendTileKey(kb[:0], ar.Meta.Name, box)
+	for {
+		e.mu.Lock()
+		if e.closed {
+			e.mu.Unlock()
+			return ErrEngineClosed
+		}
+		ent, ok := e.entries[TileKey(keyb)]
+		if ok && ent.loading {
+			ready := ent.ready
+			e.mu.Unlock()
+			<-ready
+			continue // resident now, or dropped: re-resolve
+		}
+		if ok {
+			ent.prefetched = false // its read is overwritten, not used
+			e.lru.MoveToFront(ent.elem)
+		} else {
+			ent = &entry{key: TileKey(keyb), arr: ar, box: box, tile: newTile(ar, box)}
+			e.entries[ent.key] = ent
+			ent.elem = e.lru.PushFront(ent)
+		}
+		copy(ent.tile.data, data)
+		ent.dirty = true
+		e.invalidateOverlapLocked(ent)
+		e.evictLocked()
+		e.mu.Unlock()
+		return nil
+	}
 }
 
 // Prefetch asynchronously reads (array, box) into the cache so a later

@@ -218,6 +218,9 @@ func (d *Disk) CreateArray(a *ir.Array, l *layout.Layout) (*Array, error) {
 		return nil, fmt.Errorf("ooc: layout size %d != array size %d for %s", l.Size(), a.Len(), a.Name)
 	}
 	if d.wal != nil {
+		if n := len(a.Name); n == 0 || n > walMaxNameLen {
+			return nil, fmt.Errorf("ooc: array name of %d bytes cannot be framed in a WAL record (1..%d)", n, walMaxNameLen)
+		}
 		// Logs open before the first array so reopen-after-crash adopts
 		// them in a deterministic order.
 		if err := d.wal.ensureLog(d); err != nil {
@@ -325,7 +328,9 @@ const setupChunk = 1 << 16
 // Fill initializes the whole array in place from a coordinate function
 // WITHOUT accounting I/O (test/benchmark setup, not workload I/O). The
 // slice f receives is reused from element to element; f must not keep
-// it.
+// it. On a WAL'd disk the set-up helpers (Fill, FromStore, SetAt) write
+// through UNLOGGED: the next commit checkpoints before it acknowledges
+// anything, and until then the fill promises nothing.
 func (ar *Array) Fill(f func(c []int64) float64) {
 	size := ar.Layout.Size()
 	buf := make([]float64, minI64ooc(setupChunk, size))
@@ -540,7 +545,9 @@ func (ar *Array) NewTileZero(box layout.Box) *Tile {
 }
 
 // WriteTile flushes the tile back to disk, charging one I/O call per
-// contiguous run segment (split by the call cap).
+// contiguous run segment (split by the call cap). On a WAL'd disk it
+// is the logged write: the whole tile is appended as one redo record
+// before its runs are written through.
 func (t *Tile) WriteTile() error {
 	ar := t.Arr
 	segs := ar.Layout.Segments(t.Box)
@@ -550,6 +557,9 @@ func (t *Tile) WriteTile() error {
 	ar.disk.observeRuns(runs)
 	ar.bmu.Lock()
 	defer ar.bmu.Unlock()
+	if wb, ok := ar.backend.(*walBackend); ok {
+		return wb.writeTile(t, segs, runs)
+	}
 	var bounce []float64
 	for _, r := range runs {
 		var rs []layout.Seg

@@ -7,6 +7,9 @@ package ooc_test
 // these checks existed both mistakes "worked" and lost data silently.
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -148,6 +151,100 @@ func TestReopenOtherStripingRefused(t *testing.T) {
 				if got := readTile(t, eng, ar2, box); got != 7 {
 					t.Fatalf("%v reads %v after reopen, want 7", box, got)
 				}
+			}
+		})
+	}
+}
+
+// TestReopenLegacyWALRefused: a kept "__wal0.log" whose head holds
+// records in the per-run format of an earlier build carries
+// acknowledged writes this build cannot replay. Its decoder stops at
+// the first of them exactly as it stops at a torn tail, so without a
+// refusal the reopen would succeed, serve the stripes' stale bytes and
+// append over the records. An all-zero log and one a clean shutdown
+// already checkpointed (its records stale by epoch) are adopted.
+func TestReopenLegacyWALRefused(t *testing.T) {
+	// The image the old build leaves for one acknowledged PUT of 7 into
+	// walTile(1, 2): eight row runs, one record each, never checkpointed.
+	legacyPut := func(epoch uint64) []float64 {
+		words := []float64{math.Float64frombits(epoch)}
+		row := []float64{7, 7, 7, 7, 7, 7, 7, 7}
+		for r := int64(0); r < walTestTile; r++ {
+			off := (walTestTile+r)*walTestEdge + 2*walTestTile
+			words = append(words, ooc.EncodeLegacyWALRecord(uint64(r+1), epoch, "A", off, row)...)
+		}
+		return words
+	}
+	checkpointed := legacyPut(3)
+	checkpointed[0] = math.Float64frombits(4) // the truncation bumped the header past the records
+
+	for _, c := range []struct {
+		name   string
+		log    []float64
+		refuse bool
+	}{
+		{"live per-run records", legacyPut(0), true},
+		{"live per-run records after earlier checkpoints", legacyPut(3), true},
+		{"all-zero log", nil, false},
+		{"checkpointed-empty legacy log", checkpointed, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meta, lay := reopenArray()
+			dir := t.TempDir()
+			var raw []byte
+			for _, w := range c.log {
+				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(w))
+			}
+			if err := os.WriteFile(filepath.Join(dir, "__wal0.log"), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			d := ooc.NewDisk(0).Dir(dir).KeepExisting().EnableWAL(ooc.WALOptions{CapWords: 1 << 15})
+			defer d.Close()
+			ar, err := d.CreateArray(meta, lay)
+			var rep ooc.WALReplay
+			if err == nil {
+				rep, err = d.ReplayWAL()
+			}
+			if c.refuse {
+				if err == nil {
+					eng := ooc.NewEngine(d, ooc.EngineOptions{})
+					t.Fatalf("reopen over a legacy log succeeded (replay %+v) and reads %v where 7 was acknowledged",
+						rep, readTile(t, eng, ar, walTile(1, 2)))
+				}
+				for _, want := range []string{"__wal0.log", "drain", "checkpoints", "reopen"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Fatalf("refusal does not say %q: %v", want, err)
+					}
+				}
+				// The refusal must leave the log as it found it, and unlocked,
+				// for the old build to drain.
+				if _, err := os.Stat(filepath.Join(dir, "__wal0.log.lock")); err == nil {
+					t.Fatal("refusal left the log locked")
+				}
+				got, err := os.ReadFile(filepath.Join(dir, "__wal0.log"))
+				if err != nil || !bytes.Equal(got[:len(raw)], raw) {
+					t.Fatalf("refusal altered the log (read error %v)", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			if rep.Applied != 0 {
+				t.Fatalf("replay applied %d records from an empty log", rep.Applied)
+			}
+			// The adopted log works: an acknowledged write survives a crash image.
+			eng := ooc.NewEngine(d, ooc.EngineOptions{})
+			writeTile(t, eng, ar, walTile(0, 0), 9)
+			if err := eng.FlushOverlapping(ar, walTile(0, 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := ar.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			if st := d.WALStats(); st.Appends != 1 || st.DurableSeq != st.LastSeq {
+				t.Fatalf("adopted log did not take an acknowledged append: %+v", st)
 			}
 		})
 	}

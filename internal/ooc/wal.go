@@ -4,8 +4,8 @@ package ooc
 // "restructure when bytes hit disk" argument, applied to acknowledged
 // writes. Without a WAL, a durable PUT pays a synchronous write-back
 // plus an fsync of the (striped) array file it happens to land in —
-// a seek-heavy, per-writer cost. With the WAL enabled every array
-// write is first appended as a checksummed redo record to one
+// a seek-heavy, per-writer cost. With the WAL enabled every tile
+// write-back is first appended as ONE checksummed redo record to one
 // sequential log and then written through to the array backend; an
 // acknowledgement only needs the LOG to be durable, and concurrent
 // writers landing within one commit window share a single log fsync
@@ -22,6 +22,23 @@ package ooc
 // sequence framing) and re-applies the survivors over the stripe
 // bytes — recovering exactly the state the write-through path had
 // built.
+//
+// # What is logged
+//
+// The logged unit is the tile write (Tile.WriteTile — every engine
+// write-back): its runs are gathered once, in file order, and framed as
+// one record, so a write moves each byte once per destination (log +
+// stripe) and costs one record buffer and one checksum however many
+// runs the layout cuts the tile into. Replay is therefore TILE-ATOMIC:
+// a tear anywhere in the append discards the whole record, and recovery
+// shows the old tile or the new one, never some of the new tile's runs.
+//
+// A plain Backend.WriteAt on a WAL'd array — the set-up helpers
+// Array.Fill, FromStore and SetAt — is the UNLOGGED bulk path: it
+// writes through and marks the set bypassed, so the next commit
+// escalates to a checkpoint (member syncs) before acknowledging
+// anything; until then the write promises nothing. The same escalation
+// covers a tile record too large to ever fit the log.
 //
 // # Ordering
 //
@@ -43,10 +60,22 @@ package ooc
 //
 //	w0  seq    — record sequence number, > 0 (a zeroed log scans empty)
 //	w1  epoch  — must match the log header; stale epochs are pre-truncation garbage
-//	w2  comp<<63 | nameLen<<48 | dataLen
-//	w3  off    — element offset in the target array
+//	w2  comp<<63 | format<<56 | nameLen<<48 | dataLen
+//	w3  nRuns  — run-list entries, > 0
 //	w4  crc32c — over every other word's little-endian bytes
-//	...        — ceil(nameLen/8) words of array name, then dataLen data words
+//	w5  gen    — reserved for the write's generation; written 0
+//	...        — ceil(nameLen/8) words of array name
+//	...        — nRuns run-list entries of four words: off, len, stride, count
+//	...        — dataLen data words
+//
+// The run list is PHYSICAL — element offsets in the array's backend —
+// so replay needs the log and the member backends only, never a
+// layout. An entry is an arithmetic progression: count runs of len
+// elements, the i-th at off + i*stride. A box under a permutation
+// layout is one entry whatever its run count (a 32×32 column-major tile
+// costs 6 + 1 + 4 words around its 1024); irregular layouts degrade to
+// count-1 entries. The data words are the runs' elements back to back
+// in list order, and the list must tile them exactly.
 //
 // A record is accepted only when it fits the log, its CRC matches,
 // its epoch is current, and its seq exceeds the previous record's —
@@ -56,13 +85,22 @@ package ooc
 //
 // With WALOptions.Compress the data words of a record may carry a
 // codec frame (codec.go) instead of raw values, marked by the comp
-// bit — the top bit of w2. The choice is per record: a frame is
-// stored only when it is strictly smaller than the raw payload, so
-// incompressible writes cost nothing. Decoding returns the LOGICAL
-// payload either way; replay and the apply pipeline never see frames.
-// A pre-compression decoder reading a compressed record sees a
-// nameLen of 0x8000+ and rejects it — old code fails closed rather
-// than misapplying frame bytes as array data.
+// bit — the top bit of w2. The choice is per record — one frame for
+// the whole tile — and a frame is stored only when it is strictly
+// smaller than the raw payload, so incompressible writes cost
+// nothing. Decoding returns the LOGICAL payload either way; replay
+// and the apply pipeline never see frames.
+//
+// # Format tag
+//
+// format (seven bits of w2) is 1. Builds before the tile record wrote
+// one five-word-header record per RUN with those bits zero — they were
+// the top of a 15-bit nameLen, so such a build reads a tagged record as
+// a 256+ byte name and rejects it. This build rejects every tag but its
+// own, and for tag 0 goes further: a kept log whose head holds a valid
+// per-run record is REFUSED (ensureLog), because scanning on would take
+// it for a torn tail and append over acknowledged writes. An all-zero
+// log, or one whose records a checkpoint retired, is adopted as empty.
 
 import (
 	"encoding/binary"
@@ -76,6 +114,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"outcore/internal/layout"
 	"outcore/internal/obs"
 )
 
@@ -83,12 +122,23 @@ const (
 	// walHeaderWords is the log header (the epoch word).
 	walHeaderWords = 1
 	// walRecHeaderWords is the fixed per-record header size.
-	walRecHeaderWords = 5
-	// walMaxNameLen bounds array names in records (sanity check while
-	// scanning arbitrary bytes).
+	walRecHeaderWords = 6
+	// walCRCWord is the header word holding the record's checksum.
+	walCRCWord = 4
+	// walRunWords is the size of one run-list entry.
+	walRunWords = 4
+	// walFormat tags the record format in the spare meta bits. Tag 0 is
+	// the per-run format of earlier builds (see walLegacyHead).
+	walFormat = 1
+	// walMaxNameLen bounds array names in records (the meta word's
+	// eight-bit field).
 	walMaxNameLen = 255
 	// walLenMask extracts dataLen from the packed length word.
 	walLenMask = (uint64(1) << 48) - 1
+	// walMaxOff bounds run offsets and strides (sanity check while
+	// scanning arbitrary bytes; keeps replay's offset arithmetic from
+	// overflowing).
+	walMaxOff = uint64(1) << 61
 	// DefaultWALCapWords is the log capacity (1 Mi words = 8 MiB)
 	// when WALOptions.CapWords is zero. Replay cost bounds the useful
 	// size; an inline (stop-the-world) checkpoint when the log fills
@@ -103,8 +153,9 @@ type WALOptions struct {
 	// CapWords is the log capacity in 8-byte words, header included
 	// (default DefaultWALCapWords). An append that no longer fits
 	// triggers an inline checkpoint; a record that could never fit an
-	// empty log bypasses logging (write-through only) and forces the
-	// next commit to checkpoint instead of fsyncing the log.
+	// empty log bypasses logging (write-through only, like the set-up
+	// helpers' bulk writes) and forces the next commit to checkpoint
+	// instead of fsyncing the log.
 	CapWords int64
 	// CommitWindow, when positive, makes the group-commit leader wait
 	// this long before issuing the log fsync so more concurrent
@@ -149,7 +200,7 @@ type WALStats struct {
 	Fsyncs           int64   `json:"fsyncs"`
 	FsyncBatch       float64 `json:"fsync_batch"` // commits amortized per log fsync
 	Checkpoints      int64   `json:"checkpoints"`
-	BypassWrites     int64   `json:"bypass_writes"`
+	BypassWrites     int64   `json:"bypass_writes"` // unlogged write-throughs: bulk fills, records too large to log
 	ReplayedRecords  int64   `json:"replayed_records"`
 	DiscardedRecords int64   `json:"discarded_records"`
 	SkippedRecords   int64   `json:"skipped_records"` // replayed records naming arrays not (re)created
@@ -240,7 +291,7 @@ func newWALSet(o WALOptions) *walSet {
 				commits:     reg.Counter("ooc_wal_commits_total", "group-commit rounds acknowledged"),
 				fsyncs:      reg.Counter("ooc_wal_fsyncs_total", "log fsyncs issued by group commit"),
 				checkpoints: reg.Counter("ooc_wal_checkpoints_total", "checkpoints: member backends synced and logs truncated"),
-				bypass:      reg.Counter("ooc_wal_bypass_writes_total", "writes too large to log, applied write-through only"),
+				bypass:      reg.Counter("ooc_wal_bypass_writes_total", "unlogged writes (bulk fills, records too large to log), applied write-through only"),
 				replayed:    reg.Counter("ooc_wal_replayed_records_total", "records re-applied from surviving log tails"),
 				discarded:   reg.Counter("ooc_wal_discarded_records_total", "torn or stale log tails discarded during replay"),
 				pending:     reg.Gauge("ooc_wal_pending_words", "words appended since the last checkpoint (replay depth)"),
@@ -306,6 +357,14 @@ func (ws *walSet) ensureLog(d *Disk) error {
 	lg := &walLog{back: b, epoch: math.Float64bits(words[0])}
 	_, lg.head = walScan(words, lg.epoch)
 	lg.syncedTo = lg.head
+	if lg.head == walHeaderWords && walLegacyHead(words, lg.epoch) {
+		// Scanning on would stop at the foreign record, call it a torn
+		// tail and append over acknowledged writes: refuse instead.
+		b.Close()
+		return fmt.Errorf("ooc: WAL log %s holds records in the per-run format of an earlier build, "+
+			"which this build does not replay: drain it with the build that wrote it "+
+			"(a clean shutdown checkpoints), then reopen", filepath.Join(d.dir, walLogName+".log"))
+	}
 	// The checkpoint watermark: a single word (element-atomic under the
 	// torn-write model), so a checkpoint can durably record how far the
 	// stripes are authoritative before it truncates the log.
@@ -572,9 +631,8 @@ func (ws *walSet) replay() (WALReplay, error) {
 			rep.Skipped++
 			continue
 		}
-		if err := inner.WriteAt(r.data, r.off); err != nil {
-			return rep, fmt.Errorf("ooc: WAL replay applying seq %d to %s [%d,%d): %w",
-				r.seq, r.name, r.off, r.off+int64(len(r.data)), err)
+		if err := walApply(inner, r.runs, r.data); err != nil {
+			return rep, fmt.Errorf("ooc: WAL replay applying seq %d to %s: %w", r.seq, r.name, err)
 		}
 		rep.Applied++
 	}
@@ -669,10 +727,10 @@ func (ws *walSet) closeLog() error {
 	return err
 }
 
-// walBackend is the write-through logging wrapper an attached array's
-// backend becomes: reads pass straight down (the inner backend always
-// holds the current bytes), writes append a record first, and Sync is
-// the group-committed log fsync.
+// walBackend is the write-through wrapper an attached array's backend
+// becomes: reads pass straight down (the inner backend always holds
+// the current bytes), Sync is the group-committed log fsync, a tile
+// write-back (writeTile) is logged and a plain WriteAt is not.
 type walBackend struct {
 	ws    *walSet
 	name  string
@@ -685,125 +743,190 @@ func (wb *walBackend) ReadAt(buf []float64, off int64) error { return wb.inner.R
 func (wb *walBackend) Size() int64                           { return wb.inner.Size() }
 func (wb *walBackend) Close() error                          { return wb.inner.Close() }
 
-// WriteAt appends the redo record, then writes through, as one step
-// under the set's mutex — so the log's record order is the order
-// bytes reach the inner backends. An append failure surfaces before
-// the write-through (WAL-first): the head does not advance, and the
-// retry overwrites whatever prefix the failed append tore.
+// WriteAt is the unlogged bulk path (Array.Fill, FromStore, SetAt):
+// write through, mark the set bypassed, and let the next commit's
+// checkpoint cover it. Logging a whole-array fill would frame, checksum
+// and then checkpoint away bytes nobody was waiting on.
 func (wb *walBackend) WriteAt(buf []float64, off int64) error {
 	ws := wb.ws
-	// With compression, encode the payload to a codec frame off the
-	// lock and log whichever form is smaller. The inner write-through
-	// always applies the logical buf.
-	data, compressed := buf, false
-	var encWords []float64
-	if ws.opts.Compress && len(buf) > frameHeaderBytes/ElemSize {
-		fr := GetBuf(frameSizeBytes(len(buf) * ElemSize))[:0]
-		fr = AppendFrame(fr, buf)
-		if len(fr)/ElemSize < len(buf) {
-			encWords = frameToWords(GetF64(len(fr) / ElemSize)[:0], fr)
-			data, compressed = encWords, true
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	ws.noteUnloggedLocked()
+	return wb.inner.WriteAt(buf, off)
+}
+
+// noteUnloggedLocked records a write-through no log record covers:
+// only a checkpoint's member syncs can make it durable.
+func (ws *walSet) noteUnloggedLocked() {
+	ws.bypassed = true
+	ws.c.bypass++
+	if m := ws.met; m != nil {
+		m.bypass.Inc()
+	}
+}
+
+// writeTile is the logged write. The tile's file image is gathered
+// once — run after run, in file order, straight into the record buffer
+// — and then {allocate seq, append ONE record, write the runs through}
+// is a single step under the set's mutex: the log's record order is
+// the order bytes reach the inner backends, and a tile write is in the
+// log whole or not at all. An append failure surfaces before any
+// write-through (WAL-first): the head does not advance, and the retry
+// overwrites whatever prefix the failed append tore.
+func (wb *walBackend) writeTile(t *Tile, segs []layout.Seg, runs []layout.Run) error {
+	if len(runs) == 0 {
+		return nil // an empty (fully clipped) tile writes nothing, so logs nothing
+	}
+	ws := wb.ws
+	var listBuf [4]walRun
+	list := walRunList(listBuf[:0], runs)
+	prefix := int(walRecordWords(wb.name, len(list), 0))
+	raw := GetF64(prefix + len(t.data))
+	defer PutF64(raw)
+	img := raw[prefix:]
+	pos := int64(0)
+	for _, r := range runs {
+		var rs []layout.Seg
+		rs, segs = cutRun(segs, r)
+		t.gather(rs, img[pos:pos+r.Len], r.Off)
+		pos += r.Len
+	}
+	// With compression, encode the image to one codec frame off the lock
+	// and log whichever form is smaller. The write-through always applies
+	// the raw image.
+	rec, compressed := raw, false
+	if ws.opts.Compress && len(img) > frameHeaderBytes/ElemSize {
+		fr := AppendFrame(GetBuf(frameSizeBytes(len(img) * ElemSize))[:0], img)
+		if w := len(fr) / ElemSize; w < len(img) {
+			rec, compressed = frameToWords(GetF64(prefix + w)[:prefix], fr), true
+			defer PutF64(rec)
 		}
 		PutBuf(fr)
-		defer func() {
-			if encWords != nil {
-				PutF64(encWords)
-			}
-		}()
 	}
-	need := walRecordWords(wb.name, int64(len(data)))
+	need := int64(len(rec))
+	stored := need - int64(prefix) // payload words as logged
+
 	ws.mu.Lock()
+	defer ws.mu.Unlock()
 	if need > ws.opts.CapWords-walHeaderWords {
-		// Could never fit even an empty log (whole-array setup fills):
-		// apply write-through only. The record is unlogged, so the next
-		// commit must escalate to a checkpoint before acknowledging.
-		ws.bypassed = true
-		ws.c.bypass++
-		m := ws.met
-		err := wb.inner.WriteAt(buf, off)
-		ws.mu.Unlock()
-		if m != nil {
-			m.bypass.Inc()
-		}
-		return err
+		// Could never fit even an empty log: apply write-through only.
+		// The write is unlogged, so the next commit must escalate to a
+		// checkpoint before acknowledging.
+		ws.noteUnloggedLocked()
+		return walApply(wb.inner, list, img)
 	}
 	lg := ws.log
 	if lg.head+need > ws.opts.CapWords {
 		// Log full: compact inline (deterministic), then append fresh.
 		if err := ws.checkpointLocked(); err != nil {
-			ws.mu.Unlock()
 			return err
 		}
 	}
-	rec := walEncodeRecordComp(ws.seq+1, lg.epoch, wb.name, off, data, compressed)
+	walSealRecord(rec, ws.seq+1, lg.epoch, wb.name, list, compressed)
 	if err := lg.back.WriteAt(rec, lg.head); err != nil {
-		ws.mu.Unlock()
-		return fmt.Errorf("ooc: WAL append for %s [%d,%d): %w", wb.name, off, off+int64(len(buf)), err)
+		return fmt.Errorf("ooc: WAL append for %s %v: %w", wb.name, t.Box, err)
 	}
-	lg.head += int64(len(rec))
+	lg.head += need
 	ws.seq++
 	ws.c.appends++
-	ws.c.appendedWords += int64(len(rec))
+	ws.c.appendedWords += need
 	if ws.opts.Compress {
-		ws.c.compRawWords += int64(len(buf))
-		ws.c.compEncWords += int64(len(data))
+		ws.c.compRawWords += int64(len(img))
+		ws.c.compEncWords += stored
 	}
-	m := ws.met
-	var pending float64
-	if m != nil {
-		pending = float64(ws.pendingWordsLocked())
-	}
-	err := wb.inner.WriteAt(buf, off)
-	ws.mu.Unlock()
-	if m != nil {
+	if m := ws.met; m != nil {
 		m.appends.Inc()
-		m.words.Add(int64(len(rec)))
-		m.pending.Set(pending)
+		m.words.Add(need)
+		m.pending.Set(float64(ws.pendingWordsLocked()))
 		if m.compRaw != nil {
-			m.compRaw.Add(int64(len(buf)) * ElemSize)
-			m.compEnc.Add(int64(len(data)) * ElemSize)
+			m.compRaw.Add(int64(len(img)) * ElemSize)
+			m.compEnc.Add(stored * ElemSize)
 		}
 	}
-	return err
+	return walApply(wb.inner, list, img)
 }
 
 // Sync acknowledges: it returns once every record appended before the
 // call is durable, sharing fsyncs with every concurrent caller.
 func (wb *walBackend) Sync() error { return wb.ws.commit() }
 
-// walRecord is one decoded redo record.
+// walRun is one run-list entry, an arithmetic progression of file
+// runs: count runs of len elements each, the i-th at element offset
+// off + i*stride.
+type walRun struct {
+	off, len, stride, count int64
+}
+
+// walRunList folds file-ordered runs into progressions, appending to
+// dst: consecutive runs of one length whose offsets step by one stride
+// share an entry. A box under a permutation layout is therefore one
+// entry however many runs it has; irregular layouts degrade to count-1
+// entries.
+func walRunList(dst []walRun, runs []layout.Run) []walRun {
+	for _, r := range runs {
+		if n := len(dst); n > 0 {
+			e := &dst[n-1]
+			step := r.Off - (e.off + (e.count-1)*e.stride)
+			if r.Len == e.len && (e.count == 1 || step == e.stride) {
+				e.stride, e.count = step, e.count+1
+				continue
+			}
+		}
+		dst = append(dst, walRun{off: r.Off, len: r.Len, count: 1})
+	}
+	return dst
+}
+
+// walRecord is one decoded redo record: a tile write as the physical
+// runs it touched. data holds the runs' elements back to back, in list
+// order — always the logical payload, never a codec frame — and may
+// alias the scanned log image.
 type walRecord struct {
 	seq   uint64
 	epoch uint64
 	name  string
-	off   int64
+	runs  []walRun
 	data  []float64
 }
 
+// walApply writes data — the listed runs' elements back to back — to b,
+// one write per run: a logged tile's write-through and its replay are
+// this one loop.
+func walApply(b Backend, list []walRun, data []float64) error {
+	for _, e := range list {
+		for i := int64(0); i < e.count; i++ {
+			if err := b.WriteAt(data[:e.len], e.off+i*e.stride); err != nil {
+				return err
+			}
+			data = data[e.len:]
+		}
+	}
+	return nil
+}
+
 // walRecordWords is the encoded size of a record.
-func walRecordWords(name string, dataLen int64) int64 {
-	return walRecHeaderWords + int64((len(name)+7)/8) + dataLen
+func walRecordWords(name string, nRuns int, dataLen int64) int64 {
+	return walRecHeaderWords + int64((len(name)+7)/8) + int64(nRuns)*walRunWords + dataLen
 }
 
-// walEncodeRecord frames one raw-payload record (see the package
-// comment).
-func walEncodeRecord(seq, epoch uint64, name string, off int64, data []float64) []float64 {
-	return walEncodeRecordComp(seq, epoch, name, off, data, false)
-}
-
-// walEncodeRecordComp frames one record whose data words carry either
-// raw values or a codec frame, per the compressed flag.
-func walEncodeRecordComp(seq, epoch uint64, name string, off int64, data []float64, compressed bool) []float64 {
+// walSealRecord frames a record in place (see the package comment):
+// rec is sized walRecordWords(name, len(list), dataLen) and already
+// carries its dataLen payload words — raw values, or a codec frame when
+// compressed — in its tail; the header, name and run list are filled in
+// front of them and the CRC seals the whole.
+func walSealRecord(rec []float64, seq, epoch uint64, name string, list []walRun, compressed bool) {
 	nameWords := (len(name) + 7) / 8
-	rec := make([]float64, walRecHeaderWords+nameWords+len(data))
-	rec[0] = math.Float64frombits(seq)
-	rec[1] = math.Float64frombits(epoch)
-	meta := uint64(len(name))<<48 | uint64(len(data))&walLenMask
+	body := walRecHeaderWords + nameWords
+	dataLen := len(rec) - body - len(list)*walRunWords
+	meta := uint64(walFormat)<<56 | uint64(len(name))<<48 | uint64(dataLen)&walLenMask
 	if compressed {
 		meta |= 1 << 63
 	}
+	rec[0] = math.Float64frombits(seq)
+	rec[1] = math.Float64frombits(epoch)
 	rec[2] = math.Float64frombits(meta)
-	rec[3] = math.Float64frombits(uint64(off))
+	rec[3] = math.Float64frombits(uint64(len(list)))
+	rec[5] = 0 // reserved: the write's generation
 	for w := 0; w < nameWords; w++ {
 		var u uint64
 		for k := 0; k < 8 && w*8+k < len(name); k++ {
@@ -811,77 +934,70 @@ func walEncodeRecordComp(seq, epoch uint64, name string, off int64, data []float
 		}
 		rec[walRecHeaderWords+w] = math.Float64frombits(u)
 	}
-	copy(rec[walRecHeaderWords+nameWords:], data)
-	rec[4] = math.Float64frombits(uint64(walRecordCRC(rec)))
-	return rec
+	for i, e := range list {
+		for k, v := range [walRunWords]int64{e.off, e.len, e.stride, e.count} {
+			rec[body+i*walRunWords+k] = math.Float64frombits(uint64(v))
+		}
+	}
+	rec[walCRCWord] = math.Float64frombits(uint64(walRecordCRC(rec)))
 }
 
 // walRecordCRC covers every word of the framed record except the CRC
-// word itself, as little-endian bytes.
+// word itself, as little-endian bytes, hashed a block at a time.
 func walRecordCRC(rec []float64) uint32 {
-	h := crc32.New(walCRCTable)
-	var b [8]byte
+	var (
+		block [512]byte
+		n     int
+		crc   uint32
+	)
 	for i, w := range rec {
-		if i == 4 {
+		if i == walCRCWord {
 			continue
 		}
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(w))
-		h.Write(b[:])
+		binary.LittleEndian.PutUint64(block[n:], math.Float64bits(w))
+		if n += 8; n == len(block) {
+			crc = crc32.Update(crc, walCRCTable, block[:])
+			n = 0
+		}
 	}
-	return h.Sum32()
+	return crc32.Update(crc, walCRCTable, block[:n])
 }
 
 // walDecodeRecord tries to decode one record at words[pos:]. It never
-// panics on arbitrary bytes: every length is bounds-checked before
-// the CRC seals the verdict. Returns the record, its size in words,
-// and whether it decoded.
+// panics on arbitrary bytes: every length is bounds-checked before the
+// CRC seals the verdict, and the run list must then tile the payload
+// exactly. Returns the record, its size in words, and whether it
+// decoded.
 func walDecodeRecord(words []float64, pos int64) (walRecord, int64, bool) {
 	n := int64(len(words))
 	if pos < walHeaderWords || pos+walRecHeaderWords > n {
 		return walRecord{}, 0, false
 	}
-	seq := math.Float64bits(words[pos])
-	if seq == 0 {
-		return walRecord{}, 0, false
-	}
-	meta := math.Float64bits(words[pos+2])
-	compressed := meta>>63 == 1
-	nameLen := int64((meta >> 48) & 0x7FFF)
+	word := func(i int64) uint64 { return math.Float64bits(words[pos+i]) }
+	seq, meta, nRuns, crcU := word(0), word(2), word(3), word(walCRCWord)
+	nameLen := int64(meta>>48) & 0xFF
 	dataLen := int64(meta & walLenMask)
-	if nameLen == 0 || nameLen > walMaxNameLen {
-		// The 15-bit field spans the spare meta bits too, so any garbage
-		// there lands above walMaxNameLen and is rejected here.
-		return walRecord{}, 0, false
+	if seq == 0 || (meta>>56)&0x7F != walFormat || nameLen == 0 || crcU>>32 != 0 ||
+		nRuns == 0 || nRuns > uint64(n) {
+		return walRecord{}, 0, false // incl. another build's format tag: fail closed
 	}
-	offU := math.Float64bits(words[pos+3])
-	if offU > uint64(1)<<62 {
-		return walRecord{}, 0, false
-	}
-	crcU := math.Float64bits(words[pos+4])
-	if crcU>>32 != 0 {
-		return walRecord{}, 0, false
-	}
-	nameWords := (nameLen + 7) / 8
-	total := walRecHeaderWords + nameWords + dataLen
-	if total > n-pos {
-		return walRecord{}, 0, false
-	}
-	if walRecordCRC(words[pos:pos+total]) != uint32(crcU) {
+	body := walRecHeaderWords + (nameLen+7)/8
+	prefix := body + int64(nRuns)*walRunWords
+	total := prefix + dataLen
+	if total > n-pos || walRecordCRC(words[pos:pos+total]) != uint32(crcU) {
 		return walRecord{}, 0, false
 	}
 	nameB := make([]byte, nameLen)
-	for i := int64(0); i < nameLen; i++ {
-		w := math.Float64bits(words[pos+walRecHeaderWords+i/8])
-		nameB[i] = byte(w >> (8 * uint(i%8)))
+	for i := range nameB {
+		nameB[i] = byte(word(walRecHeaderWords+int64(i)/8) >> (8 * uint(i%8)))
 	}
-	stored := words[pos+walRecHeaderWords+nameWords : pos+total]
-	var data []float64
-	if compressed {
+	data := words[pos+prefix : pos+total]
+	if meta>>63 == 1 {
 		// The data words carry a codec frame; unpack it so callers only
 		// ever see the logical payload. A frame that fails to parse or
 		// verify marks the whole record invalid — same torn-tail
 		// semantics as a CRC mismatch.
-		frame := wordsToFrame(make([]byte, 0, len(stored)*ElemSize), stored)
+		frame := wordsToFrame(make([]byte, 0, len(data)*ElemSize), data)
 		elems, size, err := FrameElems(frame)
 		if err != nil || size != len(frame) {
 			return walRecord{}, 0, false
@@ -890,17 +1006,43 @@ func walDecodeRecord(words []float64, pos int64) (walRecord, int64, bool) {
 		if _, err := DecodeFrame(frame, data); err != nil {
 			return walRecord{}, 0, false
 		}
-	} else {
-		data = make([]float64, dataLen)
-		copy(data, stored)
 	}
-	return walRecord{
-		seq:   seq,
-		epoch: math.Float64bits(words[pos+1]),
-		name:  string(nameB),
-		off:   int64(offU),
-		data:  data,
-	}, total, true
+	runs := make([]walRun, nRuns)
+	left := uint64(len(data))
+	for i := range runs {
+		at := body + int64(i)*walRunWords
+		off, ln, stride, count := word(at), word(at+1), word(at+2), word(at+3)
+		if off > walMaxOff || stride > walMaxOff || ln == 0 || count == 0 ||
+			ln > left || count > left/ln || (count > 1 && stride > walMaxOff/count) {
+			return walRecord{}, 0, false
+		}
+		left -= ln * count
+		runs[i] = walRun{off: int64(off), len: int64(ln), stride: int64(stride), count: int64(count)}
+	}
+	if left != 0 {
+		return walRecord{}, 0, false
+	}
+	return walRecord{seq: seq, epoch: word(1), name: string(nameB), runs: runs, data: data}, total, true
+}
+
+// walLegacyHead reports whether the log image opens with a valid
+// record in the PER-RUN format of earlier builds: format tag 0, a
+// five-word header (seq, epoch, comp|nameLen|dataLen, off, crc), then
+// the name and one run's data, under the same CRC rule. This build
+// neither writes nor replays that format; it only recognizes it, to
+// refuse such a log.
+func walLegacyHead(words []float64, epoch uint64) bool {
+	const header = 5
+	rec := words[min(walHeaderWords, len(words)):]
+	if len(rec) < header {
+		return false
+	}
+	meta := math.Float64bits(rec[2])
+	nameLen := int64(meta>>48) & 0x7FFF // spans the format bits: ours reads > 255
+	total := header + (nameLen+7)/8 + int64(meta&walLenMask)
+	return math.Float64bits(rec[0]) != 0 && math.Float64bits(rec[1]) == epoch &&
+		nameLen >= 1 && nameLen <= walMaxNameLen && total <= int64(len(rec)) &&
+		uint64(walRecordCRC(rec[:total])) == math.Float64bits(rec[walCRCWord])
 }
 
 // walScan decodes the valid record run of a log image: records are
@@ -930,8 +1072,10 @@ type WALReplay struct {
 }
 
 // EnableWAL turns on write-ahead logging for every subsequently
-// created array: writes append checksummed redo records to the log
-// before reaching the array backends, a backend Sync becomes a
+// created array: every tile write-back appends one checksummed redo
+// record to the log before reaching the array backends (the set-up
+// helpers Fill, FromStore and SetAt write through unlogged and are
+// covered by the next commit's checkpoint), a backend Sync becomes a
 // group-committed log fsync, and Checkpoint/ReplayWAL provide the
 // compaction and recovery halves. Like the other configuration
 // chainers it must be called before arrays are created; it is ignored

@@ -12,6 +12,7 @@ package ooc
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -32,7 +33,7 @@ func FuzzWALRecord(f *testing.F) {
 	f.Add([]byte("not a log at all, just text that is long enough to scan"))
 	// A well-formed single-record log (epoch 1).
 	good := []float64{math.Float64frombits(1)}
-	good = append(good, walEncodeRecord(1, 1, "A", 64, []float64{1, 2, 3})...)
+	good = append(good, walTestRecord(1, 1, "A", oneRun(64, 3), []float64{1, 2, 3})...)
 	var goodB []byte
 	for _, w := range good {
 		goodB = binary.LittleEndian.AppendUint64(goodB, math.Float64bits(w))
@@ -66,6 +67,18 @@ func FuzzWALRecord(f *testing.F) {
 				if len(r.name) == 0 || len(r.name) > walMaxNameLen {
 					t.Fatalf("scan returned name of %d bytes", len(r.name))
 				}
+				// The run list tiles the payload exactly, so applying the
+				// record can never index outside it.
+				var covered int64
+				for _, e := range r.runs {
+					if e.off < 0 || e.len <= 0 || e.stride < 0 || e.count <= 0 {
+						t.Fatalf("scan returned run %+v", e)
+					}
+					covered += e.len * e.count
+				}
+				if covered != int64(len(r.data)) {
+					t.Fatalf("scan returned runs covering %d of %d payload words", covered, len(r.data))
+				}
 			}
 		}
 
@@ -95,8 +108,15 @@ func FuzzWALRecord(f *testing.F) {
 				}
 				data[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[:]))
 			}
-			r := walRecord{seq: uint64(i + 1), epoch: 7, name: string(nameB), off: int64(i) * 17, data: data}
-			log = append(log, walEncodeRecord(r.seq, r.epoch, r.name, r.off, r.data)...)
+			// An even payload is logged as a two-run progression, an odd one
+			// as a single run, so both list shapes round-trip.
+			runs := oneRun(int64(i)*17, dataLen)
+			if dataLen%2 == 0 {
+				half := int64(dataLen / 2)
+				runs = []walRun{{off: int64(i) * 17, len: half, stride: half + int64(nameLen), count: 2}}
+			}
+			r := walRecord{seq: uint64(i + 1), epoch: 7, name: string(nameB), runs: runs, data: data}
+			log = append(log, walTestRecord(r.seq, r.epoch, r.name, r.runs, r.data)...)
 			want = append(want, r)
 		}
 		got, end := walScan(log, 7)
@@ -107,7 +127,7 @@ func FuzzWALRecord(f *testing.F) {
 			t.Fatalf("round-trip decoded %d of %d records", len(got), len(want))
 		}
 		for i := range want {
-			if got[i].seq != want[i].seq || got[i].name != want[i].name || got[i].off != want[i].off {
+			if got[i].seq != want[i].seq || got[i].name != want[i].name || !reflect.DeepEqual(got[i].runs, want[i].runs) {
 				t.Fatalf("record %d mismatch: got %+v want %+v", i, got[i], want[i])
 			}
 			for j := range want[i].data {

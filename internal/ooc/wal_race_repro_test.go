@@ -45,8 +45,14 @@ func TestWALStaleSyncedToRepro(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := []float64{1, 2, 3, 4}
-	if err := arr.backend.WriteAt(buf, 0); err != nil { // append W1
+	// A logged write: a tile write-back (plain backend WriteAt is the
+	// unlogged bulk path).
+	write := func(lo int64) error {
+		tl := arr.NewTileZero(layout.NewBox([]int64{lo}, []int64{lo + 4}))
+		copy(tl.Data(), []float64{1, 2, 3, 4})
+		return tl.WriteTile()
+	}
+	if err := write(0); err != nil { // append W1
 		t.Fatal(err)
 	}
 
@@ -58,7 +64,7 @@ func TestWALStaleSyncedToRepro(t *testing.T) {
 	if err := d.Checkpoint(); err != nil { // truncates log, syncedTo=0
 		t.Fatal(err)
 	}
-	if err := arr.backend.WriteAt(buf, 8); err != nil { // append W2, new epoch
+	if err := write(8); err != nil { // append W2, new epoch
 		t.Fatal(err)
 	}
 	seqW2 := d.wal.lastSeq()

@@ -7,6 +7,7 @@ package ooc_test
 // truncation, and the oversized-record bypass path.
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -303,8 +304,9 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	}
 
 	st := h.disk.WALStats()
-	if st.Appends == 0 || st.PendingWords == 0 || st.Commits == 0 || st.Fsyncs == 0 {
-		t.Fatalf("pre-checkpoint scorecard empty: %+v", st)
+	// One record per tile write: 6 header + 1 name + 4 run-list + 64 data.
+	if st.Appends != 2 || st.PendingWords != 2*75 || st.Commits == 0 || st.Fsyncs == 0 {
+		t.Fatalf("pre-checkpoint scorecard: %+v, want 2 appends of 75 words", st)
 	}
 	if st.DurableSeq != st.LastSeq {
 		t.Fatalf("flush left seq %d durable of %d", st.DurableSeq, st.LastSeq)
@@ -320,8 +322,9 @@ func TestWALCheckpointTruncates(t *testing.T) {
 
 	// The truncation (the bumped epoch header) becomes durable with the
 	// next commit's fsync; this post-checkpoint write rides it. An 8x8
-	// tile in a 32-wide row-major array writes back as 8 row runs, so
-	// replay after the crash must see exactly those 8 records — the 16
+	// tile in a 32-wide row-major array writes back as 8 row runs but
+	// logs as ONE record (one run-list entry covers the 8 rows), so
+	// replay after the crash must see exactly that record — the two
 	// pre-checkpoint records are gone.
 	writeTile(t, h.eng, h.arr, walTile(2, 0), 7)
 	if err := h.eng.Flush(); err != nil {
@@ -329,8 +332,8 @@ func TestWALCheckpointTruncates(t *testing.T) {
 	}
 
 	h.crash(t)
-	if st := h.disk.WALStats(); st.ReplayedRecords != 8 {
-		t.Fatalf("replay applied %d records, want the 8 post-checkpoint runs", st.ReplayedRecords)
+	if st := h.disk.WALStats(); st.ReplayedRecords != 1 {
+		t.Fatalf("replay applied %d records, want the 1 post-checkpoint tile write", st.ReplayedRecords)
 	}
 	if got := readTile(t, h.eng, h.arr, walTile(0, 1)); got != 5 {
 		t.Fatalf("checkpointed tile = %v, want 5", got)
@@ -424,7 +427,7 @@ func TestWALReopenBeforeArraysKeepsEpochAndSeq(t *testing.T) {
 // undersized log: appends that would overflow compact inline instead
 // of failing, and every acknowledged write still survives the crash.
 func TestWALFullLogCheckpointsInline(t *testing.T) {
-	// Each whole-tile record is 5 + 1 + 64 = 70 words; a 256-word log
+	// Each tile record is 6 + 1 + 4 + 64 = 75 words; a 256-word log
 	// holds three before compacting.
 	h := newWALHarness(t, 4, ooc.WALOptions{CapWords: 256})
 	tiles := int64(walTestEdge / walTestTile)
@@ -454,13 +457,11 @@ func TestWALFullLogCheckpointsInline(t *testing.T) {
 	}
 }
 
-// TestWALBypassEscalatesToCheckpoint pins the oversized-record path: a
-// write too large for an empty log goes write-through unlogged, and
-// the next durability request escalates to a checkpoint so the ack is
-// still honest.
+// TestWALBypassEscalatesToCheckpoint pins the unlogged-write path on a
+// log too small to matter: a whole-array Fill goes write-through
+// unlogged, and the next durability request escalates to a checkpoint
+// so the ack is still honest.
 func TestWALBypassEscalatesToCheckpoint(t *testing.T) {
-	// Minimum log capacity: a whole-array Fill (1024 words) can never
-	// be framed.
 	h := newWALHarness(t, 5, ooc.WALOptions{CapWords: 16})
 	h.arr.Fill(func(c []int64) float64 { return float64(c[0]*walTestEdge + c[1]) })
 
@@ -481,6 +482,74 @@ func TestWALBypassEscalatesToCheckpoint(t *testing.T) {
 	for _, c := range [][]int64{{0, 0}, {13, 21}, {walTestEdge - 1, walTestEdge - 1}} {
 		if got, want := h.arr.At(c), float64(c[0]*walTestEdge+c[1]); got != want {
 			t.Fatalf("At(%v) = %v after bypass+sync+crash, want %v", c, got, want)
+		}
+	}
+}
+
+// TestWALBulkFillsStayOffTheLog is the fill barrier: the set-up helpers
+// append nothing to the log however roomy it is; a fill with no later
+// commit promises nothing; and fill → acknowledged PUT → power cut
+// recovers both, because the PUT's commit checkpointed the fill before
+// acknowledging.
+func TestWALBulkFillsStayOffTheLog(t *testing.T) {
+	h := newWALHarness(t, 11, ooc.WALOptions{CapWords: 1 << 15}) // 32 Ki words: the 1 Ki-word array would fit 30 times
+	fillVal := func(c []int64) float64 { return 100 + float64(c[0]*walTestEdge+c[1]) }
+	fill := func() {
+		before := h.disk.WALStats()
+		h.arr.Fill(func([]int64) float64 { return -1 })
+		store := ir.NewStore(h.arr.Meta)
+		for r := int64(0); r < walTestEdge; r++ {
+			for c := int64(0); c < walTestEdge; c++ {
+				store.Set(h.arr.Meta, []int64{r, c}, fillVal([]int64{r, c}))
+			}
+		}
+		h.arr.FromStore(store)
+		h.arr.SetAt([]int64{3, 4}, -7)
+		after := h.disk.WALStats()
+		if after.AppendedWords != before.AppendedWords || after.Appends != before.Appends || after.LastSeq != before.LastSeq {
+			t.Fatalf("set-up helpers appended to the log: %+v -> %+v", before, after)
+		}
+		if after.BypassWrites != before.BypassWrites+3 {
+			t.Fatalf("three bulk writes counted %d unlogged write-throughs", after.BypassWrites-before.BypassWrites)
+		}
+	}
+
+	// No commit after the fill: the power cut may take all of it (and,
+	// under the injector's model, does), and replay has nothing to say.
+	fill()
+	h.crash(t)
+	if st := h.disk.WALStats(); st.ReplayedRecords != 0 {
+		t.Fatalf("replay applied %d records after an unlogged fill", st.ReplayedRecords)
+	}
+	if got := h.arr.At([]int64{13, 21}); got != 0 {
+		t.Fatalf("an uncommitted fill survived the power cut as %v; the harness proves nothing", got)
+	}
+
+	// Fill, then one acknowledged PUT: its commit is the barrier.
+	fill()
+	writeTile(t, h.eng, h.arr, walTile(1, 1), 77)
+	if err := h.eng.FlushOverlapping(h.arr, walTile(1, 1)); err != nil {
+		t.Fatalf("flush overlapping: %v", err)
+	}
+	if err := h.arr.Sync(); err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	if st := h.disk.WALStats(); st.Checkpoints == 0 {
+		t.Fatalf("the first commit after a fill did not checkpoint: %+v", st)
+	}
+	h.crash(t)
+	for r := int64(0); r < walTestEdge; r++ {
+		for c := int64(0); c < walTestEdge; c++ {
+			want := fillVal([]int64{r, c})
+			switch {
+			case walTile(1, 1).Contains([]int64{r, c}):
+				want = 77
+			case r == 3 && c == 4:
+				want = -7
+			}
+			if got := h.arr.At([]int64{r, c}); got != want {
+				t.Fatalf("A[%d,%d] = %v after fill + acked PUT + power cut, want %v", r, c, got, want)
+			}
 		}
 	}
 }
@@ -506,5 +575,126 @@ func TestWALStatsMaintainer(t *testing.T) {
 	}
 	if err := h.disk.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// budgetBackend lets exactly `left` more words reach the log it wraps:
+// the write that crosses the budget lands its prefix and fails, every
+// later one fails outright — a tear placed at a chosen word, however
+// many backend writes the log append is made of.
+type budgetBackend struct {
+	ooc.Backend
+	armed bool
+	left  int
+}
+
+func (b *budgetBackend) WriteAt(buf []float64, off int64) error {
+	if !b.armed {
+		return b.Backend.WriteAt(buf, off)
+	}
+	n := min(len(buf), b.left)
+	b.left -= n
+	if n > 0 {
+		if err := b.Backend.WriteAt(buf[:n], off); err != nil {
+			return err
+		}
+	}
+	if n < len(buf) {
+		return fmt.Errorf("budgetBackend: torn after %d of %d words", n, len(buf))
+	}
+	return nil
+}
+
+// TestWALReplayIsTileAtomic tears the log append of one tile write at
+// EVERY word prefix, makes the torn prefix durable, cuts power and
+// replays. A 32×32 tile of a column-major array is 32 file runs; the
+// recovered tile must be the old tile or the new tile in full — never
+// some of the new runs over the old ones, which is what per-run records
+// replay when the tear falls between two of them.
+func TestWALReplayIsTileAtomic(t *testing.T) {
+	const edge, tile = 64, 32
+	box := layout.NewBox([]int64{0, 32}, []int64{tile, 32 + tile})
+	// One record of 6 + 1 + 4 + 1024 words; leave room to see a write
+	// path that appends more (per-run framing) tear too.
+	const appendWords = 6 + 1 + 4 + tile*tile
+	for budget := 0; budget <= appendWords+6*tile; budget++ {
+		inj := faultfs.New(9, faultfs.Profile{})
+		var logBack *budgetBackend
+		wrap := func(name string, b ooc.Backend) ooc.Backend {
+			b = inj.Wrap(name, b)
+			if name == "__wal0" {
+				if logBack == nil {
+					logBack = &budgetBackend{Backend: b}
+				}
+				return logBack
+			}
+			return b
+		}
+		open := func() (*ooc.Disk, *ooc.Array) {
+			d := ooc.NewDisk(0).WrapBackend(wrap).EnableWAL(ooc.WALOptions{CapWords: 1 << 11})
+			ar, err := d.CreateArray(ir.NewArray("A", edge, edge), layout.ColMajor(edge, edge))
+			if err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			if _, err := d.ReplayWAL(); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			return d, ar
+		}
+		put := func(ar *ooc.Array, v float64) error {
+			tl := ar.NewTileZero(box)
+			for i := range tl.Data() {
+				tl.Data()[i] = v + float64(i)
+			}
+			return tl.WriteTile()
+		}
+
+		// The old tile: written, acknowledged and checkpointed into the
+		// stripes, so the log is empty when the torn write arrives.
+		d, ar := open()
+		if err := put(ar, 1000); err != nil {
+			t.Fatal(err)
+		}
+		if err := ar.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ar.Sync(); err != nil { // the truncation's epoch header
+			t.Fatal(err)
+		}
+
+		// The new tile's append tears after `budget` words; the torn
+		// prefix reaches the media (worst case), then the power goes.
+		logBack.armed, logBack.left = true, budget
+		werr := put(ar, 5000)
+		logBack.armed = false
+		if err := logBack.Backend.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		inj.Crash()
+
+		_, ar2 := open()
+		got, err := ar2.ReadTile(box)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := got.Data()[0]
+		if first != 1000 && first != 5000 {
+			t.Fatalf("budget %d: recovered tile starts with %v", budget, first)
+		}
+		for i, v := range got.Data() {
+			if v != first+float64(i) {
+				t.Fatalf("budget %d: recovered tile mixes writes: element %d is %v in a tile starting %v (write error: %v)",
+					budget, i, v, first, werr)
+			}
+		}
+		if werr == nil && first != 5000 {
+			t.Fatalf("budget %d: the write succeeded but replay recovered the old tile", budget)
+		}
+		if budget < appendWords && first != 1000 {
+			t.Fatalf("budget %d: a torn record replayed as the new tile", budget)
+		}
 	}
 }

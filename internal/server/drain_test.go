@@ -114,14 +114,35 @@ func TestDrainWaitsForInflightWrite(t *testing.T) {
 	dir := t.TempDir()
 	ts := newTestServer(t, Config{}, func(d *ooc.Disk) { d.Dir(dir) })
 	ts.createArray(t, "A", 8, 8)
-	// A PUT's Acquire reads the cold tile from the backend, so the read
-	// delay holds the PUT in flight while Drain starts.
-	ts.back["A"].readDelay.Store(int64(400 * time.Millisecond))
 
 	payload := make([]float64, 8*8)
 	for i := range payload {
 		payload[i] = float64(i) + 3
 	}
+	// A whole-box PUT is a blind store that never touches the backend,
+	// so the in-flight write is staged as one that must merge: the top
+	// half of the tile lands first at generation 7 (carrying the final
+	// bytes), and the full-tile PUT at generation 6 then has to Acquire
+	// the tile to fill in the remainder. That Acquire reads the cold
+	// tile, so the read delay holds the PUT — handle pinned — while
+	// Drain starts.
+	top := bytes.NewReader(encodePayload(payload[:4*8]))
+	req, err := http.NewRequest(http.MethodPut, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,8"), top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(TileGenHeader, "7")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("staging PUT: status %d", resp.StatusCode)
+	}
+	ts.back["A"].readDelay.Store(int64(400 * time.Millisecond))
+	readsBefore := ts.back["A"].reads.Load()
+
 	status := make(chan int, 1)
 	go func() {
 		req, err := http.NewRequest(http.MethodPut, ts.url("/v1/arrays/A/tile?lo=0,0&hi=8,8"), bytes.NewReader(encodePayload(payload)))
@@ -129,6 +150,7 @@ func TestDrainWaitsForInflightWrite(t *testing.T) {
 			status <- 0
 			return
 		}
+		req.Header.Set(TileGenHeader, "6")
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			status <- 0
@@ -139,7 +161,7 @@ func TestDrainWaitsForInflightWrite(t *testing.T) {
 		status <- resp.StatusCode
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for ts.back["A"].reads.Load() == 0 {
+	for ts.back["A"].reads.Load() == readsBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("in-flight PUT never reached the backend")
 		}

@@ -482,16 +482,19 @@ func flightKey(lk *tileLock, name string, box layout.Box, share string) string {
 
 // WriteBox lands one write: per-cell LWW generation merge under the
 // exclusive lock, flight-key versioning, and flush-before-ack under
-// DurablePuts.
+// DurablePuts. A write that applies to its whole box — every ungated
+// PUT, batch op, hint replay and read-repair rewrite — is a blind
+// engine Store and reads nothing; only a gen-gated write that newer
+// overlapping writes partly supersede reads the tile to merge into.
 func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src []float64, gen uint64) (uint64, bool, error) {
 	ar, lk, err := p.open(a)
 	if err != nil {
 		return 0, false, err
 	}
-	// Exclusive lock: while this write copies into the pinned tile's
-	// buffer and releases it dirty, no reader of the same array holds a
-	// pin — which both prevents torn reads of the shared slice and
-	// upholds the engine's contract that a dirty release never races
+	// Exclusive lock: while this write overwrites the cached tile's
+	// buffer and dirties it, no reader of the same array holds a pin —
+	// which both prevents torn reads of the shared slice and upholds the
+	// engine's contract that a store or dirty release never races
 	// overlapping pinned tiles (so overlap invalidation cannot skip a
 	// reader-pinned stale entry).
 	lk.mu.Lock()
@@ -520,19 +523,25 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 			}
 		}
 	}
-	h, err := p.eng.Acquire(ar, box)
+	if apply == nil {
+		// The write supplies every cell of the box, so nothing of the old
+		// tile is needed: install it without reading (the engine copies
+		// src, which the front end recycles).
+		err = p.eng.Store(ar, box, src)
+	} else {
+		// Only the merge remainder needs the old cells.
+		var h *ooc.Handle
+		if h, err = p.eng.Acquire(ar, box); err == nil {
+			for _, region := range apply {
+				copyBoxLocal(h.Tile().Data(), src, box, region)
+			}
+			p.eng.Release(h, true)
+		}
+	}
 	if err != nil {
 		lk.mu.Unlock()
 		return 0, false, err
 	}
-	if apply == nil {
-		copy(h.Tile().Data(), src)
-	} else {
-		for _, region := range apply {
-			copyBoxLocal(h.Tile().Data(), src, box, region)
-		}
-	}
-	p.eng.Release(h, true)
 	if gen != 0 {
 		lk.setGen(box.String(), box, gen)
 	}
