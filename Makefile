@@ -16,7 +16,7 @@ FUZZ_TARGETS := \
 	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzTenantHeader
 
-.PHONY: build test race check fuzz vet fmt cover loc suite bench-layers bench-counts baseline load walsweep compsweep clustersweep opsweep mtsweep chaos
+.PHONY: build test race check fuzz vet fmt cover loc suite bench-layers bench-counts baseline compsweep chaos
 
 build:
 	$(GO) build ./...
@@ -93,79 +93,12 @@ bench-counts:
 baseline:
 	$(GO) run ./cmd/occbench -suite -json BENCH_baseline.json
 
-# Serving-path load harness: in-process tile server + zipf clients.
-load:
-	$(GO) run ./cmd/occload -kernel trans -version c-opt \
-		-clients 16 -requests 4000 -zipf 1.2
-
-# WAL ack-latency sweep: the identical write-heavy durable-PUT workload
-# with per-PUT fsyncs and then with the group-committed WAL. The
-# acked-PUT p50/p99 split in the scorecard is the WAL's win; these are
-# the serve-*-dp / serve-*-dp-wal rows in BENCH_baseline.json (also
-# informational — serving rows never gate).
-WALSWEEP_DIR ?= /tmp/occ-walsweep
-walsweep:
-	rm -rf $(WALSWEEP_DIR)
-	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 32 \
-		-read-frac 0.2 -requests 16000 -zipf 1 \
-		-dir $(WALSWEEP_DIR)/sync -durable-puts
-	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 32 \
-		-read-frac 0.2 -requests 16000 -zipf 1 \
-		-dir $(WALSWEEP_DIR)/wal -durable-puts -wal
-
 # Compression sweep: the focused engine / engine-compress bench leg
 # (bytes_disk_raw vs bytes_disk is the on-disk reduction, allocs_per_get
-# must be 0), then the identical zipf load with and without the
-# x-ooc-gorilla wire encoding (bytes_wire_raw vs bytes_wire is the
-# on-wire reduction). CI gates both at 2x; see the "Compression gate"
-# step in ci.yml.
+# must be 0). CI gates it at 2x; see the "Compression gate" step in
+# ci.yml. The on-wire reduction is TestRunLoadCompressed.
 compsweep:
 	$(GO) run ./cmd/occbench -suite -compress -json BENCH_comp.json
-	$(GO) run ./cmd/occload -kernel trans -version c-opt \
-		-clients 16 -requests 4000 -zipf 1.2
-	$(GO) run ./cmd/occload -kernel trans -version c-opt \
-		-clients 16 -requests 4000 -zipf 1.2 -compress -json LOAD_comp.json
-
-# Cluster node sweep: the identical workload through an in-process
-# router + N occd nodes for N=1,2,3 (capacity-bound per-node caches,
-# uniform tile choice, so aggregate cache — and throughput — climb
-# with N), then the replicated n3-r2 shape whose row carries the
-# handoff/read-repair counters. These are the serve-cluster-n<N>-r<R>
-# rows in BENCH_baseline.json (informational — serving rows never
-# gate).
-clustersweep:
-	$(GO) run ./cmd/occload -nodes 1,2,3 -replicas 1 -requests 8000 \
-		-clients 32 -tile-edge 8 -cache-tiles 16 -zipf 1 -workers 0
-	$(GO) run ./cmd/occload -nodes 3 -replicas 2 -requests 8000 \
-		-clients 32 -tile-edge 8 -cache-tiles 16 -zipf 1 -workers 0
-
-# Operator sweep: the batched & streaming operator scenarios. The
-# scan-heavy pass streams layout-aware range scans over whole tile
-# stripes in open-loop arrival mode (latency measured from scheduled
-# arrivals — no coordinated omission) and the write-heavy pass moves 8
-# tiles per batch PUT. These are the serve-scan-* / serve-batch-* rows
-# in BENCH_baseline.json; CI gates serve-scan rows at a >=5x
-# round-trip reduction vs point GETs (see "Operator round-trip gate"
-# in ci.yml), the batch rows ride along informationally.
-opsweep:
-	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 16 \
-		-requests 4000 -tile-edge 8 -scenario scan-heavy \
-		-arrival-rate 20000 -json LOAD_scan.json
-	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 16 \
-		-requests 4000 -tile-edge 8 -scenario write-heavy \
-		-json LOAD_batch.json
-
-# Multi-tenant fairness sweep: the two-tenant scenario — an
-# interactive point tenant (DRR weight 4) vs an aggressive streaming
-# scanner (weight 1, chunk-capped) on one shared server. The point
-# tenant runs solo first, then contended; both p99s land in the
-# serve-mt-*-point row and CI's "Fairness gate" requires contended
-# <= 2x solo. These are the serve-mt-* rows in BENCH_baseline.json
-# (the latency ratio gates, the throughput rides informationally).
-mtsweep:
-	$(GO) run ./cmd/occload -kernel trans -version c-opt -clients 8 \
-		-requests 4000 -tile-edge 8 -scenario multi-tenant \
-		-json LOAD_mt.json
 
 # Deterministic chaos sweep: the dst/faultfs test suites under -race,
 # then CHAOS_EPISODES seeded simulation episodes (power cuts, torn

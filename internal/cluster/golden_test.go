@@ -116,7 +116,7 @@ func goldenGet(t *testing.T, url string) []byte {
 
 // TestStatsGoldenClusterSchema pins the occrouter /v1/stats shape: the
 // occd-mirroring top-level keys (engine, hit_rate, requests, ...) that
-// let occload's scorecard work unchanged, plus the cluster block and
+// let one stats reader serve both planes, plus the cluster block and
 // per-node status array. Adding, renaming, or dropping a key is an API
 // change and must update the golden deliberately.
 func TestStatsGoldenClusterSchema(t *testing.T) {
@@ -180,8 +180,8 @@ func goldenTenantCluster(t *testing.T) *LocalCluster {
 
 // TestStatsGoldenTenantClusterSchema pins the router's tenanted
 // /v1/stats shape: the tenants array rides next to the cluster block
-// with the same keys occd exposes, so the occload scorecard reads
-// either plane identically.
+// with the same keys occd exposes, so the fairness suite reads either
+// plane identically.
 func TestStatsGoldenTenantClusterSchema(t *testing.T) {
 	lc := goldenTenantCluster(t)
 	out := goldenGet(t, lc.RouterURL+"/v1/stats")

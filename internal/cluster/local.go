@@ -31,8 +31,6 @@ type LocalOptions struct {
 	DurablePuts bool
 	// HintDir durably queues the router's handoff hints ("" = memory).
 	HintDir string
-	// NoWire disables x-ooc-gorilla on router↔node hops.
-	NoWire bool
 	// Seed derives each node's fault injector seed.
 	Seed int64
 	// Tenants configures both the router's and every node's tenant
@@ -103,8 +101,8 @@ func (g *partitionGate) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // LocalCluster runs a router plus N storage nodes in one process:
 // real HTTP on loopback, real serving cores, fault-injected storage —
-// the harness behind cluster conformance, chaos episodes, and
-// occload's cluster mode.
+// the harness behind cluster conformance, chaos episodes, and the
+// fairness suite.
 type LocalCluster struct {
 	Router    *Router
 	RouterURL string
@@ -135,22 +133,13 @@ func NewLocal(o LocalOptions) (*LocalCluster, error) {
 		clients[i] = c
 		lc.nodes = append(lc.nodes, n)
 	}
-	r, err := NewRouter(Options{
-		Nodes:      clients,
-		Replicas:   o.Replicas,
-		TileDim:    o.TileDim,
-		HintDir:    o.HintDir,
-		NoWire:     o.NoWire,
-		QueueDepth: o.QueueDepth,
-		Tenants:    o.Tenants,
-		Obs:        o.Obs,
-	})
+	lc.clients = clients
+	r, err := NewRouter(lc.routerOptions())
 	if err != nil {
 		lc.closeNodes()
 		return nil, err
 	}
 	lc.Router = r
-	lc.clients = clients
 	lc.routerSrv = httptest.NewServer(r.Handler())
 	lc.RouterURL = lc.routerSrv.URL
 	return lc, nil
@@ -167,15 +156,7 @@ func NewLocal(o LocalOptions) (*LocalCluster, error) {
 func (lc *LocalCluster) RestartRouter() error {
 	lc.routerSrv.Close()
 	lc.Router.hints.Close()
-	r, err := NewRouter(Options{
-		Nodes:      lc.clients,
-		Replicas:   lc.opts.Replicas,
-		TileDim:    lc.opts.TileDim,
-		HintDir:    lc.opts.HintDir,
-		NoWire:     lc.opts.NoWire,
-		QueueDepth: lc.opts.QueueDepth,
-		Tenants:    lc.opts.Tenants,
-	})
+	r, err := NewRouter(lc.routerOptions())
 	if err != nil {
 		return err
 	}
@@ -183,6 +164,20 @@ func (lc *LocalCluster) RestartRouter() error {
 	lc.routerSrv = httptest.NewServer(r.Handler())
 	lc.RouterURL = lc.routerSrv.URL
 	return nil
+}
+
+// routerOptions is the one router configuration NewLocal and
+// RestartRouter build from, so a replacement router is the same router.
+func (lc *LocalCluster) routerOptions() Options {
+	return Options{
+		Nodes:      lc.clients,
+		Replicas:   lc.opts.Replicas,
+		TileDim:    lc.opts.TileDim,
+		HintDir:    lc.opts.HintDir,
+		QueueDepth: lc.opts.QueueDepth,
+		Tenants:    lc.opts.Tenants,
+		Obs:        lc.opts.Obs,
+	}
 }
 
 // boot builds the node's disk/engine/server over the injector's

@@ -402,9 +402,8 @@ type nodeStat struct {
 // routerStatsPayload is the router's /v1/stats JSON. The top-level
 // keys mirror a single occd's payload — the front end's block, plus
 // engine counters summed over reachable nodes — so tooling that reads
-// occd stats (the load harness's delta reporting included) works
-// unchanged against a router; cluster and nodes carry the distributed
-// story.
+// occd stats works unchanged against a router; cluster and nodes carry
+// the distributed story.
 type routerStatsPayload struct {
 	Engine    ooc.EngineStats `json:"engine"`
 	HitRate   float64         `json:"hit_rate"`

@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"outcore/internal/layout"
+	"outcore/internal/obs"
 )
 
 // hammerEdge sizes the hammer array; tiles are tileEdge-aligned.
@@ -192,6 +193,26 @@ func TestRouterRestartKeepsLayout(t *testing.T) {
 	}
 	if a, ok := lc.Router.Lookup("C"); !ok || a.Info().Layout != "col" {
 		t.Errorf("recovered catalog row for C: %+v (found %v), want layout col", a.Info(), ok)
+	}
+}
+
+// TestRouterRestartKeepsObserver: the replacement router reports into
+// the same metrics sink the caller handed LocalOptions, so a dashboard
+// watching the cluster keeps seeing router traffic across a restart.
+func TestRouterRestartKeepsObserver(t *testing.T) {
+	reg := obs.NewRegistry()
+	lc := newTestCluster(t, 3, 2, func(o *LocalOptions) { o.Obs = &obs.Sink{Metrics: reg} })
+	if err := lc.RestartRouter(); err != nil {
+		t.Fatalf("router restart: %v", err)
+	}
+	gets := reg.Counter("occrouter_tile_gets_total", "")
+	before := gets.Value()
+	box := layout.NewBox([]int64{0, 0}, []int64{testTile, testTile})
+	if _, _, err := lc.Client().GetTile("A", box, true); err != nil {
+		t.Fatalf("get after router restart: %v", err)
+	}
+	if gets.Value() == before {
+		t.Fatal("occrouter_tile_gets_total did not move after a GET through the restarted router: its metrics left the caller's sink")
 	}
 }
 

@@ -51,12 +51,6 @@ var BenchConfigs = []BenchRunConfig{
 // PrefetchUseful, OverlapFactor and WallSeconds come from a data-backed
 // single-process execution (WallSeconds is machine-dependent and
 // informational only).
-//
-// The trailing omitempty fields are the serving-layer additions the
-// load harness (cmd/occload) fills in: they are ADDITIVE, so the
-// outcore-bench/v1 schema stays backward-compatible — old readers
-// ignore them, old reports simply lack them, and CompareBench never
-// gates on them.
 type BenchEntry struct {
 	Kernel             string  `json:"kernel"`
 	Config             string  `json:"config"`
@@ -74,53 +68,10 @@ type BenchEntry struct {
 	// is the on-disk byte reduction). AllocsPerGet is the measured per-operation
 	// allocation count of a cached tile acquire — a pointer so the
 	// legitimate value 0 survives serialization — and the CI gate
-	// holds it at zero. BytesWireRaw and BytesWire are the same pair
-	// for a load-harness run's HTTP tile traffic.
+	// holds it at zero.
 	BytesDiskRaw int64    `json:"bytes_disk_raw,omitempty"`
 	BytesDisk    int64    `json:"bytes_disk,omitempty"`
-	BytesWireRaw int64    `json:"bytes_wire_raw,omitempty"`
-	BytesWire    int64    `json:"bytes_wire,omitempty"`
 	AllocsPerGet *float64 `json:"allocs_per_get,omitempty"`
-
-	// Serving-layer metrics (load-harness rows only).
-	Requests          int64   `json:"requests,omitempty"`
-	ThroughputRPS     float64 `json:"throughput_rps,omitempty"`
-	LatencyP50Seconds float64 `json:"latency_p50_seconds,omitempty"`
-	LatencyP99Seconds float64 `json:"latency_p99_seconds,omitempty"`
-	PutP50Seconds     float64 `json:"latency_put_p50_seconds,omitempty"`
-	PutP99Seconds     float64 `json:"latency_put_p99_seconds,omitempty"`
-	CoalescedFetches  int64   `json:"coalesced_fetches,omitempty"`
-	Rejected          int64   `json:"rejected,omitempty"`
-
-	// Cluster-serving metrics (occload cluster rows only, additive as
-	// above): the replication factor and the run's handoff/read-repair
-	// activity through the router.
-	Replicas     int   `json:"replicas,omitempty"`
-	HandoffHints int64 `json:"handoff_hints,omitempty"`
-	ReadRepairs  int64 `json:"read_repairs,omitempty"`
-
-	// Batched/streaming-operator metrics (occload scenario rows only,
-	// additive as above). RoundTrips is the HTTP requests the workload
-	// actually issued; PointRoundTrips is what moving the same tile
-	// volume would have cost as single-tile requests — their ratio is
-	// the operators' round-trip reduction at equal bytes, and CI gates
-	// serve-scan rows at 5x.
-	RoundTrips      int64 `json:"round_trips,omitempty"`
-	PointRoundTrips int64 `json:"point_round_trips,omitempty"`
-	ScanRequests    int64 `json:"scan_requests,omitempty"`
-	ScanChunks      int64 `json:"scan_chunks,omitempty"`
-	BatchRequests   int64 `json:"batch_requests,omitempty"`
-	BatchOps        int64 `json:"batch_ops,omitempty"`
-
-	// Multi-tenant fairness metrics (occload -scenario multi-tenant
-	// serve-mt-* rows only, additive as above). Tenant names the
-	// population the row measures; the solo/contended p99 pair is the
-	// isolation evidence CI gates — the point tenant's contended p99
-	// must stay within 2x its solo p99 while a scan tenant saturates
-	// the same plane.
-	Tenant         string  `json:"tenant,omitempty"`
-	P99SoloMs      float64 `json:"p99_solo_ms,omitempty"`
-	P99ContendedMs float64 `json:"p99_contended_ms,omitempty"`
 }
 
 // BenchFailure records one (kernel, configuration) run that errored;
@@ -397,14 +348,6 @@ func CompareBench(base, cur BenchReport, tol float64) ([]BenchRegression, error)
 	}
 	var regs []BenchRegression
 	for _, b := range base.Results {
-		if b.Requests > 0 {
-			// Serving-layer rows (the occload harness) are
-			// machine-dependent throughput snapshots: a baseline may
-			// carry them for the record, but they never gate
-			// and their absence from an occbench suite report is not a
-			// regression.
-			continue
-		}
 		c, ok := curBy[b.Kernel+"/"+b.Config]
 		if !ok {
 			regs = append(regs, BenchRegression{Kernel: b.Kernel, Config: b.Config, Metric: "missing"})

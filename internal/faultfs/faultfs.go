@@ -1,6 +1,6 @@
 // Package faultfs is a deterministic fault-injecting ooc.Backend
 // wrapper: the storage adversary the crash-consistency harness
-// (internal/dst) and the chaos tooling (cmd/occhaos, occload -faults)
+// (internal/dst) and the chaos tooling (cmd/occhaos, occd -faults)
 // run the out-of-core stack against.
 //
 // Every fault decision — injected read/write errors, out-of-space,

@@ -7,10 +7,10 @@ package faultfs
 const StormLatencyTicks = 8
 
 // StormProfile is the canonical fault storm the tooling arms by
-// default — occd -faults, occload -faults and occhaos's flag defaults
-// all share it, so "the storm" means the same device misbehaviour
-// everywhere: every fault class at rates that keep most requests
-// succeeding while exercising every error path.
+// default — occd -faults, occhaos's flag defaults and the serving
+// storm test all share it, so "the storm" means the same device
+// misbehaviour everywhere: every fault class at rates that keep most
+// requests succeeding while exercising every error path.
 func StormProfile() Profile {
 	return Profile{
 		ReadErr:      0.05,

@@ -6,8 +6,9 @@ import (
 )
 
 // TestStormProfilePinned pins the canonical storm's rates: occd,
-// occload and occhaos all arm this exact profile, and a chaos seed
-// only reproduces across binaries while these numbers are identical.
+// occhaos and the serving storm test all arm this exact profile, and a
+// chaos seed only reproduces across them while these numbers are
+// identical.
 func TestStormProfilePinned(t *testing.T) {
 	got := StormProfile()
 	want := Profile{

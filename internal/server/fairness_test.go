@@ -145,7 +145,7 @@ func TestFairnessIsolation(t *testing.T) {
 
 				scanSpec := pointSpec(base)
 				scanSpec.Tenant = "scan"
-				scanSpec.Scenario = "scan-heavy"
+				scanSpec.Scans = true
 				scanSpec.ReadFrac = 0.5
 				scanSpec.Requests = 200
 				scanSpec.Seed = 7331

@@ -259,9 +259,8 @@ func TestMetricsGoldenWALSchema(t *testing.T) {
 
 // TestStatsGoldenTenantSchema pins the tenanted /v1/stats shape: the
 // tenants array (id, weight, request/byte/rejection/queue-wait/chunk
-// tallies, live queue depth) is what the occload multi-tenant
-// scorecard and the CI fairness gate consume, so its keys changing is
-// an API change. An untenanted server must NOT grow the block — the
+// tallies, live queue depth) is what the fairness suite consumes, so
+// its keys changing is an API change. An untenanted server must NOT grow the block — the
 // omitempty contract that keeps the pre-tenant golden stable.
 func TestStatsGoldenTenantSchema(t *testing.T) {
 	ts := goldenTenantServer(t)

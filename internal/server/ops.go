@@ -235,13 +235,25 @@ type ScanCursor struct {
 }
 
 // EncodeScanCursor renders an opaque resume token. Exported for the
-// router, the load harness and tests; clients normally just echo the
-// cursor a frame carried.
+// router and tests; clients normally just echo the cursor a frame
+// carried.
 func EncodeScanCursor(name string, box layout.Box, chunkElems int64, layoutName string, seq uint64) string {
 	plain := fmt.Sprintf("ooc-scan/1|%s|%s|%s|%d|%s|%d",
 		name, coordList(box.Lo), coordList(box.Hi), chunkElems, layoutName, seq)
 	sum := crc32.Checksum([]byte(plain), castagnoli)
 	return base64.RawURLEncoding.EncodeToString([]byte(fmt.Sprintf("%s|%08x", plain, sum)))
+}
+
+// coordList renders coordinates as the query form "1,2,3".
+func coordList(c []int64) string {
+	out := ""
+	for i, v := range c {
+		if i > 0 {
+			out += ","
+		}
+		out += fmt.Sprintf("%d", v)
+	}
+	return out
 }
 
 // ParseScanCursor validates and decodes a token. Every malformation is

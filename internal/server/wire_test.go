@@ -203,8 +203,8 @@ func goldenCompressServer(t *testing.T) *testServer {
 
 // TestStatsGoldenCompressSchema pins the compression-enabled /v1/stats
 // shape: the compression block (disk/WAL/wire raw-vs-encoded byte
-// tallies plus the arena scorecard) is what `occload -compress` and the
-// CI bench gate read, so its keys changing is an API change.
+// tallies plus the arena scorecard) is what TestRunLoadCompressed's
+// wire gate reads, so its keys changing is an API change.
 func TestStatsGoldenCompressSchema(t *testing.T) {
 	ts := goldenCompressServer(t)
 	status, out, _ := ts.do(t, http.MethodGet, ts.url("/v1/stats"), nil)
