@@ -6,6 +6,7 @@ FUZZTIME ?= 20s
 # Every fuzz target as "package:Target"; `make fuzz` loops over these,
 # so adding a fuzzer is a one-line change here and zero changes in CI.
 FUZZ_TARGETS := \
+	./internal/fm/:FuzzRange \
 	./internal/layout/:FuzzRuns \
 	./internal/layout/:FuzzSegments \
 	./internal/layout/:FuzzBoxOverlaps \
@@ -63,11 +64,12 @@ loc:
 suite:
 	$(GO) run ./cmd/occbench -suite -json BENCH_current.json -baseline BENCH_baseline.json
 
-# Miss-path microbenchmarks (layout run/segment walks, tile read and
-# write-back per layout kind, the logged tile write under a WAL), six
-# samples each: pipe two runs into benchstat to compare commits.
+# Layer microbenchmarks (layout run/segment walks, tile read and
+# write-back per layout kind, the logged tile write under a WAL, the
+# tile executor through a synchronous engine), six samples each: pipe
+# two runs into benchstat to compare commits.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile' -benchmem -count 6 ./internal/layout ./internal/ooc
+	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile|Execute' -benchmem -count 6 ./internal/layout ./internal/ooc ./internal/codegen
 
 # The repository benchmark's runner-independent gate: one short round of
 # each BENCHMARK.json workload at a fixed seed, comparing the metrics

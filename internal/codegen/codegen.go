@@ -75,8 +75,10 @@ type Schedule struct {
 	traceName string
 	bounds    *fm.Bounds
 	stmts     []schedStmt
+	refs      []schedRef
 	groups    []*refGroup
 	writes    map[*ir.Array]bool
+	qLast     []int64 // Q's last column: the original-space step of the innermost loop
 }
 
 // refGroup is one (array, access matrix) tile group.
@@ -86,13 +88,18 @@ type refGroup struct {
 	offs [][]int64   // offsets of the member references
 }
 
-// schedStmt binds each statement reference to its group.
+// schedRef is one statement reference: its group and constant offset.
+type schedRef struct {
+	group int
+	off   []int64
+}
+
+// schedStmt binds each statement to its references (indexes into
+// Schedule.refs).
 type schedStmt struct {
-	st       *ir.Stmt
-	outGroup int
-	outOff   []int64
-	inGroup  []int
-	inOff    [][]int64
+	st  *ir.Stmt
+	out int
+	in  []int
 }
 
 // Build constructs the schedule for one nest under a plan.
@@ -123,14 +130,20 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 		s.groups = append(s.groups, &refGroup{arr: r.Array, m: m, offs: [][]int64{r.Off}})
 		return len(s.groups) - 1
 	}
+	refOf := func(r ir.Ref) int {
+		s.refs = append(s.refs, schedRef{group: groupOf(r), off: r.Off})
+		return len(s.refs) - 1
+	}
 	for _, st := range n.Body {
-		ss := schedStmt{st: st, outGroup: groupOf(st.Out), outOff: st.Out.Off}
+		ss := schedStmt{st: st, out: refOf(st.Out)}
 		s.writes[st.Out.Array] = true
 		for _, r := range st.In {
-			ss.inGroup = append(ss.inGroup, groupOf(r))
-			ss.inOff = append(ss.inOff, r.Off)
+			ss.in = append(ss.in, refOf(r))
 		}
 		s.stmts = append(s.stmts, ss)
+	}
+	for r := 0; r < k; r++ {
+		s.qLast = append(s.qLast, np.Q.At(r, k-1))
 	}
 	// A written array must have exactly one access-matrix group.
 	for _, a := range s.writtenArrays() {
@@ -238,236 +251,192 @@ func (s *Schedule) Execute(d *ooc.Disk, mem *ooc.Memory) (ExecStats, error) {
 
 // ExecuteSlice runs the schedule's share for processor `part` of
 // `parts`: the outermost tile loop is block-partitioned, the paper's
-// communication-free parallelization.
+// communication-free parallelization. Tiles run in lexicographic
+// origin order; on the engine path, while tile i computes, tile i+1's
+// read footprints are already being prefetched — the PASSION
+// double-buffering pattern.
 func (s *Schedule) ExecuteSlice(d *ooc.Disk, mem *ooc.Memory, part, parts int) (ExecStats, error) {
 	if parts < 1 || part < 0 || part >= parts {
 		return ExecStats{}, fmt.Errorf("codegen: bad partition %d/%d", part, parts)
 	}
-	var stats ExecStats
 	if !s.bounds.Feasible() {
-		return stats, nil
+		return ExecStats{}, nil
 	}
-	k := s.Spec.Depth()
+	x := s.newExecutor(d, mem)
 	// Tile counts along level 0 for block partitioning.
 	nt0 := ceilDiv(s.Spec.Hi[0]-s.Spec.Lo[0]+1, s.Spec.Sizes[0])
 	t0from, t0to := blockRange(nt0, int64(part), int64(parts))
-
-	if s.engine != nil && !s.dryRun {
-		err := s.executeSliceEngine(d, t0from, t0to, &stats)
-		return stats, err
+	last0 := min(s.Spec.Lo[0]+t0to*s.Spec.Sizes[0]-1, s.Spec.Hi[0])
+	origin, next := append([]int64(nil), s.Spec.Lo...), make([]int64, len(s.Spec.Lo))
+	origin[0] += t0from * s.Spec.Sizes[0]
+	for ok := origin[0] <= last0; ok; origin, next = next, origin {
+		copy(next, origin)
+		ok = s.nextOrigin(next, last0)
+		var ahead []int64
+		if ok {
+			ahead = next
+		}
+		if err := x.tile(origin, ahead); err != nil {
+			return x.stats, err
+		}
 	}
-	origin := make([]int64, k)
-	var rec func(lvl int) error
-	rec = func(lvl int) error {
-		if lvl == k {
-			return s.runTile(d, mem, origin, &stats)
+	return x.stats, nil
+}
+
+// nextOrigin steps a tile origin to its lexicographic successor, level
+// 0 ending at last0; false past the last tile.
+func (s *Schedule) nextOrigin(o []int64, last0 int64) bool {
+	for lvl := len(o) - 1; lvl >= 0; lvl-- {
+		o[lvl] += s.Spec.Sizes[lvl]
+		if o[lvl] <= s.Spec.Hi[lvl] && (lvl > 0 || o[0] <= last0) {
+			return true
 		}
-		from, to := s.Spec.Lo[lvl], s.Spec.Hi[lvl]
-		step := s.Spec.Sizes[lvl]
-		if lvl == 0 {
-			from = s.Spec.Lo[0] + t0from*step
-			to = s.Spec.Lo[0] + t0to*step - 1
-			if to > s.Spec.Hi[0] {
-				to = s.Spec.Hi[0]
-			}
-		}
-		for o := from; o <= to; o += step {
-			origin[lvl] = o
-			if err := rec(lvl + 1); err != nil {
-				return err
-			}
-		}
+		o[lvl] = s.Spec.Lo[lvl]
+	}
+	return false
+}
+
+// tileBounds fills the inclusive iteration-space bounds of the tile at
+// origin, clipped to the spec.
+func (s *Schedule) tileBounds(origin, tLo, tHi []int64) {
+	for lvl, o := range origin {
+		tLo[lvl] = o
+		tHi[lvl] = min(o+s.Spec.Sizes[lvl]-1, s.Spec.Hi[lvl])
+	}
+}
+
+// executor is one ExecuteSlice call's state, reused across its tiles:
+// tile bounds, the group tiles with their offset tables, the request
+// list and the statement loop's scratch.
+type executor struct {
+	s     *Schedule
+	d     *ooc.Disk
+	mem   *ooc.Memory
+	stats ExecStats
+
+	tLo, tHi, nLo, nHi []int64 // this tile's and the next tile's iteration box
+	iv, origIv         []int64
+	in                 []float64 // statement inputs; a StmtFunc may not keep its slice
+	reqs, pre          []ooc.TileReq
+	reqGroup           []int // group of each of reqs
+
+	// Per group: its tile (nil when its footprint is empty), its
+	// footprint box, and lin[g*k+l] = Σ_d m[d][l]·tileStride_d, the
+	// change in tile offset per unit step of level l.
+	tiles []*ooc.Tile
+	boxes []layout.Box
+	lin   []int64
+	// Per reference: its tile's data, its tile offset at iv = 0, at the
+	// current point, and per innermost step.
+	data            [][]float64
+	base, pos, step []int64
+	proven          bool // every reference provably stays inside its tile over the tile box
+}
+
+// newExecutor sizes an executor's tables for the schedule.
+func (s *Schedule) newExecutor(d *ooc.Disk, mem *ooc.Memory) *executor {
+	k, ng, nr := s.Spec.Depth(), len(s.groups), len(s.refs)
+	return &executor{s: s, d: d, mem: mem,
+		tLo: make([]int64, k), tHi: make([]int64, k), nLo: make([]int64, k), nHi: make([]int64, k),
+		iv: make([]int64, k), origIv: make([]int64, k),
+		tiles: make([]*ooc.Tile, ng), boxes: make([]layout.Box, ng), lin: make([]int64, ng*k),
+		data: make([][]float64, nr), base: make([]int64, nr), pos: make([]int64, nr), step: make([]int64, nr)}
+}
+
+// tile processes the tile at origin; next is the following tile's
+// origin, nil after the last.
+func (x *executor) tile(origin, next []int64) error {
+	s := x.s
+	s.tileBounds(origin, x.tLo, x.tHi)
+	// Dry runs need the exact count; executing needs only "non-empty?".
+	iters := s.countWithin(0, x.tLo, x.tHi, x.iv, !s.dryRun)
+	if iters == 0 {
 		return nil
 	}
-	err := rec(0)
-	return stats, err
-}
-
-// executeSliceEngine runs the partition's tiles through the concurrent
-// tile engine: the tile origins are materialized up front so that while
-// tile i computes, tile i+1's read footprints are already being
-// prefetched — the PASSION double-buffering pattern.
-func (s *Schedule) executeSliceEngine(d *ooc.Disk, t0from, t0to int64, stats *ExecStats) error {
-	k := s.Spec.Depth()
-	var origins [][]int64
-	origin := make([]int64, k)
-	var rec func(lvl int)
-	rec = func(lvl int) {
-		if lvl == k {
-			origins = append(origins, append([]int64(nil), origin...))
-			return
-		}
-		from, to := s.Spec.Lo[lvl], s.Spec.Hi[lvl]
-		step := s.Spec.Sizes[lvl]
-		if lvl == 0 {
-			from = s.Spec.Lo[0] + t0from*step
-			to = s.Spec.Lo[0] + t0to*step - 1
-			if to > s.Spec.Hi[0] {
-				to = s.Spec.Hi[0]
-			}
-		}
-		for o := from; o <= to; o += step {
-			origin[lvl] = o
-			rec(lvl + 1)
-		}
-	}
-	rec(0)
-	for i, org := range origins {
-		var next []int64
-		if i+1 < len(origins) {
-			next = origins[i+1]
-		}
-		if err := s.runEngineTile(d, org, next, stats); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// tileBounds returns the inclusive iteration-space bounds of the tile
-// at origin, clipped to the spec.
-func (s *Schedule) tileBounds(origin []int64) (tLo, tHi []int64) {
-	k := s.Spec.Depth()
-	tLo = make([]int64, k)
-	tHi = make([]int64, k)
-	for lvl := 0; lvl < k; lvl++ {
-		tLo[lvl] = origin[lvl]
-		tHi[lvl] = origin[lvl] + s.Spec.Sizes[lvl] - 1
-		if tHi[lvl] > s.Spec.Hi[lvl] {
-			tHi[lvl] = s.Spec.Hi[lvl]
-		}
-	}
-	return tLo, tHi
-}
-
-// runTile processes one tile: read group footprints, execute
-// iterations, write back.
-func (s *Schedule) runTile(d *ooc.Disk, mem *ooc.Memory, origin []int64, stats *ExecStats) error {
-	k := s.Spec.Depth()
-	tLo, tHi := s.tileBounds(origin)
-	if s.dryRun {
-		return s.dryRunTile(d, mem, tLo, tHi, stats)
-	}
-	tiles := make([]*ooc.Tile, len(s.groups))
-	var allocated int64
-	var tileErr error
-	loaded := false
-	ensureTiles := func() bool {
-		if loaded || tileErr != nil {
-			return tileErr == nil
-		}
-		loaded = true
-		for gi, g := range s.groups {
-			box := g.footprintBox(tLo, tHi)
-			if box.Empty() {
-				continue
-			}
-			if err := mem.Alloc(box.Size()); err != nil {
-				tileErr = err
-				return false
-			}
-			allocated += box.Size()
-			arr := d.ArrayOf(g.arr)
-			if arr == nil {
-				tileErr = fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-				return false
-			}
-			tile, err := arr.ReadTile(box)
-			if err != nil {
-				tileErr = err
-				return false
-			}
-			tiles[gi] = tile
-		}
-		return true
-	}
-
-	iterated := false
-	origIv := make([]int64, k)
-	coord := make([]int64, 0, 8)
-	var in []float64 // statement inputs, reused: a StmtFunc may not keep its slice
-	t0 := s.computeStart()
-	s.enumerateWithin(tLo, tHi, func(iv []int64) {
-		if tileErr != nil {
-			return
-		}
-		if !ensureTiles() {
-			return
-		}
-		iterated = true
-		stats.Iterations++
-		// Original iteration vector for guards and statement functions.
-		for r := 0; r < k; r++ {
-			var acc int64
-			for c := 0; c < k; c++ {
-				acc += s.Plan.Q.At(r, c) * iv[c]
-			}
-			origIv[r] = acc
-		}
-		for _, ss := range s.stmts {
-			if !ss.st.Guarded(origIv) {
-				continue
-			}
-			in = in[:0]
-			for i, gi := range ss.inGroup {
-				coord = elementCoord(coord[:0], s.groups[gi].m, ss.inOff[i], iv)
-				in = append(in, tiles[gi].Get(coord))
-			}
-			v := ss.st.F(in, origIv)
-			coord = elementCoord(coord[:0], s.groups[ss.outGroup].m, ss.outOff, iv)
-			tiles[ss.outGroup].Set(coord, v)
-		}
-	})
-	s.computeEnd(t0)
-	if tileErr != nil {
-		return tileErr
-	}
-	if iterated {
-		stats.Tiles++
-		for gi, g := range s.groups {
-			if s.writes[g.arr] && tiles[gi] != nil {
-				if err := tiles[gi].WriteTile(); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	mem.Release(allocated)
-	return nil
-}
-
-// runEngineTile processes one tile through the concurrent engine:
-// acquire the group footprints from the cache (parallel fetch on
-// misses), kick off prefetches for the next tile's read-only
-// footprints, execute the iterations, and release with dirty marking so
-// write-back happens on eviction or flush.
-func (s *Schedule) runEngineTile(d *ooc.Disk, origin, next []int64, stats *ExecStats) error {
-	k := s.Spec.Depth()
-	tLo, tHi := s.tileBounds(origin)
-	if s.countWithin(tLo, tHi) == 0 {
-		return nil
-	}
-	var reqs []ooc.TileReq
-	var reqGroup []int
-	tiles := make([]*ooc.Tile, len(s.groups))
+	x.reqs, x.reqGroup = x.reqs[:0], x.reqGroup[:0]
 	for gi, g := range s.groups {
-		box := g.footprintBox(tLo, tHi)
-		if box.Empty() {
+		x.tiles[gi] = nil
+		if x.boxes[gi] = g.footprintBox(x.tLo, x.tHi); x.boxes[gi].Empty() {
 			continue
 		}
-		arr := d.ArrayOf(g.arr)
+		arr := x.d.ArrayOf(g.arr)
 		if arr == nil {
 			return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
 		}
-		reqs = append(reqs, ooc.TileReq{Arr: arr, Box: box})
-		reqGroup = append(reqGroup, gi)
+		x.reqs = append(x.reqs, ooc.TileReq{Arr: arr, Box: x.boxes[gi]})
+		x.reqGroup = append(x.reqGroup, gi)
 	}
-	handles, err := s.engine.AcquireAll(reqs)
+	switch {
+	case s.engine == nil:
+		return x.memoryTile(iters)
+	case s.dryRun:
+		// Cached dry run: the engine's tile cache decides which touches
+		// reach the backend accounting; the memory budget is replaced by
+		// the cache's tile-count capacity.
+		x.stats.Iterations += iters
+		x.stats.Tiles++
+		for i, r := range x.reqs {
+			s.engine.Touch(r.Arr, r.Box, x.written(i))
+		}
+		return nil
+	}
+	return x.engineTile(next)
+}
+
+// written reports whether request req's group is written by the nest.
+func (x *executor) written(req int) bool { return x.s.writes[x.s.groups[x.reqGroup[req]].arr] }
+
+// memoryTile reads the group footprints under the Memory budget (or
+// only accounts for them in a dry run), executes, and writes the
+// written groups back. The reservation is returned on every exit.
+func (x *executor) memoryTile(iters int64) (err error) {
+	var allocated int64
+	defer func() { x.mem.Release(allocated) }()
+	for i, r := range x.reqs {
+		if err := x.mem.Alloc(r.Box.Size()); err != nil {
+			return err
+		}
+		allocated += r.Box.Size()
+		switch {
+		case !x.s.dryRun:
+			if x.tiles[x.reqGroup[i]], err = r.Arr.ReadTile(r.Box); err != nil {
+				return err
+			}
+		case x.written(i):
+			r.Arr.TouchRead(r.Box)
+			r.Arr.TouchWrite(r.Box)
+		default:
+			r.Arr.TouchRead(r.Box)
+		}
+	}
+	if x.s.dryRun {
+		x.stats.Iterations += iters
+		x.stats.Tiles++
+		return nil
+	}
+	x.compute()
+	for i := range x.reqs {
+		if x.written(i) {
+			if err := x.tiles[x.reqGroup[i]].WriteTile(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// engineTile acquires the group footprints from the engine's cache
+// (parallel fetch on misses), kicks off prefetches for the next tile's
+// read-only footprints, executes, and releases with dirty marking so
+// write-back happens on eviction or flush.
+func (x *executor) engineTile(next []int64) error {
+	s := x.s
+	handles, err := s.engine.AcquireAll(x.reqs)
 	if err != nil {
 		return err
 	}
 	for i, h := range handles {
-		tiles[reqGroup[i]] = h.Tile()
+		x.tiles[x.reqGroup[i]] = h.Tile()
 	}
 	// Double buffering: while this tile computes, the workers read the
 	// next tile's footprints. Written arrays are excluded — their boxes
@@ -477,63 +446,162 @@ func (s *Schedule) runEngineTile(d *ooc.Disk, origin, next []int64, stats *ExecS
 	// batch on cache capacity: unless the cache can hold this tile's
 	// pinned working set plus the prefetched tiles, prefetching evicts
 	// tiles before they are used and inflates the call count instead of
-	// hiding it.
-	if next != nil {
-		nLo, nHi := s.tileBounds(next)
-		if s.countWithin(nLo, nHi) > 0 {
-			var pre []ooc.TileReq
+	// hiding it. An engine without workers drops prefetches, so none
+	// are built.
+	if next != nil && s.engine.Workers() > 0 {
+		s.tileBounds(next, x.nLo, x.nHi)
+		if s.countWithin(0, x.nLo, x.nHi, x.iv, true) > 0 {
+			x.pre = x.pre[:0]
 			for _, g := range s.groups {
 				if s.writes[g.arr] {
 					continue
 				}
-				box := g.footprintBox(nLo, nHi)
-				if box.Empty() {
-					continue
-				}
-				if arr := d.ArrayOf(g.arr); arr != nil {
-					pre = append(pre, ooc.TileReq{Arr: arr, Box: box})
+				if box := g.footprintBox(x.nLo, x.nHi); !box.Empty() {
+					if arr := x.d.ArrayOf(g.arr); arr != nil {
+						x.pre = append(x.pre, ooc.TileReq{Arr: arr, Box: box})
+					}
 				}
 			}
-			if s.engine.Capacity() >= len(reqs)+len(pre) {
-				for _, p := range pre {
+			if s.engine.Capacity() >= len(x.reqs)+len(x.pre) {
+				for _, p := range x.pre {
 					s.engine.Prefetch(p.Arr, p.Box)
 				}
 			}
 		}
 	}
-	stats.Tiles++
-	origIv := make([]int64, k)
-	coord := make([]int64, 0, 8)
-	var in []float64 // statement inputs, reused: a StmtFunc may not keep its slice
-	t0 := s.computeStart()
-	s.enumerateWithin(tLo, tHi, func(iv []int64) {
-		stats.Iterations++
-		for r := 0; r < k; r++ {
-			var acc int64
-			for c := 0; c < k; c++ {
-				acc += s.Plan.Q.At(r, c) * iv[c]
-			}
-			origIv[r] = acc
-		}
-		for _, ss := range s.stmts {
-			if !ss.st.Guarded(origIv) {
-				continue
-			}
-			in = in[:0]
-			for i, gi := range ss.inGroup {
-				coord = elementCoord(coord[:0], s.groups[gi].m, ss.inOff[i], iv)
-				in = append(in, tiles[gi].Get(coord))
-			}
-			v := ss.st.F(in, origIv)
-			coord = elementCoord(coord[:0], s.groups[ss.outGroup].m, ss.outOff, iv)
-			tiles[ss.outGroup].Set(coord, v)
-		}
-	})
-	s.computeEnd(t0)
+	x.compute()
 	for i, h := range handles {
-		s.engine.Release(h, s.writes[s.groups[reqGroup[i]].arr])
+		s.engine.Release(h, x.written(i))
 	}
 	return nil
+}
+
+// compute executes the statements over the tile's points. Every
+// reference is affine, so its offset into its tile's row-major data is
+// base + Σ_l lin_l·iv_l. When each reference's range over the tile box
+// lies inside its tile the accesses are proven in bounds once here;
+// otherwise run checks each row's two ends.
+func (x *executor) compute() {
+	s := x.s
+	k := len(x.iv)
+	for gi, g := range s.groups {
+		lin, box := x.lin[gi*k:gi*k+k], x.boxes[gi]
+		clear(lin)
+		for d, stride := g.arr.Rank()-1, int64(1); d >= 0; d-- {
+			for l := range lin {
+				lin[l] += g.m.At(d, l) * stride
+			}
+			stride *= box.Hi[d] - box.Lo[d]
+		}
+	}
+	x.proven = true
+	for ri, r := range s.refs {
+		g, box := s.groups[r.group], x.boxes[r.group]
+		x.data[ri] = nil
+		if t := x.tiles[r.group]; t != nil {
+			x.data[ri] = t.Data()
+		}
+		var base int64
+		for d, stride := g.arr.Rank()-1, int64(1); d >= 0; d-- {
+			base += (r.off[d] - box.Lo[d]) * stride
+			stride *= box.Hi[d] - box.Lo[d]
+			if mn, mx := g.extent(d, x.tLo, x.tHi); mn+r.off[d] < box.Lo[d] || mx+r.off[d] >= box.Hi[d] {
+				x.proven = false
+			}
+		}
+		x.base[ri], x.step[ri] = base, x.lin[r.group*k+k-1]
+	}
+	x.stats.Tiles++
+	t0 := s.computeStart()
+	x.walk(0)
+	s.computeEnd(t0)
+}
+
+// walk enumerates the transformed space within the tile box, level by
+// level, handing each innermost row to run.
+func (x *executor) walk(lvl int) {
+	lo, hi, empty := x.s.bounds.Range(lvl, x.iv[:lvl])
+	if empty {
+		return
+	}
+	lo, hi = max(lo, x.tLo[lvl]), min(hi, x.tHi[lvl])
+	if lvl < len(x.iv)-1 {
+		for v := lo; v <= hi; v++ {
+			x.iv[lvl] = v
+			x.walk(lvl + 1)
+		}
+	} else if lo <= hi {
+		x.run(lo, hi)
+	}
+}
+
+// run executes the statements along the row iv[k-1] = lo..hi: each
+// reference's tile offset and the original iteration vector (through
+// Q's last column) advance by a constant per step; guards are still
+// tested per point.
+func (x *executor) run(lo, hi int64) {
+	s := x.s
+	k := len(x.iv)
+	x.iv[k-1] = lo
+	if !x.proven {
+		x.checkRun(lo, hi)
+	}
+	for r := range x.origIv {
+		var acc int64
+		for c, v := range x.iv {
+			acc += s.Plan.Q.At(r, c) * v
+		}
+		x.origIv[r] = acc
+	}
+	for ri, r := range s.refs {
+		p := x.base[ri]
+		for l, v := range x.iv {
+			p += x.lin[r.group*k+l] * v
+		}
+		x.pos[ri] = p
+	}
+	x.stats.Iterations += hi - lo + 1
+	for v := lo; v <= hi; v++ {
+		for _, ss := range s.stmts {
+			if !ss.st.Guarded(x.origIv) {
+				continue
+			}
+			in := x.in[:0]
+			for _, ri := range ss.in {
+				in = append(in, x.data[ri][x.pos[ri]])
+			}
+			x.data[ss.out][x.pos[ss.out]] = ss.st.F(in, x.origIv)
+			x.in = in
+		}
+		for ri, st := range x.step {
+			x.pos[ri] += st
+		}
+		for r, q := range s.qLast {
+			x.origIv[r] += q
+		}
+	}
+}
+
+// checkRun panics unless every reference lies inside its tile at both
+// ends of the row iv[k-1] = lo..hi; an affine reference is monotone
+// along the row, so its ends bound it.
+func (x *executor) checkRun(lo, hi int64) {
+	k := len(x.iv)
+	for _, r := range x.s.refs {
+		g, box := x.s.groups[r.group], x.boxes[r.group]
+		for d := range box.Lo {
+			c := r.off[d]
+			for l := 0; l < k-1; l++ {
+				c += g.m.At(d, l) * x.iv[l]
+			}
+			for _, v := range [2]int64{lo, hi} {
+				if e := c + g.m.At(d, k-1)*v; e < box.Lo[d] || e >= box.Hi[d] {
+					panic(fmt.Sprintf("codegen: %s coordinate %d = %d outside tile %v at iteration %v (innermost %d)",
+						g.arr.Name, d, e, box, x.iv[:k-1], v))
+				}
+			}
+		}
+	}
 }
 
 // computeStart/computeEnd bracket one tile's statement execution as a
@@ -554,117 +622,40 @@ func (s *Schedule) computeEnd(t0 time.Time) {
 		Start: s.trace.Stamp(t0), Dur: time.Since(t0).Nanoseconds()})
 }
 
-// dryRunTile accounts one tile's I/O and iteration count without
-// touching data.
-func (s *Schedule) dryRunTile(d *ooc.Disk, mem *ooc.Memory, tLo, tHi []int64, stats *ExecStats) error {
-	iters := s.countWithin(tLo, tHi)
-	if iters == 0 {
-		return nil
-	}
-	stats.Iterations += iters
-	stats.Tiles++
-	if s.engine != nil {
-		// Cached dry run: the engine's tile cache decides which touches
-		// reach the backend accounting; the memory budget is replaced by
-		// the cache's tile-count capacity.
-		for _, g := range s.groups {
-			box := g.footprintBox(tLo, tHi)
-			if box.Empty() {
-				continue
-			}
-			arr := d.ArrayOf(g.arr)
-			if arr == nil {
-				return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-			}
-			s.engine.Touch(arr, box, s.writes[g.arr])
-		}
-		return nil
-	}
-	var allocated int64
-	for _, g := range s.groups {
-		box := g.footprintBox(tLo, tHi)
-		if box.Empty() {
-			continue
-		}
-		if err := mem.Alloc(box.Size()); err != nil {
-			return err
-		}
-		allocated += box.Size()
-		arr := d.ArrayOf(g.arr)
-		if arr == nil {
-			return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
-		}
-		arr.TouchRead(box)
-		if s.writes[g.arr] {
-			arr.TouchWrite(box)
-		}
-	}
-	mem.Release(allocated)
-	return nil
-}
-
 // countWithin counts the integer points of the transformed space
-// restricted to the tile box without visiting them individually: the
-// innermost level contributes its range length directly, which makes
-// dry runs cost O(points / innermost-extent).
-func (s *Schedule) countWithin(tLo, tHi []int64) int64 {
-	k := s.Spec.Depth()
-	iv := make([]int64, k)
-	var rec func(lvl int) int64
-	rec = func(lvl int) int64 {
-		lo, hi, empty := s.bounds.Range(lvl, iv[:lvl])
-		if empty {
-			return 0
-		}
-		if lo < tLo[lvl] {
-			lo = tLo[lvl]
-		}
-		if hi > tHi[lvl] {
-			hi = tHi[lvl]
-		}
-		if hi < lo {
-			return 0
-		}
-		if lvl == k-1 {
-			return hi - lo + 1
-		}
-		var n int64
-		for v := lo; v <= hi; v++ {
-			iv[lvl] = v
-			n += rec(lvl + 1)
-		}
-		return n
+// restricted to the tile box from level lvl down, iv[:lvl] fixed,
+// without visiting them individually: the innermost level contributes
+// its range length directly, which makes dry runs cost
+// O(points / innermost-extent). With first it stops at the first
+// non-empty innermost row (a non-empty test).
+func (s *Schedule) countWithin(lvl int, tLo, tHi, iv []int64, first bool) int64 {
+	lo, hi, empty := s.bounds.Range(lvl, iv[:lvl])
+	lo, hi = max(lo, tLo[lvl]), min(hi, tHi[lvl])
+	if empty || hi < lo {
+		return 0
 	}
-	return rec(0)
+	if lvl == len(iv)-1 {
+		return hi - lo + 1
+	}
+	var n int64
+	for v := lo; v <= hi && !(first && n > 0); v++ {
+		iv[lvl] = v
+		n += s.countWithin(lvl+1, tLo, tHi, iv, first)
+	}
+	return n
 }
 
-// enumerateWithin visits the integer points of the transformed space
-// restricted to the tile box, in lexicographic order.
-func (s *Schedule) enumerateWithin(tLo, tHi []int64, visit func(iv []int64)) {
-	k := s.Spec.Depth()
-	iv := make([]int64, k)
-	var rec func(lvl int)
-	rec = func(lvl int) {
-		if lvl == k {
-			visit(iv)
-			return
-		}
-		lo, hi, empty := s.bounds.Range(lvl, iv[:lvl])
-		if empty {
-			return
-		}
-		if lo < tLo[lvl] {
-			lo = tLo[lvl]
-		}
-		if hi > tHi[lvl] {
-			hi = tHi[lvl]
-		}
-		for v := lo; v <= hi; v++ {
-			iv[lvl] = v
-			rec(lvl + 1)
+// extent bounds row d of the group's access matrix over the iteration
+// box [tLo, tHi].
+func (g *refGroup) extent(d int, tLo, tHi []int64) (mn, mx int64) {
+	for j := range tLo {
+		if c := g.m.At(d, j); c > 0 {
+			mn, mx = mn+c*tLo[j], mx+c*tHi[j]
+		} else {
+			mn, mx = mn+c*tHi[j], mx+c*tLo[j]
 		}
 	}
-	rec(0)
+	return mn, mx
 }
 
 // footprintBox returns the clipped bounding box of the group's accesses
@@ -672,44 +663,18 @@ func (s *Schedule) enumerateWithin(tLo, tHi []int64, visit func(iv []int64)) {
 // group because all members share the access matrix.
 func (g *refGroup) footprintBox(tLo, tHi []int64) layout.Box {
 	rank := g.arr.Rank()
-	lo := make([]int64, rank)
-	hi := make([]int64, rank)
-	for d := 0; d < rank; d++ {
-		mn, mx := int64(0), int64(0)
-		for j := 0; j < g.m.Cols(); j++ {
-			c := g.m.At(d, j)
-			if c > 0 {
-				mn += c * tLo[j]
-				mx += c * tHi[j]
-			} else {
-				mn += c * tHi[j]
-				mx += c * tLo[j]
-			}
-		}
+	buf := make([]int64, 2*rank)
+	lo, hi := buf[:rank:rank], buf[rank:]
+	for d := range lo {
+		mn, mx := g.extent(d, tLo, tHi)
 		offLo, offHi := g.offs[0][d], g.offs[0][d]
 		for _, off := range g.offs[1:] {
-			if off[d] < offLo {
-				offLo = off[d]
-			}
-			if off[d] > offHi {
-				offHi = off[d]
-			}
+			offLo, offHi = min(offLo, off[d]), max(offHi, off[d])
 		}
-		lo[d] = mn + offLo
-		hi[d] = mx + offHi + 1 // half-open
+		lo[d] = max(mn+offLo, 0)
+		hi[d] = max(min(mx+offHi+1, g.arr.Dims[d]), lo[d]) // half-open
 	}
-	return layout.NewBox(lo, hi).Clip(g.arr.Dims)
-}
-
-func elementCoord(dst []int64, m *matrix.Int, off []int64, iv []int64) []int64 {
-	for r := 0; r < m.Rows(); r++ {
-		var acc int64
-		for c := 0; c < m.Cols(); c++ {
-			acc += m.At(r, c) * iv[c]
-		}
-		dst = append(dst, acc+off[r])
-	}
-	return dst
+	return layout.Box{Lo: lo, Hi: hi}
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
@@ -719,17 +684,10 @@ func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 func blockRange(n, part, parts int64) (from, to int64) {
 	base := n / parts
 	rem := n % parts
-	from = part*base + minI64(part, rem)
+	from = part*base + min(part, rem)
 	to = from + base
 	if part < rem {
 		to++
 	}
 	return from, to
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

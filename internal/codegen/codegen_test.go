@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"outcore/internal/core"
 	"outcore/internal/ir"
 	"outcore/internal/layout"
+	"outcore/internal/matrix"
 	"outcore/internal/ooc"
 	"outcore/internal/tiling"
 )
@@ -386,5 +388,138 @@ func TestFileBackedVerification(t *testing.T) {
 		if diff := ir.MaxAbsDiff(ref, got, a); diff != 0 {
 			t.Errorf("file-backed array %s differs by %g", a.Name, diff)
 		}
+	}
+}
+
+// TestFailedTileReleasesMemory: a tile whose second group cannot get
+// its reservation fails the run, and the first group's reservation is
+// returned — on the real and the dry-run path alike.
+func TestFailedTileReleasesMemory(t *testing.T) {
+	p := motivating(32)
+	var o core.Optimizer
+	plan := o.OptimizeCombined(p)
+	for _, dry := range []bool{false, true} {
+		d := ooc.NewDisk(64)
+		if dry {
+			d = d.NoBacking()
+		}
+		if _, err := SetupDiskOn(d, p, plan, nil); err != nil {
+			t.Fatal(err)
+		}
+		mem := ooc.NewMemory(128)
+		_, err := RunProgram(p, plan, d, mem, Options{Strategy: tiling.OutOfCore, MemBudget: 256, DryRun: dry})
+		if err == nil || !strings.Contains(err.Error(), "128 + 128 > 128") {
+			t.Fatalf("dry=%v: err = %v, want the budget overflow", dry, err)
+		}
+		if mem.Used() != 0 {
+			t.Errorf("dry=%v: %d elements still reserved after the failed tile", dry, mem.Used())
+		}
+	}
+}
+
+// skewed builds B(i,j) = A(i,j) + 1 under a plan that skews the nest
+// (j' = i + j): the transformed tile boxes cover points outside the
+// original square, so the group footprints are clipped to the arrays
+// and the executor cannot prove a tile's accesses in bounds up front.
+func skewed(n int64) (*ir.Program, *core.Plan) {
+	a, b := ir.NewArray("A", n, n), ir.NewArray("B", n, n)
+	p := &ir.Program{Name: "skewed", Arrays: []*ir.Array{a, b}, Nests: []*ir.Nest{
+		{ID: 0, Loops: ir.Rect(n, n), Body: []*ir.Stmt{
+			ir.Assign(ir.RefIdx(b, 2, 0, 1), []ir.Ref{ir.RefIdx(a, 2, 0, 1)}, "", ir.AddConst(1)),
+		}},
+	}}
+	plan := core.FixedLayouts(p, func(d []int64) *layout.Layout { return layout.RowMajor(d...) })
+	np := plan.Nests[p.Nests[0]]
+	np.T = matrix.FromRows([][]int64{{1, 0}, {1, 1}})
+	np.Q = matrix.FromRows([][]int64{{1, 0}, {-1, 1}})
+	np.QLast = []int64{0, 1}
+	return p, plan
+}
+
+// proofCounts executes a schedule tile by tile and counts the tiles
+// whose accesses were proven in bounds once and those checked per row.
+func proofCounts(t *testing.T, s *Schedule, d *ooc.Disk, mem *ooc.Memory) (proven, checked int) {
+	t.Helper()
+	x := s.newExecutor(d, mem)
+	origin := append([]int64(nil), s.Spec.Lo...)
+	for ok := true; ok; ok = s.nextOrigin(origin, s.Spec.Hi[0]) {
+		before := x.stats.Tiles
+		if err := x.tile(origin, nil); err != nil {
+			t.Fatal(err)
+		}
+		if x.stats.Tiles > before && x.proven {
+			proven++
+		} else if x.stats.Tiles > before {
+			checked++
+		}
+	}
+	return proven, checked
+}
+
+// TestSkewedNestChecksRows: under a skew the per-tile proof fails, the
+// per-row endpoint check runs, and the result still matches the in-core
+// reference; an unskewed nest is proven on every tile.
+func TestSkewedNestChecksRows(t *testing.T) {
+	const n = 12
+	p, plan := skewed(n)
+	opts := Options{Strategy: tiling.OutOfCore, MemBudget: 2 * n * n}
+	diff, err := Verify(p, plan, opts, 16, seedStore(p, 3))
+	if err != nil || diff != 0 {
+		t.Fatalf("skewed nest: diff %g, err %v", diff, err)
+	}
+	sched, err := Build(p.Nests[0], plan.Nests[p.Nests[0]], opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _ := SetupDisk(p, plan, 16, seedStore(p, 3))
+	if _, checked := proofCounts(t, sched, d, ooc.NewMemory(0)); checked == 0 {
+		t.Error("no skewed tile fell back to the per-row check")
+	}
+
+	m := motivating(16)
+	var o core.Optimizer
+	mplan := o.OptimizeCombined(m)
+	msched, err := Build(m.Nests[0], mplan.Nests[m.Nests[0]], Options{Strategy: tiling.OutOfCore, MemBudget: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	md, _ := SetupDisk(m, mplan, 16, seedStore(m, 3))
+	if proven, checked := proofCounts(t, msched, md, ooc.NewMemory(0)); proven == 0 || checked != 0 {
+		t.Errorf("unskewed nest: %d tiles proven, %d checked per row; want all proven", proven, checked)
+	}
+}
+
+// TestCorruptFootprintPanicsOutsideTile shifts the read group's
+// footprint one row past its references after Build: the executor must
+// refuse with an "outside tile" panic rather than read the neighbouring
+// element, on the Memory and the engine path alike.
+func TestCorruptFootprintPanicsOutsideTile(t *testing.T) {
+	p := motivating(16)
+	var o core.Optimizer
+	plan := o.OptimizeCombined(p)
+	n := p.Nests[0]
+	for _, engine := range []bool{false, true} {
+		sched, err := Build(n, plan.Nests[n], Options{Strategy: tiling.OutOfCore, MemBudget: 16 * 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, _ := SetupDisk(p, plan, 64, seedStore(p, 3))
+		if engine {
+			sched.engine = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8})
+		}
+		for _, g := range sched.groups {
+			if !sched.writes[g.arr] {
+				// A fresh slice: the references share the original.
+				g.offs[0] = []int64{g.offs[0][0] + 1, g.offs[0][1]}
+			}
+		}
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "outside tile") {
+					t.Errorf("engine=%v: recovered %v, want an outside-tile panic", engine, r)
+				}
+			}()
+			_, _ = sched.Execute(d, ooc.NewMemory(0))
+		}()
 	}
 }

@@ -3,11 +3,14 @@
 // iteration spaces: given the original rectangular bounds Lo <= I <= Hi
 // and I = Q·I', the constraints on I' are 2k affine inequalities, and
 // eliminating inner variables yields, level by level, the bounds each
-// transformed loop must scan.
+// transformed loop must scan. The elimination is exact; its result is
+// compiled once to integers, so Range — evaluated once per loop row by
+// generated schedules — runs in overflow-checked int64 arithmetic.
 package fm
 
 import (
 	"fmt"
+	"math"
 
 	"outcore/internal/matrix"
 	"outcore/internal/rational"
@@ -70,6 +73,10 @@ type Bounds struct {
 	k      int
 	levels [][]constraint // levels[l]: constraints over x_0..x_l with coefs[l] != 0
 	outer  []constraint   // constraints with no variables (feasibility checks)
+	// ints[l] is levels[l] compiled to integers, l+2 words per
+	// constraint: coefs[0..l] and rhs, scaled by the LCM of their
+	// denominators. Range evaluates only these.
+	ints [][]int64
 }
 
 // Eliminate runs Fourier-Motzkin from the innermost variable outward
@@ -116,6 +123,19 @@ func (s *System) Eliminate() *Bounds {
 			}
 		}
 	}
+	b.ints = make([][]int64, s.k)
+	for lvl, cs := range b.levels {
+		for _, c := range cs {
+			scale := c.rhs.Den()
+			for _, x := range c.coefs[:lvl+1] {
+				scale = rational.LCM(scale, x.Den())
+			}
+			for _, x := range c.coefs[:lvl+1] {
+				b.ints[lvl] = append(b.ints[lvl], mulChecked(x.Num(), scale/x.Den()))
+			}
+			b.ints[lvl] = append(b.ints[lvl], mulChecked(c.rhs.Num(), scale/c.rhs.Den()))
+		}
+	}
 	b.outer = nil
 	for _, c := range cur {
 		allZero := true
@@ -145,36 +165,66 @@ func (b *Bounds) Feasible() bool {
 
 // Range returns the integer bounds [lo, hi] of variable lvl given the
 // values of x_0..x_{lvl-1}. empty is true when no integer value
-// satisfies the constraints.
+// satisfies the constraints. It runs in int64 and panics, as rational
+// arithmetic does, on an evaluation that overflows.
 func (b *Bounds) Range(lvl int, outer []int64) (lo, hi int64, empty bool) {
 	if lvl >= b.k || len(outer) < lvl {
 		panic(fmt.Sprintf("fm: Range(%d) with %d outer values", lvl, len(outer)))
 	}
 	haveLo, haveHi := false, false
-	var bestLo, bestHi rational.Rat
-	for _, c := range b.levels[lvl] {
-		// sum_{j<lvl} coefs_j·outer_j + coefs_lvl·x <= rhs
-		acc := c.rhs
-		for j := 0; j < lvl; j++ {
-			acc = acc.Sub(c.coefs[j].Mul(rational.FromInt(outer[j])))
+	for c := b.ints[lvl]; len(c) > 0; c = c[lvl+2:] {
+		// sum_{j<lvl} c_j·outer_j + c_lvl·x <= rhs
+		acc := c[lvl+1]
+		for j, x := range outer[:lvl] {
+			acc = subChecked(acc, mulChecked(c[j], x))
 		}
-		cl := c.coefs[lvl]
-		bound := acc.Div(cl)
-		if cl.Sign() > 0 { // x <= bound
-			if !haveHi || bound.Cmp(bestHi) < 0 {
-				bestHi, haveHi = bound, true
+		if cl := c[lvl]; cl > 0 { // x <= floor(acc/cl)
+			if v := floorDiv(acc, cl); !haveHi || v < hi {
+				hi, haveHi = v, true
 			}
-		} else { // x >= bound
-			if !haveLo || bound.Cmp(bestLo) > 0 {
-				bestLo, haveLo = bound, true
-			}
+		} else if v := ceilDiv(acc, cl); !haveLo || v > lo { // x >= ceil(acc/cl)
+			lo, haveLo = v, true
 		}
 	}
 	if !haveLo || !haveHi {
 		panic("fm: unbounded variable (original space must be bounded)")
 	}
-	l, h := bestLo.Ceil(), bestHi.Floor()
-	return l, h, l > h
+	return lo, hi, lo > hi
+}
+
+func floorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
+func ceilDiv(a, b int64) int64 {
+	if a == math.MinInt64 && b == -1 {
+		panic("fm: division overflow evaluating bounds")
+	}
+	q := a / b
+	if a%b != 0 && (a < 0) == (b < 0) {
+		q++
+	}
+	return q
+}
+
+func mulChecked(a, b int64) int64 {
+	p := a * b
+	if a != 0 && (p/a != b || (a == -1 && b == math.MinInt64)) {
+		panic("fm: multiplication overflow evaluating bounds")
+	}
+	return p
+}
+
+func subChecked(a, b int64) int64 {
+	d := a - b
+	if (b < 0 && d < a) || (b > 0 && d > a) {
+		panic("fm: subtraction overflow evaluating bounds")
+	}
+	return d
 }
 
 // Enumerate visits every integer point of the system in lexicographic

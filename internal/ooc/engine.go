@@ -671,6 +671,10 @@ func (e *Engine) publishMetricsLocked() {
 // are used, turning the overlap into extra backend reads.
 func (e *Engine) Capacity() int { return e.capTiles }
 
+// Workers returns the number of fetch workers. An engine without
+// workers drops every Prefetch, so callers can skip building them.
+func (e *Engine) Workers() int { return e.workers }
+
 // Resident returns the number of cached entries (tests/telemetry).
 func (e *Engine) Resident() int {
 	e.mu.Lock()

@@ -79,35 +79,29 @@ func seed(p *ir.Program, s int64) *ir.Store {
 // TestAllKernelsAllVersionsPreserveSemantics is the suite's central
 // correctness gate: every kernel, under every version's plan and
 // tiling strategy, must produce bit-identical results to the in-core
-// reference execution.
+// reference execution — against the memory budget and through the
+// tile engine, synchronous and with prefetch workers.
 func TestAllKernelsAllVersionsPreserveSemantics(t *testing.T) {
 	cfg := SmallConfig()
 	for _, k := range Kernels {
 		base := k.Build(cfg)
 		init := seed(base, 1234)
 		for _, v := range Versions {
-			p := k.Build(cfg) // fresh program per version (plans key on pointers)
-			plan, err := PlanFor(p, v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Transfer the seed to the fresh program's arrays (same shapes,
-			// deterministic order).
-			initV := ir.NewStore(p.Arrays...)
-			for i, a := range p.Arrays {
-				copy(initV.Data(a), init.Data(base.Arrays[i]))
-			}
-			budget := MemBudget(p, 16) // generous for tiny test arrays
-			diff, err := codegen.Verify(p, plan, codegen.Options{
-				Strategy:  StrategyFor(v),
-				MemBudget: budget,
-			}, 64, initV)
-			if err != nil {
-				t.Errorf("%s/%s: %v", k.Name, v, err)
-				continue
-			}
-			if diff != 0 {
-				t.Errorf("%s/%s: differs from reference by %g", k.Name, v, diff)
+			for _, path := range []string{"memory", "engine", "engine-workers"} {
+				p, plan, initV := kernelCase(t, k, v, cfg, init, base)
+				ref := initV.Clone()
+				p.Execute(ref)
+				d, _, err := runPath(p, plan, v, path, initV)
+				if err != nil {
+					t.Errorf("%s/%s/%s: %v", k.Name, v, path, err)
+					continue
+				}
+				got := codegen.DiskToStore(p, d)
+				for _, a := range p.Arrays {
+					if diff := ir.MaxAbsDiff(ref, got, a); diff != 0 {
+						t.Errorf("%s/%s/%s: array %s differs from reference by %g", k.Name, v, path, a.Name, diff)
+					}
+				}
 			}
 		}
 	}
