@@ -10,6 +10,7 @@ FUZZ_TARGETS := \
 	./internal/layout/:FuzzRuns \
 	./internal/layout/:FuzzSegments \
 	./internal/layout/:FuzzBoxOverlaps \
+	./internal/keyhash/:FuzzAppendKey \
 	./internal/ooc/:FuzzTileKey \
 	./internal/ooc/:FuzzWALRecord \
 	./internal/ooc/:FuzzTileCodec \
@@ -66,10 +67,10 @@ suite:
 
 # Layer microbenchmarks (layout run/segment walks, tile read and
 # write-back per layout kind, the logged tile write under a WAL, the
-# tile executor through a synchronous engine), six samples each: pipe
-# two runs into benchstat to compare commits.
+# engine miss path, the tile executor through a synchronous engine),
+# six samples each: pipe two runs into benchstat to compare commits.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile|Execute' -benchmem -count 6 ./internal/layout ./internal/ooc ./internal/codegen
+	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile|AcquireMiss|Execute' -benchmem -count 6 ./internal/layout ./internal/ooc ./internal/codegen
 
 # The repository benchmark's runner-independent gate: one short round of
 # each BENCHMARK.json workload at a fixed seed, comparing the metrics

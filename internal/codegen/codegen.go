@@ -319,13 +319,16 @@ type executor struct {
 	in                 []float64 // statement inputs; a StmtFunc may not keep its slice
 	reqs, pre          []ooc.TileReq
 	reqGroup           []int // group of each of reqs
+	handles            []*ooc.Handle
 
 	// Per group: its tile (nil when its footprint is empty), its
-	// footprint box, and lin[g*k+l] = Σ_d m[d][l]·tileStride_d, the
-	// change in tile offset per unit step of level l.
-	tiles []*ooc.Tile
-	boxes []layout.Box
-	lin   []int64
+	// footprint box and the next tile's (both refilled in place: the
+	// engine copies the boxes it keeps), and lin[g*k+l] =
+	// Σ_d m[d][l]·tileStride_d, the change in tile offset per unit step
+	// of level l.
+	tiles        []*ooc.Tile
+	boxes, nexts []layout.Box
+	lin          []int64
 	// Per reference: its tile's data, its tile offset at iv = 0, at the
 	// current point, and per innermost step.
 	data            [][]float64
@@ -336,11 +339,21 @@ type executor struct {
 // newExecutor sizes an executor's tables for the schedule.
 func (s *Schedule) newExecutor(d *ooc.Disk, mem *ooc.Memory) *executor {
 	k, ng, nr := s.Spec.Depth(), len(s.groups), len(s.refs)
-	return &executor{s: s, d: d, mem: mem,
+	x := &executor{s: s, d: d, mem: mem,
 		tLo: make([]int64, k), tHi: make([]int64, k), nLo: make([]int64, k), nHi: make([]int64, k),
 		iv: make([]int64, k), origIv: make([]int64, k),
-		tiles: make([]*ooc.Tile, ng), boxes: make([]layout.Box, ng), lin: make([]int64, ng*k),
+		tiles: make([]*ooc.Tile, ng), boxes: make([]layout.Box, ng), nexts: make([]layout.Box, ng), lin: make([]int64, ng*k),
 		data: make([][]float64, nr), base: make([]int64, nr), pos: make([]int64, nr), step: make([]int64, nr)}
+	for gi, g := range s.groups {
+		x.boxes[gi], x.nexts[gi] = newBox(g.arr.Rank()), newBox(g.arr.Rank())
+	}
+	return x
+}
+
+// newBox returns a rank-r box whose Lo and Hi share one allocation.
+func newBox(r int) layout.Box {
+	buf := make([]int64, 2*r)
+	return layout.Box{Lo: buf[:r:r], Hi: buf[r:]}
 }
 
 // tile processes the tile at origin; next is the following tile's
@@ -356,7 +369,7 @@ func (x *executor) tile(origin, next []int64) error {
 	x.reqs, x.reqGroup = x.reqs[:0], x.reqGroup[:0]
 	for gi, g := range s.groups {
 		x.tiles[gi] = nil
-		if x.boxes[gi] = g.footprintBox(x.tLo, x.tHi); x.boxes[gi].Empty() {
+		if g.footprintBox(x.boxes[gi], x.tLo, x.tHi); x.boxes[gi].Empty() {
 			continue
 		}
 		arr := x.d.ArrayOf(g.arr)
@@ -431,10 +444,11 @@ func (x *executor) memoryTile(iters int64) (err error) {
 // write-back happens on eviction or flush.
 func (x *executor) engineTile(next []int64) error {
 	s := x.s
-	handles, err := s.engine.AcquireAll(x.reqs)
+	handles, err := s.engine.AcquireAll(x.handles[:0], x.reqs)
 	if err != nil {
 		return err
 	}
+	x.handles = handles
 	for i, h := range handles {
 		x.tiles[x.reqGroup[i]] = h.Tile()
 	}
@@ -452,11 +466,12 @@ func (x *executor) engineTile(next []int64) error {
 		s.tileBounds(next, x.nLo, x.nHi)
 		if s.countWithin(0, x.nLo, x.nHi, x.iv, true) > 0 {
 			x.pre = x.pre[:0]
-			for _, g := range s.groups {
+			for gi, g := range s.groups {
 				if s.writes[g.arr] {
 					continue
 				}
-				if box := g.footprintBox(x.nLo, x.nHi); !box.Empty() {
+				box := x.nexts[gi]
+				if g.footprintBox(box, x.nLo, x.nHi); !box.Empty() {
 					if arr := x.d.ArrayOf(g.arr); arr != nil {
 						x.pre = append(x.pre, ooc.TileReq{Arr: arr, Box: box})
 					}
@@ -658,13 +673,11 @@ func (g *refGroup) extent(d int, tLo, tHi []int64) (mn, mx int64) {
 	return mn, mx
 }
 
-// footprintBox returns the clipped bounding box of the group's accesses
-// over the tile iteration box [tLo, tHi] (inclusive). Exact for the
-// group because all members share the access matrix.
-func (g *refGroup) footprintBox(tLo, tHi []int64) layout.Box {
-	rank := g.arr.Rank()
-	buf := make([]int64, 2*rank)
-	lo, hi := buf[:rank:rank], buf[rank:]
+// footprintBox fills box with the clipped bounding box of the group's
+// accesses over the tile iteration box [tLo, tHi] (inclusive). Exact
+// for the group because all members share the access matrix.
+func (g *refGroup) footprintBox(box layout.Box, tLo, tHi []int64) {
+	lo, hi := box.Lo, box.Hi
 	for d := range lo {
 		mn, mx := g.extent(d, tLo, tHi)
 		offLo, offHi := g.offs[0][d], g.offs[0][d]
@@ -674,7 +687,6 @@ func (g *refGroup) footprintBox(tLo, tHi []int64) layout.Box {
 		lo[d] = max(mn+offLo, 0)
 		hi[d] = max(min(mx+offHi+1, g.arr.Dims[d]), lo[d]) // half-open
 	}
-	return layout.Box{Lo: lo, Hi: hi}
 }
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }

@@ -12,6 +12,21 @@ import (
 	"outcore/internal/ooc"
 )
 
+// elem points at the tile element at global coordinates c, indexing
+// Data() row-major over the tile's box — the tile's only element
+// order. It panics outside the box.
+func elem(t *ooc.Tile, c ...int64) *float64 {
+	var idx int64
+	for d, x := range c {
+		lo, n := t.Box.Lo[d], t.Box.Hi[d]-t.Box.Lo[d]
+		if x < lo || x >= lo+n {
+			panic(fmt.Sprintf("coordinate %v outside tile %v", c, t.Box))
+		}
+		idx = idx*n + x - lo
+	}
+	return &t.Data()[idx]
+}
+
 // memStore is a minimal in-memory ooc.Backend for driving the wrapper
 // directly (the real memBackend is unexported).
 type memStore struct{ data []float64 }
@@ -224,7 +239,7 @@ func TestDiskWrapCrashReopen(t *testing.T) {
 	tile := ar.NewTileZero(layout.NewBox([]int64{0, 0}, []int64{4, 4}))
 	for i := int64(0); i < 4; i++ {
 		for j := int64(0); j < 4; j++ {
-			tile.Set([]int64{i, j}, 10)
+			*elem(tile, i, j) = 10
 		}
 	}
 	if err := tile.WriteTile(); err != nil {
@@ -234,7 +249,7 @@ func TestDiskWrapCrashReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A second write, never synced.
-	tile.Set([]int64{0, 0}, 99)
+	*elem(tile, 0, 0) = 99
 	if err := tile.WriteTile(); err != nil {
 		t.Fatal(err)
 	}

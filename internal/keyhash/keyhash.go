@@ -1,10 +1,12 @@
 // Package keyhash is the pinned tile-key hash the whole plane agrees
 // on: the canonical (array, box) key encoding, an FNV-1a pass over the
-// key bytes, and a murmur3-fmix64 avalanche finalizer. It is shared by
-// the in-process cache map (internal/ooc) and the multi-process
-// cluster router (internal/cluster), which is the point: placement is
-// an operational contract, so every layer that names a tile or maps it
-// to an owner must provably use the same function.
+// key bytes, and a murmur3-fmix64 avalanche finalizer. The cluster
+// router (internal/cluster) places tiles with it, and placement is an
+// operational contract, so every layer that maps a tile to an owner
+// must provably use this one function. The in-process tile engine
+// (internal/ooc) names no owner and needs no encoding: it seeds its
+// cache hash with String of the array name and mixes the box bounds in
+// as integers, finishing with Fmix64.
 //
 // The hash is PINNED. Its outputs are part of the operational
 // contract — a tile's owning storage node must never move

@@ -141,3 +141,64 @@ func TestRendezvousBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendKeyDistinguishesHostileNames: names that would run into the
+// coordinate section without the length prefix still get distinct keys.
+func TestAppendKeyDistinguishesHostileNames(t *testing.T) {
+	b := layout.NewBox([]int64{0}, []int64{4})
+	pairs := [][2]string{
+		{"A[0;4)", "A"},
+		{"A1", "A"},
+		{"a,b", "a"},
+		{"x:", "x"},
+	}
+	for _, p := range pairs {
+		k0, k1 := AppendKey(nil, p[0], b), AppendKey(nil, p[1], b)
+		if string(k0) == string(k1) {
+			t.Errorf("names %q and %q collide: %s", p[0], p[1], k0)
+		}
+	}
+}
+
+// FuzzAppendKey checks key injectivity: two (name, box) pairs share a
+// key iff name and box are equal — the property the router's tile
+// table and replica placement hang off.
+func FuzzAppendKey(f *testing.F) {
+	f.Add("A", "A", int64(0), int64(0), int64(4), int64(4), int64(0), int64(0), int64(4), int64(4), uint8(2), uint8(2))
+	f.Add("A", "A[0,0;4,4)", int64(0), int64(0), int64(4), int64(4), int64(0), int64(0), int64(4), int64(4), uint8(2), uint8(0))
+	f.Add("A1", "A", int64(1), int64(0), int64(4), int64(4), int64(11), int64(0), int64(4), int64(4), uint8(1), uint8(1))
+	f.Add("", "x", int64(-3), int64(7), int64(0), int64(0), int64(-3), int64(7), int64(0), int64(0), uint8(2), uint8(2))
+
+	f.Fuzz(func(t *testing.T, n1, n2 string, a0, a1, a2, a3, b0, b1, b2, b3 int64, r1, r2 uint8) {
+		mkBox := func(r uint8, v [4]int64) layout.Box {
+			switch r % 3 {
+			case 0:
+				return layout.Box{}
+			case 1:
+				return layout.Box{Lo: []int64{v[0]}, Hi: []int64{v[2]}}
+			default:
+				return layout.Box{Lo: []int64{v[0], v[1]}, Hi: []int64{v[2], v[3]}}
+			}
+		}
+		boxA := mkBox(r1, [4]int64{a0, a1, a2, a3})
+		boxB := mkBox(r2, [4]int64{b0, b1, b2, b3})
+
+		same := n1 == n2 && boxA.Rank() == boxB.Rank()
+		if same {
+			for d := range boxA.Lo {
+				if boxA.Lo[d] != boxB.Lo[d] || boxA.Hi[d] != boxB.Hi[d] {
+					same = false
+					break
+				}
+			}
+		}
+		k1, k2 := string(AppendKey(nil, n1, boxA)), string(AppendKey(nil, n2, boxB))
+		if same && k1 != k2 {
+			t.Errorf("equal inputs, different keys: %q vs %q", k1, k2)
+		}
+		if !same && k1 == k2 {
+			t.Errorf("distinct inputs collide on key %q: name %q box %v vs name %q box %v",
+				k1, n1, boxA, n2, boxB)
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -157,15 +158,16 @@ func FuzzRuns(f *testing.F) {
 	})
 }
 
-// checkSegments holds Segments(box) to its contract against oracles
+// checkSegments holds AppendSegments to its contract against oracles
 // that share none of its arithmetic: merged, the segments are exactly
 // the brute-force runs; they are sorted and disjoint in the file; file
 // element Off+i sits where Coord says it does, at box-local row-major
 // index Idx+i·Stride; and those indices are a permutation of the box.
 func checkSegments(t *testing.T, l *Layout, box Box) {
 	t.Helper()
-	segs := l.Segments(box)
-	got, want := RunsOf(segs), bruteRuns(l, box)
+	segs := l.AppendSegments(nil, box)
+	got, want := AppendRuns(nil, segs), bruteRuns(l, box)
+	checkAppendKeepsPrefix(t, l, box, segs, got)
 	if len(got) != len(want) {
 		t.Fatalf("%s box %v: segments merge to %d runs, brute force %d\ngot  %v\nwant %v", l, box, len(got), len(want), got, want)
 	}
@@ -209,6 +211,26 @@ func checkSegments(t *testing.T, l *Layout, box Box) {
 		if !ok {
 			t.Fatalf("%s box %v: index %d never placed", l, box, idx)
 		}
+	}
+}
+
+// checkAppendKeepsPrefix requires the append forms to leave dst's
+// existing elements alone: segments land after a prefix unchanged, and
+// a prefix run that ends where the first segment starts is not merged
+// into (the tile mover reuses its scratch from index 0, but a caller
+// may not).
+func checkAppendKeepsPrefix(t *testing.T, l *Layout, box Box, segs []Seg, runs []Run) {
+	t.Helper()
+	preSeg := Seg{Off: -7, Len: 3, Idx: -1, Stride: 2}
+	if got := l.AppendSegments([]Seg{preSeg}, box); got[0] != preSeg || !slices.Equal(got[1:], segs) {
+		t.Fatalf("%s box %v: AppendSegments after a prefix = %v, want %v then %v", l, box, got, preSeg, segs)
+	}
+	if len(segs) == 0 {
+		return
+	}
+	preRun := Run{Off: segs[0].Off - 1, Len: 1}
+	if got := AppendRuns([]Run{preRun}, segs); got[0] != preRun || !slices.Equal(got[1:], runs) {
+		t.Fatalf("%s box %v: AppendRuns after an adjacent prefix = %v, want %v then %v", l, box, got, preRun, runs)
 	}
 }
 

@@ -107,24 +107,26 @@ type Seg struct {
 	Idx, Stride int64
 }
 
-// Segments enumerates the (clipped) box as constant-stride segments
-// sorted by file offset: together they cover every element of the box
-// exactly once. It is the single per-kind walk of the package — Runs is
-// its merge — so I/O accounting and element placement cannot disagree.
-func (l *Layout) Segments(box Box) []Seg {
+// AppendSegments appends the (clipped) box's constant-stride segments
+// to dst, sorted by file offset: together they cover every element of
+// the box exactly once. It is the single per-kind walk of the package —
+// Runs is its merge — so I/O accounting and element placement cannot
+// disagree. A tile mover hands back the same dst on every call, so a
+// steady stream of tile moves allocates no segment storage.
+func (l *Layout) AppendSegments(dst []Seg, box Box) []Seg {
 	box = box.Clip(l.dims)
 	if box.Empty() {
-		return nil
+		return dst
 	}
 	switch l.kind {
 	case Permutation:
-		return l.permSegments(box)
+		return l.permSegments(dst, box)
 	case Diagonal2D, AntiDiagonal2D:
-		return l.diagSegments(box)
+		return l.diagSegments(dst, box)
 	case Blocked2D:
-		return l.blockSegments(box)
+		return l.blockSegments(dst, box)
 	case General2D:
-		return l.tableSegments(box)
+		return l.tableSegments(dst, box)
 	default:
 		panic("layout: unknown kind")
 	}
@@ -135,23 +137,21 @@ func (l *Layout) Segments(box Box) []Seg {
 // offset. The number of runs is the paper's central I/O metric: one
 // I/O request per run (possibly split further by the per-call byte cap
 // and by striping, which the ooc and pfs packages model).
-func (l *Layout) Runs(box Box) []Run { return RunsOf(l.Segments(box)) }
+func (l *Layout) Runs(box Box) []Run { return AppendRuns(nil, l.AppendSegments(nil, box)) }
 
-// RunsOf coalesces file-adjacent segments (sorted by offset, as
-// Segments returns them) into maximal runs.
-func RunsOf(segs []Seg) []Run {
-	if len(segs) == 0 {
-		return nil
-	}
-	runs := make([]Run, 0, len(segs))
+// AppendRuns coalesces file-adjacent segments (sorted by offset, as
+// AppendSegments returns them) into maximal runs appended to dst.
+func AppendRuns(dst []Run, segs []Seg) []Run {
+	base := len(dst)
+	dst = slices.Grow(dst, len(segs)) // never more runs than segments
 	for _, s := range segs {
-		if n := len(runs); n > 0 && runs[n-1].Off+runs[n-1].Len == s.Off {
-			runs[n-1].Len += s.Len
+		if n := len(dst); n > base && dst[n-1].Off+dst[n-1].Len == s.Off {
+			dst[n-1].Len += s.Len
 		} else {
-			runs = append(runs, Run{Off: s.Off, Len: s.Len})
+			dst = append(dst, Run{Off: s.Off, Len: s.Len})
 		}
 	}
-	return runs
+	return dst
 }
 
 // RunCount returns len(Runs(box)) without retaining the slice.
@@ -162,9 +162,13 @@ func (l *Layout) RunCount(box Box) int64 { return int64(len(l.Runs(box))) }
 // advance odometer-style in permutation order, so segments come out
 // sorted by offset, and each step moves the file offset and the box
 // index by that dimension's stride instead of recomputing them.
-func (l *Layout) permSegments(box Box) []Seg {
+func (l *Layout) permSegments(segs []Seg, box Box) []Seg {
 	rank := len(l.dims)
-	scratch := make([]int64, 4*rank)
+	var stack [16]int64 // rank <= 4 walks without allocating
+	scratch := stack[:]
+	if 4*rank > len(stack) {
+		scratch = make([]int64, 4*rank)
+	}
 	ext, fstr, tstr, pos := scratch[:rank], scratch[rank:2*rank], scratch[2*rank:3*rank], scratch[3*rank:]
 	t := int64(1)
 	for d := rank - 1; d >= 0; d-- {
@@ -180,7 +184,7 @@ func (l *Layout) permSegments(box Box) []Seg {
 		off += box.Lo[d] * fstr[d]
 	}
 	fast, slow := l.perm[rank-1], l.perm[:rank-1]
-	segs := make([]Seg, 0, t/ext[fast])
+	segs = slices.Grow(segs, int(t/ext[fast]))
 	var idx int64
 	for {
 		segs = append(segs, Seg{Off: off, Len: ext[fast], Idx: idx, Stride: tstr[fast]})
@@ -207,7 +211,7 @@ func (l *Layout) permSegments(box Box) []Seg {
 // box, in ascending normalized-diagonal order, which is offset order.
 // Along a diagonal i-j=d both coordinates rise together (index step
 // cols+1); along an anti-diagonal i+j=s the column falls (cols-1).
-func (l *Layout) diagSegments(box Box) []Seg {
+func (l *Layout) diagSegments(segs []Seg, box Box) []Seg {
 	r0, r1 := box.Lo[0], box.Hi[0]
 	c0, c1 := box.Lo[1], box.Hi[1]
 	cols, m := c1-c0, l.dims[1]
@@ -216,7 +220,7 @@ func (l *Layout) diagSegments(box Box) []Seg {
 	if diag {
 		kLo, kHi, stride = r0-(c1-1)+(m-1), (r1-1)-c0+(m-1), cols+1
 	}
-	segs := make([]Seg, 0, kHi-kLo+1)
+	segs = slices.Grow(segs, int(kHi-kLo+1))
 	for k := kLo; k <= kHi; k++ {
 		var iLo, iHi, j int64
 		if diag {
@@ -235,11 +239,11 @@ func (l *Layout) diagSegments(box Box) []Seg {
 // blockSegments yields row segments within each block the box overlaps.
 // Blocks are stored row-major and rows ascend within a block, so the
 // walk is already in offset order.
-func (l *Layout) blockSegments(box Box) []Seg {
+func (l *Layout) blockSegments(segs []Seg, box Box) []Seg {
 	b1, b2 := l.block[0], l.block[1]
 	nb2 := ceilDiv(l.dims[1], b2)
 	cols := box.Hi[1] - box.Lo[1]
-	segs := make([]Seg, 0, (box.Hi[0]-box.Lo[0])*((box.Hi[1]-1)/b2-box.Lo[1]/b2+1))
+	segs = slices.Grow(segs, int((box.Hi[0]-box.Lo[0])*((box.Hi[1]-1)/b2-box.Lo[1]/b2+1)))
 	for bi := box.Lo[0] / b1; bi*b1 < box.Hi[0]; bi++ {
 		rLo := maxI64(box.Lo[0], bi*b1)
 		rHi := minI64(box.Hi[0], (bi+1)*b1)
@@ -261,7 +265,7 @@ func (l *Layout) blockSegments(box Box) []Seg {
 // tableSegments enumerates every element (table-backed layouts only)
 // and merges neighbours that are consecutive both in the file and in
 // the box.
-func (l *Layout) tableSegments(box Box) []Seg {
+func (l *Layout) tableSegments(segs []Seg, box Box) []Seg {
 	table, inv := l.tables()
 	m, cols := l.dims[1], box.Hi[1]-box.Lo[1]
 	offs := make([]int64, 0, box.Size())
@@ -271,10 +275,10 @@ func (l *Layout) tableSegments(box Box) []Seg {
 		}
 	}
 	slices.Sort(offs)
-	segs := make([]Seg, 0, len(offs))
+	base := len(segs)
 	for _, o := range offs {
 		idx := (inv[o]/m-box.Lo[0])*cols + inv[o]%m - box.Lo[1]
-		if n := len(segs); n > 0 && segs[n-1].Off+segs[n-1].Len == o && segs[n-1].Idx+segs[n-1].Len == idx {
+		if n := len(segs); n > base && segs[n-1].Off+segs[n-1].Len == o && segs[n-1].Idx+segs[n-1].Len == idx {
 			segs[n-1].Len++
 		} else {
 			segs = append(segs, Seg{Off: o, Len: 1, Idx: idx, Stride: 1})

@@ -28,7 +28,7 @@ func TestSegmentsShapes(t *testing.T) {
 		{Blocked(8, 8, 4, 4), 6, Seg{Off: 2*4 + 1, Len: 3, Idx: 0, Stride: 1}, 1},
 	}
 	for _, c := range cases {
-		segs := c.l.Segments(box)
+		segs := c.l.AppendSegments(nil, box)
 		if len(segs) != c.n || segs[0] != c.first {
 			t.Errorf("%s: %d segments starting %+v, want %d starting %+v", c.l, len(segs), segs[0], c.n, c.first)
 		}
@@ -41,10 +41,10 @@ func TestSegmentsShapes(t *testing.T) {
 	}
 	// A full-width row-major band: one segment per row, one run in all.
 	band := NewBox([]int64{2, 0}, []int64{5, 8})
-	if segs := RowMajor(8, 8).Segments(band); len(segs) != 3 || len(RunsOf(segs)) != 1 {
-		t.Errorf("row-major band: %d segments, %d runs, want 3 and 1", len(segs), len(RunsOf(segs)))
+	if segs := RowMajor(8, 8).AppendSegments(nil, band); len(segs) != 3 || len(AppendRuns(nil, segs)) != 1 {
+		t.Errorf("row-major band: %d segments, %d runs, want 3 and 1", len(segs), len(AppendRuns(nil, segs)))
 	}
-	if segs := RowMajor(8, 8).Segments(NewBox([]int64{3, 3}, []int64{3, 9})); segs != nil {
+	if segs := RowMajor(8, 8).AppendSegments(nil, NewBox([]int64{3, 3}, []int64{3, 9})); segs != nil {
 		t.Errorf("empty box: segments %v", segs)
 	}
 }
@@ -146,16 +146,34 @@ func BenchmarkRuns(b *testing.B) {
 	}
 }
 
+// TestAppendSegmentsAllocs: with a reused dst, the permutation walk of
+// rank <= 4 — every shape the tile engine moves — allocates nothing;
+// its odometer scratch lives on the stack.
+func TestAppendSegmentsAllocs(t *testing.T) {
+	for _, dims := range [][]int64{{40}, {12, 9}, {6, 5, 7}, {3, 4, 2, 5}} {
+		l := NewPermutation(dims, rand.New(rand.NewSource(int64(len(dims)))).Perm(len(dims)))
+		hi := make([]int64, len(dims))
+		for d := range hi {
+			hi[d] = dims[d] - 1
+		}
+		box := NewBox(make([]int64, len(dims)), hi)
+		segs := l.AppendSegments(nil, box)
+		if allocs := testing.AllocsPerRun(50, func() { segs = l.AppendSegments(segs[:0], box) }); allocs != 0 {
+			t.Errorf("%s: AppendSegments into a reused slice allocates %.0f objects, want 0", l, allocs)
+		}
+	}
+}
+
 func BenchmarkSegments(b *testing.B) {
 	for _, l := range benchLayouts() {
 		for _, bb := range benchBoxes {
 			b.Run(l.Name()+"/"+bb.name, func(b *testing.B) {
 				b.ReportAllocs()
 				b.SetBytes(bb.box.Size() * 8)
-				sinkSegs = l.Segments(bb.box)
+				sinkSegs = l.AppendSegments(nil, bb.box)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sinkSegs = l.Segments(bb.box)
+					sinkSegs = l.AppendSegments(nil, bb.box)
 				}
 			})
 		}

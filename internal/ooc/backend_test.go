@@ -38,10 +38,10 @@ func TestFileBackendRoundTrip(t *testing.T) {
 	}
 	for i := box.Lo[0]; i < box.Hi[0]; i++ {
 		for j := box.Lo[1]; j < box.Hi[1]; j++ {
-			if got := tile.Get([]int64{i, j}); got != float64(i*8+j) {
+			if got := *elem(tile, i, j); got != float64(i*8+j) {
 				t.Fatalf("tile(%d,%d) = %v", i, j, got)
 			}
-			tile.Set([]int64{i, j}, -1)
+			*elem(tile, i, j) = -1
 		}
 	}
 	if err := tile.WriteTile(); err != nil {
@@ -82,7 +82,7 @@ func TestFileBackendMatchesMemory(t *testing.T) {
 	}
 	for i := box.Lo[0]; i < box.Hi[0]; i++ {
 		for j := box.Lo[1]; j < box.Hi[1]; j++ {
-			if tm.Get([]int64{i, j}) != tf.Get([]int64{i, j}) {
+			if *elem(tm, i, j) != *elem(tf, i, j) {
 				t.Fatalf("mem/file mismatch at (%d,%d)", i, j)
 			}
 		}
@@ -246,7 +246,7 @@ func TestWrapBackendAndEngineSync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{1, 1}, 7)
+	*elem(h.Tile(), 1, 1) = 7
 	eng.Release(h, true)
 	if err := eng.Flush(); err != nil {
 		t.Fatal(err)

@@ -1,12 +1,13 @@
 package ooc
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"outcore/internal/keyhash"
 	"outcore/internal/layout"
 	"outcore/internal/obs"
 )
@@ -74,16 +75,21 @@ func (s EngineStats) OverlapFactor() float64 {
 	return 0
 }
 
-// entry is one cached tile. An entry is in exactly one of three states:
-// loading (ready != nil, loading true; a goroutine is reading it),
-// resident (tile != nil, or touch true for data-less accounting
-// entries), or gone (removed from the map; dropped marks removal that
-// happened while loading so the loader discards its result).
+// entry is one cache frame: a tile slot the engine recycles. It holds
+// its own copy of the tile's box (boxBuf), the tile with its data buffer
+// and mover scratch, the collision-chain link and the LRU links. A frame
+// is in the table while loading (a goroutine is reading into it) or
+// resident (its data valid; touch entries carry accounting only). Once
+// it leaves the table it is recycled onto the free list — but only when
+// it is unpinned and not loading; a loading frame removed from the table
+// is marked dropped and recycled by its loader.
 type entry struct {
-	key  TileKey
-	arr  *Array
-	box  layout.Box
-	tile *Tile
+	tile   Tile    // Arr and Box name the tile; Box lives in boxBuf
+	boxBuf []int64 // Lo then Hi
+	hash   uint64
+	hnext  *entry // next frame in the same bucket, or on the free list
+	prev   *entry // LRU ring, toward the most recently used; nil out of the table
+	next   *entry
 
 	touch      bool // accounting-only entry (dry-run disks)
 	dirty      bool
@@ -91,8 +97,6 @@ type entry struct {
 	loading    bool
 	dropped    bool
 	prefetched bool
-	ready      chan struct{} // closed when loading finishes
-	elem       *list.Element
 }
 
 // Engine is a concurrent tile engine: a size-bounded LRU tile cache
@@ -112,6 +116,12 @@ type entry struct {
 //
 // Acquire + Release(dirty) is the read-modify-write path; a caller that
 // supplies a whole box writes it with Store, which never reads.
+//
+// The miss path allocates nothing in steady state: frames evicted or
+// invalidated go onto a free list (at most CacheTiles long) and the
+// next miss or Store refills one, reusing its data buffer when it is
+// large enough (and at most twice the tile), its box storage and its
+// mover scratch.
 type Engine struct {
 	disk     *Disk
 	workers  int
@@ -127,12 +137,17 @@ type Engine struct {
 	published bool // registry publication happens once, at Close
 
 	mu       sync.Mutex
-	entries  map[TileKey]*entry
-	lru      *list.List // front = most recently used
+	loaded   sync.Cond // on mu; broadcast whenever a load finishes
+	buckets  []*entry  // hash table: tileHash & mask -> collision chain
+	mask     uint64
+	resident int   // frames in the table
+	lru      entry // sentinel of the LRU ring: lru.next is the most recent
+	free     *entry
+	nfree    int
 	closed   bool
-	firstErr error // first asynchronous write-back failure
+	closeErr error // what Close could not flush, returned again by later Closes
 
-	jobs chan func()
+	jobs chan *entry // prefetch loads
 	wg   sync.WaitGroup
 }
 
@@ -161,9 +176,11 @@ func NewEngine(d *Disk, o EngineOptions) *Engine {
 		disk:     d,
 		workers:  o.Workers,
 		capTiles: o.CacheTiles,
-		entries:  map[TileKey]*entry{},
-		lru:      list.New(),
+		buckets:  make([]*entry, minBuckets),
+		mask:     minBuckets - 1,
 	}
+	e.loaded.L = &e.mu
+	e.lru.prev, e.lru.next = &e.lru, &e.lru
 	if o.Obs != nil {
 		e.trace = o.Obs.Trace
 		if e.reg = o.Obs.Metrics; e.reg != nil {
@@ -172,13 +189,13 @@ func NewEngine(d *Disk, o EngineOptions) *Engine {
 		}
 	}
 	if e.workers > 0 {
-		e.jobs = make(chan func(), 4*e.workers+16)
+		e.jobs = make(chan *entry, 4*e.workers+16)
 		for i := 0; i < e.workers; i++ {
 			e.wg.Add(1)
 			go func() {
 				defer e.wg.Done()
-				for job := range e.jobs {
-					job()
+				for ent := range e.jobs {
+					e.prefetchLoad(ent)
 				}
 			}()
 		}
@@ -187,9 +204,12 @@ func NewEngine(d *Disk, o EngineOptions) *Engine {
 }
 
 // Handle is a pinned cached tile. The tile stays resident (and is never
-// evicted) until Release, which recycles the Handle itself — using a
-// handle (or its Tile) after releasing it is a bug, best-effort caught
-// by the double-release panic.
+// evicted) until Release, which recycles the Handle itself. The Tile a
+// handle returns is valid only until that Release: the engine may then
+// evict the frame and refill it — box, data and all — with another
+// tile, so a caller that keeps the tile or its Data past Release reads
+// whatever tile the frame holds next. Using a released handle is a bug,
+// best-effort caught by the double-release panic.
 type Handle struct {
 	ent      *entry
 	released bool
@@ -206,8 +226,8 @@ func newHandle(ent *entry) *Handle {
 	return h
 }
 
-// Tile returns the pinned in-memory tile.
-func (h *Handle) Tile() *Tile { return h.ent.tile }
+// Tile returns the pinned in-memory tile, valid until Release.
+func (h *Handle) Tile() *Tile { return &h.ent.tile }
 
 // Acquire returns the tile for (array, box), pinned: from cache on a
 // hit (including tiles still being prefetched, which it waits for), or
@@ -215,75 +235,78 @@ func (h *Handle) Tile() *Tile { return h.ent.tile }
 // share one backend read and one in-memory tile.
 func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 	box = box.Clip(ar.Meta.Dims)
-	// The key bytes live on the stack; the hit path looks them up via
-	// the compiler's byte-slice map-key optimization and never
-	// materializes the string. Only a miss pays the conversion.
-	var kb [tileKeyStackBytes]byte
-	keyb := appendTileKey(kb[:0], ar.Meta.Name, box)
-	for {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return nil, ErrEngineClosed
-		}
-		if ent, ok := e.entries[TileKey(keyb)]; ok {
-			if ent.loading {
-				ready := ent.ready
-				e.mu.Unlock()
-				<-ready
-				continue // resident now, or dropped: re-resolve
-			}
-			ent.pins++
-			e.met.hits.Inc()
-			if ent.prefetched {
-				e.met.prefetchUseful.Inc()
-				ent.prefetched = false
-			}
-			e.lru.MoveToFront(ent.elem)
-			e.mu.Unlock()
-			return newHandle(ent), nil
-		}
-		// Miss: reserve the key, make the backend current for this box,
-		// then read outside the lock so independent fetches overlap.
-		e.met.misses.Inc()
-		key := TileKey(keyb)
-		ent := &entry{key: key, arr: ar, box: box, pins: 1, loading: true, ready: make(chan struct{})}
-		e.entries[key] = ent
-		ent.elem = e.lru.PushFront(ent)
-		if ferr := e.flushOverlapDirtyLocked(ar, box, key); ferr != nil {
-			// Reading the backend now would observe data older than a
-			// released overlapping write; fail the acquire instead of
-			// serving a stale tile. The dirty tile stays cached for a
-			// retry against a healed backend.
-			ent.loading = false
-			close(ent.ready)
-			e.removeLocked(ent)
-			e.mu.Unlock()
-			return nil, ferr
-		}
+	hash := tileHash(ar, box)
+	e.mu.Lock()
+	ent, err := e.resolveLocked(hash, ar, box)
+	if err != nil {
 		e.mu.Unlock()
-
-		var t0 time.Time
-		if e.timed() {
-			t0 = time.Now()
+		return nil, err
+	}
+	if ent != nil {
+		ent.pins++
+		e.met.hits.Inc()
+		if ent.prefetched {
+			e.met.prefetchUseful.Inc()
+			ent.prefetched = false
 		}
-		t, err := ar.ReadTile(box)
-		if !t0.IsZero() && err == nil {
-			e.observeSpan(obs.KindTileFetch, ar.Meta.Name, t0, box.Size()*ElemSize)
-		}
-
-		e.mu.Lock()
-		ent.loading = false
-		close(ent.ready)
-		if err != nil {
-			e.removeLocked(ent)
-			e.mu.Unlock()
-			return nil, err
-		}
-		ent.tile = t
-		e.evictLocked()
+		e.toFrontLocked(ent)
 		e.mu.Unlock()
 		return newHandle(ent), nil
+	}
+	// Miss: reserve the key, make the backend current for this box,
+	// then read outside the lock so independent fetches overlap.
+	e.met.misses.Inc()
+	ent = e.insertLocked(hash, ar, box, true)
+	ent.pins, ent.loading = 1, true
+	if ferr := e.flushOverlapDirtyLocked(ar, box, ent); ferr != nil {
+		// Reading the backend now would observe data older than a
+		// released overlapping write; fail the acquire instead of
+		// serving a stale tile. The dirty tile stays cached for a
+		// retry against a healed backend.
+		ent.loading = false
+		e.removeLocked(ent)
+		e.loaded.Broadcast()
+		e.mu.Unlock()
+		return nil, ferr
+	}
+	e.mu.Unlock()
+
+	var t0 time.Time
+	if e.timed() {
+		t0 = time.Now()
+	}
+	err = ent.tile.read()
+	if !t0.IsZero() && err == nil {
+		e.observeSpan(obs.KindTileFetch, ar.Meta.Name, t0, box.Size()*ElemSize)
+	}
+
+	e.mu.Lock()
+	ent.loading = false
+	e.loaded.Broadcast()
+	if err != nil {
+		e.removeLocked(ent)
+		e.mu.Unlock()
+		return nil, err
+	}
+	e.evictLocked()
+	e.mu.Unlock()
+	return newHandle(ent), nil
+}
+
+// resolveLocked looks (array, box) up, waiting out an in-flight load
+// of the same key: after each wake-up it re-resolves through the table,
+// since the load may have failed or been invalidated. It returns the
+// resident entry or nil, and fails once the engine is closed.
+func (e *Engine) resolveLocked(hash uint64, ar *Array, box layout.Box) (*entry, error) {
+	for {
+		if e.closed {
+			return nil, ErrEngineClosed
+		}
+		ent := e.lookupLocked(hash, ar, box)
+		if ent == nil || !ent.loading {
+			return ent, nil
+		}
+		e.loaded.Wait()
 	}
 }
 
@@ -293,21 +316,27 @@ type TileReq struct {
 	Box layout.Box
 }
 
-// AcquireAll acquires every requested tile. With a worker-enabled
-// engine the misses are fetched concurrently — the overlap that makes
-// independent tile reads cheaper than their sum.
-func (e *Engine) AcquireAll(reqs []TileReq) ([]*Handle, error) {
-	hs := make([]*Handle, len(reqs))
+// AcquireAll acquires every requested tile and appends the handles to
+// dst, in request order; a caller that reuses dst across calls makes
+// no allocation here. With a worker-enabled engine the misses are
+// fetched concurrently — the overlap that makes independent tile reads
+// cheaper than their sum. On error every tile it acquired is released
+// and dst is returned unextended.
+func (e *Engine) AcquireAll(dst []*Handle, reqs []TileReq) ([]*Handle, error) {
+	n := len(dst)
+	all := slices.Grow(dst, len(reqs))[:n+len(reqs)]
+	hs := all[n:]
+	clear(hs)
 	if e.workers == 0 || len(reqs) < 2 {
 		for i, r := range reqs {
 			h, err := e.Acquire(r.Arr, r.Box)
 			if err != nil {
 				e.releaseAll(hs)
-				return nil, err
+				return dst, err
 			}
 			hs[i] = h
 		}
-		return hs, nil
+		return all, nil
 	}
 	errs := make([]error, len(reqs))
 	var wg sync.WaitGroup
@@ -322,16 +351,17 @@ func (e *Engine) AcquireAll(reqs []TileReq) ([]*Handle, error) {
 	for _, err := range errs {
 		if err != nil {
 			e.releaseAll(hs)
-			return nil, err
+			return dst, err
 		}
 	}
-	return hs, nil
+	return all, nil
 }
 
 func (e *Engine) releaseAll(hs []*Handle) {
-	for _, h := range hs {
+	for i, h := range hs {
 		if h != nil {
 			e.Release(h, false)
+			hs[i] = nil
 		}
 	}
 }
@@ -341,6 +371,7 @@ func (e *Engine) releaseAll(hs []*Handle) {
 // the updated copy) and is written back on eviction or Flush; marking
 // it dirty invalidates every other cached or in-flight tile of the
 // same array that overlaps it, since their contents are now stale.
+// The handle and its Tile are invalid from here on.
 func (e *Engine) Release(h *Handle, dirty bool) {
 	if h.released {
 		panic("ooc: tile handle released twice")
@@ -357,7 +388,7 @@ func (e *Engine) Release(h *Handle, dirty bool) {
 		ent.dirty = true
 		e.invalidateOverlapLocked(ent)
 	}
-	e.lru.MoveToFront(ent.elem)
+	e.toFrontLocked(ent)
 	e.evictLocked()
 	e.mu.Unlock()
 	h.ent = nil
@@ -387,36 +418,24 @@ func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
 	if ar.disk.noBacking {
 		return fmt.Errorf("ooc: store into %s on a measurement-only (null-backed) disk; use Touch", ar.Meta.Name)
 	}
-	var kb [tileKeyStackBytes]byte
-	keyb := appendTileKey(kb[:0], ar.Meta.Name, box)
-	for {
-		e.mu.Lock()
-		if e.closed {
-			e.mu.Unlock()
-			return ErrEngineClosed
-		}
-		ent, ok := e.entries[TileKey(keyb)]
-		if ok && ent.loading {
-			ready := ent.ready
-			e.mu.Unlock()
-			<-ready
-			continue // resident now, or dropped: re-resolve
-		}
-		if ok {
-			ent.prefetched = false // its read is overwritten, not used
-			e.lru.MoveToFront(ent.elem)
-		} else {
-			ent = &entry{key: TileKey(keyb), arr: ar, box: box, tile: newTile(ar, box)}
-			e.entries[ent.key] = ent
-			ent.elem = e.lru.PushFront(ent)
-		}
-		copy(ent.tile.data, data)
-		ent.dirty = true
-		e.invalidateOverlapLocked(ent)
-		e.evictLocked()
-		e.mu.Unlock()
-		return nil
+	hash := tileHash(ar, box)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, err := e.resolveLocked(hash, ar, box)
+	if err != nil {
+		return err
 	}
+	if ent != nil {
+		ent.prefetched = false // its read is overwritten, not used
+		e.toFrontLocked(ent)
+	} else {
+		ent = e.insertLocked(hash, ar, box, true)
+	}
+	copy(ent.tile.data, data)
+	ent.dirty = true
+	e.invalidateOverlapLocked(ent)
+	e.evictLocked()
+	return nil
 }
 
 // Prefetch asynchronously reads (array, box) into the cache so a later
@@ -432,51 +451,46 @@ func (e *Engine) Prefetch(ar *Array, box layout.Box) {
 	if box.Empty() {
 		return
 	}
-	key := tileKey(ar.Meta.Name, box)
+	hash := tileHash(ar, box)
 	e.mu.Lock()
-	if e.closed {
+	if e.closed || e.lookupLocked(hash, ar, box) != nil || e.overlapsDirtyLocked(ar, box) {
 		e.mu.Unlock()
 		return
 	}
-	if _, ok := e.entries[key]; ok {
-		e.mu.Unlock()
-		return
-	}
-	if e.overlapsDirtyLocked(ar, box) {
-		e.mu.Unlock()
-		return
-	}
-	ent := &entry{key: key, arr: ar, box: box, loading: true, prefetched: true, ready: make(chan struct{})}
-	e.entries[key] = ent
-	ent.elem = e.lru.PushFront(ent)
+	ent := e.insertLocked(hash, ar, box, true)
+	ent.loading, ent.prefetched = true, true
 	e.met.prefetchIssued.Inc()
 	e.mu.Unlock()
 	if e.trace != nil {
 		e.trace.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Name: ar.Meta.Name,
 			Start: e.trace.Now(), Bytes: box.Size() * ElemSize})
 	}
+	e.jobs <- ent
+}
 
-	e.jobs <- func() {
-		var t0 time.Time
-		if e.timed() {
-			t0 = time.Now()
-		}
-		t, err := ar.ReadTile(box)
-		if !t0.IsZero() && err == nil {
-			e.observeSpan(obs.KindPrefetchDone, ar.Meta.Name, t0, box.Size()*ElemSize)
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		ent.loading = false
-		defer close(ent.ready)
-		if ent.dropped {
-			return // invalidated while in flight; discard
-		}
-		if err != nil {
-			e.removeLocked(ent) // next Acquire retries and surfaces the error
-			return
-		}
-		ent.tile = t
+// prefetchLoad is a worker's half of Prefetch: read the frame, then
+// publish it — or, when it was invalidated in flight, recycle it.
+func (e *Engine) prefetchLoad(ent *entry) {
+	t := &ent.tile
+	var t0 time.Time
+	if e.timed() {
+		t0 = time.Now()
+	}
+	err := t.read()
+	if !t0.IsZero() && err == nil {
+		e.observeSpan(obs.KindPrefetchDone, t.Arr.Meta.Name, t0, t.Box.Size()*ElemSize)
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent.loading = false
+	e.loaded.Broadcast()
+	switch {
+	case ent.dropped: // invalidated while in flight; discard
+		e.recycleLocked(ent)
+	case err != nil: // the next Acquire retries and surfaces the error
+		e.removeLocked(ent)
+		e.recycleLocked(ent)
+	default:
 		e.evictLocked()
 	}
 }
@@ -491,12 +505,17 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 	if box.Empty() {
 		return
 	}
-	key := tileKey(ar.Meta.Name, box)
+	hash := tileHash(ar, box)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if ent, ok := e.entries[key]; ok && !ent.loading {
+	ent := e.lookupLocked(hash, ar, box)
+	for ent != nil && ent.loading {
+		e.loaded.Wait()
+		ent = e.lookupLocked(hash, ar, box)
+	}
+	if ent != nil {
 		e.met.hits.Inc()
-		e.lru.MoveToFront(ent.elem)
+		e.toFrontLocked(ent)
 		if write && !ent.dirty {
 			ent.dirty = true
 			e.invalidateOverlapLocked(ent)
@@ -504,13 +523,12 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 		return
 	}
 	e.met.misses.Inc()
+	ent = e.insertLocked(hash, ar, box, false)
+	ent.touch = true
 	// Accounting-only disks have no data to lose: TouchWrite cannot
 	// fail, so the flush error is structurally nil here.
-	_ = e.flushOverlapDirtyLocked(ar, box, key)
-	ar.TouchRead(box)
-	ent := &entry{key: key, arr: ar, box: box, touch: true}
-	e.entries[key] = ent
-	ent.elem = e.lru.PushFront(ent)
+	_ = e.flushOverlapDirtyLocked(ar, box, ent)
+	ent.tile.plan(false) // TouchRead, on the frame's scratch
 	if write {
 		ent.dirty = true
 		e.invalidateOverlapLocked(ent)
@@ -520,8 +538,8 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 
 // Flush writes every unpinned dirty tile back to the backend, oldest
 // first (LRU order keeps the write-back request stream deterministic —
-// the bench regression gate diffs simulated request traces, so map
-// iteration order must never leak into the I/O schedule), then syncs
+// the bench regression gate diffs simulated request traces, so the
+// table's order must never leak into the I/O schedule), then syncs
 // the backends so file-backed arrays are durable at the flush point.
 // Cached tiles stay resident (clean).
 // A failed Flush is NOT sticky: it reports this pass's first failure
@@ -539,32 +557,27 @@ func (e *Engine) Flush() error {
 // everything, including the sync, succeeded).
 func (e *Engine) flushLocked() error {
 	var first error
-	for el := e.lru.Back(); el != nil; el = el.Prev() {
-		ent := el.Value.(*entry)
+	for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
 		if ent.dirty && ent.pins == 0 && !ent.loading {
 			if err := e.writebackLocked(ent); err != nil && first == nil {
 				first = err
 			}
 		}
 	}
-	if err := e.disk.Sync(); err != nil {
-		if first == nil {
-			first = err
-		}
-		if e.firstErr == nil {
-			e.firstErr = err
-		}
+	if err := e.disk.Sync(); err != nil && first == nil {
+		first = err
 	}
 	return first
 }
 
-// Close drains the worker pool, flushes dirty tiles, syncs the backends
-// and returns the first write-back error, if any. Further engine calls
-// fail.
+// Close drains the worker pool, flushes dirty tiles and syncs the
+// backends. It returns what that final flush could not land — a
+// write-back that failed earlier but succeeds now is not an error —
+// and every later Close returns the same. Further engine calls fail.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
-		err := e.firstErr
+		err := e.closeErr
 		e.mu.Unlock()
 		return err
 	}
@@ -576,9 +589,9 @@ func (e *Engine) Close() error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.flushLocked()
+	e.closeErr = e.flushLocked()
 	e.publishMetricsLocked()
-	return e.firstErr
+	return e.closeErr
 }
 
 // Abandon stops the engine WITHOUT flushing dirty tiles: the crash
@@ -601,8 +614,10 @@ func (e *Engine) Abandon() {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.entries = map[TileKey]*entry{}
-	e.lru = list.New()
+	for e.lru.next != &e.lru {
+		e.removeLocked(e.lru.next) // a frame still pinned is released into nothing
+	}
+	e.free, e.nfree = nil, 0
 	e.publishMetricsLocked()
 }
 
@@ -679,33 +694,30 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Resident() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.entries)
+	return e.resident
 }
 
 // writebackLocked flushes one dirty entry (data tiles via WriteTile,
-// accounting entries via TouchWrite) and marks it clean. On failure
-// the entry STAYS dirty — the data still exists only in memory, so
-// clearing the flag would silently drop an acknowledged write; the
-// next flush/eviction/close retries, and once the backend heals the
-// write-back succeeds.
+// accounting entries via the TouchWrite charge) and marks it clean. On
+// failure the entry STAYS dirty — the data still exists only in
+// memory, so clearing the flag would silently drop an acknowledged
+// write; the next flush/eviction/close retries, and once the backend
+// heals the write-back succeeds.
 func (e *Engine) writebackLocked(ent *entry) error {
+	t := &ent.tile
 	if ent.touch {
-		ent.arr.TouchWrite(ent.box)
+		t.plan(true)
 	} else {
 		var t0 time.Time
 		if e.trace != nil {
 			t0 = time.Now()
 		}
-		if err := ent.tile.WriteTile(); err != nil {
-			err = fmt.Errorf("ooc: engine write-back of %s %v: %w", ent.arr.Meta.Name, ent.box, err)
-			if e.firstErr == nil {
-				e.firstErr = err
-			}
+		if err := t.WriteTile(); err != nil {
 			e.met.writebackErrors.Inc()
-			return err
+			return fmt.Errorf("ooc: engine write-back of %s %v: %w", t.Arr.Meta.Name, t.Box, err)
 		}
 		if !t0.IsZero() {
-			e.observeSpan(obs.KindWriteback, ent.arr.Meta.Name, t0, ent.box.Size()*ElemSize)
+			e.observeSpan(obs.KindWriteback, t.Arr.Meta.Name, t0, t.Box.Size()*ElemSize)
 		}
 	}
 	ent.dirty = false
@@ -715,14 +727,13 @@ func (e *Engine) writebackLocked(ent *entry) error {
 
 // flushOverlapDirtyLocked makes the backend current for box: every
 // dirty resident tile of the same array overlapping box (other than
-// key itself) is written back, so a subsequent backend read observes
-// all released writes. A write-back failure is returned — reading
-// the backend anyway would serve data older than a released write.
-func (e *Engine) flushOverlapDirtyLocked(ar *Array, box layout.Box, key TileKey) error {
+// self) is written back, so a subsequent backend read observes all
+// released writes. A write-back failure is returned — reading the
+// backend anyway would serve data older than a released write.
+func (e *Engine) flushOverlapDirtyLocked(ar *Array, box layout.Box, self *entry) error {
 	var first error
-	for el := e.lru.Back(); el != nil; el = el.Prev() {
-		ent := el.Value.(*entry)
-		if ent.key != key && ent.arr == ar && ent.dirty && !ent.loading && ent.box.Overlaps(box) {
+	for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
+		if ent != self && ent.tile.Arr == ar && ent.dirty && !ent.loading && ent.tile.Box.Overlaps(box) {
 			if err := e.writebackLocked(ent); err != nil && first == nil {
 				first = err
 			}
@@ -738,15 +749,13 @@ func (e *Engine) flushOverlapDirtyLocked(ar *Array, box layout.Box, key TileKey)
 func (e *Engine) FlushOverlapping(ar *Array, box layout.Box) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	// "" is never a real tile key (tileKey always length-prefixes the
-	// name), so no entry is exempted from the flush.
-	return e.flushOverlapDirtyLocked(ar, box, "")
+	return e.flushOverlapDirtyLocked(ar, box, nil)
 }
 
 // overlapsDirtyLocked reports whether box overlaps any dirty tile of ar.
 func (e *Engine) overlapsDirtyLocked(ar *Array, box layout.Box) bool {
-	for _, ent := range e.entries {
-		if ent.arr == ar && ent.dirty && ent.box.Overlaps(box) {
+	for ent := e.lru.next; ent != &e.lru; ent = ent.next {
+		if ent.tile.Arr == ar && ent.dirty && ent.tile.Box.Overlaps(box) {
 			return true
 		}
 	}
@@ -760,11 +769,10 @@ func (e *Engine) overlapsDirtyLocked(ar *Array, box layout.Box) bool {
 // Pinned entries are skipped — overlapping them is outside the engine's
 // consistency contract (see the Engine doc).
 func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
-	var prev *list.Element
-	for el := e.lru.Back(); el != nil; el = prev {
-		prev = el.Prev() // removeLocked below unlinks el
-		ent := el.Value.(*entry)
-		if ent == dirtied || ent.arr != dirtied.arr || ent.pins > 0 || !ent.box.Overlaps(dirtied.box) {
+	var prev *entry
+	for ent := e.lru.prev; ent != &e.lru; ent = prev {
+		prev = ent.prev // removeLocked below unlinks ent
+		if ent == dirtied || ent.tile.Arr != dirtied.tile.Arr || ent.pins > 0 || !ent.tile.Box.Overlaps(dirtied.tile.Box) {
 			continue
 		}
 		if ent.dirty && !ent.loading {
@@ -776,10 +784,12 @@ func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
 				continue
 			}
 		}
-		if ent.loading {
-			ent.dropped = true
-		}
 		e.removeLocked(ent)
+		if ent.loading {
+			ent.dropped = true // its loader recycles it
+		} else {
+			e.recycleLocked(ent)
+		}
 		e.met.invalidations.Inc()
 	}
 }
@@ -788,10 +798,9 @@ func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
 // unpinned, non-loading entries are written back (when dirty) and
 // dropped until the cache fits.
 func (e *Engine) evictLocked() {
-	for len(e.entries) > e.capTiles {
+	for e.resident > e.capTiles {
 		evicted := false
-		for el := e.lru.Back(); el != nil; el = el.Prev() {
-			ent := el.Value.(*entry)
+		for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
 			if ent.pins > 0 || ent.loading {
 				continue
 			}
@@ -807,9 +816,10 @@ func (e *Engine) evictLocked() {
 			e.removeLocked(ent)
 			e.met.evictions.Inc()
 			if e.trace != nil {
-				e.trace.Emit(obs.Event{Kind: obs.KindEviction, Name: ent.arr.Meta.Name,
-					Start: e.trace.Now(), Bytes: ent.box.Size() * ElemSize})
+				e.trace.Emit(obs.Event{Kind: obs.KindEviction, Name: ent.tile.Arr.Meta.Name,
+					Start: e.trace.Now(), Bytes: ent.tile.Box.Size() * ElemSize})
 			}
+			e.recycleLocked(ent)
 			evicted = true
 			break
 		}
@@ -819,11 +829,140 @@ func (e *Engine) evictLocked() {
 	}
 }
 
-// removeLocked deletes the entry from the map and LRU list.
-func (e *Engine) removeLocked(ent *entry) {
-	delete(e.entries, ent.key)
-	if ent.elem != nil {
-		e.lru.Remove(ent.elem)
-		ent.elem = nil
+// tileHash keys the frame table: the array's name hash mixed with every
+// box bound, integer arithmetic only. Equal (array, box) pairs hash
+// equal; distinct pairs may collide, which lookupLocked's exact
+// comparison resolves.
+func tileHash(ar *Array, box layout.Box) uint64 {
+	h := ar.nameSum ^ uint64(len(box.Lo))
+	for d := range box.Lo {
+		h = (h ^ uint64(box.Lo[d])) * 0x9e3779b97f4a7c15
+		h = (h ^ uint64(box.Hi[d])) * 0xc2b2ae3d27d4eb4f
 	}
+	return keyhash.Fmix64(h)
+}
+
+// lookupLocked returns the frame holding exactly (ar, box), or nil.
+func (e *Engine) lookupLocked(hash uint64, ar *Array, box layout.Box) *entry {
+	for ent := e.buckets[hash&e.mask]; ent != nil; ent = ent.hnext {
+		if ent.hash == hash && ent.tile.Arr == ar && sameBox(ent.tile.Box, box) {
+			return ent
+		}
+	}
+	return nil
+}
+
+func sameBox(a, b layout.Box) bool {
+	return slices.Equal(a.Lo, b.Lo) && slices.Equal(a.Hi, b.Hi)
+}
+
+// insertLocked links a frame for (ar, box) into the table and at the
+// LRU front: a recycled one when the free list has one, else a new one.
+// The frame copies box, so the caller may reuse its slices; withData
+// sizes the tile buffer for the box, reusing the old one when it fits
+// and is at most twice the box (its contents are stale until a read or
+// copy fills it). A larger buffer is dropped for a fresh one, so a frame
+// that once held a big scan chunk does not pin that memory while it
+// serves small tiles.
+func (e *Engine) insertLocked(hash uint64, ar *Array, box layout.Box, withData bool) *entry {
+	ent := e.free
+	if ent != nil {
+		e.free, e.nfree = ent.hnext, e.nfree-1
+	} else {
+		ent = new(entry)
+	}
+	r := len(box.Lo)
+	if cap(ent.boxBuf) < 2*r {
+		ent.boxBuf = make([]int64, 2*r)
+	}
+	lo, hi := ent.boxBuf[:r:r], ent.boxBuf[r:2*r:2*r]
+	copy(lo, box.Lo)
+	copy(hi, box.Hi)
+	ent.tile.Arr, ent.tile.Box = ar, layout.Box{Lo: lo, Hi: hi}
+	if n := int(box.Size()); !withData {
+		ent.tile.data = ent.tile.data[:0]
+	} else if c := cap(ent.tile.data); c >= n && c <= 2*n {
+		ent.tile.data = ent.tile.data[:n]
+	} else {
+		ent.tile.data = make([]float64, n)
+	}
+	ent.touch, ent.dirty, ent.pins = false, false, 0
+	ent.loading, ent.dropped, ent.prefetched = false, false, false
+	ent.hash = hash
+	if 2*(e.resident+1) > len(e.buckets) {
+		e.growLocked()
+	}
+	b := &e.buckets[hash&e.mask]
+	ent.hnext, *b = *b, ent
+	e.resident++
+	e.pushFrontLocked(ent)
+	return ent
+}
+
+// minBuckets is the frame table's starting size. The table doubles
+// whenever it would pass half full and never shrinks, so it grows with
+// the tiles actually resident, not with the configured capacity, and
+// stops allocating once the working set is in.
+const minBuckets = 16
+
+// growLocked doubles the bucket array and relinks every chain into it.
+func (e *Engine) growLocked() {
+	buckets := make([]*entry, 2*len(e.buckets))
+	mask := uint64(len(buckets) - 1)
+	for _, ent := range e.buckets {
+		for ent != nil {
+			next := ent.hnext
+			b := &buckets[ent.hash&mask]
+			ent.hnext, *b = *b, ent
+			ent = next
+		}
+	}
+	e.buckets, e.mask = buckets, mask
+}
+
+// removeLocked unlinks the frame from the table and the LRU ring; a
+// frame in neither (prev == nil: already removed, or discarded by
+// Abandon under a loader or a pin) is left alone.
+func (e *Engine) removeLocked(ent *entry) {
+	if ent.prev == nil {
+		return
+	}
+	for p := &e.buckets[ent.hash&e.mask]; *p != nil; p = &(*p).hnext {
+		if *p == ent {
+			*p = ent.hnext
+			break
+		}
+	}
+	ent.hnext = nil
+	e.resident--
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	ent.prev, ent.next = nil, nil
+}
+
+// recycleLocked puts a frame that has left the table onto the free
+// list, keeping its buffers for the next miss — but only when nobody
+// can still reach it (unpinned, not loading) and the list holds fewer
+// than capTiles frames.
+func (e *Engine) recycleLocked(ent *entry) {
+	if ent.pins > 0 || ent.loading || e.nfree >= e.capTiles {
+		return
+	}
+	ent.hnext, e.free = e.free, ent
+	e.nfree++
+}
+
+func (e *Engine) pushFrontLocked(ent *entry) {
+	ent.prev, ent.next = &e.lru, e.lru.next
+	e.lru.next.prev = ent
+	e.lru.next = ent
+}
+
+// toFrontLocked marks a resident frame most recently used. A frame
+// Abandon discarded while pinned is in no ring and stays out.
+func (e *Engine) toFrontLocked(ent *entry) {
+	if ent.prev == nil {
+		return
+	}
+	ent.prev.next, ent.next.prev = ent.next, ent.prev
+	e.pushFrontLocked(ent)
 }

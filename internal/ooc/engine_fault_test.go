@@ -61,7 +61,7 @@ func TestFlushErrorKeepsTileDirtyAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{1, 1}, 42)
+	*elem(h.Tile(), 1, 1) = 42
 	e.Release(h, true)
 
 	fb.failWrites = true
@@ -98,7 +98,7 @@ func TestEvictionNeverDropsFailedWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{0, 0}, 7)
+	*elem(h.Tile(), 0, 0) = 7
 	fb.failWrites = true
 	e.Release(h, true) // over capacity: eviction tries and fails to write back
 
@@ -115,7 +115,7 @@ func TestEvictionNeverDropsFailedWriteback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hd.Tile().Get([]int64{0, 0}); got != 7 {
+	if got := *elem(hd.Tile(), 0, 0); got != 7 {
 		t.Fatalf("dirty tile value = %v while backend unhealthy, want 7", got)
 	}
 	e.Release(hd, true)
@@ -140,7 +140,7 @@ func TestAcquireFailsWhenOverlapFlushFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{1, 1}, 5)
+	*elem(h.Tile(), 1, 1) = 5
 	e.Release(h, true)
 
 	fb.failWrites = true
@@ -153,7 +153,7 @@ func TestAcquireFailsWhenOverlapFlushFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("acquire after heal: %v", err)
 	}
-	if got := h2.Tile().Get([]int64{1, 1}); got != 5 {
+	if got := *elem(h2.Tile(), 1, 1); got != 5 {
 		t.Fatalf("tile value = %v, want the released write 5", got)
 	}
 	e.Release(h2, false)
@@ -189,7 +189,7 @@ func TestAbandonDropsCacheWithoutFlushing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{0, 0}, 9)
+	*elem(h.Tile(), 0, 0) = 9
 	e.Release(h, true)
 
 	before := fb.writeErrs
@@ -205,4 +205,55 @@ func TestAbandonDropsCacheWithoutFlushing(t *testing.T) {
 		t.Fatalf("Acquire after Abandon = %v, want ErrEngineClosed", err)
 	}
 	e.Abandon() // idempotent
+}
+
+// TestCloseReportsOnlyWhatItCouldNotFlush: Close's error is the final
+// flush's, not the engine's history. An eviction write-back that failed
+// while the backend was down does not fail a Close whose flush lands
+// the tile after the backend healed; a backend that is still failing
+// does, and a second Close repeats that same error.
+func TestCloseReportsOnlyWhatItCouldNotFlush(t *testing.T) {
+	// failedEviction dirties tile (0,0)-(2,2), then forces its eviction
+	// while writes fail, and returns with the backend still failing.
+	failedEviction := func(t *testing.T) (*Engine, *Array, *flakyBackend) {
+		e, arr, fb := flakyEngine(t, EngineOptions{CacheTiles: 1})
+		h, err := e.Acquire(arr, box2(0, 0, 2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Tile().Data()[0] = 7 // element (0,0)
+		fb.failWrites = true
+		e.Release(h, true)
+		h2, err := e.Acquire(arr, box2(4, 4, 6, 6)) // over capacity: evicting the dirty tile fails
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Release(h2, false)
+		if s := e.Stats(); s.WritebackErrors == 0 {
+			t.Fatalf("stats = %+v, want a failed eviction write-back", s)
+		}
+		return e, arr, fb
+	}
+
+	t.Run("healed", func(t *testing.T) {
+		e, arr, fb := failedEviction(t)
+		fb.failWrites = false
+		if err := e.Close(); err != nil {
+			t.Fatalf("Close after heal = %v, want nil: its flush landed every dirty tile", err)
+		}
+		if got := arr.At([]int64{0, 0}); got != 7 {
+			t.Fatalf("backend value = %v after Close, want 7", got)
+		}
+	})
+
+	t.Run("still failing", func(t *testing.T) {
+		e, _, _ := failedEviction(t)
+		err := e.Close()
+		if !errors.Is(err, errFlaky) {
+			t.Fatalf("Close with the backend down = %v, want the write-back failure", err)
+		}
+		if again := e.Close(); again != err {
+			t.Fatalf("second Close = %v, want the same error %v", again, err)
+		}
+	})
 }

@@ -34,7 +34,7 @@ func TestEngineHitMissCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h1.Tile().Get([]int64{2, 3}); got != 2003 {
+	if got := *elem(h1.Tile(), 2, 3); got != 2003 {
 		t.Errorf("tile content = %v, want 2003", got)
 	}
 	e.Release(h1, false)
@@ -98,19 +98,19 @@ func TestEngineWritebackPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{1, 1}, -7)
+	*elem(h.Tile(), 1, 1) = -7
 	e.Release(h, true)
 
 	// Not flushed yet: the backend still holds the old value, the cache
 	// the new one.
-	if raw, _ := arr.ReadTile(b); raw.Get([]int64{1, 1}) != 1001 {
-		t.Errorf("backend updated before flush: %v", raw.Get([]int64{1, 1}))
+	if raw, _ := arr.ReadTile(b); *elem(raw, 1, 1) != 1001 {
+		t.Errorf("backend updated before flush: %v", *elem(raw, 1, 1))
 	}
 	h2, err := e.Acquire(arr, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h2.Tile().Get([]int64{1, 1}); got != -7 {
+	if got := *elem(h2.Tile(), 1, 1); got != -7 {
 		t.Errorf("cached dirty tile reads %v, want -7", got)
 	}
 	e.Release(h2, false)
@@ -118,8 +118,8 @@ func TestEngineWritebackPersists(t *testing.T) {
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if raw, _ := arr.ReadTile(b); raw.Get([]int64{1, 1}) != -7 {
-		t.Errorf("backend after flush reads %v, want -7", raw.Get([]int64{1, 1}))
+	if raw, _ := arr.ReadTile(b); *elem(raw, 1, 1) != -7 {
+		t.Errorf("backend after flush reads %v, want -7", *elem(raw, 1, 1))
 	}
 	if s := e.Stats(); s.Writebacks != 1 {
 		t.Errorf("writebacks = %d, want 1", s.Writebacks)
@@ -145,7 +145,7 @@ func TestEngineEvictionWritesBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{0, 0}, 42)
+	*elem(h.Tile(), 0, 0) = 42
 	e.Release(h, true)
 
 	// Capacity 1: acquiring a different tile evicts the dirty one, which
@@ -155,8 +155,8 @@ func TestEngineEvictionWritesBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Release(h2, false)
-	if raw, _ := arr.ReadTile(box2(0, 0, 1, 1)); raw.Get([]int64{0, 0}) != 42 {
-		t.Errorf("evicted dirty tile not written back: %v", raw.Get([]int64{0, 0}))
+	if raw, _ := arr.ReadTile(box2(0, 0, 1, 1)); *elem(raw, 0, 0) != 42 {
+		t.Errorf("evicted dirty tile not written back: %v", *elem(raw, 0, 0))
 	}
 	if s := e.Stats(); s.Writebacks != 1 || s.Evictions != 1 {
 		t.Errorf("stats = %+v, want 1 writeback + 1 eviction", s)
@@ -180,7 +180,7 @@ func TestEngineDirtyInvalidatesOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hb.Tile().Set([]int64{2, 2}, 99)
+	*elem(hb.Tile(), 2, 2) = 99
 	e.Release(hb, true) // dirtying big must invalidate the stale small copy
 
 	if s := e.Stats(); s.Invalidations != 1 {
@@ -190,7 +190,7 @@ func TestEngineDirtyInvalidatesOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hs2.Tile().Get([]int64{2, 2}); got != 99 {
+	if got := *elem(hs2.Tile(), 2, 2); got != 99 {
 		t.Errorf("overlapping acquire after dirty release reads %v, want 99", got)
 	}
 	e.Release(hs2, false)
@@ -205,7 +205,7 @@ func TestEngineMissFlushesOverlapDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{1, 1}, 5)
+	*elem(h.Tile(), 1, 1) = 5
 	e.Release(h, true)
 
 	// A miss on a box overlapping the dirty tile must observe the write:
@@ -214,7 +214,7 @@ func TestEngineMissFlushesOverlapDirty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h2.Tile().Get([]int64{1, 1}); got != 5 {
+	if got := *elem(h2.Tile(), 1, 1); got != 5 {
 		t.Errorf("miss over dirty tile reads %v, want 5", got)
 	}
 	e.Release(h2, false)
@@ -231,7 +231,7 @@ func TestEnginePrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := h.Tile().Get([]int64{3, 2}); got != 3002 {
+	if got := *elem(h.Tile(), 3, 2); got != 3002 {
 		t.Errorf("prefetched tile reads %v, want 3002", got)
 	}
 	e.Release(h, false)
@@ -249,7 +249,7 @@ func TestEnginePrefetch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd.Tile().Set([]int64{4, 4}, 1)
+	*elem(hd.Tile(), 4, 4) = 1
 	e.Release(hd, true)
 	e.Prefetch(arr, box2(5, 5, 8, 8))
 	if s := e.Stats(); s.PrefetchIssued != 1 {
@@ -283,7 +283,7 @@ func TestEngineSingleFlight(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if got := h.Tile().Get([]int64{7, 7}); got != 7007 {
+			if got := *elem(h.Tile(), 7, 7); got != 7007 {
 				t.Errorf("shared tile reads %v", got)
 			}
 			e.Release(h, false)
@@ -306,12 +306,12 @@ func TestEngineCloseSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Tile().Set([]int64{0, 1}, 3)
+	*elem(h.Tile(), 0, 1) = 3
 	e.Release(h, true)
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if raw, _ := arr.ReadTile(box2(0, 0, 2, 2)); raw.Get([]int64{0, 1}) != 3 {
+	if raw, _ := arr.ReadTile(box2(0, 0, 2, 2)); *elem(raw, 0, 1) != 3 {
 		t.Error("Close did not flush the dirty tile")
 	}
 	if err := e.Close(); err != nil {
@@ -402,7 +402,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got := hr.Tile().Get([]int64{ri, rj}); got != float64(1000*ri+rj) {
+				if got := *elem(hr.Tile(), ri, rj); got != float64(1000*ri+rj) {
 					t.Errorf("goroutine %d step %d: R(%d,%d) = %v", g, k, ri, rj, got)
 				}
 
@@ -418,7 +418,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 				}
 				for i := lo; i < lo+rows; i++ {
 					for j := c0; j < c1; j++ {
-						hw.Tile().Set([]int64{i, j}, hw.Tile().Get([]int64{i, j})+1)
+						*elem(hw.Tile(), i, j) = *elem(hw.Tile(), i, j) + 1
 					}
 				}
 				e.Release(hw, true)
@@ -441,7 +441,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 	for g := 0; g < G; g++ {
 		for i := int64(g * rows); i < int64((g+1)*rows); i++ {
 			for j := int64(0); j < cols; j++ {
-				if got, want := full.Get([]int64{i, j}), float64(expected[g][j]); got != want {
+				if got, want := *elem(full, i, j), float64(expected[g][j]); got != want {
 					t.Fatalf("W(%d,%d) = %v, want %v", i, j, got, want)
 				}
 			}
@@ -506,7 +506,7 @@ func TestPropertyEngineMatchesSequential(t *testing.T) {
 			if o.write {
 				for i := o.box.Lo[0]; i < o.box.Hi[0]; i++ {
 					for j := o.box.Lo[1]; j < o.box.Hi[1]; j++ {
-						ts.Set([]int64{i, j}, ts.Get([]int64{i, j})+o.delta)
+						*elem(ts, i, j) = *elem(ts, i, j) + o.delta
 					}
 				}
 				if err := ts.WriteTile(); err != nil {
@@ -521,7 +521,7 @@ func TestPropertyEngineMatchesSequential(t *testing.T) {
 			if o.write {
 				for i := o.box.Lo[0]; i < o.box.Hi[0]; i++ {
 					for j := o.box.Lo[1]; j < o.box.Hi[1]; j++ {
-						h.Tile().Set([]int64{i, j}, h.Tile().Get([]int64{i, j})+o.delta)
+						*elem(h.Tile(), i, j) = *elem(h.Tile(), i, j) + o.delta
 					}
 				}
 			}
@@ -543,9 +543,9 @@ func TestPropertyEngineMatchesSequential(t *testing.T) {
 		}
 		for i := int64(0); i < n; i++ {
 			for j := int64(0); j < m; j++ {
-				if tSeq.Get([]int64{i, j}) != tEng.Get([]int64{i, j}) {
+				if *elem(tSeq, i, j) != *elem(tEng, i, j) {
 					t.Logf("seed %d: (%d,%d) seq %v vs eng %v", seed, i, j,
-						tSeq.Get([]int64{i, j}), tEng.Get([]int64{i, j}))
+						*elem(tSeq, i, j), *elem(tEng, i, j))
 					return false
 				}
 			}

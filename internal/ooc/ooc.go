@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 
 	"outcore/internal/ir"
+	"outcore/internal/keyhash"
 	"outcore/internal/layout"
 	"outcore/internal/obs"
 )
@@ -197,6 +198,7 @@ type Array struct {
 	disk    *Disk
 	backend Backend
 	bmu     sync.RWMutex // readers: ReadTile; writers: WriteTile
+	nameSum uint64       // keyhash.String(Meta.Name), the seed of the engine's tile hash
 }
 
 // ErrArrayExists is returned (wrapped) by CreateArray when an array of
@@ -234,7 +236,7 @@ func (d *Disk) CreateArray(a *ir.Array, l *layout.Layout) (*Array, error) {
 	if d.wal != nil {
 		backend = d.wal.attach(a.Name, backend)
 	}
-	arr := &Array{Meta: a, Layout: l, disk: d, backend: backend}
+	arr := &Array{Meta: a, Layout: l, disk: d, backend: backend, nameSum: keyhash.String(a.Name)}
 	d.arrays[a.Name] = arr
 	d.PerFile[a.Name] = &Stats{}
 	return arr, nil
@@ -412,44 +414,77 @@ type Tile struct {
 	Arr  *Array
 	Box  layout.Box
 	data []float64 // box-local row-major
-	dims []int64   // box extents
+
+	// The mover's scratch, reused by every move of this tile. An engine
+	// frame keeps its Tile across the boxes it holds, so a steady stream
+	// of misses and write-backs plans and bounces without allocating.
+	segs   []layout.Seg
+	runs   []layout.Run
+	bounce []float64
 }
 
 // ReadTile brings the (clipped) box into memory, charging one I/O call
 // per contiguous run segment (split by the call cap).
 func (ar *Array) ReadTile(box layout.Box) (*Tile, error) {
-	box = box.Clip(ar.Meta.Dims)
-	t := newTile(ar, box)
-	segs := ar.Layout.Segments(box)
-	runs := layout.RunsOf(segs)
-	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(runs), box.Size(), false)
-	ar.disk.recordRuns(ar.Meta.Name, runs, false)
-	ar.disk.observeRuns(runs)
-	// Move the data: one backend read per run, straight into the tile
-	// where the run is one stretch of it, else scattered from a bounce
-	// buffer. Concurrent reads overlap; a concurrent write excludes them.
+	t := newTile(ar, box.Clip(ar.Meta.Dims))
+	if err := t.read(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// read fills the tile's buffer (already sized to its box) from the
+// backend: one backend read per run, straight into the tile where the
+// run is one stretch of it, else scattered from the bounce buffer.
+// Concurrent reads overlap; a concurrent write excludes them.
+func (t *Tile) read() error {
+	ar := t.Arr
+	segs, runs := t.plan(false)
 	ar.bmu.RLock()
 	defer ar.bmu.RUnlock()
-	var bounce []float64
 	for _, r := range runs {
 		var rs []layout.Seg
 		rs, segs = cutRun(segs, r)
 		buf := t.stretch(rs)
 		direct := buf != nil
 		if !direct {
-			if bounce == nil {
-				bounce = make([]float64, longestRun(runs))
-			}
-			buf = bounce[:r.Len]
+			buf = t.bounceFor(runs, r)
 		}
 		if err := ar.backend.ReadAt(buf, r.Off); err != nil {
-			return nil, fmt.Errorf("ooc: reading %s run [%d,%d): %w", ar.Meta.Name, r.Off, r.Off+r.Len, err)
+			return fmt.Errorf("ooc: reading %s run [%d,%d): %w", ar.Meta.Name, r.Off, r.Off+r.Len, err)
 		}
 		if !direct {
 			t.scatter(rs, buf, r.Off)
 		}
 	}
-	return t, nil
+	return nil
+}
+
+// plan walks the tile's box into its segment and run scratch and
+// charges the move to the disk's accounting.
+func (t *Tile) plan(write bool) ([]layout.Seg, []layout.Run) {
+	ar := t.Arr
+	t.segs = ar.Layout.AppendSegments(t.segs[:0], t.Box)
+	t.runs = layout.AppendRuns(t.runs[:0], t.segs)
+	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(t.runs), t.Box.Size(), write)
+	ar.disk.recordRuns(ar.Meta.Name, t.runs, write)
+	ar.disk.observeRuns(t.runs)
+	return t.segs, t.runs
+}
+
+// bounceFor returns the tile's bounce buffer resliced to run r of runs.
+// A buffer too short for r is replaced by one that fits the longest of
+// runs, so a move allocates it at most once and a recycled tile keeps
+// it for the next move.
+func (t *Tile) bounceFor(runs []layout.Run, r layout.Run) []float64 {
+	if int64(cap(t.bounce)) < r.Len {
+		var n int64
+		for _, r := range runs {
+			n = max(n, r.Len)
+		}
+		t.bounce = make([]float64, n)
+	}
+	return t.bounce[:r.Len]
 }
 
 // scatter places a run read into buf (file offset base onwards) at its
@@ -509,33 +544,16 @@ func (t *Tile) stretch(rs []layout.Seg) []float64 {
 	return t.data[rs[0].Idx:next]
 }
 
-// longestRun sizes the one bounce buffer a tile move allocates.
-func longestRun(runs []layout.Run) int64 {
-	var n int64
-	for _, r := range runs {
-		n = max(n, r.Len)
-	}
-	return n
-}
-
 // TouchRead accounts the I/O of reading the box without moving any
 // data: the measurement path for dry-run schedule execution, where only
 // call counts, bytes and the request trace matter.
 func (ar *Array) TouchRead(box layout.Box) {
-	box = box.Clip(ar.Meta.Dims)
-	runs := ar.Layout.Runs(box)
-	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(runs), box.Size(), false)
-	ar.disk.recordRuns(ar.Meta.Name, runs, false)
-	ar.disk.observeRuns(runs)
+	(&Tile{Arr: ar, Box: box.Clip(ar.Meta.Dims)}).plan(false)
 }
 
 // TouchWrite accounts the I/O of writing the box without moving data.
 func (ar *Array) TouchWrite(box layout.Box) {
-	box = box.Clip(ar.Meta.Dims)
-	runs := ar.Layout.Runs(box)
-	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(runs), box.Size(), true)
-	ar.disk.recordRuns(ar.Meta.Name, runs, true)
-	ar.disk.observeRuns(runs)
+	(&Tile{Arr: ar, Box: box.Clip(ar.Meta.Dims)}).plan(true)
 }
 
 // NewTileZero allocates an in-memory tile without reading (for pure
@@ -550,26 +568,18 @@ func (ar *Array) NewTileZero(box layout.Box) *Tile {
 // before its runs are written through.
 func (t *Tile) WriteTile() error {
 	ar := t.Arr
-	segs := ar.Layout.Segments(t.Box)
-	runs := layout.RunsOf(segs)
-	ar.disk.account(ar.Meta.Name, ar.disk.callsFor(runs), t.Box.Size(), true)
-	ar.disk.recordRuns(ar.Meta.Name, runs, true)
-	ar.disk.observeRuns(runs)
+	segs, runs := t.plan(true)
 	ar.bmu.Lock()
 	defer ar.bmu.Unlock()
 	if wb, ok := ar.backend.(*walBackend); ok {
 		return wb.writeTile(t, segs, runs)
 	}
-	var bounce []float64
 	for _, r := range runs {
 		var rs []layout.Seg
 		rs, segs = cutRun(segs, r)
 		buf := t.stretch(rs)
 		if buf == nil {
-			if bounce == nil {
-				bounce = make([]float64, longestRun(runs))
-			}
-			buf = bounce[:r.Len]
+			buf = t.bounceFor(runs, r)
 			t.gather(rs, buf, r.Off)
 		}
 		if err := ar.backend.WriteAt(buf, r.Off); err != nil {
@@ -579,32 +589,10 @@ func (t *Tile) WriteTile() error {
 	return nil
 }
 
+// newTile allocates a tile (zeroed) for an already clipped box.
 func newTile(ar *Array, box layout.Box) *Tile {
-	dims := make([]int64, box.Rank())
-	for d := range dims {
-		dims[d] = box.Hi[d] - box.Lo[d]
-	}
-	return &Tile{Arr: ar, Box: box, data: make([]float64, box.Size()), dims: dims}
+	return &Tile{Arr: ar, Box: box, data: make([]float64, box.Size())}
 }
-
-// index maps global coordinates to the tile-local buffer.
-func (t *Tile) index(c []int64) int64 {
-	var idx int64
-	for d := range c {
-		x := c[d] - t.Box.Lo[d]
-		if x < 0 || x >= t.dims[d] {
-			panic(fmt.Sprintf("ooc: coordinate %v outside tile %v", c, t.Box))
-		}
-		idx = idx*t.dims[d] + x
-	}
-	return idx
-}
-
-// Get reads a tile element by GLOBAL array coordinates.
-func (t *Tile) Get(c []int64) float64 { return t.data[t.index(c)] }
-
-// Set writes a tile element by GLOBAL array coordinates.
-func (t *Tile) Set(c []int64, v float64) { t.data[t.index(c)] = v }
 
 // Size returns the tile's element count.
 func (t *Tile) Size() int64 { return t.Box.Size() }

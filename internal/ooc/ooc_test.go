@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,21 @@ import (
 	"outcore/internal/ir"
 	"outcore/internal/layout"
 )
+
+// elem points at the tile element at global coordinates c, indexing
+// Data() row-major over the tile's box — the tile's only element
+// order. It panics outside the box.
+func elem(t *Tile, c ...int64) *float64 {
+	var idx int64
+	for d, x := range c {
+		lo, n := t.Box.Lo[d], t.Box.Hi[d]-t.Box.Lo[d]
+		if x < lo || x >= lo+n {
+			panic(fmt.Sprintf("coordinate %v outside tile %v", c, t.Box))
+		}
+		idx = idx*n + x - lo
+	}
+	return &t.Data()[idx]
+}
 
 func mk2D(t *testing.T, d *Disk, name string, n, m int64, l *layout.Layout) (*ir.Array, *Array) {
 	t.Helper()
@@ -72,10 +88,10 @@ func TestWriteTileRoundTrip(t *testing.T) {
 	}
 	for i := box.Lo[0]; i < box.Hi[0]; i++ {
 		for j := box.Lo[1]; j < box.Hi[1]; j++ {
-			if got := tile.Get([]int64{i, j}); got != float64(i*10+j) {
+			if got := *elem(tile, i, j); got != float64(i*10+j) {
 				t.Fatalf("tile(%d,%d) = %v", i, j, got)
 			}
-			tile.Set([]int64{i, j}, float64(-i-j))
+			*elem(tile, i, j) = float64(-i - j)
 		}
 	}
 	if err := tile.WriteTile(); err != nil {
@@ -168,7 +184,7 @@ func TestNewTileZero(t *testing.T) {
 	if d.Stats.ReadCalls != 0 {
 		t.Error("zero tile issued reads")
 	}
-	tile.Set([]int64{1, 1}, 5)
+	*elem(tile, 1, 1) = 5
 	if err := tile.WriteTile(); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +259,7 @@ func TestPropertyTileRoundTripAllLayouts(t *testing.T) {
 		// Contents must match, and byte accounting must equal box size.
 		for i := box.Lo[0]; i < box.Hi[0]; i++ {
 			for j := box.Lo[1]; j < box.Hi[1]; j++ {
-				if tile.Get([]int64{i, j}) != float64(i*100+j) {
+				if *elem(tile, i, j) != float64(i*100+j) {
 					return false
 				}
 			}

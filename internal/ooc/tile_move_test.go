@@ -12,7 +12,7 @@ import (
 
 // oracleReadTile is the tile read as it was before segments: one
 // backend read per run, every element placed through Layout.Coord and
-// the bounds-checked Tile.index. Slow, obviously right, and kept as the
+// the bounds-checked elem. Slow, obviously right, and kept as the
 // reference ReadTile is held to.
 func oracleReadTile(ar *Array, box layout.Box) (*Tile, error) {
 	box = box.Clip(ar.Meta.Dims)
@@ -27,7 +27,7 @@ func oracleReadTile(ar *Array, box layout.Box) (*Tile, error) {
 			return nil, err
 		}
 		for i := int64(0); i < r.Len; i++ {
-			t.data[t.index(ar.Layout.Coord(r.Off+i))] = buf[i]
+			*elem(t, ar.Layout.Coord(r.Off+i)...) = buf[i]
 		}
 	}
 	return t, nil
@@ -43,7 +43,7 @@ func oracleWriteTile(t *Tile) error {
 	for _, r := range runs {
 		buf := make([]float64, r.Len)
 		for i := int64(0); i < r.Len; i++ {
-			buf[i] = t.data[t.index(ar.Layout.Coord(r.Off+i))]
+			buf[i] = *elem(t, ar.Layout.Coord(r.Off+i)...)
 		}
 		if err := ar.backend.WriteAt(buf, r.Off); err != nil {
 			return err

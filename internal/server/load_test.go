@@ -490,9 +490,10 @@ func TestRunLoadCompressed(t *testing.T) {
 // answer, never as a broken connection, and once the device heals the
 // drain's flush must land every dirty tile — a drain error here is a
 // real bug, not an injected one. The cache holds the whole array, so
-// the storm hits first reads and every write-back happens at the drain:
-// Engine.Close reports the first write-back error of its lifetime, so
-// an eviction that failed mid-storm would fail the drain by contract.
+// the storm hits first reads and every write-back happens at the drain.
+// Engine.Close reports only what its final flush could not land, so an
+// eviction that failed mid-storm would not fail a drain after the heal
+// either; the large cache keeps the storm on the read path.
 func TestStormUnderLoadDrainsClean(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
