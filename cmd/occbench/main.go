@@ -6,16 +6,15 @@
 //	occbench -figure 1|2|3            # the three figures
 //	occbench -ablation tiling|memory|order|storage
 //	occbench -ablation engine -kernel mxm   # sequential runtime vs
-//	                                        # concurrent tile engine
+//	                                        # cached tile engine
 //	occbench -suite -json out.json    # benchmark suite -> BENCH JSON
 //	occbench -suite -json out.json -baseline BENCH_baseline.json
 //	                                  # ...and fail on >10% regressions
 //
 // Scale and platform knobs: -n2/-n3/-n4 (array extents), -procs,
 // -ionodes, -memfrac, -kernels (comma-separated subset).
-// Overlapped-I/O knobs: -workers (tile-engine I/O goroutines),
-// -cache-tiles (LRU tile-cache capacity; > 0 also routes the table
-// measurements through the cached engine).
+// Tile-engine knob: -cache-tiles (LRU tile-cache capacity; > 0 also
+// routes the table measurements through the cached engine).
 // Observability: -trace-out file.json writes a Chrome trace_event
 // capture of the run (open in Perfetto), -metrics-out file.prom writes
 // the metrics registry in Prometheus text format.
@@ -36,7 +35,7 @@ func main() {
 	table := flag.Int("table", 0, "reproduce Table 2 or 3")
 	figure := flag.Int("figure", 0, "reproduce Figure 1, 2 or 3")
 	ablation := flag.String("ablation", "", "ablation: tiling, memory, order, storage, optimal, blocked")
-	suiteRun := flag.Bool("suite", false, "run the benchmark suite (kernels x {sequential, engine, engine+prefetch, engine-compress})")
+	suiteRun := flag.Bool("suite", false, "run the benchmark suite (kernels x {sequential, engine, engine-compress})")
 	compressOnly := flag.Bool("compress", false, "with -suite: run only the engine / engine-compress pair — the focused leg whose bytes_disk_raw/bytes_disk and allocs_per_get fields the compression gate reads")
 	jsonOut := flag.String("json", "", "with -suite: write the BENCH JSON report to this file")
 	baseline := flag.String("baseline", "", "with -suite: compare against this BENCH JSON and fail on regressions")
@@ -49,7 +48,6 @@ func main() {
 	procs := flag.Int("procs", 16, "processor count for Table 2")
 	ionodes := flag.Int("ionodes", 64, "I/O nodes in the simulated PFS")
 	memFrac := flag.Int64("memfrac", 128, "memory budget = data size / memfrac")
-	workers := flag.Int("workers", 0, "tile-engine I/O workers (0 = synchronous)")
 	cacheTiles := flag.Int("cache-tiles", 0, "tile-engine LRU cache capacity in tiles (0 = engine off for tables; engine ablation defaults to 8)")
 	version := flag.String("version", "c-opt", "program version for the engine ablation")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON capture of the run to this file (view in Perfetto)")
@@ -99,7 +97,6 @@ func main() {
 		PFS:        exp.ScaledPFS(*n2, *ionodes),
 		MemFrac:    *memFrac,
 		Procs:      *procs,
-		Workers:    *workers,
 		CacheTiles: *cacheTiles,
 		Obs:        sink,
 	}
@@ -197,13 +194,10 @@ func main() {
 	case *ablation == "storage":
 		fmt.Print(exp.StorageDemo())
 	case *ablation == "engine":
-		// Default to a useful engine configuration, but respect an
-		// explicit -workers 0 (synchronous) or -cache-tiles 0.
+		// Default to a useful cache, but respect an explicit
+		// -cache-tiles 0.
 		if !set["cache-tiles"] {
 			opts.CacheTiles = 8
-		}
-		if !set["workers"] {
-			opts.Workers = 4
 		}
 		res, err := exp.EngineDemo(opts, *kernel, suite.Version(*version))
 		fail(err)

@@ -45,7 +45,6 @@ func main() {
 	n3 := flag.Int64("n3", 16, "extent of 3-D array dimensions")
 	n4 := flag.Int64("n4", 6, "extent of 4-D array dimensions")
 	maxCall := flag.Int64("maxcall", 8192, "per-call element cap (0 = unlimited)")
-	workers := flag.Int("workers", 4, "engine I/O workers")
 	cacheTiles := flag.Int("cache-tiles", 256, "resident tile bound (LRU)")
 	stripes := flag.Int("stripes", 1, "with -dir: stripe each array's backing file this many ways (A.s<i>.dat); reopening with -keep needs the count the directory was written with")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
@@ -151,7 +150,7 @@ func main() {
 		}
 	}
 
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: *workers, CacheTiles: *cacheTiles, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: *cacheTiles, Obs: sink})
 	srv := server.New(d, eng, server.Config{
 		MaxInflight:   *inflight,
 		QueueDepth:    *queue,

@@ -32,7 +32,6 @@ func main() {
 	random := flag.Bool("random", false, "append one wall-clock-derived seed (printed)")
 	ops := flag.Int("ops", 300, "scheduler steps per episode")
 	clients := flag.Int("clients", 4, "logical clients interleaved per episode")
-	workers := flag.Int("workers", 0, "engine workers (0 = fully replayable schedule)")
 	putFrac := flag.Float64("put-frac", 0.4, "fraction of client ops that are PUTs")
 	flushEvery := flag.Int("flush-every", 20, "~one flush per this many steps (<0 disables)")
 	crashEvery := flag.Int("crash-every", 50, "~one power cut per this many steps (<0 disables)")
@@ -116,7 +115,6 @@ func main() {
 			Seed:       s,
 			Ops:        *ops,
 			Clients:    *clients,
-			Workers:    *workers,
 			PutFrac:    *putFrac,
 			FlushEvery: *flushEvery,
 			CrashEvery: *crashEvery,

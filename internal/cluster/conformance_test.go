@@ -67,7 +67,7 @@ func (p *confRef) open(t *testing.T) {
 		t.Fatalf("ref: create: %v", err)
 	}
 	p.arr = arr
-	p.eng = ooc.NewEngine(p.disk, ooc.EngineOptions{Workers: 0, CacheTiles: confCache})
+	p.eng = ooc.NewEngine(p.disk, ooc.EngineOptions{CacheTiles: confCache})
 }
 
 // confModel is the sequential model of the array's contents.

@@ -22,7 +22,6 @@ type LocalOptions struct {
 	Replicas   int   // copies per tile (default 2)
 	TileDim    int64 // routing grid edge (default 8)
 	CacheTiles int   // per-node engine cache bound (default 8)
-	Workers    int   // per-node engine workers (default 0: deterministic)
 	// WAL runs each node's disk with write-ahead logging, so a killed
 	// node recovers its acknowledged writes on restart.
 	WAL bool
@@ -193,7 +192,7 @@ func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
 			panic(fmt.Sprintf("cluster: recreating %s on %s: %v", a.Name, n.ID, err))
 		}
 	}
-	n.eng = ooc.NewEngine(n.disk, ooc.EngineOptions{Workers: o.Workers, CacheTiles: o.CacheTiles})
+	n.eng = ooc.NewEngine(n.disk, ooc.EngineOptions{CacheTiles: o.CacheTiles})
 	if o.WAL {
 		if _, err := n.disk.ReplayWAL(); err != nil {
 			panic(fmt.Sprintf("cluster: WAL replay on %s: %v", n.ID, err))

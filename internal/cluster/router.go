@@ -447,8 +447,6 @@ func (r *Router) Stats(front server.FrontStats) any {
 				p.Engine.Invalidations += es.Invalidations
 				p.Engine.Writebacks += es.Writebacks
 				p.Engine.WritebackErrors += es.WritebackErrors
-				p.Engine.PrefetchIssued += es.PrefetchIssued
-				p.Engine.PrefetchUseful += es.PrefetchUseful
 				p.Coalesced += lite.Coalesced
 			}
 		}

@@ -40,7 +40,7 @@ func BenchmarkExecuteEngine(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 0, CacheTiles: 8})
+				eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8})
 				b.StartTimer()
 				_, err = codegen.RunProgram(prog, plan, d, ooc.NewMemory(budget), codegen.Options{
 					Strategy: suite.StrategyFor(suite.COpt), MemBudget: budget, Engine: eng})

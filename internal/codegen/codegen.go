@@ -46,20 +46,18 @@ type Options struct {
 	// parallel-performance simulator, where only the I/O behaviour and
 	// iteration counts matter.
 	DryRun bool
-	// Engine, when non-nil, routes tile I/O through the concurrent tile
-	// engine: group tiles are acquired from its LRU cache (fetched in
-	// parallel on a miss), released with write-back dirty tracking, and
-	// the next tile's footprints are prefetched while the current tile
-	// computes. The engine's tile-count capacity replaces the Memory
-	// budget, which is not consulted on this path. The caller owns the
-	// engine: Flush/Close it before reading results or I/O stats so
-	// dirty cached tiles reach the backend.
+	// Engine, when non-nil, routes tile I/O through the tile engine:
+	// group tiles are acquired from its LRU cache (read from the backend
+	// on a miss) and released with write-back dirty tracking. The
+	// engine's tile-count capacity replaces the Memory budget, which is
+	// not consulted on this path. The caller owns the engine:
+	// Flush/Close it before reading results or I/O stats so dirty
+	// cached tiles reach the backend.
 	Engine *ooc.Engine
 	// Obs, when it carries a trace, emits one KindCompute span per
 	// executed tile (the statement-iteration work between I/O bursts) —
-	// the counterpart to the engine's fetch/prefetch spans that makes
-	// the compute/I/O overlap visible in the exported timeline. Dry
-	// runs execute no compute and emit nothing.
+	// the counterpart to the engine's fetch and write-back spans in the
+	// exported timeline. Dry runs execute no compute and emit nothing.
 	Obs *obs.Sink
 }
 
@@ -252,9 +250,7 @@ func (s *Schedule) Execute(d *ooc.Disk, mem *ooc.Memory) (ExecStats, error) {
 // ExecuteSlice runs the schedule's share for processor `part` of
 // `parts`: the outermost tile loop is block-partitioned, the paper's
 // communication-free parallelization. Tiles run in lexicographic
-// origin order; on the engine path, while tile i computes, tile i+1's
-// read footprints are already being prefetched — the PASSION
-// double-buffering pattern.
+// origin order.
 func (s *Schedule) ExecuteSlice(d *ooc.Disk, mem *ooc.Memory, part, parts int) (ExecStats, error) {
 	if parts < 1 || part < 0 || part >= parts {
 		return ExecStats{}, fmt.Errorf("codegen: bad partition %d/%d", part, parts)
@@ -267,16 +263,10 @@ func (s *Schedule) ExecuteSlice(d *ooc.Disk, mem *ooc.Memory, part, parts int) (
 	nt0 := ceilDiv(s.Spec.Hi[0]-s.Spec.Lo[0]+1, s.Spec.Sizes[0])
 	t0from, t0to := blockRange(nt0, int64(part), int64(parts))
 	last0 := min(s.Spec.Lo[0]+t0to*s.Spec.Sizes[0]-1, s.Spec.Hi[0])
-	origin, next := append([]int64(nil), s.Spec.Lo...), make([]int64, len(s.Spec.Lo))
+	origin := append([]int64(nil), s.Spec.Lo...)
 	origin[0] += t0from * s.Spec.Sizes[0]
-	for ok := origin[0] <= last0; ok; origin, next = next, origin {
-		copy(next, origin)
-		ok = s.nextOrigin(next, last0)
-		var ahead []int64
-		if ok {
-			ahead = next
-		}
-		if err := x.tile(origin, ahead); err != nil {
+	for ok := origin[0] <= last0; ok; ok = s.nextOrigin(origin, last0) {
+		if err := x.tile(origin); err != nil {
 			return x.stats, err
 		}
 	}
@@ -314,21 +304,20 @@ type executor struct {
 	mem   *ooc.Memory
 	stats ExecStats
 
-	tLo, tHi, nLo, nHi []int64 // this tile's and the next tile's iteration box
-	iv, origIv         []int64
-	in                 []float64 // statement inputs; a StmtFunc may not keep its slice
-	reqs, pre          []ooc.TileReq
-	reqGroup           []int // group of each of reqs
-	handles            []*ooc.Handle
+	tLo, tHi   []int64 // this tile's iteration box
+	iv, origIv []int64
+	in         []float64 // statement inputs; a StmtFunc may not keep its slice
+	reqs       []ooc.TileReq
+	reqGroup   []int // group of each of reqs
+	handles    []*ooc.Handle
 
 	// Per group: its tile (nil when its footprint is empty), its
-	// footprint box and the next tile's (both refilled in place: the
-	// engine copies the boxes it keeps), and lin[g*k+l] =
-	// Σ_d m[d][l]·tileStride_d, the change in tile offset per unit step
-	// of level l.
-	tiles        []*ooc.Tile
-	boxes, nexts []layout.Box
-	lin          []int64
+	// footprint box (refilled in place: the engine copies the boxes it
+	// keeps), and lin[g*k+l] = Σ_d m[d][l]·tileStride_d, the change in
+	// tile offset per unit step of level l.
+	tiles []*ooc.Tile
+	boxes []layout.Box
+	lin   []int64
 	// Per reference: its tile's data, its tile offset at iv = 0, at the
 	// current point, and per innermost step.
 	data            [][]float64
@@ -340,12 +329,12 @@ type executor struct {
 func (s *Schedule) newExecutor(d *ooc.Disk, mem *ooc.Memory) *executor {
 	k, ng, nr := s.Spec.Depth(), len(s.groups), len(s.refs)
 	x := &executor{s: s, d: d, mem: mem,
-		tLo: make([]int64, k), tHi: make([]int64, k), nLo: make([]int64, k), nHi: make([]int64, k),
+		tLo: make([]int64, k), tHi: make([]int64, k),
 		iv: make([]int64, k), origIv: make([]int64, k),
-		tiles: make([]*ooc.Tile, ng), boxes: make([]layout.Box, ng), nexts: make([]layout.Box, ng), lin: make([]int64, ng*k),
+		tiles: make([]*ooc.Tile, ng), boxes: make([]layout.Box, ng), lin: make([]int64, ng*k),
 		data: make([][]float64, nr), base: make([]int64, nr), pos: make([]int64, nr), step: make([]int64, nr)}
 	for gi, g := range s.groups {
-		x.boxes[gi], x.nexts[gi] = newBox(g.arr.Rank()), newBox(g.arr.Rank())
+		x.boxes[gi] = newBox(g.arr.Rank())
 	}
 	return x
 }
@@ -356,9 +345,8 @@ func newBox(r int) layout.Box {
 	return layout.Box{Lo: buf[:r:r], Hi: buf[r:]}
 }
 
-// tile processes the tile at origin; next is the following tile's
-// origin, nil after the last.
-func (x *executor) tile(origin, next []int64) error {
+// tile processes the tile at origin.
+func (x *executor) tile(origin []int64) error {
 	s := x.s
 	s.tileBounds(origin, x.tLo, x.tHi)
 	// Dry runs need the exact count; executing needs only "non-empty?".
@@ -389,11 +377,13 @@ func (x *executor) tile(origin, next []int64) error {
 		x.stats.Iterations += iters
 		x.stats.Tiles++
 		for i, r := range x.reqs {
-			s.engine.Touch(r.Arr, r.Box, x.written(i))
+			if err := s.engine.Touch(r.Arr, r.Box, x.written(i)); err != nil {
+				return err
+			}
 		}
 		return nil
 	}
-	return x.engineTile(next)
+	return x.engineTile()
 }
 
 // written reports whether request req's group is written by the nest.
@@ -438,11 +428,10 @@ func (x *executor) memoryTile(iters int64) (err error) {
 	return nil
 }
 
-// engineTile acquires the group footprints from the engine's cache
-// (parallel fetch on misses), kicks off prefetches for the next tile's
-// read-only footprints, executes, and releases with dirty marking so
-// write-back happens on eviction or flush.
-func (x *executor) engineTile(next []int64) error {
+// engineTile acquires the group footprints from the engine's cache,
+// executes, and releases with dirty marking so write-back happens on
+// eviction or flush.
+func (x *executor) engineTile() error {
 	s := x.s
 	handles, err := s.engine.AcquireAll(x.handles[:0], x.reqs)
 	if err != nil {
@@ -451,38 +440,6 @@ func (x *executor) engineTile(next []int64) error {
 	x.handles = handles
 	for i, h := range handles {
 		x.tiles[x.reqGroup[i]] = h.Tile()
-	}
-	// Double buffering: while this tile computes, the workers read the
-	// next tile's footprints. Written arrays are excluded — their boxes
-	// may be dirtied by this tile's release, which would force the
-	// prefetched copy to be discarded and re-read (extra I/O the
-	// sequential runtime never pays). The same economics gate the whole
-	// batch on cache capacity: unless the cache can hold this tile's
-	// pinned working set plus the prefetched tiles, prefetching evicts
-	// tiles before they are used and inflates the call count instead of
-	// hiding it. An engine without workers drops prefetches, so none
-	// are built.
-	if next != nil && s.engine.Workers() > 0 {
-		s.tileBounds(next, x.nLo, x.nHi)
-		if s.countWithin(0, x.nLo, x.nHi, x.iv, true) > 0 {
-			x.pre = x.pre[:0]
-			for gi, g := range s.groups {
-				if s.writes[g.arr] {
-					continue
-				}
-				box := x.nexts[gi]
-				if g.footprintBox(box, x.nLo, x.nHi); !box.Empty() {
-					if arr := x.d.ArrayOf(g.arr); arr != nil {
-						x.pre = append(x.pre, ooc.TileReq{Arr: arr, Box: box})
-					}
-				}
-			}
-			if s.engine.Capacity() >= len(x.reqs)+len(x.pre) {
-				for _, p := range x.pre {
-					s.engine.Prefetch(p.Arr, p.Box)
-				}
-			}
-		}
 	}
 	x.compute()
 	for i, h := range handles {

@@ -444,7 +444,7 @@ func proofCounts(t *testing.T, s *Schedule, d *ooc.Disk, mem *ooc.Memory) (prove
 	origin := append([]int64(nil), s.Spec.Lo...)
 	for ok := true; ok; ok = s.nextOrigin(origin, s.Spec.Hi[0]) {
 		before := x.stats.Tiles
-		if err := x.tile(origin, nil); err != nil {
+		if err := x.tile(origin); err != nil {
 			t.Fatal(err)
 		}
 		if x.stats.Tiles > before && x.proven {

@@ -34,12 +34,10 @@
 //
 // # Determinism
 //
-// Episodes run the engine with Workers = 0 (every backend call on the
-// scheduler goroutine), so the fault schedule is a pure function of
-// the seed; Result.Replayable reports it and the harness asserts
-// byte-identical schedules in its own tests. Setting Options.Workers
-// > 0 trades replayability for real concurrency (useful under -race);
-// the invariant checks still hold, only the schedule bytes vary.
+// The engine is synchronous and the scheduler drives it from one
+// goroutine, so every backend call happens in scheduler order and the
+// fault schedule is a pure function of the seed; the harness asserts
+// byte-identical schedules in its own tests.
 package dst
 
 import (
@@ -67,7 +65,6 @@ type Options struct {
 	CrashEvery int     // ~one crash per this many steps (default 50; <0 disables)
 
 	Profile      faultfs.Profile // fault probabilities (zero = fault-free)
-	Workers      int             // engine workers; 0 keeps the episode replayable
 	CacheTiles   int             // engine cache bound (default 4: smaller than Tiles, forces eviction traffic)
 	MaxCallElems int64           // per-call element cap on the disk (default 0 = unlimited)
 
@@ -139,8 +136,7 @@ func (o Options) withDefaults() Options {
 
 // Result is one episode's verdict and replay material.
 type Result struct {
-	Seed       int64
-	Replayable bool // Workers == 0: the schedule is a pure function of the seed
+	Seed int64
 
 	Ops, Gets, Puts, Flushes, Crashes int
 	Checkpoints                       int // scheduled WAL compactions (WAL episodes only)
@@ -209,7 +205,7 @@ func Run(o Options) *Result {
 		o:   o,
 		rng: rand.New(rand.NewSource(o.Seed)),
 		inj: faultfs.New(o.Seed+1, o.Profile),
-		res: &Result{Seed: o.Seed, Replayable: o.Workers == 0},
+		res: &Result{Seed: o.Seed},
 	}
 	for c := 0; c < o.Clients; c++ {
 		ep.cl = append(ep.cl, rand.New(rand.NewSource(o.Seed+int64(c)*104729+7)))
@@ -280,7 +276,7 @@ func (ep *episode) open() {
 		panic(fmt.Sprintf("dst: creating %s: %v", arrayName, err))
 	}
 	ep.arr = arr
-	ep.eng = ooc.NewEngine(ep.disk, ooc.EngineOptions{Workers: ep.o.Workers, CacheTiles: ep.o.CacheTiles})
+	ep.eng = ooc.NewEngine(ep.disk, ooc.EngineOptions{CacheTiles: ep.o.CacheTiles})
 	if ep.o.WAL {
 		if _, err := ep.disk.ReplayWAL(); err != nil {
 			ep.violate("recovery: WAL replay failed: %v", err)

@@ -20,9 +20,6 @@ func stormProfile() faultfs.Profile {
 func TestEpisodeDeterministicReplay(t *testing.T) {
 	opts := Options{Seed: 1234, Ops: 300, Profile: stormProfile()}
 	a, b := Run(opts), Run(opts)
-	if !a.Replayable || !b.Replayable {
-		t.Fatal("Workers=0 episodes must report Replayable")
-	}
 	if a.OpLog != b.OpLog {
 		t.Fatalf("op logs differ between identical runs:\n%s\n--- vs ---\n%s", a.OpLog, b.OpLog)
 	}
@@ -131,24 +128,6 @@ func TestLyingSyncDetected(t *testing.T) {
 	}
 }
 
-// TestConcurrentEpisodes runs the storm with a real worker pool —
-// not replayable, but the invariants must still hold; -race watches
-// the interleavings.
-func TestConcurrentEpisodes(t *testing.T) {
-	for seed := int64(0); seed < 8; seed++ {
-		res := Run(Options{Seed: seed, Ops: 200, Workers: 4, Profile: stormProfile()})
-		if res.Replayable {
-			t.Fatal("episodes with workers must not claim replayability")
-		}
-		if res.Failed() {
-			t.Errorf("concurrent seed %d failed: %s", seed, res.Summary())
-			for _, v := range res.Violations {
-				t.Errorf("  %s", v)
-			}
-		}
-	}
-}
-
 // TestCrashDropsUnsyncedWrite pins the crash semantics with a
 // hand-built scenario: a write that never flushes is gone after the
 // crash, and the model (which allows that) still passes — while the
@@ -218,13 +197,10 @@ func TestWALEpisodesPass(t *testing.T) {
 
 // TestWALEpisodeDeterministicReplay extends the determinism contract
 // to WAL episodes: logging, group commit and replay add no
-// nondeterminism with Workers=0.
+// nondeterminism.
 func TestWALEpisodeDeterministicReplay(t *testing.T) {
 	opts := Options{Seed: 5678, Ops: 300, WAL: true, Profile: stormProfile()}
 	a, b := Run(opts), Run(opts)
-	if !a.Replayable {
-		t.Fatal("Workers=0 WAL episodes must report Replayable")
-	}
 	if a.OpLog != b.OpLog {
 		t.Fatalf("WAL op logs differ between identical runs:\n%s\n--- vs ---\n%s", a.OpLog, b.OpLog)
 	}
@@ -286,21 +262,6 @@ func TestWALLyingSyncDetected(t *testing.T) {
 	}
 	if caught == 0 {
 		t.Fatal("a lying fsync under the WAL dropped acknowledged writes and the checker noticed nothing")
-	}
-}
-
-// TestWALConcurrentEpisodes: worker pools over the WAL-backed plane
-// for -race coverage of the append path (under the walSet mutex)
-// against the off-mutex group-commit fsync.
-func TestWALConcurrentEpisodes(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		res := Run(Options{Seed: seed, Ops: 200, Workers: 4, WAL: true, Profile: stormProfile()})
-		if res.Failed() {
-			t.Errorf("concurrent WAL seed %d failed: %s", seed, res.Summary())
-			for _, v := range res.Violations {
-				t.Errorf("  %s", v)
-			}
-		}
 	}
 }
 

@@ -30,35 +30,29 @@ var BenchKernels = []string{"mat", "mxm", "trans", "syr2k"}
 type BenchRunConfig struct {
 	Name       string `json:"name"`
 	CacheTiles int    `json:"cache_tiles"`        // 0 = plain sequential runtime
-	Workers    int    `json:"workers"`            // >0 enables async prefetch
 	Compress   bool   `json:"compress,omitempty"` // store array backends compressed (additive field)
 }
 
 // BenchConfigs is the suite's configuration axis: the plain sequential
-// runtime, the LRU-cached engine, the cached engine with an I/O worker
-// pool overlapping prefetches with compute, and the cached engine over
-// compressed backends.
+// runtime, the LRU-cached engine, and the cached engine over compressed
+// backends.
 var BenchConfigs = []BenchRunConfig{
-	{Name: "sequential", CacheTiles: 0, Workers: 0},
-	{Name: "engine", CacheTiles: 8, Workers: 0},
-	{Name: "engine+prefetch", CacheTiles: 8, Workers: 4},
-	{Name: "engine-compress", CacheTiles: 8, Workers: 0, Compress: true},
+	{Name: "sequential", CacheTiles: 0},
+	{Name: "engine", CacheTiles: 8},
+	{Name: "engine-compress", CacheTiles: 8, Compress: true},
 }
 
 // BenchEntry is one (kernel, configuration) measurement. IOCalls,
 // IOBytes and SimMakespanSeconds come from the deterministic dry-run +
-// PFS simulation (the values the regression gate compares); HitRate,
-// PrefetchUseful, OverlapFactor and WallSeconds come from a data-backed
-// single-process execution (WallSeconds is machine-dependent and
-// informational only).
+// PFS simulation (the values the regression gate compares); HitRate
+// and WallSeconds come from a data-backed single-process execution
+// (WallSeconds is machine-dependent and informational only).
 type BenchEntry struct {
 	Kernel             string  `json:"kernel"`
 	Config             string  `json:"config"`
 	IOCalls            int64   `json:"io_calls"`
 	IOBytes            int64   `json:"io_bytes"`
 	HitRate            float64 `json:"hit_rate"`
-	PrefetchUseful     int64   `json:"prefetch_useful"`
-	OverlapFactor      float64 `json:"overlap_factor"`
 	SimMakespanSeconds float64 `json:"sim_makespan_seconds"`
 	WallSeconds        float64 `json:"wall_seconds"`
 
@@ -128,7 +122,7 @@ func LoadBenchReport(rd io.Reader) (BenchReport, error) {
 // all as the c-opt version. Per entry it runs (a) the dry-run
 // multi-processor simulation for the deterministic I/O-call count,
 // byte volume and PFS makespan, and (b) a data-backed single-process
-// execution for wall time, cache hit rate and prefetch overlap.
+// execution for wall time and cache hit rate.
 // Kernel failures are recorded in the report, not returned as an
 // error, so the rest of the suite still produces data.
 func BenchSuite(o Options) BenchReport {
@@ -175,7 +169,7 @@ func benchOne(o Options, k suite.Kernel, bc BenchRunConfig) (BenchEntry, error) 
 
 	// (a) Deterministic quantities: dry-run schedule + PFS simulation.
 	st := o.setup(k, suite.COpt, o.Procs)
-	st.CacheTiles, st.Workers = bc.CacheTiles, bc.Workers
+	st.CacheTiles = bc.CacheTiles
 	m, err := sim.Run(st)
 	if err != nil {
 		return entry, err
@@ -191,8 +185,6 @@ func benchOne(o Options, k suite.Kernel, bc BenchRunConfig) (BenchEntry, error) 
 	}
 	entry.WallSeconds = wall
 	entry.HitRate = cache.HitRate()
-	entry.PrefetchUseful = cache.PrefetchUseful
-	entry.OverlapFactor = cache.OverlapFactor()
 	entry.BytesDiskRaw = extra.bytesDiskRaw
 	entry.BytesDisk = extra.bytesDisk
 	entry.AllocsPerGet = extra.allocsPerGet
@@ -230,7 +222,7 @@ func benchWall(o Options, k suite.Kernel, bc BenchRunConfig) (float64, ooc.Engin
 	opts := codegen.Options{Strategy: suite.StrategyFor(suite.COpt), MemBudget: budget, Obs: o.Obs}
 	var eng *ooc.Engine
 	if bc.CacheTiles > 0 {
-		eng = ooc.NewEngine(d, ooc.EngineOptions{Workers: bc.Workers, CacheTiles: bc.CacheTiles, Obs: o.Obs})
+		eng = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: bc.CacheTiles, Obs: o.Obs})
 		opts.Engine = eng
 	}
 	mem := ooc.NewMemory(budget)
@@ -385,11 +377,11 @@ func CompareBench(base, cur BenchReport, tol float64) ([]BenchRegression, error)
 // prints alongside the JSON artifact.
 func (r BenchReport) Render() string {
 	out := fmt.Sprintf("Benchmark suite (c-opt, %d procs, N2=%d)\n\n", r.Setup.Procs, r.Setup.N2)
-	out += fmt.Sprintf("%-8s %-16s %10s %12s %8s %8s %14s %10s\n",
-		"kernel", "config", "io-calls", "io-bytes", "hit%", "ovlp%", "sim-seconds", "wall-s")
+	out += fmt.Sprintf("%-8s %-16s %10s %12s %8s %14s %10s\n",
+		"kernel", "config", "io-calls", "io-bytes", "hit%", "sim-seconds", "wall-s")
 	for _, e := range r.Results {
-		out += fmt.Sprintf("%-8s %-16s %10d %12d %8.1f %8.1f %14.4f %10.3f\n",
-			e.Kernel, e.Config, e.IOCalls, e.IOBytes, 100*e.HitRate, 100*e.OverlapFactor,
+		out += fmt.Sprintf("%-8s %-16s %10d %12d %8.1f %14.4f %10.3f\n",
+			e.Kernel, e.Config, e.IOCalls, e.IOBytes, 100*e.HitRate,
 			e.SimMakespanSeconds, e.WallSeconds)
 	}
 	for _, f := range r.Failures {

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"outcore/internal/obs"
-	"outcore/internal/ooc"
 	"outcore/internal/suite"
 )
 
@@ -57,7 +56,7 @@ func TestBenchSuiteSchema(t *testing.T) {
 	entry := raw["results"].([]any)[0].(map[string]any)
 	entryKeys := sortedKeys(entry)
 	want := []string{"config", "hit_rate", "io_bytes", "io_calls", "kernel",
-		"overlap_factor", "prefetch_useful", "sim_makespan_seconds", "wall_seconds"}
+		"sim_makespan_seconds", "wall_seconds"}
 	if !reflect.DeepEqual(entryKeys, want) {
 		t.Errorf("entry keys = %v, want %v", entryKeys, want)
 	}
@@ -190,76 +189,32 @@ func TestBenchSuiteFailurePropagation(t *testing.T) {
 // TestObserverEffect: attaching a full observability sink (trace +
 // metrics) must not change the engine's backend request stream — the
 // instrumented engine does the same I/O in the same order as the bare
-// one. Synchronous configuration, so traces are exactly comparable.
+// one, at a cache that thrashes and at one that holds the working set.
 func TestObserverEffect(t *testing.T) {
-	o := benchOptions()
-	o.CacheTiles = 4
-	o.Workers = 0
+	for _, cache := range []int{4, 8} {
+		o := benchOptions()
+		o.CacheTiles = cache
 
-	bare, err := EngineDemo(o, "mxm", suite.COpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Obs = &obs.Sink{Trace: obs.NewTrace(1 << 12), Metrics: obs.NewRegistry()}
-	observed, err := EngineDemo(o, "mxm", suite.COpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(bare.EngTrace, observed.EngTrace) {
-		t.Errorf("observer effect: engine backend trace changed under the sink\nbare: %d calls, observed: %d calls",
-			len(bare.EngTrace), len(observed.EngTrace))
-	}
-	if bare.Cache != observed.Cache {
-		t.Errorf("observer effect: cache stats changed: %+v vs %+v", bare.Cache, observed.Cache)
-	}
-	if o.Obs.Trace.Total() == 0 {
-		t.Error("sink recorded no events — instrumentation is dead")
-	}
-}
-
-// TestObserverEffectConcurrent repeats the check with workers under the
-// race detector; with asynchronous prefetch the call ORDER may differ,
-// so compare the multiset of requests and the totals.
-func TestObserverEffectConcurrent(t *testing.T) {
-	o := benchOptions()
-	o.CacheTiles = 8
-	o.Workers = 4
-
-	bare, err := EngineDemo(o, "mxm", suite.COpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Obs = &obs.Sink{Trace: obs.NewTrace(1 << 12), Metrics: obs.NewRegistry()}
-	observed, err := EngineDemo(o, "mxm", suite.COpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if bare.MaxDiff != 0 || observed.MaxDiff != 0 {
-		t.Errorf("engine diverged from sequential results: %g / %g", bare.MaxDiff, observed.MaxDiff)
-	}
-	a := append([]ooc.Request(nil), bare.EngTrace...)
-	b := append([]ooc.Request(nil), observed.EngTrace...)
-	less := func(rs []ooc.Request) func(i, j int) bool {
-		return func(i, j int) bool {
-			if rs[i].Array != rs[j].Array {
-				return rs[i].Array < rs[j].Array
-			}
-			if rs[i].Off != rs[j].Off {
-				return rs[i].Off < rs[j].Off
-			}
-			if rs[i].Len != rs[j].Len {
-				return rs[i].Len < rs[j].Len
-			}
-			return !rs[i].Write && rs[j].Write
+		bare, err := EngineDemo(o, "mxm", suite.COpt)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	sort.Slice(a, less(a))
-	sort.Slice(b, less(b))
-	if !reflect.DeepEqual(a, b) {
-		t.Errorf("observer effect: backend request multiset changed under the sink (%d vs %d calls)",
-			len(bare.EngTrace), len(observed.EngTrace))
+		o.Obs = &obs.Sink{Trace: obs.NewTrace(1 << 12), Metrics: obs.NewRegistry()}
+		observed, err := EngineDemo(o, "mxm", suite.COpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if !reflect.DeepEqual(bare.EngTrace, observed.EngTrace) {
+			t.Errorf("cache %d: observer effect: engine backend trace changed under the sink\nbare: %d calls, observed: %d calls",
+				cache, len(bare.EngTrace), len(observed.EngTrace))
+		}
+		if bare.Cache != observed.Cache {
+			t.Errorf("cache %d: observer effect: cache stats changed: %+v vs %+v", cache, bare.Cache, observed.Cache)
+		}
+		if o.Obs.Trace.Total() == 0 {
+			t.Errorf("cache %d: sink recorded no events — instrumentation is dead", cache)
+		}
 	}
 }
 

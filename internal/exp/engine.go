@@ -12,7 +12,7 @@ import (
 )
 
 // EngineResult compares one kernel's data-backed execution under the
-// sequential out-of-core runtime against the concurrent tile engine.
+// sequential out-of-core runtime against the cached tile engine.
 type EngineResult struct {
 	Kernel  string
 	Version suite.Version
@@ -34,9 +34,8 @@ type EngineResult struct {
 
 // EngineDemo executes the kernel for real (data-backed, in-memory
 // files) twice — once through the plain sequential runtime and once
-// through the concurrent tile engine configured by o.Workers and
-// o.CacheTiles — and reports I/O calls, cache behaviour and result
-// fidelity. The kernel's outer timing loop runs Iter times, exactly as
+// through the tile engine with an o.CacheTiles cache — and reports I/O
+// calls, cache behaviour and result fidelity. The kernel's outer timing loop runs Iter times, exactly as
 // the simulator's measurements do, so cross-iteration tile reuse shows
 // up as cache hits.
 func EngineDemo(o Options, kernel string, version suite.Version) (EngineResult, error) {
@@ -80,7 +79,7 @@ func EngineDemo(o Options, kernel string, version suite.Version) (EngineResult, 
 		procOpts.Obs = o.Obs
 		var engine *ooc.Engine
 		if eng {
-			engine = ooc.NewEngine(d, ooc.EngineOptions{Workers: o.Workers, CacheTiles: o.CacheTiles, Obs: o.Obs})
+			engine = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: o.CacheTiles, Obs: o.Obs})
 			procOpts.Engine = engine
 		}
 		mem := ooc.NewMemory(budget)
@@ -127,14 +126,12 @@ func EngineDemo(o Options, kernel string, version suite.Version) (EngineResult, 
 // Render formats the comparison for occbench.
 func (r EngineResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Overlapped I/O: %s (%s) sequential runtime vs concurrent tile engine\n\n", r.Kernel, r.Version)
+	fmt.Fprintf(&b, "%s (%s): sequential runtime vs cached tile engine\n\n", r.Kernel, r.Version)
 	fmt.Fprintf(&b, "%-28s %14s %14s\n", "", "sequential", "engine")
 	fmt.Fprintf(&b, "%-28s %14d %14d\n", "backend I/O calls", r.SeqCalls, r.EngCalls)
 	fmt.Fprintf(&b, "%-28s %14d %14d\n", "elements moved", r.SeqElems, r.EngElems)
 	fmt.Fprintf(&b, "%-28s %14.3g %14.3g\n", "max |diff| vs reference", r.SeqMaxDiff, r.EngMaxDiff)
 	fmt.Fprintf(&b, "\ncache: %d hits / %d misses (hit rate %.1f%%), %d evictions, %d write-backs\n",
 		r.Cache.Hits, r.Cache.Misses, 100*r.Cache.HitRate(), r.Cache.Evictions, r.Cache.Writebacks)
-	fmt.Fprintf(&b, "prefetch: %d issued, %d useful (overlap factor %.1f%%)\n",
-		r.Cache.PrefetchIssued, r.Cache.PrefetchUseful, 100*r.Cache.OverlapFactor())
 	return b.String()
 }

@@ -37,11 +37,9 @@ type Options struct {
 	IterPerSec float64
 	Kernels    []string // subset of kernel names; nil = all ten
 	Procs      int      // Table-2 processor count (paper: 16)
-	// CacheTiles > 0 runs every measurement through the concurrent tile
-	// engine's LRU cache of that capacity (occbench -cache-tiles);
-	// Workers sizes its I/O worker pool (occbench -workers).
+	// CacheTiles > 0 runs every measurement through the tile engine's
+	// LRU cache of that capacity (occbench -cache-tiles).
 	CacheTiles int
-	Workers    int
 	// Obs observes every measurement the harness runs: trace events
 	// from the engine/PFS and metrics registry series (occbench's
 	// -trace-out / -metrics-out flags hang off it).
@@ -117,7 +115,6 @@ func (o Options) setup(k suite.Kernel, v suite.Version, procs int) sim.Setup {
 		PFS:        o.PFS,
 		IterPerSec: o.IterPerSec,
 		CacheTiles: o.CacheTiles,
-		Workers:    o.Workers,
 		Obs:        o.Obs,
 	}
 }

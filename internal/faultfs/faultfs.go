@@ -28,8 +28,8 @@
 // # Determinism contract
 //
 // The schedule is deterministic exactly when the backend-call order
-// is: drive the stack single-threaded (engine Workers = 0) for
-// replayable runs. Concurrent use is safe (one mutex serializes
+// is: drive the stack (the engine is synchronous) from one goroutine
+// for replayable runs. Concurrent use is safe (one mutex serializes
 // decisions) but interleaving then picks the schedule.
 package faultfs
 

@@ -27,13 +27,6 @@ const (
 	KindCompute
 	// KindWriteback is a dirty tile flushed to the backend (span).
 	KindWriteback
-	// KindPrefetchIssue is an asynchronous tile read being dispatched
-	// to the engine's worker pool (instant).
-	KindPrefetchIssue
-	// KindPrefetchDone is the completion of an asynchronous tile read;
-	// its duration is the backend read time that overlapped compute
-	// (span).
-	KindPrefetchDone
 	// KindEviction is a cache entry dropped by capacity pressure
 	// (instant).
 	KindEviction
@@ -45,13 +38,11 @@ const (
 )
 
 var kindNames = [numKinds]string{
-	KindTileFetch:     "tile-fetch",
-	KindCompute:       "compute",
-	KindWriteback:     "writeback",
-	KindPrefetchIssue: "prefetch-issue",
-	KindPrefetchDone:  "prefetch-done",
-	KindEviction:      "eviction",
-	KindPFSRequest:    "pfs-request",
+	KindTileFetch:  "tile-fetch",
+	KindCompute:    "compute",
+	KindWriteback:  "writeback",
+	KindEviction:   "eviction",
+	KindPFSRequest: "pfs-request",
 }
 
 // String names the kind for exports and tests.

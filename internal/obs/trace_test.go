@@ -95,7 +95,7 @@ func TestTraceConcurrentEmit(t *testing.T) {
 func TestWriteChromeIsValidJSON(t *testing.T) {
 	tr := NewTrace(16)
 	tr.Emit(Event{Kind: KindTileFetch, Name: "A", Start: 1000, Dur: 500, Bytes: 4096})
-	tr.Emit(Event{Kind: KindPrefetchIssue, Name: "B", Start: 2000})
+	tr.Emit(Event{Kind: KindEviction, Name: "B", Start: 2000})
 	tr.Emit(Event{Kind: KindPFSRequest, Name: "C", Track: 3, Start: 0, Dur: 8_000_000, Bytes: 65536})
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
@@ -112,7 +112,7 @@ func TestWriteChromeIsValidJSON(t *testing.T) {
 		t.Fatalf("traceEvents has %d entries, want 5", len(doc.TraceEvents))
 	}
 	body := buf.String()
-	for _, want := range []string{`"tile-fetch A"`, `"prefetch-issue B"`, `"pfs-request C"`, `"ph":"X"`, `"ph":"i"`} {
+	for _, want := range []string{`"tile-fetch A"`, `"eviction B"`, `"pfs-request C"`, `"ph":"X"`, `"ph":"i"`} {
 		if !strings.Contains(body, want) {
 			t.Errorf("trace JSON missing %s", want)
 		}

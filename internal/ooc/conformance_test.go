@@ -94,7 +94,7 @@ func (p *confPlane) open(t *testing.T) {
 		t.Fatalf("%s: create: %v", p.name, err)
 	}
 	p.arr = arr
-	p.eng = ooc.NewEngine(p.disk, ooc.EngineOptions{Workers: 0, CacheTiles: confCache})
+	p.eng = ooc.NewEngine(p.disk, ooc.EngineOptions{CacheTiles: confCache})
 	if p.wal {
 		if _, err := p.disk.ReplayWAL(); err != nil {
 			t.Fatalf("%s: WAL replay: %v", p.name, err)

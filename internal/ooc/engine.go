@@ -19,25 +19,24 @@ const DefaultCacheTiles = 8
 // ErrEngineClosed is returned by operations on a closed Engine.
 var ErrEngineClosed = errors.New("ooc: engine closed")
 
-// EngineOptions configures a concurrent tile engine.
+// EngineOptions configures a tile engine.
 type EngineOptions struct {
-	// Workers sets the I/O worker-pool size. 0 disables the pool:
-	// every miss is serviced synchronously on the calling goroutine and
-	// Prefetch becomes a no-op (the deterministic mode golden-trace
-	// tests rely on).
+	// Deprecated: ignored — the engine has no worker pool; kept so the
+	// benchmark module compiles. The next benchmark PR deletes this field
+	// and the two literals in bench/ that set it to 0.
 	Workers int
 	// CacheTiles bounds the number of resident tiles (LRU eviction;
 	// <= 0 means DefaultCacheTiles). Pinned tiles are never evicted, so
 	// the cache may transiently exceed the bound while a tile set is in
 	// use; it shrinks back at release.
 	CacheTiles int
-	// Obs attaches the observability sink: tile fetches, write-backs,
-	// prefetch issue/completion and evictions are emitted as trace
-	// events, fetch latency feeds the "ooc_tile_fetch_seconds"
-	// histogram, and the cache counters are published into the registry
-	// under "ooc_engine_*" names at Close. Nil disables all of it; the
-	// counters behind EngineStats are plain atomics either way, so an
-	// unobserved engine pays nothing but a nil check.
+	// Obs attaches the observability sink: tile fetches, write-backs
+	// and evictions are emitted as trace events, fetch latency feeds the
+	// "ooc_tile_fetch_seconds" histogram, and the cache counters are
+	// published into the registry under "ooc_engine_*" names at Close.
+	// Nil disables all of it; the counters behind EngineStats are plain
+	// atomics either way, so an unobserved engine pays nothing but a nil
+	// check.
 	Obs *obs.Sink
 }
 
@@ -50,8 +49,6 @@ type EngineStats struct {
 	Invalidations   int64 // entries dropped because an overlapping tile was dirtied
 	Writebacks      int64 // dirty tiles flushed to the backend
 	WritebackErrors int64 // write-backs that failed (the tile stays dirty and is retried)
-	PrefetchIssued  int64 // async tile reads dispatched ahead of use
-	PrefetchUseful  int64 // acquires that found their tile prefetched
 }
 
 // Acquires returns the total tile requests seen by the cache.
@@ -65,24 +62,13 @@ func (s EngineStats) HitRate() float64 {
 	return 0
 }
 
-// OverlapFactor returns the fraction of tile requests whose backend
-// read was issued ahead of use (and therefore overlapped with compute):
-// PrefetchUseful / Acquires.
-func (s EngineStats) OverlapFactor() float64 {
-	if a := s.Acquires(); a > 0 {
-		return float64(s.PrefetchUseful) / float64(a)
-	}
-	return 0
-}
-
 // entry is one cache frame: a tile slot the engine recycles. It holds
 // its own copy of the tile's box (boxBuf), the tile with its data buffer
 // and mover scratch, the collision-chain link and the LRU links. A frame
-// is in the table while loading (a goroutine is reading into it) or
-// resident (its data valid; touch entries carry accounting only). Once
-// it leaves the table it is recycled onto the free list — but only when
-// it is unpinned and not loading; a loading frame removed from the table
-// is marked dropped and recycled by its loader.
+// is in the table while loading (its acquirer, which holds its only pin,
+// is reading into it) or resident (its data valid; touch entries carry
+// accounting only). Once it leaves the table it is recycled onto the
+// free list — but only when it is unpinned.
 type entry struct {
 	tile   Tile    // Arr and Box name the tile; Box lives in boxBuf
 	boxBuf []int64 // Lo then Hi
@@ -91,18 +77,18 @@ type entry struct {
 	prev   *entry // LRU ring, toward the most recently used; nil out of the table
 	next   *entry
 
-	touch      bool // accounting-only entry (dry-run disks)
-	dirty      bool
-	pins       int
-	loading    bool
-	dropped    bool
-	prefetched bool
+	touch   bool // accounting-only entry (dry-run disks)
+	dirty   bool
+	pins    int
+	loading bool // pinned by the acquirer reading it; never dirty
 }
 
-// Engine is a concurrent tile engine: a size-bounded LRU tile cache
-// with write-back dirty tracking in front of a Disk, plus an optional
-// worker pool that overlaps independent tile fetches and services
-// asynchronous prefetches.
+// Engine is a tile engine: a size-bounded LRU tile cache with
+// write-back dirty tracking in front of a Disk. Every call is
+// synchronous on its caller's goroutine; concurrent callers (the HTTP
+// server) are safe, and a miss reads outside the engine lock, so
+// misses of different tiles overlap while acquires of one in-flight
+// tile wait for its single read.
 //
 // Consistency contract: concurrent pinned tiles whose boxes overlap may
 // not include a tile that is released dirty (the codegen schedule
@@ -111,8 +97,7 @@ type entry struct {
 // ReadTile/WriteTile runtime: acquiring a box always observes every
 // previously released overlapping write, because dirty overlapping
 // tiles are flushed before a miss reads the backend and overlapping
-// cache entries (including in-flight prefetches) are invalidated when a
-// tile is dirtied.
+// unpinned cache entries are invalidated when a tile is dirtied.
 //
 // Acquire + Release(dirty) is the read-modify-write path; a caller that
 // supplies a whole box writes it with Store, which never reads.
@@ -124,7 +109,6 @@ type entry struct {
 // mover scratch.
 type Engine struct {
 	disk     *Disk
-	workers  int
 	capTiles int
 
 	// Observability. The counters are standalone atomics owned by this
@@ -146,9 +130,6 @@ type Engine struct {
 	nfree    int
 	closed   bool
 	closeErr error // what Close could not flush, returned again by later Closes
-
-	jobs chan *entry // prefetch loads
-	wg   sync.WaitGroup
 }
 
 // engineMetrics are the per-engine cache counters, updated atomically
@@ -160,8 +141,6 @@ type engineMetrics struct {
 	invalidations   obs.Counter
 	writebacks      obs.Counter
 	writebackErrors obs.Counter
-	prefetchIssued  obs.Counter
-	prefetchUseful  obs.Counter
 }
 
 // NewEngine starts an engine over the disk.
@@ -169,12 +148,8 @@ func NewEngine(d *Disk, o EngineOptions) *Engine {
 	if o.CacheTiles <= 0 {
 		o.CacheTiles = DefaultCacheTiles
 	}
-	if o.Workers < 0 {
-		o.Workers = 0
-	}
 	e := &Engine{
 		disk:     d,
-		workers:  o.Workers,
 		capTiles: o.CacheTiles,
 		buckets:  make([]*entry, minBuckets),
 		mask:     minBuckets - 1,
@@ -186,18 +161,6 @@ func NewEngine(d *Disk, o EngineOptions) *Engine {
 		if e.reg = o.Obs.Metrics; e.reg != nil {
 			e.fetchHist = e.reg.Histogram("ooc_tile_fetch_seconds",
 				"backend tile read latency in seconds", obs.ExpBuckets(1e-6, 4, 12))
-		}
-	}
-	if e.workers > 0 {
-		e.jobs = make(chan *entry, 4*e.workers+16)
-		for i := 0; i < e.workers; i++ {
-			e.wg.Add(1)
-			go func() {
-				defer e.wg.Done()
-				for ent := range e.jobs {
-					e.prefetchLoad(ent)
-				}
-			}()
 		}
 	}
 	return e
@@ -230,9 +193,9 @@ func newHandle(ent *entry) *Handle {
 func (h *Handle) Tile() *Tile { return &h.ent.tile }
 
 // Acquire returns the tile for (array, box), pinned: from cache on a
-// hit (including tiles still being prefetched, which it waits for), or
-// read from the backend on a miss. Concurrent acquires of the same key
-// share one backend read and one in-memory tile.
+// hit (waiting out another caller's in-flight read of it), or read from
+// the backend on a miss. Concurrent acquires of the same key share one
+// backend read and one in-memory tile.
 func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 	box = box.Clip(ar.Meta.Dims)
 	hash := tileHash(ar, box)
@@ -245,10 +208,6 @@ func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 	if ent != nil {
 		ent.pins++
 		e.met.hits.Inc()
-		if ent.prefetched {
-			e.met.prefetchUseful.Inc()
-			ent.prefetched = false
-		}
 		e.toFrontLocked(ent)
 		e.mu.Unlock()
 		return newHandle(ent), nil
@@ -295,8 +254,8 @@ func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 
 // resolveLocked looks (array, box) up, waiting out an in-flight load
 // of the same key: after each wake-up it re-resolves through the table,
-// since the load may have failed or been invalidated. It returns the
-// resident entry or nil, and fails once the engine is closed.
+// since the load may have failed. It returns the resident entry or nil,
+// and fails once the engine is closed.
 func (e *Engine) resolveLocked(hash uint64, ar *Array, box layout.Box) (*entry, error) {
 	for {
 		if e.closed {
@@ -316,61 +275,32 @@ type TileReq struct {
 	Box layout.Box
 }
 
-// AcquireAll acquires every requested tile and appends the handles to
-// dst, in request order; a caller that reuses dst across calls makes
-// no allocation here. With a worker-enabled engine the misses are
-// fetched concurrently — the overlap that makes independent tile reads
-// cheaper than their sum. On error every tile it acquired is released
+// AcquireAll acquires every requested tile in request order and
+// appends the handles to dst; a caller that reuses dst across calls
+// makes no allocation here. On error every tile it acquired is released
 // and dst is returned unextended.
 func (e *Engine) AcquireAll(dst []*Handle, reqs []TileReq) ([]*Handle, error) {
 	n := len(dst)
-	all := slices.Grow(dst, len(reqs))[:n+len(reqs)]
-	hs := all[n:]
-	clear(hs)
-	if e.workers == 0 || len(reqs) < 2 {
-		for i, r := range reqs {
-			h, err := e.Acquire(r.Arr, r.Box)
-			if err != nil {
-				e.releaseAll(hs)
-				return dst, err
-			}
-			hs[i] = h
-		}
-		return all, nil
-	}
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, r := range reqs {
-		wg.Add(1)
-		go func(i int, r TileReq) {
-			defer wg.Done()
-			hs[i], errs[i] = e.Acquire(r.Arr, r.Box)
-		}(i, r)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	dst = slices.Grow(dst, len(reqs))
+	for _, r := range reqs {
+		h, err := e.Acquire(r.Arr, r.Box)
 		if err != nil {
-			e.releaseAll(hs)
-			return dst, err
+			for _, h := range dst[n:] {
+				e.Release(h, false)
+			}
+			clear(dst[n:])
+			return dst[:n], err
 		}
+		dst = append(dst, h)
 	}
-	return all, nil
-}
-
-func (e *Engine) releaseAll(hs []*Handle) {
-	for i, h := range hs {
-		if h != nil {
-			e.Release(h, false)
-			hs[i] = nil
-		}
-	}
+	return dst, nil
 }
 
 // Release unpins the tile; dirty records that the caller modified it.
 // A dirty tile stays cached (so later acquires of the same box reuse
 // the updated copy) and is written back on eviction or Flush; marking
-// it dirty invalidates every other cached or in-flight tile of the
-// same array that overlaps it, since their contents are now stale.
+// it dirty invalidates every other unpinned cached tile of the same
+// array that overlaps it, since their contents are now stale.
 // The handle and its Tile are invalid from here on.
 func (e *Engine) Release(h *Handle, dirty bool) {
 	if h.released {
@@ -405,10 +335,9 @@ func (e *Engine) Release(h *Handle, dirty bool) {
 // key is waited for first (as Acquire does), an absent one is created.
 // The tile is then dirtied exactly as a dirty Release does it: older
 // overlapping dirty tiles are written back before they are dropped (so
-// write order is preserved), overlapping clean copies and in-flight
-// prefetches are invalidated, capacity is enforced — and, as for a
-// dirty release, nobody else may hold a pin on an overlapping tile (the
-// same box included). A store reads nothing, so it is neither a hit nor
+// write order is preserved), overlapping clean copies are invalidated,
+// capacity is enforced — and, as for a dirty release, nobody else may
+// hold a pin on an overlapping tile (the same box included). A store reads nothing, so it is neither a hit nor
 // a miss; EngineStats shows it as the Writeback it eventually causes.
 func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
 	box = box.Clip(ar.Meta.Dims)
@@ -426,7 +355,6 @@ func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
 		return err
 	}
 	if ent != nil {
-		ent.prefetched = false // its read is overwritten, not used
 		e.toFrontLocked(ent)
 	} else {
 		ent = e.insertLocked(hash, ar, box, true)
@@ -438,80 +366,23 @@ func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
 	return nil
 }
 
-// Prefetch asynchronously reads (array, box) into the cache so a later
-// Acquire hits without waiting on the backend. It is a no-op without
-// workers, when the tile is already cached or in flight, or when the
-// box overlaps a dirty tile (the later Acquire will flush and read it
-// consistently instead).
-func (e *Engine) Prefetch(ar *Array, box layout.Box) {
-	if e.workers == 0 {
-		return
-	}
-	box = box.Clip(ar.Meta.Dims)
-	if box.Empty() {
-		return
-	}
-	hash := tileHash(ar, box)
-	e.mu.Lock()
-	if e.closed || e.lookupLocked(hash, ar, box) != nil || e.overlapsDirtyLocked(ar, box) {
-		e.mu.Unlock()
-		return
-	}
-	ent := e.insertLocked(hash, ar, box, true)
-	ent.loading, ent.prefetched = true, true
-	e.met.prefetchIssued.Inc()
-	e.mu.Unlock()
-	if e.trace != nil {
-		e.trace.Emit(obs.Event{Kind: obs.KindPrefetchIssue, Name: ar.Meta.Name,
-			Start: e.trace.Now(), Bytes: box.Size() * ElemSize})
-	}
-	e.jobs <- ent
-}
-
-// prefetchLoad is a worker's half of Prefetch: read the frame, then
-// publish it — or, when it was invalidated in flight, recycle it.
-func (e *Engine) prefetchLoad(ent *entry) {
-	t := &ent.tile
-	var t0 time.Time
-	if e.timed() {
-		t0 = time.Now()
-	}
-	err := t.read()
-	if !t0.IsZero() && err == nil {
-		e.observeSpan(obs.KindPrefetchDone, t.Arr.Meta.Name, t0, t.Box.Size()*ElemSize)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent.loading = false
-	e.loaded.Broadcast()
-	switch {
-	case ent.dropped: // invalidated while in flight; discard
-		e.recycleLocked(ent)
-	case err != nil: // the next Acquire retries and surfaces the error
-		e.removeLocked(ent)
-		e.recycleLocked(ent)
-	default:
-		e.evictLocked()
-	}
-}
-
 // Touch is the accounting-only counterpart of Acquire+Release for
 // dry-run (data-less) disks: a miss charges TouchRead, a write marks
 // the entry dirty (TouchWrite is charged once, at eviction or Flush),
 // and a hit charges nothing — so cached dry-run schedules report the
-// calls the cached engine would really issue.
-func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
+// calls the cached engine would really issue. Like Acquire it fails
+// with ErrEngineClosed once the engine is closed.
+func (e *Engine) Touch(ar *Array, box layout.Box, write bool) error {
 	box = box.Clip(ar.Meta.Dims)
 	if box.Empty() {
-		return
+		return nil
 	}
 	hash := tileHash(ar, box)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent := e.lookupLocked(hash, ar, box)
-	for ent != nil && ent.loading {
-		e.loaded.Wait()
-		ent = e.lookupLocked(hash, ar, box)
+	ent, err := e.resolveLocked(hash, ar, box)
+	if err != nil {
+		return err
 	}
 	if ent != nil {
 		e.met.hits.Inc()
@@ -520,7 +391,7 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 			ent.dirty = true
 			e.invalidateOverlapLocked(ent)
 		}
-		return
+		return nil
 	}
 	e.met.misses.Inc()
 	ent = e.insertLocked(hash, ar, box, false)
@@ -534,6 +405,7 @@ func (e *Engine) Touch(ar *Array, box layout.Box, write bool) {
 		e.invalidateOverlapLocked(ent)
 	}
 	e.evictLocked()
+	return nil
 }
 
 // Flush writes every unpinned dirty tile back to the backend, oldest
@@ -558,7 +430,7 @@ func (e *Engine) Flush() error {
 func (e *Engine) flushLocked() error {
 	var first error
 	for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
-		if ent.dirty && ent.pins == 0 && !ent.loading {
+		if ent.dirty && ent.pins == 0 {
 			if err := e.writebackLocked(ent); err != nil && first == nil {
 				first = err
 			}
@@ -570,25 +442,17 @@ func (e *Engine) flushLocked() error {
 	return first
 }
 
-// Close drains the worker pool, flushes dirty tiles and syncs the
-// backends. It returns what that final flush could not land — a
-// write-back that failed earlier but succeeds now is not an error —
-// and every later Close returns the same. Further engine calls fail.
+// Close flushes dirty tiles and syncs the backends. It returns what
+// that final flush could not land — a write-back that failed earlier
+// but succeeds now is not an error — and every later Close returns the
+// same. Further engine calls fail.
 func (e *Engine) Close() error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		err := e.closeErr
-		e.mu.Unlock()
-		return err
+		return e.closeErr
 	}
 	e.closed = true
-	e.mu.Unlock()
-	if e.jobs != nil {
-		close(e.jobs)
-		e.wg.Wait()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.closeErr = e.flushLocked()
 	e.publishMetricsLocked()
 	return e.closeErr
@@ -596,24 +460,17 @@ func (e *Engine) Close() error {
 
 // Abandon stops the engine WITHOUT flushing dirty tiles: the crash
 // path for fault-injection harnesses, where cached writes are memory
-// and a power cut loses them. Workers stop, the cache is discarded,
-// and further calls fail with ErrEngineClosed. Production shutdown
-// wants Close (or Server.Drain); Abandon deliberately forfeits every
-// write the backend has not yet acknowledged.
+// and a power cut loses them. The cache is discarded and further calls
+// fail with ErrEngineClosed. Production shutdown wants Close (or
+// Server.Drain); Abandon deliberately forfeits every write the backend
+// has not yet acknowledged.
 func (e *Engine) Abandon() {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
 		return
 	}
 	e.closed = true
-	e.mu.Unlock()
-	if e.jobs != nil {
-		close(e.jobs)
-		e.wg.Wait()
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	for e.lru.next != &e.lru {
 		e.removeLocked(e.lru.next) // a frame still pinned is released into nothing
 	}
@@ -632,8 +489,6 @@ func (e *Engine) Stats() EngineStats {
 		Invalidations:   e.met.invalidations.Value(),
 		Writebacks:      e.met.writebacks.Value(),
 		WritebackErrors: e.met.writebackErrors.Value(),
-		PrefetchIssued:  e.met.prefetchIssued.Value(),
-		PrefetchUseful:  e.met.prefetchUseful.Value(),
 	}
 }
 
@@ -644,7 +499,7 @@ func (e *Engine) timed() bool { return e.trace != nil || e.fetchHist != nil }
 // into the fetch histogram (tile reads only) and a trace event.
 func (e *Engine) observeSpan(kind obs.Kind, name string, t0 time.Time, bytes int64) {
 	d := time.Since(t0)
-	if e.fetchHist != nil && (kind == obs.KindTileFetch || kind == obs.KindPrefetchDone) {
+	if e.fetchHist != nil && kind == obs.KindTileFetch {
 		e.fetchHist.Observe(d.Seconds())
 	}
 	if e.trace != nil {
@@ -673,22 +528,10 @@ func (e *Engine) publishMetricsLocked() {
 		{"ooc_engine_invalidations_total", "cache entries dropped by overlapping dirty tiles", s.Invalidations},
 		{"ooc_engine_writebacks_total", "dirty tiles flushed to the backend", s.Writebacks},
 		{"ooc_engine_writeback_errors_total", "tile write-backs that failed (retried while dirty)", s.WritebackErrors},
-		{"ooc_engine_prefetch_issued_total", "async tile reads dispatched ahead of use", s.PrefetchIssued},
-		{"ooc_engine_prefetch_useful_total", "tile requests that found their tile prefetched", s.PrefetchUseful},
 	} {
 		e.reg.Counter(c.name, c.help).Add(c.v)
 	}
 }
-
-// Capacity returns the configured cache bound in tiles. Callers use it
-// to size prefetch batches: prefetching into a cache that cannot hold
-// the working set plus the prefetched tiles evicts entries before they
-// are used, turning the overlap into extra backend reads.
-func (e *Engine) Capacity() int { return e.capTiles }
-
-// Workers returns the number of fetch workers. An engine without
-// workers drops every Prefetch, so callers can skip building them.
-func (e *Engine) Workers() int { return e.workers }
 
 // Resident returns the number of cached entries (tests/telemetry).
 func (e *Engine) Resident() int {
@@ -733,7 +576,7 @@ func (e *Engine) writebackLocked(ent *entry) error {
 func (e *Engine) flushOverlapDirtyLocked(ar *Array, box layout.Box, self *entry) error {
 	var first error
 	for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
-		if ent != self && ent.tile.Arr == ar && ent.dirty && !ent.loading && ent.tile.Box.Overlaps(box) {
+		if ent != self && ent.tile.Arr == ar && ent.dirty && ent.tile.Box.Overlaps(box) {
 			if err := e.writebackLocked(ent); err != nil && first == nil {
 				first = err
 			}
@@ -752,21 +595,10 @@ func (e *Engine) FlushOverlapping(ar *Array, box layout.Box) error {
 	return e.flushOverlapDirtyLocked(ar, box, nil)
 }
 
-// overlapsDirtyLocked reports whether box overlaps any dirty tile of ar.
-func (e *Engine) overlapsDirtyLocked(ar *Array, box layout.Box) bool {
-	for ent := e.lru.next; ent != &e.lru; ent = ent.next {
-		if ent.tile.Arr == ar && ent.dirty && ent.tile.Box.Overlaps(box) {
-			return true
-		}
-	}
-	return false
-}
-
 // invalidateOverlapLocked drops every other cache entry of the same
-// array whose box overlaps the newly dirtied entry: resident clean
-// copies are stale, and in-flight prefetches may have read pre-write
-// data (they are marked dropped; the loader discards the result).
-// Pinned entries are skipped — overlapping them is outside the engine's
+// array whose box overlaps the newly dirtied entry: their copies are
+// stale. Pinned entries — a loading one included, since its acquirer
+// pins it — are skipped: overlapping them is outside the engine's
 // consistency contract (see the Engine doc).
 func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
 	var prev *entry
@@ -775,7 +607,7 @@ func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
 		if ent == dirtied || ent.tile.Arr != dirtied.tile.Arr || ent.pins > 0 || !ent.tile.Box.Overlaps(dirtied.tile.Box) {
 			continue
 		}
-		if ent.dirty && !ent.loading {
+		if ent.dirty {
 			// Two overlapping dirty tiles violate the contract; flushing
 			// before dropping at least loses no released write entirely.
 			// If even the flush fails, keep the entry — dropping it
@@ -785,23 +617,19 @@ func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
 			}
 		}
 		e.removeLocked(ent)
-		if ent.loading {
-			ent.dropped = true // its loader recycles it
-		} else {
-			e.recycleLocked(ent)
-		}
+		e.recycleLocked(ent)
 		e.met.invalidations.Inc()
 	}
 }
 
 // evictLocked enforces the capacity bound: least-recently-used
-// unpinned, non-loading entries are written back (when dirty) and
-// dropped until the cache fits.
+// unpinned entries are written back (when dirty) and dropped until the
+// cache fits.
 func (e *Engine) evictLocked() {
 	for e.resident > e.capTiles {
 		evicted := false
 		for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
-			if ent.pins > 0 || ent.loading {
+			if ent.pins > 0 {
 				continue
 			}
 			if ent.dirty {
@@ -824,7 +652,7 @@ func (e *Engine) evictLocked() {
 			break
 		}
 		if !evicted {
-			return // everything pinned or loading; shrink at release
+			return // everything pinned; shrink at release
 		}
 	}
 }
@@ -886,8 +714,7 @@ func (e *Engine) insertLocked(hash uint64, ar *Array, box layout.Box, withData b
 	} else {
 		ent.tile.data = make([]float64, n)
 	}
-	ent.touch, ent.dirty, ent.pins = false, false, 0
-	ent.loading, ent.dropped, ent.prefetched = false, false, false
+	ent.touch, ent.dirty, ent.pins, ent.loading = false, false, 0, false
 	ent.hash = hash
 	if 2*(e.resident+1) > len(e.buckets) {
 		e.growLocked()
@@ -922,7 +749,7 @@ func (e *Engine) growLocked() {
 
 // removeLocked unlinks the frame from the table and the LRU ring; a
 // frame in neither (prev == nil: already removed, or discarded by
-// Abandon under a loader or a pin) is left alone.
+// Abandon under its acquirer's pin) is left alone.
 func (e *Engine) removeLocked(ent *entry) {
 	if ent.prev == nil {
 		return
@@ -941,10 +768,10 @@ func (e *Engine) removeLocked(ent *entry) {
 
 // recycleLocked puts a frame that has left the table onto the free
 // list, keeping its buffers for the next miss — but only when nobody
-// can still reach it (unpinned, not loading) and the list holds fewer
-// than capTiles frames.
+// can still reach it (unpinned) and the list holds fewer than capTiles
+// frames.
 func (e *Engine) recycleLocked(ent *entry) {
-	if ent.pins > 0 || ent.loading || e.nfree >= e.capTiles {
+	if ent.pins > 0 || e.nfree >= e.capTiles {
 		return
 	}
 	ent.hnext, e.free = e.free, ent

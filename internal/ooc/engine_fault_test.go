@@ -183,7 +183,7 @@ func TestFlushSyncErrorSurfaces(t *testing.T) {
 
 // TestAbandonDropsCacheWithoutFlushing: the crash path writes nothing.
 func TestAbandonDropsCacheWithoutFlushing(t *testing.T) {
-	e, arr, fb := flakyEngine(t, EngineOptions{CacheTiles: 4, Workers: 2})
+	e, arr, fb := flakyEngine(t, EngineOptions{CacheTiles: 4})
 
 	h, err := e.Acquire(arr, box2(0, 0, 2, 2))
 	if err != nil {

@@ -12,7 +12,9 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"outcore/internal/ir"
 	"outcore/internal/layout"
@@ -39,9 +41,7 @@ func newStoreTwin(t *testing.T, l *layout.Layout, maxCall int64, cache int) *sto
 		t.Fatal(err)
 	}
 	arr.Fill(func(c []int64) float64 { return float64(c[0]*storeCols + c[1]) })
-	// One worker, so Prefetch really runs ahead; every other engine call
-	// is synchronous on the test goroutine, which keeps write order exact.
-	return &storeTwin{disk: d, arr: arr, eng: ooc.NewEngine(d, ooc.EngineOptions{Workers: 1, CacheTiles: cache})}
+	return &storeTwin{disk: d, arr: arr, eng: ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: cache})}
 }
 
 func (tw *storeTwin) reads() int64 { return tw.disk.Stats.Snapshot().ReadCalls }
@@ -62,7 +62,7 @@ func TestStoreMatchesAcquireWrite(t *testing.T) {
 		return layout.NewBox([]int64{r0, c0}, []int64{r1, c1})
 	}
 	type step struct {
-		op  string // "write", "scribble" (partial read-modify-write), "read", "prefetch"
+		op  string // "write", "scribble" (partial read-modify-write), "read"
 		box layout.Box
 	}
 	steps := []step{
@@ -72,8 +72,7 @@ func TestStoreMatchesAcquireWrite(t *testing.T) {
 		{"write", box(0, 0, 16, 8)},         // absent, overlapping that dirty tile
 		{"read", box(16, 8, 24, 16)},        //
 		{"write", box(16, 8, 24, 16)},       // target resident and clean
-		{"prefetch", box(24, 0, 32, 8)},     //
-		{"write", box(24, 0, 32, 8)},        // target being prefetched
+		{"write", box(24, 0, 32, 8)},        // absent, beside the others
 		{"write", box(36, 30, 44, 40)},      // clipped at both edges
 		{"scribble", box(30, 28, 38, 34)},   // dirty over the edge tile
 		{"write", box(32, 24, 40, 36)},      // covers it, clipped shape
@@ -122,15 +121,9 @@ func TestStoreMatchesAcquireWrite(t *testing.T) {
 							}
 							copy(h.Tile().Data(), data)
 							aw.eng.Release(h, true)
-							if i > 0 && steps[i-1].op == "prefetch" {
-								break // the prefetch's read may land inside either call
-							}
 							if n := st.reads() - stBefore; n != 0 {
 								t.Fatalf("step %d: store of %v issued %d backend reads", i, s.box, n)
 							}
-						case "prefetch":
-							st.eng.Prefetch(st.arr, s.box)
-							aw.eng.Prefetch(aw.arr, s.box)
 						default:
 							var got [2][]float64
 							for k, tw := range []*storeTwin{st, aw} {
@@ -204,10 +197,102 @@ func TestStoreMatchesAcquireWrite(t *testing.T) {
 	}
 }
 
+// gatedBackend holds every read, once armed, until open is closed,
+// announcing each on entered; it counts the reads it serves.
+type gatedBackend struct {
+	ooc.Backend
+	armed   atomic.Bool
+	reads   atomic.Int64
+	entered chan struct{}
+	open    chan struct{}
+}
+
+func (g *gatedBackend) ReadAt(buf []float64, off int64) error {
+	if g.armed.Load() {
+		g.reads.Add(1)
+		g.entered <- struct{}{}
+		<-g.open
+	}
+	return g.Backend.ReadAt(buf, off)
+}
+
+// TestStoreWaitsForInFlightLoad: a Store whose target another caller's
+// Acquire miss is still reading waits for that read to land, then
+// overwrites it — the stored bytes win, and the backend serves exactly
+// the one read of the miss.
+func TestStoreWaitsForInFlightLoad(t *testing.T) {
+	g := &gatedBackend{entered: make(chan struct{}, 1), open: make(chan struct{})}
+	d := ooc.NewDisk(0).WrapBackend(func(_ string, b ooc.Backend) ooc.Backend {
+		g.Backend = b
+		return g
+	})
+	arr, err := d.CreateArray(ir.NewArray("A", 8, 8), layout.RowMajor(8, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	arr.Fill(func(c []int64) float64 { return float64(c[0]*8 + c[1]) })
+	e := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 4})
+	b := layout.NewBox([]int64{0, 0}, []int64{4, 8}) // whole rows: one backend run
+	stored := make([]float64, b.Size())
+	for i := range stored {
+		stored[i] = -float64(i + 1)
+	}
+
+	g.armed.Store(true)
+	acquired := make(chan error, 1)
+	go func() {
+		h, err := e.Acquire(arr, b)
+		if err == nil {
+			e.Release(h, false)
+		}
+		acquired <- err
+	}()
+	<-g.entered // the miss is inside its backend read
+	done := make(chan error, 1)
+	go func() { done <- e.Store(arr, b, stored) }()
+	select {
+	case err := <-done:
+		t.Fatalf("Store returned (%v) while the load of its target was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(g.open)
+	if err := <-acquired; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := g.reads.Load(); n != 1 {
+		t.Fatalf("backend served %d reads, want the miss's one", n)
+	}
+	h, err := e.Acquire(arr, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.Tile().Data(); !reflect.DeepEqual(got, stored) {
+		t.Fatalf("cached tile after the store reads %v, want the stored %v", got, stored)
+	}
+	e.Release(h, false)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := g.reads.Load(); n != 1 {
+		t.Fatalf("backend served %d reads, want the miss's one", n)
+	}
+	g.armed.Store(false)
+	back, err := arr.ReadTile(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Data(), stored) {
+		t.Fatalf("backend after Close holds %v, want the stored %v", back.Data(), stored)
+	}
+}
+
 // TestStoreConcurrentBands runs stores from several goroutines at once,
 // each over its own row band (the engine's contract: nobody else pins a
 // tile that overlaps a store) in randomly shaped, mutually overlapping
-// boxes, with prefetches racing the stores and reads checking each
+// boxes, with reads checking each
 // band's latest write through a cache too small to hold them all. CI
 // runs it under -race.
 func TestStoreConcurrentBands(t *testing.T) {
@@ -222,7 +307,7 @@ func TestStoreConcurrentBands(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 5, Workers: 3})
+	e := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 5})
 
 	want := make([]float64, G*rows*cols)
 	var wg sync.WaitGroup
@@ -236,9 +321,6 @@ func TestStoreConcurrentBands(t *testing.T) {
 				c0 := int64(rng.Intn(cols - 1))
 				c1 := c0 + 1 + int64(rng.Intn(int(cols-c0-1))+1)
 				b := layout.NewBox([]int64{lo, c0}, []int64{lo + rows, c1})
-				if rng.Intn(3) == 0 {
-					e.Prefetch(arr, b)
-				}
 				data := make([]float64, b.Size())
 				for i := range data {
 					data[i] = float64(g*1000 + k)

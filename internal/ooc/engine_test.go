@@ -220,53 +220,9 @@ func TestEngineMissFlushesOverlapDirty(t *testing.T) {
 	e.Release(h2, false)
 }
 
-func TestEnginePrefetch(t *testing.T) {
-	d, arr := engineArray(t, "A", 8, 8)
-	e := NewEngine(d, EngineOptions{CacheTiles: 8, Workers: 2})
-	defer e.Close()
-
-	b := box2(0, 0, 4, 4)
-	e.Prefetch(arr, b)
-	h, err := e.Acquire(arr, b) // waits for the in-flight read, counts as hit
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := *elem(h.Tile(), 3, 2); got != 3002 {
-		t.Errorf("prefetched tile reads %v, want 3002", got)
-	}
-	e.Release(h, false)
-	s := e.Stats()
-	if s.PrefetchIssued != 1 || s.PrefetchUseful != 1 {
-		t.Errorf("prefetch stats = %+v, want 1 issued + 1 useful", s)
-	}
-	if s.Misses != 0 || s.Hits != 1 {
-		t.Errorf("stats = %+v, want the prefetched acquire to be a hit", s)
-	}
-
-	// Prefetch overlapping a dirty tile is declined: the later acquire
-	// must take the flush-then-read path instead.
-	hd, err := e.Acquire(arr, box2(4, 4, 6, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	*elem(hd.Tile(), 4, 4) = 1
-	e.Release(hd, true)
-	e.Prefetch(arr, box2(5, 5, 8, 8))
-	if s := e.Stats(); s.PrefetchIssued != 1 {
-		t.Errorf("prefetch over dirty tile was issued: %+v", s)
-	}
-	// Without workers Prefetch is a no-op by contract.
-	e0 := NewEngine(d, EngineOptions{CacheTiles: 2})
-	defer e0.Close()
-	e0.Prefetch(arr, b)
-	if s := e0.Stats(); s.PrefetchIssued != 0 || e0.Resident() != 0 {
-		t.Errorf("workerless prefetch did something: %+v, resident %d", s, e0.Resident())
-	}
-}
-
 func TestEngineSingleFlight(t *testing.T) {
 	d, arr := engineArray(t, "A", 32, 32)
-	e := NewEngine(d, EngineOptions{CacheTiles: 8, Workers: 4})
+	e := NewEngine(d, EngineOptions{CacheTiles: 8})
 	defer e.Close()
 
 	// Many goroutines race to acquire the same tile: exactly one backend
@@ -301,7 +257,7 @@ func TestEngineSingleFlight(t *testing.T) {
 
 func TestEngineCloseSemantics(t *testing.T) {
 	d, arr := engineArray(t, "A", 8, 8)
-	e := NewEngine(d, EngineOptions{CacheTiles: 2, Workers: 2})
+	e := NewEngine(d, EngineOptions{CacheTiles: 2})
 	h, err := e.Acquire(arr, box2(0, 0, 2, 2))
 	if err != nil {
 		t.Fatal(err)
@@ -345,9 +301,11 @@ func TestEngineTouchAccounting(t *testing.T) {
 	e := NewEngine(d, EngineOptions{CacheTiles: 4})
 
 	b := box2(0, 0, 4, 8)
-	e.Touch(arr, b, false) // miss: charges the read
-	e.Touch(arr, b, false) // hit: free
-	e.Touch(arr, b, true)  // hit, now dirty
+	for _, write := range []bool{false, false, true} { // miss (charges the read), hit, hit now dirty
+		if err := e.Touch(arr, b, write); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if s := e.Stats(); s.Misses != 1 || s.Hits != 2 {
 		t.Errorf("touch stats = %+v, want 1 miss + 2 hits", s)
 	}
@@ -360,6 +318,20 @@ func TestEngineTouchAccounting(t *testing.T) {
 	}
 	if d.Stats.WriteCalls != 1 {
 		t.Errorf("dirty touch entry flushed %d write calls, want 1", d.Stats.WriteCalls)
+	}
+
+	// Like Acquire and Store, Touch on a closed engine fails and charges
+	// nothing: no read, and no dirty entry a later Close would never
+	// write back.
+	before := d.Stats.Snapshot()
+	if err := e.Touch(arr, box2(4, 0, 8, 8), true); err != ErrEngineClosed {
+		t.Fatalf("Touch after Close: %v, want ErrEngineClosed", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := d.Stats.Snapshot(); after != before {
+		t.Fatalf("Touch after Close moved the disk stats: %+v -> %+v", before, after)
 	}
 }
 
@@ -378,7 +350,7 @@ func TestEngineConcurrentStress(t *testing.T) {
 	_, w := mk2D(t, d, "W", G*rows, cols, layout.RowMajor(G*rows, cols))
 	_, r := mk2D(t, d, "R", 64, 64, layout.RowMajor(64, 64))
 	r.Fill(func(c []int64) float64 { return float64(1000*c[0] + c[1]) })
-	e := NewEngine(d, EngineOptions{CacheTiles: 6, Workers: 4})
+	e := NewEngine(d, EngineOptions{CacheTiles: 6})
 
 	expected := make([][]int64, G) // per-goroutine per-column increment counts
 	var wg sync.WaitGroup
@@ -391,12 +363,9 @@ func TestEngineConcurrentStress(t *testing.T) {
 			lo := int64(g * rows)
 			for k := 0; k < steps; k++ {
 				// Shared read-only tile of R: contents must always match the
-				// fill, however often it is evicted, re-read or prefetched.
+				// fill, however often it is evicted or re-read.
 				ri, rj := int64(rng.Intn(48)), int64(rng.Intn(48))
 				rb := box2(ri, rj, ri+16, rj+16)
-				if rng.Intn(3) == 0 {
-					e.Prefetch(r, rb)
-				}
 				hr, err := e.Acquire(r, rb)
 				if err != nil {
 					t.Error(err)
@@ -479,10 +448,7 @@ func TestPropertyEngineMatchesSequential(t *testing.T) {
 		}
 		dSeq, aSeq := mkDisk()
 		dEng, aEng := mkDisk()
-		e := NewEngine(dEng, EngineOptions{
-			CacheTiles: 1 + rng.Intn(6),
-			Workers:    rng.Intn(3), // 0 = synchronous, the rest pooled
-		})
+		e := NewEngine(dEng, EngineOptions{CacheTiles: 1 + rng.Intn(6)})
 
 		type op struct {
 			box   layout.Box

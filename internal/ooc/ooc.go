@@ -12,7 +12,7 @@
 //
 // # Thread safety
 //
-// The runtime is safe for the concurrent tile Engine:
+// The runtime is safe under concurrent Engine callers:
 //
 //   - Stats fields are updated atomically; Stats.Add may be called from
 //     multiple goroutines. Reading individual fields is only safe once
@@ -22,8 +22,8 @@
 //   - Disk accounting (global stats, per-file stats, the Record trace)
 //     is safe under concurrent ReadTile/WriteTile/TouchRead/TouchWrite
 //     from any number of goroutines. Trace entry ORDER is whatever the
-//     goroutine interleaving produced; deterministic traces require a
-//     single-threaded run (Engine with Workers = 0).
+//     goroutine interleaving produced; deterministic traces require
+//     driving the Engine from one goroutine.
 //   - Array data access is guarded by a per-array reader/writer lock:
 //     any number of concurrent tile reads overlap, while a tile write
 //     excludes both reads and other writes of the same array.

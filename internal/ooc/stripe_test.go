@@ -107,7 +107,7 @@ func TestStripedFilesPersist(t *testing.T) {
 		}
 	}
 
-	eng := NewEngine(d, EngineOptions{Workers: 0, CacheTiles: 4})
+	eng := NewEngine(d, EngineOptions{CacheTiles: 4})
 	box := layout.NewBox([]int64{0, 0}, []int64{edge, edge})
 	h, err := eng.Acquire(arr, box)
 	if err != nil {
@@ -136,7 +136,7 @@ func TestStripedFilesPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng2 := NewEngine(d2, EngineOptions{Workers: 0, CacheTiles: 4})
+	eng2 := NewEngine(d2, EngineOptions{CacheTiles: 4})
 	h2, err := eng2.Acquire(arr2, box)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ func newDurableTestServer(t *testing.T, durable bool) (*testServer, *faultfs.Inj
 	d := ooc.NewDisk(0)
 	d.WrapBackend(inj.Wrap)
 	d.EnableWAL(ooc.WALOptions{})
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{DurablePuts: durable})
 	ts.http = httptest.NewServer(ts.srv.Handler())

@@ -65,7 +65,7 @@ func createArrayHTTP(t *testing.T, base, name string, dims ...int64) {
 func startSingle(t *testing.T, cfg server.TenantConfig) string {
 	t.Helper()
 	d := ooc.NewDisk(0)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 32})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 32})
 	srv := server.New(d, eng, server.Config{MaxInflight: 4, QueueDepth: 256, Tenants: cfg})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -81,11 +81,11 @@ func startSingle(t *testing.T, cfg server.TenantConfig) string {
 // the fan-out, so node-side admission sees the router's tenant.
 func startCluster(t *testing.T, cfg server.TenantConfig) string {
 	t.Helper()
-	// Node admission (2 slots) is deliberately no wider than the
-	// engine worker pool: contention must queue in the DRR plane,
-	// where the weights govern, not in the engine's FIFO behind it.
+	// Node admission (2 slots) is deliberately narrow: contention must
+	// queue in the DRR plane, where the weights govern, not in the
+	// engine behind it.
 	lc, err := cluster.NewLocal(cluster.LocalOptions{
-		Nodes: 3, Replicas: 2, TileDim: 8, CacheTiles: 32, Workers: 2,
+		Nodes: 3, Replicas: 2, TileDim: 8, CacheTiles: 32,
 		MaxInflight: 2, QueueDepth: 256, Tenants: cfg,
 	})
 	if err != nil {
@@ -208,7 +208,7 @@ func TestDRRSharesConverge(t *testing.T) {
 	d.WrapBackend(func(name string, b ooc.Backend) ooc.Backend {
 		return slowBackend{Backend: b, delay: time.Millisecond}
 	})
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 2})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 2})
 	srv := server.New(d, eng, server.Config{
 		MaxInflight: 1, QueueDepth: 256,
 		Tenants: server.TenantConfig{Weights: map[string]float64{"gold": 3, "bronze": 1}},

@@ -30,7 +30,7 @@ func goldenServer(t *testing.T) *testServer {
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	ts := &testServer{}
 	d := ooc.NewDisk(0).Observe(sink)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{Obs: sink})
 	ts.http = httptest.NewServer(ts.srv.Handler())
@@ -60,7 +60,7 @@ func goldenWALServer(t *testing.T) *testServer {
 	ts := &testServer{}
 	d := ooc.NewDisk(0).Observe(sink)
 	d.EnableWAL(ooc.WALOptions{Obs: sink})
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{DurablePuts: true, Obs: sink})
 	ts.http = httptest.NewServer(ts.srv.Handler())
@@ -90,7 +90,7 @@ func goldenTenantServer(t *testing.T) *testServer {
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	ts := &testServer{}
 	d := ooc.NewDisk(0).Observe(sink)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{Obs: sink, Tenants: TenantConfig{
 		Weights:          map[string]float64{"batch": 1, "interactive": 4},

@@ -500,7 +500,7 @@ func TestStormUnderLoadDrainsClean(t *testing.T) {
 			inj := faultfs.NewStorm(seed)
 			inj.Heal() // array creation writes pass through; the storm starts with the load
 			d := ooc.NewDisk(0).WrapBackend(inj.Wrap)
-			srv := New(d, ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 64}), Config{})
+			srv := New(d, ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 64}), Config{})
 			ts := &testServer{srv: srv, http: httptest.NewServer(srv.Handler())}
 			defer ts.http.Close()
 			ts.createArray(t, "A", 64, 64)

@@ -25,7 +25,7 @@ import (
 func opsServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	d := ooc.NewDisk(0)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 32})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 32})
 	srv := New(d, eng, cfg)
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
@@ -628,7 +628,7 @@ func newFuzzServer(f *testing.F) (*Server, *httptest.Server) {
 	if _, err := d.CreateArray(ir.NewArray("F", 32, 32), layout.RowMajor(32, 32)); err != nil {
 		f.Fatal(err)
 	}
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 8})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8})
 	srv := New(d, eng, Config{})
 	hs := httptest.NewServer(srv.Handler())
 	f.Cleanup(func() {

@@ -1,5 +1,5 @@
 // Package server is occd's serving core: an HTTP API that exposes
-// disk-resident out-of-core arrays through the concurrent tile engine.
+// disk-resident out-of-core arrays through the shared tile engine.
 // It is the paper's thesis turned into a service boundary — many
 // clients asking for rectangular tiles, the engine underneath turning
 // them into few, large, layout-aware backend calls.

@@ -62,7 +62,7 @@ func newTestServer(t *testing.T, cfg Config, diskCfg func(*ooc.Disk)) *testServe
 	if diskCfg != nil {
 		diskCfg(d)
 	}
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16})
 	ts.disk = d
 	ts.srv = New(d, eng, cfg)
 	ts.http = httptest.NewServer(ts.srv.Handler())

@@ -178,7 +178,7 @@ type TenantConfig struct {
 	QuotaRPS float64
 	// MaxScanInflight caps the scan/batch chunks a tenant may have in
 	// the engine at once (0 = unlimited), so one streaming scan cannot
-	// occupy every worker while point tenants wait.
+	// occupy every data-plane slot while point tenants wait.
 	MaxScanInflight int
 }
 
@@ -634,7 +634,7 @@ func ReleaseAdmissionEarly(ctx context.Context) {
 
 // AcquireChunk claims one of the tenant's in-flight chunk slots — the
 // cap that stops a streaming scan's chunk train from occupying every
-// engine worker at once. ok=false means the caller's context was
+// data-plane slot at once. ok=false means the caller's context was
 // cancelled while waiting; the chunk tally still counts the attempt.
 func (p *TenantPlane) AcquireChunk(ctx context.Context, tenant string) (release func(), ok bool) {
 	p.mu.Lock()

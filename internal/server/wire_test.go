@@ -179,7 +179,7 @@ func goldenCompressServer(t *testing.T) *testServer {
 	d := ooc.NewDisk(0).Observe(sink).EnableCompression()
 	d.EnableWAL(ooc.WALOptions{Obs: sink, Compress: true})
 	ooc.ObservePool(sink)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 16, Obs: sink})
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})
 	ts.disk = d
 	ts.srv = New(d, eng, Config{DurablePuts: true, Obs: sink})
 	ts.http = httptest.NewServer(ts.srv.Handler())

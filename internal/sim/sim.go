@@ -38,13 +38,10 @@ type Setup struct {
 	HandOpt handopt.Options
 
 	// CacheTiles > 0 routes each processor's tile I/O through the
-	// concurrent engine's LRU tile cache of that capacity: re-touched
+	// tile engine's LRU tile cache of that capacity: re-touched
 	// tiles stop hitting the backend and writes are written back once,
-	// so the PFS sees the cached request stream. Workers sizes the
-	// engine's worker pool (only meaningful for data-backed runs; the
-	// dry-run accounting path is unaffected by it).
+	// so the PFS sees the cached request stream.
 	CacheTiles int
-	Workers    int
 
 	// Obs observes the whole measurement: the dry-run disks feed the
 	// "ooc_io_*" registry series, engines (when CacheTiles > 0) publish
@@ -101,8 +98,8 @@ type Measurement struct {
 	Iterations int64   // statement iterations across all processors
 	Coalesce   handopt.Stats
 	// Cache aggregates the tile-engine counters across processors when
-	// Setup.CacheTiles > 0 (hit rate, evictions, write-backs, prefetch
-	// overlap); zero otherwise.
+	// Setup.CacheTiles > 0 (hit rate, evictions, write-backs); zero
+	// otherwise.
 	Cache ooc.EngineStats
 }
 
@@ -146,7 +143,7 @@ func RunDetailed(st Setup) (Measurement, pfs.Result, error) {
 		procOpts := opts
 		var eng *ooc.Engine
 		if st.CacheTiles > 0 {
-			eng = ooc.NewEngine(d, ooc.EngineOptions{Workers: st.Workers, CacheTiles: st.CacheTiles, Obs: st.Obs})
+			eng = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: st.CacheTiles, Obs: st.Obs})
 			procOpts.Engine = eng
 		}
 		var iters int64
@@ -169,8 +166,6 @@ func RunDetailed(st Setup) (Measurement, pfs.Result, error) {
 			m.Cache.Evictions += cs.Evictions
 			m.Cache.Invalidations += cs.Invalidations
 			m.Cache.Writebacks += cs.Writebacks
-			m.Cache.PrefetchIssued += cs.PrefetchIssued
-			m.Cache.PrefetchUseful += cs.PrefetchUseful
 		}
 		var ops []pfs.Op
 		if st.Version == suite.HOpt {

@@ -16,10 +16,8 @@ import (
 )
 
 // runPath executes p once under plan along one executor path — against
-// the Memory budget ("memory"), through a synchronous tile engine
-// ("engine"), through an engine with prefetch workers
-// ("engine-workers"), or as one of the two data-less dry runs ("dry",
-// "dry-engine") — on a fresh disk loaded with init (ignored by the dry
+// the Memory budget ("memory"), through a tile engine ("engine"), or
+// as one of the two data-less dry runs ("dry", "dry-engine") — on a fresh disk loaded with init (ignored by the dry
 // paths) and returns the disk after every dirty tile has reached it.
 func runPath(p *ir.Program, plan *core.Plan, v Version, path string, init *ir.Store) (*ooc.Disk, codegen.ExecStats, error) {
 	budget := MemBudget(p, 16)
@@ -33,11 +31,8 @@ func runPath(p *ir.Program, plan *core.Plan, v Version, path string, init *ir.St
 	if _, err := codegen.SetupDiskOn(d, p, plan, init); err != nil {
 		return nil, codegen.ExecStats{}, err
 	}
-	switch path {
-	case "engine", "dry-engine":
-		opts.Engine = ooc.NewEngine(d, ooc.EngineOptions{Workers: 0, CacheTiles: 8})
-	case "engine-workers":
-		opts.Engine = ooc.NewEngine(d, ooc.EngineOptions{Workers: 2, CacheTiles: 8})
+	if path == "engine" || path == "dry-engine" {
+		opts.Engine = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8})
 	}
 	st, err := codegen.RunProgram(p, plan, d, ooc.NewMemory(budget), opts)
 	if opts.Engine != nil {
@@ -84,7 +79,6 @@ func TestExecutorIOGolden(t *testing.T) {
 		base := k.Build(cfg)
 		init := seed(base, 1234)
 		for _, v := range Versions {
-			// Not "engine-workers": prefetch timing may move eviction order.
 			for _, path := range []string{"memory", "engine", "dry", "dry-engine"} {
 				p, plan, initV := kernelCase(t, k, v, cfg, init, base)
 				d, st, err := runPath(p, plan, v, path, initV)

@@ -80,14 +80,14 @@ func seed(p *ir.Program, s int64) *ir.Store {
 // correctness gate: every kernel, under every version's plan and
 // tiling strategy, must produce bit-identical results to the in-core
 // reference execution — against the memory budget and through the
-// tile engine, synchronous and with prefetch workers.
+// tile engine.
 func TestAllKernelsAllVersionsPreserveSemantics(t *testing.T) {
 	cfg := SmallConfig()
 	for _, k := range Kernels {
 		base := k.Build(cfg)
 		init := seed(base, 1234)
 		for _, v := range Versions {
-			for _, path := range []string{"memory", "engine", "engine-workers"} {
+			for _, path := range []string{"memory", "engine"} {
 				p, plan, initV := kernelCase(t, k, v, cfg, init, base)
 				ref := initV.Clone()
 				p.Execute(ref)
