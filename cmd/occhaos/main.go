@@ -1,8 +1,10 @@
 // Command occhaos runs seeded deterministic-simulation episodes
-// against the out-of-core stack (internal/dst): each episode drives
-// the tile engine through a storm of injected storage faults and
-// power cuts, then checks that no acknowledged write was lost or
-// torn and no read ever returned stale data.
+// against the out-of-core stack (internal/dst). -kind picks what an
+// episode drives: storage (the default — one tile engine through a
+// storm of injected storage faults and power cuts), or cluster,
+// operators or tenants (a router plus -nodes storage nodes through
+// node kills, partitions and power cuts). Every episode ends in its
+// kind's epilogue checks.
 //
 // The default run sweeps a fixed block of seeds (reproducible in CI);
 // -random adds one wall-clock-derived seed on top, printed so a
@@ -10,9 +12,10 @@
 // episode's verdict, its violations, and the exact single-seed
 // reproducer command, then exits 1:
 //
-//	occhaos                         # 50 episodes, seeds 0..49
-//	occhaos -episodes 200 -random   # wider sweep plus one fresh seed
+//	occhaos                             # 50 storage episodes, seeds 0..49
+//	occhaos -episodes 200 -random       # wider sweep plus one fresh seed
 //	occhaos -seed 1337 -episodes 1 -v   # replay one seed, full trace
+//	occhaos -kind operators -ops 60     # 50 operator episodes
 package main
 
 import (
@@ -25,86 +28,62 @@ import (
 	"outcore/internal/faultfs"
 )
 
+// options are occhaos's flags.
+type options struct {
+	episodes, ops, flushEvery, crashEvery, nodes, replicas int
+	seed                                                   int64
+	putFrac, syncDrop                                      float64
+	random, wal, compress, verbose                         bool
+	kind, hintDir                                          string
+}
+
+// register defines every flag on fs.
+func register(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.episodes, "episodes", 50, "number of seeded episodes to run")
+	fs.Int64Var(&o.seed, "seed", 0, "first seed; episodes use seed, seed+1, ...")
+	fs.BoolVar(&o.random, "random", false, "append one wall-clock-derived seed (printed)")
+	fs.StringVar(&o.kind, "kind", "storage", "episode kind: storage, cluster, operators or tenants")
+	fs.IntVar(&o.ops, "ops", 300, "scheduler steps per episode")
+	fs.Float64Var(&o.putFrac, "put-frac", 0.4, "storage: fraction of client ops that are PUTs")
+	fs.IntVar(&o.flushEvery, "flush-every", 20, "storage: ~one flush per this many steps (<0 disables)")
+	fs.IntVar(&o.crashEvery, "crash-every", 50, "storage: ~one power cut per this many steps (<0 disables)")
+	fs.BoolVar(&o.wal, "wal", false, "storage: writes append to a write-ahead log, crashes land mid-commit/mid-compaction, and every reboot replays the surviving log tail")
+	fs.BoolVar(&o.compress, "compress", false, "storage, with -wal: compress log record payloads, so crash recovery replays through the compressed format")
+	fs.Float64Var(&o.syncDrop, "sync-drop", 0, "storage: probability a sync LIES (reports success, persists nothing) on top of the storm — episodes are expected to fail")
+	fs.IntVar(&o.nodes, "nodes", 3, "cluster kinds: storage nodes per episode")
+	fs.IntVar(&o.replicas, "replicas", 2, "cluster kinds: copies per tile")
+	fs.StringVar(&o.hintDir, "hint-dir", "", "cluster kinds: durable hint-log directory (empty = in-memory hints)")
+	fs.BoolVar(&o.verbose, "v", false, "print every episode verdict; with a failure, dump its op log and fault schedule")
+	return o
+}
+
 func main() {
-	storm := faultfs.StormProfile()
-	episodes := flag.Int("episodes", 50, "number of seeded episodes to run")
-	seed := flag.Int64("seed", 0, "first seed; episodes use seed, seed+1, ...")
-	random := flag.Bool("random", false, "append one wall-clock-derived seed (printed)")
-	ops := flag.Int("ops", 300, "scheduler steps per episode")
-	clients := flag.Int("clients", 4, "logical clients interleaved per episode")
-	putFrac := flag.Float64("put-frac", 0.4, "fraction of client ops that are PUTs")
-	flushEvery := flag.Int("flush-every", 20, "~one flush per this many steps (<0 disables)")
-	crashEvery := flag.Int("crash-every", 50, "~one power cut per this many steps (<0 disables)")
-	wal := flag.Bool("wal", false, "run WAL-backed episodes: writes append to the log, crashes land mid-commit/mid-compaction, and every reboot replays the surviving log tail")
-	compress := flag.Bool("compress", false, "with -wal: compress log record payloads (codec frames), so crash recovery replays through the compressed format")
-	readErr := flag.Float64("read-err", storm.ReadErr, "probability a backend read fails EIO")
-	writeErr := flag.Float64("write-err", storm.WriteErr, "probability a backend write fails EIO")
-	noSpace := flag.Float64("nospace", storm.WriteNoSpace, "probability a backend write fails ENOSPC")
-	torn := flag.Float64("torn", storm.TornWrite, "probability a backend write tears (strict prefix applied)")
-	syncErr := flag.Float64("sync-err", storm.SyncErr, "probability a sync fails (writes stay volatile)")
-	syncDrop := flag.Float64("sync-drop", 0, "probability a sync LIES (reports success, persists nothing) — episodes are expected to fail")
-	clusterMode := flag.Bool("cluster", false, "run CLUSTER episodes instead: a router + -nodes storage nodes with -replicas copies per tile, node kills, partitions, hinted handoff and read-repair under test")
-	operatorMode := flag.Bool("operators", false, "run OPERATOR episodes instead: batched PUTs and resumable streaming scans through the router, with scans interrupted by node crashes (cursor resume must never skip or re-deliver) and batch acks checked across whole-cluster power cuts")
-	tenantMode := flag.Bool("tenants", false, "run TENANT episodes instead: a weighted point tenant and a scan tenant share a faulted cluster; every request must get a clean verdict (no DRR wedge, no hung admission), and no queue slot may leak across node crashes")
-	nodes := flag.Int("nodes", 3, "with -cluster: storage nodes per episode")
-	replicas := flag.Int("replicas", 2, "with -cluster: copies per tile")
-	killEvery := flag.Int("kill-every", 25, "with -cluster: ~one node kill or partition per this many steps (<0 disables)")
-	healEvery := flag.Int("heal-every", 15, "with -cluster: ~one node heal per this many steps (<0 disables)")
-	hintDir := flag.String("hint-dir", "", "with -cluster: durable hint-log directory (empty = in-memory hints)")
-	verbose := flag.Bool("v", false, "print every episode verdict; with a failure, dump its op log and fault schedule")
+	o := register(flag.CommandLine)
 	flag.Parse()
+	os.Exit(o.run(flag.CommandLine))
+}
 
-	prof := faultfs.Profile{
-		ReadErr:      *readErr,
-		WriteErr:     *writeErr,
-		WriteNoSpace: *noSpace,
-		TornWrite:    *torn,
-		SyncErr:      *syncErr,
-		SyncDrop:     *syncDrop,
-		LatencyTicks: faultfs.StormLatencyTicks,
+// run sweeps the episodes and returns the exit code.
+func (o *options) run(fs *flag.FlagSet) int {
+	kind, err := dst.ParseKind(o.kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "occhaos:", err)
+		return 2
 	}
 
-	seeds := make([]int64, 0, *episodes+1)
-	for i := 0; i < *episodes; i++ {
-		seeds = append(seeds, *seed+int64(i))
+	prof := faultfs.StormProfile()
+	prof.SyncDrop = o.syncDrop
+	prof.LatencyTicks = faultfs.StormLatencyTicks
+
+	seeds := make([]int64, 0, o.episodes+1)
+	for i := 0; i < o.episodes; i++ {
+		seeds = append(seeds, o.seed+int64(i))
 	}
-	if *random {
+	if o.random {
 		rs := time.Now().UnixNano()
 		fmt.Printf("occhaos: random seed %d (rerun it with -seed %d -episodes 1)\n", rs, rs)
 		seeds = append(seeds, rs)
-	}
-
-	if *operatorMode {
-		runOps(seeds, dst.OpsOptions{
-			Rounds:   *ops,
-			Nodes:    *nodes,
-			Replicas: *replicas,
-			HintDir:  *hintDir,
-		}, *verbose)
-		return
-	}
-
-	if *tenantMode {
-		runTenants(seeds, dst.TenantsOptions{
-			Rounds:   *ops,
-			Nodes:    *nodes,
-			Replicas: *replicas,
-			HintDir:  *hintDir,
-		}, *verbose)
-		return
-	}
-
-	if *clusterMode {
-		runCluster(seeds, dst.ClusterOptions{
-			Ops:       *ops,
-			Nodes:     *nodes,
-			Replicas:  *replicas,
-			PutFrac:   *putFrac,
-			KillEvery: *killEvery,
-			HealEvery: *healEvery,
-			HintDir:   *hintDir,
-		}, *verbose)
-		return
 	}
 
 	start := time.Now()
@@ -112,18 +91,21 @@ func main() {
 	var faults int64
 	for _, s := range seeds {
 		res := dst.Run(dst.Options{
+			Kind:       kind,
 			Seed:       s,
-			Ops:        *ops,
-			Clients:    *clients,
-			PutFrac:    *putFrac,
-			FlushEvery: *flushEvery,
-			CrashEvery: *crashEvery,
-			WAL:        *wal,
-			Compress:   *compress,
+			Ops:        o.ops,
+			PutFrac:    o.putFrac,
+			FlushEvery: o.flushEvery,
+			CrashEvery: o.crashEvery,
 			Profile:    prof,
+			WAL:        o.wal,
+			Compress:   o.compress,
+			Nodes:      o.nodes,
+			Replicas:   o.replicas,
+			HintDir:    o.hintDir,
 		})
 		faults += res.FaultsInjected
-		if *verbose {
+		if o.verbose {
 			fmt.Println("occhaos:", res.Summary())
 		}
 		if res.Failed() {
@@ -132,133 +114,35 @@ func main() {
 			for _, v := range res.Violations {
 				fmt.Fprintf(os.Stderr, "occhaos:   violation: %s\n", v)
 			}
-			fmt.Fprintf(os.Stderr, "occhaos: reproduce with: occhaos -seed %d -episodes 1 -v%s\n",
-				s, setFlags())
-			if *verbose {
+			fmt.Fprintf(os.Stderr, "occhaos: reproduce with: occhaos -seed %d -episodes 1 -v%s\n", s, setFlags(fs))
+			if o.verbose {
 				fmt.Fprintf(os.Stderr, "--- op log (seed %d) ---\n%s", s, res.OpLog)
 				fmt.Fprintf(os.Stderr, "--- fault schedule (seed %d) ---\n%s", s, res.FaultSchedule)
 			}
 		}
 	}
 
-	fmt.Printf("occhaos: %d episodes, %d faults injected, %d failed in %.2fs\n",
-		len(seeds), faults, failed, time.Since(start).Seconds())
+	fmt.Printf("occhaos: %d %s episodes, %d faults injected, %d failed in %.2fs\n",
+		len(seeds), kind, faults, failed, time.Since(start).Seconds())
 	if failed > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// runCluster sweeps cluster episodes over the seed list and reports
-// with the same verdict/reproducer discipline as the single-node
-// sweep.
-func runCluster(seeds []int64, base dst.ClusterOptions, verbose bool) {
-	start := time.Now()
-	failed := 0
-	for _, s := range seeds {
-		o := base
-		o.Seed = s
-		res := dst.RunCluster(o)
-		if verbose {
-			fmt.Println("occhaos:", res.Summary())
-		}
-		if res.Failed() {
-			failed++
-			fmt.Fprintf(os.Stderr, "occhaos: %s\n", res.Summary())
-			for _, v := range res.Violations {
-				fmt.Fprintf(os.Stderr, "occhaos:   violation: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "occhaos: reproduce with: occhaos -seed %d -episodes 1 -v%s\n",
-				s, setFlags())
-			if verbose {
-				fmt.Fprintf(os.Stderr, "--- op log (seed %d) ---\n%s", s, res.OpLog)
-			}
-		}
-	}
-	fmt.Printf("occhaos: %d cluster episodes, %d failed in %.2fs\n",
-		len(seeds), failed, time.Since(start).Seconds())
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// runOps sweeps operator episodes (scan-interrupted-by-crash,
-// batch-PUT-power-cut) over the seed list with the same
-// verdict/reproducer discipline as the other sweeps.
-func runOps(seeds []int64, base dst.OpsOptions, verbose bool) {
-	start := time.Now()
-	failed := 0
-	for _, s := range seeds {
-		o := base
-		o.Seed = s
-		res := dst.RunOps(o)
-		if verbose {
-			fmt.Println("occhaos:", res.Summary())
-		}
-		if res.Failed() {
-			failed++
-			fmt.Fprintf(os.Stderr, "occhaos: %s\n", res.Summary())
-			for _, v := range res.Violations {
-				fmt.Fprintf(os.Stderr, "occhaos:   violation: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "occhaos: reproduce with: occhaos -seed %d -episodes 1 -v%s\n",
-				s, setFlags())
-			if verbose {
-				fmt.Fprintf(os.Stderr, "--- op log (seed %d) ---\n%s", s, res.OpLog)
-			}
-		}
-	}
-	fmt.Printf("occhaos: %d operator episodes, %d failed in %.2fs\n",
-		len(seeds), failed, time.Since(start).Seconds())
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// runTenants sweeps tenant episodes (two-tenant fairness plane under
-// node kills and partitions) over the seed list with the same
-// verdict/reproducer discipline as the other sweeps.
-func runTenants(seeds []int64, base dst.TenantsOptions, verbose bool) {
-	start := time.Now()
-	failed := 0
-	for _, s := range seeds {
-		o := base
-		o.Seed = s
-		res := dst.RunTenants(o)
-		if verbose {
-			fmt.Println("occhaos:", res.Summary())
-		}
-		if res.Failed() {
-			failed++
-			fmt.Fprintf(os.Stderr, "occhaos: %s\n", res.Summary())
-			for _, v := range res.Violations {
-				fmt.Fprintf(os.Stderr, "occhaos:   violation: %s\n", v)
-			}
-			fmt.Fprintf(os.Stderr, "occhaos: reproduce with: occhaos -seed %d -episodes 1 -v%s\n",
-				s, setFlags())
-			if verbose {
-				fmt.Fprintf(os.Stderr, "--- op log (seed %d) ---\n%s", s, res.OpLog)
-			}
-		}
-	}
-	fmt.Printf("occhaos: %d tenant episodes, %d failed in %.2fs\n",
-		len(seeds), failed, time.Since(start).Seconds())
-	if failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// setFlags renders every flag the caller set explicitly (episode
-// shape and fault rates alike — the seed replays the schedule only
-// under the same options), minus the sweep bookkeeping flags the
-// reproducer overrides.
-func setFlags() string {
+// setFlags renders every flag the caller set explicitly (the seed
+// replays an episode only under the same options), minus the sweep
+// bookkeeping flags the reproducer overrides. Each renders as
+// -name=value: a bare "-wal true" would end flag parsing at "true" and
+// drop every flag after it.
+func setFlags(fs *flag.FlagSet) string {
 	s := ""
-	flag.Visit(func(f *flag.Flag) {
+	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "seed", "episodes", "random", "v":
 			return
 		}
-		s += fmt.Sprintf(" -%s %v", f.Name, f.Value)
+		s += fmt.Sprintf(" -%s=%v", f.Name, f.Value)
 	})
 	return s
 }

@@ -10,11 +10,11 @@
 // Writes ack on a sloppy quorum: at least one live replica plus
 // durably queued hints reaching R/2+1. Reads fan out to the whole
 // replica set but resolve with whoever answers — freshest generation
-// wins, stale responders are synchronously read-repaired — so a read
-// is served even when only one replica is reachable, and that replica
-// may be stale if its copy of the write is still queued as a hint
-// (eventual consistency; the hint drain and the next read's repair
-// converge it). Callers that need a read to reflect every acked write
+// wins, and a read of a whole routing tile synchronously read-repairs
+// stale responders — so a read is served even when only one replica is
+// reachable, and that replica may be stale if its copy of the write is
+// still queued as a hint (eventual consistency; the hint drain and the
+// next whole-tile read's repair converge it). Callers that need a read to reflect every acked write
 // must wait for hints to drain — the chaos epilogue's discipline.
 //
 // The routing unit is the aligned grid tile (Options.TileDim per
@@ -103,6 +103,21 @@ func routingTile(box layout.Box, t int64) layout.Box {
 		hi[d] = lo[d] + t
 	}
 	return layout.NewBox(lo, hi)
+}
+
+// wholeTile reports whether piece (one gridTiles piece) covers its
+// entire routing tile, clipped to the array's dims.
+func wholeTile(piece layout.Box, dims []int64, t int64) bool {
+	if t <= 0 {
+		return true
+	}
+	for d := range piece.Lo {
+		lo := piece.Lo[d] - piece.Lo[d]%t
+		if piece.Lo[d] != lo || piece.Hi[d] != min(lo+t, dims[d]) {
+			return false
+		}
+	}
+	return true
 }
 
 // strides returns box's row-major element strides.

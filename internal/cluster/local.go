@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
+	"time"
 
 	"outcore/internal/faultfs"
 	"outcore/internal/ir"
@@ -111,6 +112,34 @@ type LocalCluster struct {
 	nodes     []*LocalNode
 	clients   []*NodeClient
 	arrays    []server.Array // creations to replay on node restart
+	busy      atomic.Int64   // handlers running on the router and every node
+}
+
+// quiesceBound is how long Quiesce waits: the node client's own
+// request timeout, past which no fan-out is still legitimately waiting.
+const quiesceBound = 10 * time.Second
+
+// track counts h's running handlers in lc.busy.
+func (lc *LocalCluster) track(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		lc.busy.Add(1)
+		defer lc.busy.Add(-1)
+		h.ServeHTTP(w, r)
+	})
+}
+
+// Quiesce waits until no request handler runs on the router or any
+// node — a scan whose client hung up included — so nothing a caller
+// issued outlives the step that issued it. It fails after a bound.
+func (lc *LocalCluster) Quiesce() error {
+	deadline := time.Now().Add(quiesceBound)
+	for n := lc.busy.Load(); n > 0; n = lc.busy.Load() {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("cluster: %d handlers still running after %v", n, quiesceBound)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return nil
 }
 
 // NewLocal builds and starts the cluster.
@@ -122,9 +151,9 @@ func NewLocal(o LocalOptions) (*LocalCluster, error) {
 		n := &LocalNode{ID: fmt.Sprintf("n%d", i)}
 		n.inj = faultfs.New(o.Seed+int64(i)*104729+31, faultfs.Profile{})
 		n.boot(o, lc)
-		n.hsrv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.hsrv = httptest.NewServer(lc.track(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			(*n.handler.Load()).ServeHTTP(w, r)
-		}))
+		})))
 		n.URL = n.hsrv.URL
 		n.gate = &partitionGate{inner: nodeTransport}
 		c := NewNodeClient(n.ID, n.URL)
@@ -139,7 +168,7 @@ func NewLocal(o LocalOptions) (*LocalCluster, error) {
 		return nil, err
 	}
 	lc.Router = r
-	lc.routerSrv = httptest.NewServer(r.Handler())
+	lc.routerSrv = httptest.NewServer(lc.track(r.Handler()))
 	lc.RouterURL = lc.routerSrv.URL
 	return lc, nil
 }
@@ -160,7 +189,7 @@ func (lc *LocalCluster) RestartRouter() error {
 		return err
 	}
 	lc.Router = r
-	lc.routerSrv = httptest.NewServer(r.Handler())
+	lc.routerSrv = httptest.NewServer(lc.track(r.Handler()))
 	lc.RouterURL = lc.routerSrv.URL
 	return nil
 }

@@ -25,7 +25,7 @@ func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box, _ 
 	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
 	server.ReleaseAdmissionEarly(ctx)
 	r.met.gets.Inc()
-	data, gen, err := r.boxGet(server.TenantFrom(ctx), a.Name, box)
+	data, gen, err := r.boxGet(server.TenantFrom(ctx), a, box)
 	if err != nil {
 		return nil, 0, false, r.failed(err)
 	}
@@ -43,15 +43,15 @@ func (r *Router) WriteBox(ctx context.Context, a server.Array, box layout.Box, d
 
 // boxGet reads one request box through the replicated plane: grid
 // decomposition, freshest-replica reads, stitching.
-func (r *Router) boxGet(tenant, name string, box layout.Box) ([]float64, uint64, error) {
+func (r *Router) boxGet(tenant string, a server.Array, box layout.Box) ([]float64, uint64, error) {
 	pieces := gridTiles(box, r.opts.TileDim)
 	if len(pieces) == 1 {
-		return r.pieceGet(tenant, name, pieces[0])
+		return r.pieceGet(tenant, a, pieces[0])
 	}
 	out := make([]float64, box.Size())
 	var maxGen uint64
 	for _, piece := range pieces {
-		data, gen, err := r.pieceGet(tenant, name, piece)
+		data, gen, err := r.pieceGet(tenant, a, piece)
 		if err != nil {
 			return nil, 0, err
 		}

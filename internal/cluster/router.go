@@ -539,12 +539,14 @@ func (r *Router) failed(err error) error {
 // set, resolve with the freshest of WHOEVER ANSWERS (read-one /
 // latest-wins — a single reply suffices, so reads stay available
 // while any replica lives, at the price of possible staleness when
-// the only survivor's copy is still a queued hint), and synchronously
-// read-repair stale responders. See the package comment for the full
-// consistency contract. The fan-out rides under tenant's identity so
+// the only survivor's copy is still a queued hint), and, when the
+// piece is its whole routing tile, synchronously read-repair stale
+// responders. See the package comment for the full consistency
+// contract. The fan-out rides under tenant's identity so
 // node-side admission schedules it in the right lane; read-repair
 // stays untenanted (system traffic, not the tenant's bytes).
-func (r *Router) pieceGet(tenant, name string, piece layout.Box) ([]float64, uint64, error) {
+func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]float64, uint64, error) {
+	name := a.Name
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
 
@@ -596,9 +598,15 @@ func (r *Router) pieceGet(tenant, name string, piece layout.Box) ([]float64, uin
 	// Read-repair: rewrite every reachable replica that answered with
 	// an older generation, under the winner's generation, so the next
 	// read agrees. Synchronous — the repair is part of this read's
-	// consistency story, and deterministic tests can observe it.
+	// consistency story, and deterministic tests can observe it. Only a
+	// whole-tile piece repairs: a node reports the max generation over
+	// every recorded box a read overlaps, so rewriting part of a tile
+	// under the winner's generation would make the stale replica claim
+	// that generation for the whole tile while it still holds old bytes
+	// outside the piece. Hint drains and whole-tile reads converge it.
+	repair := wholeTile(piece, a.Dims, r.opts.TileDim)
 	for i := range replies {
-		if i == win || replies[i].err != nil || replies[i].gen >= replies[win].gen {
+		if !repair || i == win || replies[i].err != nil || replies[i].gen >= replies[win].gen {
 			continue
 		}
 		if _, _, err := reps[i].client.PutTile(name, piece, replies[win].data, replies[win].gen, !r.opts.NoWire); err != nil {

@@ -431,3 +431,50 @@ func TestRouterHammer(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPartialReadRepairNeverTearsReplica: a read of a sub-box of a
+// routing tile must not leave a stale replica claiming the tile's
+// newest generation while it still holds old bytes outside the piece.
+// A node reports the max generation over every recorded box the read
+// overlaps, so after such a repair the two replicas report equal
+// generations for unequal tiles, and the next whole-tile read served by
+// the repaired replica alone comes back torn.
+func TestPartialReadRepairNeverTearsReplica(t *testing.T) {
+	lc := newTestCluster(t, 2, 2)
+	cli := lc.Client()
+	tile := layout.NewBox([]int64{0, 0}, []int64{testTile, testTile})
+	if _, _, err := cli.PutTile("A", tile, fillTile(1, tile), 0, true); err != nil {
+		t.Fatalf("put v1: %v", err)
+	}
+	reps := lc.ReplicaNodes("A", tile)
+	a, b := reps[0], reps[1]
+	lc.SetNodeDown(b, true)
+	if _, _, err := cli.PutTile("A", tile, fillTile(2, tile), 0, true); err != nil {
+		t.Fatalf("put v2 with b down: %v", err)
+	}
+	if lc.HintsPending(b) == 0 {
+		t.Fatal("b owes no hint after missing v2")
+	}
+	// b rejoins without a probe, so its hint stays queued.
+	lc.SetNodeDown(b, false)
+
+	rows := layout.NewBox([]int64{0, 0}, []int64{2, testTile})
+	got, _, err := cli.GetTile("A", rows, true)
+	if err != nil {
+		t.Fatalf("sub-box get: %v", err)
+	}
+	if got[0] != 2 {
+		t.Fatalf("sub-box read = %v, want the winner 2", got[0])
+	}
+
+	lc.SetNodeDown(a, true)
+	whole, _, err := cli.GetTile("A", tile, true)
+	if err != nil {
+		t.Fatalf("whole-tile get from b alone: %v", err)
+	}
+	for i, v := range whole {
+		if v != whole[0] {
+			t.Fatalf("whole tile torn on b: elem %d = %v, elem 0 = %v", i, v, whole[0])
+		}
+	}
+}

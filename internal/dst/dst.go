@@ -1,16 +1,30 @@
 // Package dst is the deterministic-simulation-test harness for the
-// out-of-core stack: it drives the tile engine with a seeded virtual
-// scheduler over logical clients, injects storage faults through
-// internal/faultfs, "cuts power" at random points, and checks
-// crash-consistency invariants against a sequential map-of-tiles
-// model.
+// out-of-core stack. Run is its one entry point: one seed and one
+// Options in, one Result out. Options.Kind picks what the seed drives:
 //
-// One seed determines everything — the client interleaving, the
-// operation mix, the fault schedule, the crash points — so a failing
-// episode replays byte-for-byte from its seed alone (cmd/occhaos
-// prints exactly that reproducer).
+//   - storage (the zero value): one tile engine under a seeded virtual
+//     scheduler over logical clients, with storage faults injected
+//     through internal/faultfs and power cut at random points, checked
+//     against a sequential map-of-tiles model. Its OpLog and
+//     FaultSchedule replay byte-for-byte from the seed.
+//   - cluster, operators, tenants: one {router + N nodes, R replicas}
+//     cluster.LocalCluster under one seeded episode. The three kinds
+//     share the model, the steps and the epilogue and differ only in
+//     their step weights and in whether the tenant plane is configured
+//     (see cluster.go).
 //
-// # The model
+// Every episode ends in an epilogue unless Options.SkipFinalCheck:
+// storage heals the device, flushes and cuts power once more for an
+// exact durability check; the cluster kinds run one epilogue that
+// applies every cluster check to every kind — convergence to the acked
+// value, survival of any single replica's loss, byte-equal replicas, a
+// full scan to its trailer and an empty admission pool.
+//
+// A failing episode replays from its seed (cmd/occhaos prints the
+// reproducer). Violations are collected, never panicked, so a sweep
+// reports every failing seed.
+//
+// # The storage model
 //
 // The harness serves one 1-D array split into an aligned,
 // non-overlapping tile grid. Every PUT fills a whole tile with a
@@ -32,12 +46,10 @@
 // acknowledges nothing — its writes stay in the may-or-may-not-be-
 // durable set until a later flush succeeds.
 //
-// # Determinism
-//
 // The engine is synchronous and the scheduler drives it from one
 // goroutine, so every backend call happens in scheduler order and the
-// fault schedule is a pure function of the seed; the harness asserts
-// byte-identical schedules in its own tests.
+// fault schedule is a pure function of the seed;
+// TestStorageEpisodeGolden pins it.
 package dst
 
 import (
@@ -51,47 +63,74 @@ import (
 	"outcore/internal/ooc"
 )
 
-// Options configures one episode. The zero value gets sane defaults
-// from Run; Seed alone is enough for a standard episode.
+// Kind names what an episode drives.
+type Kind int
+
+const (
+	Storage   Kind = iota // one engine under storage faults and power cuts
+	Cluster               // tile PUTs and GETs under node kills, partitions and heals
+	Operators             // batch PUTs, interrupted scans and whole-cluster power cuts
+	Tenants               // two tenants' point reads and scans under node faults
+)
+
+var kindNames = [...]string{"storage", "cluster", "operators", "tenants"}
+
+func (k Kind) String() string { return kindNames[k] }
+
+// ParseKind maps a kind's name back to the Kind.
+func ParseKind(s string) (Kind, error) {
+	for k, name := range kindNames {
+		if s == name {
+			return Kind(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown episode kind %q (storage, cluster, operators, tenants)", s)
+}
+
+// The episode shape every kind shares.
+const (
+	tiles     = 8  // tile-grid length
+	tileElems = 16 // elements per tile
+
+	// Storage kind.
+	clients       = 4    // logical clients interleaved by the scheduler
+	cacheTiles    = 4    // engine cache bound, smaller than tiles: forces eviction traffic
+	walCapWords   = 1024 // small, so full-log compaction triggers mid-episode
+	checkpointOps = 30   // ~one explicit WAL compaction per this many steps
+)
+
+// Options configures one episode. The zero value gets defaults from
+// Run; Seed alone is enough for a standard storage episode.
 type Options struct {
+	Kind Kind
 	Seed int64
+	Ops  int // scheduler steps (default: 200 storage and cluster, 40 operators and tenants)
 
-	Ops        int     // scheduler steps (default 200)
-	Clients    int     // logical clients interleaved by the scheduler (default 4)
-	Tiles      int     // tile-grid length (default 8)
-	TileElems  int64   // elements per tile (default 16)
-	PutFrac    float64 // fraction of client ops that are PUTs (default 0.4)
-	FlushEvery int     // ~one flush per this many steps (default 20; <0 disables)
-	CrashEvery int     // ~one crash per this many steps (default 50; <0 disables)
-
-	Profile      faultfs.Profile // fault probabilities (zero = fault-free)
-	CacheTiles   int             // engine cache bound (default 4: smaller than Tiles, forces eviction traffic)
-	MaxCallElems int64           // per-call element cap on the disk (default 0 = unlimited)
+	// Storage kind.
+	PutFrac    float64         // fraction of client ops that are PUTs (default 0.4)
+	FlushEvery int             // ~one flush per this many steps (default 20; <0 disables)
+	CrashEvery int             // ~one crash per this many steps (default 50; <0 disables)
+	Profile    faultfs.Profile // fault probabilities (zero = fault-free)
 
 	// WAL runs the episode with write-ahead logging: writes append
 	// checksummed records to the log, flush acknowledgements ride
-	// group-committed log fsyncs, and
-	// every reboot replays the surviving log tail before the
-	// durability check — so the contract under test becomes "acked
-	// writes are RECOVERED exactly", crash points landing mid-commit,
-	// mid-apply and mid-compaction included. A non-WAL episode's
-	// schedule is byte-identical whether or not these fields exist:
-	// every extra scheduler draw is gated on WAL.
-	WAL           bool
-	WALCapWords   int64 // log capacity in words (default 1024: small, so full-log compaction triggers mid-episode)
-	CheckpointOps int   // ~one explicit compaction per this many steps (default 30; <0 disables)
-
+	// group-committed log fsyncs, and every reboot replays the
+	// surviving log tail before the durability check — so the contract
+	// under test becomes "acked writes are RECOVERED exactly", crash
+	// points landing mid-commit, mid-apply and mid-compaction included.
+	WAL bool
 	// Compress runs the WAL with payload compression (codec frames in
 	// the log records). The durability contract is unchanged — the
 	// injector still measures physical bytes — so this proves acked
-	// writes survive crashes THROUGH the compressed records. Episodes
-	// stay deterministic per seed, but records shrink, so log-full
-	// compactions land at different steps than an uncompressed run of
-	// the same seed.
+	// writes survive crashes THROUGH the compressed records.
 	Compress bool
 
-	// SkipFinalCheck leaves out the episode epilogue (heal faults,
-	// flush, final crash, exact durability check). The epilogue is
+	// Cluster kinds.
+	Nodes    int    // storage nodes (default 3)
+	Replicas int    // copies per tile (default 2)
+	HintDir  string // durable hint-log directory ("" = in-memory hints)
+
+	// SkipFinalCheck leaves out the episode epilogue. The epilogue is
 	// where "every acknowledged write survives" gets its strictest
 	// test, so only skip it when an episode must end mid-fault.
 	SkipFinalCheck bool
@@ -101,15 +140,9 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Ops <= 0 {
 		o.Ops = 200
-	}
-	if o.Clients <= 0 {
-		o.Clients = 4
-	}
-	if o.Tiles <= 0 {
-		o.Tiles = 8
-	}
-	if o.TileElems <= 0 {
-		o.TileElems = 16
+		if o.Kind == Operators || o.Kind == Tenants {
+			o.Ops = 40
+		}
 	}
 	if o.PutFrac <= 0 {
 		o.PutFrac = 0.4
@@ -120,37 +153,43 @@ func (o Options) withDefaults() Options {
 	if o.CrashEvery == 0 {
 		o.CrashEvery = 50
 	}
-	if o.CacheTiles <= 0 {
-		o.CacheTiles = 4
+	if o.Nodes <= 0 {
+		o.Nodes = 3
 	}
-	if o.WAL {
-		if o.WALCapWords <= 0 {
-			o.WALCapWords = 1024
-		}
-		if o.CheckpointOps == 0 {
-			o.CheckpointOps = 30
-		}
+	if o.Replicas <= 0 {
+		o.Replicas = 2
 	}
 	return o
 }
 
-// Result is one episode's verdict and replay material.
+// Result is one episode's verdict and replay material. Counters a kind
+// has no step for stay zero.
 type Result struct {
+	Kind Kind
 	Seed int64
+	Ops  int
 
-	Ops, Gets, Puts, Flushes, Crashes int
-	Checkpoints                       int // scheduled WAL compactions (WAL episodes only)
-	AckedFlushes                      int // flushes that returned nil (durability acknowledgements)
-	GetErrors, PutErrors, FlushErrors int // operations failed by injected faults (surfaced, not hidden)
-	FaultsInjected                    int64
+	Gets, Puts                        int // point reads and tile writes issued (batch ops count as puts)
+	GetErrors, PutErrors, FlushErrors int // failed or refused with 429/503 (surfaced, not hidden)
+
+	// Storage kind.
+	Flushes, AckedFlushes int // AckedFlushes: flushes that returned nil
+	Crashes, Checkpoints  int // power cuts; scheduled WAL compactions
+	FaultsInjected        int64
+
+	// Cluster kinds.
+	Kills, Partitions, Heals, PowerCuts int
+	Scans, ScanChunks                   int // scans started; intact chunks delivered
+	ScanAbandons, ScanResumes           int // legs hung up mid-stream; cursor resumes
+	HintsDrained                        int // hints delivered during the epilogue drain
 
 	// Violations lists every invariant breach; empty means the episode
 	// passed. Each entry names the invariant, the tile, and the values.
 	Violations []string
 
-	// OpLog is the harness's own deterministic operation trace;
-	// FaultSchedule is the injector's decision trace. Together they
-	// replay the episode byte-for-byte (same seed in, same bytes out).
+	// OpLog is the harness's own operation trace; FaultSchedule is the
+	// storage injector's decision trace. For a storage episode the two
+	// replay byte-for-byte from the seed.
 	OpLog         string
 	FaultSchedule string
 }
@@ -164,6 +203,11 @@ func (r *Result) Summary() string {
 	if r.Failed() {
 		verdict = fmt.Sprintf("FAIL (%d violations)", len(r.Violations))
 	}
+	if r.Kind != Storage {
+		return fmt.Sprintf("%s seed=%d ops=%d gets=%d puts=%d errs=%d/%d scans=%d chunks=%d abandons=%d resumes=%d kills=%d parts=%d heals=%d cuts=%d drained=%d %s",
+			r.Kind, r.Seed, r.Ops, r.Gets, r.Puts, r.GetErrors, r.PutErrors, r.Scans, r.ScanChunks,
+			r.ScanAbandons, r.ScanResumes, r.Kills, r.Partitions, r.Heals, r.PowerCuts, r.HintsDrained, verdict)
+	}
 	ck := ""
 	if r.Checkpoints > 0 {
 		ck = fmt.Sprintf(" ckpts=%d", r.Checkpoints)
@@ -173,14 +217,46 @@ func (r *Result) Summary() string {
 		r.FaultsInjected, r.GetErrors, r.PutErrors, r.FlushErrors, verdict)
 }
 
-// episode is the running state of one seeded simulation.
+// recorder collects one episode's verdict and op log.
+type recorder struct {
+	res *Result
+	log strings.Builder
+}
+
+func (rc *recorder) violate(format string, args ...any) {
+	rc.res.Violations = append(rc.res.Violations, fmt.Sprintf(format, args...))
+	rc.logf("VIOLATION: "+format, args...)
+}
+
+func (rc *recorder) logf(format string, args ...any) {
+	fmt.Fprintf(&rc.log, format, args...)
+	rc.log.WriteByte('\n')
+}
+
+// tileBox returns model tile t's box: one routing tile on a cluster.
+func tileBox(t int) layout.Box {
+	lo := int64(t) * tileElems
+	return layout.NewBox([]int64{lo}, []int64{lo + tileElems})
+}
+
+const arrayName = "T"
+
+// Run executes one seeded episode of o.Kind and returns its verdict.
+func Run(o Options) *Result {
+	o = o.withDefaults()
+	if o.Kind != Storage {
+		return runCluster(o)
+	}
+	return runStorage(o)
+}
+
+// episode is the running state of one seeded storage simulation.
 type episode struct {
+	recorder
 	o   Options
 	rng *rand.Rand // the virtual scheduler's choices
 	cl  []*rand.Rand
 	inj *faultfs.Injector
-	res *Result
-	log strings.Builder
 
 	disk *ooc.Disk
 	arr  *ooc.Array
@@ -194,28 +270,22 @@ type episode struct {
 	nextVal float64
 }
 
-const arrayName = "T"
-
-// Run executes one seeded episode and returns its verdict. It never
-// panics on an invariant breach — violations are collected so a
-// harness can run many episodes and report every failing seed.
-func Run(o Options) *Result {
-	o = o.withDefaults()
+func runStorage(o Options) *Result {
 	ep := &episode{
-		o:   o,
-		rng: rand.New(rand.NewSource(o.Seed)),
-		inj: faultfs.New(o.Seed+1, o.Profile),
-		res: &Result{Seed: o.Seed},
+		recorder: recorder{res: &Result{Seed: o.Seed}},
+		o:        o,
+		rng:      rand.New(rand.NewSource(o.Seed)),
+		inj:      faultfs.New(o.Seed+1, o.Profile),
 	}
-	for c := 0; c < o.Clients; c++ {
+	for c := 0; c < clients; c++ {
 		ep.cl = append(ep.cl, rand.New(rand.NewSource(o.Seed+int64(c)*104729+7)))
 	}
-	ep.volatileT = make([][]float64, o.Tiles)
-	ep.acked = make([][]float64, o.Tiles)
-	ep.pending = make([][]float64, o.Tiles)
-	for t := 0; t < o.Tiles; t++ {
-		ep.volatileT[t] = make([]float64, o.TileElems)
-		ep.acked[t] = make([]float64, o.TileElems)
+	ep.volatileT = make([][]float64, tiles)
+	ep.acked = make([][]float64, tiles)
+	ep.pending = make([][]float64, tiles)
+	for t := 0; t < tiles; t++ {
+		ep.volatileT[t] = make([]float64, tileElems)
+		ep.acked[t] = make([]float64, tileElems)
 	}
 	ep.open()
 
@@ -228,10 +298,10 @@ func Run(o Options) *Result {
 			ep.flush()
 		// The compaction draw only exists in WAL episodes, so a non-WAL
 		// schedule is byte-identical whether or not this branch exists.
-		case o.WAL && o.CheckpointOps > 0 && ep.rng.Float64() < 1/float64(o.CheckpointOps):
+		case o.WAL && ep.rng.Float64() < 1.0/checkpointOps:
 			ep.checkpointOp()
 		default:
-			c := ep.rng.Intn(o.Clients)
+			c := ep.rng.Intn(clients)
 			ep.clientOp(c)
 		}
 	}
@@ -264,11 +334,11 @@ func (ep *episode) open() {
 		ep.inj.Heal()
 		defer ep.inj.Arm()
 	}
-	ep.disk = ooc.NewDisk(ep.o.MaxCallElems).WrapBackend(ep.inj.Wrap)
+	ep.disk = ooc.NewDisk(0).WrapBackend(ep.inj.Wrap)
 	if ep.o.WAL {
-		ep.disk.EnableWAL(ooc.WALOptions{CapWords: ep.o.WALCapWords, Compress: ep.o.Compress})
+		ep.disk.EnableWAL(ooc.WALOptions{CapWords: walCapWords, Compress: ep.o.Compress})
 	}
-	size := int64(ep.o.Tiles) * ep.o.TileElems
+	size := int64(tiles * tileElems)
 	arr, err := ep.disk.CreateArray(ir.NewArray(arrayName, size), layout.RowMajor(size))
 	if err != nil {
 		// Creation is in-memory bookkeeping plus a zeroed store; it
@@ -276,7 +346,7 @@ func (ep *episode) open() {
 		panic(fmt.Sprintf("dst: creating %s: %v", arrayName, err))
 	}
 	ep.arr = arr
-	ep.eng = ooc.NewEngine(ep.disk, ooc.EngineOptions{CacheTiles: ep.o.CacheTiles})
+	ep.eng = ooc.NewEngine(ep.disk, ooc.EngineOptions{CacheTiles: cacheTiles})
 	if ep.o.WAL {
 		if _, err := ep.disk.ReplayWAL(); err != nil {
 			ep.violate("recovery: WAL replay failed: %v", err)
@@ -284,17 +354,11 @@ func (ep *episode) open() {
 	}
 }
 
-// tileBox returns tile t's box.
-func (ep *episode) tileBox(t int) layout.Box {
-	lo := int64(t) * ep.o.TileElems
-	return layout.NewBox([]int64{lo}, []int64{lo + ep.o.TileElems})
-}
-
 // clientOp advances one logical client: a GET or PUT on a tile chosen
 // from the client's own stream.
 func (ep *episode) clientOp(c int) {
 	rng := ep.cl[c]
-	t := rng.Intn(ep.o.Tiles)
+	t := rng.Intn(tiles)
 	if rng.Float64() < ep.o.PutFrac {
 		ep.put(c, t)
 	} else {
@@ -306,7 +370,7 @@ func (ep *episode) clientOp(c int) {
 // exactly the model's current tile contents.
 func (ep *episode) get(c, t int) {
 	ep.res.Gets++
-	h, err := ep.eng.Acquire(ep.arr, ep.tileBox(t))
+	h, err := ep.eng.Acquire(ep.arr, tileBox(t))
 	if err != nil {
 		ep.res.GetErrors++
 		ep.logf("c%d get t%d -> err %v", c, t, err)
@@ -329,7 +393,7 @@ func (ep *episode) put(c, t int) {
 	ep.res.Puts++
 	ep.nextVal++
 	v := ep.nextVal
-	h, err := ep.eng.Acquire(ep.arr, ep.tileBox(t))
+	h, err := ep.eng.Acquire(ep.arr, tileBox(t))
 	if err != nil {
 		ep.res.PutErrors++
 		ep.logf("c%d put t%d v=%v -> err %v", c, t, v, err)
@@ -388,9 +452,9 @@ func (ep *episode) crash(why string) {
 		ep.open()
 	}
 
-	buf := make([]float64, ep.o.TileElems)
-	for t := 0; t < ep.o.Tiles; t++ {
-		if err := ep.inj.ReadDurable(arrayName, buf, int64(t)*ep.o.TileElems); err != nil {
+	buf := make([]float64, tileElems)
+	for t := 0; t < tiles; t++ {
+		if err := ep.inj.ReadDurable(arrayName, buf, int64(t)*tileElems); err != nil {
 			ep.violate("durability: reading tile %d after crash: %v", t, err)
 			continue
 		}
@@ -448,14 +512,4 @@ func contains(vals []float64, v float64) bool {
 		}
 	}
 	return false
-}
-
-func (ep *episode) violate(format string, args ...any) {
-	ep.res.Violations = append(ep.res.Violations, fmt.Sprintf(format, args...))
-	ep.logf("VIOLATION: "+format, args...)
-}
-
-func (ep *episode) logf(format string, args ...any) {
-	fmt.Fprintf(&ep.log, format, args...)
-	ep.log.WriteByte('\n')
 }

@@ -1,6 +1,12 @@
 package dst
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"os"
+	"reflect"
 	"testing"
 
 	"outcore/internal/faultfs"
@@ -209,17 +215,6 @@ func TestWALEpisodeDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestWALOffMatchesPlainSchedule pins the compatibility guarantee that
-// made WAL a safe option: with WAL off, the WAL tuning knobs draw no
-// randomness and the schedule is byte-identical to a plain episode.
-func TestWALOffMatchesPlainSchedule(t *testing.T) {
-	a := Run(Options{Seed: 99, Ops: 250, Profile: stormProfile()})
-	b := Run(Options{Seed: 99, Ops: 250, WALCapWords: 1024, CheckpointOps: 30, Profile: stormProfile()})
-	if a.OpLog != b.OpLog || a.FaultSchedule != b.FaultSchedule {
-		t.Fatal("WAL=false knobs changed the plain schedule")
-	}
-}
-
 // TestWALTornWriteEpisodesPass: the torn-write adversary against the
 // log itself. Torn log appends must behave as torn tails — discarded
 // on replay, never applied — and torn stripe write-throughs are
@@ -294,5 +289,36 @@ func TestWALCompressDeterministicReplay(t *testing.T) {
 	a, b := Run(opts), Run(opts)
 	if a.OpLog != b.OpLog || a.FaultSchedule != b.FaultSchedule || a.Summary() != b.Summary() {
 		t.Fatalf("compressed WAL replay diverged: %q vs %q", a.Summary(), b.Summary())
+	}
+}
+
+// TestStorageEpisodeGolden pins the storage kind's replay contract
+// across refactors: sha256(OpLog ‖ FaultSchedule) for seeds 0–3 under
+// the storm profile, plain, with the WAL, and with the compressed WAL,
+// must equal the hashes checked in under testdata. A change that moves
+// one scheduler draw or one injector decision fails here.
+func TestStorageEpisodeGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/storage_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, v := range []struct {
+		name          string
+		wal, compress bool
+	}{{"plain", false, false}, {"wal", true, false}, {"wal+compress", true, true}} {
+		for seed := int64(0); seed < 4; seed++ {
+			res := Run(Options{Seed: seed, WAL: v.wal, Compress: v.compress, Profile: stormProfile()})
+			sum := sha256.Sum256([]byte(res.OpLog + res.FaultSchedule))
+			got[fmt.Sprintf("%s/seed=%d", v.name, seed)] = hex.EncodeToString(sum[:])
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		out, _ := json.MarshalIndent(got, "", "  ")
+		t.Fatalf("storage schedules drifted from testdata/storage_golden.json; got:\n%s", out)
 	}
 }

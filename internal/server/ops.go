@@ -399,6 +399,12 @@ func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitte
 		return frame
 	}
 	for seq = startSeq; seq < uint64(len(plan)); seq++ {
+		if ctx.Err() != nil {
+			// The client hung up: stop before the next chunk instead of
+			// reading (and, on the router, read-repairing) into a dead
+			// socket until a write happens to fail.
+			return
+		}
 		ch = plan[seq]
 		// Each chunk claims one of the tenant's in-flight chunk slots
 		// before touching the plane, and releases it before the next

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -13,12 +14,21 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"outcore/internal/ir"
 	"outcore/internal/layout"
+	"outcore/internal/obs"
 	"outcore/internal/ooc"
 )
+
+// opsClient carries the operator tests' requests on a transport of
+// their own: httptest.Server.Close closes http.DefaultTransport's idle
+// connections, which breaks a parallel subtest's request that was
+// about to reuse one ("CloseIdleConnections called").
+var opsClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 
 // opsServer builds a served engine plane for the operator and
 // conformance tests.
@@ -38,7 +48,7 @@ func opsServer(t testing.TB, cfg Config) (*Server, *httptest.Server) {
 func opsCreate(t testing.TB, base, name string, dims []int64, layoutName string) {
 	t.Helper()
 	body, _ := json.Marshal(map[string]any{"name": name, "dims": dims, "layout": layoutName})
-	resp, err := http.Post(base+"/v1/arrays", "application/json", bytes.NewReader(body))
+	resp, err := opsClient.Post(base+"/v1/arrays", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +71,7 @@ func opsPutTile(t testing.TB, base, name string, box layout.Box, data []float64,
 	if gen > 0 {
 		req.Header.Set(TileGenHeader, fmt.Sprint(gen))
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := opsClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +89,7 @@ func opsGetTile(t testing.TB, base, name string, box layout.Box) ([]byte, uint64
 	url := fmt.Sprintf("%s/v1/arrays/%s/tile?%s", base, name, boxQuery(box))
 	req, _ := http.NewRequest(http.MethodGet, url, nil)
 	req.Header.Set(TileWantGenHeader, "1")
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := opsClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +151,7 @@ func TestBatchSemantics(t *testing.T) {
 		{Op: "frobnicate", Lo: b1.Lo, Hi: b1.Hi},              // unknown op
 		{Op: "get", Lo: []int64{12, 12}, Hi: []int64{12, 16}}, // empty box
 	}})
-	resp, err := http.Post(hs.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
+	resp, err := opsClient.Post(hs.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +187,7 @@ func TestBatchSemantics(t *testing.T) {
 
 	// Malformed body and empty op list are request-level 400s.
 	for _, bad := range []string{`{"ops": []}`, `{"ops": [`, `nonsense`} {
-		resp, err := http.Post(hs.URL+"/v1/arrays/A/batch", "application/json", strings.NewReader(bad))
+		resp, err := opsClient.Post(hs.URL+"/v1/arrays/A/batch", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +206,7 @@ func scanAll(t testing.TB, base, name, query string, compress bool) ([]*ScanChun
 	if compress {
 		req.Header.Set("Accept-Encoding", WireEncoding)
 	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := opsClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +329,7 @@ func TestScanCursorRejection(t *testing.T) {
 	box := layout.NewBox([]int64{0, 0}, []int64{16, 16})
 
 	get := func(q string) int {
-		resp, err := http.Get(hs.URL + "/v1/arrays/C/scan?" + q)
+		resp, err := opsClient.Get(hs.URL + "/v1/arrays/C/scan?" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -397,7 +407,7 @@ func TestReduceMatchesClientFold(t *testing.T) {
 	}
 	for op, f := range fold {
 		body, _ := json.Marshal(reduceRequest{Op: op, Lo: box.Lo, Hi: box.Hi})
-		resp, err := http.Post(hs.URL+"/v1/arrays/D/reduce", "application/json", bytes.NewReader(body))
+		resp, err := opsClient.Post(hs.URL+"/v1/arrays/D/reduce", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +433,7 @@ func TestReduceMatchesClientFold(t *testing.T) {
 		`{"op":"sum","lo":[4,4],"hi":[0,0]}`,
 		`nope`,
 	} {
-		resp, err := http.Post(hs.URL+"/v1/arrays/D/reduce", "application/json", strings.NewReader(bad))
+		resp, err := opsClient.Post(hs.URL+"/v1/arrays/D/reduce", "application/json", strings.NewReader(bad))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,7 +496,7 @@ func TestOperatorConformance(t *testing.T) {
 					written = append(written, box)
 				}
 				body, _ := json.Marshal(batchRequest{Ops: ops})
-				resp, err := http.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
+				resp, err := opsClient.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -527,7 +537,7 @@ func TestOperatorConformance(t *testing.T) {
 				gets = append(gets, batchOp{Op: "get", Lo: b.Lo, Hi: b.Hi})
 			}
 			body, _ := json.Marshal(batchRequest{Ops: gets})
-			resp, err := http.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
+			resp, err := opsClient.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -604,7 +614,7 @@ func TestOperatorConformance(t *testing.T) {
 			want := map[string]float64{"sum": sum, "min": minV, "max": maxV, "count": float64(redBox.Size())}
 			for op, wv := range want {
 				rb, _ := json.Marshal(reduceRequest{Op: op, Lo: redBox.Lo, Hi: redBox.Hi})
-				resp, err := http.Post(subject.URL+"/v1/arrays/A/reduce", "application/json", bytes.NewReader(rb))
+				resp, err := opsClient.Post(subject.URL+"/v1/arrays/A/reduce", "application/json", bytes.NewReader(rb))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -659,7 +669,7 @@ func FuzzScanCursor(f *testing.F) {
 				t.Fatal("ParseScanCursor flip-flopped on the same token")
 			}
 		}
-		resp, err := http.Get(hs.URL + "/v1/arrays/F/scan?cursor=" + url.QueryEscape(token))
+		resp, err := opsClient.Get(hs.URL + "/v1/arrays/F/scan?cursor=" + url.QueryEscape(token))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -686,7 +696,7 @@ func FuzzBatchRequest(f *testing.F) {
 	}
 	req, _ := http.NewRequest(http.MethodPut,
 		hs.URL+"/v1/arrays/G/tile?"+boxQuery(sentinel), bytes.NewReader(encodePayload(data)))
-	if resp, err := http.DefaultClient.Do(req); err != nil || resp.StatusCode != 204 {
+	if resp, err := opsClient.Do(req); err != nil || resp.StatusCode != 204 {
 		f.Fatalf("seed sentinel write failed: %v", err)
 	} else {
 		resp.Body.Close()
@@ -705,7 +715,7 @@ func FuzzBatchRequest(f *testing.F) {
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"ops":[{"op":"get","lo":[0,0,0,0,0,0,0,0],"hi":[1,1,1,1,1,1,1,1]}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, err := http.Post(hs.URL+"/v1/arrays/F/batch", "application/json", bytes.NewReader(body))
+		resp, err := opsClient.Post(hs.URL+"/v1/arrays/F/batch", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -716,7 +726,7 @@ func FuzzBatchRequest(f *testing.F) {
 		}
 		// The untargeted array's tile survives bit-for-bit.
 		greq, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/arrays/G/tile?"+boxQuery(sentinel), nil)
-		gresp, err := http.DefaultClient.Do(greq)
+		gresp, err := opsClient.Do(greq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -738,5 +748,72 @@ func TestBatchEngineErrorMapping(t *testing.T) {
 	}
 	if code, msg := ts.srv.front.failure(errors.New("stripe torn")); code != http.StatusInternalServerError || msg != "stripe torn" {
 		t.Errorf("generic failure: %d %q, want a described 500", code, msg)
+	}
+}
+
+// hangupPlane serves a 1-D array whose ReadBox for chunk hangAt does
+// not return until the request's context is done, and records every
+// chunk it was asked for.
+type hangupPlane struct {
+	Plane
+	arr    Array
+	hangAt int64 // chunk index (box.Lo[0] / chunk size) that waits for the hang-up
+	chunk  int64
+	mu     sync.Mutex
+	read   []int64
+}
+
+func (p *hangupPlane) Lookup(name string) (Array, bool) { return p.arr, name == p.arr.Name }
+
+func (p *hangupPlane) ReadBox(ctx context.Context, _ Array, box layout.Box, _ string,
+	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
+	k := box.Lo[0] / p.chunk
+	p.mu.Lock()
+	p.read = append(p.read, k)
+	p.mu.Unlock()
+	if k == p.hangAt {
+		<-ctx.Done()
+	}
+	// Like a router fetch that ignores ctx, the read still succeeds.
+	return render(make([]float64, box.Size()), 0), 0, false, nil
+}
+
+// TestScanStopsAfterHangUp: once a scan's client hangs up, the handler
+// returns before reading another chunk instead of streaming into a
+// dead socket until a write happens to fail.
+func TestScanStopsAfterHangUp(t *testing.T) {
+	const chunk, chunks = 4, 64
+	p := &hangupPlane{
+		arr:    Array{Name: "S", Dims: []int64{chunk * chunks}, Layout: layout.RowMajor(chunk * chunks)},
+		hangAt: 1,
+		chunk:  chunk,
+	}
+	fe := NewFrontEnd(p, FrontConfig{Reg: obs.NewRegistry()})
+	done := make(chan struct{})
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(done)
+		fe.Handler().ServeHTTP(w, r)
+	}))
+	defer hs.Close()
+
+	resp, err := opsClient.Get(fmt.Sprintf("%s/v1/arrays/S/scan?lo=0&hi=%d&chunk=%d", hs.URL, chunk*chunks, chunk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewScanReader(resp.Body).Next(); err != nil {
+		t.Fatalf("first chunk: %v", err)
+	}
+	resp.Body.Close() // hang up while chunk 1 is being read
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("scan handler still running 10s after the client hung up")
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, k := range p.read {
+		if k > p.hangAt {
+			t.Fatalf("chunks read %v: chunk %d was read after the client hung up during chunk %d", p.read, k, p.hangAt)
+		}
 	}
 }

@@ -172,9 +172,14 @@ type enginePlane struct {
 // recorded box covers (newerOverlaps/subtractBoxes), which makes the
 // final bytes a pure function of the set of writes seen, independent
 // of arrival order — replicas that saw the same writes hold the same
-// bytes AND report the same generations, so equal reported
-// generations really mean equal data and read-repair has a sound
-// signal. Entries are written under mu held exclusively (the PUT
+// bytes AND report the same generations. Equal reported generations
+// mean equal data only while every box recorded under generation g
+// holds, over the whole box, the bytes its writer had at g: true of a
+// client write and its hint replay (the box the write covered) and of
+// a whole-tile read-repair (the winner's entire tile). It is why the
+// router never read-repairs a partial piece: that would record g over
+// a sub-box, and a read overlapping it would report g for bytes
+// outside the piece that never saw write g. Entries are written under mu held exclusively (the PUT
 // path) and read under the shared lock, and are bounded by the
 // distinct boxes ever PUT with a generation — the router's
 // replication grid in cluster mode, none otherwise. The table is
