@@ -52,7 +52,9 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -1
 
 # Non-test Go lines per internal/ package, then cmd/ and the two
-# together — the unit ROADMAP's code-size bars are stated in.
+# together — the unit ROADMAP's code-size bars are stated in — then the
+# command-line flags each cmd/ binary defines (option counts only go
+# down).
 loc:
 	@for d in internal/*/; do \
 		printf '%6d  %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$$d"; \
@@ -60,6 +62,9 @@ loc:
 	@printf '%6d  internal/ total\n' "$$(find internal -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '%6d  cmd/\n' "$$(find cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@printf '%6d  internal/ + cmd/\n' "$$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@for d in cmd/*/; do \
+		printf '%6d  flags %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|Var)(Var)?\((&[A-Za-z0-9_.]+, )?"')" "$$d"; \
+	done
 
 # The benchmark suite CI gates against BENCH_baseline.json.
 suite:

@@ -1,7 +1,7 @@
 // Command occd is the out-of-core tile-server daemon: it exposes a
-// disk of arrays over HTTP through internal/server, with request
-// coalescing, per-tenant quotas and bounded admission in front of the
-// shared tile engine.
+// disk of arrays over HTTP through internal/server, with per-tenant
+// quotas and bounded admission in front of the shared tile engine
+// (which gives concurrent reads of one cold tile one backend read).
 //
 // Start it empty (clients create arrays via POST /v1/arrays), or
 // pre-create a benchmark kernel's arrays so the daemon serves exactly
@@ -58,21 +58,15 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
 	wal := flag.Bool("wal", false, "write-ahead log tile writes: acked durability via group-committed log fsyncs instead of per-write stripe fsyncs")
 	walCap := flag.Int64("wal-cap-words", 0, "with -wal: log capacity in 8-byte words (0 = default)")
-	commitWindow := flag.Duration("commit-window", 0, "with -wal: wait this long before the group commit's log fsync so more writers share it (0 = fsync immediately; writers arriving mid-fsync still batch into the next round)")
 	walCheckpoint := flag.Duration("wal-checkpoint", time.Second, "with -wal: background compaction interval (0 = only when the log fills)")
 	durablePuts := flag.Bool("durable-puts", false, "make every tile PUT durable before its 204 (with -wal: via the group commit)")
 	compress := flag.Bool("compress", false, "store array backends compressed (Gorilla tile codec) and, with -wal, compress log record payloads; /v1/stats grows a compression scorecard")
 	faults := flag.Int64("faults", 0, "TESTING ONLY: inject deterministic storage faults from this seed (0 = off); failures surface as 5xx")
-	clusterNode := flag.String("cluster-node", "", "run as a cluster storage node with this ID: /v1/stats reports the ID and tile responses carry write-generation headers for the router")
-	peers := flag.String("peers", "", "with -cluster-node: comma-separated sibling node IDs (gossip-free static membership, recorded for operators; the router owns placement)")
+	clusterNode := flag.String("cluster-node", "", "label this daemon as cluster storage node ID in /v1/stats (placement is router-side; write-generation headers do not depend on it)")
 	flag.Parse()
 
 	if *stripes < 1 {
 		fmt.Fprintf(os.Stderr, "occd: -stripes: stripe count %d out of range (valid: >= 1)\n", *stripes)
-		os.Exit(2)
-	}
-	if *peers != "" && *clusterNode == "" {
-		fmt.Fprintln(os.Stderr, "occd: -peers requires -cluster-node")
 		os.Exit(2)
 	}
 	weights, err := server.ParseTenantWeights(*tenantWeights)
@@ -106,7 +100,6 @@ func main() {
 	if *wal {
 		d.EnableWAL(ooc.WALOptions{
 			CapWords:        *walCap,
-			CommitWindow:    *commitWindow,
 			CheckpointEvery: *walCheckpoint,
 			Compress:        *compress,
 			Obs:             sink,
@@ -168,11 +161,7 @@ func main() {
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	if *clusterNode != "" {
-		siblings := "none listed"
-		if *peers != "" {
-			siblings = strings.Join(strings.Split(*peers, ","), ", ")
-		}
-		log.Printf("occd: cluster node %q (peers: %s); placement is router-side", *clusterNode, siblings)
+		log.Printf("occd: cluster node %q; placement is router-side", *clusterNode)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

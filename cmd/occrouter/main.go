@@ -43,7 +43,6 @@ func main() {
 	replicas := flag.Int("replicas", 2, "copies per tile (capped at the node count)")
 	tileDim := flag.Int64("tile-dim", 8, "routing grid edge: requests decompose along this aligned tile grid")
 	hintDir := flag.String("hint-dir", "", "directory for durable handoff hint logs (empty = in-memory hints)")
-	noWire := flag.Bool("no-wire", false, "disable x-ooc-gorilla coding on router↔node hops")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "how often to recheck down nodes and drain owed hints")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on quorum-failure 503s")
 	inflight := flag.Int("inflight", 0, "max concurrently admitted data-plane requests (0 = 4*GOMAXPROCS)")
@@ -72,7 +71,6 @@ func main() {
 		Replicas:    *replicas,
 		TileDim:     *tileDim,
 		HintDir:     *hintDir,
-		NoWire:      *noWire,
 		RetryAfter:  *retryAfter,
 		MaxInflight: *inflight,
 		QueueDepth:  *queue,

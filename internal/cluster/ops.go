@@ -21,15 +21,15 @@ import (
 // replicated plane and lent to render. The router holds no engine, so
 // a paced stream's admission slot protects nothing here and goes back
 // at its first read (server.ReleaseAdmissionEarly).
-func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box, _ string,
-	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
+func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box,
+	render func([]float64, uint64) []byte) ([]byte, uint64, error) {
 	server.ReleaseAdmissionEarly(ctx)
 	r.met.gets.Inc()
 	data, gen, err := r.boxGet(server.TenantFrom(ctx), a, box)
 	if err != nil {
-		return nil, 0, false, r.failed(err)
+		return nil, 0, r.failed(err)
 	}
-	return render(data, gen), gen, false, nil
+	return render(data, gen), gen, nil
 }
 
 // WriteBox implements server.Plane. The router mints the generations

@@ -22,6 +22,10 @@ import (
 // a handful) extra copies only multiply write fan-out.
 const MaxReplicas = 8
 
+// hopWire is NodeClient's wire argument on every router↔node tile hop:
+// the router always negotiates the x-ooc-gorilla tile coding.
+const hopWire = true
+
 // Options configures a Router. Nodes and Replicas are required; the
 // rest default sanely.
 type Options struct {
@@ -43,10 +47,6 @@ type Options struct {
 	// hints in memory — handoff still works, but hints die with the
 	// router process.
 	HintDir string
-	// Wire negotiates the x-ooc-gorilla tile coding on router↔node
-	// hops (on by default through NewRouter's option struct literal
-	// being explicit; set NoWire to disable).
-	NoWire bool
 	// RetryAfter is the hint returned with 503 responses (default 1s).
 	RetryAfter time.Duration
 	// MaxInflight caps concurrently admitted data-plane requests
@@ -353,7 +353,7 @@ func (r *Router) syncCatalog(m *member) bool {
 // drainHints replays the member's hint queue; true means it emptied.
 func (r *Router) drainHints(m *member) bool {
 	n, err := r.hints.Drain(m.client.ID, func(h hint) error {
-		stored, stale, err := m.client.PutTile(h.name, h.box, h.data, h.gen, !r.opts.NoWire)
+		stored, stale, err := m.client.PutTile(h.name, h.box, h.data, h.gen, hopWire)
 		if err != nil {
 			return err
 		}
@@ -373,8 +373,7 @@ func (r *Router) drainHints(m *member) bool {
 // aggregates (decoding into a local struct keeps the wire contract,
 // not the server's internal type, as the coupling).
 type nodeStatsLite struct {
-	Engine    ooc.EngineStats `json:"engine"`
-	Coalesced int64           `json:"coalesced"`
+	Engine ooc.EngineStats `json:"engine"`
 }
 
 // clusterStats is the /v1/stats cluster scorecard.
@@ -405,9 +404,8 @@ type nodeStat struct {
 // occd stats works unchanged against a router; cluster and nodes carry
 // the distributed story.
 type routerStatsPayload struct {
-	Engine    ooc.EngineStats `json:"engine"`
-	HitRate   float64         `json:"hit_rate"`
-	Coalesced int64           `json:"coalesced"`
+	Engine  ooc.EngineStats `json:"engine"`
+	HitRate float64         `json:"hit_rate"`
 	server.FrontStats
 	Cluster clusterStats `json:"cluster"`
 	Nodes   []nodeStat   `json:"nodes"`
@@ -447,7 +445,6 @@ func (r *Router) Stats(front server.FrontStats) any {
 				p.Engine.Invalidations += es.Invalidations
 				p.Engine.Writebacks += es.Writebacks
 				p.Engine.WritebackErrors += es.WritebackErrors
-				p.Coalesced += lite.Coalesced
 			}
 		}
 		p.Nodes = append(p.Nodes, ns)
@@ -565,7 +562,7 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 		wg.Add(1)
 		go func(i int, m *member) {
 			defer wg.Done()
-			data, gen, err := m.client.ForTenant(tenant).GetTile(name, piece, !r.opts.NoWire)
+			data, gen, err := m.client.ForTenant(tenant).GetTile(name, piece, hopWire)
 			if err != nil && errors.Is(err, ErrUnavailable) {
 				r.markDown(m)
 			}
@@ -609,7 +606,7 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 		if !repair || i == win || replies[i].err != nil || replies[i].gen >= replies[win].gen {
 			continue
 		}
-		if _, _, err := reps[i].client.PutTile(name, piece, replies[win].data, replies[win].gen, !r.opts.NoWire); err != nil {
+		if _, _, err := reps[i].client.PutTile(name, piece, replies[win].data, replies[win].gen, hopWire); err != nil {
 			if errors.Is(err, ErrUnavailable) {
 				r.markDown(reps[i])
 			}
@@ -654,7 +651,7 @@ func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64)
 			wg.Add(1)
 			go func(i int, m *member) {
 				defer wg.Done()
-				stored, stale, err := m.client.ForTenant(tenant).PutTile(name, piece, data, gen, !r.opts.NoWire)
+				stored, stale, err := m.client.ForTenant(tenant).PutTile(name, piece, data, gen, hopWire)
 				if err != nil {
 					if errors.Is(err, ErrUnavailable) {
 						r.markDown(m)

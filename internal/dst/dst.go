@@ -439,7 +439,7 @@ func (ep *episode) ack() {
 // A WAL episode reboots FIRST: the durable log tail is replayed over
 // the stripe bytes as part of open, and the durability contract
 // applies to the RECOVERED state — acked writes must come back
-// exactly even when the power cut landed mid-commit-window (log
+// exactly even when the power cut landed mid-commit (log
 // records appended but not fsynced), mid-apply (write-throughs not
 // yet checkpointed) or mid-compaction (logs partially truncated),
 // with torn log tails discarded by the record framing.

@@ -177,7 +177,7 @@ func BenchmarkEpisode(b *testing.B) {
 }
 
 // TestWALEpisodesPass runs the storm over the WAL-backed plane: power
-// cuts now land mid-commit-window, mid-apply and mid-compaction, the
+// cuts now land mid-commit, mid-apply and mid-compaction, the
 // log tail tears, and still no acknowledged write may be lost and no
 // torn trailing record may surface.
 func TestWALEpisodesPass(t *testing.T) {

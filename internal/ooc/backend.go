@@ -201,7 +201,7 @@ func (d *Disk) NoBacking() *Disk {
 
 // WrapBackend installs a hook that wraps every subsequently created
 // array's backend — instrumentation (call counting, injected latency,
-// fault injection) for tests and the serving layer's coalescing proofs.
+// fault injection) for tests and the shared-cold-read proofs.
 // Like the other setup helpers it must be called before arrays are
 // created.
 func (d *Disk) WrapBackend(wrap func(name string, b Backend) Backend) *Disk {

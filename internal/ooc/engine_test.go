@@ -3,8 +3,10 @@ package ooc
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"outcore/internal/ir"
 	"outcore/internal/layout"
@@ -220,38 +222,66 @@ func TestEngineMissFlushesOverlapDirty(t *testing.T) {
 	e.Release(h2, false)
 }
 
-func TestEngineSingleFlight(t *testing.T) {
-	d, arr := engineArray(t, "A", 32, 32)
-	e := NewEngine(d, EngineOptions{CacheTiles: 8})
+// slowBackend counts backend reads and makes each one take delay.
+type slowBackend struct {
+	Backend
+	delay time.Duration
+	reads atomic.Int64
+}
+
+func (s *slowBackend) ReadAt(buf []float64, off int64) error {
+	s.reads.Add(1)
+	time.Sleep(s.delay)
+	return s.Backend.ReadAt(buf, off)
+}
+
+// TestConcurrentColdAcquireSharesOneRead pins the engine as the one
+// owner of a cold tile's shared read: K goroutines acquiring one cold
+// box behind a slow backend cause exactly one backend ReadAt and one
+// miss; every other acquire is a hit, whether it waited out the
+// in-flight read or found the tile resident.
+func TestConcurrentColdAcquireSharesOneRead(t *testing.T) {
+	const K = 24
+	sb := &slowBackend{delay: 50 * time.Millisecond}
+	d := NewDisk(0).WrapBackend(func(_ string, b Backend) Backend {
+		sb.Backend = b
+		return sb
+	})
+	_, arr := mk2D(t, d, "A", 16, 16, layout.RowMajor(16, 16))
+	arr.Fill(func(c []int64) float64 { return float64(1000*c[0] + c[1]) })
+	e := NewEngine(d, EngineOptions{CacheTiles: 4})
 	defer e.Close()
 
-	// Many goroutines race to acquire the same tile: exactly one backend
-	// read may happen, everyone shares the entry.
-	const G = 16
-	b := box2(0, 0, 16, 16)
+	b := box2(0, 0, 16, 16) // the whole row-major array: one run, one ReadAt
+	start := make(chan struct{})
 	var wg sync.WaitGroup
-	for g := 0; g < G; g++ {
+	for g := 0; g < K; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			<-start
 			h, err := e.Acquire(arr, b)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if got := *elem(h.Tile(), 7, 7); got != 7007 {
-				t.Errorf("shared tile reads %v", got)
+			if got := *elem(h.Tile(), 15, 9); got != 15009 {
+				t.Errorf("shared tile reads %v, want 15009", got)
 			}
 			e.Release(h, false)
 		}()
 	}
+	close(start)
 	wg.Wait()
+	if got := sb.reads.Load(); got != 1 {
+		t.Errorf("backend ReadAt called %d times for one cold box, want 1", got)
+	}
 	s := e.Stats()
 	if s.Misses != 1 {
-		t.Errorf("misses = %d, want 1 (single-flight)", s.Misses)
+		t.Errorf("misses = %d, want 1", s.Misses)
 	}
-	if s.Hits != G-1 {
-		t.Errorf("hits = %d, want %d", s.Hits, G-1)
+	if s.Hits != K-1 {
+		t.Errorf("hits = %d, want %d", s.Hits, K-1)
 	}
 }
 
@@ -338,7 +368,9 @@ func TestEngineTouchAccounting(t *testing.T) {
 // TestEngineConcurrentStress is the deterministic-seed stress test the
 // race detector runs against: goroutines with disjoint write bands of W
 // plus a shared read-only array R, through one engine small enough to
-// keep evicting under load.
+// keep evicting under load. Each step re-acquires its R box while the
+// first handle is still pinned, so at least one hit per step is part of
+// the schedule rather than of the goroutine interleaving.
 func TestEngineConcurrentStress(t *testing.T) {
 	const (
 		G     = 8  // goroutines
@@ -374,6 +406,17 @@ func TestEngineConcurrentStress(t *testing.T) {
 				if got := *elem(hr.Tile(), ri, rj); got != float64(1000*ri+rj) {
 					t.Errorf("goroutine %d step %d: R(%d,%d) = %v", g, k, ri, rj, got)
 				}
+				// A pinned tile stays resident: this acquire is a hit.
+				hr2, err := e.Acquire(r, rb)
+				if err != nil {
+					t.Error(err)
+					e.Release(hr, false)
+					return
+				}
+				if hr2.Tile() != hr.Tile() {
+					t.Errorf("goroutine %d step %d: re-acquire of a pinned box got a second tile", g, k)
+				}
+				e.Release(hr2, false)
 
 				// Disjoint write band of W: random column sub-range, +1 each.
 				c0 := int64(rng.Intn(cols - 1))
@@ -420,8 +463,8 @@ func TestEngineConcurrentStress(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Error("stress never evicted; cache too large to stress anything")
 	}
-	if s.Hits == 0 || s.Misses == 0 {
-		t.Errorf("degenerate stress stats: %+v", s)
+	if s.Hits < G*steps || s.Misses == 0 {
+		t.Errorf("degenerate stress stats (want Hits >= %d, Misses > 0): %+v", G*steps, s)
 	}
 }
 

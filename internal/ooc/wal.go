@@ -8,7 +8,7 @@ package ooc
 // write-back is first appended as ONE checksummed redo record to one
 // sequential log and then written through to the array backend; an
 // acknowledgement only needs the LOG to be durable, and concurrent
-// writers landing within one commit window share a single log fsync
+// writers landing within one commit round share a single log fsync
 // (group commit).
 //
 // The array (stripe) backends are only forced durable by a
@@ -157,12 +157,6 @@ type WALOptions struct {
 	// helpers' bulk writes) and forces the next commit to checkpoint
 	// instead of fsyncing the log.
 	CapWords int64
-	// CommitWindow, when positive, makes the group-commit leader wait
-	// this long before issuing the log fsync so more concurrent
-	// writers share it. Zero still batches naturally: writers arriving
-	// while a round's fsync is in flight are covered by the next
-	// round. Keep zero for deterministic harness runs.
-	CommitWindow time.Duration
 	// CheckpointEvery, when positive, runs a background compaction
 	// loop: every tick with appended-but-uncompacted records syncs the
 	// member backends and truncates the log, bounding replay time.
@@ -416,7 +410,8 @@ func (ws *walSet) lastSeq() uint64 {
 // every record appended before the call is durable (log fsync or
 // checkpoint). One leader runs a sync round at a time; every other
 // caller waits for the round and re-checks — so N writers landing
-// within one round (or one CommitWindow) share its fsync.
+// within one round share its fsync, and writers arriving while a
+// round's fsync is in flight are covered by the next round.
 func (ws *walSet) commit() error {
 	target := ws.lastSeq()
 	// The durable sequence alone cannot satisfy a commit while an
@@ -457,15 +452,11 @@ func (ws *walSet) commit() error {
 	}
 }
 
-// leadRound runs one group-commit round: optionally wait the commit
-// window (letting more writers land), snapshot the frontier, fsync the
-// log if it has uncovered words, and advance the durable sequence.
+// leadRound runs one group-commit round: snapshot the frontier, fsync
+// the log if it has uncovered words, and advance the durable sequence.
 // A round that contains an unlogged (bypass) write-through cannot be
 // covered by a log fsync and escalates to a full checkpoint.
 func (ws *walSet) leadRound() error {
-	if w := ws.opts.CommitWindow; w > 0 {
-		time.Sleep(w)
-	}
 	ws.mu.Lock()
 	upTo := ws.seq
 	before := ws.durable.Load()

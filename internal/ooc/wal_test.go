@@ -213,20 +213,18 @@ func (c *countingBackend) Sync() error {
 }
 
 // TestWALGroupCommitBatching proves the group commit batches: N
-// concurrent acked writers in one commit window share one (at the
-// boundary, two) log fsync, and none of them is acknowledged before a
-// covering fsync returned — their writes survive a power cut. CI runs
-// the package under -race, which is the point: the leader/waiter
-// protocol and the off-mutex fsync must be clean under contention.
+// concurrent acked writers whose records are all staged share one (at
+// the round boundary, two) log fsync, and none of them is acknowledged
+// before a covering fsync returned — their writes survive a power cut.
+// CI runs the package under -race, which is the point: the
+// leader/waiter protocol and the off-mutex fsync must be clean under
+// contention.
 func TestWALGroupCommitBatching(t *testing.T) {
 	const writers = 16
 	var fsyncs atomic.Int64
 	h := &walHarness{
-		inj: faultfs.New(42, faultfs.Profile{}),
-		opts: ooc.WALOptions{
-			CapWords:     1 << 15,
-			CommitWindow: time.Millisecond,
-		},
+		inj:  faultfs.New(42, faultfs.Profile{}),
+		opts: ooc.WALOptions{CapWords: 1 << 15},
 	}
 	h.wrap = func(name string, b ooc.Backend) ooc.Backend {
 		b = h.inj.Wrap(name, b)
@@ -261,7 +259,7 @@ func TestWALGroupCommitBatching(t *testing.T) {
 	}
 
 	// Phase 2: every writer asks for durability at once. One leader's
-	// snapshot covers all staged records, so the window collapses the
+	// snapshot covers all staged records, so the round collapses the
 	// 16 acks into at most ceil(16/16)+1 = 2 log fsyncs.
 	var ack sync.WaitGroup
 	for i := 0; i < writers; i++ {

@@ -6,15 +6,13 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-
-	"outcore/internal/layout"
 )
 
 // TestConcurrentTileReadWriteRace hammers one array with concurrent
 // GETs and PUTs of the same tile AND of overlapping-but-unaligned
 // tiles. Under -race this proves the per-array tile lock serializes
 // access to the shared pinned tile buffer (a PUT decodes into the very
-// slice a coalesced GET encodes from); value-wise, every element a GET
+// slice a concurrent GET encodes from); value-wise, every element a GET
 // returns must be exactly one of the constants some PUT wrote (or the
 // initial zero) — a torn float64 mixing two writes would fall outside
 // the set.
@@ -84,62 +82,6 @@ func TestConcurrentTileReadWriteRace(t *testing.T) {
 		}(rd)
 	}
 	wg.Wait()
-}
-
-// TestReadYourWritesAcrossFlights pins down the flight-key versioning:
-// a GET issued after a PUT returned 204 must not join a coalescing
-// flight whose leader read the tile before the write applied. The test
-// parks a deliberately stale flight under the pre-write key, performs
-// the write, and checks the post-write GET starts its own flight and
-// returns the written data while the stale flight is still in the map.
-func TestReadYourWritesAcrossFlights(t *testing.T) {
-	ts := newTestServer(t, Config{}, nil)
-	ts.createArray(t, "A", 8, 8)
-
-	box := layout.NewBox([]int64{0, 0}, []int64{8, 8})
-	lk := ts.srv.plane.lockFor("A")
-	staleKey := flightKey(lk, "A", box, "raw")
-
-	started := make(chan struct{})
-	block := make(chan struct{})
-	staleDone := make(chan []byte, 1)
-	go func() {
-		payload, _, _, _ := ts.srv.plane.flights.do(staleKey, func() ([]byte, uint64, error) {
-			close(started)
-			<-block
-			return encodePayload(make([]float64, 8*8)), 0, nil // pre-write zeros
-		})
-		staleDone <- payload
-	}()
-	<-started
-
-	payload := make([]float64, 8*8)
-	for i := range payload {
-		payload[i] = float64(i) + 1
-	}
-	status, out, _ := ts.do(t, http.MethodPut, ts.url("/v1/arrays/A/tile?lo=0,0&hi=8,8"), encodePayload(payload))
-	if status != http.StatusNoContent {
-		t.Fatalf("put: %d %s", status, out)
-	}
-	if got := flightKey(lk, "A", box, "raw"); got == staleKey {
-		t.Fatalf("flight key %q did not change across an acknowledged write", got)
-	}
-
-	// The stale flight is still in the map (blocked); a fresh GET must
-	// bypass it and observe the acknowledged write.
-	status, out, _ = ts.do(t, http.MethodGet, ts.url("/v1/arrays/A/tile?lo=0,0&hi=8,8"), nil)
-	if status != http.StatusOK {
-		t.Fatalf("get: %d %s", status, out)
-	}
-	got := make([]float64, 8*8)
-	decodePayload(out, got)
-	for i := range got {
-		if got[i] != payload[i] {
-			t.Fatalf("post-write GET[%d] = %v, want %v: joined a pre-write flight", i, got[i], payload[i])
-		}
-	}
-	close(block)
-	<-staleDone
 }
 
 // TestSizeLimits covers the data-plane abuse caps: array creation is

@@ -474,9 +474,7 @@ func (fe *FrontEnd) queryBox(w http.ResponseWriter, r *http.Request, limit int64
 	return a, box, true
 }
 
-// renderRaw and renderWire are the two tile body renderings; the share
-// keys name them so concurrent GETs negotiating different encodings
-// never share a body.
+// renderRaw and renderWire are the two tile body renderings.
 func renderRaw(data []float64, _ uint64) []byte  { return EncodeTile(data, false) }
 func renderWire(data []float64, _ uint64) []byte { return EncodeTile(data, true) }
 
@@ -485,12 +483,12 @@ func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admi
 	if !ok {
 		return
 	}
-	share, render := "raw", renderRaw
+	render := renderRaw
 	compress := acceptsWireEncoding(r.Header.Get("Accept-Encoding"))
 	if compress {
-		share, render = WireEncoding, renderWire
+		render = renderWire
 	}
-	payload, gen, shared, err := fe.plane.ReadBox(r.Context(), ar, box, share, render)
+	payload, gen, err := fe.plane.ReadBox(r.Context(), ar, box, render)
 	if err != nil {
 		fe.planeError(w, err)
 		return
@@ -504,7 +502,6 @@ func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admi
 		w.Header().Set(TileGenHeader, strconv.FormatUint(gen, 10))
 	}
 	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
-	w.Header().Set("X-Tile-Coalesced", strconv.FormatBool(shared))
 	w.Write(payload)
 }
 

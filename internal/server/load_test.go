@@ -27,8 +27,8 @@ import (
 
 // LoadSpec configures the synthetic multi-client tile workload. Tile
 // selection is zipf-skewed — the multi-client array-access regime where
-// a few hot tiles dominate, which is exactly what request coalescing
-// and the LRU cache are for.
+// a few hot tiles dominate, which is exactly what the engine's shared
+// cold reads and its LRU cache are for.
 type LoadSpec struct {
 	BaseURL string // server root, e.g. http://127.0.0.1:8080
 

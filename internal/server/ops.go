@@ -184,8 +184,7 @@ func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp, tenant strin
 	raw := box.Size() * ooc.ElemSize
 	switch op.Op {
 	case "get":
-		// Unshared: the batch itself is the amortization.
-		payload, gen, _, err := fe.plane.ReadBox(r.Context(), ar, box, "", renderRaw)
+		payload, gen, err := fe.plane.ReadBox(r.Context(), ar, box, renderRaw)
 		if err != nil {
 			status, msg := fe.failure(err)
 			return batchResult{Status: status, Error: msg}
@@ -415,7 +414,7 @@ func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitte
 		if !ok {
 			return // client went away while the cap was saturated
 		}
-		_, _, _, err := fe.plane.ReadBox(ctx, ar, ch, "", render)
+		_, _, err := fe.plane.ReadBox(ctx, ar, ch, render)
 		chunkDone()
 		if err != nil {
 			if seq == startSeq {

@@ -765,8 +765,8 @@ type hangupPlane struct {
 
 func (p *hangupPlane) Lookup(name string) (Array, bool) { return p.arr, name == p.arr.Name }
 
-func (p *hangupPlane) ReadBox(ctx context.Context, _ Array, box layout.Box, _ string,
-	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
+func (p *hangupPlane) ReadBox(ctx context.Context, _ Array, box layout.Box,
+	render func([]float64, uint64) []byte) ([]byte, uint64, error) {
 	k := box.Lo[0] / p.chunk
 	p.mu.Lock()
 	p.read = append(p.read, k)
@@ -775,7 +775,7 @@ func (p *hangupPlane) ReadBox(ctx context.Context, _ Array, box layout.Box, _ st
 		<-ctx.Done()
 	}
 	// Like a router fetch that ignores ctx, the read still succeeds.
-	return render(make([]float64, box.Size()), 0), 0, false, nil
+	return render(make([]float64, box.Size()), 0), 0, nil
 }
 
 // TestScanStopsAfterHangUp: once a scan's client hangs up, the handler

@@ -12,10 +12,11 @@ import (
 // about HTTP. Two planes exist — the local engine behind occd
 // (enginePlane) and the cluster fan-out behind occrouter
 // (cluster.Router) — and the front end serves either without knowing
-// which: what differs between the daemons (coalesced GET flights and
-// the tile lock on a node; minted generations, quorums, hints and
-// per-piece reduce partials on the router) is behaviour behind these
-// methods.
+// which: what differs between the daemons (the tile lock on a node;
+// minted generations, quorums, hints and per-piece reduce partials on
+// the router) is behaviour behind these methods. Concurrent reads of
+// one cold tile share one backend read in the engine underneath
+// (ooc.Engine.Acquire), not here.
 //
 // Boxes arrive validated and clipped to the array; element buffers are
 // box-local row-major. The context carries the request's cancellation,
@@ -31,13 +32,9 @@ type Plane interface {
 
 	// ReadBox lends the box's elements and write generation to render —
 	// valid only during the call, so a node renders straight from the
-	// pinned tile — and returns what render returned. A non-empty share
-	// key declares the rendering a pure function of (box, share): the
-	// plane may then hand one result to every concurrent caller with the
-	// same box and key (shared reports that it did), and callers treat
-	// the bytes as read-only.
-	ReadBox(ctx context.Context, a Array, box layout.Box, share string,
-		render func(data []float64, gen uint64) []byte) (out []byte, gen uint64, shared bool, err error)
+	// pinned tile — and returns what render returned.
+	ReadBox(ctx context.Context, a Array, box layout.Box,
+		render func(data []float64, gen uint64) []byte) (out []byte, gen uint64, err error)
 	// WriteBox writes data over the box. A non-zero gen gates the write
 	// on the caller's generation (last writer wins per cell); a plane
 	// that mints its own generations ignores it. stored is the

@@ -11,11 +11,10 @@
 // any Plane; internal/cluster mounts the same front end over its
 // fan-out. This file is the plane occd serves: the local engine.
 //
-// What the stack does on top of the engine:
+// What the stack does on top of the engine (which already gives
+// concurrent GETs of one cold tile one backend read and one cached
+// tile; see ooc.Engine.Acquire):
 //
-//   - Request coalescing (plane): concurrent GETs of the same tile join
-//     one flight (one acquire, one payload encode, one backend read),
-//     with an exact exported count of coalesced requests.
 //   - Admission control (front end): per-tenant token-bucket quotas
 //     (429 + Retry-After) in front of weighted-fair per-tenant queues
 //     over a bounded slot pool (503 + Retry-After when the queues
@@ -30,7 +29,7 @@
 //     share a reader lock, a PUT excludes them — so concurrent clients
 //     can never tear the pinned in-memory tile a request is encoding or
 //     decoding, and a GET issued after a PUT's 204 observes that write
-//     (the write generation versions the coalescing flight key).
+//     (the PUT applied under the exclusive lock before it was acked).
 //   - Abuse limits (front end): array creation caps the
 //     overflow-checked element count (Config.MaxArrayElems, 400) and
 //     tile requests cap the clipped per-request element count
@@ -62,7 +61,6 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"outcore/internal/ir"
@@ -96,7 +94,7 @@ type Config struct {
 	// DurablePuts makes tile PUTs durable before the 204: the written
 	// box is flushed through the engine and the array synced. On a
 	// WAL-enabled disk the sync is a group-committed log fsync shared
-	// by every concurrent PUT in the commit window; without a WAL it
+	// by every concurrent PUT in one commit round; without a WAL it
 	// is a real per-PUT backend fsync.
 	DurablePuts bool
 	// NodeID names this server as a cluster storage node (occd
@@ -136,9 +134,6 @@ type enginePlane struct {
 	// reduceChunk bounds the elements a reduce pins at once.
 	reduceChunk int64
 
-	flights   flightGroup
-	coalesced *obs.Counter
-
 	// locks serializes the data plane per array; see tileLock. The map
 	// only grows, bounded by the number of arrays ever addressed.
 	lockMu sync.Mutex
@@ -152,12 +147,9 @@ type enginePlane struct {
 // tiles are held elsewhere — a rule the schedule guarantees for
 // codegen but that two arbitrary HTTP clients can violate. Readers
 // therefore share the lock and a writer excludes them, for aligned and
-// unaligned overlapping boxes alike.
-//
-// gen counts acknowledged writes. It versions the GET flight key so a
-// read that starts after a completed PUT can never join a flight whose
-// leader acquired the tile before that write applied
-// (read-your-writes; see flightGroup).
+// unaligned overlapping boxes alike. A PUT applies under the exclusive
+// lock before it is acknowledged, so a GET that starts after the 204
+// reads the written tile (read-your-writes).
 //
 // boxGens is the cluster replication plane's per-box write-generation
 // table: a PUT carrying X-Tile-Gen records its generation under the
@@ -187,8 +179,7 @@ type enginePlane struct {
 // reports 0, loses every freshness comparison, and gets read-repaired
 // by the replica that remembers.
 type tileLock struct {
-	mu  sync.RWMutex
-	gen atomic.Uint64
+	mu sync.RWMutex
 
 	boxGens []boxGen
 	genIdx  map[string]int
@@ -343,7 +334,6 @@ func New(d *ooc.Disk, eng *ooc.Engine, cfg Config) *Server {
 		nodeID:      cfg.NodeID,
 		durable:     cfg.DurablePuts,
 		reduceChunk: DefaultScanChunkElems,
-		coalesced:   reg.Counter("occd_coalesced_requests_total", "tile reads served by joining an in-flight fetch"),
 		locks:       map[string]*tileLock{},
 	}
 	if lim := cfg.MaxTileElems; lim > 0 && lim < p.reduceChunk {
@@ -437,24 +427,14 @@ func (p *enginePlane) open(a Array) (*ooc.Array, *tileLock, error) {
 }
 
 // ReadBox pins the box under the shared tile lock and renders from the
-// pinned tile. With a share key the read is a coalescing flight.
-func (p *enginePlane) ReadBox(_ context.Context, a Array, box layout.Box, share string,
-	render func([]float64, uint64) []byte) ([]byte, uint64, bool, error) {
+// pinned tile.
+func (p *enginePlane) ReadBox(_ context.Context, a Array, box layout.Box,
+	render func([]float64, uint64) []byte) ([]byte, uint64, error) {
 	ar, lk, err := p.open(a)
 	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, err
 	}
-	if share == "" {
-		out, gen, err := p.read(ar, lk, box, render)
-		return out, gen, false, err
-	}
-	out, gen, coalesced, err := p.flights.do(flightKey(lk, a.Name, box, share), func() ([]byte, uint64, error) {
-		return p.read(ar, lk, box, render)
-	})
-	if coalesced {
-		p.coalesced.Inc()
-	}
-	return out, gen, coalesced, err
+	return p.read(ar, lk, box, render)
 }
 
 func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render func([]float64, uint64) []byte) ([]byte, uint64, error) {
@@ -475,18 +455,8 @@ func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render f
 	return render(h.Tile().Data(), g), g, nil
 }
 
-// flightKey names the coalescing flight for (array, box, rendering).
-// The write generation in the key keeps read-your-writes: a GET that
-// starts after a PUT's 204 reads a bumped generation and so can only
-// land on a flight whose leader acquired the tile after that write
-// applied. Flights keyed by older generations may still be in the
-// map, but no new-generation reader can join them.
-func flightKey(lk *tileLock, name string, box layout.Box, share string) string {
-	return fmt.Sprintf("%s|g%d|%s|%s", name, lk.gen.Load(), box.String(), share)
-}
-
 // WriteBox lands one write: per-cell LWW generation merge under the
-// exclusive lock, flight-key versioning, and flush-before-ack under
+// exclusive lock, and flush-before-ack under
 // DurablePuts. A write that applies to its whole box — every ungated
 // PUT, batch op, hint replay and read-repair rewrite — is a blind
 // engine Store and reads nothing; only a gen-gated write that newer
@@ -550,7 +520,6 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 	if gen != 0 {
 		lk.setGen(box.String(), box, gen)
 	}
-	lk.gen.Add(1) // version GET flights past this write before acknowledging
 	lk.mu.Unlock()
 	if p.durable {
 		// Push this write to stable storage before the ack. The flush
@@ -608,7 +577,6 @@ type statsPayload struct {
 	HitRate     float64           `json:"hit_rate"`
 	WAL         *ooc.WALStats     `json:"wal,omitempty"`
 	Compression *compressionStats `json:"compression,omitempty"`
-	Coalesced   int64             `json:"coalesced"`
 	FrontStats
 }
 
@@ -630,7 +598,6 @@ func (p *enginePlane) Stats(front FrontStats) any {
 		Engine:     es,
 		HitRate:    es.HitRate(),
 		WAL:        p.disk.WALStats(),
-		Coalesced:  p.coalesced.Value(),
 		FrontStats: front,
 	}
 	if cs := p.disk.CompressionStats(); cs != nil {

@@ -208,11 +208,12 @@ func TestMalformedTileRequests(t *testing.T) {
 	}
 }
 
-// TestColdTileCoalescing is the acceptance proof for request
-// coalescing: K concurrent GETs of one cold tile cause exactly one
-// backend ReadAt, with every other request either joining the flight
-// or hitting the engine cache. Run under -race this also exercises the
-// flight group and engine for data races.
+// TestColdTileCoalescing is the serving-level proof that concurrent
+// GETs of one cold tile share one backend read: K of them cause exactly
+// one backend ReadAt and one engine miss, and every other request is an
+// engine hit (it waited out the in-flight read or found the tile
+// cached). The sharing is the engine's (ooc.Engine.Acquire); run under
+// -race this exercises the tile lock and engine for data races.
 func TestColdTileCoalescing(t *testing.T) {
 	const K = 24
 	ts := newTestServer(t, Config{MaxInflight: K, QueueDepth: K}, nil)
@@ -262,14 +263,10 @@ func TestColdTileCoalescing(t *testing.T) {
 	if st.Engine.Misses != 1 {
 		t.Errorf("engine misses = %d, want 1", st.Engine.Misses)
 	}
-	// Every request but the leader was coalesced into the flight or
-	// served from the now-warm cache; nothing fell through.
-	if st.Coalesced+st.Engine.Hits != K-1 {
-		t.Errorf("coalesced (%d) + cache hits (%d) = %d, want %d",
-			st.Coalesced, st.Engine.Hits, st.Coalesced+st.Engine.Hits, K-1)
-	}
-	if st.Coalesced == 0 {
-		t.Error("no request was coalesced despite a 100ms cold fetch")
+	// Every request but the one that missed was an engine hit; nothing
+	// fell through to a second read.
+	if st.Engine.Hits != K-1 {
+		t.Errorf("engine hits = %d, want %d", st.Engine.Hits, K-1)
 	}
 }
 
@@ -347,7 +344,7 @@ func TestAdmissionQueueOverflow(t *testing.T) {
 	}
 
 	// Request 1 occupies the only inflight slot (cold tile, slow read);
-	// request 2 parks in the queue. Distinct tiles so coalescing cannot
+	// request 2 parks in the queue. Distinct tiles so a shared read cannot
 	// short-circuit admission.
 	results := make(chan int, 2)
 	for i := 0; i < 2; i++ {

@@ -53,7 +53,7 @@ func smoothPayload(n int) []float64 {
 // TestTileWireNegotiation exercises the x-ooc-gorilla content coding on
 // the tile endpoints end to end: a client that offers it gets framed
 // bodies smaller than raw, a client that doesn't keeps the raw format
-// bit for bit, and the two never share a coalescing flight.
+// bit for bit, and each GET gets the body its encoding asked for.
 func TestTileWireNegotiation(t *testing.T) {
 	ts := newTestServer(t, Config{}, nil)
 	ts.createArray(t, "A", 32, 32)
