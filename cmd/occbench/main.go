@@ -48,7 +48,7 @@ func main() {
 	procs := flag.Int("procs", 16, "processor count for Table 2")
 	ionodes := flag.Int("ionodes", 64, "I/O nodes in the simulated PFS")
 	memFrac := flag.Int64("memfrac", 128, "memory budget = data size / memfrac")
-	cacheTiles := flag.Int("cache-tiles", 0, "tile-engine LRU cache capacity in tiles (0 = engine off for tables; engine ablation defaults to 8)")
+	cacheTiles := flag.Int("cache-tiles", 0, "tile-engine cache capacity in tiles (0 = engine off for tables; engine ablation defaults to 8)")
 	version := flag.String("version", "c-opt", "program version for the engine ablation")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON capture of the run to this file (view in Perfetto)")
 	metricsOut := flag.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file")

@@ -13,10 +13,11 @@ import (
 // BenchmarkExecuteEngine times one run of a kernel under the c-opt plan
 // through a synchronous 8-tile engine at n2=64 — the executor the
 // repository benchmark's kernels workload drives — and reports its
-// allocations. Disk set-up and the engine's final flush are outside
-// the timed region.
+// allocations. mat and trans store their written array without reading
+// it; mxm and syr2k read and write it back. Disk set-up and the
+// engine's final flush are outside the timed region.
 func BenchmarkExecuteEngine(b *testing.B) {
-	for _, name := range []string{"mxm", "syr2k"} {
+	for _, name := range []string{"mat", "mxm", "trans", "syr2k"} {
 		b.Run(name, func(b *testing.B) {
 			k, _ := suite.ByName(name)
 			prog := k.Build(suite.Config{N2: 64, N3: 12, N4: 4})

@@ -16,10 +16,18 @@
 // A(j,k) in syr2k) get independent tiles. A written array must have a
 // single access-matrix group — otherwise in-memory copies could
 // diverge — which Build rejects up front.
+//
+// On the engine path the schedule also drives the cache: its tile
+// order is a pure function of (plan, budget, part), so a look-ahead
+// pass over the slice tells the engine when each requested tile comes
+// back, and a group the nest only writes, one element per point, is
+// stored on a dense tile without being read.
 package codegen
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"outcore/internal/core"
@@ -47,12 +55,16 @@ type Options struct {
 	// iteration counts matter.
 	DryRun bool
 	// Engine, when non-nil, routes tile I/O through the tile engine:
-	// group tiles are acquired from its LRU cache (read from the backend
-	// on a miss) and released with write-back dirty tracking. The
-	// engine's tile-count capacity replaces the Memory budget, which is
-	// not consulted on this path. The caller owns the engine:
-	// Flush/Close it before reading results or I/O stats so dirty
-	// cached tiles reach the backend.
+	// group tiles are acquired from its cache (read from the backend on
+	// a miss) and released with write-back dirty tracking, and a
+	// write-only group on a dense tile is stored without a read. Every
+	// request carries its exact next use in the slice, so the engine
+	// evicts the tile needed furthest in the future. The engine's
+	// tile-count capacity replaces the Memory budget, which is not
+	// consulted on this path. A dry run needs the engine over a
+	// measurement-only disk. The caller owns the engine: Flush/Close it
+	// before reading results or I/O stats so dirty cached tiles reach
+	// the backend.
 	Engine *ooc.Engine
 	// Obs, when it carries a trace, emits one KindCompute span per
 	// executed tile (the statement-iteration work between I/O bursts) —
@@ -82,8 +94,13 @@ type Schedule struct {
 // refGroup is one (array, access matrix) tile group.
 type refGroup struct {
 	arr  *ir.Array
+	id   int         // index of the first group of arr: (id, box) names one engine tile
 	m    *matrix.Int // composite access L·Q
 	offs [][]int64   // offsets of the member references
+	// blind: on a dense tile the nest writes every element of the
+	// group's footprint and reads none, so the engine path stores the
+	// tile without reading it (see writeOnly).
+	blind bool
 }
 
 // schedRef is one statement reference: its group and constant offset.
@@ -125,7 +142,14 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 				return gi
 			}
 		}
-		s.groups = append(s.groups, &refGroup{arr: r.Array, m: m, offs: [][]int64{r.Off}})
+		id := len(s.groups)
+		for gi, g := range s.groups {
+			if g.arr == r.Array {
+				id = gi
+				break
+			}
+		}
+		s.groups = append(s.groups, &refGroup{arr: r.Array, id: id, m: m, offs: [][]int64{r.Off}})
 		return len(s.groups) - 1
 	}
 	refOf := func(r ir.Ref) int {
@@ -143,6 +167,9 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	for r := 0; r < k; r++ {
 		s.qLast = append(s.qLast, np.Q.At(r, k-1))
 	}
+	for _, g := range s.groups {
+		g.blind = s.writeOnly(g)
+	}
 	// A written array must have exactly one access-matrix group.
 	for _, a := range s.writtenArrays() {
 		count := 0
@@ -157,13 +184,12 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	}
 
 	// Tiling legality: the tiled band must be fully permutable under the
-	// TRANSFORMED dependences.
-	tds := transformDeps(deps.Analyze(n), np.T)
-	band := k - 1
-	if opts.Strategy == tiling.Traditional {
-		band = k
-	}
-	if !deps.FullyPermutable(tds, 0, band) {
+	// TRANSFORMED dependences, a statement's write with itself included.
+	// Traditional tiling bands all k loops, out-of-core tiling the outer
+	// k-1; a permutable k-band makes its prefix permutable too.
+	tds := transformDeps(append(deps.Analyze(n), deps.SelfOutput(n)...), np.T)
+	full := deps.FullyPermutable(tds, 0, k)
+	if !full && (opts.Strategy == tiling.Traditional || !deps.FullyPermutable(tds, 0, k-1)) {
 		return nil, fmt.Errorf("codegen: nest %d: tiled band not fully permutable under transformed dependences", n.ID)
 	}
 
@@ -172,14 +198,62 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	if err != nil && opts.Strategy == tiling.OutOfCore && !opts.NoFallback {
 		// A nest whose innermost loop sweeps too much data for the budget
 		// (e.g. many small vectors) falls back to traditional tiling, as
-		// a real out-of-core compiler must.
+		// a real out-of-core compiler must. That tiles the innermost loop
+		// too, so the band checked above grows by one.
 		spec, err = tiling.Choose(s.groupAccesses(), tlo, thi, opts.MemBudget, tiling.Traditional)
+		if err == nil && !full {
+			return nil, fmt.Errorf("codegen: nest %d: out-of-core slab does not fit the budget and the traditional fallback's band is not fully permutable under transformed dependences", n.ID)
+		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("codegen: nest %d: %w", n.ID, err)
 	}
 	s.Spec = spec
 	return s, nil
+}
+
+// writeOnly reports whether every point of a tile box writes its own
+// element of g and nothing reads g: the array is written and never
+// read, through unguarded statements and a single offset, and each row
+// of g's access matrix is one ±1 in a column of its own, so the points
+// of a dense tile cover the footprint box exactly.
+func (s *Schedule) writeOnly(g *refGroup) bool {
+	if !s.writes[g.arr] {
+		return false
+	}
+	for _, st := range s.Nest.Body {
+		if st.Out.Array == g.arr && len(st.Guard) > 0 {
+			return false
+		}
+		for _, r := range st.In {
+			if r.Array == g.arr {
+				return false
+			}
+		}
+	}
+	for _, off := range g.offs[1:] {
+		if !slices.Equal(off, g.offs[0]) {
+			return false
+		}
+	}
+	var used uint64
+	for d := 0; d < g.m.Rows(); d++ {
+		col := -1
+		for j := 0; j < g.m.Cols(); j++ {
+			switch c := g.m.At(d, j); {
+			case c == 0:
+			case (c == 1 || c == -1) && col < 0 && j < 64:
+				col = j
+			default:
+				return false
+			}
+		}
+		if col < 0 || used&(1<<col) != 0 {
+			return false
+		}
+		used |= 1 << col
+	}
+	return true
 }
 
 // groupAccesses converts tile groups to the tiling package's per-group
@@ -259,18 +333,48 @@ func (s *Schedule) ExecuteSlice(d *ooc.Disk, mem *ooc.Memory, part, parts int) (
 		return ExecStats{}, nil
 	}
 	x := s.newExecutor(d, mem)
-	// Tile counts along level 0 for block partitioning.
-	nt0 := ceilDiv(s.Spec.Hi[0]-s.Spec.Lo[0]+1, s.Spec.Sizes[0])
-	t0from, t0to := blockRange(nt0, int64(part), int64(parts))
-	last0 := min(s.Spec.Lo[0]+t0to*s.Spec.Sizes[0]-1, s.Spec.Hi[0])
-	origin := append([]int64(nil), s.Spec.Lo...)
-	origin[0] += t0from * s.Spec.Sizes[0]
-	for ok := origin[0] <= last0; ok; ok = s.nextOrigin(origin, last0) {
-		if err := x.tile(origin); err != nil {
+	last0, tiles := x.first(part, parts)
+	origin := x.origin
+	if s.engine == nil {
+		for ok := origin[0] <= last0; ok; ok = s.nextOrigin(origin, last0) {
+			if err := x.tile(origin); err != nil {
+				return x.stats, err
+			}
+		}
+		return x.stats, nil
+	}
+	x.look(append(x.scan[:0], origin...), last0, tiles)
+	f := x.future
+	defer futures.Put(f)
+	reqs := f.reqs
+	for ti, ok := 0, origin[0] <= last0; ok; ti, ok = ti+1, s.nextOrigin(origin, last0) {
+		t := f.tiles[ti]
+		if t.iters == 0 {
+			continue
+		}
+		if err := x.engineTile(origin, t, reqs[:t.nreq]); err != nil {
 			return x.stats, err
 		}
+		reqs = reqs[t.nreq:]
 	}
 	return x.stats, nil
+}
+
+// first sets x.origin to the first tile origin of processor part's
+// slice and returns where its level 0 ends and how many tile origins it
+// holds.
+func (x *executor) first(part, parts int) (last0 int64, tiles int) {
+	sp := &x.s.Spec
+	// Tile counts along level 0 for block partitioning.
+	nt0 := ceilDiv(sp.Hi[0]-sp.Lo[0]+1, sp.Sizes[0])
+	t0from, t0to := blockRange(nt0, int64(part), int64(parts))
+	copy(x.origin, sp.Lo)
+	x.origin[0] += t0from * sp.Sizes[0]
+	n := t0to - t0from
+	for lvl := 1; lvl < len(sp.Lo); lvl++ {
+		n *= ceilDiv(sp.Hi[lvl]-sp.Lo[lvl]+1, sp.Sizes[lvl])
+	}
+	return min(sp.Lo[0]+t0to*sp.Sizes[0]-1, sp.Hi[0]), int(n)
 }
 
 // nextOrigin steps a tile origin to its lexicographic successor, level
@@ -297,27 +401,26 @@ func (s *Schedule) tileBounds(origin, tLo, tHi []int64) {
 
 // executor is one ExecuteSlice call's state, reused across its tiles:
 // tile bounds, the group tiles with their offset tables, the request
-// list and the statement loop's scratch.
+// list, the look-ahead and the statement loop's scratch.
 type executor struct {
 	s     *Schedule
 	d     *ooc.Disk
 	mem   *ooc.Memory
 	stats ExecStats
 
-	tLo, tHi   []int64 // this tile's iteration box
-	iv, origIv []int64
-	in         []float64 // statement inputs; a StmtFunc may not keep its slice
-	reqs       []ooc.TileReq
-	reqGroup   []int // group of each of reqs
-	handles    []*ooc.Handle
+	origin, scan []int64 // the tile origin, and the look-ahead's copy
+	tLo, tHi     []int64 // this tile's iteration box
+	iv, origIv   []int64
+	in           []float64 // statement inputs; a StmtFunc may not keep its slice
+	reqs         []ooc.TileReq
+	reqGroup     []int // group of each of reqs
+	handles      []*ooc.Handle
+	future       *future // the engine path's look-ahead, from the futures pool
 
-	// Per group: its tile (nil when its footprint is empty), its
-	// footprint box (refilled in place: the engine copies the boxes it
-	// keeps), and lin[g*k+l] = Σ_d m[d][l]·tileStride_d, the change in
+	gs []groupState
+	// lin[g*k+l] = Σ_d m[d][l]·tileStride_d, the change in group g's
 	// tile offset per unit step of level l.
-	tiles []*ooc.Tile
-	boxes []layout.Box
-	lin   []int64
+	lin []int64
 	// Per reference: its tile's data, its tile offset at iv = 0, at the
 	// current point, and per innermost step.
 	data            [][]float64
@@ -325,27 +428,71 @@ type executor struct {
 	proven          bool // every reference provably stays inside its tile over the tile box
 }
 
-// newExecutor sizes an executor's tables for the schedule.
+// groupState is one group's share of an executor: its array on the
+// disk, its tile on the memory path, the data the statements read and
+// write (nil when its footprint is empty), the scratch a blind store is
+// computed into, and its footprint box (refilled in place: the engine
+// copies the boxes it keeps).
+type groupState struct {
+	arr     *ooc.Array
+	tile    *ooc.Tile
+	data    []float64
+	scratch []float64
+	box     layout.Box
+}
+
+// newExecutor sizes an executor's tables for the schedule. Every int64
+// table shares one allocation.
 func (s *Schedule) newExecutor(d *ooc.Disk, mem *ooc.Memory) *executor {
 	k, ng, nr := s.Spec.Depth(), len(s.groups), len(s.refs)
+	n := 6*k + ng*k + 3*nr
+	for _, g := range s.groups {
+		n += 2 * g.arr.Rank()
+	}
+	ints := make([]int64, n)
+	take := func(n int) []int64 {
+		b := ints[:n:n]
+		ints = ints[n:]
+		return b
+	}
+	nin := 0
+	for _, ss := range s.stmts {
+		nin = max(nin, len(ss.in))
+	}
 	x := &executor{s: s, d: d, mem: mem,
-		tLo: make([]int64, k), tHi: make([]int64, k),
-		iv: make([]int64, k), origIv: make([]int64, k),
-		tiles: make([]*ooc.Tile, ng), boxes: make([]layout.Box, ng), lin: make([]int64, ng*k),
-		data: make([][]float64, nr), base: make([]int64, nr), pos: make([]int64, nr), step: make([]int64, nr)}
+		origin: take(k), scan: take(k), tLo: take(k), tHi: take(k), iv: take(k), origIv: take(k),
+		lin: take(ng * k), base: take(nr), pos: take(nr), step: take(nr),
+		in: make([]float64, 0, nin), gs: make([]groupState, ng), data: make([][]float64, nr),
+		reqs: make([]ooc.TileReq, 0, ng), reqGroup: make([]int, 0, ng), handles: make([]*ooc.Handle, 0, ng)}
 	for gi, g := range s.groups {
-		x.boxes[gi] = newBox(g.arr.Rank())
+		r := g.arr.Rank()
+		x.gs[gi] = groupState{arr: d.ArrayOf(g.arr), box: layout.Box{Lo: take(r), Hi: take(r)}}
 	}
 	return x
 }
 
-// newBox returns a rank-r box whose Lo and Hi share one allocation.
-func newBox(r int) layout.Box {
-	buf := make([]int64, 2*r)
-	return layout.Box{Lo: buf[:r:r], Hi: buf[r:]}
+// footprints fills every group's footprint box for the tile box and
+// clears the per-group data.
+func (x *executor) footprints() {
+	for gi, g := range x.s.groups {
+		gs := &x.gs[gi]
+		g.footprintBox(gs.box, x.tLo, x.tHi)
+		gs.tile, gs.data = nil, nil
+	}
 }
 
-// tile processes the tile at origin.
+// tileReq returns the engine request for group gi's footprint.
+func (x *executor) tileReq(gi, next int) (ooc.TileReq, error) {
+	gs := &x.gs[gi]
+	if gs.arr == nil {
+		return ooc.TileReq{}, fmt.Errorf("codegen: array %s not on disk", x.s.groups[gi].arr.Name)
+	}
+	return ooc.TileReq{Arr: gs.arr, Box: gs.box, Next: next}, nil
+}
+
+// tile processes the tile at origin on the memory path: it reads the
+// group footprints under the Memory budget (or only accounts for them
+// in a dry run), executes, and writes the written groups back.
 func (x *executor) tile(origin []int64) error {
 	s := x.s
 	s.tileBounds(origin, x.tLo, x.tHi)
@@ -354,36 +501,20 @@ func (x *executor) tile(origin []int64) error {
 	if iters == 0 {
 		return nil
 	}
+	x.footprints()
 	x.reqs, x.reqGroup = x.reqs[:0], x.reqGroup[:0]
-	for gi, g := range s.groups {
-		x.tiles[gi] = nil
-		if g.footprintBox(x.boxes[gi], x.tLo, x.tHi); x.boxes[gi].Empty() {
+	for gi := range s.groups {
+		if x.gs[gi].box.Empty() {
 			continue
 		}
-		arr := x.d.ArrayOf(g.arr)
-		if arr == nil {
-			return fmt.Errorf("codegen: array %s not on disk", g.arr.Name)
+		r, err := x.tileReq(gi, 0)
+		if err != nil {
+			return err
 		}
-		x.reqs = append(x.reqs, ooc.TileReq{Arr: arr, Box: x.boxes[gi]})
+		x.reqs = append(x.reqs, r)
 		x.reqGroup = append(x.reqGroup, gi)
 	}
-	switch {
-	case s.engine == nil:
-		return x.memoryTile(iters)
-	case s.dryRun:
-		// Cached dry run: the engine's tile cache decides which touches
-		// reach the backend accounting; the memory budget is replaced by
-		// the cache's tile-count capacity.
-		x.stats.Iterations += iters
-		x.stats.Tiles++
-		for i, r := range x.reqs {
-			if err := s.engine.Touch(r.Arr, r.Box, x.written(i)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return x.engineTile()
+	return x.memoryTile(iters)
 }
 
 // written reports whether request req's group is written by the nest.
@@ -400,11 +531,12 @@ func (x *executor) memoryTile(iters int64) (err error) {
 			return err
 		}
 		allocated += r.Box.Size()
-		switch {
+		switch gs := &x.gs[x.reqGroup[i]]; {
 		case !x.s.dryRun:
-			if x.tiles[x.reqGroup[i]], err = r.Arr.ReadTile(r.Box); err != nil {
+			if gs.tile, err = r.Arr.ReadTile(r.Box); err != nil {
 				return err
 			}
+			gs.data = gs.tile.Data()
 		case x.written(i):
 			r.Arr.TouchRead(r.Box)
 			r.Arr.TouchWrite(r.Box)
@@ -420,7 +552,7 @@ func (x *executor) memoryTile(iters int64) (err error) {
 	x.compute()
 	for i := range x.reqs {
 		if x.written(i) {
-			if err := x.tiles[x.reqGroup[i]].WriteTile(); err != nil {
+			if err := x.gs[x.reqGroup[i]].tile.WriteTile(); err != nil {
 				return err
 			}
 		}
@@ -428,24 +560,232 @@ func (x *executor) memoryTile(iters int64) (err error) {
 	return nil
 }
 
-// engineTile acquires the group footprints from the engine's cache,
-// executes, and releases with dirty marking so write-back happens on
-// eviction or flush.
-func (x *executor) engineTile() error {
-	s := x.s
-	handles, err := s.engine.AcquireAll(x.handles[:0], x.reqs)
+// engineTile runs the tile at origin through the engine, issuing the
+// look-ahead's requests rs in order: it acquires the groups it reads
+// from the cache, executes (a dry run only counts), releases them with
+// dirty marking so write-back happens on eviction or flush, and then
+// stores the blind groups, computed into scratch (accounted only in a
+// dry run).
+func (x *executor) engineTile(origin []int64, t futureTile, rs []futureReq) error {
+	s, e := x.s, x.s.engine
+	nread, err := x.requests(origin, t, rs)
+	if err != nil {
+		return err
+	}
+	handles, err := e.AcquireAll(x.handles[:0], x.reqs[:nread])
 	if err != nil {
 		return err
 	}
 	x.handles = handles
-	for i, h := range handles {
-		x.tiles[x.reqGroup[i]] = h.Tile()
+	if s.dryRun {
+		x.stats.Iterations += t.iters
+		x.stats.Tiles++
+	} else {
+		for i, h := range handles {
+			x.gs[x.reqGroup[i]].data = h.Tile().Data()
+		}
+		x.compute()
 	}
-	x.compute()
 	for i, h := range handles {
-		s.engine.Release(h, x.written(i))
+		e.Release(h, x.written(i))
+	}
+	for i := nread; i < len(x.reqs); i++ {
+		if err := e.Store(x.reqs[i], x.gs[x.reqGroup[i]].data); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// requests fills x.reqs with the engine requests of the tile at origin,
+// the look-ahead's rs with the boxes it found and their next uses: the
+// nread reads first, then the blind stores, each pointed at its scratch
+// on a real run. A group the tile requests nothing of gets an empty box.
+func (x *executor) requests(origin []int64, t futureTile, rs []futureReq) (nread int, err error) {
+	s, f := x.s, x.future
+	s.tileBounds(origin, x.tLo, x.tHi)
+	for gi := range x.gs {
+		gs := &x.gs[gi]
+		gs.tile, gs.data = nil, nil
+		clear(gs.box.Lo)
+		clear(gs.box.Hi)
+	}
+	x.reqs, x.reqGroup = x.reqs[:0], x.reqGroup[:0]
+	for _, fr := range rs {
+		gi, k := int(fr.group), f.keys[fr.key]
+		copy(x.gs[gi].box.Lo, f.boxes[k.box:])
+		copy(x.gs[gi].box.Hi, f.boxes[k.box+k.dim:])
+		r, err := x.tileReq(gi, int(fr.next))
+		if err != nil {
+			return 0, err
+		}
+		x.reqs = append(x.reqs, r)
+		x.reqGroup = append(x.reqGroup, gi)
+		if !(t.dense && s.groups[gi].blind) {
+			nread++
+		} else if !s.dryRun {
+			gs := &x.gs[gi]
+			if n := int(r.Box.Size()); cap(gs.scratch) < n {
+				gs.scratch = make([]float64, n)
+			}
+			gs.data = gs.scratch[:r.Box.Size()]
+		}
+	}
+	return nread, nil
+}
+
+// future is the engine path's look-ahead over one slice. A pass over
+// the tile origins, stepped exactly as execution steps them, records
+// each tile's iteration count, density and engine requests (reads in
+// group order, then blind stores), and for each request the distance
+// to the next request of the same (array, box). The tiles a request
+// names are its keys, found through an open-addressed table with exact
+// box comparison. Every table is sized up front from the tile counts,
+// so a pass makes at most one allocation per table.
+type future struct {
+	tiles []futureTile
+	reqs  []futureReq
+	keys  []futureKey
+	boxes []int64 // key boxes, Lo then Hi
+	slots []int32 // the table: 1 + key index, 0 = empty
+}
+
+// futureTile is one tile origin's look-ahead.
+type futureTile struct {
+	iters int64 // statement iterations (exact on dry runs; else > 0 means non-empty)
+	nreq  int32 // engine requests the tile issues
+	dense bool  // every point of the tile box executes
+}
+
+// futureReq is one engine request: its group, its key, and how many
+// requests later its tile is requested again (0 = not in this slice).
+type futureReq struct {
+	group, key, next int32
+}
+
+// futureKey is one distinct (array, box): its hash, the array's first
+// group, the box's offset in future.boxes, its latest request and the
+// box's rank.
+type futureKey struct {
+	hash      uint64
+	id, box   int32
+	last, dim int32
+}
+
+// futures recycles look-ahead tables: they are sized by the slice, and
+// a steady stream of executions reuses them instead of collecting them.
+var futures = sync.Pool{New: func() any { return new(future) }}
+
+// reuse returns buf emptied, with room for n elements.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// look fills x.future for the slice whose first origin is origin
+// (stepped in place), whose level 0 ends at last0 and which holds
+// tiles tile origins.
+func (x *executor) look(origin []int64, last0 int64, tiles int) {
+	s, f := x.s, futures.Get().(*future)
+	x.future = f
+	// A group's footprint box depends only on the tile ranges of the
+	// levels its access matrix uses, which bounds its distinct boxes.
+	nkeys, words := 0, 0
+	for _, g := range s.groups {
+		n := 1
+		for lvl := range origin {
+			used := false
+			for d := 0; d < g.m.Rows(); d++ {
+				used = used || g.m.At(d, lvl) != 0
+			}
+			switch {
+			case !used:
+			case lvl == 0:
+				n *= int(ceilDiv(last0-origin[0]+1, s.Spec.Sizes[0]))
+			default:
+				n *= int(ceilDiv(s.Spec.Hi[lvl]-s.Spec.Lo[lvl]+1, s.Spec.Sizes[lvl]))
+			}
+		}
+		nkeys += n
+		words += 2 * g.arr.Rank() * n
+	}
+	size := 1
+	for size < 2*nkeys {
+		size <<= 1
+	}
+	f.tiles, f.reqs = reuse(f.tiles, tiles), reuse(f.reqs, tiles*len(s.groups))
+	f.keys, f.boxes, f.slots = reuse(f.keys, nkeys), reuse(f.boxes, words), reuse(f.slots, size)[:size]
+	clear(f.slots)
+	blind := false
+	for _, g := range s.groups {
+		blind = blind || g.blind
+	}
+	for ok := origin[0] <= last0; ok; ok = s.nextOrigin(origin, last0) {
+		s.tileBounds(origin, x.tLo, x.tHi)
+		var t futureTile
+		switch {
+		case s.dryRun:
+			t.iters = s.countWithin(0, x.tLo, x.tHi, x.iv, false)
+			vol := int64(1)
+			for lvl := range x.tLo {
+				vol *= x.tHi[lvl] - x.tLo[lvl] + 1
+			}
+			t.dense = t.iters == vol
+		case blind && s.denseWithin(0, x.tLo, x.tHi, x.iv):
+			t.iters, t.dense = 1, true
+		default:
+			t.iters = s.countWithin(0, x.tLo, x.tHi, x.iv, true)
+		}
+		if t.iters > 0 {
+			n := len(f.reqs)
+			x.footprints()
+			for _, stores := range [2]bool{false, true} {
+				for gi, g := range s.groups {
+					if box := x.gs[gi].box; (t.dense && g.blind) == stores && !box.Empty() {
+						f.request(gi, g.id, box)
+					}
+				}
+			}
+			t.nreq = int32(len(f.reqs) - n)
+		}
+		f.tiles = append(f.tiles, t)
+	}
+}
+
+// request appends a request of group gi for box, linking the previous
+// request of the same (array, box) to it.
+func (f *future) request(gi, id int, box layout.Box) {
+	i := int32(len(f.reqs))
+	h := uint64(id+1) * 0x9e3779b97f4a7c15
+	for d := range box.Lo {
+		h = (h ^ uint64(box.Lo[d])) * 0xbf58476d1ce4e5b9
+		h = (h ^ uint64(box.Hi[d])) * 0x94d049bb133111eb
+		h ^= h >> 31
+	}
+	mask := uint64(len(f.slots) - 1)
+	for j := h & mask; ; j = (j + 1) & mask {
+		if f.slots[j] == 0 {
+			if 2*len(f.keys) >= len(f.slots) {
+				panic("codegen: look-ahead found more tiles than its key bound") // the table would fill and never stop probing
+			}
+			f.slots[j] = int32(len(f.keys) + 1)
+			f.reqs = append(f.reqs, futureReq{group: int32(gi), key: int32(len(f.keys))})
+			f.keys = append(f.keys, futureKey{hash: h, id: int32(id), box: int32(len(f.boxes)), last: i, dim: int32(len(box.Lo))})
+			f.boxes = append(append(f.boxes, box.Lo...), box.Hi...)
+			return
+		}
+		ki := f.slots[j] - 1
+		k := &f.keys[ki]
+		if k.hash == h && k.id == int32(id) &&
+			slices.Equal(f.boxes[k.box:k.box+k.dim], box.Lo) && slices.Equal(f.boxes[k.box+k.dim:k.box+2*k.dim], box.Hi) {
+			f.reqs = append(f.reqs, futureReq{group: int32(gi), key: ki})
+			f.reqs[k.last].next = i - k.last
+			k.last = i
+			return
+		}
+	}
 }
 
 // compute executes the statements over the tile's points. Every
@@ -457,7 +797,7 @@ func (x *executor) compute() {
 	s := x.s
 	k := len(x.iv)
 	for gi, g := range s.groups {
-		lin, box := x.lin[gi*k:gi*k+k], x.boxes[gi]
+		lin, box := x.lin[gi*k:gi*k+k], x.gs[gi].box
 		clear(lin)
 		for d, stride := g.arr.Rank()-1, int64(1); d >= 0; d-- {
 			for l := range lin {
@@ -468,11 +808,8 @@ func (x *executor) compute() {
 	}
 	x.proven = true
 	for ri, r := range s.refs {
-		g, box := s.groups[r.group], x.boxes[r.group]
-		x.data[ri] = nil
-		if t := x.tiles[r.group]; t != nil {
-			x.data[ri] = t.Data()
-		}
+		g, box := s.groups[r.group], x.gs[r.group].box
+		x.data[ri] = x.gs[r.group].data
 		var base int64
 		for d, stride := g.arr.Rank()-1, int64(1); d >= 0; d-- {
 			base += (r.off[d] - box.Lo[d]) * stride
@@ -560,7 +897,7 @@ func (x *executor) run(lo, hi int64) {
 func (x *executor) checkRun(lo, hi int64) {
 	k := len(x.iv)
 	for _, r := range x.s.refs {
-		g, box := x.s.groups[r.group], x.boxes[r.group]
+		g, box := x.s.groups[r.group], x.gs[r.group].box
 		for d := range box.Lo {
 			c := r.off[d]
 			for l := 0; l < k-1; l++ {
@@ -592,6 +929,26 @@ func (s *Schedule) computeEnd(t0 time.Time) {
 	}
 	s.trace.Emit(obs.Event{Kind: obs.KindCompute, Name: s.traceName,
 		Start: s.trace.Stamp(t0), Dur: time.Since(t0).Nanoseconds()})
+}
+
+// denseWithin reports whether every point of the tile box from level
+// lvl down, iv[:lvl] fixed, lies in the transformed space: the dense
+// test, which stops at the first row that falls short.
+func (s *Schedule) denseWithin(lvl int, tLo, tHi, iv []int64) bool {
+	lo, hi, empty := s.bounds.Range(lvl, iv[:lvl])
+	if empty || lo > tLo[lvl] || hi < tHi[lvl] {
+		return false
+	}
+	if lvl == len(iv)-1 {
+		return true
+	}
+	for v := tLo[lvl]; v <= tHi[lvl]; v++ {
+		iv[lvl] = v
+		if !s.denseWithin(lvl+1, tLo, tHi, iv) {
+			return false
+		}
+	}
+	return true
 }
 
 // countWithin counts the integer points of the transformed space

@@ -11,6 +11,7 @@ package deps
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"outcore/internal/ir"
@@ -108,6 +109,23 @@ func Analyze(n *ir.Nest) []Dependence {
 		}
 	}
 	return dedup(out)
+}
+
+// SelfOutput returns the output dependences of each statement's write
+// with itself: a write whose subscript omits or folds loops (A(j,i+k)
+// in a nest over i, j, k) stores to one element from many iterations,
+// and their order decides the final value. Analyze does not report
+// these pairs; tiling legality must see them, since a tiled band that
+// reverses two such writes keeps the wrong last value.
+func SelfOutput(n *ir.Nest) []Dependence {
+	var out []Dependence
+	for _, s := range n.Body {
+		d, ok := pairDependence(n, s.Out, s.Out, true, true)
+		if ok && (len(out) == 0 || !slices.ContainsFunc(out, func(o Dependence) bool { return o.String() == d.String() })) {
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // pairDependence tests two same-array references for a loop-carried

@@ -360,3 +360,32 @@ func TestTransformDirs(t *testing.T) {
 		t.Errorf("projection of (*,<) = %v", got)
 	}
 }
+
+// TestSelfOutput: a write that folds or omits loops depends on itself,
+// and an injective one does not.
+func TestSelfOutput(t *testing.T) {
+	a := ir.NewArray("A", 40, 40)
+	for _, c := range []struct {
+		name string
+		out  ir.Ref
+		want string // "" = no self dependence
+	}{
+		{"injective", ir.RefIdx(a, 2, 1, 0), ""},
+		{"omits k", ir.RefIdx(a, 3, 0, 1), "output A (=,=,*)"},
+		{"scaled, omits i", ir.RefAffine(a, [][]int64{{0, 2, 0}, {0, 0, 1}}, []int64{0, 0}), "output A (*,=,=)"},
+		{"folds i+k", ir.RefAffine(a, [][]int64{{0, 1, 0}, {1, 0, 1}}, []int64{0, 0}), "output A (*,=,*)"},
+	} {
+		n := &ir.Nest{Loops: ir.Rect(8, 8, 8)[:c.out.Depth()], Body: []*ir.Stmt{
+			ir.Assign(c.out, nil, "", ir.AddConst(0)),
+		}}
+		var got string
+		if ds := SelfOutput(n); len(ds) > 1 {
+			t.Fatalf("%s: %v, want at most one dependence", c.name, ds)
+		} else if len(ds) == 1 {
+			got = ds[0].String()
+		}
+		if got != c.want {
+			t.Errorf("%s: SelfOutput = %q, want %q", c.name, got, c.want)
+		}
+	}
+}

@@ -110,12 +110,16 @@ func TestNoBackingDisk(t *testing.T) {
 	if _, err := arr.ReadTile(layout.NewBox([]int64{0, 0}, []int64{2, 2})); err == nil {
 		t.Error("null-backed read succeeded")
 	}
-	// A blind store is data access too, even over a cached accounting
+	// A store of data is data access too, even over a cached accounting
 	// entry (which has no tile to overwrite).
 	e := NewEngine(d, EngineOptions{})
 	box := layout.NewBox([]int64{0, 0}, []int64{2, 2})
-	e.Touch(arr, box, false)
-	if err := e.Store(arr, box, make([]float64, 4)); err == nil {
+	h, err := e.Acquire(arr, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Release(h, false)
+	if err := e.Store(TileReq{Arr: arr, Box: box}, make([]float64, 4)); err == nil {
 		t.Error("null-backed store succeeded")
 	}
 }

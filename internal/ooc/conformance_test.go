@@ -234,7 +234,7 @@ func runConformanceSeed(t *testing.T, seed int64, wal bool) {
 			}
 			for _, p := range planes {
 				if blind {
-					if err := p.eng.Store(p.arr, box, fill); err != nil {
+					if err := p.eng.Store(ooc.TileReq{Arr: p.arr, Box: box}, fill); err != nil {
 						t.Fatalf("%s: store %v: %v", p.name, box, err)
 					}
 					p.stores++

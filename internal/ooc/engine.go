@@ -3,6 +3,7 @@ package ooc
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -25,10 +26,13 @@ type EngineOptions struct {
 	// benchmark module compiles. The next benchmark PR deletes this field
 	// and the two literals in bench/ that set it to 0.
 	Workers int
-	// CacheTiles bounds the number of resident tiles (LRU eviction;
-	// <= 0 means DefaultCacheTiles). Pinned tiles are never evicted, so
-	// the cache may transiently exceed the bound while a tile set is in
-	// use; it shrinks back at release.
+	// CacheTiles bounds the number of resident tiles (<= 0 means
+	// DefaultCacheTiles). Eviction drops the unpinned tile whose next use
+	// is furthest away — by the requests' TileReq.Next hints, with an
+	// unhinted tile counted as never used again — and the least recently
+	// used among equals, so a caller that passes no hints gets plain LRU.
+	// Pinned tiles are never evicted, so the cache may transiently exceed
+	// the bound while a tile set is in use; it shrinks back at release.
 	CacheTiles int
 	// Obs attaches the observability sink: tile fetches, write-backs
 	// and evictions are emitted as trace events, fetch latency feeds the
@@ -76,15 +80,16 @@ type entry struct {
 	hnext  *entry // next frame in the same bucket, or on the free list
 	prev   *entry // LRU ring, toward the most recently used; nil out of the table
 	next   *entry
+	use    int64 // request clock of the tile's next use; <= Engine.clock: unknown
 
-	touch   bool // accounting-only entry (dry-run disks)
+	touch   bool // accounting-only entry (measurement-only disks)
 	dirty   bool
 	pins    int
 	loading bool // pinned by the acquirer reading it; never dirty
 }
 
-// Engine is a tile engine: a size-bounded LRU tile cache with
-// write-back dirty tracking in front of a Disk. Every call is
+// Engine is a tile engine: a size-bounded tile cache with write-back
+// dirty tracking in front of a Disk. Every call is
 // synchronous on its caller's goroutine; concurrent callers (the HTTP
 // server) are safe, and a miss reads outside the engine lock, so
 // misses of different tiles overlap while acquires of one in-flight
@@ -101,6 +106,11 @@ type entry struct {
 //
 // Acquire + Release(dirty) is the read-modify-write path; a caller that
 // supplies a whole box writes it with Store, which never reads.
+//
+// On a measurement-only disk (Disk.NoBacking) the same calls move no
+// data and only account: a miss charges the read it would make, a
+// dirty tile the write-back, so a dry-run schedule reports exactly the
+// calls the cached engine really issues.
 //
 // The miss path allocates nothing in steady state: frames evicted or
 // invalidated go onto a free list (at most CacheTiles long) and the
@@ -125,6 +135,7 @@ type Engine struct {
 	buckets  []*entry  // hash table: tileHash & mask -> collision chain
 	mask     uint64
 	resident int   // frames in the table
+	clock    int64 // requests so far (acquires and stores): the time of TileReq.Next
 	lru      entry // sentinel of the LRU ring: lru.next is the most recent
 	free     *entry
 	nfree    int
@@ -195,9 +206,15 @@ func (h *Handle) Tile() *Tile { return &h.ent.tile }
 // Acquire returns the tile for (array, box), pinned: from cache on a
 // hit (waiting out another caller's in-flight read of it), or read from
 // the backend on a miss. Concurrent acquires of the same key share one
-// backend read and one in-memory tile.
+// backend read and one in-memory tile. It is AcquireAll of one request
+// with no next-use hint.
 func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
-	box = box.Clip(ar.Meta.Dims)
+	return e.acquire(TileReq{Arr: ar, Box: box})
+}
+
+func (e *Engine) acquire(r TileReq) (*Handle, error) {
+	ar := r.Arr
+	box := r.Box.Clip(ar.Meta.Dims)
 	hash := tileHash(ar, box)
 	e.mu.Lock()
 	ent, err := e.resolveLocked(hash, ar, box)
@@ -205,8 +222,10 @@ func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 		e.mu.Unlock()
 		return nil, err
 	}
+	e.clock++
 	if ent != nil {
 		ent.pins++
+		ent.use = e.useAt(r.Next)
 		e.met.hits.Inc()
 		e.toFrontLocked(ent)
 		e.mu.Unlock()
@@ -215,8 +234,18 @@ func (e *Engine) Acquire(ar *Array, box layout.Box) (*Handle, error) {
 	// Miss: reserve the key, make the backend current for this box,
 	// then read outside the lock so independent fetches overlap.
 	e.met.misses.Inc()
-	ent = e.insertLocked(hash, ar, box, true)
-	ent.pins, ent.loading = 1, true
+	touch := ar.disk.noBacking
+	ent = e.insertLocked(hash, ar, box, !touch)
+	ent.pins, ent.loading, ent.touch, ent.use = 1, !touch, touch, e.useAt(r.Next)
+	if touch {
+		// Measurement only: the flush cannot fail (TouchWrite moves
+		// nothing), and the read is charged, not made.
+		_ = e.flushOverlapDirtyLocked(ar, box, ent)
+		ent.tile.plan(false)
+		e.evictLocked()
+		e.mu.Unlock()
+		return newHandle(ent), nil
+	}
 	if ferr := e.flushOverlapDirtyLocked(ar, box, ent); ferr != nil {
 		// Reading the backend now would observe data older than a
 		// released overlapping write; fail the acquire instead of
@@ -269,10 +298,26 @@ func (e *Engine) resolveLocked(hash uint64, ar *Array, box layout.Box) (*entry, 
 	}
 }
 
-// TileReq names one tile to acquire.
+// TileReq is one tile request: the (array, box) to acquire or store
+// and, from a caller that knows its future, when it comes back.
 type TileReq struct {
 	Arr *Array
 	Box layout.Box
+	// Next is the distance, counted in engine requests (acquires and
+	// stores, this one excluded), to the next request of the same
+	// (array, box): 1 means the very next request. 0 means unknown,
+	// which eviction treats as never; so does a hint whose request has
+	// already passed without coming.
+	Next int
+}
+
+// useAt converts a TileReq.Next hint into the request clock of the next
+// use, for the request the clock has just counted; 0 when unknown.
+func (e *Engine) useAt(next int) int64 {
+	if next <= 0 {
+		return 0
+	}
+	return e.clock + int64(next)
 }
 
 // AcquireAll acquires every requested tile in request order and
@@ -283,7 +328,7 @@ func (e *Engine) AcquireAll(dst []*Handle, reqs []TileReq) ([]*Handle, error) {
 	n := len(dst)
 	dst = slices.Grow(dst, len(reqs))
 	for _, r := range reqs {
-		h, err := e.Acquire(r.Arr, r.Box)
+		h, err := e.acquire(r)
 		if err != nil {
 			for _, h := range dst[n:] {
 				e.Release(h, false)
@@ -325,12 +370,15 @@ func (e *Engine) Release(h *Handle, dirty bool) {
 	handlePool.Put(h)
 }
 
-// Store installs data as the resident dirty tile for (array, box)
+// Store installs data as the resident dirty tile for r's (array, box)
 // WITHOUT reading the backend — Acquire + copy + Release(dirty) minus
-// the read, for a caller that supplies every element of the box.
+// the read, for a caller that supplies every element of the box. Like
+// an acquire it is one request: it takes r.Next and advances the clock.
 //
 // data is box-local row-major, must hold exactly the clipped box's
-// elements, and is copied: the caller may recycle it on return. A
+// elements, and is copied: the caller may recycle it on return. On a
+// measurement-only disk data must be nil: the store is accounted (the
+// write-back it causes is charged) and moves nothing. A
 // resident entry is overwritten in place, an in-flight load of the same
 // key is waited for first (as Acquire does), an absent one is created.
 // The tile is then dirtied exactly as a dirty Release does it: older
@@ -339,13 +387,15 @@ func (e *Engine) Release(h *Handle, dirty bool) {
 // capacity is enforced — and, as for a dirty release, nobody else may
 // hold a pin on an overlapping tile (the same box included). A store reads nothing, so it is neither a hit nor
 // a miss; EngineStats shows it as the Writeback it eventually causes.
-func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
-	box = box.Clip(ar.Meta.Dims)
-	if int64(len(data)) != box.Size() {
+func (e *Engine) Store(r TileReq, data []float64) error {
+	ar := r.Arr
+	box := r.Box.Clip(ar.Meta.Dims)
+	touch := ar.disk.noBacking
+	switch {
+	case touch && data != nil:
+		return fmt.Errorf("ooc: store of data into %s on a measurement-only (null-backed) disk; pass nil to account the write", ar.Meta.Name)
+	case !touch && int64(len(data)) != box.Size():
 		return fmt.Errorf("ooc: store of %d elements into %s %v, which holds %d", len(data), ar.Meta.Name, box, box.Size())
-	}
-	if ar.disk.noBacking {
-		return fmt.Errorf("ooc: store into %s on a measurement-only (null-backed) disk; use Touch", ar.Meta.Name)
 	}
 	hash := tileHash(ar, box)
 	e.mu.Lock()
@@ -354,56 +404,17 @@ func (e *Engine) Store(ar *Array, box layout.Box, data []float64) error {
 	if err != nil {
 		return err
 	}
+	e.clock++
 	if ent != nil {
 		e.toFrontLocked(ent)
 	} else {
-		ent = e.insertLocked(hash, ar, box, true)
+		ent = e.insertLocked(hash, ar, box, !touch)
+		ent.touch = touch
 	}
+	ent.use = e.useAt(r.Next)
 	copy(ent.tile.data, data)
 	ent.dirty = true
 	e.invalidateOverlapLocked(ent)
-	e.evictLocked()
-	return nil
-}
-
-// Touch is the accounting-only counterpart of Acquire+Release for
-// dry-run (data-less) disks: a miss charges TouchRead, a write marks
-// the entry dirty (TouchWrite is charged once, at eviction or Flush),
-// and a hit charges nothing — so cached dry-run schedules report the
-// calls the cached engine would really issue. Like Acquire it fails
-// with ErrEngineClosed once the engine is closed.
-func (e *Engine) Touch(ar *Array, box layout.Box, write bool) error {
-	box = box.Clip(ar.Meta.Dims)
-	if box.Empty() {
-		return nil
-	}
-	hash := tileHash(ar, box)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent, err := e.resolveLocked(hash, ar, box)
-	if err != nil {
-		return err
-	}
-	if ent != nil {
-		e.met.hits.Inc()
-		e.toFrontLocked(ent)
-		if write && !ent.dirty {
-			ent.dirty = true
-			e.invalidateOverlapLocked(ent)
-		}
-		return nil
-	}
-	e.met.misses.Inc()
-	ent = e.insertLocked(hash, ar, box, false)
-	ent.touch = true
-	// Accounting-only disks have no data to lose: TouchWrite cannot
-	// fail, so the flush error is structurally nil here.
-	_ = e.flushOverlapDirtyLocked(ar, box, ent)
-	ent.tile.plan(false) // TouchRead, on the frame's scratch
-	if write {
-		ent.dirty = true
-		e.invalidateOverlapLocked(ent)
-	}
 	e.evictLocked()
 	return nil
 }
@@ -622,39 +633,65 @@ func (e *Engine) invalidateOverlapLocked(dirtied *entry) {
 	}
 }
 
-// evictLocked enforces the capacity bound: least-recently-used
-// unpinned entries are written back (when dirty) and dropped until the
-// cache fits.
+// evictLocked enforces the capacity bound: unpinned entries are
+// written back (when dirty) and dropped, in victimLocked's order, until
+// the cache fits.
 func (e *Engine) evictLocked() {
 	for e.resident > e.capTiles {
-		evicted := false
-		for ent := e.lru.prev; ent != &e.lru; ent = ent.prev {
-			if ent.pins > 0 {
-				continue
-			}
-			if ent.dirty {
-				if e.writebackLocked(ent) != nil {
-					// Evicting a tile whose write-back failed would lose
-					// the only copy of its data; keep it dirty and try
-					// another victim. The cache may transiently exceed
-					// its bound while the backend is unhealthy.
-					continue
-				}
-			}
-			e.removeLocked(ent)
-			e.met.evictions.Inc()
-			if e.trace != nil {
-				e.trace.Emit(obs.Event{Kind: obs.KindEviction, Name: ent.tile.Arr.Meta.Name,
-					Start: e.trace.Now(), Bytes: ent.tile.Box.Size() * ElemSize})
-			}
-			e.recycleLocked(ent)
-			evicted = true
-			break
+		ent, use, pos := e.victimLocked(never, -1)
+		for ent != nil && ent.dirty && e.writebackLocked(ent) != nil {
+			// Evicting a tile whose write-back failed would lose the only
+			// copy of its data; keep it dirty and try the next victim.
+			// The cache may transiently exceed its bound while the
+			// backend is unhealthy.
+			ent, use, pos = e.victimLocked(use, pos)
 		}
-		if !evicted {
-			return // everything pinned; shrink at release
+		if ent == nil {
+			return // everything pinned or unwritable; shrink at release
+		}
+		e.removeLocked(ent)
+		e.met.evictions.Inc()
+		if e.trace != nil {
+			e.trace.Emit(obs.Event{Kind: obs.KindEviction, Name: ent.tile.Arr.Meta.Name,
+				Start: e.trace.Now(), Bytes: ent.tile.Box.Size() * ElemSize})
+		}
+		e.recycleLocked(ent)
+	}
+}
+
+// never ranks a tile with no known next use: behind every known one.
+const never = math.MaxInt64
+
+// victimLocked returns the unpinned entry to evict next, with its rank:
+// the next use furthest away (unknown or past counts as never), and
+// among equals the least recently used, at LRU position pos counted
+// from the tail. Only entries ranked strictly below (belowUse,
+// belowPos) qualify, which is how a victim whose write-back failed
+// hands over to the next best; (never, -1) admits every entry. The scan
+// stops at the first qualifying entry used never, so a cache without
+// hints costs what an LRU tail pop does.
+func (e *Engine) victimLocked(belowUse int64, belowPos int) (victim *entry, use int64, pos int) {
+	use = -1
+	p := 0
+	for ent := e.lru.prev; ent != &e.lru; ent, p = ent.prev, p+1 {
+		if ent.pins > 0 {
+			continue
+		}
+		u := ent.use
+		if u <= e.clock {
+			u = never
+		}
+		if u > belowUse || u == belowUse && p <= belowPos {
+			continue
+		}
+		if u > use {
+			victim, use, pos = ent, u, p
+			if u == belowUse {
+				break // nothing that qualifies ranks higher
+			}
 		}
 	}
+	return victim, use, pos
 }
 
 // tileHash keys the frame table: the array's name hash mixed with every

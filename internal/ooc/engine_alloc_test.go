@@ -78,7 +78,7 @@ func TestAcquireMissAllocs(t *testing.T) {
 			return err
 		}},
 		{"store to an absent key", false, true, func(e *Engine, arr *Array, box layout.Box, data []float64) error {
-			return e.Store(arr, box, data)
+			return e.Store(TileReq{Arr: arr, Box: box}, data)
 		}},
 	}
 	for _, c := range cases {

@@ -126,7 +126,7 @@ func recycleDifferential(t *testing.T, seed int64) {
 		case p < 75: // blind store
 			mt := tw.model.NewTileZero(box)
 			v := fresh(mt.Size())
-			if err := e.Store(tw.eng, box, v); err != nil {
+			if err := e.Store(TileReq{Arr: tw.eng, Box: box}, v); err != nil {
 				t.Fatal(err)
 			}
 			copy(mt.Data(), v)

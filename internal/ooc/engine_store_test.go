@@ -109,7 +109,7 @@ func TestStoreMatchesAcquireWrite(t *testing.T) {
 						switch s.op {
 						case "write":
 							mine := append([]float64(nil), data...)
-							if err := st.eng.Store(st.arr, s.box, mine); err != nil {
+							if err := st.eng.Store(ooc.TileReq{Arr: st.arr, Box: s.box}, mine); err != nil {
 								t.Fatalf("step %d: store %v: %v", i, s.box, err)
 							}
 							for k := range mine {
@@ -147,7 +147,7 @@ func TestStoreMatchesAcquireWrite(t *testing.T) {
 							}
 						}
 					}
-					if err := st.eng.Store(st.arr, box(0, 0, 4, 4), make([]float64, 15)); err == nil {
+					if err := st.eng.Store(ooc.TileReq{Arr: st.arr, Box: box(0, 0, 4, 4)}, make([]float64, 15)); err == nil {
 						t.Fatal("a store of the wrong length was accepted")
 					}
 					for _, tw := range []*storeTwin{st, aw} {
@@ -249,7 +249,7 @@ func TestStoreWaitsForInFlightLoad(t *testing.T) {
 	}()
 	<-g.entered // the miss is inside its backend read
 	done := make(chan error, 1)
-	go func() { done <- e.Store(arr, b, stored) }()
+	go func() { done <- e.Store(ooc.TileReq{Arr: arr, Box: b}, stored) }()
 	select {
 	case err := <-done:
 		t.Fatalf("Store returned (%v) while the load of its target was in flight", err)
@@ -325,7 +325,7 @@ func TestStoreConcurrentBands(t *testing.T) {
 				for i := range data {
 					data[i] = float64(g*1000 + k)
 				}
-				if err := e.Store(arr, b, data); err != nil {
+				if err := e.Store(ooc.TileReq{Arr: arr, Box: b}, data); err != nil {
 					t.Error(err)
 					return
 				}
@@ -360,7 +360,7 @@ func TestStoreConcurrentBands(t *testing.T) {
 	if !reflect.DeepEqual(full.Data(), want) {
 		t.Fatal("array contents after Close differ from the last store per cell")
 	}
-	if err := e.Store(arr, layout.NewBox([]int64{0, 0}, []int64{1, 1}), []float64{1}); !errors.Is(err, ooc.ErrEngineClosed) {
+	if err := e.Store(ooc.TileReq{Arr: arr, Box: layout.NewBox([]int64{0, 0}, []int64{1, 1})}, []float64{1}); !errors.Is(err, ooc.ErrEngineClosed) {
 		t.Fatalf("store on a closed engine: %v, want ErrEngineClosed", err)
 	}
 }

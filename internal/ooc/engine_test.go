@@ -332,9 +332,15 @@ func TestEngineTouchAccounting(t *testing.T) {
 
 	b := box2(0, 0, 4, 8)
 	for _, write := range []bool{false, false, true} { // miss (charges the read), hit, hit now dirty
-		if err := e.Touch(arr, b, write); err != nil {
+		h, err := e.Acquire(arr, b)
+		if err != nil {
 			t.Fatal(err)
 		}
+		e.Release(h, write)
+	}
+	// An accounting store reads nothing and is neither hit nor miss.
+	if err := e.Store(TileReq{Arr: arr, Box: box2(4, 0, 8, 8)}, nil); err != nil {
+		t.Fatal(err)
 	}
 	if s := e.Stats(); s.Misses != 1 || s.Hits != 2 {
 		t.Errorf("touch stats = %+v, want 1 miss + 2 hits", s)
@@ -346,22 +352,25 @@ func TestEngineTouchAccounting(t *testing.T) {
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Stats.WriteCalls != 1 {
-		t.Errorf("dirty touch entry flushed %d write calls, want 1", d.Stats.WriteCalls)
+	if d.Stats.WriteCalls != 2 {
+		t.Errorf("dirty touch entries flushed %d write calls, want 2", d.Stats.WriteCalls)
 	}
 
-	// Like Acquire and Store, Touch on a closed engine fails and charges
-	// nothing: no read, and no dirty entry a later Close would never
-	// write back.
+	// On a closed engine an accounting acquire or store fails and
+	// charges nothing: no read, and no dirty entry a later Close would
+	// never write back.
 	before := d.Stats.Snapshot()
-	if err := e.Touch(arr, box2(4, 0, 8, 8), true); err != ErrEngineClosed {
-		t.Fatalf("Touch after Close: %v, want ErrEngineClosed", err)
+	if _, err := e.Acquire(arr, box2(4, 0, 8, 8)); err != ErrEngineClosed {
+		t.Fatalf("Acquire after Close: %v, want ErrEngineClosed", err)
+	}
+	if err := e.Store(TileReq{Arr: arr, Box: box2(4, 0, 8, 8)}, nil); err != ErrEngineClosed {
+		t.Fatalf("Store after Close: %v, want ErrEngineClosed", err)
 	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if after := d.Stats.Snapshot(); after != before {
-		t.Fatalf("Touch after Close moved the disk stats: %+v -> %+v", before, after)
+		t.Fatalf("calls after Close moved the disk stats: %+v -> %+v", before, after)
 	}
 }
 

@@ -502,7 +502,7 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 		// The write supplies every cell of the box, so nothing of the old
 		// tile is needed: install it without reading (the engine copies
 		// src, which the front end recycles).
-		err = p.eng.Store(ar, box, src)
+		err = p.eng.Store(ooc.TileReq{Arr: ar, Box: box}, src)
 	} else {
 		// Only the merge remainder needs the old cells.
 		var h *ooc.Handle
