@@ -172,12 +172,47 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 	if err != nil {
 		return nil, 0, unavailable(err)
 	}
-	gen, _ := strconv.ParseUint(resp.Header.Get(server.TileGenHeader), 10, 64)
+	gen, err := c.tileGen(resp)
+	if err != nil {
+		return nil, 0, err
+	}
 	data := make([]float64, box.Size())
 	if err := server.DecodeTile(body, resp.Header.Get("Content-Encoding") == server.WireEncoding, data); err != nil {
 		return nil, 0, fmt.Errorf("node %s tile body: %w", c.ID, err)
 	}
 	return data, gen, nil
+}
+
+// TileGen asks the node for the box's write generation alone — a HEAD
+// of the tile endpoint, which reads no tile.
+func (c *NodeClient) TileGen(name string, box layout.Box) (uint64, error) {
+	req, err := http.NewRequest(http.MethodHead, c.tileURL(name, box), nil)
+	if err != nil {
+		return 0, err
+	}
+	c.stampTenant(req)
+	resp, err := c.HTTP.Do(req)
+	if err != nil {
+		return 0, unavailable(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return 0, c.statusError(resp)
+	}
+	return c.tileGen(resp)
+}
+
+// tileGen parses a tile response's generation. Both GetTile and TileGen
+// ask for it, so a missing or malformed header is a broken node, not
+// generation 0: read as 0 it would lose every freshness comparison and
+// draw a needless refetch and repair.
+func (c *NodeClient) tileGen(resp *http.Response) (uint64, error) {
+	v := resp.Header.Get(server.TileGenHeader)
+	gen, err := strconv.ParseUint(v, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("node %s: bad %s %q on a tile response", c.ID, server.TileGenHeader, v)
+	}
+	return gen, nil
 }
 
 // PutTile writes a tile under write generation gen. stale reports that

@@ -8,14 +8,18 @@
 //
 // The consistency contract is availability-first, not linearizable.
 // Writes ack on a sloppy quorum: at least one live replica plus
-// durably queued hints reaching R/2+1. Reads fan out to the whole
-// replica set but resolve with whoever answers — freshest generation
-// wins, and a read of a whole routing tile synchronously read-repairs
-// stale responders — so a read is served even when only one replica is
+// durably queued hints reaching R/2+1. A read takes one replica's
+// bytes — the first live one in rank order — and only the write
+// generations of the rest (a HEAD, which reads no tile), and resolves
+// with whoever answers: freshest generation wins (a second GET fetches
+// the winner's bytes when it is not the replica that sent them), and a
+// read of a whole routing tile synchronously read-repairs stale
+// responders. So a read is served even when only one replica is
 // reachable, and that replica may be stale if its copy of the write is
 // still queued as a hint (eventual consistency; the hint drain and the
-// next whole-tile read's repair converge it). Callers that need a read to reflect every acked write
-// must wait for hints to drain — the chaos epilogue's discipline.
+// next whole-tile read's repair converge it). Callers that need a read
+// to reflect every acked write must wait for hints to drain — the chaos
+// epilogue's discipline.
 //
 // The routing unit is the aligned grid tile (Options.TileDim per
 // dimension), not the raw request box: a write to a tile and a later

@@ -18,12 +18,17 @@ import (
 )
 
 // ReadBox implements server.Plane: the box is read through the
-// replicated plane and lent to render. The router holds no engine, so
-// a paced stream's admission slot protects nothing here and goes back
-// at its first read (server.ReleaseAdmissionEarly).
+// replicated plane and lent to render; a nil render probes the
+// replicas' generations and reads no tile. The router holds no engine,
+// so a paced stream's admission slot protects nothing here and goes
+// back at its first read (server.ReleaseAdmissionEarly).
 func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box,
 	render func([]float64, uint64) []byte) ([]byte, uint64, error) {
 	server.ReleaseAdmissionEarly(ctx)
+	if render == nil {
+		gen, err := r.boxGen(server.TenantFrom(ctx), a.Name, box)
+		return nil, gen, r.failed(err)
+	}
 	r.met.gets.Inc()
 	data, gen, err := r.boxGet(server.TenantFrom(ctx), a, box)
 	if err != nil {
@@ -61,6 +66,19 @@ func (r *Router) boxGet(tenant string, a server.Array, box layout.Box) ([]float6
 		copyRegion(out, box, data, piece, piece)
 	}
 	return out, maxGen, nil
+}
+
+// boxGen reports the highest generation over a request box's pieces.
+func (r *Router) boxGen(tenant, name string, box layout.Box) (uint64, error) {
+	var maxGen uint64
+	for _, piece := range gridTiles(box, r.opts.TileDim) {
+		gen, err := r.pieceGen(tenant, name, piece)
+		if err != nil {
+			return 0, err
+		}
+		maxGen = max(maxGen, gen)
+	}
+	return maxGen, nil
 }
 
 // boxPut writes one request box through the replicated plane,

@@ -532,26 +532,20 @@ func (r *Router) failed(err error) error {
 	return err
 }
 
-// pieceGet reads one grid-tile piece: fan out to the whole replica
-// set, resolve with the freshest of WHOEVER ANSWERS (read-one /
-// latest-wins — a single reply suffices, so reads stay available
-// while any replica lives, at the price of possible staleness when
-// the only survivor's copy is still a queued hint), and, when the
-// piece is its whole routing tile, synchronously read-repair stale
-// responders. See the package comment for the full consistency
-// contract. The fan-out rides under tenant's identity so
-// node-side admission schedules it in the right lane; read-repair
-// stays untenanted (system traffic, not the tenant's bytes).
-func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]float64, uint64, error) {
-	name := a.Name
-	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
-	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
+// reply is one replica's answer to a piece read: its generation, and
+// its bytes when it was the replica asked for them.
+type reply struct {
+	data []float64 // nil: the replica sent its generation only
+	gen  uint64
+	err  error
+}
 
-	type reply struct {
-		data []float64
-		gen  uint64
-		err  error
-	}
+// ask fans one piece read out to the live members of reps, in parallel
+// and under tenant's identity: with withBytes the first live replica in
+// rank order sends the piece's bytes, and every other live replica only
+// its generation (a HEAD, which reads no tile). Down members answer
+// ErrUnavailable without a request.
+func (r *Router) ask(tenant, name string, piece layout.Box, reps []*member, withBytes bool) []reply {
 	replies := make([]reply, len(reps))
 	var wg sync.WaitGroup
 	for i, m := range reps {
@@ -559,20 +553,39 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 			replies[i].err = ErrUnavailable
 			continue
 		}
+		full := withBytes
+		withBytes = false
 		wg.Add(1)
-		go func(i int, m *member) {
+		go func(i int, m *member, full bool) {
 			defer wg.Done()
-			data, gen, err := m.client.ForTenant(tenant).GetTile(name, piece, hopWire)
-			if err != nil && errors.Is(err, ErrUnavailable) {
-				r.markDown(m)
-			}
-			replies[i] = reply{data, gen, err}
-		}(i, m)
+			replies[i] = r.read(tenant, name, piece, m, full)
+		}(i, m, full)
 	}
 	wg.Wait()
+	return replies
+}
 
-	// Freshest replica wins; lowest replica rank breaks ties so the
-	// resolution is deterministic, not completion-order dependent.
+// read asks one replica for a piece — its bytes with full, else only
+// its generation — and marks it down when it is unreachable.
+func (r *Router) read(tenant, name string, piece layout.Box, m *member, full bool) reply {
+	c := m.client.ForTenant(tenant)
+	var rep reply
+	if full {
+		rep.data, rep.gen, rep.err = c.GetTile(name, piece, hopWire)
+	} else {
+		rep.gen, rep.err = c.TileGen(name, piece)
+	}
+	if rep.err != nil && errors.Is(rep.err, ErrUnavailable) {
+		r.markDown(m)
+	}
+	return rep
+}
+
+// freshest resolves a fan-out: the highest generation among the
+// replicas that answered wins, and the lowest rank breaks ties so the
+// resolution is deterministic, not completion-order dependent. With no
+// answer it returns the first hard error, else ErrUnavailable.
+func freshest(replies []reply) (int, error) {
 	win := -1
 	var hardErr error
 	for i := range replies {
@@ -588,9 +601,43 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 	}
 	if win < 0 {
 		if hardErr != nil {
-			return nil, 0, hardErr
+			return -1, hardErr
 		}
-		return nil, 0, ErrUnavailable
+		return -1, ErrUnavailable
+	}
+	return win, nil
+}
+
+// pieceGet reads one grid-tile piece: the first live replica in rank
+// order sends its bytes and every other live replica its generation,
+// and the freshest of WHOEVER ANSWERS wins (read-one / latest-wins — a
+// single reply suffices, so reads stay available while any replica
+// lives, at the price of possible staleness when the only survivor's
+// copy is still a queued hint). The answer is the one a read of every
+// replica's bytes would resolve to; only when the winner is not the
+// replica that sent bytes (the first was stale or failed) does a second
+// GET fetch the winner's. Always reading rank 0 splits the cached
+// working set across the nodes instead of copying it R times. When the
+// piece is its whole routing tile, stale responders are synchronously
+// read-repaired. See the package comment for the full consistency
+// contract. The reads ride under tenant's identity so node-side
+// admission schedules them in the right lane; read-repair stays
+// untenanted (system traffic, not the tenant's bytes).
+func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]float64, uint64, error) {
+	name := a.Name
+	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
+	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
+	replies := r.ask(tenant, name, piece, reps, true)
+
+	// Each pass either ends or fetches bytes from a replica that has
+	// sent none, so it runs at most once per replica.
+	win, err := freshest(replies)
+	for err == nil && replies[win].data == nil {
+		replies[win] = r.read(tenant, name, piece, reps[win], true)
+		win, err = freshest(replies)
+	}
+	if err != nil {
+		return nil, 0, err
 	}
 	// Read-repair: rewrite every reachable replica that answered with
 	// an older generation, under the winner's generation, so the next
@@ -616,6 +663,20 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 	}
 	r.gens.raise(key, replies[win].gen)
 	return replies[win].data, replies[win].gen, nil
+}
+
+// pieceGen reports one grid-tile piece's generation without reading a
+// tile: every live replica is probed and the freshest answer wins, as
+// in pieceGet.
+func (r *Router) pieceGen(tenant, name string, piece layout.Box) (uint64, error) {
+	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
+	replies := r.ask(tenant, name, piece, r.replicasFor(keyhash.Bytes([]byte(key))), false)
+	win, err := freshest(replies)
+	if err != nil {
+		return 0, err
+	}
+	r.gens.raise(key, replies[win].gen)
+	return replies[win].gen, nil
 }
 
 // piecePut writes one grid-tile piece to its replica set under a fresh

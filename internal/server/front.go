@@ -37,18 +37,20 @@ const WireEncoding = "x-ooc-gorilla"
 
 // Cluster replication headers. The router versions every replicated
 // write with a per-tile generation; nodes gate PUTs on it and report
-// it on GETs, which is what lets the router rank replicas by freshness
-// and repair the stale ones. Requests without these headers get the
-// exact pre-cluster behavior.
+// it on GETs and HEADs, which is what lets the router rank replicas by
+// freshness and repair the stale ones. Requests without these headers
+// get the exact pre-cluster behavior.
 const (
 	// TileGenHeader carries a write generation: on a PUT request, the
 	// generation to record (cells covered by an overlapping recorded
 	// box with a newer generation keep the newer bytes; the write lands
-	// on the rest); on GET and PUT responses, the plane's recorded
+	// on the rest); on GET, HEAD and PUT responses, the plane's recorded
 	// generation.
 	TileGenHeader = "X-Tile-Gen"
 	// TileWantGenHeader, set to any non-empty value on a GET, asks for
-	// the box's write generation on the response even when it is 0.
+	// the box's write generation on the response even when it is 0. A
+	// HEAD of the tile endpoint — the generation probe, which reads no
+	// tile — always reports it.
 	TileWantGenHeader = "X-Tile-Want-Gen"
 	// TileStaleHeader marks a 204 PUT response whose write was skipped
 	// entirely because newer recorded generations cover every cell of
@@ -481,6 +483,17 @@ func renderWire(data []float64, _ uint64) []byte { return EncodeTile(data, true)
 func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admitted) {
 	ar, box, ok := fe.queryBox(w, r, fe.cfg.MaxTileElems)
 	if !ok {
+		return
+	}
+	if r.Method == http.MethodHead {
+		// The generation probe: same validation and admission as a GET,
+		// no tile read and no body.
+		_, gen, err := fe.plane.ReadBox(r.Context(), ar, box, nil)
+		if err != nil {
+			fe.planeError(w, err)
+			return
+		}
+		w.Header().Set(TileGenHeader, strconv.FormatUint(gen, 10))
 		return
 	}
 	render := renderRaw

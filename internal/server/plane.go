@@ -32,7 +32,8 @@ type Plane interface {
 
 	// ReadBox lends the box's elements and write generation to render —
 	// valid only during the call, so a node renders straight from the
-	// pinned tile — and returns what render returned.
+	// pinned tile — and returns what render returned. A nil render asks
+	// for the generation alone: the plane reads no tile.
 	ReadBox(ctx context.Context, a Array, box layout.Box,
 		render func(data []float64, gen uint64) []byte) (out []byte, gen uint64, err error)
 	// WriteBox writes data over the box. A non-zero gen gates the write

@@ -427,7 +427,7 @@ func (p *enginePlane) open(a Array) (*ooc.Array, *tileLock, error) {
 }
 
 // ReadBox pins the box under the shared tile lock and renders from the
-// pinned tile.
+// pinned tile; a nil render reports the generation without pinning.
 func (p *enginePlane) ReadBox(_ context.Context, a Array, box layout.Box,
 	render func([]float64, uint64) []byte) ([]byte, uint64, error) {
 	ar, lk, err := p.open(a)
@@ -444,6 +444,9 @@ func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render f
 	// starved by a long stream.
 	lk.mu.RLock()
 	defer lk.mu.RUnlock()
+	if render == nil {
+		return nil, lk.overlapGen(box), nil
+	}
 	h, err := p.eng.Acquire(ar, box)
 	if err != nil {
 		return nil, 0, err
