@@ -18,7 +18,7 @@ FUZZ_TARGETS := \
 	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzTenantHeader
 
-.PHONY: build test race check fuzz vet fmt cover loc suite bench-layers bench-counts baseline compsweep chaos
+.PHONY: build test race check fuzz vet fmt cover loc bench-layers bench-counts chaos
 
 build:
 	$(GO) build ./...
@@ -66,10 +66,6 @@ loc:
 		printf '%6d  flags %s\n' "$$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | grep -cE '\.(Bool|Int|Int64|Uint|Uint64|String|Float64|Duration|Func|Var)(Var)?\((&[A-Za-z0-9_.]+, )?"')" "$$d"; \
 	done
 
-# The benchmark suite CI gates against BENCH_baseline.json.
-suite:
-	$(GO) run ./cmd/occbench -suite -json BENCH_current.json -baseline BENCH_baseline.json
-
 # Layer microbenchmarks (layout run/segment walks, tile read and
 # write-back per layout kind, the logged tile write under a WAL, the
 # engine miss path, the tile executor through a synchronous engine),
@@ -96,17 +92,6 @@ bench-counts:
 			'to_entries[] | select(.value != $$want[0][.key]) | {workload: .key, got: .value, want: $$want[0][.key]}'; \
 		     exit 1; }; \
 	echo "bench-counts: all six workloads match BENCH_counts.json"
-
-# Regenerate the checked-in baseline (after an intentional perf change).
-baseline:
-	$(GO) run ./cmd/occbench -suite -json BENCH_baseline.json
-
-# Compression sweep: the focused engine / engine-compress bench leg
-# (bytes_disk_raw vs bytes_disk is the on-disk reduction, allocs_per_get
-# must be 0). CI gates it at 2x; see the "Compression gate" step in
-# ci.yml. The on-wire reduction is TestRunLoadCompressed.
-compsweep:
-	$(GO) run ./cmd/occbench -suite -compress -json BENCH_comp.json
 
 # Deterministic chaos sweep: the dst/faultfs test suites under -race,
 # then CHAOS_EPISODES seeded simulation episodes of every kind: storage

@@ -7,9 +7,6 @@
 //	occbench -ablation tiling|memory|order|storage
 //	occbench -ablation engine -kernel mxm   # sequential runtime vs
 //	                                        # cached tile engine
-//	occbench -suite -json out.json    # benchmark suite -> BENCH JSON
-//	occbench -suite -json out.json -baseline BENCH_baseline.json
-//	                                  # ...and fail on >10% regressions
 //
 // Scale and platform knobs: -n2/-n3/-n4 (array extents), -procs,
 // -ionodes, -memfrac, -kernels (comma-separated subset).
@@ -18,6 +15,10 @@
 // Observability: -trace-out file.json writes a Chrome trace_event
 // capture of the run (open in Perfetto), -metrics-out file.prom writes
 // the metrics registry in Prometheus text format.
+//
+// The four kernels' exact I/O-call counts and simulated makespans are
+// gated by `go test ./internal/exp -run TestKernelGateGolden`, not by
+// this command.
 package main
 
 import (
@@ -35,12 +36,7 @@ func main() {
 	table := flag.Int("table", 0, "reproduce Table 2 or 3")
 	figure := flag.Int("figure", 0, "reproduce Figure 1, 2 or 3")
 	ablation := flag.String("ablation", "", "ablation: tiling, memory, order, storage, optimal, blocked")
-	suiteRun := flag.Bool("suite", false, "run the benchmark suite (kernels x {sequential, engine, engine-compress})")
-	compressOnly := flag.Bool("compress", false, "with -suite: run only the engine / engine-compress pair — the focused leg whose bytes_disk_raw/bytes_disk and allocs_per_get fields the compression gate reads")
-	jsonOut := flag.String("json", "", "with -suite: write the BENCH JSON report to this file")
-	baseline := flag.String("baseline", "", "with -suite: compare against this BENCH JSON and fail on regressions")
-	tolerance := flag.Float64("tolerance", 0.10, "with -baseline: allowed fractional increase in io_calls / sim makespan")
-	kernels := flag.String("kernels", "", "comma-separated kernel subset (default: all ten; suite: mat,mxm,trans,syr2k)")
+	kernels := flag.String("kernels", "", "comma-separated kernel subset (default: all ten)")
 	kernel := flag.String("kernel", "mxm", "kernel for single-kernel ablations")
 	n2 := flag.Int64("n2", 128, "extent of 2-D array dimensions")
 	n3 := flag.Int64("n3", 24, "extent of 3-D array dimensions")
@@ -56,28 +52,6 @@ func main() {
 
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	if *suiteRun {
-		// Suite defaults are deliberately smaller than the table defaults:
-		// CI runs the data-backed leg of every cell, and the deterministic
-		// gated metrics (io_calls, sim makespan) are scale-stable anyway.
-		// Explicit flags still win.
-		if !set["n2"] {
-			*n2 = 64
-		}
-		if !set["n3"] {
-			*n3 = 12
-		}
-		if !set["n4"] {
-			*n4 = 4
-		}
-		if !set["procs"] {
-			*procs = 4
-		}
-		if !set["ionodes"] {
-			*ionodes = 16
-		}
-	}
 
 	// -trace-out / -metrics-out attach an observability sink that every
 	// run mode threads through the engine, runtime and PFS simulator.
@@ -103,53 +77,8 @@ func main() {
 	if *kernels != "" {
 		opts.Kernels = strings.Split(*kernels, ",")
 	}
-	if *compressOnly {
-		for _, bc := range exp.BenchConfigs {
-			if bc.Name == "engine" || bc.Compress {
-				opts.Configs = append(opts.Configs, bc)
-			}
-		}
-	}
 
-	exitCode := 0
 	switch {
-	case *suiteRun:
-		rep := exp.BenchSuite(opts)
-		fmt.Print(rep.Render())
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			fail(err)
-			fail(rep.WriteJSON(f))
-			fail(f.Close())
-			fmt.Printf("\nwrote %s\n", *jsonOut)
-		}
-		if len(rep.Failures) > 0 {
-			// A failed cell must not exit 0: CI treats the suite's exit code
-			// as the signal that every kernel still runs.
-			for _, fl := range rep.Failures {
-				fmt.Fprintf(os.Stderr, "occbench: kernel %s (%s) failed: %s\n", fl.Kernel, fl.Config, fl.Error)
-			}
-			exitCode = 1
-		}
-		if *baseline != "" {
-			f, err := os.Open(*baseline)
-			fail(err)
-			base, err := exp.LoadBenchReport(f)
-			fail(err)
-			fail(f.Close())
-			regs, err := exp.CompareBench(base, rep, *tolerance)
-			fail(err)
-			if len(regs) > 0 {
-				fmt.Fprintf(os.Stderr, "occbench: %d regression(s) vs %s (tolerance %.0f%%):\n",
-					len(regs), *baseline, 100**tolerance)
-				for _, r := range regs {
-					fmt.Fprintln(os.Stderr, "  "+r.String())
-				}
-				exitCode = 1
-			} else {
-				fmt.Printf("no regressions vs %s (tolerance %.0f%%)\n", *baseline, 100**tolerance)
-			}
-		}
 	case *table == 2:
 		res, err := exp.Table2(opts)
 		fail(err)
@@ -244,7 +173,6 @@ func main() {
 		fail(f.Close())
 		fmt.Printf("wrote %s\n", *metricsOut)
 	}
-	os.Exit(exitCode)
 }
 
 func fail(err error) {

@@ -32,7 +32,8 @@ type hint struct {
 // sequence-numbered record and fsynced before it counts toward a write
 // quorum; reload scans the log sequentially and cuts the tail at the
 // first short, corrupt, or sequence-regressing record — a torn append
-// loses only the hint that was never acknowledged.
+// loses only the hint that was never acknowledged. A drain replaces the
+// log whole (see rewriteLocked), so a crash never shortens it.
 type hintStore struct {
 	dir string // "" = in-memory only
 
@@ -66,6 +67,14 @@ func newHintStore(dir string) (*hintStore, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasPrefix(name, "hints-") && strings.HasSuffix(name, ".log.tmp") {
+			// A rewrite that crashed before its rename: the log it was
+			// to replace is intact beside it.
+			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("hint dir: %w", err)
+			}
+			continue
+		}
 		if !strings.HasPrefix(name, "hints-") || !strings.HasSuffix(name, ".log") {
 			continue
 		}
@@ -328,7 +337,7 @@ func (hs *hintStore) Drain(node string, deliver func(hint) error) (int, error) {
 	defer hs.mu.Unlock()
 	q.draining = false
 	q.hints = q.hints[delivered:]
-	if q.f != nil {
+	if q.f != nil && delivered > 0 {
 		if err := hs.rewriteLocked(node, q); err != nil && derr == nil {
 			derr = err
 		}
@@ -336,21 +345,43 @@ func (hs *hintStore) Drain(node string, deliver func(hint) error) (int, error) {
 	return delivered, derr
 }
 
-// rewriteLocked persists q's remaining hints as the new log contents.
-// Called with the store lock held, after a drain consumed a prefix.
+// rewriteLocked replaces node's log with q's remaining hints. Called
+// with the store lock held, after a drain delivered a prefix. The new
+// log is written to a sibling temp file, fsynced, renamed over the old
+// one and the directory fsynced, so a crash leaves the old log or the
+// new one whole — never a shortened log missing hints that already
+// counted toward a write quorum.
 func (hs *hintStore) rewriteLocked(node string, q *hintQueue) error {
-	if err := q.f.Truncate(0); err != nil {
+	path := hs.path(node)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return fmt.Errorf("hint log %s: %w", node, err)
 	}
-	if _, err := q.f.Seek(0, 0); err != nil {
-		return err
-	}
+	var buf []byte
 	for _, h := range q.hints {
-		if _, err := q.f.Write(encodeHint(h)); err != nil {
-			return fmt.Errorf("hint log %s: %w", node, err)
-		}
+		buf = append(buf, encodeHint(h)...)
 	}
-	return q.f.Sync()
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("hint log %s: %w", node, err)
+	}
+	// The renamed file is the log now; later appends extend it.
+	q.f.Close()
+	q.f = f
+	dir, err := os.Open(hs.dir)
+	if err != nil {
+		return fmt.Errorf("hint dir: %w", err)
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // Close fsyncs and closes every durable queue.

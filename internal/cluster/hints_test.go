@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 
 	"outcore/internal/layout"
@@ -192,5 +193,96 @@ func TestHintStoreDrainDoesNotBlockEnqueue(t *testing.T) {
 	}
 	if n := hs.Pending("n5"); n != 1 {
 		t.Fatalf("pending for n5 = %d, want 1", n)
+	}
+}
+
+// TestHintStoreRewriteIsAtomic: a drain replaces the log through a
+// sibling temp file and a rename, never by truncating it in place. A
+// drain that delivers nothing leaves the log file alone; reload beside
+// a temp file left by a crashed rewrite serves exactly the old log's
+// hints and deletes the temp file; a drain that delivers replaces the
+// log with the remainder, which later appends extend.
+func TestHintStoreRewriteIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	hs, err := newHintStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := hs.Enqueue("n6", "A", hintBox(), uint64(i+1), []float64{float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := hs.path("n6")
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("still down")
+	if n, err := hs.Drain("n6", func(hint) error { return boom }); n != 0 || !errors.Is(err, boom) {
+		t.Fatalf("drain = (%d, %v), want (0, still down)", n, err)
+	}
+	if after, err := os.Stat(path); err != nil || !os.SameFile(before, after) {
+		t.Fatalf("a drain that delivered nothing replaced the log (err %v)", err)
+	}
+	if err := hs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A crash mid-rewrite: one whole record of the would-be log and a
+	// torn second one sit beside the old log.
+	partial := encodeHint(hint{seq: 1, name: "A", box: hintBox(), gen: 2, data: []float64{1}})
+	partial = append(partial, partial[:7]...)
+	if err := os.WriteFile(path+".tmp", partial, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	hs2, err := newHintStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("reload left the temp file behind (stat err %v)", err)
+	}
+	var gens []uint64
+	calls := 0
+	if _, err := hs2.Drain("n6", func(h hint) error {
+		if calls++; calls > 1 {
+			return boom
+		}
+		gens = append(gens, h.gen)
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Fatalf("drain: %v", err)
+	}
+	if len(gens) != 1 || gens[0] != 1 || hs2.Pending("n6") != 2 {
+		t.Fatalf("reload served %v then left %d pending, want [1] then 2", gens, hs2.Pending("n6"))
+	}
+	if after, err := os.Stat(path); err != nil || os.SameFile(before, after) {
+		t.Fatalf("a delivering drain did not replace the log (err %v)", err)
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Fatalf("rewrite left its temp file behind (stat err %v)", err)
+	}
+	if err := hs2.Enqueue("n6", "A", hintBox(), 4, []float64{3}); err != nil {
+		t.Fatal(err)
+	}
+	if err := hs2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	hs3, err := newHintStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hs3.Close()
+	gens = nil
+	if _, err := hs3.Drain("n6", func(h hint) error {
+		gens = append(gens, h.gen)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{2, 3, 4}; !reflect.DeepEqual(gens, want) {
+		t.Fatalf("reloaded gens %v after rewrite and append, want %v", gens, want)
 	}
 }

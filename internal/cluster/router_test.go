@@ -10,11 +10,14 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"outcore/internal/layout"
 	"outcore/internal/obs"
+	"outcore/internal/ooc"
 )
 
 // hammerEdge sizes the hammer array; tiles are tileEdge-aligned.
@@ -476,5 +479,45 @@ func TestPartialReadRepairNeverTearsReplica(t *testing.T) {
 		if v != whole[0] {
 			t.Fatalf("whole tile torn on b: elem %d = %v, elem 0 = %v", i, v, whole[0])
 		}
+	}
+}
+
+// TestArrayNameBound holds array names to 1..ooc.MaxNameLen bytes on
+// every plane: a node with or without a WAL and the router in front of
+// them answer an over-long create with 400, before any node frames the
+// name in a WAL record or the router frames it in a hint record. A
+// name at the bound creates everywhere and round-trips through a hint
+// record.
+func TestArrayNameBound(t *testing.T) {
+	long, atBound := strings.Repeat("a", ooc.MaxNameLen+1), strings.Repeat("b", ooc.MaxNameLen)
+	create := func(base, name string) int {
+		t.Helper()
+		body := fmt.Sprintf(`{"name":%q,"dims":[8,8]}`, name)
+		resp, err := http.Post(base+"/v1/arrays", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, wal := range []bool{false, true} {
+		lc := newTestCluster(t, 3, 2, func(o *LocalOptions) { o.WAL = wal })
+		for _, plane := range []struct{ name, url string }{
+			{"node", lc.nodes[0].URL}, {"router", lc.RouterURL},
+		} {
+			if code := create(plane.url, long); code != http.StatusBadRequest {
+				t.Errorf("wal=%v %s: %d-byte name answered %d, want 400", wal, plane.name, len(long), code)
+			}
+		}
+		if code := create(lc.RouterURL, atBound); code != http.StatusCreated {
+			t.Errorf("wal=%v router: %d-byte name answered %d, want 201", wal, len(atBound), code)
+		}
+	}
+
+	h := hint{seq: 3, name: atBound, box: hintBox(), gen: 9, data: []float64{1, 2}}
+	got, n, ok := decodeHint(encodeHint(h))
+	if !ok || n != len(encodeHint(h)) || !reflect.DeepEqual(got, h) {
+		t.Fatalf("%d-byte name hint decoded as (%+v, %d, %v)", len(atBound), got, n, ok)
 	}
 }

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"outcore/internal/obs"
 	"outcore/internal/sim"
 	"outcore/internal/suite"
 )
@@ -127,5 +129,48 @@ func TestSimCachedMeasurement(t *testing.T) {
 	}
 	if got.Seconds > plain.Seconds*1.0001 {
 		t.Errorf("cached run slower: %.6fs vs %.6fs", got.Seconds, plain.Seconds)
+	}
+}
+
+// benchOptions is a small, fast configuration for the observer-effect
+// test.
+func benchOptions() Options {
+	return Options{
+		Cfg:     suite.Config{N2: 16, N3: 4, N4: 2},
+		PFS:     ScaledPFS(16, 4),
+		MemFrac: 32,
+		Procs:   2,
+	}
+}
+
+// TestObserverEffect: attaching a full observability sink (trace +
+// metrics) must not change the engine's backend request stream — the
+// instrumented engine does the same I/O in the same order as the bare
+// one, at a cache that thrashes and at one that holds the working set.
+func TestObserverEffect(t *testing.T) {
+	for _, cache := range []int{4, 8} {
+		o := benchOptions()
+		o.CacheTiles = cache
+
+		bare, err := EngineDemo(o, "mxm", suite.COpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.Obs = &obs.Sink{Trace: obs.NewTrace(1 << 12), Metrics: obs.NewRegistry()}
+		observed, err := EngineDemo(o, "mxm", suite.COpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		if !reflect.DeepEqual(bare.EngTrace, observed.EngTrace) {
+			t.Errorf("cache %d: observer effect: engine backend trace changed under the sink\nbare: %d calls, observed: %d calls",
+				cache, len(bare.EngTrace), len(observed.EngTrace))
+		}
+		if bare.Cache != observed.Cache {
+			t.Errorf("cache %d: observer effect: cache stats changed: %+v vs %+v", cache, bare.Cache, observed.Cache)
+		}
+		if o.Obs.Trace.Total() == 0 {
+			t.Errorf("cache %d: sink recorded no events — instrumentation is dead", cache)
+		}
 	}
 }

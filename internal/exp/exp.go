@@ -44,11 +44,6 @@ type Options struct {
 	// from the engine/PFS and metrics registry series (occbench's
 	// -trace-out / -metrics-out flags hang off it).
 	Obs *obs.Sink
-	// Configs overrides the suite's configuration axis (nil = the full
-	// BenchConfigs matrix). occbench -suite -compress uses it to run
-	// just the engine / engine-compress pair whose byte counters the
-	// CI compression gate reads.
-	Configs []BenchRunConfig
 }
 
 // Defaults fills unset fields with paper-scale values.

@@ -9,7 +9,7 @@ import (
 )
 
 // DefaultTraceCap is the ring capacity used when NewTrace is given a
-// non-positive capacity: enough for the bench suite's busiest kernel
+// non-positive capacity: enough for the busiest suite kernel at n2=64
 // without unbounded growth on long runs.
 const DefaultTraceCap = 1 << 18
 

@@ -162,7 +162,8 @@ func TestCodecDiskFileReopen(t *testing.T) {
 
 // TestCodecDiskEngine runs tile traffic through an engine over a
 // compressed disk — the full production read/write path — and checks
-// the scorecard reports a disk-byte win for smooth data.
+// the scorecard reports at least a 2x disk-byte reduction on both
+// reads and writes of a smooth ramp tile.
 func TestCodecDiskEngine(t *testing.T) {
 	d := NewDisk(0).EnableCompression()
 	arr, err := d.CreateArray(ir.NewArray("a", 64, 64), layout.RowMajor(64, 64))
@@ -209,8 +210,11 @@ func TestCodecDiskEngine(t *testing.T) {
 	if cs == nil {
 		t.Fatal("CompressionStats nil on a compressed disk")
 	}
-	if cs.DiskWriteBytes >= cs.DiskWriteRawBytes {
-		t.Errorf("disk writes: %d encoded for %d raw — no win", cs.DiskWriteBytes, cs.DiskWriteRawBytes)
+	if cs.DiskReadBytes <= 0 || 2*cs.DiskReadBytes > cs.DiskReadRawBytes {
+		t.Errorf("disk reads: %d encoded for %d raw — under 2x", cs.DiskReadBytes, cs.DiskReadRawBytes)
+	}
+	if cs.DiskWriteBytes <= 0 || 2*cs.DiskWriteBytes > cs.DiskWriteRawBytes {
+		t.Errorf("disk writes: %d encoded for %d raw — under 2x", cs.DiskWriteBytes, cs.DiskWriteRawBytes)
 	}
 }
 

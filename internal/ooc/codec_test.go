@@ -94,9 +94,9 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestFrameCompressionWins pins the headline numbers: the smooth
-// shapes the paper's kernels produce must shrink well past the 2x the
-// CI bench gate asserts, and incompressible data must cost no more
-// than raw plus the fixed header.
+// shapes the paper's kernels produce must shrink well past 2x (the bar
+// TestCodecDiskEngine holds the disk to), and incompressible data must
+// cost no more than raw plus the fixed header.
 func TestFrameCompressionWins(t *testing.T) {
 	cases := codecCases()
 	for _, name := range []string{"constant", "ramp", "quant-sine"} {

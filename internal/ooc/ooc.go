@@ -49,6 +49,11 @@ import (
 // in the paper's experiments).
 const ElemSize = 8
 
+// MaxNameLen bounds array names in bytes: a WAL record frames the name
+// length in its meta word's eight-bit field, and the serving layer
+// holds every plane to the same bound.
+const MaxNameLen = 255
+
 // Stats accumulates I/O accounting. Mutation (Add, Disk accounting) is
 // atomic per field; see the package doc for the read-side contract.
 type Stats struct {
@@ -220,8 +225,8 @@ func (d *Disk) CreateArray(a *ir.Array, l *layout.Layout) (*Array, error) {
 		return nil, fmt.Errorf("ooc: layout size %d != array size %d for %s", l.Size(), a.Len(), a.Name)
 	}
 	if d.wal != nil {
-		if n := len(a.Name); n == 0 || n > walMaxNameLen {
-			return nil, fmt.Errorf("ooc: array name of %d bytes cannot be framed in a WAL record (1..%d)", n, walMaxNameLen)
+		if n := len(a.Name); n == 0 || n > MaxNameLen {
+			return nil, fmt.Errorf("ooc: array name of %d bytes cannot be framed in a WAL record (1..%d)", n, MaxNameLen)
 		}
 		// Logs open before the first array so reopen-after-crash adopts
 		// them in a deterministic order.

@@ -130,9 +130,6 @@ const (
 	// walFormat tags the record format in the spare meta bits. Tag 0 is
 	// the per-run format of earlier builds (see walLegacyHead).
 	walFormat = 1
-	// walMaxNameLen bounds array names in records (the meta word's
-	// eight-bit field).
-	walMaxNameLen = 255
 	// walLenMask extracts dataLen from the packed length word.
 	walLenMask = (uint64(1) << 48) - 1
 	// walMaxOff bounds run offsets and strides (sanity check while
@@ -1032,7 +1029,7 @@ func walLegacyHead(words []float64, epoch uint64) bool {
 	nameLen := int64(meta>>48) & 0x7FFF // spans the format bits: ours reads > 255
 	total := header + (nameLen+7)/8 + int64(meta&walLenMask)
 	return math.Float64bits(rec[0]) != 0 && math.Float64bits(rec[1]) == epoch &&
-		nameLen >= 1 && nameLen <= walMaxNameLen && total <= int64(len(rec)) &&
+		nameLen >= 1 && nameLen <= MaxNameLen && total <= int64(len(rec)) &&
 		uint64(walRecordCRC(rec[:total])) == math.Float64bits(rec[walCRCWord])
 }
 

@@ -64,7 +64,7 @@ func FuzzWALRecord(f *testing.F) {
 				if r.epoch != ep {
 					t.Fatalf("scan returned epoch %d, scanned for %d", r.epoch, ep)
 				}
-				if len(r.name) == 0 || len(r.name) > walMaxNameLen {
+				if len(r.name) == 0 || len(r.name) > MaxNameLen {
 					t.Fatalf("scan returned name of %d bytes", len(r.name))
 				}
 				// The run list tiles the payload exactly, so applying the

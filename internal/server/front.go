@@ -371,6 +371,10 @@ func (fe *FrontEnd) handleArrayCreate(w http.ResponseWriter, r *http.Request, _ 
 		httpError(w, http.StatusBadRequest, "bad array name %q", req.Name)
 		return
 	}
+	if n := len(req.Name); n > ooc.MaxNameLen {
+		httpError(w, http.StatusBadRequest, "array name of %d bytes exceeds %d", n, ooc.MaxNameLen)
+		return
+	}
 	if len(req.Dims) == 0 {
 		httpError(w, http.StatusBadRequest, "array needs at least one dimension")
 		return

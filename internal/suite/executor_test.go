@@ -70,8 +70,9 @@ const executorGoldenFile = "testdata/executor_stats.json"
 // the Disk.Stats and ExecStats recorded before the executor was
 // compiled to integer bounds and stepped offsets: a change to the tile
 // schedule, the tile boxes or the non-empty test moves a count here
-// exactly, where occbench -suite's relative gate would forgive it.
-// Real and dry paths must also agree with each other.
+// exactly. exp.TestKernelGateGolden pins the simulated multi-processor
+// runs of the same kernels the same way. Real and dry paths must also
+// agree with each other.
 func TestExecutorIOGolden(t *testing.T) {
 	cfg := SmallConfig()
 	got := map[string]execGolden{}
