@@ -8,11 +8,13 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
 
 	"outcore/internal/layout"
+	"outcore/internal/ooc"
 	"outcore/internal/server"
 )
 
@@ -25,7 +27,9 @@ var ErrUnavailable = errors.New("node unavailable")
 
 // NodeClient speaks the occd tile API to one storage node: the same
 // binary endpoints single-node clients use, plus the replication
-// headers (X-Tile-Gen et al) and x-ooc-gorilla wire negotiation.
+// headers (X-Tile-Gen et al) and x-ooc-gorilla wire negotiation. The
+// router asks for raw tiles (see GetTile); the wire coding is for
+// clients at the edge.
 type NodeClient struct {
 	ID      string
 	BaseURL string
@@ -102,6 +106,12 @@ func (c *NodeClient) statusError(resp *http.Response) error {
 	return fmt.Errorf("node %s: %s: %s", c.ID, resp.Status, msg)
 }
 
+// arrayURL renders the endpoint prefix of one array. Create accepts
+// names holding URL syntax ('?', '#', '%'), so the name is escaped.
+func (c *NodeClient) arrayURL(name string) string {
+	return c.BaseURL + "/v1/arrays/" + url.PathEscape(name)
+}
+
 // tileURL renders the tile endpoint for (name, box).
 func (c *NodeClient) tileURL(name string, box layout.Box) string {
 	var lo, hi strings.Builder
@@ -113,7 +123,7 @@ func (c *NodeClient) tileURL(name string, box layout.Box) string {
 		lo.WriteString(strconv.FormatInt(box.Lo[d], 10))
 		hi.WriteString(strconv.FormatInt(box.Hi[d], 10))
 	}
-	return fmt.Sprintf("%s/v1/arrays/%s/tile?lo=%s&hi=%s", c.BaseURL, name, lo.String(), hi.String())
+	return c.arrayURL(name) + "/tile?lo=" + lo.String() + "&hi=" + hi.String()
 }
 
 // Healthz reports whether the node answers its liveness probe.
@@ -148,8 +158,10 @@ func (c *NodeClient) CreateArray(name string, dims []int64, layoutName string) e
 }
 
 // GetTile reads a tile, returning its elements and the node's recorded
-// write generation for the box. wire negotiates the compressed tile
-// coding on the hop.
+// write generation for the box. wire asks for the compressed tile
+// coding; a reply that declares it is decoded either way. A raw reply
+// must hold exactly the box's elements: it is read into a pooled buffer
+// of that size, and a short or longer body is a broken node.
 func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64, uint64, error) {
 	req, err := http.NewRequest(http.MethodGet, c.tileURL(name, box), nil)
 	if err != nil {
@@ -168,19 +180,48 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 	if resp.StatusCode != http.StatusOK {
 		return nil, 0, c.statusError(resp)
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, 0, unavailable(err)
-	}
 	gen, err := c.tileGen(resp)
 	if err != nil {
 		return nil, 0, err
 	}
+	framed := resp.Header.Get("Content-Encoding") == server.WireEncoding
+	limit := int(box.Size()) * ooc.ElemSize
+	if framed {
+		limit += server.FrameMaxOverhead
+	}
+	// One byte past the limit tells a longer body from an exact one.
+	buf := ooc.GetBuf(limit + 1)
+	defer ooc.PutBuf(buf)
+	n, err := readUpTo(resp.Body, buf)
+	if err != nil {
+		return nil, 0, unavailable(err)
+	}
+	if n > limit {
+		return nil, 0, fmt.Errorf("node %s tile body: longer than the %d-element tile", c.ID, box.Size())
+	}
 	data := make([]float64, box.Size())
-	if err := server.DecodeTile(body, resp.Header.Get("Content-Encoding") == server.WireEncoding, data); err != nil {
+	if err := server.DecodeTile(buf[:n], framed, data); err != nil {
 		return nil, 0, fmt.Errorf("node %s tile body: %w", c.ID, err)
 	}
 	return data, gen, nil
+}
+
+// readUpTo fills buf from r until buf is full or r ends, returning the
+// bytes read. Only a clean end is a short body; any other read error is
+// the transport's (a node dying mid-reply).
+func readUpTo(r io.Reader, buf []byte) (int, error) {
+	n := 0
+	for n < len(buf) {
+		m, err := r.Read(buf[n:])
+		n += m
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
 }
 
 // TileGen asks the node for the box's write generation alone — a HEAD
@@ -205,7 +246,8 @@ func (c *NodeClient) TileGen(name string, box layout.Box) (uint64, error) {
 // tileGen parses a tile response's generation. Both GetTile and TileGen
 // ask for it, so a missing or malformed header is a broken node, not
 // generation 0: read as 0 it would lose every freshness comparison and
-// draw a needless refetch and repair.
+// draw a needless refetch and repair. PutTile parses a present one (or
+// a stale reply's) the same way.
 func (c *NodeClient) tileGen(resp *http.Response) (uint64, error) {
 	v := resp.Header.Get(server.TileGenHeader)
 	gen, err := strconv.ParseUint(v, 10, 64)
@@ -218,15 +260,22 @@ func (c *NodeClient) tileGen(resp *http.Response) (uint64, error) {
 // PutTile writes a tile under write generation gen. stale reports that
 // the node skipped the write because it already holds storedGen > gen
 // (the router raises its counter and retries with a fresh generation).
+// wire sends the compressed tile coding.
 func (c *NodeClient) PutTile(name string, box layout.Box, data []float64, gen uint64, wire bool) (storedGen uint64, stale bool, err error) {
-	body := server.EncodeTile(data, wire)
+	return c.putBody(name, box, server.EncodeTile(data, wire), gen, wire)
+}
+
+// putBody is PutTile over an encoded body (framed: a WireEncoding
+// frame), which the router's replica fan-out shares. The transport may
+// still read body after the reply, so it must not be reused.
+func (c *NodeClient) putBody(name string, box layout.Box, body []byte, gen uint64, framed bool) (storedGen uint64, stale bool, err error) {
 	req, err := http.NewRequest(http.MethodPut, c.tileURL(name, box), bytes.NewReader(body))
 	if err != nil {
 		return 0, false, err
 	}
 	req.Header.Set(server.TileGenHeader, strconv.FormatUint(gen, 10))
 	c.stampTenant(req)
-	if wire {
+	if framed {
 		req.Header.Set("Content-Encoding", server.WireEncoding)
 	}
 	resp, err := c.HTTP.Do(req)
@@ -238,9 +287,14 @@ func (c *NodeClient) PutTile(name string, box layout.Box, data []float64, gen ui
 		return 0, false, c.statusError(resp)
 	}
 	io.Copy(io.Discard, resp.Body)
-	storedGen, _ = strconv.ParseUint(resp.Header.Get(server.TileGenHeader), 10, 64)
+	// A stale reply must say what the node holds; otherwise a missing
+	// generation is 0 (the node records none for the box).
 	stale = resp.Header.Get(server.TileStaleHeader) != ""
-	return storedGen, stale, nil
+	if len(resp.Header.Values(server.TileGenHeader)) == 0 && !stale {
+		return 0, false, nil
+	}
+	storedGen, err = c.tileGen(resp)
+	return storedGen, stale, err
 }
 
 // Reduce pushes one fold down to the node (POST /v1/arrays/{name}/reduce)
@@ -248,7 +302,7 @@ func (c *NodeClient) PutTile(name string, box layout.Box, data []float64, gen ui
 // so NaN/Inf results survive the JSON hop — plus the element count.
 func (c *NodeClient) Reduce(name string, box layout.Box, op string) (float64, int64, error) {
 	reqBody, _ := json.Marshal(map[string]any{"op": op, "lo": box.Lo, "hi": box.Hi})
-	req, err := http.NewRequest(http.MethodPost, c.BaseURL+"/v1/arrays/"+name+"/reduce", bytes.NewReader(reqBody))
+	req, err := http.NewRequest(http.MethodPost, c.arrayURL(name)+"/reduce", bytes.NewReader(reqBody))
 	if err != nil {
 		return 0, 0, err
 	}

@@ -64,4 +64,57 @@ func TestNodeClientRejectsBadTileGen(t *testing.T) {
 	if gen, err := nc.TileGen("A", box); err != nil || gen != 42 {
 		t.Fatalf("TileGen = gen %d, %v; want 42", gen, err)
 	}
+	t.Run("put", rejectsBadPutGen)
+}
+
+// rejectsBadPutGen is TestNodeClientRejectsBadTileGen's PUT half: a
+// 204's X-Tile-Gen is the generation the node already holds, which the
+// router raises its counter to. A present but unparsable one, or an
+// X-Tile-Stale without one, is a broken node and a hard error naming
+// it; read as 0 a stale reply would let the router retry under a
+// generation that loses again. An absent header on a plain 204 is
+// generation 0.
+func rejectsBadPutGen(t *testing.T) {
+	box := layout.NewBox([]int64{0, 0}, []int64{2, 2})
+	for _, c := range []struct {
+		name   string
+		header []string // nil: no X-Tile-Gen at all
+		stale  bool
+		ok     bool
+		gen    uint64
+	}{
+		{"absent", nil, false, true, 0},
+		{"well-formed", []string{"42"}, false, true, 42},
+		{"well-formed-stale", []string{"42"}, true, true, 42},
+		{"empty", []string{""}, false, false, 0},
+		{"malformed", []string{"seven"}, false, false, 0},
+		{"negative", []string{"-1"}, false, false, 0},
+		{"stale-without-gen", nil, true, false, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if c.header != nil {
+					w.Header()[server.TileGenHeader] = c.header
+				}
+				if c.stale {
+					w.Header().Set(server.TileStaleHeader, "true")
+				}
+				w.WriteHeader(http.StatusNoContent)
+			}))
+			defer hs.Close()
+			gen, stale, err := NewNodeClient("fake", hs.URL).PutTile("A", box, make([]float64, box.Size()), 1, false)
+			if c.ok {
+				if err != nil || gen != c.gen || stale != c.stale {
+					t.Fatalf("PutTile = gen %d stale %v, %v; want gen %d stale %v", gen, stale, err, c.gen, c.stale)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("PutTile accepted a 204 with %s %q (stale %v)", server.TileGenHeader, c.header, c.stale)
+			}
+			if errors.Is(err, ErrUnavailable) || !strings.Contains(err.Error(), "node fake") {
+				t.Fatalf("PutTile: %v; want a hard error naming node fake", err)
+			}
+		})
+	}
 }

@@ -5,7 +5,7 @@ package cluster
 // in lockstep against a single ooc.Engine reference and a {router +
 // N nodes, R=2} cluster, and every read must come back byte-identical
 // to both the sequential model and the reference. The cluster runs
-// its real stack: loopback HTTP, x-ooc-gorilla on every hop, durable
+// its real stack: loopback HTTP, x-ooc-gorilla at the client edge, durable
 // PUTs, generation headers, read-repair.
 //
 // The op stream's "flush" is a no-op for the cluster (a replica's PUT

@@ -22,10 +22,6 @@ import (
 // a handful) extra copies only multiply write fan-out.
 const MaxReplicas = 8
 
-// hopWire is NodeClient's wire argument on every router↔node tile hop:
-// the router always negotiates the x-ooc-gorilla tile coding.
-const hopWire = true
-
 // Options configures a Router. Nodes and Replicas are required; the
 // rest default sanely.
 type Options struct {
@@ -353,7 +349,7 @@ func (r *Router) syncCatalog(m *member) bool {
 // drainHints replays the member's hint queue; true means it emptied.
 func (r *Router) drainHints(m *member) bool {
 	n, err := r.hints.Drain(m.client.ID, func(h hint) error {
-		stored, stale, err := m.client.PutTile(h.name, h.box, h.data, h.gen, hopWire)
+		stored, stale, err := m.client.PutTile(h.name, h.box, h.data, h.gen, false)
 		if err != nil {
 			return err
 		}
@@ -571,7 +567,7 @@ func (r *Router) read(tenant, name string, piece layout.Box, m *member, full boo
 	c := m.client.ForTenant(tenant)
 	var rep reply
 	if full {
-		rep.data, rep.gen, rep.err = c.GetTile(name, piece, hopWire)
+		rep.data, rep.gen, rep.err = c.GetTile(name, piece, false)
 	} else {
 		rep.gen, rep.err = c.TileGen(name, piece)
 	}
@@ -653,7 +649,7 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 		if !repair || i == win || replies[i].err != nil || replies[i].gen >= replies[win].gen {
 			continue
 		}
-		if _, _, err := reps[i].client.PutTile(name, piece, replies[win].data, replies[win].gen, hopWire); err != nil {
+		if _, _, err := reps[i].client.PutTile(name, piece, replies[win].data, replies[win].gen, false); err != nil {
 			if errors.Is(err, ErrUnavailable) {
 				r.markDown(reps[i])
 			}
@@ -688,6 +684,8 @@ func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64)
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
 
+	// One raw body serves every replica and the retry (see putBody).
+	body := server.EncodeTile(data, false)
 	// Up to one retry round: a node reporting a newer stored generation
 	// (a router restart zeroed the counter) raises it, and the write
 	// re-runs with a generation that wins.
@@ -712,7 +710,7 @@ func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64)
 			wg.Add(1)
 			go func(i int, m *member) {
 				defer wg.Done()
-				stored, stale, err := m.client.ForTenant(tenant).PutTile(name, piece, data, gen, hopWire)
+				stored, stale, err := m.client.ForTenant(tenant).putBody(name, piece, body, gen, false)
 				if err != nil {
 					if errors.Is(err, ErrUnavailable) {
 						r.markDown(m)

@@ -547,7 +547,7 @@ func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request, a admi
 	// sees it: a short or half-decoded payload must never land in a
 	// cached tile.
 	want := box.Size() * ooc.ElemSize
-	body, err := readBody(r, want+frameMaxOverhead)
+	body, err := readBody(r, want+FrameMaxOverhead)
 	data := ooc.GetF64(int(box.Size()))
 	defer ooc.PutF64(data)
 	if err == nil {
@@ -619,10 +619,10 @@ func checkedProduct(dims []int64) (int64, bool) {
 	return n, true
 }
 
-// frameMaxOverhead bounds how much larger than the raw payload a codec
+// FrameMaxOverhead bounds how much larger than the raw payload a codec
 // frame can be: the 16-byte header plus word-padding slack (the raw
 // fallback caps the payload itself at the logical size).
-const frameMaxOverhead = 24
+const FrameMaxOverhead = 24
 
 // readBody reads a request body of at most max bytes; a longer body
 // than the box can hold is a malformed request, not silent truncation.
