@@ -140,14 +140,9 @@ func main() {
 			fmt.Printf("%-6d %12d %12d %12d\n", r.Tile, r.RowCalls, r.ColCalls, r.BlockedCalls)
 		}
 	case *ablation == "optimal":
-		if len(opts.Kernels) == 0 {
-			// The ILP search is exponential; default to the kernels whose
-			// spaces stay small.
-			opts.Kernels = []string{"mat", "trans", "gfunp", "htribk"}
-		}
 		rows, err := exp.OptimalAblation(opts)
 		fail(err)
-		fmt.Println("Greedy propagation (c-opt) vs ILP-optimal assignment")
+		fmt.Println("Greedy propagation (c-opt) vs exact optimal assignment")
 		fmt.Printf("%-10s %6s %14s %14s %12s %12s\n", "program", "refs", "c-opt good", "optimal good", "c-opt score", "opt score")
 		for _, r := range rows {
 			fmt.Printf("%-10s %6d %14d %14d %12.2f %12.2f\n",

@@ -84,16 +84,13 @@ func TestEndToEndPipeline(t *testing.T) {
 	if badRefs > 1 {
 		t.Errorf("greedy left %d references without locality, want <= 1", badRefs)
 	}
-	// The ILP oracle, free to pick layouts and q_last together, finds
+	// The exact oracle, free to pick layouts and q_last together, finds
 	// the skewed solution q_last = (1,-1) with anti-diagonal layouts:
 	// movements (1,-1) and (-1,1) both lie in the hyperplane g = (1,1),
 	// so EVERY reference gets spatial locality — a solution inside the
 	// paper's linear framework that the greedy ordering cannot reach.
 	var opt2 core.Optimizer
-	optimal, err := opt2.OptimizeOptimal(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	optimal := opt2.OptimizeOptimal(prog)
 	optBad := 0
 	for _, rep := range optimal.Report(prog, nil) {
 		if rep.Locality == core.NoLocality {
@@ -101,7 +98,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		}
 	}
 	if optBad != 0 {
-		t.Errorf("ILP optimum left %d references without locality, want 0", optBad)
+		t.Errorf("exact optimum left %d references without locality, want 0", optBad)
 	}
 
 	// Step 4: out-of-core execution + verification.

@@ -5,143 +5,108 @@ import (
 	"sort"
 
 	"outcore/internal/deps"
-	"outcore/internal/ilp"
 	"outcore/internal/ir"
 	"outcore/internal/layout"
 	"outcore/internal/matrix"
 )
 
 // OptimizeOptimal computes a globally optimal layout + transformation
-// assignment by integer linear programming — the approach the paper's
-// conclusion announces as work in progress ("determining optimal file
-// layouts using techniques from integer linear programming").
+// assignment: the exact optimum the paper's conclusion announces as
+// work in progress ("determining optimal file layouts using techniques
+// from integer linear programming").
 //
-// Formulation: a one-hot variable per (array, candidate layout) and
-// per (nest, candidate innermost direction q_last); a penalty variable
-// per (reference, layout, q_last) combination that leaves the
-// reference without locality, weighted by the nest's cost. Candidate
-// q_last vectors are the legal, completable kernel solutions of
-// Relation (2) over all candidate layouts, plus the unit vectors.
+// Objective: minimize the references left without locality, each
+// weighted by its nest's cost, over one candidate layout per array and
+// one candidate transformation per nest (legalQCandidates). Every term
+// pairs one array with one nest, so once each nest's q_last is fixed
+// each array's best layout is an independent choice. The search
+// therefore enumerates the q_last tuples of each interference-graph
+// component and gives every array its cheapest layout under the tuple;
+// the first minimum found wins, which keeps ties deterministic.
 //
-// The search is exact; its cost grows exponentially with the number of
-// arrays and nests, so it is an oracle for modest programs (the
-// benchmark kernels solve in milliseconds) against which the paper's
-// greedy propagation (OptimizeCombined) can be measured.
-func (o *Optimizer) OptimizeOptimal(prog *ir.Program) (*Plan, error) {
-	prob := ilp.NewProblem()
-
-	// Candidate layouts per array.
-	type layoutVar struct {
-		l *layout.Layout
-		v int
-	}
-	layoutVars := map[*ir.Array][]layoutVar{}
-	var arrays []*ir.Array
-	seen := map[*ir.Array]bool{}
-	for _, n := range prog.Nests {
-		for _, a := range n.Arrays() {
-			if !seen[a] {
-				seen[a] = true
-				arrays = append(arrays, a)
-			}
-		}
-	}
-	for _, a := range arrays {
-		for _, l := range candidateLayouts(a) {
-			v := prob.AddVar(fmt.Sprintf("layout:%s:%s", a.Name, l.Name()), 0)
-			layoutVars[a] = append(layoutVars[a], layoutVar{l: l, v: v})
-		}
-		vs := make([]int, len(layoutVars[a]))
-		for i, lv := range layoutVars[a] {
-			vs[i] = lv.v
-		}
-		prob.AddOneHot(vs...)
-	}
-
-	// Candidate innermost directions per nest.
-	type qVar struct {
-		q  []int64
-		qm *matrix.Int
-		t  *matrix.Int
-		v  int
-	}
-	qVars := map[*ir.Nest][]qVar{}
+// The search is exact and exponential in the nests per component, so
+// it is an oracle for modest programs (the benchmark kernels solve in
+// milliseconds) against which the paper's greedy propagation
+// (OptimizeCombined) can be measured.
+func (o *Optimizer) OptimizeOptimal(prog *ir.Program) *Plan {
+	plan := NewPlan()
 	dc := depCache{}
-	for _, n := range prog.Nests {
-		for _, q := range legalQCandidates(n, dc) {
-			qm, ok := matrix.CompleteAny(q)
-			if !ok {
-				continue
-			}
-			tRat, ok := qm.Inverse()
-			if !ok {
-				continue
-			}
-			t, ok := tRat.ToInt()
-			if !ok {
-				continue
-			}
-			v := prob.AddVar(fmt.Sprintf("q:%d:%v", n.ID, q), 0)
-			qVars[n] = append(qVars[n], qVar{q: qm.Col(n.Depth() - 1), qm: qm, t: t, v: v})
+	for _, comp := range components(prog) {
+		nests := comp.Nests
+		cands := make([][]*NestPlan, len(nests))
+		for i, n := range nests {
+			cands[i] = legalQCandidates(n, dc)
 		}
-		if len(qVars[n]) == 0 {
-			return nil, fmt.Errorf("core: nest %d has no legal candidate transformations", n.ID)
+		// The references of each array, with their nest and its weight.
+		type use struct {
+			ref  ir.Ref
+			nest int
+			cost int64
 		}
-		vs := make([]int, len(qVars[n]))
-		for i, qv := range qVars[n] {
-			vs[i] = qv.v
+		index := map[*ir.Array]int{}
+		layouts := make([][]*layout.Layout, len(comp.Arrays))
+		for a, arr := range comp.Arrays {
+			index[arr] = a
+			layouts[a] = candidateLayouts(arr)
 		}
-		prob.AddOneHot(vs...)
-	}
-
-	// Product-term penalties for combinations without locality: choosing
-	// layout lv together with direction qv costs the nest's weight for
-	// every reference the pair leaves unoptimized.
-	maxCost := int64(1)
-	for _, n := range prog.Nests {
-		if c := o.cost(n); c > maxCost {
-			maxCost = c
-		}
-	}
-	for _, n := range prog.Nests {
-		w := float64(o.cost(n)) / float64(maxCost)
-		for _, s := range n.Body {
-			for _, r := range s.Refs() {
-				for _, lv := range layoutVars[r.Array] {
-					for _, qv := range qVars[n] {
-						if RefLocality(r, lv.l, qv.q) != NoLocality {
-							continue
-						}
-						if err := prob.AddPairCost(lv.v, qv.v, w); err != nil {
-							return nil, err
-						}
-					}
+		uses := make([][]use, len(comp.Arrays))
+		for i, n := range nests {
+			for _, s := range n.Body {
+				for _, r := range s.Refs() {
+					a := index[r.Array]
+					uses[a] = append(uses[a], use{ref: r, nest: i, cost: o.cost(n)})
 				}
 			}
 		}
-	}
 
-	sol, ok := prob.Solve()
-	if !ok {
-		return nil, fmt.Errorf("core: optimal assignment infeasible")
-	}
-	plan := NewPlan()
-	for _, a := range arrays {
-		for _, lv := range layoutVars[a] {
-			if sol.X[lv.v] {
-				plan.Layouts[a] = lv.l
+		tuple := make([]int, len(nests))
+		pick := make([]int, len(comp.Arrays))
+		bestTuple := make([]int, len(nests))
+		bestPick := make([]int, len(comp.Arrays))
+		best := int64(-1)
+		for {
+			total := int64(0)
+			for a := range comp.Arrays {
+				least := int64(-1)
+				for l, lay := range layouts[a] {
+					sum := int64(0)
+					for _, u := range uses[a] {
+						if RefLocality(u.ref, lay, cands[u.nest][tuple[u.nest]].QLast) == NoLocality {
+							sum += u.cost
+						}
+					}
+					if least < 0 || sum < least {
+						pick[a], least = l, sum
+					}
+				}
+				total += least
+			}
+			if best < 0 || total < best {
+				best = total
+				copy(bestTuple, tuple)
+				copy(bestPick, pick)
+			}
+			// Next tuple, odometer style: the last nest turns fastest.
+			i := len(tuple) - 1
+			for ; i >= 0; i-- {
+				if tuple[i]++; tuple[i] < len(cands[i]) {
+					break
+				}
+				tuple[i] = 0
+			}
+			if i < 0 {
+				break
 			}
 		}
-	}
-	for _, n := range prog.Nests {
-		for _, qv := range qVars[n] {
-			if sol.X[qv.v] {
-				plan.Nests[n] = &NestPlan{Nest: n, T: qv.t, Q: qv.qm, QLast: qv.q}
-			}
+		for i, n := range nests {
+			plan.Nests[n] = cands[i][bestTuple[i]]
+		}
+		for a, arr := range comp.Arrays {
+			plan.Layouts[arr] = layouts[a][bestPick[a]]
 		}
 	}
 	o.finish(plan, prog)
-	return plan, nil
+	return plan
 }
 
 // candidateLayouts enumerates the layout families considered per array.
@@ -165,20 +130,24 @@ func candidateLayouts(a *ir.Array) []*layout.Layout {
 	}
 }
 
-// legalQCandidates enumerates candidate innermost directions for a
-// nest: the unit vectors plus the primitive kernel directions of every
-// (reference, candidate layout) Relation-(2) constraint, filtered by
-// dependence legality after completion.
-func legalQCandidates(n *ir.Nest, dc depCache) [][]int64 {
+// legalQCandidates enumerates the candidate transformations of a nest:
+// the identity first (always legal), then the other unit vectors and
+// the primitive kernel directions of every (reference, candidate
+// layout) Relation-(2) constraint, each completed to a unimodular Q and
+// kept when legal.
+func legalQCandidates(n *ir.Nest, dc depCache) []*NestPlan {
 	k := n.Depth()
 	ds := dc.get(n)
+	identity := fmt.Sprint(unitVec(k, k-1))
 	cand := map[string][]int64{}
 	add := func(q []int64) {
 		if matrix.IsZeroVec(q) {
 			return
 		}
 		q = matrix.PrimitiveInt(q)
-		cand[fmt.Sprint(q)] = q
+		if key := fmt.Sprint(q); key != identity {
+			cand[key] = q
+		}
 	}
 	for pos := 0; pos < k; pos++ {
 		add(unitVec(k, pos))
@@ -201,25 +170,30 @@ func legalQCandidates(n *ir.Nest, dc depCache) [][]int64 {
 		keys = append(keys, key)
 	}
 	sort.Strings(keys)
-	var out [][]int64
+	out := []*NestPlan{{Nest: n, T: matrix.Identity(k), Q: matrix.Identity(k), QLast: unitVec(k, k-1)}}
 	for _, key := range keys {
-		q := cand[key]
-		qm, ok := matrix.CompleteAny(q)
-		if !ok {
-			continue
+		if qm, t, ok := completeLegal(cand[key], ds); ok {
+			out = append(out, &NestPlan{Nest: n, T: t, Q: qm, QLast: qm.Col(k - 1)})
 		}
-		tRat, ok := qm.Inverse()
-		if !ok {
-			continue
-		}
-		t, ok := tRat.ToInt()
-		if !ok {
-			continue
-		}
-		if !deps.LegalTransform(t, ds) {
-			continue
-		}
-		out = append(out, q)
 	}
 	return out
+}
+
+// completeLegal completes the innermost direction q to a unimodular
+// Q (Bik–Wijshoff) and returns it with T = Q⁻¹; ok is false when q is
+// zero or T violates a dependence in ds.
+func completeLegal(q []int64, ds []deps.Dependence) (qm, t *matrix.Int, ok bool) {
+	qm, ok = matrix.CompleteAny(q)
+	if !ok {
+		return nil, nil, false
+	}
+	tRat, ok := qm.Inverse()
+	if !ok {
+		return nil, nil, false
+	}
+	t, ok = tRat.ToInt()
+	if !ok || !deps.LegalTransform(t, ds) {
+		return nil, nil, false
+	}
+	return qm, t, true
 }

@@ -21,12 +21,9 @@ func countOptimized(t *testing.T, plan *Plan, progReports []LocalityReport) int 
 func TestOptimalMatchesCombinedOnWorkedExample(t *testing.T) {
 	p, _, _, _ := motivatingFragment(16)
 	var o Optimizer
-	opt, err := o.OptimizeOptimal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := o.OptimizeOptimal(p)
 	// All four references must have locality: the combined heuristic
-	// already achieves the optimum here, so the ILP must too.
+	// already achieves the optimum here, so the exact search must too.
 	if got := countOptimized(t, opt, opt.Report(p, nil)); got != 4 {
 		t.Errorf("optimal plan optimized %d/4 refs", got)
 	}
@@ -43,17 +40,14 @@ func TestOptimalMatchesCombinedOnWorkedExample(t *testing.T) {
 }
 
 func TestOptimalNeverWorseThanCombined(t *testing.T) {
-	// Across several structured programs, the ILP optimum must serve at
-	// least as many (cost-weighted, here uniform) references as the
+	// Across several structured programs, the exact optimum must serve
+	// at least as many (cost-weighted, here uniform) references as the
 	// greedy propagation.
 	for _, n := range []int64{8, 12} {
 		p, _, _, _ := motivatingFragment(n)
 		var o Optimizer
 		combined := o.OptimizeCombined(p)
-		optimal, err := o.OptimizeOptimal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		optimal := o.OptimizeOptimal(p)
 		cg := countOptimized(t, combined, combined.Report(p, nil))
 		og := countOptimized(t, optimal, optimal.Report(p, nil))
 		if og < cg {
@@ -65,16 +59,13 @@ func TestOptimalNeverWorseThanCombined(t *testing.T) {
 func TestOptimalBeatsGreedyWhenOrderMisleads(t *testing.T) {
 	// Force a bad greedy order via profile: the combined algorithm
 	// processes the "wrong" nest first data-only and can lose a
-	// reference; the ILP is order-free and must still reach the global
-	// optimum achieved with the good order.
+	// reference; the exact search is order-free and must still reach the
+	// global optimum achieved with the good order.
 	p, _, _, _ := motivatingFragment(16)
 	bad := Optimizer{Profile: map[int]int64{0: 1, 1: 1000}}
 	_ = bad.OptimizeCombined(p)
 
-	opt, err := bad.OptimizeOptimal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := bad.OptimizeOptimal(p)
 	if got := countOptimized(t, opt, opt.Report(p, nil)); got != 4 {
 		t.Errorf("optimal with misleading profile optimized %d/4 refs", got)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"outcore/internal/deps"
 	"outcore/internal/ir"
 	"outcore/internal/layout"
 	"outcore/internal/matrix"
@@ -162,19 +161,8 @@ func (o *Optimizer) chooseTransform(plan *Plan, n *ir.Nest, dc depCache, np *Nes
 	}{q: identityQ, t: matrix.Identity(k), qm: matrix.Identity(k), score: o.scoreQ(plan, n, identityQ)}
 
 	tryCandidate := func(q []int64) {
-		qm, ok := matrix.CompleteAny(q)
+		qm, t, ok := completeLegal(q, ds)
 		if !ok {
-			return
-		}
-		tRat, ok := qm.Inverse()
-		if !ok {
-			return
-		}
-		t, ok := tRat.ToInt()
-		if !ok {
-			return // non-unimodular completion (cannot happen with Complete)
-		}
-		if !deps.LegalTransform(t, ds) {
 			return
 		}
 		qlNorm := qm.Col(k - 1)

@@ -1,16 +1,14 @@
 package exp
 
 import (
-	"fmt"
-
 	"outcore/internal/core"
 	"outcore/internal/ir"
 )
 
-// OptimalRow compares the greedy combined algorithm against the
-// ILP-optimal assignment on one kernel: the number of references (out
-// of the total) each serves with locality, cost-weighted as in the ILP
-// objective.
+// OptimalRow compares the greedy combined algorithm against the exact
+// optimal assignment on one kernel: the number of references (out of
+// the total) each serves with locality, cost-weighted as in the
+// optimum's objective.
 type OptimalRow struct {
 	Kernel        string
 	TotalRefs     int
@@ -21,9 +19,8 @@ type OptimalRow struct {
 }
 
 // OptimalAblation measures the gap between the paper's greedy layout
-// propagation (Step 3) and the globally optimal ILP assignment the
-// conclusion proposes as future work. Kernels whose optimal search
-// space is too large are skipped by passing a subset in o.Kernels.
+// propagation (Step 3) and the globally optimal assignment the
+// conclusion proposes as future work (core.OptimizeOptimal).
 func OptimalAblation(o Options) ([]OptimalRow, error) {
 	o.defaults()
 	kernels, err := o.kernels()
@@ -41,10 +38,7 @@ func OptimalAblation(o Options) ([]OptimalRow, error) {
 
 		progO := k.Build(o.Cfg)
 		var oo core.Optimizer
-		optimal, err := oo.OptimizeOptimal(progO)
-		if err != nil {
-			return nil, fmt.Errorf("optimal ablation: %s: %w", k.Name, err)
-		}
+		optimal := oo.OptimizeOptimal(progO)
 		_, row.OptimalGood, row.OptimalScore = scorePlan(optimal, progO)
 		rows = append(rows, row)
 	}
@@ -52,8 +46,8 @@ func OptimalAblation(o Options) ([]OptimalRow, error) {
 }
 
 // scorePlan counts locality-served references and the cost-weighted
-// score matching the ILP objective's complement (weight = nest cost,
-// normalized by the costliest nest).
+// score matching the complement of the optimum's objective (weight =
+// nest cost, normalized by the costliest nest).
 func scorePlan(plan *core.Plan, prog *ir.Program) (total, good int, score float64) {
 	maxCost := int64(1)
 	for _, n := range prog.Nests {

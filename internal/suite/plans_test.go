@@ -58,9 +58,9 @@ func TestCOptPlanSnapshots(t *testing.T) {
 		k, _ := ByName("gfunp")
 		prog := k.Build(cfg)
 		plan, _ := PlanFor(prog, COpt)
-		// Every reference optimized (9/9), confirmed optimal by the ILP
-		// (see core's optimal tests); here we pin that the greedy run
-		// still achieves it.
+		// Every reference optimized (9/9), confirmed optimal by the exact
+		// search (see core's optimal tests); here we pin that the greedy
+		// run still achieves it.
 		bad := 0
 		for _, rep := range plan.Report(prog, nil) {
 			if rep.Locality == core.NoLocality {
