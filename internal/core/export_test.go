@@ -24,13 +24,13 @@ func Penalty(o *Optimizer, plan *Plan, prog *ir.Program) int64 {
 // and gives each nest, on its own, the candidate transformation that
 // leaves the cheapest references without locality.
 func LayoutSideOptimum(o *Optimizer, prog *ir.Program) int64 {
-	var arrays []*ir.Array
+	var layouts []int // candidate layouts per array
 	index := map[*ir.Array]int{}
 	for _, n := range prog.Nests {
 		for _, a := range n.Arrays() {
 			if _, ok := index[a]; !ok {
-				index[a] = len(arrays)
-				arrays = append(arrays, a)
+				index[a] = len(layouts)
+				layouts = append(layouts, len(candidateLayouts(a)))
 			}
 		}
 	}
@@ -64,7 +64,7 @@ func LayoutSideOptimum(o *Optimizer, prog *ir.Program) int64 {
 		}
 	}
 
-	choice := make([]int, len(arrays))
+	choice := make([]int, len(layouts))
 	best := int64(-1)
 	for {
 		total := int64(0)
@@ -88,7 +88,7 @@ func LayoutSideOptimum(o *Optimizer, prog *ir.Program) int64 {
 		}
 		a := len(choice) - 1
 		for ; a >= 0; a-- {
-			if choice[a]++; choice[a] < len(candidateLayouts(arrays[a])) {
+			if choice[a]++; choice[a] < layouts[a] {
 				break
 			}
 			choice[a] = 0
