@@ -95,7 +95,7 @@ bench-counts:
 
 # Deterministic chaos sweep: the dst/faultfs test suites under -race,
 # then CHAOS_EPISODES seeded simulation episodes of every kind: storage
-# (power cuts, torn writes, failing syncs; plain, WAL, compressed WAL),
+# (power cuts, torn writes, failing syncs; plain and WAL),
 # then cluster, operators and tenants over a router + 3 nodes. A
 # failing episode prints its reproducer. Nightly CI runs this plus one
 # random seed.
@@ -104,7 +104,6 @@ chaos:
 	$(GO) test -race ./internal/dst/ ./internal/faultfs/
 	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES)
 	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -wal
-	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -wal -compress
 	$(GO) run ./cmd/occhaos -kind cluster -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
 	$(GO) run ./cmd/occhaos -kind operators -episodes $(CHAOS_EPISODES) -ops 60 -nodes 3 -replicas 2
 	$(GO) run ./cmd/occhaos -kind tenants -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2

@@ -60,7 +60,6 @@ func main() {
 	walCap := flag.Int64("wal-cap-words", 0, "with -wal: log capacity in 8-byte words (0 = default)")
 	walCheckpoint := flag.Duration("wal-checkpoint", time.Second, "with -wal: background compaction interval (0 = only when the log fills)")
 	durablePuts := flag.Bool("durable-puts", false, "make every tile PUT durable before its 204 (with -wal: via the group commit)")
-	compress := flag.Bool("compress", false, "store array backends compressed (Gorilla tile codec) and, with -wal, compress log record payloads; /v1/stats grows a compression scorecard")
 	faults := flag.Int64("faults", 0, "TESTING ONLY: inject deterministic storage faults from this seed (0 = off); failures surface as 5xx")
 	clusterNode := flag.String("cluster-node", "", "label this daemon as cluster storage node ID in /v1/stats (placement is router-side; write-generation headers do not depend on it)")
 	flag.Parse()
@@ -78,9 +77,6 @@ func main() {
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
 	ooc.ObservePool(sink)
 	d := ooc.NewDisk(*maxCall).Observe(sink)
-	if *compress {
-		d.EnableCompression()
-	}
 	var inj *faultfs.Injector
 	if *faults != 0 {
 		inj = faultfs.NewStorm(*faults).Observe(sink)
@@ -101,7 +97,6 @@ func main() {
 		d.EnableWAL(ooc.WALOptions{
 			CapWords:        *walCap,
 			CheckpointEvery: *walCheckpoint,
-			Compress:        *compress,
 			Obs:             sink,
 		})
 	}

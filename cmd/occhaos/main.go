@@ -33,7 +33,7 @@ type options struct {
 	episodes, ops, flushEvery, crashEvery, nodes, replicas int
 	seed                                                   int64
 	putFrac, syncDrop                                      float64
-	random, wal, compress, verbose                         bool
+	random, wal, verbose                                   bool
 	kind, hintDir                                          string
 }
 
@@ -49,7 +49,6 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.flushEvery, "flush-every", 20, "storage: ~one flush per this many steps (<0 disables)")
 	fs.IntVar(&o.crashEvery, "crash-every", 50, "storage: ~one power cut per this many steps (<0 disables)")
 	fs.BoolVar(&o.wal, "wal", false, "storage: writes append to a write-ahead log, crashes land mid-commit/mid-compaction, and every reboot replays the surviving log tail")
-	fs.BoolVar(&o.compress, "compress", false, "storage, with -wal: compress log record payloads, so crash recovery replays through the compressed format")
 	fs.Float64Var(&o.syncDrop, "sync-drop", 0, "storage: probability a sync LIES (reports success, persists nothing) on top of the storm — episodes are expected to fail")
 	fs.IntVar(&o.nodes, "nodes", 3, "cluster kinds: storage nodes per episode")
 	fs.IntVar(&o.replicas, "replicas", 2, "cluster kinds: copies per tile")
@@ -99,7 +98,6 @@ func (o *options) run(fs *flag.FlagSet) int {
 			CrashEvery: o.crashEvery,
 			Profile:    prof,
 			WAL:        o.wal,
-			Compress:   o.compress,
 			Nodes:      o.nodes,
 			Replicas:   o.replicas,
 			HintDir:    o.hintDir,

@@ -12,7 +12,7 @@ import (
 // original command line set — booleans included, and whatever follows
 // them.
 func TestReproducerRoundTrips(t *testing.T) {
-	args := []string{"-episodes", "1", "-v", "-wal", "-compress", "-ops", "40", "-kind", "operators",
+	args := []string{"-episodes", "1", "-v", "-wal", "-ops", "40", "-kind", "operators",
 		"-put-frac", "0.7", "-sync-drop", "1", "-hint-dir", "/tmp/h", "-random=false"}
 	orig := flag.NewFlagSet("orig", flag.ContinueOnError)
 	register(orig)

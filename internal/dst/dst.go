@@ -119,11 +119,6 @@ type Options struct {
 	// under test becomes "acked writes are RECOVERED exactly", crash
 	// points landing mid-commit, mid-apply and mid-compaction included.
 	WAL bool
-	// Compress runs the WAL with payload compression (codec frames in
-	// the log records). The durability contract is unchanged — the
-	// injector still measures physical bytes — so this proves acked
-	// writes survive crashes THROUGH the compressed records.
-	Compress bool
 
 	// Cluster kinds.
 	Nodes    int    // storage nodes (default 3)
@@ -336,7 +331,7 @@ func (ep *episode) open() {
 	}
 	ep.disk = ooc.NewDisk(0).WrapBackend(ep.inj.Wrap)
 	if ep.o.WAL {
-		ep.disk.EnableWAL(ooc.WALOptions{CapWords: walCapWords, Compress: ep.o.Compress})
+		ep.disk.EnableWAL(ooc.WALOptions{CapWords: walCapWords})
 	}
 	size := int64(tiles * tileElems)
 	arr, err := ep.disk.CreateArray(ir.NewArray(arrayName, size), layout.RowMajor(size))

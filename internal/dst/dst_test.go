@@ -260,42 +260,10 @@ func TestWALLyingSyncDetected(t *testing.T) {
 	}
 }
 
-// TestWALCompressEpisodesPass runs the WAL storm with payload
-// compression on: acked writes must survive crashes through the
-// compressed log records (the injector checks physical durable bytes,
-// so a frame that failed to round-trip would surface as lost data).
-func TestWALCompressEpisodesPass(t *testing.T) {
-	var crashes int64
-	for seed := int64(0); seed < 30; seed++ {
-		res := Run(Options{Seed: seed, Ops: 250, WAL: true, Compress: true, Profile: stormProfile()})
-		if res.Failed() {
-			t.Errorf("wal-compress seed %d failed: %s", seed, res.Summary())
-			for _, v := range res.Violations {
-				t.Errorf("  %s", v)
-			}
-		}
-		crashes += int64(res.Crashes)
-	}
-	if crashes == 0 {
-		t.Fatal("degenerate compress storm: no crashes, nothing replayed")
-	}
-}
-
-// TestWALCompressDeterministicReplay extends the determinism contract
-// to compressed episodes: per-record frame encoding adds no
-// nondeterminism, so a failing compressed seed replays exactly.
-func TestWALCompressDeterministicReplay(t *testing.T) {
-	opts := Options{Seed: 321, Ops: 250, WAL: true, Compress: true, Profile: stormProfile()}
-	a, b := Run(opts), Run(opts)
-	if a.OpLog != b.OpLog || a.FaultSchedule != b.FaultSchedule || a.Summary() != b.Summary() {
-		t.Fatalf("compressed WAL replay diverged: %q vs %q", a.Summary(), b.Summary())
-	}
-}
-
 // TestStorageEpisodeGolden pins the storage kind's replay contract
 // across refactors: sha256(OpLog ‖ FaultSchedule) for seeds 0–3 under
-// the storm profile, plain, with the WAL, and with the compressed WAL,
-// must equal the hashes checked in under testdata. A change that moves
+// the storm profile, plain and with the WAL, must equal the hashes
+// checked in under testdata. A change that moves
 // one scheduler draw or one injector decision fails here.
 func TestStorageEpisodeGolden(t *testing.T) {
 	raw, err := os.ReadFile("testdata/storage_golden.json")
@@ -308,11 +276,11 @@ func TestStorageEpisodeGolden(t *testing.T) {
 	}
 	got := map[string]string{}
 	for _, v := range []struct {
-		name          string
-		wal, compress bool
-	}{{"plain", false, false}, {"wal", true, false}, {"wal+compress", true, true}} {
+		name string
+		wal  bool
+	}{{"plain", false}, {"wal", true}} {
 		for seed := int64(0); seed < 4; seed++ {
-			res := Run(Options{Seed: seed, WAL: v.wal, Compress: v.compress, Profile: stormProfile()})
+			res := Run(Options{Seed: seed, WAL: v.wal, Profile: stormProfile()})
 			sum := sha256.Sum256([]byte(res.OpLog + res.FaultSchedule))
 			got[fmt.Sprintf("%s/seed=%d", v.name, seed)] = hex.EncodeToString(sum[:])
 		}

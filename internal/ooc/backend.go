@@ -83,9 +83,12 @@ type fileBackend struct {
 // newFileBackend opens the backing file of n elements, locked for
 // exclusive use (see the single-writer contract on Backend). With keep
 // false the file is created zero-filled, truncating any previous
-// contents; with keep true existing contents survive (the file is still
-// resized to n elements, zero-extending when it grew).
-func newFileBackend(path string, n int64, keep bool) (*fileBackend, error) {
+// contents; with keep true existing contents survive and the file is
+// resized to n elements. With exact also set, a non-empty file of any
+// other size is refused instead: an array file that size was written
+// under other dims, and resizing it would cut off stored elements or
+// serve zeros past them.
+func newFileBackend(path string, n int64, keep, exact bool) (*fileBackend, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
@@ -115,10 +118,23 @@ func newFileBackend(path string, n int64, keep bool) (*fileBackend, error) {
 		os.Remove(lock)
 		return nil, err
 	}
-	if err := f.Truncate(n * ElemSize); err != nil {
+	fail := func(err error) (*fileBackend, error) {
 		f.Close()
 		os.Remove(lock)
 		return nil, err
+	}
+	if keep && exact {
+		info, err := f.Stat()
+		if err != nil {
+			return fail(err)
+		}
+		if have := info.Size(); have != 0 && have != n*ElemSize {
+			return fail(fmt.Errorf("ooc: kept array file %s holds %d bytes, not the %d this array needs: "+
+				"reopen it with the dims that wrote it", path, have, n*ElemSize))
+		}
+	}
+	if err := f.Truncate(n * ElemSize); err != nil {
+		return fail(err)
 	}
 	return &fileBackend{f: f, lock: lock, size: n}, nil
 }
@@ -304,15 +320,8 @@ func (d *Disk) checkKeptLayout(name string) error {
 }
 
 // newBackend picks the backend for a new array per the disk's
-// configuration. With compression enabled the base backend is sized
-// for the codec's chunked physical layout and the codec wraps
-// OUTSIDE any WrapBackend instrumentation, so fault injectors and
-// call recorders observe the encoded traffic that really moves.
+// configuration, wrapped by any WrapBackend instrumentation.
 func (d *Disk) newBackend(name string, n int64) (Backend, error) {
-	phys := n
-	if d.comp != nil && !d.noBacking {
-		phys = codecPhysWords(n)
-	}
 	if err := d.checkKeptLayout(name); err != nil {
 		return nil, err
 	}
@@ -324,20 +333,17 @@ func (d *Disk) newBackend(name string, n int64) (Backend, error) {
 	case d.noBacking:
 		b = nullBackend{size: n}
 	case d.stripeN > 1:
-		b, err = d.newStripedDiskBackend(name, phys)
+		b, err = d.newStripedDiskBackend(name, n)
 	case d.dir != "":
-		b, err = newFileBackend(filepath.Join(d.dir, name+".dat"), phys, d.keepExisting)
+		b, err = newFileBackend(filepath.Join(d.dir, name+".dat"), n, d.keepExisting, true)
 	default:
-		b = newMemBackend(phys)
+		b = newMemBackend(n)
 	}
 	if err != nil {
 		return nil, err
 	}
 	if d.wrapBackend != nil {
 		b = d.wrapBackend(name, b)
-	}
-	if d.comp != nil && !d.noBacking {
-		b = newCodecBackend(b, n, d.comp)
 	}
 	return b, nil
 }

@@ -1,19 +1,19 @@
 package ooc
 
-// Per-tile float64 compression: the paper's argument is that bytes
-// moved through the I/O system, not CPU, bound out-of-core work — so
-// the runtime squeezes the bytes at every boundary they cross. The
-// codec is Gorilla-style XOR-of-previous delta encoding (Facebook's
-// in-memory TSDB scheme, the same family VictoriaMetrics uses on
-// disk): smooth scientific data XORs to mostly-zero words, and the
-// control-bit framing stores only the meaningful window of each XOR.
-// Incompressible payloads fall back to a raw pass-through so the
-// encoded form is never meaningfully larger than the input.
+// Per-tile float64 compression for the client edge: a front end's tile
+// GET/PUT and scan frames negotiate it with a client (x-ooc-gorilla).
+// Nothing below the front end stores or logs a frame; DESIGN.md's
+// "At-rest compression, priced" says why. The codec is Gorilla-style
+// XOR-of-previous delta encoding (Facebook's in-memory TSDB scheme, the
+// same family VictoriaMetrics uses on disk): smooth scientific data
+// XORs to mostly-zero words, and the control-bit framing stores only
+// the meaningful window of each XOR. Incompressible payloads fall back
+// to a raw pass-through so the encoded form is never meaningfully
+// larger than the input.
 //
 // # Frame format
 //
-// Every encoded payload travels inside a self-describing frame shared
-// by the disk, WAL and HTTP wire boundaries:
+// Every encoded payload travels inside a self-describing frame:
 //
 //	bytes  0..7   codecID<<56 | elemCount       (little-endian word)
 //	bytes  8..15  encodedLen<<32 | CRC-32C      (little-endian word)
@@ -21,10 +21,9 @@ package ooc
 //
 // codecID is CodecRaw (little-endian float64 bits) or CodecGorilla.
 // encodedLen is the unpadded payload byte length; the CRC (Castagnoli,
-// the WAL's polynomial) covers exactly those bytes. The 8-byte padding
-// lets a frame be carried verbatim as backend words or WAL payload
-// words via the same Float64bits packing the WAL already proves
-// round-trips exactly.
+// the WAL's polynomial) covers exactly those bytes. The padding to whole
+// 8-byte words is part of the format: clients built against it expect
+// it.
 //
 // # Gorilla bit stream
 //
@@ -50,8 +49,7 @@ import (
 )
 
 // Codec identifiers carried in frame headers. Zero is deliberately
-// invalid: an all-zero header (a never-written backend slot, a zeroed
-// log) can never be mistaken for a frame.
+// invalid: all-zero bytes can never be mistaken for a frame.
 const (
 	CodecRaw     = 1
 	CodecGorilla = 2
@@ -112,21 +110,10 @@ func AppendFrame(dst []byte, data []float64) []byte {
 	return dst
 }
 
-// FrameElems parses and validates a frame header, returning the
+// frameHeader parses and validates a frame header, returning the
 // element count the frame decodes to and the total frame size in
 // bytes. The slice must hold the whole frame (trailing bytes are
 // fine); it does not verify the payload CRC (DecodeFrame does).
-func FrameElems(frame []byte) (elems, size int, err error) {
-	elems, size, err = frameHeader(frame)
-	if err == nil && len(frame) < size {
-		return 0, 0, errCodecFrame
-	}
-	return elems, size, err
-}
-
-// frameHeader is FrameElems for callers that only have the 16-byte
-// header in hand — the codec disk backend reads the header first and
-// then fetches exactly the payload words it declares.
 func frameHeader(frame []byte) (elems, size int, err error) {
 	if len(frame) < frameHeaderBytes {
 		return 0, 0, errCodecFrame
@@ -153,19 +140,20 @@ func frameHeader(frame []byte) (elems, size int, err error) {
 	default:
 		return 0, 0, errCodecFrame
 	}
-	if elems > maxFrameElems {
+	size = frameSizeBytes(encLen)
+	if elems > maxFrameElems || len(frame) < size {
 		return 0, 0, errCodecFrame
 	}
-	return elems, frameSizeBytes(encLen), nil
+	return elems, size, nil
 }
 
 // DecodeFrame decodes one frame into dst, which must hold exactly the
-// frame's element count (callers learn it from FrameElems). It returns
-// the frame's total byte size. Any mismatch — truncated buffer, CRC
-// failure, malformed bit stream, wrong element count — is an error and
-// dst's contents are unspecified.
+// frame's element count (callers size it from the box the frame
+// carries). It returns the frame's total byte size. Any mismatch —
+// truncated buffer, CRC failure, malformed bit stream, wrong element
+// count — is an error and dst's contents are unspecified.
 func DecodeFrame(frame []byte, dst []float64) (int, error) {
-	elems, size, err := FrameElems(frame)
+	elems, size, err := frameHeader(frame)
 	if err != nil {
 		return 0, err
 	}
@@ -320,24 +308,4 @@ func gorillaDecode(payload []byte, dst []float64) error {
 		return errCodecFrame
 	}
 	return nil
-}
-
-// frameToWords packs a padded frame (len divisible by 8) into backend
-// words, appending to dst.
-func frameToWords(dst []float64, frame []byte) []float64 {
-	for i := 0; i+8 <= len(frame); i += 8 {
-		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(frame[i:])))
-	}
-	return dst
-}
-
-// wordsToFrame unpacks backend words into frame bytes, appending to
-// dst.
-func wordsToFrame(dst []byte, words []float64) []byte {
-	var b [8]byte
-	for _, w := range words {
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(w))
-		dst = append(dst, b[:]...)
-	}
-	return dst
 }

@@ -68,12 +68,12 @@ func TestFrameRoundTrip(t *testing.T) {
 			if max := frameSizeBytes(len(data) * ElemSize); len(frame) > max {
 				t.Fatalf("frame is %d bytes, over the raw-fallback bound %d", len(frame), max)
 			}
-			elems, size, err := FrameElems(frame)
+			elems, size, err := frameHeader(frame)
 			if err != nil {
-				t.Fatalf("FrameElems: %v", err)
+				t.Fatalf("frameHeader: %v", err)
 			}
 			if elems != len(data) || size != len(frame) {
-				t.Fatalf("FrameElems = (%d, %d), want (%d, %d)", elems, size, len(data), len(frame))
+				t.Fatalf("frameHeader = (%d, %d), want (%d, %d)", elems, size, len(data), len(frame))
 			}
 			got := make([]float64, len(data))
 			n, err := DecodeFrame(frame, got)
@@ -95,8 +95,8 @@ func TestFrameRoundTrip(t *testing.T) {
 
 // TestFrameCompressionWins pins the headline numbers: the smooth
 // shapes the paper's kernels produce must shrink well past 2x (the bar
-// TestCodecDiskEngine holds the disk to), and incompressible data must
-// cost no more than raw plus the fixed header.
+// the server's wire gate holds tile traffic to), and incompressible
+// data must cost no more than raw plus the fixed header.
 func TestFrameCompressionWins(t *testing.T) {
 	cases := codecCases()
 	for _, name := range []string{"constant", "ramp", "quant-sine"} {
@@ -182,21 +182,21 @@ func TestFrameCorruptRejected(t *testing.T) {
 	}
 
 	// A gorilla frame claiming no compression win is not one AppendFrame
-	// built; FrameElems must refuse it rather than trust encodedLen.
+	// built; frameHeader must refuse it rather than trust encodedLen.
 	single := AppendFrame(nil, []float64{1, 2})
 	if single[7] == CodecGorilla {
 		big := append([]byte(nil), single...)
 		big[12] = 16 // encodedLen = 2*8: no longer beats raw
-		if _, _, err := FrameElems(big); err == nil {
-			t.Error("FrameElems accepted a gorilla frame with encodedLen >= raw")
+		if _, _, err := frameHeader(big); err == nil {
+			t.Error("frameHeader accepted a gorilla frame with encodedLen >= raw")
 		}
 	}
 }
 
-// TestFrameZeroHeaderInvalid pins the property the disk backend's
-// never-written detection rests on: an all-zero header is not a frame.
+// TestFrameZeroHeaderInvalid pins that an all-zero header is not a
+// frame: zeroed bytes can never decode as a payload.
 func TestFrameZeroHeaderInvalid(t *testing.T) {
-	if _, _, err := FrameElems(make([]byte, 64)); err == nil {
+	if _, _, err := frameHeader(make([]byte, 64)); err == nil {
 		t.Fatal("all-zero bytes parsed as a frame")
 	}
 }
@@ -217,13 +217,13 @@ func FuzzTileCodec(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		// 1. Arbitrary bytes: parsing and decoding must be total.
-		if elems, size, err := FrameElems(raw); err == nil {
+		if elems, size, err := frameHeader(raw); err == nil {
 			if size < frameHeaderBytes || size > len(raw) || elems < 0 {
-				t.Fatalf("FrameElems accepted elems=%d size=%d for %d bytes", elems, size, len(raw))
+				t.Fatalf("frameHeader accepted elems=%d size=%d for %d bytes", elems, size, len(raw))
 			}
 			dst := make([]float64, elems)
 			if n, err := DecodeFrame(raw, dst); err == nil && n != size {
-				t.Fatalf("DecodeFrame size %d != FrameElems size %d", n, size)
+				t.Fatalf("DecodeFrame size %d != frameHeader size %d", n, size)
 			}
 		} else {
 			// Still must not panic with a plausible destination.

@@ -2,7 +2,7 @@ package ooc_test
 
 // The model-differential conformance suite: seeded operation streams
 // are replayed, in lockstep, against a sequential model and the
-// engine planes {engine, engine+WAL, engine+WAL+compress} over
+// engine planes {engine, engine+WAL} over
 // identical data, and every observable — tile bytes on reads, durable
 // bytes after power cuts, final array contents, stats invariants —
 // must agree byte for byte.
@@ -46,7 +46,6 @@ const confWALCapWords = int64(1) << 15
 type confPlane struct {
 	name string
 	wal  bool
-	comp bool // WAL payload compression (disk compression would change the physical bytes readDurable checks)
 	inj  *faultfs.Injector
 	disk *ooc.Disk
 	arr  *ooc.Array
@@ -56,23 +55,16 @@ type confPlane struct {
 	stores   int64 // Store calls since the last (re)open
 }
 
-// newConfPlane builds one plane. comp turns on WAL payload
-// compression: the plane's acked writes must survive power cuts through
-// compressed log records, byte-for-byte equal to every uncompressed
-// plane.
-func newConfPlane(t *testing.T, seed int64, wal, comp bool) *confPlane {
+// newConfPlane builds one plane.
+func newConfPlane(t *testing.T, seed int64, wal bool) *confPlane {
 	t.Helper()
 	name := "engine"
 	if wal {
 		name += "+wal"
 	}
-	if comp {
-		name += "+comp"
-	}
 	p := &confPlane{
 		name: name,
 		wal:  wal,
-		comp: comp,
 		inj:  faultfs.New(seed, faultfs.Profile{}),
 	}
 	p.open(t)
@@ -87,7 +79,7 @@ func (p *confPlane) open(t *testing.T) {
 	t.Helper()
 	p.disk = ooc.NewDisk(0).WrapBackend(p.inj.Wrap)
 	if p.wal {
-		p.disk.EnableWAL(ooc.WALOptions{CapWords: confWALCapWords, Compress: p.comp})
+		p.disk.EnableWAL(ooc.WALOptions{CapWords: confWALCapWords})
 	}
 	arr, err := p.disk.CreateArray(ir.NewArray("A", confEdge, confEdge), layout.RowMajor(confEdge, confEdge))
 	if err != nil {
@@ -173,11 +165,11 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceWAL replays the same streams with WAL-backed planes
-// (raw and compressed records) in lockstep with a plain synchronous
-// reference: same byte-equal reads and final contents, and after
-// every power cut the replayed WAL plane must recover exactly the
-// acked model the synchronous reference kept durable.
+// TestConformanceWAL replays the same streams with a WAL-backed plane
+// in lockstep with a plain synchronous reference: same byte-equal reads
+// and final contents, and after every power cut the replayed WAL plane
+// must recover exactly the acked model the synchronous reference kept
+// durable.
 func TestConformanceWAL(t *testing.T) {
 	for seed := int64(1); seed <= confSeeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -188,11 +180,9 @@ func TestConformanceWAL(t *testing.T) {
 }
 
 func runConformanceSeed(t *testing.T, seed int64, wal bool) {
-	planes := []*confPlane{newConfPlane(t, seed, false, false)} // synchronous reference
+	planes := []*confPlane{newConfPlane(t, seed, false)} // synchronous reference
 	if wal {
-		planes = append(planes,
-			newConfPlane(t, seed, true, false),
-			newConfPlane(t, seed, true, true))
+		planes = append(planes, newConfPlane(t, seed, true))
 	}
 	model := &confModel{
 		volatileA: make([]float64, confElemCount),

@@ -115,8 +115,7 @@ type Disk struct {
 	stripeN      int    // > 1: stripe each array's backend this many ways
 	stripeUnit   int64  // striping unit in elements (DefaultStripeUnit when 0)
 	wrapBackend  func(name string, b Backend) Backend
-	wal          *walSet    // non-nil once EnableWAL configured write-ahead logging
-	comp         *compState // non-nil once EnableCompression configured codec backends
+	wal          *walSet // non-nil once EnableWAL configured write-ahead logging
 
 	met *diskMetrics // non-nil once Observe attached a registry
 }
@@ -126,7 +125,6 @@ type Disk struct {
 // paper's I/O model is all about (small scattered calls vs few large
 // ones).
 type diskMetrics struct {
-	reg                   *obs.Registry // retained so later-enabled features can add families
 	readCalls, writeCalls *obs.Counter
 	readElems, writeElems *obs.Counter
 	reqElems              *obs.Histogram
@@ -143,7 +141,6 @@ func (d *Disk) Observe(sink *obs.Sink) *Disk {
 		return d
 	}
 	d.met = &diskMetrics{
-		reg:        reg,
 		readCalls:  reg.Counter("ooc_io_read_calls_total", "backend read calls issued"),
 		writeCalls: reg.Counter("ooc_io_write_calls_total", "backend write calls issued"),
 		readElems:  reg.Counter("ooc_io_read_elems_total", "elements read from the backend"),
@@ -151,7 +148,6 @@ func (d *Disk) Observe(sink *obs.Sink) *Disk {
 		reqElems: reg.Histogram("ooc_request_elems",
 			"elements moved per backend I/O call", obs.ExpBuckets(1, 4, 10)),
 	}
-	d.observeCompLocked()
 	return d
 }
 

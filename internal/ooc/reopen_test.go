@@ -9,9 +9,11 @@ package ooc_test
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -156,19 +158,21 @@ func TestReopenOtherStripingRefused(t *testing.T) {
 	}
 }
 
-// TestReopenLegacyWALRefused: a kept "__wal0.log" whose head holds
-// records in the per-run format of an earlier build carries
-// acknowledged writes this build cannot replay. Its decoder stops at
-// the first of them exactly as it stops at a torn tail, so without a
+// TestReopenLegacyWALRefused: a kept "__wal0.log" holding records an
+// earlier build wrote in a format this build cannot replay — per-run
+// records at its head, or a tile record whose payload is a codec frame
+// (the comp bit of a build with WAL compression), at the head or after
+// raw records — carries acknowledged writes. The decoder stops at the
+// first of them exactly as it stops at a torn tail, so without a
 // refusal the reopen would succeed, serve the stripes' stale bytes and
 // append over the records. An all-zero log and one a clean shutdown
 // already checkpointed (its records stale by epoch) are adopted.
 func TestReopenLegacyWALRefused(t *testing.T) {
 	// The image the old build leaves for one acknowledged PUT of 7 into
 	// walTile(1, 2): eight row runs, one record each, never checkpointed.
+	row := []float64{7, 7, 7, 7, 7, 7, 7, 7}
 	legacyPut := func(epoch uint64) []float64 {
 		words := []float64{math.Float64frombits(epoch)}
-		row := []float64{7, 7, 7, 7, 7, 7, 7, 7}
 		for r := int64(0); r < walTestTile; r++ {
 			off := (walTestTile+r)*walTestEdge + 2*walTestTile
 			words = append(words, ooc.EncodeLegacyWALRecord(uint64(r+1), epoch, "A", off, row)...)
@@ -177,16 +181,31 @@ func TestReopenLegacyWALRefused(t *testing.T) {
 	}
 	checkpointed := legacyPut(3)
 	checkpointed[0] = math.Float64frombits(4) // the truncation bumped the header past the records
+	// A compression build's image: the rows as tile records, those from
+	// the raw'th on compressed.
+	compressedPut := func(epoch uint64, raw int64) []float64 {
+		words := []float64{math.Float64frombits(epoch)}
+		for r := int64(0); r < walTestTile; r++ {
+			off := (walTestTile+r)*walTestEdge + 2*walTestTile
+			words = append(words, ooc.EncodeWALRecord(uint64(r+1), epoch, "A", off, row, r >= raw)...)
+		}
+		return words
+	}
+	retired := compressedPut(3, 0)
+	retired[0] = math.Float64frombits(4)
 
 	for _, c := range []struct {
 		name   string
 		log    []float64
-		refuse bool
+		refuse string // what the refusal must name; "" = adopted
 	}{
-		{"live per-run records", legacyPut(0), true},
-		{"live per-run records after earlier checkpoints", legacyPut(3), true},
-		{"all-zero log", nil, false},
-		{"checkpointed-empty legacy log", checkpointed, false},
+		{"live per-run records", legacyPut(0), "per-run"},
+		{"live per-run records after earlier checkpoints", legacyPut(3), "per-run"},
+		{"all-zero log", nil, ""},
+		{"checkpointed-empty legacy log", checkpointed, ""},
+		{"live compressed records", compressedPut(0, 0), "-compress"},
+		{"compressed records after raw ones", compressedPut(2, 3), "-compress"},
+		{"checkpointed-empty compressed log", retired, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			meta, lay := reopenArray()
@@ -206,13 +225,11 @@ func TestReopenLegacyWALRefused(t *testing.T) {
 			if err == nil {
 				rep, err = d.ReplayWAL()
 			}
-			if c.refuse {
+			if c.refuse != "" {
 				if err == nil {
-					eng := ooc.NewEngine(d, ooc.EngineOptions{})
-					t.Fatalf("reopen over a legacy log succeeded (replay %+v) and reads %v where 7 was acknowledged",
-						rep, readTile(t, eng, ar, walTile(1, 2)))
+					t.Fatalf("reopen over a legacy log succeeded (replay %+v): the acknowledged writes it holds are lost", rep)
 				}
-				for _, want := range []string{"__wal0.log", "drain", "checkpoints", "reopen"} {
+				for _, want := range []string{"__wal0.log", c.refuse, "drain", "checkpoints", "reopen"} {
 					if !strings.Contains(err.Error(), want) {
 						t.Fatalf("refusal does not say %q: %v", want, err)
 					}
@@ -248,4 +265,87 @@ func TestReopenLegacyWALRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestReopenOtherDimsRefused: a kept array file is exactly as large as
+// the array that wrote it. Reopening it under other dims — and so
+// another size — must be refused with the file and both sizes named,
+// not resized: a shrink would cut off stored elements and a growth
+// would serve zeros past them. Striped sub-files get the same check.
+func TestReopenOtherDimsRefused(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		stripes    int
+		rows, cols int64 // the reopen's dims; the writer's are walTestEdge square
+	}{
+		{"same dims", 1, walTestEdge, walTestEdge},
+		{"fewer rows", 1, walTestEdge / 2, walTestEdge},
+		{"more columns", 1, walTestEdge, 2 * walTestEdge},
+		{"4 stripes, same dims", 4, walTestEdge, walTestEdge},
+		{"4 stripes, more columns", 4, walTestEdge, 2 * walTestEdge},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			meta, lay := reopenArray()
+			dir := t.TempDir()
+			d1 := ooc.NewDisk(0).Dir(dir).Stripe(c.stripes, 16)
+			ar, err := d1.CreateArray(meta, lay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ar.Fill(func([]int64) float64 { return 7 })
+			if err := d1.Close(); err != nil {
+				t.Fatal(err)
+			}
+			before := dirSizes(t, dir)
+
+			d2 := ooc.NewDisk(0).Dir(dir).KeepExisting().Stripe(c.stripes, 16)
+			defer d2.Close()
+			ar2, err := d2.CreateArray(ir.NewArray("A", c.rows, c.cols), layout.RowMajor(c.rows, c.cols))
+			if c.rows == walTestEdge && c.cols == walTestEdge {
+				if err != nil {
+					t.Fatalf("reopen: %v", err)
+				}
+				eng := ooc.NewEngine(d2, ooc.EngineOptions{})
+				if got := readTile(t, eng, ar2, walTile(3, 3)); got != 7 {
+					t.Fatalf("reads %v after reopen, want 7", got)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("reopen as %dx%d succeeded; the directory went from %v to %v",
+					c.rows, c.cols, before, dirSizes(t, dir))
+			}
+			// One file: 32*32 elements as 8192 bytes, wanted as 16*32 (4096)
+			// or 32*64 (16384). Stripes carry a quarter each.
+			have := int64(walTestEdge*walTestEdge*ooc.ElemSize) / int64(c.stripes)
+			want := c.rows * c.cols * ooc.ElemSize / int64(c.stripes)
+			for _, s := range []string{".dat", fmt.Sprint(have), fmt.Sprint(want)} {
+				if !strings.Contains(err.Error(), s) {
+					t.Fatalf("refusal does not name %q: %v", s, err)
+				}
+			}
+			// The refusal leaves every file as it found it, and unlocked.
+			if after := dirSizes(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refusal changed the directory: %v, was %v", after, before)
+			}
+		})
+	}
+}
+
+// dirSizes maps each file in dir to its size.
+func dirSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]int64{}
+	for _, e := range ents {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = info.Size()
+	}
+	return out
 }

@@ -130,7 +130,7 @@ func (d *Disk) newStripedDiskBackend(name string, n int64) (Backend, error) {
 	return newStripedBackend(n, d.stripeUnit, d.stripeN, func(i int, elems int64) (Backend, error) {
 		if d.dir != "" {
 			path := filepath.Join(d.dir, fmt.Sprintf("%s.s%d.dat", name, i))
-			return newFileBackend(path, elems, d.keepExisting)
+			return newFileBackend(path, elems, d.keepExisting, true)
 		}
 		return newMemBackend(elems), nil
 	})

@@ -83,13 +83,12 @@ package ooc
 // to a strict prefix of the appended records and the tear is
 // discarded, never misread.
 //
-// With WALOptions.Compress the data words of a record may carry a
-// codec frame (codec.go) instead of raw values, marked by the comp
-// bit — the top bit of w2. The choice is per record — one frame for
-// the whole tile — and a frame is stored only when it is strictly
-// smaller than the raw payload, so incompressible writes cost
-// nothing. Decoding returns the LOGICAL payload either way; replay
-// and the apply pipeline never see frames.
+// The comp bit — the top bit of w2 — is reserved; set means refused.
+// Builds with WAL compression set it on a record whose data words carry
+// a codec frame instead of raw values. This build writes it 0 and
+// replays no frame: a kept log whose scan stops at a valid record
+// carrying it is REFUSED (ensureLog), for the same reason as a per-run
+// log below.
 //
 // # Format tag
 //
@@ -160,11 +159,6 @@ type WALOptions struct {
 	// Keep zero for deterministic harness runs (the inline
 	// full-log checkpoint still bounds the log).
 	CheckpointEvery time.Duration
-	// Compress encodes record payloads as codec frames when that is
-	// strictly smaller (see the record-framing package comment).
-	// Smaller records mean fewer log bytes per acknowledged write and
-	// a later inline-checkpoint point for the same CapWords.
-	Compress bool
 	// Obs registers the ooc_wal_* metric families.
 	Obs *obs.Sink
 }
@@ -209,10 +203,6 @@ type walMetrics struct {
 	discarded   *obs.Counter
 	pending     *obs.Gauge
 	batch       *obs.Histogram
-
-	// Registered only when WALOptions.Compress is set, so the metric
-	// families of a compression-free configuration are unchanged.
-	compRaw, compEnc *obs.Counter
 }
 
 // walLogName names the log ("__wal0.log" under a Dir): the leading
@@ -268,7 +258,6 @@ type walCounters struct {
 	commits, fsyncs, checkpoints int64
 	bypass                       int64
 	replayed, discarded, skipped int64
-	compRawWords, compEncWords   int64 // logical vs stored payload words, Compress only
 }
 
 func newWALSet(o WALOptions) *walSet {
@@ -288,10 +277,6 @@ func newWALSet(o WALOptions) *walSet {
 				pending:     reg.Gauge("ooc_wal_pending_words", "words appended since the last checkpoint (replay depth)"),
 				batch: reg.Histogram("ooc_wal_commit_records",
 					"records made durable per group-commit fsync round", obs.ExpBuckets(1, 2, 10)),
-			}
-			if ws.opts.Compress {
-				ws.met.compRaw = reg.Counter("ooc_wal_comp_raw_bytes_total", "logical payload bytes offered to WAL record compression")
-				ws.met.compEnc = reg.Counter("ooc_wal_comp_bytes_total", "payload bytes stored in WAL records after compression")
 			}
 		}
 	}
@@ -320,7 +305,7 @@ func (ws *walSet) ensureLog(d *Disk) error {
 	open := func(name string, words int64) (Backend, error) {
 		var b Backend = newMemBackend(words)
 		if d.dir != "" {
-			fb, err := newFileBackend(filepath.Join(d.dir, name+".log"), words, d.keepExisting)
+			fb, err := newFileBackend(filepath.Join(d.dir, name+".log"), words, d.keepExisting, false)
 			if err != nil {
 				return nil, fmt.Errorf("ooc: opening WAL file %s: %w", name, err)
 			}
@@ -348,13 +333,20 @@ func (ws *walSet) ensureLog(d *Disk) error {
 	lg := &walLog{back: b, epoch: math.Float64bits(words[0])}
 	_, lg.head = walScan(words, lg.epoch)
 	lg.syncedTo = lg.head
-	if lg.head == walHeaderWords && walLegacyHead(words, lg.epoch) {
-		// Scanning on would stop at the foreign record, call it a torn
-		// tail and append over acknowledged writes: refuse instead.
+	// Scanning on would stop at a foreign record, call it a torn tail and
+	// append over acknowledged writes: refuse instead.
+	var foreign string
+	switch {
+	case lg.head == walHeaderWords && walLegacyHead(words, lg.epoch):
+		foreign = "records in the per-run format of an earlier build"
+	case walCompressedAt(words, lg.head, lg.epoch):
+		foreign = "a compressed record, written by a build with WAL compression (occd -wal -compress)"
+	}
+	if foreign != "" {
 		b.Close()
-		return fmt.Errorf("ooc: WAL log %s holds records in the per-run format of an earlier build, "+
-			"which this build does not replay: drain it with the build that wrote it "+
-			"(a clean shutdown checkpoints), then reopen", filepath.Join(d.dir, walLogName+".log"))
+		return fmt.Errorf("ooc: WAL log %s holds %s, which this build does not replay: "+
+			"drain it with the build that wrote it (a clean shutdown checkpoints), then reopen",
+			filepath.Join(d.dir, walLogName+".log"), foreign)
 	}
 	// The checkpoint watermark: a single word (element-atomic under the
 	// torn-write model), so a checkpoint can durably record how far the
@@ -386,14 +378,6 @@ func (ws *walSet) pendingWordsLocked() int64 {
 		return 0
 	}
 	return ws.log.head - walHeaderWords
-}
-
-// compBytes returns the logical vs stored payload bytes of logged
-// writes (both zero unless Compress is on).
-func (ws *walSet) compBytes() (raw, enc int64) {
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	return ws.c.compRawWords * ElemSize, ws.c.compEncWords * ElemSize
 }
 
 // lastSeq returns the most recently allocated sequence number.
@@ -769,9 +753,9 @@ func (wb *walBackend) writeTile(t *Tile, segs []layout.Seg, runs []layout.Run) e
 	var listBuf [4]walRun
 	list := walRunList(listBuf[:0], runs)
 	prefix := int(walRecordWords(wb.name, len(list), 0))
-	raw := GetF64(prefix + len(t.data))
-	defer PutF64(raw)
-	img := raw[prefix:]
+	rec := GetF64(prefix + len(t.data))
+	defer PutF64(rec)
+	img := rec[prefix:]
 	pos := int64(0)
 	for _, r := range runs {
 		var rs []layout.Seg
@@ -779,20 +763,7 @@ func (wb *walBackend) writeTile(t *Tile, segs []layout.Seg, runs []layout.Run) e
 		t.gather(rs, img[pos:pos+r.Len], r.Off)
 		pos += r.Len
 	}
-	// With compression, encode the image to one codec frame off the lock
-	// and log whichever form is smaller. The write-through always applies
-	// the raw image.
-	rec, compressed := raw, false
-	if ws.opts.Compress && len(img) > frameHeaderBytes/ElemSize {
-		fr := AppendFrame(GetBuf(frameSizeBytes(len(img) * ElemSize))[:0], img)
-		if w := len(fr) / ElemSize; w < len(img) {
-			rec, compressed = frameToWords(GetF64(prefix + w)[:prefix], fr), true
-			defer PutF64(rec)
-		}
-		PutBuf(fr)
-	}
 	need := int64(len(rec))
-	stored := need - int64(prefix) // payload words as logged
 
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -810,7 +781,7 @@ func (wb *walBackend) writeTile(t *Tile, segs []layout.Seg, runs []layout.Run) e
 			return err
 		}
 	}
-	walSealRecord(rec, ws.seq+1, lg.epoch, wb.name, list, compressed)
+	walSealRecord(rec, ws.seq+1, lg.epoch, wb.name, list)
 	if err := lg.back.WriteAt(rec, lg.head); err != nil {
 		return fmt.Errorf("ooc: WAL append for %s %v: %w", wb.name, t.Box, err)
 	}
@@ -818,18 +789,10 @@ func (wb *walBackend) writeTile(t *Tile, segs []layout.Seg, runs []layout.Run) e
 	ws.seq++
 	ws.c.appends++
 	ws.c.appendedWords += need
-	if ws.opts.Compress {
-		ws.c.compRawWords += int64(len(img))
-		ws.c.compEncWords += stored
-	}
 	if m := ws.met; m != nil {
 		m.appends.Inc()
 		m.words.Add(need)
 		m.pending.Set(float64(ws.pendingWordsLocked()))
-		if m.compRaw != nil {
-			m.compRaw.Add(int64(len(img)) * ElemSize)
-			m.compEnc.Add(stored * ElemSize)
-		}
 	}
 	return walApply(wb.inner, list, img)
 }
@@ -867,8 +830,7 @@ func walRunList(dst []walRun, runs []layout.Run) []walRun {
 
 // walRecord is one decoded redo record: a tile write as the physical
 // runs it touched. data holds the runs' elements back to back, in list
-// order — always the logical payload, never a codec frame — and may
-// alias the scanned log image.
+// order, and may alias the scanned log image.
 type walRecord struct {
 	seq   uint64
 	epoch uint64
@@ -899,17 +861,13 @@ func walRecordWords(name string, nRuns int, dataLen int64) int64 {
 
 // walSealRecord frames a record in place (see the package comment):
 // rec is sized walRecordWords(name, len(list), dataLen) and already
-// carries its dataLen payload words — raw values, or a codec frame when
-// compressed — in its tail; the header, name and run list are filled in
-// front of them and the CRC seals the whole.
-func walSealRecord(rec []float64, seq, epoch uint64, name string, list []walRun, compressed bool) {
+// carries its dataLen payload words in its tail; the header, name and
+// run list are filled in front of them and the CRC seals the whole.
+func walSealRecord(rec []float64, seq, epoch uint64, name string, list []walRun) {
 	nameWords := (len(name) + 7) / 8
 	body := walRecHeaderWords + nameWords
 	dataLen := len(rec) - body - len(list)*walRunWords
 	meta := uint64(walFormat)<<56 | uint64(len(name))<<48 | uint64(dataLen)&walLenMask
-	if compressed {
-		meta |= 1 << 63
-	}
 	rec[0] = math.Float64frombits(seq)
 	rec[1] = math.Float64frombits(epoch)
 	rec[2] = math.Float64frombits(meta)
@@ -951,50 +909,49 @@ func walRecordCRC(rec []float64) uint32 {
 	return crc32.Update(crc, walCRCTable, block[:n])
 }
 
-// walDecodeRecord tries to decode one record at words[pos:]. It never
-// panics on arbitrary bytes: every length is bounds-checked before the
-// CRC seals the verdict, and the run list must then tile the payload
-// exactly. Returns the record, its size in words, and whether it
-// decoded.
-func walDecodeRecord(words []float64, pos int64) (walRecord, int64, bool) {
+// walFramed checks the framing of the record at words[pos:] — header
+// bounds, this build's format tag, the CRC — and returns its packed
+// meta word (w2) and its size in words. It never panics on arbitrary
+// bytes: every length is bounds-checked before the CRC seals the
+// verdict.
+func walFramed(words []float64, pos int64) (meta uint64, total int64, ok bool) {
 	n := int64(len(words))
 	if pos < walHeaderWords || pos+walRecHeaderWords > n {
-		return walRecord{}, 0, false
+		return 0, 0, false
 	}
 	word := func(i int64) uint64 { return math.Float64bits(words[pos+i]) }
-	seq, meta, nRuns, crcU := word(0), word(2), word(3), word(walCRCWord)
+	seq, nRuns, crcU := word(0), word(3), word(walCRCWord)
+	meta = word(2)
 	nameLen := int64(meta>>48) & 0xFF
-	dataLen := int64(meta & walLenMask)
 	if seq == 0 || (meta>>56)&0x7F != walFormat || nameLen == 0 || crcU>>32 != 0 ||
 		nRuns == 0 || nRuns > uint64(n) {
-		return walRecord{}, 0, false // incl. another build's format tag: fail closed
+		return 0, 0, false // incl. another build's format tag: fail closed
 	}
-	body := walRecHeaderWords + (nameLen+7)/8
-	prefix := body + int64(nRuns)*walRunWords
-	total := prefix + dataLen
+	total = walRecHeaderWords + (nameLen+7)/8 + int64(nRuns)*walRunWords + int64(meta&walLenMask)
 	if total > n-pos || walRecordCRC(words[pos:pos+total]) != uint32(crcU) {
-		return walRecord{}, 0, false
+		return 0, 0, false
 	}
+	return meta, total, true
+}
+
+// walDecodeRecord tries to decode one record at words[pos:]: framed
+// (walFramed), the comp bit clear, and a run list that tiles the
+// payload exactly. Returns the record, its size in words, and whether
+// it decoded.
+func walDecodeRecord(words []float64, pos int64) (walRecord, int64, bool) {
+	meta, total, ok := walFramed(words, pos)
+	if !ok || meta>>63 != 0 {
+		return walRecord{}, 0, false // a compressed record fails closed too (walCompressedAt)
+	}
+	word := func(i int64) uint64 { return math.Float64bits(words[pos+i]) }
+	nameLen := int64(meta>>48) & 0xFF
+	nRuns := word(3)
+	body := walRecHeaderWords + (nameLen+7)/8
 	nameB := make([]byte, nameLen)
 	for i := range nameB {
 		nameB[i] = byte(word(walRecHeaderWords+int64(i)/8) >> (8 * uint(i%8)))
 	}
-	data := words[pos+prefix : pos+total]
-	if meta>>63 == 1 {
-		// The data words carry a codec frame; unpack it so callers only
-		// ever see the logical payload. A frame that fails to parse or
-		// verify marks the whole record invalid — same torn-tail
-		// semantics as a CRC mismatch.
-		frame := wordsToFrame(make([]byte, 0, len(data)*ElemSize), data)
-		elems, size, err := FrameElems(frame)
-		if err != nil || size != len(frame) {
-			return walRecord{}, 0, false
-		}
-		data = make([]float64, elems)
-		if _, err := DecodeFrame(frame, data); err != nil {
-			return walRecord{}, 0, false
-		}
-	}
+	data := words[pos+body+int64(nRuns)*walRunWords : pos+total]
 	runs := make([]walRun, nRuns)
 	left := uint64(len(data))
 	for i := range runs {
@@ -1010,7 +967,16 @@ func walDecodeRecord(words []float64, pos int64) (walRecord, int64, bool) {
 	if left != 0 {
 		return walRecord{}, 0, false
 	}
-	return walRecord{seq: seq, epoch: word(1), name: string(nameB), runs: runs, data: data}, total, true
+	return walRecord{seq: word(0), epoch: word(1), name: string(nameB), runs: runs, data: data}, total, true
+}
+
+// walCompressedAt reports whether words[pos:] holds a current-epoch
+// record that a build with WAL compression sealed: framed, with the
+// comp bit set. This build cannot replay its codec frame; it only
+// recognizes the record, to refuse such a log.
+func walCompressedAt(words []float64, pos int64, epoch uint64) bool {
+	meta, _, ok := walFramed(words, pos)
+	return ok && meta>>63 == 1 && math.Float64bits(words[pos+1]) == epoch
 }
 
 // walLegacyHead reports whether the log image opens with a valid

@@ -50,3 +50,29 @@ func wordwiseCRC(rec []float64) uint32 {
 	}
 	return h.Sum32()
 }
+
+// EncodeWALRecord frames one tile record of a single run of data at
+// off. With compressed set it is the record of the builds with WAL
+// compression, kept under _test.go only (non-test code recognizes the
+// format — walCompressedAt — but neither writes nor replays it): the
+// data words are the run's codec frame from AppendFrame, eight bytes a
+// word, and w2's top bit (comp) marks them.
+func EncodeWALRecord(seq, epoch uint64, name string, off int64, data []float64, compressed bool) []float64 {
+	list := []walRun{{off: off, len: int64(len(data)), count: 1}}
+	payload := data
+	if compressed {
+		frame := AppendFrame(nil, data)
+		payload = make([]float64, len(frame)/8)
+		for i := range payload {
+			payload[i] = math.Float64frombits(binary.LittleEndian.Uint64(frame[8*i:]))
+		}
+	}
+	rec := make([]float64, walRecordWords(name, len(list), int64(len(payload))))
+	copy(rec[len(rec)-len(payload):], payload)
+	walSealRecord(rec, seq, epoch, name, list)
+	if compressed {
+		rec[2] = math.Float64frombits(math.Float64bits(rec[2]) | 1<<63)
+		rec[walCRCWord] = math.Float64frombits(uint64(walRecordCRC(rec)))
+	}
+	return rec
+}

@@ -21,7 +21,7 @@ import (
 func walTestRecord(seq, epoch uint64, name string, list []walRun, data []float64) []float64 {
 	rec := make([]float64, walRecordWords(name, len(list), int64(len(data))))
 	copy(rec[len(rec)-len(data):], data)
-	walSealRecord(rec, seq, epoch, name, list, false)
+	walSealRecord(rec, seq, epoch, name, list)
 	return rec
 }
 

@@ -285,8 +285,8 @@ func (fe *FrontEnd) planeError(w http.ResponseWriter, err error) {
 	http.Error(w, msg, code)
 }
 
-// meterWire tallies one tile transfer: the global wire counters the
-// compression scorecard reads, and the tenant's byte meter/quota.
+// meterWire tallies one tile transfer: the global wire counters
+// /v1/stats reports, and the tenant's byte meter/quota.
 func (fe *FrontEnd) meterWire(tenant string, raw, wire int64) {
 	fe.series.WireRaw.Add(raw)
 	fe.series.WireBytes.Add(wire)

@@ -25,9 +25,10 @@ var update = flag.Bool("update", false, "rewrite the golden schema files from th
 func goldenServer(t *testing.T) *testServer {
 	t.Helper()
 	// Built by hand rather than via newTestServer: the sink must reach
-	// the disk, the engine, AND the server — exactly as cmd/occd wires
-	// them — so every production metric family shows up.
+	// the buffer pool, the disk, the engine, AND the server — exactly as
+	// cmd/occd wires them — so every production metric family shows up.
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
+	ooc.ObservePool(sink)
 	ts := &testServer{}
 	d := ooc.NewDisk(0).Observe(sink)
 	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})

@@ -67,8 +67,7 @@ type LoadResult struct {
 	Hits, Misses int64   // engine delta over the run
 	HitRate      float64 // hits / (hits + misses), from the delta
 
-	// Wire byte deltas from the server's compression scorecard (zero
-	// when the server has no compression enabled).
+	// Wire byte deltas from the server's /v1/stats front block.
 	WireRawBytes int64 // logical tile payload bytes moved
 	WireBytes    int64 // bytes that actually crossed the wire
 
@@ -217,10 +216,8 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 	if total := res.Hits + res.Misses; total > 0 {
 		res.HitRate = float64(res.Hits) / float64(total)
 	}
-	if after.Compression != nil && before.Compression != nil {
-		res.WireRawBytes = after.Compression.WireRawBytes - before.Compression.WireRawBytes
-		res.WireBytes = after.Compression.WireBytes - before.Compression.WireBytes
-	}
+	res.WireRawBytes = after.WireRawBytes - before.WireRawBytes
+	res.WireBytes = after.WireBytes - before.WireBytes
 	return res, nil
 }
 
@@ -454,11 +451,10 @@ func TestRunLoadScanScenario(t *testing.T) {
 }
 
 // TestRunLoadCompressed is the wire gate: the harness with wire
-// compression against a compression-enabled server lands every
-// request, and the scorecard's wire delta shows fewer than half the
-// bytes crossed than moved.
+// compression lands every request, and the /v1/stats wire delta shows
+// fewer than half the bytes crossed than moved.
 func TestRunLoadCompressed(t *testing.T) {
-	ts := newTestServer(t, Config{}, func(d *ooc.Disk) { d.EnableCompression() })
+	ts := newTestServer(t, Config{}, nil)
 	ts.createArray(t, "A", 32, 32)
 	res, err := RunLoad(LoadSpec{
 		BaseURL:  ts.http.URL,

@@ -117,9 +117,10 @@ type FrontStats struct {
 	// tenant shows up, so untenanted deployments keep their shape).
 	Tenants []TenantStat `json:"tenants,omitempty"`
 
-	// Wire tallies feed occd's compression scorecard.
-	WireRawBytes int64 `json:"-"`
-	WireBytes    int64 `json:"-"`
+	// Client-edge tile payload bytes: logical, and as sent or received
+	// after x-ooc-gorilla negotiation.
+	WireRawBytes int64 `json:"wire_raw_bytes"`
+	WireBytes    int64 `json:"wire_bytes"`
 }
 
 // OpsStats is the batch/scan/reduce scorecard block of /v1/stats.

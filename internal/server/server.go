@@ -575,41 +575,20 @@ func (p *enginePlane) Status(err error) (int, string) {
 // statsPayload is the /v1/stats JSON: live engine counters plus the
 // front end's block.
 type statsPayload struct {
-	NodeID      string            `json:"node_id,omitempty"`
-	Engine      ooc.EngineStats   `json:"engine"`
-	HitRate     float64           `json:"hit_rate"`
-	WAL         *ooc.WALStats     `json:"wal,omitempty"`
-	Compression *compressionStats `json:"compression,omitempty"`
+	NodeID  string          `json:"node_id,omitempty"`
+	Engine  ooc.EngineStats `json:"engine"`
+	HitRate float64         `json:"hit_rate"`
+	WAL     *ooc.WALStats   `json:"wal,omitempty"`
 	FrontStats
-}
-
-// compressionStats is the /v1/stats compression scorecard, present
-// when the disk compresses backends or WAL payloads: the disk/WAL
-// raw-vs-encoded byte counters, the wire-level tallies, and the
-// buffer-arena hit rate behind them.
-type compressionStats struct {
-	ooc.CompressionStats
-	WireRawBytes int64         `json:"wire_raw_bytes"`
-	WireBytes    int64         `json:"wire_bytes"`
-	Pool         ooc.PoolStats `json:"pool"`
 }
 
 func (p *enginePlane) Stats(front FrontStats) any {
 	es := p.eng.Stats()
-	out := statsPayload{
+	return statsPayload{
 		NodeID:     p.nodeID,
 		Engine:     es,
 		HitRate:    es.HitRate(),
 		WAL:        p.disk.WALStats(),
 		FrontStats: front,
 	}
-	if cs := p.disk.CompressionStats(); cs != nil {
-		out.Compression = &compressionStats{
-			CompressionStats: *cs,
-			WireRawBytes:     front.WireRawBytes,
-			WireBytes:        front.WireBytes,
-			Pool:             ooc.ReadPoolStats(),
-		}
-	}
-	return out
 }

@@ -2,14 +2,10 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
-	"outcore/internal/obs"
 	"outcore/internal/ooc"
 )
 
@@ -162,100 +158,6 @@ func TestAcceptsWireEncoding(t *testing.T) {
 	} {
 		if got := acceptsWireEncoding(tc.header); got != tc.want {
 			t.Errorf("acceptsWireEncoding(%q) = %v, want %v", tc.header, got, tc.want)
-		}
-	}
-}
-
-// goldenCompressServer is goldenServer with backend compression, WAL
-// payload compression and the pool mirrors on — the wiring cmd/occd
-// builds for -wal -compress — so the goldens pin the compression
-// scorecard block and the ooc_comp_* / ooc_wal_comp_* / ooc_pool_*
-// metric families. The seed traffic negotiates the wire coding both
-// ways so every byte counter's code path has fired.
-func goldenCompressServer(t *testing.T) *testServer {
-	t.Helper()
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
-	ts := &testServer{}
-	d := ooc.NewDisk(0).Observe(sink).EnableCompression()
-	d.EnableWAL(ooc.WALOptions{Obs: sink, Compress: true})
-	ooc.ObservePool(sink)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})
-	ts.disk = d
-	ts.srv = New(d, eng, Config{DurablePuts: true, Obs: sink})
-	ts.http = httptest.NewServer(ts.srv.Handler())
-	t.Cleanup(func() {
-		ts.http.Close()
-		ts.srv.Drain()
-	})
-	ts.createArray(t, "A", 8, 8)
-	payload := smoothPayload(16)
-	frame := ooc.AppendFrame(nil, payload)
-	if status, out, _ := ts.doHdr(t, http.MethodPut, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,4"), frame,
-		map[string]string{"Content-Encoding": WireEncoding}); status != http.StatusNoContent {
-		t.Fatalf("seed put: %d %s", status, out)
-	}
-	if status, _, _ := ts.doHdr(t, http.MethodGet, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,4"), nil,
-		map[string]string{"Accept-Encoding": WireEncoding}); status != 200 {
-		t.Fatal("seed get failed")
-	}
-	return ts
-}
-
-// TestStatsGoldenCompressSchema pins the compression-enabled /v1/stats
-// shape: the compression block (disk/WAL/wire raw-vs-encoded byte
-// tallies plus the arena scorecard) is what TestRunLoadCompressed's
-// wire gate reads, so its keys changing is an API change.
-func TestStatsGoldenCompressSchema(t *testing.T) {
-	ts := goldenCompressServer(t)
-	status, out, _ := ts.do(t, http.MethodGet, ts.url("/v1/stats"), nil)
-	if status != 200 {
-		t.Fatalf("stats: %d %s", status, out)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("stats is not JSON: %v\n%s", err, out)
-	}
-	comp, ok := decoded["compression"].(map[string]any)
-	if !ok {
-		t.Fatalf("compress-enabled /v1/stats has no compression block:\n%s", out)
-	}
-	// The seeded wire traffic must have registered, and the smooth tile
-	// must actually have compressed on the wire.
-	rawB, _ := comp["wire_raw_bytes"].(float64)
-	encB, _ := comp["wire_bytes"].(float64)
-	if rawB <= 0 || encB <= 0 || encB >= rawB {
-		t.Errorf("wire tallies raw=%v enc=%v, want 0 < enc < raw", rawB, encB)
-	}
-	var keys []string
-	keyPaths("", decoded, &keys)
-	checkGolden(t, "stats_schema_compress.golden", keys)
-}
-
-// TestMetricsGoldenCompressSchema pins the metric families a
-// compression-enabled plane adds to /metrics.
-func TestMetricsGoldenCompressSchema(t *testing.T) {
-	ts := goldenCompressServer(t)
-	status, out, _ := ts.do(t, http.MethodGet, ts.url("/metrics"), nil)
-	if status != 200 {
-		t.Fatalf("metrics: %d", status)
-	}
-	var families []string
-	for _, line := range strings.Split(string(out), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			families = append(families, strings.TrimPrefix(line, "# TYPE "))
-		}
-	}
-	checkGolden(t, "metrics_families_compress.golden", families)
-
-	for _, want := range []string{
-		"ooc_comp_disk_read_bytes_total",
-		"ooc_comp_disk_write_bytes_total",
-		"ooc_wal_comp_bytes_total",
-		"ooc_pool_hits_total",
-		"occd_wire_bytes_total",
-	} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("compress-enabled /metrics missing family %s", want)
 		}
 	}
 }
