@@ -15,8 +15,7 @@ FUZZ_TARGETS := \
 	./internal/ooc/:FuzzWALRecord \
 	./internal/ooc/:FuzzTileCodec \
 	./internal/server/:FuzzScanCursor \
-	./internal/server/:FuzzBatchRequest \
-	./internal/server/:FuzzTenantHeader
+	./internal/server/:FuzzBatchRequest
 
 .PHONY: build test race check fuzz vet fmt cover loc bench-layers bench-counts chaos
 
@@ -96,7 +95,7 @@ bench-counts:
 # Deterministic chaos sweep: the dst/faultfs test suites under -race,
 # then CHAOS_EPISODES seeded simulation episodes of every kind: storage
 # (power cuts, torn writes, failing syncs; plain and WAL),
-# then cluster, operators and tenants over a router + 3 nodes. A
+# then cluster, operators and admission over a router + 3 nodes. A
 # failing episode prints its reproducer. Nightly CI runs this plus one
 # random seed.
 CHAOS_EPISODES ?= 50
@@ -106,7 +105,7 @@ chaos:
 	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -wal
 	$(GO) run ./cmd/occhaos -kind cluster -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
 	$(GO) run ./cmd/occhaos -kind operators -episodes $(CHAOS_EPISODES) -ops 60 -nodes 3 -replicas 2
-	$(GO) run ./cmd/occhaos -kind tenants -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
+	$(GO) run ./cmd/occhaos -kind admission -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
 
 fmt:
 	gofmt -l -w .

@@ -1,7 +1,7 @@
 // Command occd is the out-of-core tile-server daemon: it exposes a
-// disk of arrays over HTTP through internal/server, with per-tenant
-// quotas and bounded admission in front of the shared tile engine
-// (which gives concurrent reads of one cold tile one backend read).
+// disk of arrays over HTTP through internal/server, with bounded FIFO
+// admission in front of the shared tile engine (which gives concurrent
+// reads of one cold tile one backend read).
 //
 // Start it empty (clients create arrays via POST /v1/arrays), or
 // pre-create a benchmark kernel's arrays so the daemon serves exactly
@@ -49,10 +49,6 @@ func main() {
 	stripes := flag.Int("stripes", 1, "with -dir: stripe each array's backing file this many ways (A.s<i>.dat); reopening with -keep needs the count the directory was written with")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond -inflight")
-	tenantWeights := flag.String("tenant-weights", "", "DRR admission weights per tenant, e.g. batch=1,interactive=4 (unlisted tenants weigh 1)")
-	tenantQuotaBytes := flag.Float64("tenant-quota-bytes", 0, "per-tenant payload bytes/second budget (0 = unlimited)")
-	tenantQuotaRPS := flag.Float64("tenant-quota-rps", 0, "per-tenant requests/second budget (0 = unlimited)")
-	maxScanInflight := flag.Int("max-scan-inflight", 0, "per-tenant cap on in-flight scan/batch chunks (0 = unlimited)")
 	maxArrayElems := flag.Int64("max-array-elems", 0, "cap on a created array's element count (0 = default, <0 = unlimited)")
 	maxTileElems := flag.Int64("max-tile-elems", 0, "cap on one tile request's element count (0 = default, <0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
@@ -66,11 +62,6 @@ func main() {
 
 	if *stripes < 1 {
 		fmt.Fprintf(os.Stderr, "occd: -stripes: stripe count %d out of range (valid: >= 1)\n", *stripes)
-		os.Exit(2)
-	}
-	weights, err := server.ParseTenantWeights(*tenantWeights)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "occd: -tenant-weights: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -146,13 +137,7 @@ func main() {
 		MaxTileElems:  *maxTileElems,
 		DurablePuts:   *durablePuts,
 		NodeID:        *clusterNode,
-		Tenants: server.TenantConfig{
-			Weights:          weights,
-			QuotaBytesPerSec: *tenantQuotaBytes,
-			QuotaRPS:         *tenantQuotaRPS,
-			MaxScanInflight:  *maxScanInflight,
-		},
-		Obs: sink,
+		Obs:           sink,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	if *clusterNode != "" {

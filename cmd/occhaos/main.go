@@ -2,7 +2,7 @@
 // against the out-of-core stack (internal/dst). -kind picks what an
 // episode drives: storage (the default — one tile engine through a
 // storm of injected storage faults and power cuts), or cluster,
-// operators or tenants (a router plus -nodes storage nodes through
+// operators or admission (a router plus -nodes storage nodes through
 // node kills, partitions and power cuts). Every episode ends in its
 // kind's epilogue checks.
 //
@@ -43,7 +43,7 @@ func register(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.episodes, "episodes", 50, "number of seeded episodes to run")
 	fs.Int64Var(&o.seed, "seed", 0, "first seed; episodes use seed, seed+1, ...")
 	fs.BoolVar(&o.random, "random", false, "append one wall-clock-derived seed (printed)")
-	fs.StringVar(&o.kind, "kind", "storage", "episode kind: storage, cluster, operators or tenants")
+	fs.StringVar(&o.kind, "kind", "storage", "episode kind: storage, cluster, operators or admission")
 	fs.IntVar(&o.ops, "ops", 300, "scheduler steps per episode")
 	fs.Float64Var(&o.putFrac, "put-frac", 0.4, "storage: fraction of client ops that are PUTs")
 	fs.IntVar(&o.flushEvery, "flush-every", 20, "storage: ~one flush per this many steps (<0 disables)")

@@ -34,7 +34,6 @@ import (
 
 	"outcore/internal/cluster"
 	"outcore/internal/obs"
-	"outcore/internal/server"
 )
 
 func main() {
@@ -46,22 +45,13 @@ func main() {
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "how often to recheck down nodes and drain owed hints")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on quorum-failure 503s")
 	inflight := flag.Int("inflight", 0, "max concurrently admitted data-plane requests (0 = 4*GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth across tenant queues (0 = 256)")
-	tenantWeights := flag.String("tenant-weights", "", "DRR admission weights per tenant, e.g. batch=1,interactive=4 (unlisted tenants weigh 1)")
-	tenantQuotaBytes := flag.Float64("tenant-quota-bytes", 0, "per-tenant payload bytes/second budget (0 = unlimited)")
-	tenantQuotaRPS := flag.Float64("tenant-quota-rps", 0, "per-tenant requests/second budget (0 = unlimited)")
-	maxScanInflight := flag.Int("max-scan-inflight", 0, "per-tenant cap on in-flight scan/batch chunks (0 = unlimited)")
+	queue := flag.Int("queue", 0, "admission queue depth beyond -inflight (0 = 256)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
 	flag.Parse()
 
 	nodes, err := parsePeers(*peers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "occrouter: -peers: %v\n", err)
-		os.Exit(2)
-	}
-	weights, err := server.ParseTenantWeights(*tenantWeights)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "occrouter: -tenant-weights: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -74,13 +64,7 @@ func main() {
 		RetryAfter:  *retryAfter,
 		MaxInflight: *inflight,
 		QueueDepth:  *queue,
-		Tenants: server.TenantConfig{
-			Weights:          weights,
-			QuotaBytesPerSec: *tenantQuotaBytes,
-			QuotaRPS:         *tenantQuotaRPS,
-			MaxScanInflight:  *maxScanInflight,
-		},
-		Obs: sink,
+		Obs:         sink,
 	})
 	fail(err)
 	hs := &http.Server{Addr: *addr, Handler: r.Handler()}

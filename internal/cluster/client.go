@@ -37,11 +37,6 @@ type NodeClient struct {
 	// over the shared nodeTransport). The local harness injects one
 	// whose transport can simulate a network partition.
 	HTTP *http.Client
-	// Tenant, when set, rides every data-plane request as the X-Tenant
-	// header, so node-side admission schedules the fan-out under the
-	// same tenant the router admitted. Empty = the default lane
-	// (router-internal traffic: hint drains, read repairs, probes).
-	Tenant string
 }
 
 // nodeIdleConnsPerHost bounds the idle connections kept per storage
@@ -64,26 +59,6 @@ func NewNodeClient(id, baseURL string) *NodeClient {
 		ID:      id,
 		BaseURL: strings.TrimRight(baseURL, "/"),
 		HTTP:    &http.Client{Timeout: 10 * time.Second, Transport: nodeTransport},
-	}
-}
-
-// ForTenant returns a client whose requests carry tenant identity —
-// a shallow copy sharing the transport, so per-request tenant
-// stamping costs one struct copy and no new connections. The default
-// tenant travels unstamped (it is the absence of a header).
-func (c *NodeClient) ForTenant(tenant string) *NodeClient {
-	if tenant == "" || tenant == server.DefaultTenant || tenant == c.Tenant {
-		return c
-	}
-	cc := *c
-	cc.Tenant = tenant
-	return &cc
-}
-
-// stampTenant adds the X-Tenant header when the client carries one.
-func (c *NodeClient) stampTenant(req *http.Request) {
-	if c.Tenant != "" {
-		req.Header.Set(server.TenantHeader, c.Tenant)
 	}
 }
 
@@ -168,7 +143,6 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 		return nil, 0, err
 	}
 	req.Header.Set(server.TileWantGenHeader, "1")
-	c.stampTenant(req)
 	if wire {
 		req.Header.Set("Accept-Encoding", server.WireEncoding)
 	}
@@ -231,7 +205,6 @@ func (c *NodeClient) TileGen(name string, box layout.Box) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c.stampTenant(req)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return 0, unavailable(err)
@@ -274,7 +247,6 @@ func (c *NodeClient) putBody(name string, box layout.Box, body []byte, gen uint6
 		return 0, false, err
 	}
 	req.Header.Set(server.TileGenHeader, strconv.FormatUint(gen, 10))
-	c.stampTenant(req)
 	if framed {
 		req.Header.Set("Content-Encoding", server.WireEncoding)
 	}
@@ -307,7 +279,6 @@ func (c *NodeClient) Reduce(name string, box layout.Box, op string) (float64, in
 		return 0, 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	c.stampTenant(req)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return 0, 0, unavailable(err)

@@ -13,7 +13,6 @@ import (
 
 	"outcore/internal/layout"
 	"outcore/internal/obs"
-	"outcore/internal/server"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden schema files from the live responses")
@@ -139,94 +138,6 @@ func TestStatsGoldenClusterSchema(t *testing.T) {
 	var keys []string
 	keyPaths("", decoded, &keys)
 	checkGolden(t, "stats_schema_cluster.golden", keys)
-}
-
-// goldenTenantCluster is goldenCluster with the tenant plane pushed to
-// the router and both nodes, and the seed traffic billed to a tenant —
-// so the router's tenants scorecard and occrouter_tenant_* families
-// are registered and live.
-func goldenTenantCluster(t *testing.T) *LocalCluster {
-	t.Helper()
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
-	lc, err := NewLocal(LocalOptions{
-		Nodes:       2,
-		Replicas:    2,
-		TileDim:     4,
-		DurablePuts: true,
-		Seed:        99,
-		Tenants: server.TenantConfig{
-			Weights:         map[string]float64{"batch": 1, "interactive": 4},
-			MaxScanInflight: 2,
-		},
-		Obs: sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lc.Close() })
-	if err := lc.CreateArray("A", 8, 8); err != nil {
-		t.Fatal(err)
-	}
-	cli := lc.Client().ForTenant("interactive")
-	box := layout.Box{Lo: []int64{0, 0}, Hi: []int64{4, 4}}
-	if _, _, err := cli.PutTile("A", box, make([]float64, 16), 0, true); err != nil {
-		t.Fatalf("seed put: %v", err)
-	}
-	if _, _, err := cli.GetTile("A", box, true); err != nil {
-		t.Fatalf("seed get: %v", err)
-	}
-	return lc
-}
-
-// TestStatsGoldenTenantClusterSchema pins the router's tenanted
-// /v1/stats shape: the tenants array rides next to the cluster block
-// with the same keys occd exposes, so the fairness suite reads either
-// plane identically.
-func TestStatsGoldenTenantClusterSchema(t *testing.T) {
-	lc := goldenTenantCluster(t)
-	out := goldenGet(t, lc.RouterURL+"/v1/stats")
-	var decoded map[string]any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("stats is not JSON: %v\n%s", err, out)
-	}
-	tenants, ok := decoded["tenants"].([]any)
-	if !ok {
-		t.Fatalf("tenant-configured router's /v1/stats has no tenants array:\n%s", out)
-	}
-	if len(tenants) != 2 {
-		t.Errorf("tenants array has %d entries, want 2 (batch + interactive)", len(tenants))
-	}
-	var keys []string
-	keyPaths("", decoded, &keys)
-	checkGolden(t, "stats_schema_tenant_cluster.golden", keys)
-}
-
-// TestMetricsGoldenTenantClusterSchema pins the occrouter_tenant_*
-// families a tenant-configured router adds to /metrics, including the
-// eagerly registered series of the idle weighted tenant.
-func TestMetricsGoldenTenantClusterSchema(t *testing.T) {
-	lc := goldenTenantCluster(t)
-	out := string(goldenGet(t, lc.RouterURL+"/metrics"))
-	var families []string
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			families = append(families, strings.TrimPrefix(line, "# TYPE "))
-		}
-	}
-	checkGolden(t, "metrics_families_tenant_cluster.golden", families)
-
-	for _, want := range []string{
-		`occrouter_tenant_requests_total{tenant="interactive"}`,
-		`occrouter_tenant_bytes_total{tenant="interactive"}`,
-		`occrouter_tenant_requests_total{tenant="batch"}`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("router /metrics missing series %s", want)
-		}
-	}
-	if strings.Contains(out, `tenant="default"`) {
-		t.Error("default tenant leaked into router /metrics")
-	}
 }
 
 // TestMetricsGoldenClusterSchema pins the occrouter_* and ooc_cluster_*

@@ -33,10 +33,6 @@ type LocalOptions struct {
 	HintDir string
 	// Seed derives each node's fault injector seed.
 	Seed int64
-	// Tenants configures both the router's and every node's tenant
-	// plane (weights, quotas, chunk caps) — one policy, applied at both
-	// hops, the way a fleet-wide config push would.
-	Tenants server.TenantConfig
 	// MaxInflight caps each node's concurrently admitted requests
 	// (0 = server default). The fairness suite shrinks it to force
 	// queueing.
@@ -203,7 +199,6 @@ func (lc *LocalCluster) routerOptions() Options {
 		TileDim:    lc.opts.TileDim,
 		HintDir:    lc.opts.HintDir,
 		QueueDepth: lc.opts.QueueDepth,
-		Tenants:    lc.opts.Tenants,
 		Obs:        lc.opts.Obs,
 	}
 }
@@ -232,7 +227,6 @@ func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
 		DurablePuts: o.DurablePuts,
 		MaxInflight: o.MaxInflight,
 		QueueDepth:  o.QueueDepth,
-		Tenants:     o.Tenants,
 		Obs:         &obs.Sink{Metrics: obs.NewRegistry()},
 	})
 	h := n.srv.Handler()

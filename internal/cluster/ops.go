@@ -19,18 +19,15 @@ import (
 
 // ReadBox implements server.Plane: the box is read through the
 // replicated plane and lent to render; a nil render probes the
-// replicas' generations and reads no tile. The router holds no engine,
-// so a paced stream's admission slot protects nothing here and goes
-// back at its first read (server.ReleaseAdmissionEarly).
-func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box,
+// replicas' generations and reads no tile.
+func (r *Router) ReadBox(_ context.Context, a server.Array, box layout.Box,
 	render func([]float64, uint64) []byte) ([]byte, uint64, error) {
-	server.ReleaseAdmissionEarly(ctx)
 	if render == nil {
-		gen, err := r.boxGen(server.TenantFrom(ctx), a.Name, box)
+		gen, err := r.boxGen(a.Name, box)
 		return nil, gen, r.failed(err)
 	}
 	r.met.gets.Inc()
-	data, gen, err := r.boxGet(server.TenantFrom(ctx), a, box)
+	data, gen, err := r.boxGet(a, box)
 	if err != nil {
 		return nil, 0, r.failed(err)
 	}
@@ -40,23 +37,23 @@ func (r *Router) ReadBox(ctx context.Context, a server.Array, box layout.Box,
 // WriteBox implements server.Plane. The router mints the generations
 // its replicas order writes by, so a caller's gen is ignored and the
 // minted one always reported.
-func (r *Router) WriteBox(ctx context.Context, a server.Array, box layout.Box, data []float64, _ uint64) (uint64, bool, error) {
+func (r *Router) WriteBox(_ context.Context, a server.Array, box layout.Box, data []float64, _ uint64) (uint64, bool, error) {
 	r.met.puts.Inc()
-	gen, err := r.boxPut(server.TenantFrom(ctx), a.Name, box, data)
+	gen, err := r.boxPut(a.Name, box, data)
 	return gen, false, r.failed(err)
 }
 
 // boxGet reads one request box through the replicated plane: grid
 // decomposition, freshest-replica reads, stitching.
-func (r *Router) boxGet(tenant string, a server.Array, box layout.Box) ([]float64, uint64, error) {
+func (r *Router) boxGet(a server.Array, box layout.Box) ([]float64, uint64, error) {
 	pieces := gridTiles(box, r.opts.TileDim)
 	if len(pieces) == 1 {
-		return r.pieceGet(tenant, a, pieces[0])
+		return r.pieceGet(a, pieces[0])
 	}
 	out := make([]float64, box.Size())
 	var maxGen uint64
 	for _, piece := range pieces {
-		data, gen, err := r.pieceGet(tenant, a, piece)
+		data, gen, err := r.pieceGet(a, piece)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -69,10 +66,10 @@ func (r *Router) boxGet(tenant string, a server.Array, box layout.Box) ([]float6
 }
 
 // boxGen reports the highest generation over a request box's pieces.
-func (r *Router) boxGen(tenant, name string, box layout.Box) (uint64, error) {
+func (r *Router) boxGen(name string, box layout.Box) (uint64, error) {
 	var maxGen uint64
 	for _, piece := range gridTiles(box, r.opts.TileDim) {
-		gen, err := r.pieceGen(tenant, name, piece)
+		gen, err := r.pieceGen(name, piece)
 		if err != nil {
 			return 0, err
 		}
@@ -84,7 +81,7 @@ func (r *Router) boxGen(tenant, name string, box layout.Box) (uint64, error) {
 // boxPut writes one request box through the replicated plane,
 // returning the highest generation assigned; it fails when some piece
 // missed its write quorum.
-func (r *Router) boxPut(tenant, name string, box layout.Box, data []float64) (uint64, error) {
+func (r *Router) boxPut(name string, box layout.Box, data []float64) (uint64, error) {
 	pieces := gridTiles(box, r.opts.TileDim)
 	var maxGen uint64
 	for _, piece := range pieces {
@@ -93,7 +90,7 @@ func (r *Router) boxPut(tenant, name string, box layout.Box, data []float64) (ui
 			pdata = make([]float64, piece.Size())
 			copyRegion(pdata, piece, data, box, piece)
 		}
-		gen, err := r.piecePut(tenant, name, piece, pdata)
+		gen, err := r.piecePut(name, piece, pdata)
 		if err != nil {
 			return 0, err
 		}
@@ -111,11 +108,10 @@ func (r *Router) boxPut(tenant, name string, box layout.Box, data []float64) (ui
 // differs from a single node's element-order fold by float
 // associativity (min/max/count are exact), which is the documented
 // contract.
-func (r *Router) ReduceBox(ctx context.Context, a server.Array, box layout.Box, op string) (float64, int64, error) {
-	tenant := server.TenantFrom(ctx)
+func (r *Router) ReduceBox(_ context.Context, a server.Array, box layout.Box, op string) (float64, int64, error) {
 	fold := server.NewFold(op)
 	for _, piece := range gridTiles(box, r.opts.TileDim) {
-		value, n, err := r.pieceReduce(tenant, a.Name, piece, op)
+		value, n, err := r.pieceReduce(a.Name, piece, op)
 		if err != nil {
 			return 0, 0, r.failed(err)
 		}
@@ -129,14 +125,14 @@ func (r *Router) ReduceBox(ctx context.Context, a server.Array, box layout.Box, 
 // same availability stance as pieceGet, without its freshness
 // comparison; a reduce against a diverged replica set is eventually
 // consistent, converging once hints drain and read-repair runs).
-func (r *Router) pieceReduce(tenant, name string, piece layout.Box, op string) (float64, int64, error) {
+func (r *Router) pieceReduce(name string, piece layout.Box, op string) (float64, int64, error) {
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	var hardErr error
 	for _, m := range r.replicasFor(keyhash.Bytes([]byte(key))) {
 		if m.down.Load() {
 			continue
 		}
-		value, count, err := m.client.ForTenant(tenant).Reduce(name, piece, op)
+		value, count, err := m.client.Reduce(name, piece, op)
 		if err != nil {
 			if errors.Is(err, ErrUnavailable) {
 				r.markDown(m)

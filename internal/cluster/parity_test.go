@@ -16,9 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"outcore/internal/ir"
 	"outcore/internal/layout"
@@ -32,11 +30,9 @@ const (
 )
 
 // parityPlanes builds the two daemons over the same catalog: A (row),
-// C (col) and the oversized B, with a one-chunk tenant cap so a
-// cancelled batch is observable.
+// C (col) and the oversized B.
 func parityPlanes(t *testing.T) (occd, router http.Handler, occdURL, routerURL string) {
 	t.Helper()
-	tenants := server.TenantConfig{MaxScanInflight: 1}
 
 	d := ooc.NewDisk(0)
 	for _, a := range []struct {
@@ -55,11 +51,11 @@ func parityPlanes(t *testing.T) (occd, router http.Handler, occdURL, routerURL s
 			t.Fatal(err)
 		}
 	}
-	srv := server.New(d, ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8}), server.Config{Tenants: tenants})
+	srv := server.New(d, ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8}), server.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { hs.Close(); srv.Drain() })
 
-	lc, err := NewLocal(LocalOptions{Nodes: 3, Replicas: 2, TileDim: 64, Seed: 7, Tenants: tenants})
+	lc, err := NewLocal(LocalOptions{Nodes: 3, Replicas: 2, TileDim: 64, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,65 +198,33 @@ func TestFrontEndParity(t *testing.T) {
 		}
 	}
 
-	// A batch whose client has gone away while the tenant's chunk cap is
-	// saturated: every op answers "request canceled" and none counts as
-	// run. Whole-array reduces hold the tenant's one chunk slot while the
-	// cancelled batch is served straight into each handler.
+	// A batch whose client has gone away: every op answers "request
+	// canceled" and none counts as run. The cancelled batch is served
+	// straight into each handler.
 	for _, p := range []struct {
 		name string
 		h    http.Handler
 		url  string
 	}{{"occd", occd, occdURL}, {"occrouter", router, routerURL}} {
-		var wg sync.WaitGroup
-		for i := 0; i < 3; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				req, _ := http.NewRequest("POST", p.url+"/v1/arrays/B/reduce", strings.NewReader(`{"op":"sum",`+bigBox+`}`))
-				req.Header.Set(server.TenantHeader, "t")
-				if resp, err := http.DefaultClient.Do(req); err == nil {
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-				}
-			}()
-		}
-		batchOps := func() (ops, chunks int64) {
+		batchOps := func() int64 {
 			var st struct {
 				Ops struct {
 					BatchOps int64 `json:"batch_ops"`
 				} `json:"ops"`
-				Tenants []struct {
-					Chunks int64 `json:"chunks"`
-				} `json:"tenants"`
 			}
 			if err := NewNodeClient(p.name, p.url).Stats(&st); err != nil {
 				t.Fatal(err)
 			}
-			if len(st.Tenants) == 1 {
-				chunks = st.Tenants[0].Chunks
-			}
-			return st.Ops.BatchOps, chunks
+			return st.Ops.BatchOps
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			if _, chunks := batchOps(); chunks >= 2 {
-				break // one reduce holds the slot, another waits for it
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: the reduces never took the chunk slot", p.name)
-			}
-			time.Sleep(time.Millisecond)
-		}
-		before, _ := batchOps()
+		before := batchOps()
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		req := httptest.NewRequest("POST", "/v1/arrays/A/batch", bytes.NewReader([]byte(
 			`{"ops":[{"op":"get","lo":[0,0],"hi":[4,4]},{"op":"get","lo":[4,4],"hi":[8,8]}]}`))).WithContext(ctx)
-		req.Header.Set(server.TenantHeader, "t")
 		rec := httptest.NewRecorder()
 		p.h.ServeHTTP(rec, req)
-		after, _ := batchOps()
-		wg.Wait()
+		after := batchOps()
 		const want = `"failed": 2`
 		if rec.Code != 200 || !strings.Contains(rec.Body.String(), want) || strings.Count(rec.Body.String(), "request canceled") != 2 {
 			t.Errorf("%s: cancelled batch answered %d %s, want 200 with both ops canceled", p.name, rec.Code, rec.Body)

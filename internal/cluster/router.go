@@ -49,13 +49,9 @@ type Options struct {
 	// (default 4x GOMAXPROCS — fan-out requests spend most of their
 	// time waiting on node I/O, so the router runs wider than a node).
 	MaxInflight int
-	// QueueDepth bounds waiters across all tenant admission queues
+	// QueueDepth bounds the requests waiting for an admission slot
 	// (default 256).
 	QueueDepth int
-	// Tenants configures the router's tenant plane: DRR weights,
-	// request/byte quotas, and the per-tenant chunk cap. The zero value
-	// is the pre-tenant behavior.
-	Tenants server.TenantConfig
 	// Obs supplies the metrics registry behind the router's /metrics.
 	Obs *obs.Sink
 }
@@ -217,7 +213,6 @@ func NewRouter(o Options) (*Router, error) {
 		MaxInflight:  o.MaxInflight,
 		QueueDepth:   o.QueueDepth,
 		RetryAfter:   o.RetryAfter,
-		Tenants:      o.Tenants,
 	})
 	return r, nil
 }
@@ -536,12 +531,12 @@ type reply struct {
 	err  error
 }
 
-// ask fans one piece read out to the live members of reps, in parallel
-// and under tenant's identity: with withBytes the first live replica in
+// ask fans one piece read out to the live members of reps, in
+// parallel: with withBytes the first live replica in
 // rank order sends the piece's bytes, and every other live replica only
 // its generation (a HEAD, which reads no tile). Down members answer
 // ErrUnavailable without a request.
-func (r *Router) ask(tenant, name string, piece layout.Box, reps []*member, withBytes bool) []reply {
+func (r *Router) ask(name string, piece layout.Box, reps []*member, withBytes bool) []reply {
 	replies := make([]reply, len(reps))
 	var wg sync.WaitGroup
 	for i, m := range reps {
@@ -554,7 +549,7 @@ func (r *Router) ask(tenant, name string, piece layout.Box, reps []*member, with
 		wg.Add(1)
 		go func(i int, m *member, full bool) {
 			defer wg.Done()
-			replies[i] = r.read(tenant, name, piece, m, full)
+			replies[i] = r.read(name, piece, m, full)
 		}(i, m, full)
 	}
 	wg.Wait()
@@ -563,8 +558,8 @@ func (r *Router) ask(tenant, name string, piece layout.Box, reps []*member, with
 
 // read asks one replica for a piece — its bytes with full, else only
 // its generation — and marks it down when it is unreachable.
-func (r *Router) read(tenant, name string, piece layout.Box, m *member, full bool) reply {
-	c := m.client.ForTenant(tenant)
+func (r *Router) read(name string, piece layout.Box, m *member, full bool) reply {
+	c := m.client
 	var rep reply
 	if full {
 		rep.data, rep.gen, rep.err = c.GetTile(name, piece, false)
@@ -616,20 +611,18 @@ func freshest(replies []reply) (int, error) {
 // working set across the nodes instead of copying it R times. When the
 // piece is its whole routing tile, stale responders are synchronously
 // read-repaired. See the package comment for the full consistency
-// contract. The reads ride under tenant's identity so node-side
-// admission schedules them in the right lane; read-repair stays
-// untenanted (system traffic, not the tenant's bytes).
-func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]float64, uint64, error) {
+// contract.
+func (r *Router) pieceGet(a server.Array, piece layout.Box) ([]float64, uint64, error) {
 	name := a.Name
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
-	replies := r.ask(tenant, name, piece, reps, true)
+	replies := r.ask(name, piece, reps, true)
 
 	// Each pass either ends or fetches bytes from a replica that has
 	// sent none, so it runs at most once per replica.
 	win, err := freshest(replies)
 	for err == nil && replies[win].data == nil {
-		replies[win] = r.read(tenant, name, piece, reps[win], true)
+		replies[win] = r.read(name, piece, reps[win], true)
 		win, err = freshest(replies)
 	}
 	if err != nil {
@@ -664,9 +657,9 @@ func (r *Router) pieceGet(tenant string, a server.Array, piece layout.Box) ([]fl
 // pieceGen reports one grid-tile piece's generation without reading a
 // tile: every live replica is probed and the freshest answer wins, as
 // in pieceGet.
-func (r *Router) pieceGen(tenant, name string, piece layout.Box) (uint64, error) {
+func (r *Router) pieceGen(name string, piece layout.Box) (uint64, error) {
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
-	replies := r.ask(tenant, name, piece, r.replicasFor(keyhash.Bytes([]byte(key))), false)
+	replies := r.ask(name, piece, r.replicasFor(keyhash.Bytes([]byte(key))), false)
 	win, err := freshest(replies)
 	if err != nil {
 		return 0, err
@@ -678,9 +671,8 @@ func (r *Router) pieceGen(tenant, name string, piece layout.Box) (uint64, error)
 // piecePut writes one grid-tile piece to its replica set under a fresh
 // generation: live replicas synchronously, down or failing replicas as
 // durable hints. Success requires a sloppy quorum — at least one live ack,
-// and live acks plus durably queued hints reaching majority. The live
-// fan-out carries tenant's identity; hint replay stays untenanted.
-func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64) (uint64, error) {
+// and live acks plus durably queued hints reaching majority.
+func (r *Router) piecePut(name string, piece layout.Box, data []float64) (uint64, error) {
 	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
 	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
 
@@ -710,7 +702,7 @@ func (r *Router) piecePut(tenant, name string, piece layout.Box, data []float64)
 			wg.Add(1)
 			go func(i int, m *member) {
 				defer wg.Done()
-				stored, stale, err := m.client.ForTenant(tenant).putBody(name, piece, body, gen, false)
+				stored, stale, err := m.client.putBody(name, piece, body, gen, false)
 				if err != nil {
 					if errors.Is(err, ErrUnavailable) {
 						r.markDown(m)

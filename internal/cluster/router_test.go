@@ -521,3 +521,37 @@ func TestArrayNameBound(t *testing.T) {
 		t.Fatalf("%d-byte name hint decoded as (%+v, %d, %v)", len(atBound), got, n, ok)
 	}
 }
+
+// TestRouterHealthzAndCatalog covers the router's liveness and
+// catalog listing endpoints.
+func TestRouterHealthzAndCatalog(t *testing.T) {
+	lc, err := NewLocal(LocalOptions{Nodes: 2, Replicas: 1, TileDim: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lc.Close()
+	if err := lc.CreateArray("A", 8, 8); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(lc.RouterURL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: %d", resp.StatusCode)
+	}
+	resp, err = http.Get(lc.RouterURL + "/v1/arrays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("array list: %d", resp.StatusCode)
+	}
+	if len(body) == 0 {
+		t.Fatal("array list: empty body")
+	}
+}

@@ -7,7 +7,7 @@ package dst
 // single-node heal, whole-cluster power cut — plus a wedge probe after
 // every round. The three cluster kinds are rows of data over that one
 // episode (kindRows): how often each step runs, and whether the
-// tenant plane is configured.
+// admission pool is narrow.
 //
 // The model is per tile: every value ever attempted on it (written),
 // the last acked write (lastAcked, 0 = none), and the values attempted
@@ -25,8 +25,8 @@ package dst
 //   - after a whole-cluster power cut, every tile a batch PUT acked
 //     reads back as its acked value or a post-ack maybe;
 //   - the wedge probe — one point GET after every round, mid-fault
-//     included — gets a verdict (200, 429 or 503) within the deadline:
-//     the admission plane never stops draining.
+//     included — gets a verdict (200 or 503) within the deadline:
+//     admission never stops draining.
 //
 // One epilogue then runs every check for every kind: heal, drain the
 // owed hints, and require each tile to be uniform and equal to its
@@ -55,9 +55,6 @@ import (
 )
 
 const (
-	pointTenant = "point"
-	scanTenant  = "scan"
-
 	maxPending   = 10   // epilogue probe rounds allowed to drain hints
 	postBatchCut = 0.35 // chance a batch PUT is followed by a whole-cluster power cut
 
@@ -69,16 +66,16 @@ const (
 
 // kindRow is what tells the cluster kinds apart: each step's weight
 // (a round draws one step in proportion) and whether the router and
-// nodes run the two-tenant plane.
+// nodes run a narrow admission pool.
 type kindRow struct {
 	put, batch, get, scan, fault, heal, cut float64
-	tenants                                 bool
+	narrow                                  bool
 }
 
 var kindRows = map[Kind]kindRow{
 	Cluster:   {put: 0.36, get: 0.54, fault: 0.04, heal: 0.06},
 	Operators: {batch: 0.45, scan: 0.45, cut: 0.10},
-	Tenants:   {get: 0.35, scan: 0.30, fault: 0.20, heal: 0.15, tenants: true},
+	Admission: {get: 0.35, scan: 0.30, fault: 0.20, heal: 0.15, narrow: true},
 }
 
 // clusterEpisode is the running state of one seeded cluster episode.
@@ -87,7 +84,7 @@ type clusterEpisode struct {
 	row   kindRow
 	rng   *rand.Rand
 	lc    *cluster.LocalCluster
-	cli   *cluster.NodeClient // the router, as the point tenant
+	cli   *cluster.NodeClient // the router
 	httpc *http.Client
 
 	written   [][]float64
@@ -114,14 +111,10 @@ func runCluster(o Options) *Result {
 		HintDir:     o.HintDir,
 		Seed:        o.Seed + 1,
 	}
-	if ep.row.tenants {
-		// A small pool and bounded queues, so contention really queues
-		// and overload answers 503 instead of growing.
+	if ep.row.narrow {
+		// A small pool and a bounded queue, so scans and point reads
+		// really queue and overload answers 503 instead of growing.
 		lo.MaxInflight, lo.QueueDepth = 2, 16
-		lo.Tenants = server.TenantConfig{
-			Weights:         map[string]float64{pointTenant: 4, scanTenant: 1},
-			MaxScanInflight: 2,
-		}
 	}
 	defer func() { ep.res.OpLog = ep.log.String() }()
 	lc, err := cluster.NewLocal(lo)
@@ -135,8 +128,8 @@ func runCluster(o Options) *Result {
 		ep.violate("creating %s: %v", arrayName, err)
 		return ep.res
 	}
-	ep.cli = lc.Client().ForTenant(ep.tenant(pointTenant))
-	if ep.row.tenants {
+	ep.cli = lc.Client()
+	if ep.row.narrow {
 		// Seed every tile so point reads and scans serve real data.
 		for t := 0; t < tiles; t++ {
 			if !ep.put(t) {
@@ -178,15 +171,6 @@ func (ep *clusterEpisode) step() {
 	default:
 		ep.powerCut("scheduled")
 	}
-}
-
-// tenant returns id when the tenant plane is configured, else the
-// default lane.
-func (ep *clusterEpisode) tenant(id string) string {
-	if ep.row.tenants {
-		return id
-	}
-	return ""
 }
 
 func (ep *clusterEpisode) quiesce() {
@@ -267,7 +251,7 @@ func (ep *clusterEpisode) batchPut() {
 			Status int `json:"status"`
 		} `json:"results"`
 	}
-	resp, err := ep.do(http.MethodPost, "/v1/arrays/"+arrayName+"/batch", pointTenant, bytes.NewReader(body))
+	resp, err := ep.do(http.MethodPost, "/v1/arrays/"+arrayName+"/batch", bytes.NewReader(body))
 	if err != nil {
 		ep.violate("batch: got no verdict: %v", err)
 		return
@@ -277,7 +261,7 @@ func (ep *clusterEpisode) batchPut() {
 		if err = json.NewDecoder(resp.Body).Decode(&out); err == nil && len(out.Results) != n {
 			err = fmt.Errorf("%d results for %d ops", len(out.Results), n)
 		}
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+	case http.StatusServiceUnavailable:
 	default:
 		err = fmt.Errorf("unexpected status %d", resp.StatusCode)
 	}
@@ -310,28 +294,25 @@ func (ep *clusterEpisode) batchPut() {
 	}
 }
 
-// do sends one request to the router under tenant's identity (when
-// the tenant plane is configured). An error means no verdict arrived
-// within the deadline — the router itself never dies in an episode.
-func (ep *clusterEpisode) do(method, path, tenant string, body io.Reader) (*http.Response, error) {
+// do sends one request to the router. An error means no verdict
+// arrived within the deadline — the router itself never dies in an
+// episode.
+func (ep *clusterEpisode) do(method, path string, body io.Reader) (*http.Response, error) {
 	req, err := http.NewRequest(method, ep.lc.RouterURL+path, body)
 	if err != nil {
 		return nil, err
 	}
-	if id := ep.tenant(tenant); id != "" {
-		req.Header.Set(server.TenantHeader, id)
-	}
 	return ep.httpc.Do(req)
 }
 
-// get reads tile t through the router as the point tenant and checks
-// what it served: uniform, and a value written there or zero. It
-// returns the tile and the status; 429 and 503 are clean refusals,
+// get reads tile t through the router and checks what it served:
+// uniform, and a value written there or zero. It returns the tile and
+// the status; 503 is a clean refusal,
 // anything else — no verdict included — is a violation.
 func (ep *clusterEpisode) get(t int, where string) ([]float64, int) {
 	ep.res.Gets++
 	box := tileBox(t)
-	resp, err := ep.do(http.MethodGet, fmt.Sprintf("/v1/arrays/%s/tile?lo=%d&hi=%d", arrayName, box.Lo[0], box.Hi[0]), pointTenant, nil)
+	resp, err := ep.do(http.MethodGet, fmt.Sprintf("/v1/arrays/%s/tile?lo=%d&hi=%d", arrayName, box.Lo[0], box.Hi[0]), nil)
 	if err != nil {
 		ep.violate("%s: GET tile %d got no verdict: %v", where, t, err)
 		return nil, 0
@@ -340,7 +321,7 @@ func (ep *clusterEpisode) get(t int, where string) ([]float64, int) {
 	resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+	case http.StatusServiceUnavailable:
 		ep.res.GetErrors++
 		ep.logf("%s: get t%d -> %d", where, t, resp.StatusCode)
 		return nil, resp.StatusCode
@@ -375,7 +356,7 @@ func (ep *clusterEpisode) checkSpan(where string, t int, span []float64) {
 	}
 }
 
-// scan streams a random range as the scan tenant: a leg may be
+// scan streams a random range: a leg may be
 // abandoned after a random number of chunks, maybe with a node killed
 // under it first, and the next leg resumes from the last intact
 // cursor until the trailer arrives.
@@ -418,7 +399,7 @@ func (ep *clusterEpisode) stream(path string, plan []layout.Box, interrupt bool)
 // consumed, the cursor to resume from ("" if none arrived) and whether
 // the scan is over (trailer reached or a violation).
 func (ep *clusterEpisode) scanLeg(path string, plan []layout.Box, next int, interrupt bool) (int, string, bool) {
-	resp, err := ep.do(http.MethodGet, path, scanTenant, nil)
+	resp, err := ep.do(http.MethodGet, path, nil)
 	if err != nil {
 		ep.violate("scan: got no verdict: %v", err)
 		return 0, "", true
@@ -426,7 +407,7 @@ func (ep *clusterEpisode) scanLeg(path string, plan []layout.Box, next int, inte
 	defer resp.Body.Close()
 	switch resp.StatusCode {
 	case http.StatusOK:
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+	case http.StatusServiceUnavailable:
 		ep.res.GetErrors++
 		ep.logf("scan leg -> %d", resp.StatusCode)
 		return 0, "", false
@@ -597,17 +578,11 @@ func (ep *clusterEpisode) epilogue() {
 }
 
 // checkAdmission requires the router's admission pool to be empty with
-// every request finished, and, under the tenant plane, both tenants
-// billed and their queues drained.
+// every request finished.
 func (ep *clusterEpisode) checkAdmission() {
 	var st struct {
 		Inflight int64 `json:"inflight"`
 		Queued   int64 `json:"queued"`
-		Tenants  []struct {
-			Tenant   string `json:"tenant"`
-			Queued   int    `json:"queued"`
-			Requests int64  `json:"requests"`
-		} `json:"tenants"`
 	}
 	if err := ep.lc.Client().Stats(&st); err != nil {
 		ep.violate("epilogue: reading router stats: %v", err)
@@ -615,23 +590,5 @@ func (ep *clusterEpisode) checkAdmission() {
 	}
 	if st.Inflight != 0 || st.Queued != 0 {
 		ep.violate("epilogue: admission pool not empty after all traffic finished: %d inflight, %d queued", st.Inflight, st.Queued)
-	}
-	if !ep.row.tenants {
-		return
-	}
-	for _, id := range []string{pointTenant, scanTenant} {
-		found := false
-		for _, ts := range st.Tenants {
-			if ts.Tenant != id {
-				continue
-			}
-			found = true
-			if ts.Queued != 0 || ts.Requests == 0 {
-				ep.violate("epilogue: tenant %q shows %d queued, %d requests billed", id, ts.Queued, ts.Requests)
-			}
-		}
-		if !found {
-			ep.violate("epilogue: tenant %q missing from the router scorecard", id)
-		}
 	}
 }

@@ -73,9 +73,10 @@ func TestClusterEpisodes(t *testing.T) {
 // scans, batch PUTs and whole-cluster power cuts.
 func TestOpsEpisodes(t *testing.T) { runRows(t, perSeed(Operators, 10)) }
 
-// TestTenantsEpisodes sweeps the tenants kind: two tenants' point reads
-// and scans against a faulted cluster, with a wedge probe every round.
-func TestTenantsEpisodes(t *testing.T) { runRows(t, perSeed(Tenants, 10)) }
+// TestAdmissionEpisodes sweeps the admission kind: point reads and
+// scans on a narrow admission pool against a faulted cluster, with a
+// wedge probe every round.
+func TestAdmissionEpisodes(t *testing.T) { runRows(t, perSeed(Admission, 10)) }
 
 // exercised runs seeds 1..n of o.Kind and requires every named counter,
 // summed over the seeds, to be nonzero: a sweep whose faults never
@@ -118,12 +119,12 @@ func TestOpsEpisodeStats(t *testing.T) {
 	})
 }
 
-func TestTenantsEpisodeStats(t *testing.T) {
-	exercised(t, Options{Kind: Tenants}, 10, map[string]func(*Result) int{
+func TestAdmissionEpisodeStats(t *testing.T) {
+	exercised(t, Options{Kind: Admission}, 10, map[string]func(*Result) int{
 		"served point reads": func(r *Result) int { return r.Gets - r.GetErrors },
 		"scan chunks":        func(r *Result) int { return r.ScanChunks },
 		"abandoned scans":    func(r *Result) int { return r.ScanAbandons },
-		"429/503 refusals":   func(r *Result) int { return r.GetErrors },
+		"503 refusals":       func(r *Result) int { return r.GetErrors },
 		"kills":              func(r *Result) int { return r.Kills },
 		"partitions":         func(r *Result) int { return r.Partitions },
 	})
@@ -133,7 +134,7 @@ func TestTenantsEpisodeStats(t *testing.T) {
 // kind with the durable hint log, so handoff and the epilogue's drain
 // cross the framed on-disk queue.
 func TestClusterEpisodeDurableHints(t *testing.T) {
-	for _, o := range []Options{{Kind: Cluster, Seed: 5}, {Kind: Operators, Seed: 3}, {Kind: Tenants, Seed: 5}} {
+	for _, o := range []Options{{Kind: Cluster, Seed: 5}, {Kind: Operators, Seed: 3}, {Kind: Admission, Seed: 5}} {
 		o.HintDir = t.TempDir()
 		if res := Run(o); res.Failed() {
 			t.Errorf("%s\nviolations: %v\nop log:\n%s", res.Summary(), res.Violations, res.OpLog)
@@ -159,8 +160,8 @@ func TestResultSummary(t *testing.T) {
 			t.Errorf("%s: violation not formatted: %q", kind, rc.res.Violations[0])
 		}
 	}
-	if k, err := ParseKind("tenants"); err != nil || k != Tenants {
-		t.Errorf("ParseKind(tenants) = %v, %v", k, err)
+	if k, err := ParseKind("admission"); err != nil || k != Admission {
+		t.Errorf("ParseKind(admission) = %v, %v", k, err)
 	}
 	if _, err := ParseKind("chaos"); err == nil {
 		t.Error("ParseKind accepted an unknown kind")

@@ -7,10 +7,10 @@
 //     through internal/faultfs and power cut at random points, checked
 //     against a sequential map-of-tiles model. Its OpLog and
 //     FaultSchedule replay byte-for-byte from the seed.
-//   - cluster, operators, tenants: one {router + N nodes, R replicas}
+//   - cluster, operators, admission: one {router + N nodes, R replicas}
 //     cluster.LocalCluster under one seeded episode. The three kinds
 //     share the model, the steps and the epilogue and differ only in
-//     their step weights and in whether the tenant plane is configured
+//     their step weights and in whether the admission pool is narrow
 //     (see cluster.go).
 //
 // Every episode ends in an epilogue unless Options.SkipFinalCheck:
@@ -70,10 +70,10 @@ const (
 	Storage   Kind = iota // one engine under storage faults and power cuts
 	Cluster               // tile PUTs and GETs under node kills, partitions and heals
 	Operators             // batch PUTs, interrupted scans and whole-cluster power cuts
-	Tenants               // two tenants' point reads and scans under node faults
+	Admission             // point reads and scans on a narrow admission pool under node faults
 )
 
-var kindNames = [...]string{"storage", "cluster", "operators", "tenants"}
+var kindNames = [...]string{"storage", "cluster", "operators", "admission"}
 
 func (k Kind) String() string { return kindNames[k] }
 
@@ -84,7 +84,7 @@ func ParseKind(s string) (Kind, error) {
 			return Kind(k), nil
 		}
 	}
-	return 0, fmt.Errorf("unknown episode kind %q (storage, cluster, operators, tenants)", s)
+	return 0, fmt.Errorf("unknown episode kind %q (storage, cluster, operators, admission)", s)
 }
 
 // The episode shape every kind shares.
@@ -104,7 +104,7 @@ const (
 type Options struct {
 	Kind Kind
 	Seed int64
-	Ops  int // scheduler steps (default: 200 storage and cluster, 40 operators and tenants)
+	Ops  int // scheduler steps (default: 200 storage and cluster, 40 operators and admission)
 
 	// Storage kind.
 	PutFrac    float64         // fraction of client ops that are PUTs (default 0.4)
@@ -135,7 +135,7 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Ops <= 0 {
 		o.Ops = 200
-		if o.Kind == Operators || o.Kind == Tenants {
+		if o.Kind == Operators || o.Kind == Admission {
 			o.Ops = 40
 		}
 	}
@@ -165,7 +165,7 @@ type Result struct {
 	Ops  int
 
 	Gets, Puts                        int // point reads and tile writes issued (batch ops count as puts)
-	GetErrors, PutErrors, FlushErrors int // failed or refused with 429/503 (surfaced, not hidden)
+	GetErrors, PutErrors, FlushErrors int // failed or refused with 503 (surfaced, not hidden)
 
 	// Storage kind.
 	Flushes, AckedFlushes int // AckedFlushes: flushes that returned nil

@@ -187,8 +187,8 @@ func formatBound(b float64) string {
 
 // baseName strips a label suffix from a metric name: counters and
 // gauges may be registered under labeled names like
-// `occd_tenant_requests_total{tenant="a"}`, which belong to the family
-// `occd_tenant_requests_total`. (Histograms render their own labeled sample
+// `occd_op_requests_total{op="get"}`, which belong to the family
+// `occd_op_requests_total`. (Histograms render their own labeled sample
 // lines and must be registered under plain names.)
 func baseName(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {

@@ -178,20 +178,20 @@ func TestSinkNilSafety(t *testing.T) {
 // registered under `family{label="v"}` names share exactly one
 // HELP/TYPE header per family, emitted before the family's first
 // sample, and each label value renders its own sample line. This is
-// the contract the per-tenant *_tenant_* counters rely on.
+// the contract per-label counters (one series per op) rely on.
 func TestWritePrometheusLabeled(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(`occd_tenant_requests_total{tenant="a"}`, "requests admitted by tenant").Add(3)
-	r.Counter(`occd_tenant_requests_total{tenant="b"}`, "requests admitted by tenant").Add(5)
+	r.Counter(`occd_op_requests_total{op="get"}`, "requests admitted by op").Add(3)
+	r.Counter(`occd_op_requests_total{op="put"}`, "requests admitted by op").Add(5)
 	r.Counter("ooc_io_read_calls_total", "backend read calls").Add(1)
 	var buf bytes.Buffer
 	if err := r.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `# HELP occd_tenant_requests_total requests admitted by tenant
-# TYPE occd_tenant_requests_total counter
-occd_tenant_requests_total{tenant="a"} 3
-occd_tenant_requests_total{tenant="b"} 5
+	want := `# HELP occd_op_requests_total requests admitted by op
+# TYPE occd_op_requests_total counter
+occd_op_requests_total{op="get"} 3
+occd_op_requests_total{op="put"} 5
 # HELP ooc_io_read_calls_total backend read calls
 # TYPE ooc_io_read_calls_total counter
 ooc_io_read_calls_total 1
@@ -209,7 +209,7 @@ ooc_io_read_calls_total 1
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatalf("labeled JSON exposition invalid: %v", err)
 	}
-	for _, k := range []string{`occd_tenant_requests_total{tenant="a"}`, `occd_tenant_requests_total{tenant="b"}`} {
+	for _, k := range []string{`occd_op_requests_total{op="get"}`, `occd_op_requests_total{op="put"}`} {
 		if _, ok := m[k]; !ok {
 			t.Errorf("JSON exposition missing labeled series %q", k)
 		}
@@ -218,8 +218,8 @@ ooc_io_read_calls_total 1
 
 func TestBaseName(t *testing.T) {
 	for in, want := range map[string]string{
-		`occd_tenant_requests_total{tenant="x"}`: "occd_tenant_requests_total",
-		"ooc_io_read_calls_total":                "ooc_io_read_calls_total",
+		`occd_op_requests_total{op="x"}`: "occd_op_requests_total",
+		"ooc_io_read_calls_total":        "ooc_io_read_calls_total",
 	} {
 		if got := baseName(in); got != want {
 			t.Errorf("baseName(%q) = %q, want %q", in, got, want)

@@ -4,13 +4,13 @@ package ooc
 // shared by every encode/decode/serve path. A multi-GB tile cache
 // already taxes the collector; transient codec frames, wire payloads
 // and file-backend scratch buffers on top of it would make every GET a
-// GC event. The arena recycles them instead, with hit/miss counters so
-// the scorecard can show whether the steady state really stopped
-// allocating.
+// GC event. The arena recycles them instead, with hit/miss counters
+// (ObservePool) so the scorecard can show whether the steady state
+// really stopped allocating.
 //
 // Classes are powers of two from 64 bytes to 16 MiB; a request beyond
-// the largest class is served by a plain allocation (counted as
-// oversize) and never pooled.
+// the largest class is served by a plain allocation, counted as
+// neither hit nor miss, and never pooled.
 
 import (
 	"math/bits"
@@ -30,36 +30,15 @@ var (
 	poolBufs [poolClasses]sync.Pool // *[]byte, cap = exactly the class size
 	poolF64s [poolClasses]sync.Pool // *[]float64, cap = exactly the class size (in elements)
 
-	poolHits     atomic.Int64
-	poolMisses   atomic.Int64
-	poolOversize atomic.Int64
-
-	// Registry mirrors installed by ObservePool; nil until observed so
+	// Registry counters installed by ObservePool; nil until observed so
 	// an unobserved pool pays one pointer load per operation.
 	poolHitC  atomic.Pointer[obs.Counter]
 	poolMissC atomic.Pointer[obs.Counter]
 )
 
-// PoolStats is the arena scorecard.
-type PoolStats struct {
-	Hits     int64 `json:"hits"`
-	Misses   int64 `json:"misses"`
-	Oversize int64 `json:"oversize"`
-}
-
-// ReadPoolStats snapshots the arena counters (process-wide).
-func ReadPoolStats() PoolStats {
-	return PoolStats{
-		Hits:     poolHits.Load(),
-		Misses:   poolMisses.Load(),
-		Oversize: poolOversize.Load(),
-	}
-}
-
-// ObservePool mirrors the arena's hit/miss counters into the sink's
-// metrics registry ("ooc_pool_*"). The mirrors count operations from
-// the call on; the arena is process-wide, so observe one registry per
-// process.
+// ObservePool counts the arena's hits and misses in the sink's metrics
+// registry ("ooc_pool_*"), from the call on; the arena is
+// process-wide, so observe one registry per process.
 func ObservePool(sink *obs.Sink) {
 	reg := sink.MetricsOf()
 	if reg == nil {
@@ -83,14 +62,12 @@ func poolClass(n int) int {
 }
 
 func poolHit() {
-	poolHits.Add(1)
 	if c := poolHitC.Load(); c != nil {
 		c.Inc()
 	}
 }
 
 func poolMiss() {
-	poolMisses.Add(1)
 	if c := poolMissC.Load(); c != nil {
 		c.Inc()
 	}
@@ -101,7 +78,6 @@ func poolMiss() {
 func GetBuf(n int) []byte {
 	c := poolClass(n)
 	if c < 0 {
-		poolOversize.Add(1)
 		return make([]byte, n)
 	}
 	if v := poolBufs[c].Get(); v != nil {
@@ -128,7 +104,6 @@ func PutBuf(b []byte) {
 func GetF64(n int) []float64 {
 	c := poolClass(n)
 	if c < 0 {
-		poolOversize.Add(1)
 		return make([]float64, n)
 	}
 	if v := poolF64s[c].Get(); v != nil {

@@ -1,6 +1,10 @@
 package ooc
 
-import "testing"
+import (
+	"testing"
+
+	"outcore/internal/obs"
+)
 
 func TestPoolClass(t *testing.T) {
 	for _, tc := range []struct {
@@ -41,25 +45,40 @@ func TestPoolRecycles(t *testing.T) {
 	PutBuf(make([]byte, 100))
 	PutF64(make([]float64, 0, 100))
 
-	// Oversize requests allocate plainly and count as oversize.
-	before := ReadPoolStats().Oversize
+	// Oversize requests allocate plainly, move neither counter, and
+	// are never pooled.
+	hits, misses := observePool()
+	h0, m0 := hits.Value(), misses.Value()
 	huge := GetBuf(1<<24 + 1)
 	if len(huge) != 1<<24+1 {
 		t.Fatal("oversize GetBuf returned wrong length")
 	}
 	PutBuf(huge)
-	if got := ReadPoolStats().Oversize; got != before+1 {
-		t.Fatalf("oversize counter %d, want %d", got, before+1)
+	hugeF := GetF64(1<<24 + 1)
+	PutF64(hugeF)
+	if hits.Value() != h0 || misses.Value() != m0 {
+		t.Fatalf("oversize requests moved the pool counters: hits %d -> %d, misses %d -> %d",
+			h0, hits.Value(), m0, misses.Value())
+	}
+	if got := cap(GetBuf(1 << 24)); got != 1<<24 {
+		t.Fatalf("largest class served cap %d, want %d: an oversize buffer was pooled", got, 1<<24)
 	}
 }
 
+// observePool points the arena's counters at a fresh registry and
+// returns them, read back by name.
+func observePool() (hits, misses *obs.Counter) {
+	reg := obs.NewRegistry()
+	ObservePool(&obs.Sink{Metrics: reg})
+	return reg.Counter("ooc_pool_hits_total", ""), reg.Counter("ooc_pool_misses_total", "")
+}
+
 func TestPoolStatsMove(t *testing.T) {
-	before := ReadPoolStats()
+	hits, misses := observePool()
 	b := GetBuf(70) // class 1
 	PutBuf(b)
 	_ = GetBuf(70)
-	after := ReadPoolStats()
-	if after.Hits+after.Misses <= before.Hits+before.Misses {
-		t.Fatalf("pool counters did not move: %+v -> %+v", before, after)
+	if hits.Value()+misses.Value() < 2 {
+		t.Fatalf("pool counters did not move: hits %d, misses %d after two requests", hits.Value(), misses.Value())
 	}
 }

@@ -349,3 +349,101 @@ func dirSizes(t *testing.T, dir string) map[string]int64 {
 	}
 	return out
 }
+
+// TestReopenSmallerWALCapKeepsTail: a log that survives a crash between
+// commit and checkpoint holds the only durable copy of its acked
+// writes. Reopening with a smaller -wal-cap-words must not cut that
+// tail off: a tail that ends past the new cap is refused, naming both
+// sizes, and leaves the log whole; a tail that fits replays in full
+// and the log shrinks to the new cap.
+func TestReopenSmallerWALCapKeepsTail(t *testing.T) {
+	meta, lay := reopenArray()
+	const bigCap = 1 << 15
+
+	// Life 1: four tile writes acknowledged by log fsyncs, never
+	// checkpointed. Each record is 75 words, so the tail ends near
+	// word 300.
+	live := t.TempDir()
+	d1 := ooc.NewDisk(0).Dir(live).EnableWAL(ooc.WALOptions{CapWords: bigCap})
+	ar, err := d1.CreateArray(meta, lay)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ooc.NewEngine(d1, ooc.EngineOptions{})
+	for i := int64(0); i < 4; i++ {
+		writeTile(t, eng, ar, walTile(i, i), float64(10+i))
+		if err := eng.FlushOverlapping(ar, walTile(i, i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := ar.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Power cut: the log and the watermark reached the media, the array
+	// file's write-through did not.
+	crashed := t.TempDir()
+	for _, name := range []string{"__wal0.log", "__walmeta.log"} {
+		b, err := os.ReadFile(filepath.Join(live, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashed, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.Abandon()
+	d1.Close()
+
+	reopen := func(capWords int64) (*ooc.Disk, *ooc.Array, error) {
+		d := ooc.NewDisk(0).Dir(crashed).KeepExisting().EnableWAL(ooc.WALOptions{CapWords: capWords})
+		ar, err := d.CreateArray(meta, lay)
+		if err == nil {
+			_, err = d.ReplayWAL()
+		}
+		return d, ar, err
+	}
+
+	// Life 2 under a cap the tail does not fit: refused, log untouched.
+	d2, ar2, err := reopen(128)
+	if err == nil {
+		eng2 := ooc.NewEngine(d2, ooc.EngineOptions{})
+		t.Fatalf("reopen with a 128-word cap succeeded; tile 3 reads %v where 13 was acknowledged",
+			readTile(t, eng2, ar2, walTile(3, 3)))
+	}
+	d2.Close()
+	for _, want := range []string{"-wal-cap-words", "128", fmt.Sprint(bigCap)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal does not name %q: %v", want, err)
+		}
+	}
+	if size := fileSize(t, filepath.Join(crashed, "__wal0.log")); size != bigCap*ooc.ElemSize {
+		t.Fatalf("refused reopen resized the log to %d bytes", size)
+	}
+
+	// Life 3 under a smaller cap the tail fits: every acked write
+	// replays and the log shrinks to the new cap.
+	d3, ar3, err := reopen(512)
+	if err != nil {
+		t.Fatalf("reopen with a 512-word cap: %v", err)
+	}
+	defer d3.Close()
+	eng3 := ooc.NewEngine(d3, ooc.EngineOptions{})
+	for i := int64(0); i < 4; i++ {
+		if got := readTile(t, eng3, ar3, walTile(i, i)); got != float64(10+i) {
+			t.Fatalf("acked tile %d reads %v after replay, want %v", i, got, float64(10+i))
+		}
+	}
+	if size := fileSize(t, filepath.Join(crashed, "__wal0.log")); size != 512*ooc.ElemSize {
+		t.Fatalf("log is %d bytes, not shrunk to the 512-word cap", size)
+	}
+}
+
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}

@@ -106,6 +106,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -316,7 +317,16 @@ func (ws *walSet) ensureLog(d *Disk) error {
 		}
 		return b, nil
 	}
-	b, err := open(walLogName, ws.opts.CapWords)
+	// A kept log is read at its own size: resizing it to a smaller cap
+	// first would cut off records no checkpoint has covered yet.
+	logPath := filepath.Join(d.dir, walLogName+".log")
+	size := ws.opts.CapWords
+	if d.dir != "" && d.keepExisting {
+		if info, err := os.Stat(logPath); err == nil {
+			size = max(size, info.Size()/ElemSize)
+		}
+	}
+	b, err := open(walLogName, size)
 	if err != nil {
 		return err
 	}
@@ -326,7 +336,7 @@ func (ws *walSet) ensureLog(d *Disk) error {
 	// garbage by the next replay — an acked write lost — and appends
 	// must land after the tail replay will apply, not over it. A fresh
 	// log reads as zeros: epoch 0, empty tail.
-	words := make([]float64, ws.opts.CapWords)
+	words := make([]float64, size)
 	if err := b.ReadAt(words, 0); err != nil {
 		return fmt.Errorf("ooc: reading WAL log header: %w", err)
 	}
@@ -346,7 +356,22 @@ func (ws *walSet) ensureLog(d *Disk) error {
 		b.Close()
 		return fmt.Errorf("ooc: WAL log %s holds %s, which this build does not replay: "+
 			"drain it with the build that wrote it (a clean shutdown checkpoints), then reopen",
-			filepath.Join(d.dir, walLogName+".log"), foreign)
+			logPath, foreign)
+	}
+	if lg.head > ws.opts.CapWords {
+		b.Close()
+		return fmt.Errorf("ooc: kept WAL log %s is %d words and its unreplayed records end at word %d, "+
+			"past the requested cap of %d words: reopen with -wal-cap-words %d so replay keeps every record",
+			logPath, size, lg.head, ws.opts.CapWords, size)
+	}
+	if size > ws.opts.CapWords {
+		// The tail fits: shrink the log to the requested cap.
+		if err := b.Close(); err != nil {
+			return fmt.Errorf("ooc: closing WAL log %s to resize it: %w", logPath, err)
+		}
+		if lg.back, err = open(walLogName, ws.opts.CapWords); err != nil {
+			return err
+		}
 	}
 	// The checkpoint watermark: a single word (element-atomic under the
 	// torn-write model), so a checkpoint can durably record how far the

@@ -243,7 +243,7 @@ func TestDrainQueuedWriteNeverFalselyAcknowledged(t *testing.T) {
 		resp.Body.Close()
 		putStatus <- resp.StatusCode
 	}()
-	for ts.srv.front.tenants.Queued() == 0 {
+	for ts.srv.front.queued.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("PUT never queued")
 		}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -71,12 +72,10 @@ type FrontConfig struct {
 	Series FrontSeries
 
 	MaxInflight   int           // admission slots (default 2*GOMAXPROCS)
-	QueueDepth    int           // waiters across the tenant queues (default 64)
+	QueueDepth    int           // waiters for a slot (default 64)
 	RetryAfter    time.Duration // hint on 503s (default 1s)
 	MaxArrayElems int64         // see Config
 	MaxTileElems  int64         // see Config
-	Tenants       TenantConfig
-	Clock         func() time.Time // quota clock (tests)
 }
 
 // FrontSeries are series the front end drives but does not name: occd
@@ -84,24 +83,26 @@ type FrontConfig struct {
 // registers the ones it exposes and NewFrontEnd backs the rest with
 // unpublished series.
 type FrontSeries struct {
-	Inflight      *obs.Gauge   // admission slots held
-	RejectedRate  *obs.Counter // 429s
+	Inflight      *obs.Gauge   // admission slots held, set when /metrics is read
 	RejectedQueue *obs.Counter // 503s from a full queue
 	WireRaw       *obs.Counter // logical tile bytes moved over HTTP
 	WireBytes     *obs.Counter // bytes on the wire after negotiation
 }
 
 // FrontEnd is the one HTTP surface of the serving stack: route table,
-// tenant resolution, admission, box validation, payload and codec
-// negotiation, and the tile/batch/scan/reduce/array handlers, over
-// whichever Plane it is given. occd's Server and occrouter's Router
-// each own one.
+// admission, box validation, payload and codec negotiation, and the
+// tile/batch/scan/reduce/array handlers, over whichever Plane it is
+// given. occd's Server and occrouter's Router each own one.
 type FrontEnd struct {
-	plane    Plane
-	cfg      FrontConfig
-	mux      *http.ServeMux
-	tenants  *TenantPlane
+	plane Plane
+	cfg   FrontConfig
+	mux   *http.ServeMux
+	// pool holds one token per admitted request (cap = MaxInflight);
+	// queued counts the requests blocked sending to it, and drain is
+	// closed by StopAdmitting to fail them.
 	pool     chan struct{}
+	queued   atomic.Int64
+	drain    chan struct{}
 	draining atomic.Bool
 
 	requests *obs.Counter
@@ -138,7 +139,6 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 		}
 		return c
 	}
-	s.RejectedRate = orQuiet(s.RejectedRate, "rejected_ratelimit")
 	s.RejectedQueue = orQuiet(s.RejectedQueue, "rejected_queue")
 	s.WireRaw = orQuiet(s.WireRaw, "wire_raw_bytes")
 	s.WireBytes = orQuiet(s.WireBytes, "wire_bytes")
@@ -146,6 +146,7 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 		plane:    p,
 		cfg:      cfg,
 		pool:     make(chan struct{}, cfg.MaxInflight),
+		drain:    make(chan struct{}),
 		requests: reg.Counter(pre+"_requests_total", "data-plane requests admitted"),
 		errors:   reg.Counter(pre+"_errors_total", "data-plane requests that failed (5xx)"),
 		latency: reg.Histogram(pre+"_request_seconds",
@@ -162,15 +163,6 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 			reduceElems:    reg.Counter("occd_reduce_elems_total", "elements folded by pushed-down reductions"),
 		},
 	}
-	fe.tenants = NewTenantPlane(TenantPlaneOpts{
-		Config:       cfg.Tenants,
-		MetricPrefix: pre,
-		Reg:          reg,
-		Pool:         fe.pool,
-		QueueDepth:   cfg.QueueDepth,
-		Clock:        cfg.Clock,
-		Inflight:     s.Inflight,
-	})
 	fe.mux = http.NewServeMux()
 	fe.mux.HandleFunc("GET /healthz", fe.handleHealthz)
 	fe.mux.HandleFunc("GET /metrics", fe.handleMetrics)
@@ -186,24 +178,23 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 	return fe
 }
 
-// Handler returns the HTTP handler to mount: the tenant-resolution
-// layer (X-Tenant header, /t/<id>/ path prefix, 400 on malformed ids)
-// over the route table.
-func (fe *FrontEnd) Handler() http.Handler { return TenantHandler(fe.mux) }
+// Handler returns the HTTP handler to mount: the route table.
+func (fe *FrontEnd) Handler() http.Handler { return fe.mux }
 
 // StopAdmitting begins a drain: new data-plane requests answer 503,
-// healthz flips, and every request parked in a tenant queue is failed
-// with 503 — failed, not falsely acknowledged. Idempotent.
+// healthz flips, and every request waiting for a slot is failed with
+// 503 — failed, not falsely acknowledged. Idempotent.
 func (fe *FrontEnd) StopAdmitting() {
-	fe.draining.Store(true)
-	fe.tenants.FailWaiters()
+	if !fe.draining.Swap(true) {
+		close(fe.drain)
+	}
 }
 
 // Draining reports whether StopAdmitting has run.
 func (fe *FrontEnd) Draining() bool { return fe.draining.Load() }
 
 // Quiesce runs fn while no admitted request holds a slot. Call after
-// StopAdmitting: with admission off and the queues flushed, filling
+// StopAdmitting: with admission off and the waiters failed, filling
 // the pool is a barrier over every handler still running, so fn sees a
 // plane nobody is mid-operation on.
 func (fe *FrontEnd) Quiesce(fn func()) {
@@ -218,43 +209,56 @@ func (fe *FrontEnd) Quiesce(fn func()) {
 	}
 }
 
-// admitted is what admission hands a data-plane handler: the resolved
-// tenant, and the slot's release for the stream handler that may give
-// it back before returning (idempotent; admit releases regardless).
-type admitted struct {
-	tenant  string
-	release func()
+// acquire claims an admission slot: a token sent into pool. When the
+// pool is full the request waits, at most QueueDepth of them at once,
+// in a blocking send. A receive from a full buffered channel moves
+// the oldest blocked sender's token into the freed place, so waiters
+// are admitted in arrival order and a newcomer's non-blocking send
+// cannot barge past them. false (queue full, draining, or the client
+// gone) means answer 503. The fast path allocates nothing.
+func (fe *FrontEnd) acquire(ctx context.Context) bool {
+	select {
+	case fe.pool <- struct{}{}:
+		return true
+	default:
+	}
+	if fe.queued.Add(1) > int64(fe.cfg.QueueDepth) {
+		fe.queued.Add(-1)
+		return false
+	}
+	defer fe.queued.Add(-1)
+	select {
+	case fe.pool <- struct{}{}:
+		return true
+	case <-fe.drain:
+	case <-ctx.Done():
+	}
+	return false
 }
 
-type handler func(http.ResponseWriter, *http.Request, admitted)
+// release hands an acquired slot back.
+func (fe *FrontEnd) release() {
+	<-fe.pool
+}
 
-// admit is the data-plane gate: drain check, per-tenant quotas (429),
-// then the weighted fair admission queue — per-tenant queues drained
-// by deficit round-robin over the shared inflight pool (503 when the
-// queue is full).
-func (fe *FrontEnd) admit(next handler) http.HandlerFunc {
+// admit is the data-plane gate: drain check, then one slot of the
+// inflight pool for the handler's whole run (503 when the wait queue
+// is full). A scan holds its slot for the whole stream.
+func (fe *FrontEnd) admit(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if fe.draining.Load() {
 			fe.unavailable(w, "draining")
 			return
 		}
-		tenant := TenantOf(r)
-		if ok, retry := fe.tenants.Allow(tenant); !ok {
-			fe.series.RejectedRate.Inc()
-			w.Header().Set("Retry-After", retrySeconds(retry))
-			http.Error(w, "tenant quota exceeded", http.StatusTooManyRequests)
-			return
-		}
-		release, ok := fe.tenants.Acquire(r, tenant)
-		if !ok {
+		if !fe.acquire(r.Context()) {
 			fe.series.RejectedQueue.Inc()
 			fe.unavailable(w, "admission queue full")
 			return
 		}
-		defer release()
+		defer fe.release()
 		fe.requests.Inc()
 		t0 := time.Now()
-		next(w, r, admitted{tenant, release})
+		next(w, r)
 		fe.latency.Observe(time.Since(t0).Seconds())
 	}
 }
@@ -285,12 +289,11 @@ func (fe *FrontEnd) planeError(w http.ResponseWriter, err error) {
 	http.Error(w, msg, code)
 }
 
-// meterWire tallies one tile transfer: the global wire counters
-// /v1/stats reports, and the tenant's byte meter/quota.
-func (fe *FrontEnd) meterWire(tenant string, raw, wire int64) {
+// meterWire tallies one tile transfer in the wire counters /v1/stats
+// reports.
+func (fe *FrontEnd) meterWire(raw, wire int64) {
 	fe.series.WireRaw.Add(raw)
 	fe.series.WireBytes.Add(wire)
-	fe.tenants.DebitBytes(tenant, raw)
 }
 
 // retrySeconds renders a Retry-After value, rounding up to at least 1
@@ -313,6 +316,9 @@ func (fe *FrontEnd) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (fe *FrontEnd) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	if g := fe.series.Inflight; g != nil {
+		g.Set(float64(len(fe.pool)))
+	}
 	if r.URL.Query().Get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		if err := fe.cfg.Reg.WriteJSON(w); err != nil {
@@ -328,13 +334,11 @@ func (fe *FrontEnd) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (fe *FrontEnd) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, fe.plane.Stats(FrontStats{
-		Requests:          fe.requests.Value(),
-		RejectedRateLimit: fe.series.RejectedRate.Value(),
-		RejectedQueue:     fe.series.RejectedQueue.Value(),
-		Inflight:          int64(len(fe.pool)),
-		Queued:            fe.tenants.Queued(),
-		Draining:          fe.draining.Load(),
-		Tenants:           fe.tenants.Stats(),
+		Requests:      fe.requests.Value(),
+		RejectedQueue: fe.series.RejectedQueue.Value(),
+		Inflight:      int64(len(fe.pool)),
+		Queued:        fe.queued.Load(),
+		Draining:      fe.draining.Load(),
 		Ops: OpsStats{
 			BatchRequests:  fe.ops.batchRequests.Value(),
 			BatchOps:       fe.ops.batchOps.Value(),
@@ -350,7 +354,7 @@ func (fe *FrontEnd) handleStats(w http.ResponseWriter, r *http.Request) {
 	}))
 }
 
-func (fe *FrontEnd) handleArrayList(w http.ResponseWriter, r *http.Request, _ admitted) {
+func (fe *FrontEnd) handleArrayList(w http.ResponseWriter, r *http.Request) {
 	arrays := fe.plane.List()
 	out := make([]ArrayInfo, len(arrays))
 	for i, a := range arrays {
@@ -359,7 +363,7 @@ func (fe *FrontEnd) handleArrayList(w http.ResponseWriter, r *http.Request, _ ad
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (fe *FrontEnd) handleArrayCreate(w http.ResponseWriter, r *http.Request, _ admitted) {
+func (fe *FrontEnd) handleArrayCreate(w http.ResponseWriter, r *http.Request) {
 	// The body is a catalog row: Layout picks the file layout the tiles
 	// are stored under, "row" (default) or "col".
 	var req ArrayInfo
@@ -415,7 +419,7 @@ func (fe *FrontEnd) lookup(w http.ResponseWriter, name string) (Array, bool) {
 	return a, ok
 }
 
-func (fe *FrontEnd) handleArrayGet(w http.ResponseWriter, r *http.Request, _ admitted) {
+func (fe *FrontEnd) handleArrayGet(w http.ResponseWriter, r *http.Request) {
 	if a, ok := fe.lookup(w, r.PathValue("name")); ok {
 		writeJSON(w, http.StatusOK, a.Info())
 	}
@@ -484,7 +488,7 @@ func (fe *FrontEnd) queryBox(w http.ResponseWriter, r *http.Request, limit int64
 func renderRaw(data []float64, _ uint64) []byte  { return EncodeTile(data, false) }
 func renderWire(data []float64, _ uint64) []byte { return EncodeTile(data, true) }
 
-func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admitted) {
+func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request) {
 	ar, box, ok := fe.queryBox(w, r, fe.cfg.MaxTileElems)
 	if !ok {
 		return
@@ -510,7 +514,7 @@ func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admi
 		fe.planeError(w, err)
 		return
 	}
-	fe.meterWire(a.tenant, box.Size()*ooc.ElemSize, int64(len(payload)))
+	fe.meterWire(box.Size()*ooc.ElemSize, int64(len(payload)))
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if compress {
 		w.Header().Set("Content-Encoding", WireEncoding)
@@ -522,7 +526,7 @@ func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request, a admi
 	w.Write(payload)
 }
 
-func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request, a admitted) {
+func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request) {
 	ar, box, ok := fe.queryBox(w, r, fe.cfg.MaxTileElems)
 	if !ok {
 		return
@@ -557,7 +561,7 @@ func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request, a admi
 		httpError(w, http.StatusBadRequest, "tile payload: %v (want %d elements for %v)", err, box.Size(), box)
 		return
 	}
-	fe.meterWire(a.tenant, want, int64(len(body)))
+	fe.meterWire(want, int64(len(body)))
 	stored, stale, err := fe.plane.WriteBox(r.Context(), ar, box, data, gen)
 	if err != nil {
 		fe.planeError(w, err)

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -78,65 +76,6 @@ func goldenWALServer(t *testing.T) *testServer {
 		t.Fatal("seed get failed")
 	}
 	return ts
-}
-
-// goldenTenantServer is goldenServer with the tenant plane configured
-// — the wiring cmd/occd builds for -tenant-weights/-tenant-quota-* —
-// so the goldens pin the per-tenant /v1/stats scorecard and the
-// occd_tenant_* metric families. Seed traffic runs as tenant
-// "interactive"; "batch" is weighted but idle, pinning the families
-// that eager registration exposes before a tenant's first request.
-func goldenTenantServer(t *testing.T) *testServer {
-	t.Helper()
-	sink := &obs.Sink{Metrics: obs.NewRegistry()}
-	ts := &testServer{}
-	d := ooc.NewDisk(0).Observe(sink)
-	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16, Obs: sink})
-	ts.disk = d
-	ts.srv = New(d, eng, Config{Obs: sink, Tenants: TenantConfig{
-		Weights:          map[string]float64{"batch": 1, "interactive": 4},
-		QuotaBytesPerSec: 1 << 30,
-		QuotaRPS:         1000,
-		MaxScanInflight:  2,
-	}})
-	ts.http = httptest.NewServer(ts.srv.Handler())
-	t.Cleanup(func() {
-		ts.http.Close()
-		ts.srv.Drain()
-	})
-	ts.createArray(t, "A", 8, 8)
-	payload := make([]float64, 16)
-	if status, out := ts.doAsTenant(t, http.MethodPut, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,4"), "interactive", encodePayload(payload)); status != http.StatusNoContent {
-		t.Fatalf("seed put: %d %s", status, out)
-	}
-	if status, _ := ts.doAsTenant(t, http.MethodGet, ts.url("/v1/arrays/A/tile?lo=0,0&hi=4,4"), "interactive", nil); status != 200 {
-		t.Fatal("seed get failed")
-	}
-	return ts
-}
-
-// doAsTenant is ts.do with the request billed to a tenant.
-func (ts *testServer) doAsTenant(t *testing.T, method, url, tenant string, body []byte) (int, []byte) {
-	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(TenantHeader, tenant)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, out
 }
 
 // keyPaths flattens a decoded JSON object into sorted dotted key
@@ -255,68 +194,6 @@ func TestMetricsGoldenWALSchema(t *testing.T) {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("WAL /metrics missing family %s", want)
 		}
-	}
-}
-
-// TestStatsGoldenTenantSchema pins the tenanted /v1/stats shape: the
-// tenants array (id, weight, request/byte/rejection/queue-wait/chunk
-// tallies, live queue depth) is what the fairness suite consumes, so
-// its keys changing is an API change. An untenanted server must NOT grow the block — the
-// omitempty contract that keeps the pre-tenant golden stable.
-func TestStatsGoldenTenantSchema(t *testing.T) {
-	ts := goldenTenantServer(t)
-	status, out, _ := ts.do(t, http.MethodGet, ts.url("/v1/stats"), nil)
-	if status != 200 {
-		t.Fatalf("stats: %d %s", status, out)
-	}
-	var decoded map[string]any
-	if err := json.Unmarshal(out, &decoded); err != nil {
-		t.Fatalf("stats is not JSON: %v\n%s", err, out)
-	}
-	tenants, ok := decoded["tenants"].([]any)
-	if !ok {
-		t.Fatalf("tenant-configured server's /v1/stats has no tenants array:\n%s", out)
-	}
-	if len(tenants) != 2 {
-		t.Errorf("tenants array has %d entries, want 2 (batch + interactive; default stays hidden)", len(tenants))
-	}
-	var keys []string
-	keyPaths("", decoded, &keys)
-	checkGolden(t, "stats_schema_tenant.golden", keys)
-}
-
-// TestMetricsGoldenTenantSchema pins the labeled occd_tenant_* metric
-// families a tenant-configured plane adds to /metrics. Weighted
-// tenants register eagerly at construction, so the idle "batch"
-// tenant's series must be present before its first request.
-func TestMetricsGoldenTenantSchema(t *testing.T) {
-	ts := goldenTenantServer(t)
-	status, out, _ := ts.do(t, http.MethodGet, ts.url("/metrics"), nil)
-	if status != 200 {
-		t.Fatalf("metrics: %d", status)
-	}
-	var families []string
-	for _, line := range strings.Split(string(out), "\n") {
-		if strings.HasPrefix(line, "# TYPE ") {
-			families = append(families, strings.TrimPrefix(line, "# TYPE "))
-		}
-	}
-	checkGolden(t, "metrics_families_tenant.golden", families)
-
-	for _, want := range []string{
-		`occd_tenant_requests_total{tenant="interactive"}`,
-		`occd_tenant_bytes_total{tenant="interactive"}`,
-		`occd_tenant_requests_total{tenant="batch"}`,
-		`occd_tenant_rejected_quota_total{tenant="batch"}`,
-		`occd_tenant_queue_waits_total{tenant="batch"}`,
-		`occd_tenant_chunks_total{tenant="batch"}`,
-	} {
-		if !strings.Contains(string(out), want) {
-			t.Errorf("tenant /metrics missing series %s", want)
-		}
-	}
-	if strings.Contains(string(out), `tenant="default"`) {
-		t.Error("default tenant leaked into /metrics; untenanted traffic must stay unlabeled")
 	}
 }
 

@@ -43,10 +43,6 @@ type LoadSpec struct {
 	Seed     int64   // deterministic tile-choice streams
 	Compress bool    // negotiate the x-ooc-gorilla wire coding both ways
 
-	// Tenant, when set, rides every request as the X-Tenant header, so
-	// the whole population bills to one tenant.
-	Tenant string
-
 	// Scans replaces 80% of requests with streaming range scans that
 	// each cover a full stripe of tiles in one request.
 	Scans bool
@@ -58,7 +54,7 @@ type LoadSpec struct {
 type LoadResult struct {
 	Requests int     // requests issued
 	OK       int     // 2xx responses
-	Rejected int     // 429/503 backpressure responses
+	Rejected int     // 503 backpressure responses
 	Failed   int     // other non-2xx responses
 	Errors   int     // transport failures
 	P50      float64 // median latency, seconds (successful requests)
@@ -177,7 +173,7 @@ func RunLoad(spec LoadSpec) (LoadResult, error) {
 				switch {
 				case err != nil:
 					tally.errs++
-				case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+				case status == http.StatusServiceUnavailable:
 					tally.rejected++
 				case status >= 200 && status < 300:
 					tally.ok++
@@ -247,9 +243,6 @@ func doScanRequest(spec LoadSpec, tile layout.Box) (int, int64, int64, error) {
 	if spec.Compress {
 		req.Header.Set("Accept-Encoding", WireEncoding)
 	}
-	if spec.Tenant != "" {
-		req.Header.Set(TenantHeader, spec.Tenant)
-	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return 0, 0, 0, err
@@ -301,9 +294,6 @@ func doTileRequest(spec LoadSpec, box layout.Box, read bool, rng *rand.Rand) (in
 	}
 	if err != nil {
 		return 0, err
-	}
-	if spec.Tenant != "" {
-		req.Header.Set(TenantHeader, spec.Tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {

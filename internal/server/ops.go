@@ -132,7 +132,7 @@ type batchResponse struct {
 	Failed  int           `json:"failed"`
 }
 
-func (fe *FrontEnd) handleBatch(w http.ResponseWriter, r *http.Request, a admitted) {
+func (fe *FrontEnd) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ar, ok := fe.lookup(w, r.PathValue("name"))
 	if !ok {
 		return
@@ -153,17 +153,14 @@ func (fe *FrontEnd) handleBatch(w http.ResponseWriter, r *http.Request, a admitt
 	fe.ops.batchRequests.Inc()
 	resp := batchResponse{Results: make([]batchResult, len(req.Ops))}
 	for i, op := range req.Ops {
-		// Each op counts against the tenant's in-flight chunk cap, so a
-		// wide batch shares plane capacity like a scan's chunk train
-		// instead of monopolizing it from inside one admission slot.
-		chunkDone, ok := fe.tenants.AcquireChunk(r.Context(), a.tenant)
-		if !ok {
+		// A client that hung up gets no more ops run on its behalf, as
+		// a scan stops before its next chunk.
+		if r.Context().Err() != nil {
 			resp.Results[i] = batchResult{Status: http.StatusServiceUnavailable, Error: "request canceled"}
 			resp.Failed++
 			continue
 		}
-		resp.Results[i] = fe.batchOne(r, ar, op, a.tenant)
-		chunkDone()
+		resp.Results[i] = fe.batchOne(r, ar, op)
 		fe.ops.batchOps.Inc()
 		if resp.Results[i].Status >= 400 {
 			fe.ops.batchOpErrors.Inc()
@@ -176,7 +173,7 @@ func (fe *FrontEnd) handleBatch(w http.ResponseWriter, r *http.Request, a admitt
 // batchOne runs one op with exactly the single-tile handlers'
 // semantics: the same box validation and limits, and the same plane
 // read and write paths.
-func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp, tenant string) batchResult {
+func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp) batchResult {
 	box, status, msg := resolveBox(ar, op.Lo, op.Hi, fe.cfg.MaxTileElems)
 	if status != 0 {
 		return batchResult{Status: status, Error: msg}
@@ -189,7 +186,7 @@ func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp, tenant strin
 			status, msg := fe.failure(err)
 			return batchResult{Status: status, Error: msg}
 		}
-		fe.meterWire(tenant, raw, int64(len(payload)))
+		fe.meterWire(raw, int64(len(payload)))
 		return batchResult{
 			Status: http.StatusOK,
 			Elems:  box.Size(),
@@ -206,7 +203,7 @@ func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp, tenant strin
 		if err := DecodeTile(body, false, data); err != nil {
 			return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("%v (%v)", err, box)}
 		}
-		fe.meterWire(tenant, raw, raw)
+		fe.meterWire(raw, raw)
 		stored, stale, err := fe.plane.WriteBox(r.Context(), ar, box, data, op.Gen)
 		if err != nil {
 			status, msg := fe.failure(err)
@@ -310,7 +307,7 @@ func ParseScanCursor(token string) (ScanCursor, error) {
 	return c, nil
 }
 
-func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitted) {
+func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var (
 		ar         Array
@@ -382,10 +379,7 @@ func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitte
 	frame := ooc.GetBuf(int(chunkElems)*ooc.ElemSize + 256)[:0]
 	defer ooc.PutBuf(frame)
 	layoutName := ar.Layout.Name()
-	// With a chunk cap the stream's cost is paid per chunk from here on,
-	// so a plane that does not need the admission slot to outlive the
-	// stream may hand it back (see ReleaseAdmissionEarly).
-	ctx := fe.tenants.offerAdmissionRelease(r.Context(), a.release)
+	ctx := r.Context()
 	var (
 		seq uint64
 		ch  layout.Box
@@ -405,17 +399,7 @@ func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitte
 			return
 		}
 		ch = plan[seq]
-		// Each chunk claims one of the tenant's in-flight chunk slots
-		// before touching the plane, and releases it before the next
-		// chunk — so a scan's chunk train shares capacity at the
-		// configured per-tenant width instead of arriving as fast as the
-		// stream drains.
-		chunkDone, ok := fe.tenants.AcquireChunk(ctx, a.tenant)
-		if !ok {
-			return // client went away while the cap was saturated
-		}
 		_, _, err := fe.plane.ReadBox(ctx, ar, ch, render)
-		chunkDone()
 		if err != nil {
 			if seq == startSeq {
 				fe.planeError(w, err)
@@ -428,7 +412,7 @@ func (fe *FrontEnd) handleScan(w http.ResponseWriter, r *http.Request, a admitte
 			return // client went away; it resumes from its last good cursor
 		}
 		fe.ops.scanChunks.Inc()
-		fe.meterWire(a.tenant, ch.Size()*ooc.ElemSize, int64(len(frame)))
+		fe.meterWire(ch.Size()*ooc.ElemSize, int64(len(frame)))
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -603,7 +587,7 @@ type reduceResponse struct {
 // to the client-side fold, not merely close.
 var reduceOps = map[string]bool{"sum": true, "min": true, "max": true, "count": true}
 
-func (fe *FrontEnd) handleReduce(w http.ResponseWriter, r *http.Request, a admitted) {
+func (fe *FrontEnd) handleReduce(w http.ResponseWriter, r *http.Request) {
 	ar, ok := fe.lookup(w, r.PathValue("name"))
 	if !ok {
 		return
@@ -624,14 +608,7 @@ func (fe *FrontEnd) handleReduce(w http.ResponseWriter, r *http.Request, a admit
 		return
 	}
 	fe.ops.reduceRequests.Inc()
-	// A fold occupies the plane like a chunk train does; it takes one of
-	// the tenant's chunk slots for its duration.
-	chunkDone, ok := fe.tenants.AcquireChunk(r.Context(), a.tenant)
-	if !ok {
-		return // client went away while the cap was saturated
-	}
 	value, count, err := fe.plane.ReduceBox(r.Context(), ar, box, req.Op)
-	chunkDone()
 	if err != nil {
 		fe.planeError(w, err)
 		return

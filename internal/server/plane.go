@@ -19,9 +19,7 @@ import (
 // (ooc.Engine.Acquire), not here.
 //
 // Boxes arrive validated and clipped to the array; element buffers are
-// box-local row-major. The context carries the request's cancellation,
-// its tenant (TenantFrom) and, on a paced stream, an offer to hand the
-// admission slot back early (ReleaseAdmissionEarly).
+// box-local row-major. The context carries the request's cancellation.
 type Plane interface {
 	// Lookup returns the catalog row for name.
 	Lookup(name string) (Array, bool)
@@ -106,16 +104,12 @@ func (i ArrayInfo) Array() (Array, error) {
 // FrontStats is the front end's block of /v1/stats — the keys occd and
 // occrouter share. Planes embed it in their Stats document.
 type FrontStats struct {
-	Requests          int64    `json:"requests"`
-	RejectedRateLimit int64    `json:"rejected_ratelimit"`
-	RejectedQueue     int64    `json:"rejected_queue"`
-	Inflight          int64    `json:"inflight"`
-	Queued            int64    `json:"queued"`
-	Draining          bool     `json:"draining"`
-	Ops               OpsStats `json:"ops"`
-	// Tenants is the per-tenant scorecard (absent until a non-default
-	// tenant shows up, so untenanted deployments keep their shape).
-	Tenants []TenantStat `json:"tenants,omitempty"`
+	Requests      int64    `json:"requests"`
+	RejectedQueue int64    `json:"rejected_queue"`
+	Inflight      int64    `json:"inflight"`
+	Queued        int64    `json:"queued"`
+	Draining      bool     `json:"draining"`
+	Ops           OpsStats `json:"ops"`
 
 	// Client-edge tile payload bytes: logical, and as sent or received
 	// after x-ooc-gorilla negotiation.

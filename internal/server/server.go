@@ -5,9 +5,9 @@
 // them into few, large, layout-aware backend calls.
 //
 // The package has two halves joined by the Plane interface (plane.go).
-// FrontEnd (front.go, ops.go) is the one HTTP surface — routes, tenant
-// resolution, admission, box validation, payload and codec
-// negotiation, the tile/batch/scan/reduce/array handlers — and serves
+// FrontEnd (front.go, ops.go) is the one HTTP surface — routes,
+// admission, box validation, payload and codec negotiation, the
+// tile/batch/scan/reduce/array handlers — and serves
 // any Plane; internal/cluster mounts the same front end over its
 // fan-out. This file is the plane occd serves: the local engine.
 //
@@ -15,10 +15,9 @@
 // concurrent GETs of one cold tile one backend read and one cached
 // tile; see ooc.Engine.Acquire):
 //
-//   - Admission control (front end): per-tenant token-bucket quotas
-//     (429 + Retry-After) in front of weighted-fair per-tenant queues
-//     over a bounded slot pool (503 + Retry-After when the queues
-//     overflow), so overload degrades with backpressure instead of
+//   - Admission control (front end): a bounded slot pool with one FIFO
+//     wait queue in front of it (503 + Retry-After when the queue
+//     overflows), so overload degrades with backpressure instead of
 //     collapse.
 //   - Graceful drain: new work is refused while in-flight requests
 //     finish (Drain itself waits them out, even when the HTTP server's
@@ -79,8 +78,7 @@ type Config struct {
 	// QueueDepth bounds how many requests may wait for an inflight
 	// slot (default 64). Beyond it the server answers 503.
 	QueueDepth int
-	// RetryAfter is the hint returned with 503 responses (default 1s);
-	// 429 responses compute the exact token refill wait instead.
+	// RetryAfter is the hint returned with 503 responses (default 1s).
 	RetryAfter time.Duration
 	// MaxArrayElems caps the total element count of a created array
 	// (overflow-checked product of its dims). 0 means
@@ -102,16 +100,9 @@ type Config struct {
 	// operators and the router's scorecard can tell nodes apart. Empty
 	// outside cluster mode.
 	NodeID string
-	// Tenants is the multi-tenant isolation plane: DRR weights,
-	// per-tenant request/byte quotas (the one rate limit: 429 +
-	// Retry-After), and the in-flight chunk cap. The zero value keeps
-	// every tenant equal and unmetered.
-	Tenants TenantConfig
 	// Obs supplies the metrics registry behind /metrics (a registry is
 	// created when absent, so the endpoints always work).
 	Obs *obs.Sink
-	// Clock overrides time.Now for the tenant quotas (tests).
-	Clock func() time.Time
 }
 
 // Server serves one Disk through one tile engine: the shared front
@@ -347,11 +338,8 @@ func New(d *ooc.Disk, eng *ooc.Engine, cfg Config) *Server {
 		RetryAfter:    cfg.RetryAfter,
 		MaxArrayElems: cfg.MaxArrayElems,
 		MaxTileElems:  cfg.MaxTileElems,
-		Tenants:       cfg.Tenants,
-		Clock:         cfg.Clock,
 		Series: FrontSeries{
 			Inflight:      reg.Gauge("occd_inflight", "requests currently holding an engine slot"),
-			RejectedRate:  reg.Counter("occd_rejected_ratelimit_total", "requests rejected by a tenant quota (429)"),
 			RejectedQueue: reg.Counter("occd_rejected_queue_total", "requests rejected by the full admission queue (503)"),
 			WireRaw:       reg.Counter("occd_wire_raw_bytes_total", "logical tile payload bytes served or accepted"),
 			WireBytes:     reg.Counter("occd_wire_bytes_total", "tile payload bytes on the wire after content negotiation"),
