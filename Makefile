@@ -15,7 +15,8 @@ FUZZ_TARGETS := \
 	./internal/ooc/:FuzzWALRecord \
 	./internal/ooc/:FuzzTileCodec \
 	./internal/server/:FuzzScanCursor \
-	./internal/server/:FuzzBatchRequest
+	./internal/server/:FuzzBatchRequest \
+	./internal/server/:FuzzGenIndex
 
 .PHONY: build test race check fuzz vet fmt cover loc bench-layers bench-counts chaos
 

@@ -102,7 +102,7 @@ func (o *options) run(fs *flag.FlagSet) int {
 			Replicas:   o.replicas,
 			HintDir:    o.hintDir,
 		})
-		faults += res.FaultsInjected
+		faults += res.Faults()
 		if o.verbose {
 			fmt.Println("occhaos:", res.Summary())
 		}

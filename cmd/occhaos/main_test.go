@@ -2,7 +2,9 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -39,4 +41,38 @@ func TestReproducerRoundTrips(t *testing.T) {
 			t.Errorf("-%s: reproducer %q parses to %q, want %q", f.Name, rendered, got, f.Value)
 		}
 	})
+}
+
+// TestSweepCountsClusterFaults: the sweep's closing line counts the
+// node kills, partitions and power cuts a cluster-kind episode injects,
+// not only storage-injector faults, so an admission sweep never reports
+// "0 faults injected".
+func TestSweepCountsClusterFaults(t *testing.T) {
+	fs := flag.NewFlagSet("occhaos", flag.ContinueOnError)
+	o := register(fs)
+	if err := fs.Parse([]string{"-kind", "admission", "-episodes", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	code := o.run(fs)
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	if code != 0 {
+		t.Fatalf("admission sweep exited %d: %s", code, out)
+	}
+	var episodes, faults, failed int
+	var secs float64
+	if _, err := fmt.Sscanf(string(out), "occhaos: %d admission episodes, %d faults injected, %d failed in %fs",
+		&episodes, &faults, &failed, &secs); err != nil {
+		t.Fatalf("summary %q: %v", out, err)
+	}
+	if faults == 0 {
+		t.Errorf("admission sweep reports 0 faults injected: %q", out)
+	}
 }

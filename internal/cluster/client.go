@@ -87,19 +87,37 @@ func (c *NodeClient) arrayURL(name string) string {
 	return c.BaseURL + "/v1/arrays/" + url.PathEscape(name)
 }
 
-// tileURL renders the tile endpoint for (name, box).
+// tileURL renders the tile endpoint for (name, box), built in one
+// stack buffer so the returned string is the only allocation.
 func (c *NodeClient) tileURL(name string, box layout.Box) string {
-	var lo, hi strings.Builder
-	for d := range box.Lo {
-		if d > 0 {
-			lo.WriteByte(',')
-			hi.WriteByte(',')
-		}
-		lo.WriteString(strconv.FormatInt(box.Lo[d], 10))
-		hi.WriteString(strconv.FormatInt(box.Hi[d], 10))
-	}
-	return c.arrayURL(name) + "/tile?lo=" + lo.String() + "&hi=" + hi.String()
+	var sb [256]byte
+	b := append(sb[:0], c.BaseURL...)
+	b = append(b, "/v1/arrays/"...)
+	b = append(b, url.PathEscape(name)...)
+	b = append(b, "/tile?lo="...)
+	b = appendCoords(b, box.Lo)
+	b = append(b, "&hi="...)
+	b = appendCoords(b, box.Hi)
+	return string(b)
 }
+
+// appendCoords appends coordinates in the query form "1,2,3".
+func appendCoords(b []byte, coords []int64) []byte {
+	for d, v := range coords {
+		if d > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return b
+}
+
+// Request header values the client sets as constants, shared so a
+// request allocates nothing for them (net/http only reads them).
+var (
+	wantGenValue    = []string{"1"}
+	wireCodingValue = []string{server.WireEncoding}
+)
 
 // Healthz reports whether the node answers its liveness probe.
 func (c *NodeClient) Healthz() bool {
@@ -142,9 +160,9 @@ func (c *NodeClient) GetTile(name string, box layout.Box, wire bool) ([]float64,
 	if err != nil {
 		return nil, 0, err
 	}
-	req.Header.Set(server.TileWantGenHeader, "1")
+	req.Header[server.TileWantGenHeader] = wantGenValue
 	if wire {
-		req.Header.Set("Accept-Encoding", server.WireEncoding)
+		req.Header["Accept-Encoding"] = wireCodingValue
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
@@ -248,7 +266,7 @@ func (c *NodeClient) putBody(name string, box layout.Box, body []byte, gen uint6
 	}
 	req.Header.Set(server.TileGenHeader, strconv.FormatUint(gen, 10))
 	if framed {
-		req.Header.Set("Content-Encoding", server.WireEncoding)
+		req.Header["Content-Encoding"] = wireCodingValue
 	}
 	resp, err := c.HTTP.Do(req)
 	if err != nil {

@@ -37,16 +37,20 @@
 package cluster
 
 import (
+	"slices"
+
+	"outcore/internal/keyhash"
 	"outcore/internal/layout"
 )
 
 // gridTiles splits box along the aligned grid of edge-t tiles,
-// returning the per-tile intersections in row-major tile order. A box
-// contained in one grid tile comes back as itself, allocation aside —
-// the common case for tile-aligned traffic.
-func gridTiles(box layout.Box, t int64) []layout.Box {
-	if t <= 0 {
-		return []layout.Box{box}
+// appending the per-tile intersections to dst in row-major tile order.
+// A box contained in one grid tile is appended as itself — the common
+// case for tile-aligned traffic, which allocates nothing when dst has
+// room for it.
+func gridTiles(dst []layout.Box, box layout.Box, t int64) []layout.Box {
+	if oneTile(box, t) {
+		return append(dst, box)
 	}
 	// Per-dim grid cut points covering [lo, hi).
 	cuts := make([][]int64, len(box.Lo))
@@ -67,7 +71,7 @@ func gridTiles(box layout.Box, t int64) []layout.Box {
 		cuts[d] = c
 		total *= len(c) / 2
 	}
-	out := make([]layout.Box, 0, total)
+	out := slices.Grow(dst, total)
 	idx := make([]int, len(box.Lo))
 	for {
 		lo := make([]int64, len(box.Lo))
@@ -92,21 +96,42 @@ func gridTiles(box layout.Box, t int64) []layout.Box {
 	}
 }
 
+// oneTile reports whether box lies inside a single grid tile.
+func oneTile(box layout.Box, t int64) bool {
+	if t <= 0 {
+		return true
+	}
+	for d := range box.Lo {
+		if box.Hi[d] > box.Lo[d]-box.Lo[d]%t+t {
+			return false
+		}
+	}
+	return true
+}
+
 // routingTile returns the aligned grid tile containing box.Lo — the
-// key a single-tile box is placed under. Callers decompose multi-tile
-// boxes first (gridTiles), so every piece's routingTile is the grid
-// tile that fully contains it.
-func routingTile(box layout.Box, t int64) layout.Box {
+// key a single-tile box is placed under — with its corners appended to
+// lo and hi. Callers decompose multi-tile boxes first (gridTiles), so
+// every piece's routingTile is the grid tile that fully contains it.
+func routingTile(lo, hi []int64, box layout.Box, t int64) layout.Box {
 	if t <= 0 {
 		return box
 	}
-	lo := make([]int64, len(box.Lo))
-	hi := make([]int64, len(box.Lo))
 	for d := range box.Lo {
-		lo[d] = box.Lo[d] - box.Lo[d]%t
-		hi[d] = lo[d] + t
+		l := box.Lo[d] - box.Lo[d]%t
+		lo, hi = append(lo, l), append(hi, l+t)
 	}
-	return layout.NewBox(lo, hi)
+	return layout.Box{Lo: lo, Hi: hi}
+}
+
+// routeKey appends a piece's routing key — the canonical key of its
+// grid tile (keyhash.AppendKey) — to dst and returns it with its hash,
+// the rendezvous input. The tile is built on the stack, so with a
+// keyhash.StackBytes dst the routing of a piece allocates nothing.
+func routeKey(dst []byte, name string, piece layout.Box, t int64) ([]byte, uint64) {
+	var lo, hi [8]int64
+	key := keyhash.AppendKey(dst, name, routingTile(lo[:0], hi[:0], piece, t))
+	return key, keyhash.Bytes(key)
 }
 
 // wholeTile reports whether piece (one gridTiles piece) covers its

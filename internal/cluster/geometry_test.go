@@ -22,12 +22,12 @@ func TestGridTilesPartition(t *testing.T) {
 			hi[d] = lo[d] + 1 + rng.Int63n(20)
 		}
 		box := layout.NewBox(lo, hi)
-		pieces := gridTiles(box, tdim)
+		pieces := gridTiles(nil, box, tdim)
 
 		var total int64
 		for _, p := range pieces {
 			total += p.Size()
-			rt := routingTile(p, tdim)
+			rt := routingTile(nil, nil, p, tdim)
 			for d := range p.Lo {
 				if p.Lo[d] < rt.Lo[d] || p.Hi[d] > rt.Hi[d] {
 					t.Fatalf("piece %v of %v escapes its grid tile %v", p, box, rt)
@@ -58,7 +58,7 @@ func TestGridTilesPartition(t *testing.T) {
 // shaped: an aligned whole tile decomposes to itself.
 func TestGridTilesAlignedIsIdentity(t *testing.T) {
 	box := layout.NewBox([]int64{16, 8}, []int64{24, 16})
-	pieces := gridTiles(box, 8)
+	pieces := gridTiles(nil, box, 8)
 	if len(pieces) != 1 || pieces[0].String() != box.String() {
 		t.Fatalf("aligned tile decomposed to %v", pieces)
 	}
@@ -83,7 +83,7 @@ func TestCopyRegionRoundTrip(t *testing.T) {
 			src[i] = rng.Float64()
 		}
 		dst := make([]float64, box.Size())
-		for _, piece := range gridTiles(box, 8) {
+		for _, piece := range gridTiles(nil, box, 8) {
 			buf := make([]float64, piece.Size())
 			copyRegion(buf, piece, src, box, piece)
 			copyRegion(dst, box, buf, piece, piece)

@@ -10,7 +10,6 @@ import (
 
 	"outcore/internal/faultfs"
 	"outcore/internal/ir"
-	"outcore/internal/keyhash"
 	"outcore/internal/layout"
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
@@ -319,8 +318,8 @@ func (lc *LocalCluster) Heal() {
 // ReplicaNodes returns the indices of the nodes holding box's routing
 // tile, in preference order.
 func (lc *LocalCluster) ReplicaNodes(name string, box layout.Box) []int {
-	key := tileKeyOf(name, routingTile(box, lc.opts.TileDim))
-	reps := lc.Router.replicasFor(keyhash.Bytes([]byte(key)))
+	_, sum := routeKey(nil, name, box, lc.opts.TileDim)
+	reps := lc.Router.replicasFor(nil, sum)
 	out := make([]int, 0, len(reps))
 	for _, m := range reps {
 		for i, n := range lc.nodes {

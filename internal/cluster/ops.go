@@ -46,7 +46,8 @@ func (r *Router) WriteBox(_ context.Context, a server.Array, box layout.Box, dat
 // boxGet reads one request box through the replicated plane: grid
 // decomposition, freshest-replica reads, stitching.
 func (r *Router) boxGet(a server.Array, box layout.Box) ([]float64, uint64, error) {
-	pieces := gridTiles(box, r.opts.TileDim)
+	var one [1]layout.Box
+	pieces := gridTiles(one[:0], box, r.opts.TileDim)
 	if len(pieces) == 1 {
 		return r.pieceGet(a, pieces[0])
 	}
@@ -67,8 +68,9 @@ func (r *Router) boxGet(a server.Array, box layout.Box) ([]float64, uint64, erro
 
 // boxGen reports the highest generation over a request box's pieces.
 func (r *Router) boxGen(name string, box layout.Box) (uint64, error) {
+	var one [1]layout.Box
 	var maxGen uint64
-	for _, piece := range gridTiles(box, r.opts.TileDim) {
+	for _, piece := range gridTiles(one[:0], box, r.opts.TileDim) {
 		gen, err := r.pieceGen(name, piece)
 		if err != nil {
 			return 0, err
@@ -82,7 +84,8 @@ func (r *Router) boxGen(name string, box layout.Box) (uint64, error) {
 // returning the highest generation assigned; it fails when some piece
 // missed its write quorum.
 func (r *Router) boxPut(name string, box layout.Box, data []float64) (uint64, error) {
-	pieces := gridTiles(box, r.opts.TileDim)
+	var one [1]layout.Box
+	pieces := gridTiles(one[:0], box, r.opts.TileDim)
 	var maxGen uint64
 	for _, piece := range pieces {
 		pdata := data
@@ -110,7 +113,7 @@ func (r *Router) boxPut(name string, box layout.Box, data []float64) (uint64, er
 // contract.
 func (r *Router) ReduceBox(_ context.Context, a server.Array, box layout.Box, op string) (float64, int64, error) {
 	fold := server.NewFold(op)
-	for _, piece := range gridTiles(box, r.opts.TileDim) {
+	for _, piece := range gridTiles(nil, box, r.opts.TileDim) {
 		value, n, err := r.pieceReduce(a.Name, piece, op)
 		if err != nil {
 			return 0, 0, r.failed(err)
@@ -126,9 +129,11 @@ func (r *Router) ReduceBox(_ context.Context, a server.Array, box layout.Box, op
 // comparison; a reduce against a diverged replica set is eventually
 // consistent, converging once hints drain and read-repair runs).
 func (r *Router) pieceReduce(name string, piece layout.Box, op string) (float64, int64, error) {
-	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
+	var kb [keyhash.StackBytes]byte
+	var rb [MaxReplicas]*member
+	_, sum := routeKey(kb[:0], name, piece, r.opts.TileDim)
 	var hardErr error
-	for _, m := range r.replicasFor(keyhash.Bytes([]byte(key))) {
+	for _, m := range r.replicasFor(rb[:0], sum) {
 		if m.down.Load() {
 			continue
 		}

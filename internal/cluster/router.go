@@ -74,25 +74,26 @@ type genTable struct {
 	m  map[string]*atomic.Uint64
 }
 
-func (g *genTable) counter(key string) *atomic.Uint64 {
+// counter returns key's counter; only a key's first use allocates.
+func (g *genTable) counter(key []byte) *atomic.Uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.m == nil {
 		g.m = map[string]*atomic.Uint64{}
 	}
-	c := g.m[key]
+	c := g.m[string(key)]
 	if c == nil {
 		c = &atomic.Uint64{}
-		g.m[key] = c
+		g.m[string(key)] = c
 	}
 	return c
 }
 
 // next returns a fresh generation for key (1, 2, ...).
-func (g *genTable) next(key string) uint64 { return g.counter(key).Add(1) }
+func (g *genTable) next(key []byte) uint64 { return g.counter(key).Add(1) }
 
 // raise lifts key's counter to at least seen.
-func (g *genTable) raise(key string, seen uint64) {
+func (g *genTable) raise(key []byte, seen uint64) {
 	c := g.counter(key)
 	for {
 		cur := c.Load()
@@ -233,28 +234,30 @@ func (r *Router) Drain() error {
 }
 
 // replicasFor ranks the membership by rendezvous score for key and
-// returns the top R members — the tile's replica set, stable for a
-// fixed membership, minimally disturbed when it changes.
-func (r *Router) replicasFor(keySum uint64) []*member {
-	type scored struct {
-		m *member
-		s uint64
+// returns the top R members in dst's storage — the tile's replica set,
+// stable for a fixed membership, minimally disturbed when it changes.
+// An insertion into the running top R keeps equal scores in membership
+// order; a dst of MaxReplicas capacity makes it allocation-free.
+func (r *Router) replicasFor(dst []*member, keySum uint64) []*member {
+	dst = dst[:0]
+	var scores [MaxReplicas]uint64
+	for _, m := range r.members {
+		s := keyhash.Rendezvous(keySum, m.keySum)
+		i := len(dst)
+		for i > 0 && scores[i-1] < s {
+			i--
+		}
+		if i == r.opts.Replicas {
+			continue
+		}
+		if len(dst) < r.opts.Replicas {
+			dst = append(dst, nil)
+		}
+		copy(dst[i+1:], dst[i:])
+		copy(scores[i+1:len(dst)], scores[i:len(dst)-1])
+		dst[i], scores[i] = m, s
 	}
-	sc := make([]scored, len(r.members))
-	for i, m := range r.members {
-		sc[i] = scored{m, keyhash.Rendezvous(keySum, m.keySum)}
-	}
-	sort.Slice(sc, func(a, b int) bool { return sc[a].s > sc[b].s })
-	out := make([]*member, r.opts.Replicas)
-	for i := range out {
-		out[i] = sc[i].m
-	}
-	return out
-}
-
-// tileKeyOf renders the canonical routing key for (name, grid tile).
-func tileKeyOf(name string, tile layout.Box) string {
-	return string(keyhash.AppendKey(nil, name, tile))
+	return dst
 }
 
 // markDown transitions a member to down (idempotent), updating the
@@ -351,7 +354,9 @@ func (r *Router) drainHints(m *member) bool {
 		if stale {
 			// Something newer already landed — the hint is obsolete,
 			// which is delivery, not failure.
-			r.gens.raise(tileKeyOf(h.name, routingTile(h.box, r.opts.TileDim)), stored)
+			var kb [keyhash.StackBytes]byte
+			key, _ := routeKey(kb[:0], h.name, h.box, r.opts.TileDim)
+			r.gens.raise(key, stored)
 		}
 		return nil
 	})
@@ -535,22 +540,29 @@ type reply struct {
 // parallel: with withBytes the first live replica in
 // rank order sends the piece's bytes, and every other live replica only
 // its generation (a HEAD, which reads no tile). Down members answer
-// ErrUnavailable without a request.
+// ErrUnavailable without a request. The first live replica's request
+// runs on the caller's goroutine, the rest on their own.
 func (r *Router) ask(name string, piece layout.Box, reps []*member, withBytes bool) []reply {
 	replies := make([]reply, len(reps))
 	var wg sync.WaitGroup
+	first := -1
 	for i, m := range reps {
 		if m.down.Load() {
 			replies[i].err = ErrUnavailable
 			continue
 		}
-		full := withBytes
-		withBytes = false
+		if first < 0 {
+			first = i
+			continue
+		}
 		wg.Add(1)
-		go func(i int, m *member, full bool) {
+		go func() {
 			defer wg.Done()
-			replies[i] = r.read(name, piece, m, full)
-		}(i, m, full)
+			replies[i] = r.read(name, piece, m, false)
+		}()
+	}
+	if first >= 0 {
+		replies[first] = r.read(name, piece, reps[first], withBytes)
 	}
 	wg.Wait()
 	return replies
@@ -614,8 +626,10 @@ func freshest(replies []reply) (int, error) {
 // contract.
 func (r *Router) pieceGet(a server.Array, piece layout.Box) ([]float64, uint64, error) {
 	name := a.Name
-	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
-	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
+	var kb [keyhash.StackBytes]byte
+	var rb [MaxReplicas]*member
+	key, sum := routeKey(kb[:0], name, piece, r.opts.TileDim)
+	reps := r.replicasFor(rb[:0], sum)
 	replies := r.ask(name, piece, reps, true)
 
 	// Each pass either ends or fetches bytes from a replica that has
@@ -658,8 +672,10 @@ func (r *Router) pieceGet(a server.Array, piece layout.Box) ([]float64, uint64, 
 // tile: every live replica is probed and the freshest answer wins, as
 // in pieceGet.
 func (r *Router) pieceGen(name string, piece layout.Box) (uint64, error) {
-	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
-	replies := r.ask(name, piece, r.replicasFor(keyhash.Bytes([]byte(key))), false)
+	var kb [keyhash.StackBytes]byte
+	var rb [MaxReplicas]*member
+	key, sum := routeKey(kb[:0], name, piece, r.opts.TileDim)
+	replies := r.ask(name, piece, r.replicasFor(rb[:0], sum), false)
 	win, err := freshest(replies)
 	if err != nil {
 		return 0, err
@@ -673,8 +689,10 @@ func (r *Router) pieceGen(name string, piece layout.Box) (uint64, error) {
 // durable hints. Success requires a sloppy quorum — at least one live ack,
 // and live acks plus durably queued hints reaching majority.
 func (r *Router) piecePut(name string, piece layout.Box, data []float64) (uint64, error) {
-	key := tileKeyOf(name, routingTile(piece, r.opts.TileDim))
-	reps := r.replicasFor(keyhash.Bytes([]byte(key)))
+	var kb [keyhash.StackBytes]byte
+	var rb [MaxReplicas]*member
+	key, sum := routeKey(kb[:0], name, piece, r.opts.TileDim)
+	reps := r.replicasFor(rb[:0], sum)
 
 	// One raw body serves every replica and the retry (see putBody).
 	body := server.EncodeTile(data, false)
@@ -700,7 +718,7 @@ func (r *Router) piecePut(name string, piece layout.Box, data []float64) (uint64
 				continue
 			}
 			wg.Add(1)
-			go func(i int, m *member) {
+			go func() {
 				defer wg.Done()
 				stored, stale, err := m.client.putBody(name, piece, body, gen, false)
 				if err != nil {
@@ -714,7 +732,7 @@ func (r *Router) piecePut(name string, piece layout.Box, data []float64) (uint64
 					return
 				}
 				replies[i] = reply{acked: true, stale: stale, stored: stored}
-			}(i, m)
+			}()
 		}
 		wg.Wait()
 		r.met.hintsQueued.Set(float64(r.hints.PendingTotal()))

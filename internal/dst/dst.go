@@ -192,6 +192,13 @@ type Result struct {
 // Failed reports whether any invariant was violated.
 func (r *Result) Failed() bool { return len(r.Violations) > 0 }
 
+// Faults counts the faults the episode injected, whatever its kind:
+// the storage injector's failed calls plus the node kills, network
+// partitions and power cuts of the cluster kinds.
+func (r *Result) Faults() int64 {
+	return r.FaultsInjected + int64(r.Kills+r.Partitions+r.PowerCuts)
+}
+
 // Summary renders a one-line verdict.
 func (r *Result) Summary() string {
 	verdict := "ok"

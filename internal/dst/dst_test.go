@@ -60,7 +60,7 @@ func TestSeededEpisodesPass(t *testing.T) {
 		puts += int64(res.Puts)
 		acked += int64(res.AckedFlushes)
 		crashes += int64(res.Crashes)
-		faults += res.FaultsInjected
+		faults += res.Faults()
 		opErrs += int64(res.GetErrors + res.PutErrors + res.FlushErrors)
 	}
 	// Guard against a harness that silently tests nothing: the storm
@@ -192,7 +192,7 @@ func TestWALEpisodesPass(t *testing.T) {
 		}
 		crashes += int64(res.Crashes)
 		checkpoints += int64(res.Checkpoints)
-		faults += res.FaultsInjected
+		faults += res.Faults()
 	}
 	// The storm must actually exercise the WAL paths: crashes (each a
 	// log replay), scheduled compactions, and injected faults.

@@ -8,7 +8,9 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -444,10 +446,12 @@ func resolveBox(a Array, lo, hi []int64, limit int64) (layout.Box, int, string) 
 				fmt.Sprintf("hi[%d]=%d below lo[%d]=%d", d, hi[d], d, lo[d])
 		}
 	}
-	box := layout.NewBox(lo, hi).Clip(a.Dims)
+	// The box keeps the caller's coordinate slices: boxes are immutable
+	// once built, so there is nothing to clone them against.
+	box := layout.Box{Lo: lo, Hi: hi}.Clip(a.Dims)
 	if box.Empty() {
 		return layout.Box{}, http.StatusBadRequest,
-			fmt.Sprintf("box %v is empty after clipping to %v", layout.NewBox(lo, hi), a.Dims)
+			fmt.Sprintf("box %v is empty after clipping to %v", layout.Box{Lo: lo, Hi: hi}, a.Dims)
 	}
 	// The clipped size cannot overflow (array creation capped the dims
 	// product), but it can still be an unreasonable single request.
@@ -459,19 +463,22 @@ func resolveBox(a Array, lo, hi []int64, limit int64) (layout.Box, int, string) 
 }
 
 // queryBox resolves {name} plus the lo/hi query params, writing the
-// 4xx response itself on failure.
+// 4xx response itself on failure. Both corners are parsed into one
+// backing array.
 func (fe *FrontEnd) queryBox(w http.ResponseWriter, r *http.Request, limit int64) (Array, layout.Box, bool) {
 	a, ok := fe.lookup(w, r.PathValue("name"))
 	if !ok {
 		return a, layout.Box{}, false
 	}
-	q := r.URL.Query()
-	lo, err := parseCoords(q.Get("lo"))
+	qlo, qhi := queryValue(r.URL.RawQuery, "lo"), queryValue(r.URL.RawQuery, "hi")
+	coords := make([]int64, 0, strings.Count(qlo, ",")+strings.Count(qhi, ",")+2)
+	lo, err := appendCoords(coords, qlo)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad lo: %v", err)
 		return a, layout.Box{}, false
 	}
-	hi, err := parseCoords(q.Get("hi"))
+	lo = lo[:len(lo):len(lo)]
+	hi, err := appendCoords(coords[len(lo):len(lo)], qhi)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad hi: %v", err)
 		return a, layout.Box{}, false
@@ -484,9 +491,55 @@ func (fe *FrontEnd) queryBox(w http.ResponseWriter, r *http.Request, limit int64
 	return a, box, true
 }
 
-// renderRaw and renderWire are the two tile body renderings.
-func renderRaw(data []float64, _ uint64) []byte  { return EncodeTile(data, false) }
-func renderWire(data []float64, _ uint64) []byte { return EncodeTile(data, true) }
+// queryValue returns the first value of key in a raw query string,
+// decoded exactly as url.ParseQuery decodes it — a pair holding a
+// semicolon or an invalid escape is skipped — without building the
+// url.Values map. Only an escaped key or value allocates.
+func queryValue(raw, key string) string {
+	for raw != "" {
+		var kv string
+		kv, raw, _ = strings.Cut(raw, "&")
+		if kv == "" || strings.Contains(kv, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(kv, "=")
+		var err error
+		if strings.ContainsAny(k, "%+") {
+			if k, err = url.QueryUnescape(k); err != nil {
+				continue
+			}
+		}
+		if k != key {
+			continue
+		}
+		if strings.ContainsAny(v, "%+") {
+			if v, err = url.QueryUnescape(v); err != nil {
+				continue
+			}
+		}
+		return v
+	}
+	return ""
+}
+
+// Header values the tile handlers set as constants, shared so a
+// response allocates nothing for them (net/http only reads them).
+var (
+	octetStreamValue = []string{"application/octet-stream"}
+	wireCodingValue  = []string{WireEncoding}
+	staleValue       = []string{"true"}
+)
+
+// renderRaw and renderWire are the two tile body renderings, both into
+// a pooled buffer the caller may hand back with ooc.PutBuf once it is
+// written.
+func renderRaw(data []float64, _ uint64) []byte {
+	return appendTile(ooc.GetBuf(len(data) * ooc.ElemSize)[:0], data, false)
+}
+
+func renderWire(data []float64, _ uint64) []byte {
+	return appendTile(ooc.GetBuf(len(data)*ooc.ElemSize + FrameMaxOverhead)[:0], data, true)
+}
 
 func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request) {
 	ar, box, ok := fe.queryBox(w, r, fe.cfg.MaxTileElems)
@@ -515,15 +568,17 @@ func (fe *FrontEnd) handleTileGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	fe.meterWire(box.Size()*ooc.ElemSize, int64(len(payload)))
-	w.Header().Set("Content-Type", "application/octet-stream")
+	h := w.Header()
+	h["Content-Type"] = octetStreamValue
 	if compress {
-		w.Header().Set("Content-Encoding", WireEncoding)
+		h["Content-Encoding"] = wireCodingValue
 	}
 	if gen != 0 || r.Header.Get(TileWantGenHeader) != "" {
-		w.Header().Set(TileGenHeader, strconv.FormatUint(gen, 10))
+		h.Set(TileGenHeader, strconv.FormatUint(gen, 10))
 	}
-	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
+	h.Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
 	w.Write(payload)
+	ooc.PutBuf(payload)
 }
 
 func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request) {
@@ -540,8 +595,10 @@ func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request) {
 		}
 		gen = g
 	}
+	// Content codings are case-insensitive (RFC 9110 §8.4.1).
 	enc := r.Header.Get("Content-Encoding")
-	if enc != "" && enc != WireEncoding {
+	framed := strings.EqualFold(enc, WireEncoding)
+	if enc != "" && !framed {
 		httpError(w, http.StatusUnsupportedMediaType, "unsupported Content-Encoding %q (only %s)", enc, WireEncoding)
 		return
 	}
@@ -551,11 +608,13 @@ func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request) {
 	// sees it: a short or half-decoded payload must never land in a
 	// cached tile.
 	want := box.Size() * ooc.ElemSize
-	body, err := readBody(r, want+FrameMaxOverhead)
+	buf := ooc.GetBuf(int(want + FrameMaxOverhead))
+	defer ooc.PutBuf(buf)
+	body, err := readBody(r, buf)
 	data := ooc.GetF64(int(box.Size()))
 	defer ooc.PutF64(data)
 	if err == nil {
-		err = DecodeTile(body, enc == WireEncoding, data)
+		err = DecodeTile(body, framed, data)
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "tile payload: %v (want %d elements for %v)", err, box.Size(), box)
@@ -571,32 +630,49 @@ func (fe *FrontEnd) handleTilePut(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(TileGenHeader, strconv.FormatUint(stored, 10))
 	}
 	if stale {
-		w.Header().Set(TileStaleHeader, "true")
+		w.Header()[TileStaleHeader] = staleValue
 	}
 	w.Header().Set("X-Tile-Elems", strconv.FormatInt(box.Size(), 10))
 	w.WriteHeader(http.StatusNoContent)
 }
 
 // acceptsWireEncoding reports whether an Accept-Encoding header offers
-// WireEncoding (comma-separated codings, optional ;q parameters).
+// WireEncoding: comma-separated codings, matched case-insensitively,
+// each with optional parameters, where a q weight of 0 means "not
+// acceptable" (RFC 9110 §12.5.3). A well-formed header allocates
+// nothing.
 func acceptsWireEncoding(header string) bool {
-	for _, part := range strings.Split(header, ",") {
-		c, _, _ := strings.Cut(part, ";")
-		if strings.TrimSpace(c) == WireEncoding {
+	for header != "" {
+		var part string
+		part, header, _ = strings.Cut(header, ",")
+		c, params, _ := strings.Cut(part, ";")
+		if strings.EqualFold(strings.TrimSpace(c), WireEncoding) && !zeroWeight(params) {
 			return true
 		}
 	}
 	return false
 }
 
-// parseCoords parses "1,2,3" into coordinates.
-func parseCoords(s string) ([]int64, error) {
+// zeroWeight reports whether a coding's parameters weigh it q=0.
+func zeroWeight(params string) bool {
+	for params != "" {
+		var p string
+		p, params, _ = strings.Cut(params, ";")
+		if name, v, _ := strings.Cut(p, "="); strings.EqualFold(strings.TrimSpace(name), "q") {
+			q, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
+			return err == nil && q == 0
+		}
+	}
+	return false
+}
+
+// appendCoords parses "1,2,3" onto dst.
+func appendCoords(dst []int64, s string) ([]int64, error) {
 	if s == "" {
 		return nil, fmt.Errorf("missing coordinates")
 	}
-	parts := strings.Split(s, ",")
-	out := make([]int64, len(parts))
-	for i, p := range parts {
+	for {
+		p, rest, more := strings.Cut(s, ",")
 		v, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("coordinate %q: %w", p, err)
@@ -604,9 +680,12 @@ func parseCoords(s string) ([]int64, error) {
 		if v < 0 {
 			return nil, fmt.Errorf("negative coordinate %d", v)
 		}
-		out[i] = v
+		dst = append(dst, v)
+		if !more {
+			return dst, nil
+		}
+		s = rest
 	}
-	return out, nil
 }
 
 // checkedProduct multiplies positive extents, reporting overflow
@@ -628,10 +707,10 @@ func checkedProduct(dims []int64) (int64, bool) {
 // fallback caps the payload itself at the logical size).
 const FrameMaxOverhead = 24
 
-// readBody reads a request body of at most max bytes; a longer body
-// than the box can hold is a malformed request, not silent truncation.
-func readBody(r *http.Request, max int64) ([]byte, error) {
-	body := make([]byte, max)
+// readBody reads a request body of at most len(body) bytes into body;
+// a longer body than the box can hold is a malformed request, not
+// silent truncation.
+func readBody(r *http.Request, body []byte) ([]byte, error) {
 	n, err := io.ReadFull(r.Body, body)
 	switch err {
 	case nil:
@@ -649,15 +728,19 @@ func readBody(r *http.Request, max int64) ([]byte, error) {
 // EncodeTile renders a tile body: raw little-endian float64 (the wire
 // format, matching the file backend's on-disk encoding), or with wire
 // set a WireEncoding codec frame.
-func EncodeTile(data []float64, wire bool) []byte {
+func EncodeTile(data []float64, wire bool) []byte { return appendTile(nil, data, wire) }
+
+// appendTile appends data's tile body in either encoding to dst.
+func appendTile(dst []byte, data []float64, wire bool) []byte {
 	if wire {
-		return ooc.AppendFrame(nil, data)
+		return ooc.AppendFrame(dst, data)
 	}
-	out := make([]byte, len(data)*ooc.ElemSize)
+	n := len(dst)
+	dst = slices.Grow(dst, len(data)*ooc.ElemSize)[:n+len(data)*ooc.ElemSize]
 	for i, v := range data {
-		binary.LittleEndian.PutUint64(out[i*ooc.ElemSize:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(dst[n+i*ooc.ElemSize:], math.Float64bits(v))
 	}
-	return out
+	return dst
 }
 
 // DecodeTile fills data from a tile body in either encoding, which

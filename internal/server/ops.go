@@ -187,12 +187,14 @@ func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp) batchResult 
 			return batchResult{Status: status, Error: msg}
 		}
 		fe.meterWire(raw, int64(len(payload)))
-		return batchResult{
+		res := batchResult{
 			Status: http.StatusOK,
 			Elems:  box.Size(),
 			Data:   base64.StdEncoding.EncodeToString(payload),
 			Gen:    gen,
 		}
+		ooc.PutBuf(payload)
+		return res
 	case "put":
 		body, err := base64.StdEncoding.DecodeString(op.Data)
 		if err != nil {
@@ -278,11 +280,11 @@ func ParseScanCursor(token string) (ScanCursor, error) {
 	if len(parts) != 7 || parts[0] != "ooc-scan/1" {
 		return c, fmt.Errorf("bad cursor format")
 	}
-	lo, err := parseCoords(parts[2])
+	lo, err := appendCoords(nil, parts[2])
 	if err != nil {
 		return c, fmt.Errorf("bad cursor lo: %v", err)
 	}
-	hi, err := parseCoords(parts[3])
+	hi, err := appendCoords(nil, parts[3])
 	if err != nil {
 		return c, fmt.Errorf("bad cursor hi: %v", err)
 	}

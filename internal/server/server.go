@@ -59,10 +59,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"outcore/internal/ir"
+	"outcore/internal/keyhash"
 	"outcore/internal/layout"
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
@@ -142,7 +144,7 @@ type enginePlane struct {
 // lock before it is acknowledged, so a GET that starts after the 204
 // reads the written tile (read-your-writes).
 //
-// boxGens is the cluster replication plane's per-box write-generation
+// gens is the cluster replication plane's per-box write-generation
 // table: a PUT carrying X-Tile-Gen records its generation under the
 // box it wrote, and a GET reports the max generation over the
 // recorded boxes overlapping it (an unaligned read is as fresh as the
@@ -172,8 +174,9 @@ type enginePlane struct {
 type tileLock struct {
 	mu sync.RWMutex
 
-	boxGens []boxGen
-	genIdx  map[string]int
+	// gens is written under mu held exclusively and read under either
+	// mode.
+	gens genIndex
 }
 
 // boxGen is one recorded (box, write generation) pair.
@@ -182,43 +185,174 @@ type boxGen struct {
 	gen uint64
 }
 
+// genIndex is the generation table, addressed by position rather than
+// searched: each recorded box sits in the bucket of the grid cell its
+// Lo corner falls in, with a per-dimension cell edge of 1<<shift[d]
+// kept at least every recorded extent. A box overlapping query q then
+// has, in every dimension, Lo in (q.Lo-edge, q.Hi), so a lookup visits
+// the few cells of that range instead of every box the node ever
+// recorded. A box wider than the current edge doubles it and re-buckets
+// the table (at most 63 times per dimension). Answers, and their order,
+// are exactly those of a scan over entries in record order.
+type genIndex struct {
+	entries []boxGen // in first-record order
+	// cells maps a hash of (rank, cell coordinates) to the entries whose
+	// Lo lies in that cell. Distinct cells may share a hash; lookups
+	// check each entry's own cell, so a collision costs a comparison,
+	// never a wrong or repeated answer.
+	cells map[uint64][]int32
+	shift []uint8 // per dimension, over every recorded rank
+}
+
+// maxIndexRank bounds the ranks a lookup walks cells for on the stack;
+// higher-rank queries scan the entries.
+const maxIndexRank = 8
+
+// cellKey hashes a rank and its cell coordinates into a bucket key.
+func cellKey(cell []int64) uint64 {
+	h := uint64(len(cell))
+	for _, c := range cell {
+		h = keyhash.Fmix64(h ^ uint64(c))
+	}
+	return h
+}
+
+// inCell reports whether lo (an entry's corner) lies in cell.
+func (x *genIndex) inCell(lo, cell []int64) bool {
+	if len(lo) != len(cell) {
+		return false
+	}
+	for d := range lo {
+		if lo[d]>>x.shift[d] != cell[d] {
+			return false
+		}
+	}
+	return true
+}
+
+// bucket adds entry i to the bucket of the cell its Lo lies in.
+func (x *genIndex) bucket(i int) {
+	lo := x.entries[i].box.Lo
+	cell := make([]int64, len(lo))
+	for d := range lo {
+		cell[d] = lo[d] >> x.shift[d]
+	}
+	if x.cells == nil {
+		x.cells = map[uint64][]int32{}
+	}
+	k := cellKey(cell)
+	x.cells[k] = append(x.cells[k], int32(i))
+}
+
+// setGen records g for the exact box, replacing the generation of an
+// equal box recorded before. An empty box overlaps nothing, so it is
+// never observable and not recorded.
+func (x *genIndex) setGen(box layout.Box, g uint64) {
+	if box.Empty() {
+		return
+	}
+	found := -1
+	x.visit(box, func(i int) {
+		if e := &x.entries[i]; slices.Equal(e.box.Lo, box.Lo) && slices.Equal(e.box.Hi, box.Hi) {
+			found = i
+		}
+	})
+	if found >= 0 {
+		x.entries[found].gen = g
+		return
+	}
+	widened := false
+	for d := range box.Lo {
+		if d == len(x.shift) {
+			x.shift = append(x.shift, 0)
+		}
+		for x.shift[d] < 63 && uint64(box.Hi[d]-box.Lo[d]) > uint64(1)<<x.shift[d] {
+			x.shift[d]++
+			widened = true
+		}
+	}
+	x.entries = append(x.entries, boxGen{box: box, gen: g})
+	if !widened {
+		x.bucket(len(x.entries) - 1)
+		return
+	}
+	clear(x.cells)
+	for i := range x.entries {
+		x.bucket(i)
+	}
+}
+
+// visit calls fn with the index of every recorded box overlapping q,
+// each exactly once, in no particular order.
+func (x *genIndex) visit(q layout.Box, fn func(i int)) {
+	rank := len(q.Lo)
+	if len(x.entries) == 0 || rank > len(x.shift) || q.Empty() {
+		return // no recorded box of q's rank, or nothing to overlap
+	}
+	var lo, hi, cur [maxIndexRank]int64
+	scan := rank > maxIndexRank
+	for n, d := uint64(1), 0; !scan && d < rank; d++ {
+		s := x.shift[d]
+		lo[d], hi[d] = q.Lo[d]>>s-1, (q.Hi[d]-1)>>s
+		// Past one cell per entry, walking cells costs more than a scan.
+		span := uint64(hi[d]-lo[d]) + 1
+		n *= span
+		scan = span > uint64(len(x.entries)) || n > uint64(len(x.entries))
+	}
+	if scan {
+		for i := range x.entries {
+			if x.entries[i].box.Overlaps(q) {
+				fn(i)
+			}
+		}
+		return
+	}
+	cell := cur[:rank]
+	copy(cell, lo[:rank])
+	for {
+		for _, i := range x.cells[cellKey(cell)] {
+			if b := x.entries[i].box; x.inCell(b.Lo, cell) && b.Overlaps(q) {
+				fn(int(i))
+			}
+		}
+		d := rank - 1
+		for ; d >= 0 && cell[d] == hi[d]; d-- {
+			cell[d] = lo[d]
+		}
+		if d < 0 {
+			return
+		}
+		cell[d]++
+	}
+}
+
 // newerOverlaps returns the recorded boxes overlapping box whose
 // generation is strictly newer than g — the writes that supersede (a
-// part of) an incoming generation-g write. Callers hold mu in either
-// mode.
-func (l *tileLock) newerOverlaps(box layout.Box, g uint64) []layout.Box {
-	var out []layout.Box
-	for i := range l.boxGens {
-		if l.boxGens[i].gen > g && l.boxGens[i].box.Overlaps(box) {
-			out = append(out, l.boxGens[i].box)
+// part of) an incoming generation-g write — in record order.
+func (x *genIndex) newerOverlaps(box layout.Box, g uint64) []layout.Box {
+	var idx []int
+	x.visit(box, func(i int) {
+		if x.entries[i].gen > g {
+			idx = append(idx, i)
 		}
+	})
+	if len(idx) == 0 {
+		return nil
+	}
+	slices.Sort(idx)
+	out := make([]layout.Box, len(idx))
+	for j, i := range idx {
+		out[j] = x.entries[i].box
 	}
 	return out
 }
 
-// setGen records g for the exact box. Callers hold mu exclusively.
-func (l *tileLock) setGen(key string, box layout.Box, g uint64) {
-	if i, ok := l.genIdx[key]; ok {
-		l.boxGens[i].gen = g
-		return
-	}
-	if l.genIdx == nil {
-		l.genIdx = map[string]int{}
-	}
-	l.genIdx[key] = len(l.boxGens)
-	l.boxGens = append(l.boxGens, boxGen{box: box, gen: g})
-}
-
 // overlapGen returns the max generation over recorded boxes that
-// overlap box. Callers hold mu in either mode.
-func (l *tileLock) overlapGen(box layout.Box) uint64 {
-	var max uint64
-	for i := range l.boxGens {
-		if l.boxGens[i].gen > max && l.boxGens[i].box.Overlaps(box) {
-			max = l.boxGens[i].gen
-		}
-	}
-	return max
+// overlap box; it allocates nothing.
+func (x *genIndex) overlapGen(box layout.Box) uint64 {
+	var top uint64
+	x.visit(box, func(i int) { top = max(top, x.entries[i].gen) })
+	return top
 }
 
 // subtractBoxes returns the parts of box covered by none of covers, as
@@ -433,7 +567,7 @@ func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render f
 	lk.mu.RLock()
 	defer lk.mu.RUnlock()
 	if render == nil {
-		return nil, lk.overlapGen(box), nil
+		return nil, lk.gens.overlapGen(box), nil
 	}
 	h, err := p.eng.Acquire(ar, box)
 	if err != nil {
@@ -442,7 +576,7 @@ func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render f
 	defer p.eng.Release(h, false)
 	// The generation is read under the same lock hold as the bytes, so a
 	// replica never reports a freshness its payload lacks.
-	g := lk.overlapGen(box)
+	g := lk.gens.overlapGen(box)
 	return render(h.Tile().Data(), g), g, nil
 }
 
@@ -466,7 +600,7 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 	lk.mu.Lock()
 	// Replicated writes are last-writer-wins by generation, per cell:
 	// generations are comparable across box shapes (overlapping boxes
-	// share a routing tile — see the boxGens comment), so any recorded
+	// share a routing tile — see the gens comment), so any recorded
 	// overlapping box with a strictly newer generation supersedes the
 	// cells it covers, and the write applies only to the remainder.
 	// That keeps the bytes a pure function of the writes seen, whatever
@@ -478,12 +612,12 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 	// replay or retry of the same write is idempotent.
 	var apply []layout.Box // nil: the whole box; non-nil: the merge remainder
 	if gen != 0 {
-		if newer := lk.newerOverlaps(box, gen); len(newer) > 0 {
+		if newer := lk.gens.newerOverlaps(box, gen); len(newer) > 0 {
 			if apply = subtractBoxes(box, newer); len(apply) == 0 {
 				// Newer writes blanket every cell: skip, and report the
 				// newest overlapping generation so the router catches
 				// its counter up.
-				stored := lk.overlapGen(box)
+				stored := lk.gens.overlapGen(box)
 				lk.mu.Unlock()
 				return stored, true, nil
 			}
@@ -509,7 +643,7 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 		return 0, false, err
 	}
 	if gen != 0 {
-		lk.setGen(box.String(), box, gen)
+		lk.gens.setGen(box, gen)
 	}
 	lk.mu.Unlock()
 	if p.durable {

@@ -14,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"outcore/internal/ir"
+	"outcore/internal/layout"
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
 )
@@ -430,5 +432,49 @@ func TestAdmitAllocs(t *testing.T) {
 	}
 	if served == 0 || len(fe.pool) != 0 {
 		t.Errorf("served %d requests, %d slots still held; want > 0 and 0", served, len(fe.pool))
+	}
+}
+
+// TestTileHandlerAllocs holds a cached tile GET, a generation HEAD and
+// a generation-carrying PUT through Server.Handler() — routing,
+// admission, query parsing, the generation table, payload rendering
+// and headers — at their allocation counts, with the writer reused. A
+// new allocation on the tile path fails here before it shows in the
+// benchmark.
+func TestTileHandlerAllocs(t *testing.T) {
+	d := ooc.NewDisk(0)
+	srv := New(d, ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 16}), Config{})
+	defer srv.Drain()
+	if _, err := d.CreateArray(ir.NewArray("A", 64, 64), layout.RowMajor(64, 64)); err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	w := nopWriter{http.Header{}}
+	const url = "/v1/arrays/A/tile?lo=0,32&hi=32,64"
+	payload := encodePayload(make([]float64, 32*32))
+	body := bytes.NewReader(payload)
+	put := httptest.NewRequest(http.MethodPut, url, nil)
+	put.Body = io.NopCloser(body)
+	put.Header.Set(TileGenHeader, "7")
+	for _, tc := range []struct {
+		name string
+		req  *http.Request
+		want float64
+	}{
+		{"PUT", put, 7},
+		{"GET", httptest.NewRequest(http.MethodGet, url, nil), 6},
+		{"HEAD", httptest.NewRequest(http.MethodHead, url, nil), 3},
+	} {
+		run := func() {
+			body.Reset(payload)
+			h.ServeHTTP(w, tc.req)
+		}
+		run() // warm the tile, the generation table and the pools
+		if n := testing.AllocsPerRun(500, run); n != tc.want {
+			t.Errorf("%s makes %.0f allocations, want %.0f", tc.name, n, tc.want)
+		}
+	}
+	if got := w.h.Get(TileGenHeader); got != "7" {
+		t.Errorf("HEAD reports generation %q, want 7", got)
 	}
 }

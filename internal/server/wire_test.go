@@ -155,9 +155,42 @@ func TestAcceptsWireEncoding(t *testing.T) {
 		{" " + WireEncoding + " ;q=0.5, gzip", true},
 		{WireEncoding + "x", false},
 		{"x-ooc", false},
+		// q=0 means "not acceptable" (RFC 9110 §12.5.3), in any of its
+		// spellings; any other weight is an offer.
+		{WireEncoding + ";q=0", false},
+		{WireEncoding + "; q=0.000, gzip", false},
+		{WireEncoding + ";Q=0.", false},
+		{"gzip;q=0, " + WireEncoding + ";q=0.0", false},
+		{WireEncoding + ";q=0.001", true},
+		{WireEncoding + ";q=1", true},
+		{WireEncoding + ";level=1;q=0.5", true},
+		{WireEncoding + ";q=0, " + WireEncoding, true},
+		// Coding names are case-insensitive.
+		{"X-OOC-Gorilla", true},
+		{"gzip, X-Ooc-GORILLA;q=0.3", true},
+		{"X-OOC-Gorilla;q=0", false},
 	} {
 		if got := acceptsWireEncoding(tc.header); got != tc.want {
 			t.Errorf("acceptsWireEncoding(%q) = %v, want %v", tc.header, got, tc.want)
 		}
+		if n := testing.AllocsPerRun(100, func() { acceptsWireEncoding(tc.header) }); n != 0 {
+			t.Errorf("acceptsWireEncoding(%q) makes %.0f allocations, want 0", tc.header, n)
+		}
+	}
+}
+
+// TestPutContentEncodingCaseInsensitive: a PUT declaring the wire
+// coding in another letter case is decoded as a frame, not refused.
+func TestPutContentEncodingCaseInsensitive(t *testing.T) {
+	ts := newTestServer(t, Config{}, nil)
+	ts.createArray(t, "A", 16, 16)
+	url := ts.url("/v1/arrays/A/tile?lo=0,0&hi=8,8")
+	data := smoothPayload(8 * 8)
+	if status, out, _ := ts.doHdr(t, http.MethodPut, url, ooc.AppendFrame(nil, data),
+		map[string]string{"Content-Encoding": "X-OOC-Gorilla"}); status != http.StatusNoContent {
+		t.Fatalf("PUT with Content-Encoding X-OOC-Gorilla: %d %s, want 204", status, out)
+	}
+	if status, body, _ := ts.do(t, http.MethodGet, url, nil); status != 200 || !bytes.Equal(body, encodePayload(data)) {
+		t.Fatalf("GET after the PUT: %d, body matches %v", status, bytes.Equal(body, encodePayload(data)))
 	}
 }
