@@ -16,7 +16,8 @@ FUZZ_TARGETS := \
 	./internal/ooc/:FuzzTileCodec \
 	./internal/server/:FuzzScanCursor \
 	./internal/server/:FuzzBatchRequest \
-	./internal/server/:FuzzGenIndex
+	./internal/server/:FuzzGenIndex \
+	./internal/server/:FuzzScanReader
 
 .PHONY: build test race check fuzz vet fmt cover loc bench-layers bench-counts chaos
 

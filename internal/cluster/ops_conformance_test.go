@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"slices"
 	"testing"
 
 	"outcore/internal/layout"
@@ -316,6 +317,7 @@ func routerScan(t *testing.T, url string) []*server.ScanChunk {
 		if err != nil {
 			t.Fatalf("router scan frame %d: %v", len(chunks), err)
 		}
-		chunks = append(chunks, ch)
+		// Next lends its buffers until the next call: keep a copy.
+		chunks = append(chunks, &server.ScanChunk{Seq: ch.Seq, Box: layout.NewBox(ch.Box.Lo, ch.Box.Hi), Cursor: ch.Cursor, Data: slices.Clone(ch.Data)})
 	}
 }

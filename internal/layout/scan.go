@@ -57,7 +57,9 @@ func (l *Layout) scanOrder() []int {
 // planPerm enumerates chunk boxes of box in perm-lexicographic order.
 // A chunk spans the full box extent along the fast dimension (split
 // when a single row exceeds chunkElems) and as many consecutive
-// coordinates of the fastest slow dimension as fit in chunkElems.
+// coordinates of the fastest slow dimension as fit in chunkElems. The
+// chunks are counted first, so the plan and all of its corners take
+// two allocations, whatever the chunk count.
 func planPerm(box Box, perm []int, chunkElems int64) []Box {
 	rank := len(perm)
 	fast := perm[rank-1]
@@ -66,51 +68,62 @@ func planPerm(box Box, perm []int, chunkElems int64) []Box {
 		chunkElems = box.Size()
 	}
 
-	var out []Box
-	point := func(cur []int64) ([]int64, []int64) {
-		lo := make([]int64, rank)
-		hi := make([]int64, rank)
-		for d := 0; d < rank; d++ {
-			lo[d], hi[d] = cur[d], cur[d]+1
-		}
-		return lo, hi
-	}
-
-	if rank == 1 {
-		for s := box.Lo[0]; s < box.Hi[0]; s += chunkElems {
-			out = append(out, Box{Lo: []int64{s}, Hi: []int64{minI64(s+chunkElems, box.Hi[0])}})
-		}
-		return out
-	}
-
-	group := perm[rank-2]            // fastest slow dimension: slab axis
-	outer := perm[: rank-2 : rank-2] // remaining slow dims, slowest first
-
-	rowsPerChunk := int64(0)
-	if rowLen > 0 {
+	var group int          // fastest slow dimension: slab axis
+	var outer []int        // remaining slow dims, slowest first
+	var rowsPerChunk int64 // whole rows per chunk; 0 splits rows along fast
+	n := ceilDiv(rowLen, chunkElems)
+	if rank > 1 {
+		group, outer = perm[rank-2], perm[:rank-2:rank-2]
 		rowsPerChunk = chunkElems / rowLen
+		groupLen := box.Hi[group] - box.Lo[group]
+		if rowsPerChunk >= 1 {
+			n = ceilDiv(groupLen, rowsPerChunk)
+		} else {
+			n *= groupLen
+		}
+		n *= box.Size() / (rowLen * groupLen)
+	}
+	out := make([]Box, 0, n)
+	coords := make([]int64, 0, 2*int64(rank)*n)
+	// chunk appends the one-element chunk at cur and returns its
+	// corners for the caller to widen.
+	chunk := func(cur []int64) (lo, hi []int64) {
+		k := len(coords)
+		coords = append(append(coords, cur...), cur...)
+		lo, hi = coords[k:k+rank:k+rank], coords[k+rank:k+2*rank:k+2*rank]
+		for d := range hi {
+			hi[d]++
+		}
+		out = append(out, Box{Lo: lo, Hi: hi})
+		return lo, hi
 	}
 
 	cur := make([]int64, rank)
 	copy(cur, box.Lo)
+	if rank == 1 {
+		for s := box.Lo[0]; s < box.Hi[0]; s += chunkElems {
+			cur[0] = s
+			_, hi := chunk(cur)
+			hi[0] = minI64(s+chunkElems, box.Hi[0])
+		}
+		return out
+	}
 	for {
 		if rowsPerChunk >= 1 {
 			// Whole rows fit: emit slabs along the group dimension.
 			for g := box.Lo[group]; g < box.Hi[group]; g += rowsPerChunk {
 				cur[group] = g
-				lo, hi := point(cur)
+				lo, hi := chunk(cur)
 				hi[group] = minI64(g+rowsPerChunk, box.Hi[group])
 				lo[fast], hi[fast] = box.Lo[fast], box.Hi[fast]
-				out = append(out, Box{Lo: lo, Hi: hi})
 			}
 		} else {
 			// A single row overflows chunkElems: split it along fast.
 			for g := box.Lo[group]; g < box.Hi[group]; g++ {
 				cur[group] = g
 				for s := box.Lo[fast]; s < box.Hi[fast]; s += chunkElems {
-					lo, hi := point(cur)
+					lo, hi := chunk(cur)
 					lo[fast], hi[fast] = s, minI64(s+chunkElems, box.Hi[fast])
-					out = append(out, Box{Lo: lo, Hi: hi})
 				}
 			}
 		}

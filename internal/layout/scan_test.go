@@ -83,6 +83,9 @@ func TestPlanScanCoverage(t *testing.T) {
 				t.Fatal("empty plan for non-empty box")
 			}
 			paintPlan(t, tc.box, plan)
+			if len(plan) != cap(plan) {
+				t.Fatalf("plan counted %d chunks, emitted %d", cap(plan), len(plan))
+			}
 			if tc.chunk > 0 {
 				for i, ch := range plan {
 					if ch.Size() > tc.chunk {
@@ -94,6 +97,19 @@ func TestPlanScanCoverage(t *testing.T) {
 	}
 	if got := PlanScan(RowMajor(8, 8), NewBox([]int64{4, 4}, []int64{4, 8}), 16); got != nil {
 		t.Fatalf("empty box produced a plan: %v", got)
+	}
+}
+
+// TestPlanScanAllocs: a plan costs the same four allocations (scan
+// order, chunk list, corners, odometer) whatever its chunk count — the
+// corners of every chunk come from one backing slice.
+func TestPlanScanAllocs(t *testing.T) {
+	l := RowMajor(32, 1024)
+	box := NewBox([]int64{0, 0}, []int64{32, 1024})
+	for _, chunk := range []int64{32 * 1024, 4096, 1024, 100} {
+		if n := testing.AllocsPerRun(100, func() { PlanScan(l, box, chunk) }); n != 4 {
+			t.Errorf("PlanScan of %d chunks makes %.0f allocations, want 4", len(PlanScan(l, box, chunk)), n)
+		}
 	}
 }
 

@@ -27,14 +27,53 @@ const (
 )
 
 var (
-	poolBufs [poolClasses]sync.Pool // *[]byte, cap = exactly the class size
-	poolF64s [poolClasses]sync.Pool // *[]float64, cap = exactly the class size (in elements)
+	poolBufs arena[byte]    // cap = exactly the class size
+	poolF64s arena[float64] // cap = exactly the class size (in elements)
 
 	// Registry counters installed by ObservePool; nil until observed so
 	// an unobserved pool pays one pointer load per operation.
 	poolHitC  atomic.Pointer[obs.Counter]
 	poolMissC atomic.Pointer[obs.Counter]
 )
+
+// arena is one size-class pool. A buffer travels through sync.Pool
+// inside a *[]T holder; Get empties the holder and keeps it for the
+// next Put, so a Get/Put cycle allocates nothing (putting a fresh &b
+// would box a new slice header on every return).
+type arena[T any] struct {
+	classes [poolClasses]sync.Pool // *[]T holding a buffer
+	holders sync.Pool              // *[]T holding nil
+}
+
+func (a *arena[T]) get(n int) []T {
+	c := poolClass(n)
+	if c < 0 {
+		return make([]T, n)
+	}
+	if v := a.classes[c].Get(); v != nil {
+		poolHit()
+		h := v.(*[]T)
+		b := (*h)[:n]
+		*h = nil
+		a.holders.Put(h)
+		return b
+	}
+	poolMiss()
+	return make([]T, n, 1<<(c+poolMinShift))
+}
+
+func (a *arena[T]) put(b []T) {
+	c := poolClass(cap(b))
+	if c < 0 || cap(b) != 1<<(c+poolMinShift) {
+		return
+	}
+	h, _ := a.holders.Get().(*[]T)
+	if h == nil {
+		h = new([]T)
+	}
+	*h = b[:0]
+	a.classes[c].Put(h)
+}
 
 // ObservePool counts the arena's hits and misses in the sink's metrics
 // registry ("ooc_pool_*"), from the call on; the arena is
@@ -75,51 +114,15 @@ func poolMiss() {
 
 // GetBuf returns a byte buffer of length n from the arena. Return it
 // with PutBuf when done; the contents are arbitrary.
-func GetBuf(n int) []byte {
-	c := poolClass(n)
-	if c < 0 {
-		return make([]byte, n)
-	}
-	if v := poolBufs[c].Get(); v != nil {
-		poolHit()
-		return (*v.(*[]byte))[:n]
-	}
-	poolMiss()
-	return make([]byte, n, 1<<(c+poolMinShift))
-}
+func GetBuf(n int) []byte { return poolBufs.get(n) }
 
 // PutBuf recycles a buffer obtained from GetBuf. Buffers whose
 // capacity is not an exact class size (grown by append, or oversize)
 // are dropped.
-func PutBuf(b []byte) {
-	c := poolClass(cap(b))
-	if c < 0 || cap(b) != 1<<(c+poolMinShift) {
-		return
-	}
-	b = b[:0]
-	poolBufs[c].Put(&b)
-}
+func PutBuf(b []byte) { poolBufs.put(b) }
 
 // GetF64 returns a float64 buffer of length n elements from the arena.
-func GetF64(n int) []float64 {
-	c := poolClass(n)
-	if c < 0 {
-		return make([]float64, n)
-	}
-	if v := poolF64s[c].Get(); v != nil {
-		poolHit()
-		return (*v.(*[]float64))[:n]
-	}
-	poolMiss()
-	return make([]float64, n, 1<<(c+poolMinShift))
-}
+func GetF64(n int) []float64 { return poolF64s.get(n) }
 
 // PutF64 recycles a buffer obtained from GetF64.
-func PutF64(b []float64) {
-	c := poolClass(cap(b))
-	if c < 0 || cap(b) != 1<<(c+poolMinShift) {
-		return
-	}
-	b = b[:0]
-	poolF64s[c].Put(&b)
-}
+func PutF64(b []float64) { poolF64s.put(b) }

@@ -82,3 +82,20 @@ func TestPoolStatsMove(t *testing.T) {
 		t.Fatalf("pool counters did not move: hits %d, misses %d after two requests", hits.Value(), misses.Value())
 	}
 }
+
+// TestPoolRecycleAllocs: a Get/Put cycle of a class buffer allocates
+// nothing once the class is warm — Put reuses the holder the Get
+// emptied instead of boxing a fresh slice header.
+func TestPoolRecycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's own allocations move the counts")
+	}
+	PutBuf(GetBuf(4096))
+	PutF64(GetF64(4096))
+	if n := testing.AllocsPerRun(1000, func() { PutBuf(GetBuf(4096)) }); n != 0 {
+		t.Errorf("GetBuf/PutBuf cycle: %v allocs, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { PutF64(GetF64(4096)) }); n != 0 {
+		t.Errorf("GetF64/PutF64 cycle: %v allocs, want 0", n)
+	}
+}

@@ -522,12 +522,13 @@ func queryValue(raw, key string) string {
 	return ""
 }
 
-// Header values the tile handlers set as constants, shared so a
+// Header values the tile and scan handlers set as constants, shared so a
 // response allocates nothing for them (net/http only reads them).
 var (
-	octetStreamValue = []string{"application/octet-stream"}
-	wireCodingValue  = []string{WireEncoding}
-	staleValue       = []string{"true"}
+	octetStreamValue     = []string{"application/octet-stream"}
+	scanContentTypeValue = []string{ScanContentType}
+	wireCodingValue      = []string{WireEncoding}
+	staleValue           = []string{"true"}
 )
 
 // renderRaw and renderWire are the two tile body renderings, both into
@@ -737,8 +738,10 @@ func appendTile(dst []byte, data []float64, wire bool) []byte {
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, len(data)*ooc.ElemSize)[:n+len(data)*ooc.ElemSize]
-	for i, v := range data {
-		binary.LittleEndian.PutUint64(dst[n+i*ooc.ElemSize:], math.Float64bits(v))
+	out := dst[n:]
+	for _, v := range data {
+		binary.LittleEndian.PutUint64(out, math.Float64bits(v))
+		out = out[ooc.ElemSize:]
 	}
 	return dst
 }
@@ -758,7 +761,8 @@ func DecodeTile(body []byte, wire bool, data []float64) error {
 		return fmt.Errorf("%d payload bytes for %d elements", len(body), len(data))
 	}
 	for i := range data {
-		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[i*ooc.ElemSize:]))
+		data[i] = math.Float64frombits(binary.LittleEndian.Uint64(body))
+		body = body[ooc.ElemSize:]
 	}
 	return nil
 }

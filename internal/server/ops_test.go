@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -228,7 +229,8 @@ func scanAll(t testing.TB, base, name, query string, compress bool) ([]*ScanChun
 		if err != nil {
 			t.Fatalf("scan frame %d: %v", len(chunks), err)
 		}
-		chunks = append(chunks, ch)
+		// Next lends its buffers until the next call: keep a copy.
+		chunks = append(chunks, &ScanChunk{Seq: ch.Seq, Box: layout.NewBox(ch.Box.Lo, ch.Box.Hi), Cursor: ch.Cursor, Data: slices.Clone(ch.Data)})
 	}
 }
 
