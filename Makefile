@@ -40,12 +40,15 @@ check: build vet test race
 # Short fuzzing sessions over the property targets. CI runs these
 # briefly; use FUZZTIME=5m locally for a deeper soak. Seed corpora are
 # checked in under testdata/fuzz/<Target>/; new crashers land there too.
+# Every target runs even after one fails; the loop fails at the end,
+# naming the failed targets.
 fuzz:
-	@set -e; for t in $(FUZZ_TARGETS); do \
+	@failed=""; for t in $(FUZZ_TARGETS); do \
 		pkg=$${t%%:*}; target=$${t##*:}; \
 		echo "== fuzz $$pkg $$target ($(FUZZTIME))"; \
-		$(GO) test $$pkg -fuzz "^$$target\$$" -fuzztime $(FUZZTIME); \
-	done
+		$(GO) test $$pkg -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) || failed="$$failed $$target"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz: failed:$$failed"; exit 1; fi
 
 # Total statement coverage; CI enforces a floor on this number.
 cover:

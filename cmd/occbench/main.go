@@ -1,20 +1,20 @@
 // Command occbench regenerates the paper's evaluation artifacts on the
-// simulated Paragon/PFS platform:
+// simulated Paragon/PFS platform, and shows one kernel version's path
+// from plan to I/O:
 //
-//	occbench -table 2                 # Table 2 (normalized times, 16 procs)
-//	occbench -table 3                 # Table 3 (speedups 16..128 procs)
-//	occbench -figure 1|2|3            # the three figures
-//	occbench -ablation tiling|memory|order|storage
-//	occbench -ablation engine -kernel mxm   # sequential runtime vs
-//	                                        # cached tile engine
+//	occbench -table 2|3           # Table 2 (16 procs), Table 3 (16..128)
+//	occbench -figure 1|2|3        # the three figures
+//	occbench -ablation tiling|memory|order|storage|engine|optimal|blocked
+//	occbench -show plan|trace|viz -kernel mxm -version c-opt
 //
-// Scale and platform knobs: -n2/-n3/-n4 (array extents), -procs,
-// -ionodes, -memfrac, -kernels (comma-separated subset).
-// Tile-engine knob: -cache-tiles (LRU tile-cache capacity; > 0 also
-// routes the table measurements through the cached engine).
-// Observability: -trace-out file.json writes a Chrome trace_event
-// capture of the run (open in Perfetto), -metrics-out file.prom writes
-// the metrics registry in Prometheus text format.
+// -show plan prints layouts, locality and tiling (-code adds the tiled
+// pseudo-code, -demo swaps in the Section-3.1 worked example), -show
+// trace the per-array I/O, the request sizes and the first -head
+// requests, -show viz the I/O-node and processor bars behind Tables 2
+// and 3. -n2/-n3/-n4, -procs, -ionodes, -memfrac, -kernels and
+// -cache-tiles set the scale, platform and tile engine; -trace-out and
+// -metrics-out write a Chrome trace (open in Perfetto) and Prometheus
+// metrics of the run.
 //
 // The four kernels' exact I/O-call counts and simulated makespans are
 // gated by `go test ./internal/exp -run TestKernelGateGolden`, not by
@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -33,25 +35,62 @@ import (
 )
 
 func main() {
-	table := flag.Int("table", 0, "reproduce Table 2 or 3")
-	figure := flag.Int("figure", 0, "reproduce Figure 1, 2 or 3")
-	ablation := flag.String("ablation", "", "ablation: tiling, memory, order, storage, optimal, blocked")
-	kernels := flag.String("kernels", "", "comma-separated kernel subset (default: all ten)")
-	kernel := flag.String("kernel", "mxm", "kernel for single-kernel ablations")
-	n2 := flag.Int64("n2", 128, "extent of 2-D array dimensions")
-	n3 := flag.Int64("n3", 24, "extent of 3-D array dimensions")
-	n4 := flag.Int64("n4", 8, "extent of 4-D array dimensions")
-	procs := flag.Int("procs", 16, "processor count for Table 2")
-	ionodes := flag.Int("ionodes", 64, "I/O nodes in the simulated PFS")
-	memFrac := flag.Int64("memfrac", 128, "memory budget = data size / memfrac")
-	cacheTiles := flag.Int("cache-tiles", 0, "tile-engine cache capacity in tiles (0 = engine off for tables; engine ablation defaults to 8)")
-	version := flag.String("version", "c-opt", "program version for the engine ablation")
-	traceOut := flag.String("trace-out", "", "write a Chrome trace_event JSON capture of the run to this file (view in Perfetto)")
-	metricsOut := flag.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "occbench:", err)
+		if errors.As(err, new(usageError)) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// usageError is a bad command line: main exits 2 for it and 1 for a
+// run that failed.
+type usageError struct{ error }
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("occbench", flag.ContinueOnError)
+	table := fs.Int("table", 0, "reproduce Table 2 or 3")
+	figure := fs.Int("figure", 0, "reproduce Figure 1, 2 or 3")
+	ablation := fs.String("ablation", "", "ablation: tiling, memory, order, storage, engine, optimal, blocked")
+	show := fs.String("show", "", "show one kernel version: plan, trace or viz")
+	kernels := fs.String("kernels", "", "comma-separated kernel subset (default: all ten)")
+	kernel := fs.String("kernel", "mxm", "kernel for single-kernel modes")
+	n2 := fs.Int64("n2", 128, "extent of 2-D array dimensions")
+	n3 := fs.Int64("n3", 24, "extent of 3-D array dimensions")
+	n4 := fs.Int64("n4", 8, "extent of 4-D array dimensions")
+	procs := fs.Int("procs", 16, "processor count for Table 2 and -show viz")
+	ionodes := fs.Int("ionodes", 64, "I/O nodes in the simulated PFS")
+	memFrac := fs.Int64("memfrac", 128, "memory budget = data size / memfrac")
+	cacheTiles := fs.Int("cache-tiles", 0, "tile-engine cache capacity in tiles (0 = engine off for tables; engine ablation defaults to 8)")
+	version := fs.String("version", "c-opt", "program version for the engine ablation and -show")
+	demo := fs.Bool("demo", false, "with -show plan: the paper's Section-3.1 worked example instead of -kernel")
+	code := fs.Bool("code", false, "with -show plan: print each nest's tiled pseudo-code")
+	head := fs.Int("head", 0, "with -show trace: print the first N requests")
+	maxCall := fs.Int64("maxcall", 8192, "with -show trace: per-call element cap (0 = unlimited)")
+	traceOut := fs.String("trace-out", "", "write a Chrome trace_event JSON capture of the run to this file (view in Perfetto)")
+	metricsOut := fs.String("metrics-out", "", "write the metrics registry in Prometheus text format to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
+	}
+	for _, f := range []struct {
+		name   string
+		v, min int64
+	}{
+		{"n2", *n2, 1}, {"n3", *n3, 1}, {"n4", *n4, 1}, {"procs", int64(*procs), 1},
+		{"ionodes", int64(*ionodes), 1}, {"memfrac", *memFrac, 1},
+		{"head", int64(*head), 0}, {"maxcall", *maxCall, 0},
+	} {
+		if f.v < f.min {
+			return usageError{fmt.Errorf("-%s: %d out of range (valid: >= %d)", f.name, f.v, f.min)}
+		}
+	}
 
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	// -trace-out / -metrics-out attach an observability sink that every
 	// run mode threads through the engine, runtime and PFS simulator.
@@ -77,102 +116,93 @@ func main() {
 	if *kernels != "" {
 		opts.Kernels = strings.Split(*kernels, ",")
 	}
+	ver := suite.Version(*version)
 
+	var out string
+	var err error
 	switch {
 	case *table == 2:
-		res, err := exp.Table2(opts)
-		fail(err)
-		fmt.Printf("Table 2: execution on %d processors (col in seconds, rest %% of col)\n\n", *procs)
-		fmt.Print(res.Render())
+		out, err = rendered(exp.Table2(opts))
+		out = fmt.Sprintf("Table 2: execution on %d processors (col in seconds, rest %% of col)\n\n", *procs) + out
 	case *table == 3:
-		res, err := exp.Table3(opts, []int{16, 32, 64, 128})
-		fail(err)
-		fmt.Println("Table 3: speedups relative to each version's 1-processor run")
-		fmt.Println()
-		fmt.Print(res.Render())
+		out, err = rendered(exp.Table3(opts, []int{16, 32, 64, 128}))
+		out = "Table 3: speedups relative to each version's 1-processor run\n\n" + out
 	case *figure == 1:
-		out, err := exp.Figure1()
-		fail(err)
-		fmt.Print(out)
+		out, err = exp.Figure1()
 	case *figure == 2:
-		fmt.Print(exp.Figure2())
+		out = exp.Figure2()
 	case *figure == 3:
-		res, err := exp.Figure3()
-		fail(err)
-		fmt.Print(res.Render())
+		out, err = rendered(exp.Figure3())
 	case *ablation == "tiling":
-		rows, err := exp.TilingAblation(opts)
-		fail(err)
-		fmt.Println("Tiling ablation: I/O calls of the c-opt plan under both strategies")
-		fmt.Printf("%-10s %14s %14s\n", "program", "traditional", "out-of-core")
-		for _, r := range rows {
-			fmt.Printf("%-10s %14d %14d\n", r.Kernel, r.Traditional, r.OutOfCore)
-		}
+		out, err = rendered(exp.TilingAblation(opts))
 	case *ablation == "memory":
-		rows, err := exp.MemorySweep(opts, *kernel, nil)
-		fail(err)
-		fmt.Printf("Memory sweep for %s (c-opt)\n%-8s %12s %12s\n", *kernel, "1/frac", "seconds", "calls")
-		for _, r := range rows {
-			fmt.Printf("%-8d %12.3f %12d\n", r.Frac, r.Seconds, r.Calls)
-		}
+		out, err = rendered(exp.MemorySweep(opts, *kernel, nil))
+		out = fmt.Sprintf("Memory sweep for %s (c-opt)\n", *kernel) + out
 	case *ablation == "order":
-		res, err := exp.OrderAblation(opts, *kernel)
-		fail(err)
-		fmt.Printf("Nest-order ablation for %s: cost order %d calls, reversed %d calls\n",
-			res.Kernel, res.CostOrderCalls, res.ReverseOrderCalls)
+		out, err = rendered(exp.OrderAblation(opts, *kernel))
 	case *ablation == "storage":
-		fmt.Print(exp.StorageDemo())
+		out = exp.StorageDemo()
 	case *ablation == "engine":
 		// Default to a useful cache, but respect an explicit
 		// -cache-tiles 0.
 		if !set["cache-tiles"] {
 			opts.CacheTiles = 8
 		}
-		res, err := exp.EngineDemo(opts, *kernel, suite.Version(*version))
-		fail(err)
-		fmt.Print(res.Render())
+		out, err = rendered(exp.EngineDemo(opts, *kernel, ver))
 	case *ablation == "blocked":
-		rows, err := exp.BlockedAblation(*n2, nil)
-		fail(err)
-		fmt.Println("Blocked layouts: I/O calls to sweep all aligned BxB tiles")
-		fmt.Printf("%-6s %12s %12s %12s\n", "B", "row-major", "col-major", "blocked(B)")
-		for _, r := range rows {
-			fmt.Printf("%-6d %12d %12d %12d\n", r.Tile, r.RowCalls, r.ColCalls, r.BlockedCalls)
-		}
+		out, err = rendered(exp.BlockedAblation(*n2, nil))
 	case *ablation == "optimal":
-		rows, err := exp.OptimalAblation(opts)
-		fail(err)
-		fmt.Println("Greedy propagation (c-opt) vs exact optimal assignment")
-		fmt.Printf("%-10s %6s %14s %14s %12s %12s\n", "program", "refs", "c-opt good", "optimal good", "c-opt score", "opt score")
-		for _, r := range rows {
-			fmt.Printf("%-10s %6d %14d %14d %12.2f %12.2f\n",
-				r.Kernel, r.TotalRefs, r.CombinedGood, r.OptimalGood, r.CombinedScore, r.OptimalScore)
-		}
+		out, err = rendered(exp.OptimalAblation(opts))
+	case *show == "plan":
+		out, err = exp.ShowPlan(opts, *kernel, ver, *demo, *code)
+	case *show == "trace":
+		out, err = exp.ShowTrace(opts, *kernel, ver, *maxCall, *head)
+	case *show == "viz":
+		out, err = exp.ShowViz(opts, *kernel, ver)
+	case *show != "":
+		return usageError{fmt.Errorf("-show: unknown view %q (valid: plan, trace, viz)", *show)}
 	default:
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return usageError{errors.New("choose one of -table, -figure, -ablation or -show")}
 	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stdout, out)
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		fail(err)
-		fail(sink.Trace.WriteChrome(f))
-		fail(f.Close())
-		fmt.Printf("wrote %s (%d events, %d dropped; open in https://ui.perfetto.dev)\n",
+		if err := writeFile(*traceOut, sink.Trace.WriteChrome); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d events, %d dropped; open in https://ui.perfetto.dev)\n",
 			*traceOut, sink.Trace.Total()-sink.Trace.Dropped(), sink.Trace.Dropped())
 	}
 	if *metricsOut != "" {
-		f, err := os.Create(*metricsOut)
-		fail(err)
-		fail(sink.Metrics.WritePrometheus(f))
-		fail(f.Close())
-		fmt.Printf("wrote %s\n", *metricsOut)
+		if err := writeFile(*metricsOut, sink.Metrics.WritePrometheus); err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "wrote %s\n", *metricsOut)
 	}
+	return nil
 }
 
-func fail(err error) {
+// rendered returns r's rendering, or err if the run that made r failed.
+func rendered[T interface{ Render() string }](r T, err error) (string, error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "occbench:", err)
-		os.Exit(1)
+		return "", err
 	}
+	return r.Render(), nil
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -117,17 +117,7 @@ func main() {
 		}
 		log.Printf("occd: created %d arrays for %s/%s", len(prog.Arrays), k.Name, ver)
 	}
-	if *wal {
-		// Replay any log tail a previous (crashed) occd left behind:
-		// with -keep the acked writes it logged reappear before serving
-		// starts. A fresh directory replays nothing.
-		rep, err := d.ReplayWAL()
-		fail(err)
-		if rep.Applied+rep.Discarded+rep.Skipped > 0 {
-			log.Printf("occd: WAL replay: %d records applied, %d stale/torn discarded, %d skipped",
-				rep.Applied, rep.Discarded, rep.Skipped)
-		}
-	}
+	fail(replayWAL(d)) // a no-op without -wal
 
 	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: *cacheTiles, Obs: sink})
 	srv := server.New(d, eng, server.Config{
@@ -174,6 +164,29 @@ func main() {
 	}
 	fail(srv.Drain())
 	log.Print("occd: drained; dirty tiles flushed and synced")
+}
+
+// replayWAL re-applies the log tail a crashed occd left behind, so with
+// -keep its acked writes reappear before serving starts. A record whose
+// array this start did not create (occd re-creates only -kernel arrays)
+// cannot be applied, and the next checkpoint would drop it: such a log
+// refuses the start, naming the arrays.
+func replayWAL(d *ooc.Disk) error {
+	rep, err := d.ReplayWAL()
+	if err != nil {
+		return err
+	}
+	if rep.Applied+rep.Discarded+rep.Skipped > 0 {
+		log.Printf("occd: WAL replay: %d records applied, %d stale/torn discarded, %d skipped",
+			rep.Applied, rep.Discarded, rep.Skipped)
+	}
+	if rep.Skipped > 0 {
+		return fmt.Errorf("WAL replay: %d acked records name arrays this start did not create (%s); "+
+			"refusing to serve, since a checkpoint would drop them: re-create those arrays before replay, "+
+			"or move the log (__wal0.log) aside to discard their writes",
+			rep.Skipped, strings.Join(rep.SkippedArrays, ", "))
+	}
+	return nil
 }
 
 func fail(err error) {

@@ -1,0 +1,71 @@
+package main
+
+import (
+	"strings"
+	"testing"
+
+	"outcore/internal/faultfs"
+	"outcore/internal/ir"
+	"outcore/internal/layout"
+	"outcore/internal/ooc"
+)
+
+// TestReplayRefusesUnknownArrays drives occd's WAL open path over a
+// crash: an array made at run time (as POST /v1/arrays makes one), one
+// acked tile write, a power cut before any checkpoint. A restart that
+// does not re-create the array must refuse to serve, naming it, rather
+// than leave the record for the next checkpoint to drop; a restart that
+// does re-create it must apply the record.
+func TestReplayRefusesUnknownArrays(t *testing.T) {
+	inj := faultfs.New(7, faultfs.Profile{})
+	meta := ir.NewArray("A", 32, 32)
+	box := layout.NewBox([]int64{0, 0}, []int64{8, 8})
+	open := func(create bool) (*ooc.Disk, *ooc.Array) {
+		d := ooc.NewDisk(0).WrapBackend(inj.Wrap).EnableWAL(ooc.WALOptions{CapWords: 1 << 15})
+		if !create {
+			return d, nil
+		}
+		ar, err := d.CreateArray(meta, layout.RowMajor(32, 32))
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		return d, ar
+	}
+
+	d, ar := open(true)
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 4})
+	hd, err := eng.Acquire(ar, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range hd.Tile().Data() {
+		hd.Tile().Data()[i] = 42
+	}
+	eng.Release(hd, true)
+	if err := eng.Flush(); err != nil { // the ack: the record is committed
+		t.Fatal(err)
+	}
+	eng.Abandon()
+	inj.Crash()
+
+	d, _ = open(false)
+	if err := replayWAL(d); err == nil || !strings.Contains(err.Error(), "(A)") {
+		t.Fatalf("restart without A: replayWAL = %v, want a refusal naming A", err)
+	}
+	inj.Crash()
+
+	d, ar = open(true)
+	if err := replayWAL(d); err != nil {
+		t.Fatalf("restart with A: %v", err)
+	}
+	eng = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 4})
+	defer eng.Close()
+	hd, err = eng.Acquire(ar, box)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hd.Tile().Data()[0]; got != 42 {
+		t.Fatalf("acked tile reads %v after replay, want 42", got)
+	}
+	eng.Release(hd, false)
+}

@@ -2,8 +2,8 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 
-	"outcore/internal/core"
 	"outcore/internal/ir"
 	"outcore/internal/layout"
 	"outcore/internal/ooc"
@@ -20,17 +20,31 @@ type BlockedRow struct {
 	BlockedCalls int64
 }
 
+// BlockedRows is the blocked-layout ablation's table.
+type BlockedRows []BlockedRow
+
+// Render formats the table for occbench.
+func (rows BlockedRows) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Blocked layouts: I/O calls to sweep all aligned BxB tiles\n%-6s %12s %12s %12s\n",
+		"B", "row-major", "col-major", "blocked(B)")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-6d %12d %12d %12d\n", r.Tile, r.RowCalls, r.ColCalls, r.BlockedCalls)
+	}
+	return b.String()
+}
+
 // BlockedAblation quantifies Figure 2's last layout family: blocked
 // layouts make aligned square tiles file-contiguous, which neither
 // canonical layout can. The paper's method "as it is can be used for
 // determining optimal storage of blocks in file with respect to each
 // other"; this experiment shows what the blocks themselves buy.
-func BlockedAblation(n int64, tiles []int64) ([]BlockedRow, error) {
+func BlockedAblation(n int64, tiles []int64) (BlockedRows, error) {
 	if len(tiles) == 0 {
 		tiles = []int64{8, 16, 32}
 	}
 	meta := ir.NewArray("A", n, n)
-	var rows []BlockedRow
+	var rows BlockedRows
 	for _, b := range tiles {
 		if n%b != 0 {
 			return nil, fmt.Errorf("exp: tile %d does not divide array extent %d", b, n)
@@ -60,30 +74,4 @@ func BlockedAblation(n int64, tiles []int64) ([]BlockedRow, error) {
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// BlockedPlanDemo shows the one place the optimizer interacts with
-// blocked layouts today: a plan may FIX a blocked layout (e.g. imposed
-// by an external producer) and the loop optimizer must then treat the
-// array's references as unconstrained by any hyperplane — exactly the
-// paper's remark that blocked layouts sit outside the linear framework.
-func BlockedPlanDemo(n int64) (string, error) {
-	a := ir.NewArray("A", n, n)
-	b := ir.NewArray("B", n, n)
-	prog := &ir.Program{
-		Name:   "blocked-demo",
-		Arrays: []*ir.Array{a, b},
-		Nests: []*ir.Nest{{ID: 0, Loops: ir.Rect(n, n), Body: []*ir.Stmt{
-			ir.Assign(ir.RefIdx(a, 2, 0, 1), []ir.Ref{ir.RefIdx(b, 2, 1, 0)}, "", ir.AddConst(1)),
-		}}},
-	}
-	var o core.Optimizer
-	plan := o.OptimizeCombined(prog)
-	// Override A with a blocked layout, as an external constraint.
-	plan.Layouts[a] = layout.Blocked(n, n, 8, 8)
-	var out string
-	for _, rep := range plan.Report(prog, nil) {
-		out += fmt.Sprintf("%s: %s locality under %s\n", rep.Ref, rep.Locality, plan.Layouts[rep.Ref.Array])
-	}
-	return out, nil
 }

@@ -39,10 +39,9 @@ type EngineResult struct {
 // the simulator's measurements do, so cross-iteration tile reuse shows
 // up as cache hits.
 func EngineDemo(o Options, kernel string, version suite.Version) (EngineResult, error) {
-	o.defaults()
-	k, ok := suite.ByName(kernel)
-	if !ok {
-		return EngineResult{}, fmt.Errorf("exp: unknown kernel %q", kernel)
+	k, err := kernelNamed(kernel)
+	if err != nil {
+		return EngineResult{}, err
 	}
 	res := EngineResult{Kernel: k.Name, Version: version}
 

@@ -13,6 +13,9 @@
 //	Figure 3 — I/O calls per tile under traditional vs out-of-core
 //	           tiling
 //
+// ShowPlan, ShowTrace and ShowViz render one kernel version's plan,
+// dry-run I/O trace and simulated PFS contention (occbench -show).
+//
 // Absolute seconds depend on the simulator's constants; the claims
 // under test are the relative shapes (orderings, ratios, crossover
 // points), which EXPERIMENTS.md compares against the paper.
@@ -29,7 +32,9 @@ import (
 	"outcore/internal/suite"
 )
 
-// Options configures a harness run.
+// Options configures a harness run. Every field is used as given
+// (occbench rejects out-of-range values before a run); a zero
+// IterPerSec takes the simulator's default.
 type Options struct {
 	Cfg        suite.Config
 	PFS        pfs.Config
@@ -44,25 +49,6 @@ type Options struct {
 	// from the engine/PFS and metrics registry series (occbench's
 	// -trace-out / -metrics-out flags hang off it).
 	Obs *obs.Sink
-}
-
-// Defaults fills unset fields with paper-scale values.
-func (o *Options) defaults() {
-	if o.Cfg == (suite.Config{}) {
-		o.Cfg = suite.DefaultConfig()
-	}
-	if o.PFS.IONodes == 0 {
-		o.PFS = ScaledPFS(o.Cfg.N2, 64)
-	}
-	if o.MemFrac == 0 {
-		o.MemFrac = 128
-	}
-	if o.IterPerSec == 0 {
-		o.IterPerSec = 5e6
-	}
-	if o.Procs == 0 {
-		o.Procs = 16
-	}
 }
 
 // ScaledPFS returns a PFS configuration whose geometry scales with the
@@ -91,13 +77,23 @@ func (o *Options) kernels() ([]suite.Kernel, error) {
 	}
 	var out []suite.Kernel
 	for _, name := range o.Kernels {
-		k, ok := suite.ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("exp: unknown kernel %q", name)
+		k, err := kernelNamed(name)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, k)
 	}
 	return out, nil
+}
+
+// kernelNamed looks a kernel up by name, naming the valid ones if the
+// name is not among them.
+func kernelNamed(name string) (suite.Kernel, error) {
+	k, ok := suite.ByName(name)
+	if !ok {
+		return k, fmt.Errorf("exp: unknown kernel %q (valid: %s)", name, strings.Join(suite.KernelNames(), ", "))
+	}
+	return k, nil
 }
 
 func (o Options) setup(k suite.Kernel, v suite.Version, procs int) sim.Setup {
@@ -133,7 +129,6 @@ type Table2Result struct {
 // Table2 measures all versions of the selected kernels on o.Procs
 // processors.
 func Table2(o Options) (Table2Result, error) {
-	o.defaults()
 	kernels, err := o.kernels()
 	if err != nil {
 		return Table2Result{}, err
@@ -209,7 +204,6 @@ type Table3Result struct {
 // Table3 measures speedups for the selected kernels at the given
 // processor counts (paper: 16, 32, 64, 128 with 64 I/O nodes).
 func Table3(o Options, procs []int) (Table3Result, error) {
-	o.defaults()
 	if len(procs) == 0 {
 		procs = []int{16, 32, 64, 128}
 	}

@@ -1,9 +1,15 @@
 package exp
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"outcore/internal/core"
+	"outcore/internal/ir"
+	"outcore/internal/layout"
 	"outcore/internal/pfs"
 	"outcore/internal/suite"
 )
@@ -227,22 +233,26 @@ func TestSizeHistogram(t *testing.T) {
 	}
 }
 
-func TestTraceHistogramOrdering(t *testing.T) {
+func TestShowTraceOrdering(t *testing.T) {
 	// The optimized version's mean request size must exceed col's:
 	// Figure 3's effect expressed as a distribution.
 	o := testOptions()
-	hc, err := TraceHistogram(o, "trans", suite.Col)
-	if err != nil {
-		t.Fatal(err)
+	mean := func(v suite.Version) float64 {
+		out, err := ShowTrace(o, "trans", v, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := regexp.MustCompile(`requests, mean ([0-9.]+) elements`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("%s trace has no mean request size:\n%s", v, out)
+		}
+		f, _ := strconv.ParseFloat(m[1], 64)
+		return f
 	}
-	ho, err := TraceHistogram(o, "trans", suite.COpt)
-	if err != nil {
-		t.Fatal(err)
+	if co, col := mean(suite.COpt), mean(suite.Col); co <= col {
+		t.Errorf("c-opt mean %.1f <= col mean %.1f", co, col)
 	}
-	if ho.Mean() <= hc.Mean() {
-		t.Errorf("c-opt mean %.1f <= col mean %.1f", ho.Mean(), hc.Mean())
-	}
-	if _, err := TraceHistogram(o, "nope", suite.Col); err == nil {
+	if _, err := ShowTrace(o, "nope", suite.Col, 0, 0); err == nil {
 		t.Error("unknown kernel accepted")
 	}
 }
@@ -269,9 +279,27 @@ func TestBlockedAblation(t *testing.T) {
 }
 
 func TestBlockedPlanDemo(t *testing.T) {
-	out, err := BlockedPlanDemo(16)
-	if err != nil {
-		t.Fatal(err)
+	// The one place the optimizer meets blocked layouts: a plan may FIX
+	// a blocked layout (say, imposed by an external producer), and the
+	// array's references are then unconstrained by any hyperplane —
+	// the paper's remark that blocked layouts sit outside the linear
+	// framework.
+	const n = 16
+	a := ir.NewArray("A", n, n)
+	b := ir.NewArray("B", n, n)
+	prog := &ir.Program{
+		Name:   "blocked-demo",
+		Arrays: []*ir.Array{a, b},
+		Nests: []*ir.Nest{{ID: 0, Loops: ir.Rect(n, n), Body: []*ir.Stmt{
+			ir.Assign(ir.RefIdx(a, 2, 0, 1), []ir.Ref{ir.RefIdx(b, 2, 1, 0)}, "", ir.AddConst(1)),
+		}}},
+	}
+	var o core.Optimizer
+	plan := o.OptimizeCombined(prog)
+	plan.Layouts[a] = layout.Blocked(n, n, 8, 8)
+	var out string
+	for _, rep := range plan.Report(prog, nil) {
+		out += fmt.Sprintf("%s: %s locality under %s\n", rep.Ref, rep.Locality, plan.Layouts[rep.Ref.Array])
 	}
 	// A is forced blocked -> its reference loses hyperplane locality; B
 	// keeps its optimized layout.

@@ -10,7 +10,6 @@ import (
 	"outcore/internal/ir"
 	"outcore/internal/layout"
 	"outcore/internal/matrix"
-	"outcore/internal/ooc"
 	"outcore/internal/restructure"
 	"outcore/internal/sim"
 	"outcore/internal/suite"
@@ -128,41 +127,19 @@ func Figure3() (Figure3Result, error) {
 	res.OOCTileCalls = calls(colV, layout.NewBox([]int64{0, 0}, []int64{8, 2}), 8)
 
 	// Whole-program: the motivating fragment under the c-opt plan.
-	const n = 64
-	u := ir.NewArray("U", n, n)
-	v := ir.NewArray("V", n, n)
-	w := ir.NewArray("W", n, n)
-	prog := &ir.Program{
-		Name:   "figure3",
-		Arrays: []*ir.Array{u, v, w},
-		Nests: []*ir.Nest{
-			{ID: 0, Loops: ir.Rect(n, n), Body: []*ir.Stmt{
-				ir.Assign(ir.RefIdx(u, 2, 0, 1), []ir.Ref{ir.RefIdx(v, 2, 1, 0)}, "", ir.AddConst(1)),
-			}},
-			{ID: 1, Loops: ir.Rect(n, n), Body: []*ir.Stmt{
-				ir.Assign(ir.RefIdx(v, 2, 0, 1), []ir.Ref{ir.RefIdx(w, 2, 1, 0)}, "", ir.AddConst(2)),
-			}},
-		},
-	}
+	prog := workedExample(64)
 	var o core.Optimizer
 	plan := o.OptimizeCombined(prog)
 	budget := suite.TotalElems(prog) / 32
-	for _, strat := range []tiling.Strategy{tiling.Traditional, tiling.OutOfCore} {
-		d, err := codegen.SetupDisk(prog, plan, 64, nil)
+	for _, c := range []struct {
+		strat tiling.Strategy
+		calls *int64
+	}{{tiling.Traditional, &res.ProgramTraditional}, {tiling.OutOfCore, &res.ProgramOOC}} {
+		d, _, err := dryCount(prog, plan, 64, codegen.Options{Strategy: c.strat, MemBudget: budget, NoFallback: true}, false)
 		if err != nil {
 			return res, err
 		}
-		mem := ooc.NewMemory(budget)
-		if _, err := codegen.RunProgram(prog, plan, d, mem, codegen.Options{
-			Strategy: strat, MemBudget: budget, DryRun: true, NoFallback: true,
-		}); err != nil {
-			return res, err
-		}
-		if strat == tiling.Traditional {
-			res.ProgramTraditional = d.Stats.Calls()
-		} else {
-			res.ProgramOOC = d.Stats.Calls()
-		}
+		*c.calls = d.Stats.Calls()
 	}
 	return res, nil
 }
@@ -186,15 +163,17 @@ type TilingAblationRow struct {
 	OutOfCore   int64
 }
 
+// TilingRows is the tiling ablation's table.
+type TilingRows []TilingAblationRow
+
 // TilingAblation measures I/O calls for the c-opt plan when the tiling
 // strategy is flipped: the design choice Section 3.3 motivates.
-func TilingAblation(o Options) ([]TilingAblationRow, error) {
-	o.defaults()
+func TilingAblation(o Options) (TilingRows, error) {
 	kernels, err := o.kernels()
 	if err != nil {
 		return nil, err
 	}
-	var rows []TilingAblationRow
+	var rows TilingRows
 	for _, k := range kernels {
 		row := TilingAblationRow{Kernel: k.Name}
 		prog := k.Build(o.Cfg)
@@ -202,27 +181,30 @@ func TilingAblation(o Options) ([]TilingAblationRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		budget := suite.MemBudget(prog, o.MemFrac)
-		for _, strat := range []tiling.Strategy{tiling.Traditional, tiling.OutOfCore} {
-			d, err := codegen.SetupDisk(prog, plan, 0, nil)
+		for _, c := range []struct {
+			strat tiling.Strategy
+			calls *int64
+		}{{tiling.Traditional, &row.Traditional}, {tiling.OutOfCore, &row.OutOfCore}} {
+			d, _, err := dryCount(prog, plan, 0, codegen.Options{Strategy: c.strat, MemBudget: suite.MemBudget(prog, o.MemFrac)}, false)
 			if err != nil {
 				return nil, err
 			}
-			mem := ooc.NewMemory(budget)
-			if _, err := codegen.RunProgram(prog, plan, d, mem, codegen.Options{
-				Strategy: strat, MemBudget: budget, DryRun: true,
-			}); err != nil {
-				return nil, err
-			}
-			if strat == tiling.Traditional {
-				row.Traditional = d.Stats.Calls()
-			} else {
-				row.OutOfCore = d.Stats.Calls()
-			}
+			*c.calls = d.Stats.Calls()
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// Render formats the tiling ablation for occbench.
+func (rows TilingRows) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Tiling ablation: I/O calls of the c-opt plan under both strategies\n%-10s %14s %14s\n",
+		"program", "traditional", "out-of-core")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s %14d %14d\n", r.Kernel, r.Traditional, r.OutOfCore)
+	}
+	return b.String()
 }
 
 // MemorySweepRow is one memory-fraction measurement.
@@ -232,19 +214,21 @@ type MemorySweepRow struct {
 	Calls   int64
 }
 
+// MemoryRows is one kernel's memory sweep.
+type MemoryRows []MemorySweepRow
+
 // MemorySweep measures a kernel's c-opt time as the memory budget
 // shrinks (1/32 ... 1/512 of the data), an ablation over the paper's
 // fixed 1/128 discipline.
-func MemorySweep(o Options, kernel string, fracs []int64) ([]MemorySweepRow, error) {
-	o.defaults()
-	k, ok := suite.ByName(kernel)
-	if !ok {
-		return nil, fmt.Errorf("exp: unknown kernel %q", kernel)
+func MemorySweep(o Options, kernel string, fracs []int64) (MemoryRows, error) {
+	k, err := kernelNamed(kernel)
+	if err != nil {
+		return nil, err
 	}
 	if len(fracs) == 0 {
 		fracs = []int64{32, 64, 128, 256, 512}
 	}
-	var rows []MemorySweepRow
+	var rows MemoryRows
 	for _, f := range fracs {
 		st := o.setup(k, suite.COpt, o.Procs)
 		st.MemFrac = f
@@ -255,6 +239,16 @@ func MemorySweep(o Options, kernel string, fracs []int64) ([]MemorySweepRow, err
 		rows = append(rows, MemorySweepRow{Frac: f, Seconds: m.Seconds, Calls: m.Calls})
 	}
 	return rows, nil
+}
+
+// Render formats the sweep for occbench, below its title line.
+func (rows MemoryRows) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-8s %12s %12s\n", "1/frac", "seconds", "calls")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-8d %12.3f %12d\n", r.Frac, r.Seconds, r.Calls)
+	}
+	return b.String()
 }
 
 // OrderAblationResult compares the paper's cost-ordered layout
@@ -269,40 +263,38 @@ type OrderAblationResult struct {
 // measures the effect on total I/O calls under the combined algorithm:
 // Step 3.a's "optimize the costliest nest first" is the knob.
 func OrderAblation(o Options, kernel string) (OrderAblationResult, error) {
-	o.defaults()
-	k, ok := suite.ByName(kernel)
-	if !ok {
-		return OrderAblationResult{}, fmt.Errorf("exp: unknown kernel %q", kernel)
-	}
 	res := OrderAblationResult{Kernel: kernel}
-	for _, reversed := range []bool{false, true} {
+	k, err := kernelNamed(kernel)
+	if err != nil {
+		return res, err
+	}
+	for _, c := range []struct {
+		reversed bool
+		calls    *int64
+	}{{false, &res.CostOrderCalls}, {true, &res.ReverseOrderCalls}} {
 		prog := k.Build(o.Cfg)
 		var opt core.Optimizer
-		if reversed {
+		if c.reversed {
 			opt.Profile = map[int]int64{}
 			for _, n := range prog.Nests {
 				opt.Profile[n.ID] = -core.Cost(n) // invert the order
 			}
 		}
-		plan := opt.OptimizeCombined(prog)
-		budget := suite.MemBudget(prog, o.MemFrac)
-		d, err := codegen.SetupDisk(prog, plan, 0, nil)
+		d, _, err := dryCount(prog, opt.OptimizeCombined(prog), 0, codegen.Options{
+			Strategy: tiling.OutOfCore, MemBudget: suite.MemBudget(prog, o.MemFrac),
+		}, false)
 		if err != nil {
 			return res, err
 		}
-		mem := ooc.NewMemory(budget)
-		if _, err := codegen.RunProgram(prog, plan, d, mem, codegen.Options{
-			Strategy: tiling.OutOfCore, MemBudget: budget, DryRun: true,
-		}); err != nil {
-			return res, err
-		}
-		if reversed {
-			res.ReverseOrderCalls = d.Stats.Calls()
-		} else {
-			res.CostOrderCalls = d.Stats.Calls()
-		}
+		*c.calls = d.Stats.Calls()
 	}
 	return res, nil
+}
+
+// Render formats the ablation for occbench.
+func (r OrderAblationResult) Render() string {
+	return fmt.Sprintf("Nest-order ablation for %s: cost order %d calls, reversed %d calls\n",
+		r.Kernel, r.CostOrderCalls, r.ReverseOrderCalls)
 }
 
 // StorageDemo renders the Section-3.4 storage-reduction example.

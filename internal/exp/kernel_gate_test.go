@@ -39,7 +39,6 @@ func TestKernelGateGolden(t *testing.T) {
 		PFS:     ScaledPFS(64, 16),
 		MemFrac: 128,
 	}
-	o.defaults()
 	cells := map[string]int{"sequential": 0, "engine": 8}
 	got := map[string]gateRow{}
 	for _, name := range []string{"mat", "mxm", "trans", "syr2k"} {

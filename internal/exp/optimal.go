@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
+
 	"outcore/internal/core"
 	"outcore/internal/ir"
 )
@@ -18,16 +21,30 @@ type OptimalRow struct {
 	OptimalScore  float64
 }
 
+// OptimalRows is the optimal-assignment ablation's table.
+type OptimalRows []OptimalRow
+
+// Render formats the table for occbench.
+func (rows OptimalRows) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Greedy propagation (c-opt) vs exact optimal assignment\n%-10s %6s %14s %14s %12s %12s\n",
+		"program", "refs", "c-opt good", "optimal good", "c-opt score", "opt score")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "%-10s %6d %14d %14d %12.2f %12.2f\n",
+			r.Kernel, r.TotalRefs, r.CombinedGood, r.OptimalGood, r.CombinedScore, r.OptimalScore)
+	}
+	return b.String()
+}
+
 // OptimalAblation measures the gap between the paper's greedy layout
 // propagation (Step 3) and the globally optimal assignment the
 // conclusion proposes as future work (core.OptimizeOptimal).
-func OptimalAblation(o Options) ([]OptimalRow, error) {
-	o.defaults()
+func OptimalAblation(o Options) (OptimalRows, error) {
 	kernels, err := o.kernels()
 	if err != nil {
 		return nil, err
 	}
-	var rows []OptimalRow
+	var rows OptimalRows
 	for _, k := range kernels {
 		row := OptimalRow{Kernel: k.Name}
 

@@ -108,6 +108,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -626,6 +627,9 @@ func (ws *walSet) replay() (WALReplay, error) {
 		inner, ok := byName[r.name]
 		if !ok {
 			rep.Skipped++
+			if !slices.Contains(rep.SkippedArrays, r.name) {
+				rep.SkippedArrays = append(rep.SkippedArrays, r.name)
+			}
 			continue
 		}
 		if err := walApply(inner, r.runs, r.data); err != nil {
@@ -1048,6 +1052,8 @@ type WALReplay struct {
 	Applied   int64 // records re-applied over the member backends
 	Discarded int64 // torn log tail (at most one) plus stale records at or below the watermark
 	Skipped   int64 // valid records naming arrays not (re)created
+
+	SkippedArrays []string // the Skipped records' arrays, in order of first appearance
 }
 
 // EnableWAL turns on write-ahead logging for every subsequently
@@ -1073,11 +1079,12 @@ func (d *Disk) WALEnabled() bool { return d.wal != nil }
 
 // ReplayWAL recovers acknowledged writes after a reopen: it scans the
 // surviving log tail and re-applies the valid records, in sequence
-// order, over the array backends. Call it after recreating
-// the disk's arrays (records naming arrays that were not recreated
-// are counted in Skipped and left for the next checkpoint to drop)
-// and before tile I/O starts. On a freshly created disk the log is
-// empty and replay is a no-op.
+// order, over the array backends. Call it after recreating the disk's
+// arrays and before tile I/O starts. Records naming arrays that were
+// not recreated are counted in Skipped, their arrays named in
+// SkippedArrays, and left for the next checkpoint to drop, so a caller
+// that must not lose them refuses to go on. On a freshly created disk
+// the log is empty and replay is a no-op.
 func (d *Disk) ReplayWAL() (WALReplay, error) {
 	if d.wal == nil {
 		return WALReplay{}, nil

@@ -29,9 +29,6 @@ type Config struct {
 	N4 int64 // extent of each 4-D dimension
 }
 
-// DefaultConfig is the benchmark-scale configuration.
-func DefaultConfig() Config { return Config{N2: 256, N3: 32, N4: 10} }
-
 // SmallConfig keeps unit tests fast.
 func SmallConfig() Config { return Config{N2: 24, N3: 8, N4: 4} }
 
