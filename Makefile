@@ -15,7 +15,6 @@ FUZZ_TARGETS := \
 	./internal/ooc/:FuzzWALRecord \
 	./internal/ooc/:FuzzTileCodec \
 	./internal/server/:FuzzScanCursor \
-	./internal/server/:FuzzBatchRequest \
 	./internal/server/:FuzzGenIndex \
 	./internal/server/:FuzzScanReader
 

@@ -170,8 +170,14 @@ func main() {
 // -keep its acked writes reappear before serving starts. A record whose
 // array this start did not create (occd re-creates only -kernel arrays)
 // cannot be applied, and the next checkpoint would drop it: such a log
-// refuses the start, naming the arrays.
-func replayWAL(d *ooc.Disk) error {
+// refuses the start, naming the arrays. A refused start abandons the
+// disk, so it leaves neither a checkpoint nor its locks behind.
+func replayWAL(d *ooc.Disk) (err error) {
+	defer func() {
+		if err != nil {
+			d.Abandon()
+		}
+	}()
 	rep, err := d.ReplayWAL()
 	if err != nil {
 		return err

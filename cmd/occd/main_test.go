@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -68,4 +70,56 @@ func TestReplayRefusesUnknownArrays(t *testing.T) {
 		t.Fatalf("acked tile reads %v after replay, want 42", got)
 	}
 	eng.Release(hd, false)
+}
+
+// TestRefusedStartReleasesLocks runs the same refusal over a real
+// -dir -keep -wal directory: after a crash whose stale locks were
+// removed by hand, a start without the array refuses naming it, and
+// so does the next one — the refused start must not leave its own
+// *.lock files behind (or checkpoint the records away).
+func TestRefusedStartReleasesLocks(t *testing.T) {
+	dir := t.TempDir()
+	open := func(keep bool) *ooc.Disk {
+		d := ooc.NewDisk(0).Dir(dir).EnableWAL(ooc.WALOptions{CapWords: 1 << 15})
+		if keep {
+			d.KeepExisting()
+		}
+		return d
+	}
+
+	d := open(false)
+	ar, err := d.CreateArray(ir.NewArray("A", 32, 32), layout.RowMajor(32, 32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 4})
+	hd, err := eng.Acquire(ar, layout.NewBox([]int64{0, 0}, []int64{8, 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd.Tile().Data()[0] = 42
+	eng.Release(hd, true)
+	if err := eng.Flush(); err != nil { // the ack: the record is committed
+		t.Fatal(err)
+	}
+	eng.Abandon()
+	// The crash: the process dies holding its locks, and the operator
+	// removes them by hand.
+	locks, _ := filepath.Glob(filepath.Join(dir, "*.lock"))
+	if len(locks) == 0 {
+		t.Fatal("a running disk holds no lock files")
+	}
+	for _, l := range locks {
+		os.Remove(l)
+	}
+
+	for start := 1; start <= 2; start++ {
+		err := replayWAL(open(true))
+		if err == nil || !strings.Contains(err.Error(), "(A)") {
+			t.Fatalf("refused start %d: replayWAL = %v, want a refusal naming A", start, err)
+		}
+	}
+	if locks, _ := filepath.Glob(filepath.Join(dir, "*.lock")); len(locks) > 0 {
+		t.Fatalf("refused starts left locks behind: %v", locks)
+	}
 }

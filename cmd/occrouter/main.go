@@ -49,6 +49,10 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
 	flag.Parse()
 
+	if *probeEvery <= 0 {
+		fmt.Fprintf(os.Stderr, "occrouter: -probe-interval: %v out of range (valid: > 0)\n", *probeEvery)
+		os.Exit(2)
+	}
 	nodes, err := parsePeers(*peers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "occrouter: -peers: %v\n", err)

@@ -33,7 +33,7 @@
 // server.Plane (catalog, ReadBox/WriteBox/ReduceBox, stats, error
 // mapping) and Router.Handler is the one front end, server.FrontEnd,
 // mounted over it — the same routes, admission, validation and
-// batch/scan/reduce code occd serves its local engine through.
+// scan/reduce code occd serves its local engine through.
 package cluster
 
 import (

@@ -5,7 +5,7 @@
 // writes under per-piece generations, reductions as per-piece partials
 // combined into one scalar so an aggregate over the whole cluster
 // still costs the client a single round-trip. The HTTP surface over it
-// (batch/scan/reduce framing, cursors, validation) is server.FrontEnd.
+// (scan/reduce framing, cursors, validation) is server.FrontEnd.
 package cluster
 
 import (

@@ -1,12 +1,12 @@
 package cluster
 
-// The operator half of the cluster conformance suite: the batched &
-// streaming operators (PR 9) replayed against the router+N-node plane.
-// A subject cluster is driven exclusively through /batch while a
-// reference cluster — same seed, same topology — receives the
-// identical boxes as sequential single-tile PUTs; every readback path
-// (single-tile GET, batch GET, scan chunk, reduce) must then agree
-// byte-for-byte across both planes and with the sequential model.
+// The operator half of the cluster conformance suite: the streaming
+// and pushed-down operators replayed against the router+N-node plane.
+// A subject cluster and a reference cluster — same topology, different
+// placement seeds — receive the same boxes as sequential single-tile
+// PUTs; every readback path (single-tile GET, scan chunk, reduce) must
+// then agree byte-for-byte across both planes and with the sequential
+// model.
 //
 // Reduce note: min/max/count are order-free and compared bit-exactly.
 // The conformance data is integer-valued so that sum is exact under
@@ -16,7 +16,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -50,23 +49,6 @@ func opsConfCluster(t *testing.T, seed int64) *LocalCluster {
 		t.Fatalf("cluster: create: %v", err)
 	}
 	return lc
-}
-
-// batchWireOp and batchWireResult are the client's view of the batch
-// wire shapes.
-type batchWireOp struct {
-	Op   string  `json:"op"`
-	Lo   []int64 `json:"lo"`
-	Hi   []int64 `json:"hi"`
-	Data string  `json:"data_b64,omitempty"`
-}
-
-type batchWireResult struct {
-	Status int    `json:"status"`
-	Error  string `json:"error,omitempty"`
-	Elems  int64  `json:"elems,omitempty"`
-	Data   string `json:"data_b64,omitempty"`
-	Gen    uint64 `json:"gen,omitempty"`
 }
 
 func postJSON(t *testing.T, url string, body any) (int, []byte) {
@@ -112,54 +94,29 @@ func runClusterOperatorSeed(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed * 31))
 	dims := []int64{confEdge, confEdge}
 
-	// Write phase: random boxes land on the subject in batches and on
-	// the reference one tile at a time. Integer values keep every
-	// reduction order-free.
-	for round := 0; round < 8; round++ {
-		n := 1 + rng.Intn(5)
-		ops := make([]batchWireOp, 0, n)
-		type w struct {
-			box  layout.Box
-			data []float64
+	// Write phase: the same random boxes land on both planes as
+	// single-tile PUTs; the subject's carry an X-Tile-Gen. Integer
+	// values keep every reduction order-free.
+	for gen := uint64(1); gen <= 24; gen++ {
+		lo := []int64{rng.Int63n(confEdge), rng.Int63n(confEdge)}
+		hi := []int64{lo[0] + 1 + rng.Int63n(confTile*2), lo[1] + 1 + rng.Int63n(confTile*2)}
+		box := layout.NewBox(lo, hi).Clip(dims)
+		data := make([]float64, box.Size())
+		for j := range data {
+			data[j] = float64(rng.Int63n(2000) - 1000)
 		}
-		var ws []w
-		for i := 0; i < n; i++ {
-			lo := []int64{rng.Int63n(confEdge), rng.Int63n(confEdge)}
-			hi := []int64{lo[0] + 1 + rng.Int63n(confTile*2), lo[1] + 1 + rng.Int63n(confTile*2)}
-			box := layout.NewBox(lo, hi).Clip(dims)
-			data := make([]float64, box.Size())
-			for j := range data {
-				data[j] = float64(rng.Int63n(2000) - 1000)
-			}
-			ops = append(ops, batchWireOp{Op: "put", Lo: box.Lo, Hi: box.Hi,
-				Data: base64.StdEncoding.EncodeToString(leBytes(data))})
-			ws = append(ws, w{box, data})
+		if _, _, err := subjCli.PutTile("A", box, data, gen, false); err != nil {
+			t.Fatalf("subject put %v: %v", box, err)
 		}
-		status, body := postJSON(t, subject.RouterURL+"/v1/arrays/A/batch", map[string]any{"ops": ops})
-		if status != http.StatusOK {
-			t.Fatalf("router batch: status %d %s", status, body)
+		if _, _, err := refCli.PutTile("A", box, data, 0, true); err != nil {
+			t.Fatalf("ref put %v: %v", box, err)
 		}
-		var out struct {
-			Results []batchWireResult `json:"results"`
-			Failed  int               `json:"failed"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.Failed != 0 {
-			t.Fatalf("router batch: %d ops failed: %+v", out.Failed, out.Results)
-		}
-		for _, w := range ws {
-			if _, _, err := refCli.PutTile("A", w.box, w.data, 0, true); err != nil {
-				t.Fatalf("ref put %v: %v", w.box, err)
-			}
-			// The model applies writes in op order — last write wins on
-			// overlap, matching both planes' sequential apply.
-			for i, r := 0, w.box.Lo[0]; r < w.box.Hi[0]; r++ {
-				for c := w.box.Lo[1]; c < w.box.Hi[1]; c++ {
-					model.a[r*confEdge+c] = w.data[i]
-					i++
-				}
+		// The model applies writes in order — last write wins on
+		// overlap, matching both planes' sequential apply.
+		for i, r := 0, box.Lo[0]; r < box.Hi[0]; r++ {
+			for c := box.Lo[1]; c < box.Hi[1]; c++ {
+				model.a[r*confEdge+c] = data[i]
+				i++
 			}
 		}
 	}
@@ -174,7 +131,7 @@ func runClusterOperatorSeed(t *testing.T, seed int64) {
 				t.Fatalf("subject get %v: %v", box, err)
 			}
 			if !equalSlices(got, want) {
-				t.Fatalf("subject tile %v diverged from the model after batch writes", box)
+				t.Fatalf("subject tile %v diverged from the model", box)
 			}
 			refGot, _, err := refCli.GetTile("A", box, true)
 			if err != nil {
@@ -183,40 +140,6 @@ func runClusterOperatorSeed(t *testing.T, seed int64) {
 			if !equalSlices(refGot, want) {
 				t.Fatalf("reference tile %v diverged from the model", box)
 			}
-		}
-	}
-
-	// Batch GET through the router ≡ individual router GETs.
-	var gets []batchWireOp
-	var getBoxes []layout.Box
-	for i := 0; i < 4; i++ {
-		lo := []int64{rng.Int63n(confEdge), rng.Int63n(confEdge)}
-		hi := []int64{lo[0] + 1 + rng.Int63n(20), lo[1] + 1 + rng.Int63n(20)}
-		box := layout.NewBox(lo, hi).Clip(dims)
-		gets = append(gets, batchWireOp{Op: "get", Lo: box.Lo, Hi: box.Hi})
-		getBoxes = append(getBoxes, box)
-	}
-	status, body := postJSON(t, subject.RouterURL+"/v1/arrays/A/batch", map[string]any{"ops": gets})
-	if status != http.StatusOK {
-		t.Fatalf("router batch get: status %d", status)
-	}
-	var gout struct {
-		Results []batchWireResult `json:"results"`
-	}
-	if err := json.Unmarshal(body, &gout); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range gout.Results {
-		if res.Status != http.StatusOK {
-			t.Fatalf("batch get %v: status %d (%s)", getBoxes[i], res.Status, res.Error)
-		}
-		raw, _ := base64.StdEncoding.DecodeString(res.Data)
-		single, _, err := subjCli.GetTile("A", getBoxes[i], false)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, leBytes(single)) {
-			t.Fatalf("batch get %v differs from a single router GET", getBoxes[i])
 		}
 	}
 

@@ -8,9 +8,6 @@ package cluster
 // the two used to differ (413 vs 502, 400 vs 201, ...).
 
 import (
-	"bytes"
-	"context"
-	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
@@ -31,7 +28,7 @@ const (
 
 // parityPlanes builds the two daemons over the same catalog: A (row),
 // C (col) and the oversized B.
-func parityPlanes(t *testing.T) (occd, router http.Handler, occdURL, routerURL string) {
+func parityPlanes(t *testing.T) (occdURL, routerURL string) {
 	t.Helper()
 
 	d := ooc.NewDisk(0)
@@ -69,7 +66,7 @@ func parityPlanes(t *testing.T) (occd, router http.Handler, occdURL, routerURL s
 	if err := lc.Client().CreateArray("C", []int64{parityEdge, parityEdge}, "col"); err != nil {
 		t.Fatal(err)
 	}
-	return srv.Handler(), lc.Router.Handler(), hs.URL, lc.RouterURL
+	return hs.URL, lc.RouterURL
 }
 
 type parityCase struct {
@@ -80,7 +77,7 @@ type parityCase struct {
 }
 
 func TestFrontEndParity(t *testing.T) {
-	occd, router, occdURL, routerURL := parityPlanes(t)
+	occdURL, routerURL := parityPlanes(t)
 
 	tile := func(q string) string { return "/v1/arrays/A/tile?" + q }
 	raw16 := string(leBytes(make([]float64, 16)))
@@ -89,8 +86,7 @@ func TestFrontEndParity(t *testing.T) {
 	pastPlan := server.EncodeScanCursor("A", box4, 64, "row-major", 999)
 	wrongLayout := server.EncodeScanCursor("C", box4, 64, "row-major", 1)
 	noArray := server.EncodeScanCursor("nope", box4, 64, "row-major", 1)
-	bigBox := fmt.Sprintf(`"lo":[0,0],"hi":[%d,%d]`, parityBigEdge, parityBigEdge)
-	b64 := base64.StdEncoding.EncodeToString
+	retired := "batch" // the multi-tile JSON route, deleted as slower per tile than plain GET/PUT
 
 	cases := []parityCase{
 		// Box validation, every entry point.
@@ -131,20 +127,8 @@ func TestFrontEndParity(t *testing.T) {
 		{why: "scan: reversed box", method: "GET", path: "/v1/arrays/A/scan?lo=8,8&hi=0,0", want: 400},
 		{why: "scan: unknown array", method: "GET", path: "/v1/arrays/nope/scan?lo=0,0&hi=8,8", want: 404},
 
-		// Batch.
-		{why: "batch: unknown array", method: "POST", path: "/v1/arrays/nope/batch", body: `{"ops":[{"op":"get","lo":[0,0],"hi":[4,4]}]}`, want: 404},
-		{why: "batch: malformed JSON", method: "POST", path: "/v1/arrays/A/batch", body: `{"ops":[`, want: 400},
-		{why: "batch: no ops", method: "POST", path: "/v1/arrays/A/batch", body: `{"ops":[]}`, want: 400},
-		{why: "batch: per-op rejections", method: "POST", path: "/v1/arrays/A/batch", want: 200, body: `{"ops":[
-			{"op":"frobnicate","lo":[0,0],"hi":[4,4]},
-			{"op":"get","lo":[0],"hi":[4]},
-			{"op":"get","lo":[-1,0],"hi":[4,4]},
-			{"op":"get","lo":[4,4],"hi":[0,0]},
-			{"op":"get","lo":[70,70],"hi":[80,80]},
-			{"op":"put","lo":[0,0],"hi":[4,4],"data_b64":"!!!not-base64!!!"},
-			{"op":"put","lo":[0,0],"hi":[4,4],"data_b64":"` + b64([]byte(raw16[:64])) + `"}]}`},
-		{why: "batch: over-limit op", method: "POST", path: "/v1/arrays/B/batch", want: 200,
-			body: `{"ops":[{"op":"get",` + bigBox + `}]}`},
+		// The retired multi-op route is gone on both planes.
+		{why: "retired multi-op route", method: "POST", path: "/v1/arrays/A/" + retired, body: `{"ops":[]}`, want: 404},
 
 		// Reduce.
 		{why: "reduce: unknown array", method: "POST", path: "/v1/arrays/nope/reduce", body: `{"op":"sum","lo":[0,0],"hi":[8,8]}`, want: 404},
@@ -195,42 +179,6 @@ func TestFrontEndParity(t *testing.T) {
 		}
 		if nodeBody != routerBody {
 			t.Errorf("%s: bodies differ\n      occd: %.200q\n occrouter: %.200q", c.why, nodeBody, routerBody)
-		}
-	}
-
-	// A batch whose client has gone away: every op answers "request
-	// canceled" and none counts as run. The cancelled batch is served
-	// straight into each handler.
-	for _, p := range []struct {
-		name string
-		h    http.Handler
-		url  string
-	}{{"occd", occd, occdURL}, {"occrouter", router, routerURL}} {
-		batchOps := func() int64 {
-			var st struct {
-				Ops struct {
-					BatchOps int64 `json:"batch_ops"`
-				} `json:"ops"`
-			}
-			if err := NewNodeClient(p.name, p.url).Stats(&st); err != nil {
-				t.Fatal(err)
-			}
-			return st.Ops.BatchOps
-		}
-		before := batchOps()
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		req := httptest.NewRequest("POST", "/v1/arrays/A/batch", bytes.NewReader([]byte(
-			`{"ops":[{"op":"get","lo":[0,0],"hi":[4,4]},{"op":"get","lo":[4,4],"hi":[8,8]}]}`))).WithContext(ctx)
-		rec := httptest.NewRecorder()
-		p.h.ServeHTTP(rec, req)
-		after := batchOps()
-		const want = `"failed": 2`
-		if rec.Code != 200 || !strings.Contains(rec.Body.String(), want) || strings.Count(rec.Body.String(), "request canceled") != 2 {
-			t.Errorf("%s: cancelled batch answered %d %s, want 200 with both ops canceled", p.name, rec.Code, rec.Body)
-		}
-		if after != before {
-			t.Errorf("%s: cancelled batch counted %d ops as run", p.name, after-before)
 		}
 	}
 }

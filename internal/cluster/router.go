@@ -32,11 +32,11 @@ type Options struct {
 	// Replicas is R, the copies kept of every tile (default 2, capped
 	// at the node count).
 	Replicas int
-	// TileDim is the routing grid's tile edge per dimension (default
-	// 8). A request box spanning several grid tiles is decomposed;
-	// every box inside one grid tile routes to that tile's replica
-	// set, which is what keeps unaligned reads coherent with the
-	// aligned writes they overlap.
+	// TileDim is the routing grid's tile edge per dimension (0 means
+	// 8; NewRouter refuses a negative edge). A request box spanning
+	// several grid tiles is decomposed; every box inside one grid tile
+	// routes to that tile's replica set, which is what keeps unaligned
+	// reads coherent with the aligned writes they overlap.
 	TileDim int64
 	// HintDir durably queues hinted-handoff writes under this
 	// directory (one log per node, fsynced per hint). Empty keeps
@@ -105,7 +105,7 @@ func (g *genTable) raise(key []byte, seen uint64) {
 
 // routerMetrics are the router plane's registry series (the front end
 // registers occrouter_requests_total, _errors_total, _request_seconds
-// and the batch/scan/reduce families).
+// and the scan/reduce families).
 type routerMetrics struct {
 	gets           *obs.Counter
 	puts           *obs.Counter
@@ -150,6 +150,9 @@ func NewRouter(o Options) (*Router, error) {
 	}
 	if o.Replicas > MaxReplicas {
 		return nil, fmt.Errorf("cluster: %d replicas out of range (valid: 1..%d)", o.Replicas, MaxReplicas)
+	}
+	if o.TileDim < 0 {
+		return nil, fmt.Errorf("cluster: tile dim %d out of range (valid: >= 1, or 0 for the default 8)", o.TileDim)
 	}
 	if o.TileDim == 0 {
 		o.TileDim = 8

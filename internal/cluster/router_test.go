@@ -555,3 +555,22 @@ func TestRouterHealthzAndCatalog(t *testing.T) {
 		t.Fatal("array list: empty body")
 	}
 }
+
+// TestNewRouterRefusesNegativeTileDim: a negative routing grid edge
+// would make every box its own routing key, so an unaligned read could
+// land on another replica set than the aligned write it overlaps.
+// NewRouter refuses it, naming the valid range; 0 still means 8.
+func TestNewRouterRefusesNegativeTileDim(t *testing.T) {
+	nodes := []*NodeClient{NewNodeClient("n0", "http://127.0.0.1:1")}
+	if _, err := NewRouter(Options{Nodes: nodes, TileDim: -8}); err == nil || !strings.Contains(err.Error(), "valid: >= 1") {
+		t.Fatalf("TileDim -8: err = %v, want a refusal naming the valid range", err)
+	}
+	r, err := NewRouter(Options{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Drain()
+	if r.opts.TileDim != 8 {
+		t.Fatalf("TileDim 0 became %d, want the default 8", r.opts.TileDim)
+	}
+}

@@ -3,7 +3,7 @@ package dst
 // Cluster episodes: the deterministic-simulation discipline applied to
 // the distributed plane. One seeded scheduler drives a {router + N
 // nodes, R replicas} cluster.LocalCluster through one set of steps —
-// whole-tile PUT, batch PUT, point GET, scan, node kill or partition,
+// whole-tile PUT, PUT burst, point GET, scan, node kill or partition,
 // single-node heal, whole-cluster power cut — plus a wedge probe after
 // every round. The three cluster kinds are rows of data over that one
 // episode (kindRows): how often each step runs, and whether the
@@ -22,8 +22,9 @@ package dst
 //   - a scan delivers exactly its layout.PlanScan chunks across every
 //     abandoned, killed-under and cursor-resumed leg: no chunk skipped,
 //     none delivered twice;
-//   - after a whole-cluster power cut, every tile a batch PUT acked
-//     reads back as its acked value or a post-ack maybe;
+//   - after a whole-cluster power cut that follows a PUT burst, every
+//     tile the burst acked reads back as its acked value or a post-ack
+//     maybe;
 //   - the wedge probe — one point GET after every round, mid-fault
 //     included — gets a verdict (200 or 503) within the deadline:
 //     admission never stops draining.
@@ -40,9 +41,6 @@ package dst
 // so: no request — a hung-up scan included — outlives its step.
 
 import (
-	"bytes"
-	"encoding/base64"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -56,7 +54,7 @@ import (
 
 const (
 	maxPending   = 10   // epilogue probe rounds allowed to drain hints
-	postBatchCut = 0.35 // chance a batch PUT is followed by a whole-cluster power cut
+	postBurstCut = 0.35 // chance a PUT burst is followed by a whole-cluster power cut
 
 	// wedgeDeadline bounds every request. A healthy plane answers in
 	// milliseconds even mid-fault — a down replica is a fast 503, not a
@@ -68,13 +66,13 @@ const (
 // (a round draws one step in proportion) and whether the router and
 // nodes run a narrow admission pool.
 type kindRow struct {
-	put, batch, get, scan, fault, heal, cut float64
+	put, burst, get, scan, fault, heal, cut float64
 	narrow                                  bool
 }
 
 var kindRows = map[Kind]kindRow{
 	Cluster:   {put: 0.36, get: 0.54, fault: 0.04, heal: 0.06},
-	Operators: {batch: 0.45, scan: 0.45, cut: 0.10},
+	Operators: {burst: 0.45, scan: 0.45, cut: 0.10},
 	Admission: {get: 0.35, scan: 0.30, fault: 0.20, heal: 0.15, narrow: true},
 }
 
@@ -158,15 +156,15 @@ func (ep *clusterEpisode) step() {
 	switch {
 	case u < r.put:
 		ep.put(ep.rng.Intn(tiles))
-	case u < r.put+r.batch:
-		ep.batchPut()
-	case u < r.put+r.batch+r.get:
+	case u < r.put+r.burst:
+		ep.burst()
+	case u < r.put+r.burst+r.get:
 		ep.get(ep.rng.Intn(tiles), "get")
-	case u < r.put+r.batch+r.get+r.scan:
+	case u < r.put+r.burst+r.get+r.scan:
 		ep.scan()
-	case u < r.put+r.batch+r.get+r.scan+r.fault:
+	case u < r.put+r.burst+r.get+r.scan+r.fault:
 		ep.fault()
-	case u < r.put+r.batch+r.get+r.scan+r.fault+r.heal:
+	case u < r.put+r.burst+r.get+r.scan+r.fault+r.heal:
 		ep.heal()
 	default:
 		ep.powerCut("scheduled")
@@ -222,74 +220,28 @@ func (ep *clusterEpisode) put(t int) bool {
 	return true
 }
 
-// batchPut issues one multi-op batch PUT — several whole tiles, each a
-// fresh unique value — and applies the per-op acks in op order. Then,
+// burst issues 1–4 whole-tile PUTs, each a fresh unique value. Then,
 // with some probability, the whole cluster loses power and every tile
-// the batch acked must come back as the acked value or a later maybe.
-func (ep *clusterEpisode) batchPut() {
-	type wire struct {
-		Op   string  `json:"op"`
-		Lo   []int64 `json:"lo"`
-		Hi   []int64 `json:"hi"`
-		Data string  `json:"data_b64"`
-	}
+// the burst acked must come back as its acked value or a later maybe.
+func (ep *clusterEpisode) burst() {
 	n := 1 + ep.rng.Intn(4)
-	ops := make([]wire, n)
-	tls := make([]int, n)
-	vals := make([]float64, n)
-	for i := range ops {
-		tls[i] = ep.rng.Intn(tiles)
-		vals[i] = ep.fresh(tls[i])
-		box, raw := tileBox(tls[i]), server.EncodeTile(filled(vals[i]), false)
-		ops[i] = wire{Op: "put", Lo: box.Lo, Hi: box.Hi, Data: base64.StdEncoding.EncodeToString(raw)}
-	}
-	ep.res.Puts += n
-
-	body, _ := json.Marshal(map[string]any{"ops": ops})
-	var out struct {
-		Results []struct {
-			Status int `json:"status"`
-		} `json:"results"`
-	}
-	resp, err := ep.do(http.MethodPost, "/v1/arrays/"+arrayName+"/batch", bytes.NewReader(body))
-	if err != nil {
-		ep.violate("batch: got no verdict: %v", err)
-		return
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		if err = json.NewDecoder(resp.Body).Decode(&out); err == nil && len(out.Results) != n {
-			err = fmt.Errorf("%d results for %d ops", len(out.Results), n)
+	var acked []int
+	for i := 0; i < n; i++ {
+		if t := ep.rng.Intn(tiles); ep.put(t) {
+			acked = append(acked, t)
 		}
-	case http.StatusServiceUnavailable:
-	default:
-		err = fmt.Errorf("unexpected status %d", resp.StatusCode)
 	}
-	resp.Body.Close()
-	if err != nil {
-		ep.violate("batch: %v", err)
+	if ep.rng.Float64() >= postBurstCut {
 		return
 	}
-	acked := make([]bool, n)
-	for i := range acked {
-		acked[i] = i < len(out.Results) && out.Results[i].Status == http.StatusNoContent
-		ep.settle(tls[i], vals[i], acked[i])
-	}
-	ep.logf("batch n=%d status %d acks=%v", n, resp.StatusCode, acked)
-
-	if ep.rng.Float64() >= postBatchCut {
-		return
-	}
-	ep.powerCut("post-batch")
-	for i, t := range tls {
-		if !acked[i] {
-			continue
-		}
-		got, status := ep.get(t, "batch-put-power-cut")
+	ep.powerCut("post-burst")
+	for _, t := range acked {
+		ep.res.CutRereads++
+		got, status := ep.get(t, "burst-power-cut")
 		if status != http.StatusOK {
-			ep.violate("batch-put-power-cut: tile %d unreadable after restart: status %d", t, status)
+			ep.violate("burst-power-cut: tile %d unreadable after restart: status %d", t, status)
 		} else if got[0] != ep.lastAcked[t] && !contains(ep.maybes[t], got[0]) {
-			ep.violate("batch-put-power-cut: tile %d = %v after restart, batch acked %v", t, got[0], ep.lastAcked[t])
+			ep.violate("burst-power-cut: tile %d = %v after restart, acked %v", t, got[0], ep.lastAcked[t])
 		}
 	}
 }

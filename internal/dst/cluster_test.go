@@ -70,7 +70,7 @@ func TestClusterEpisodes(t *testing.T) {
 }
 
 // TestOpsEpisodes sweeps the operators kind: interrupted and resumed
-// scans, batch PUTs and whole-cluster power cuts.
+// scans, PUT bursts and whole-cluster power cuts.
 func TestOpsEpisodes(t *testing.T) { runRows(t, perSeed(Operators, 10)) }
 
 // TestAdmissionEpisodes sweeps the admission kind: point reads and
@@ -111,11 +111,12 @@ func TestClusterEpisodeStats(t *testing.T) {
 
 func TestOpsEpisodeStats(t *testing.T) {
 	exercised(t, Options{Kind: Operators}, 10, map[string]func(*Result) int{
-		"resumes":         func(r *Result) int { return r.ScanResumes },
-		"kills":           func(r *Result) int { return r.Kills },
-		"power cuts":      func(r *Result) int { return r.PowerCuts },
-		"acked batch ops": func(r *Result) int { return r.Puts - r.PutErrors },
-		"scan chunks":     func(r *Result) int { return r.ScanChunks },
+		"resumes":                func(r *Result) int { return r.ScanResumes },
+		"kills":                  func(r *Result) int { return r.Kills },
+		"power cuts":             func(r *Result) int { return r.PowerCuts },
+		"acked burst PUTs":       func(r *Result) int { return r.Puts - r.PutErrors },
+		"post-cut acked rereads": func(r *Result) int { return r.CutRereads },
+		"scan chunks":            func(r *Result) int { return r.ScanChunks },
 	})
 }
 

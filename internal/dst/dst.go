@@ -69,7 +69,7 @@ type Kind int
 const (
 	Storage   Kind = iota // one engine under storage faults and power cuts
 	Cluster               // tile PUTs and GETs under node kills, partitions and heals
-	Operators             // batch PUTs, interrupted scans and whole-cluster power cuts
+	Operators             // PUT bursts, interrupted scans and whole-cluster power cuts
 	Admission             // point reads and scans on a narrow admission pool under node faults
 )
 
@@ -164,7 +164,7 @@ type Result struct {
 	Seed int64
 	Ops  int
 
-	Gets, Puts                        int // point reads and tile writes issued (batch ops count as puts)
+	Gets, Puts                        int // point reads and whole-tile writes issued
 	GetErrors, PutErrors, FlushErrors int // failed or refused with 503 (surfaced, not hidden)
 
 	// Storage kind.
@@ -177,6 +177,7 @@ type Result struct {
 	Scans, ScanChunks                   int // scans started; intact chunks delivered
 	ScanAbandons, ScanResumes           int // legs hung up mid-stream; cursor resumes
 	HintsDrained                        int // hints delivered during the epilogue drain
+	CutRereads                          int // acked tiles re-read after a post-burst power cut
 
 	// Violations lists every invariant breach; empty means the episode
 	// passed. Each entry names the invariant, the tile, and the values.

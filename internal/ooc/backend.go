@@ -68,10 +68,10 @@ func (m *memBackend) WriteAt(buf []float64, off int64) error {
 
 func (m *memBackend) Size() int64 { return int64(len(m.data)) }
 func (m *memBackend) Sync() error { return nil }
-func (m *memBackend) Close() error {
-	m.data = nil
-	return nil
-}
+
+// Close keeps the contents: like a closed file, they outlive the
+// handle, so a fault injector holding the store reopens it intact.
+func (m *memBackend) Close() error { return nil }
 
 // fileBackend stores elements as little-endian float64 in a real file.
 type fileBackend struct {
@@ -247,9 +247,23 @@ func (d *Disk) Close() error {
 	var first error
 	if d.wal != nil {
 		d.wal.stopMaintainer()
-		if err := d.wal.checkpoint(); err != nil {
-			first = err
-		}
+		first = d.wal.checkpoint()
+	}
+	if err := d.Abandon(); first == nil {
+		first = err
+	}
+	return first
+}
+
+// Abandon is Close without the checkpoint: it releases every array's
+// backend and the WAL log, file handles and locks, and the log keeps
+// every record for the next open to replay. A start that refuses to
+// serve abandons its disk, since a checkpoint would drop the very
+// records the refusal protects.
+func (d *Disk) Abandon() error {
+	var first error
+	if d.wal != nil {
+		d.wal.stopMaintainer()
 	}
 	d.mu.Lock()
 	for _, arr := range d.sortedArraysLocked() {

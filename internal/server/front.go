@@ -66,7 +66,7 @@ const (
 type FrontConfig struct {
 	// MetricPrefix names the daemon's own families: "occd" registers
 	// occd_requests_total, "occrouter" occrouter_requests_total. The
-	// batch/scan/reduce families are occd_* on both.
+	// scan/reduce families are occd_* on both.
 	MetricPrefix string
 	// Reg receives the families (and backs GET /metrics).
 	Reg *obs.Registry
@@ -93,7 +93,7 @@ type FrontSeries struct {
 
 // FrontEnd is the one HTTP surface of the serving stack: route table,
 // admission, box validation, payload and codec negotiation, and the
-// tile/batch/scan/reduce/array handlers, over whichever Plane it is
+// tile/scan/reduce/array handlers, over whichever Plane it is
 // given. occd's Server and occrouter's Router each own one.
 type FrontEnd struct {
 	plane Plane
@@ -155,9 +155,6 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 			"admitted request latency in seconds", obs.ExpBuckets(1e-5, 4, 10)),
 		series: s,
 		ops: opsMetrics{
-			batchRequests:  reg.Counter("occd_batch_requests_total", "batch requests admitted"),
-			batchOps:       reg.Counter("occd_batch_ops_total", "individual ops carried by batch requests"),
-			batchOpErrors:  reg.Counter("occd_batch_op_errors_total", "batch ops that answered a per-op 4xx/5xx"),
 			scanRequests:   reg.Counter("occd_scan_requests_total", "streaming range scans started"),
 			scanChunks:     reg.Counter("occd_scan_chunks_total", "scan chunks framed and sent"),
 			scanResumes:    reg.Counter("occd_scan_resumes_total", "scans resumed from a cursor token"),
@@ -174,7 +171,6 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 	fe.mux.HandleFunc("GET /v1/arrays/{name}", fe.admit(fe.handleArrayGet))
 	fe.mux.HandleFunc("GET /v1/arrays/{name}/tile", fe.admit(fe.handleTileGet))
 	fe.mux.HandleFunc("PUT /v1/arrays/{name}/tile", fe.admit(fe.handleTilePut))
-	fe.mux.HandleFunc("POST /v1/arrays/{name}/batch", fe.admit(fe.handleBatch))
 	fe.mux.HandleFunc("GET /v1/arrays/{name}/scan", fe.admit(fe.handleScan))
 	fe.mux.HandleFunc("POST /v1/arrays/{name}/reduce", fe.admit(fe.handleReduce))
 	return fe
@@ -342,9 +338,6 @@ func (fe *FrontEnd) handleStats(w http.ResponseWriter, r *http.Request) {
 		Queued:        fe.queued.Load(),
 		Draining:      fe.draining.Load(),
 		Ops: OpsStats{
-			BatchRequests:  fe.ops.batchRequests.Value(),
-			BatchOps:       fe.ops.batchOps.Value(),
-			BatchOpErrors:  fe.ops.batchOpErrors.Value(),
 			ScanRequests:   fe.ops.scanRequests.Value(),
 			ScanChunks:     fe.ops.scanChunks.Value(),
 			ScanResumes:    fe.ops.scanResumes.Value(),
@@ -428,7 +421,7 @@ func (fe *FrontEnd) handleArrayGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveBox validates lo/hi against the array and clips — the one box
-// check behind tile, batch, scan and reduce requests. limit caps the
+// check behind tile, scan and reduce requests. limit caps the
 // clipped element count (0: none; a scan's memory is bounded by its
 // chunk, a reduce's by the plane's). A non-zero status is the 4xx.
 func resolveBox(a Array, lo, hi []int64, limit int64) (layout.Box, int, string) {

@@ -1,13 +1,9 @@
-// Batched and streaming operators: multi-tile batch GET/PUT, the
-// layout-aware streaming range scan, and pushed-down reductions. These
-// are the serving-plane answer to ROADMAP item 4 — aggregate traffic
-// should move bytes-out, not tiles-out, and a range read should cost
-// one round-trip planned from the array's layout hyperplane instead of
-// one HTTP request per tile.
+// Multi-tile operators: the layout-aware streaming range scan and
+// pushed-down reductions. These are the serving-plane answer to
+// ROADMAP item 4 — aggregate traffic should move bytes-out, not
+// tiles-out, and a range read should cost one round-trip planned from
+// the array's layout hyperplane instead of one HTTP request per tile.
 //
-//	POST /v1/arrays/{name}/batch    many GET/PUT boxes, one admission
-//	                                slot, per-op status (partial
-//	                                failure is explicit, not a 500)
 //	GET  /v1/arrays/{name}/scan     streaming range scan: CRC-framed
 //	                                chunks over chunked transfer
 //	                                encoding, visit order planned via
@@ -16,14 +12,12 @@
 //	POST /v1/arrays/{name}/reduce   sum/min/max/count over a box,
 //	                                folded tile-side, scalar out
 //
-// Consistency: every batch op and every scan chunk takes the array's
-// tile lock exactly as the single-tile handlers do (ops and chunks are
-// individually atomic against concurrent PUTs; the stream as a whole
-// is not a snapshot). A scan chunk's payload is byte-identical to a
-// tile GET of the chunk's box, batch ops are identical to the same
-// boxes issued one request at a time, and a reduce equals the
-// client-side row-major fold over a plain GET — the differential
-// contract the conformance suite replays.
+// Consistency: every scan chunk takes the array's tile lock exactly as
+// the single-tile handlers do (chunks are individually atomic against
+// concurrent PUTs; the stream as a whole is not a snapshot). A scan
+// chunk's payload is byte-identical to a tile GET of the chunk's box,
+// and a reduce equals the client-side row-major fold over a plain GET
+// — the differential contract the conformance suite replays.
 package server
 
 import (
@@ -77,148 +71,17 @@ const (
 	// scanReadStep is how far ScanReader grows a frame buffer ahead of
 	// the bytes that arrived; a 4096-element chunk fits in one step.
 	scanReadStep = 64 << 10
-
-	// maxBatchOps caps one batch request's op list.
-	maxBatchOps = 4096
-	// maxBatchBody caps the batch request body read.
-	maxBatchBody = int64(1) << 28
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// opsMetrics are the batch/scan/reduce registry series.
+// opsMetrics are the scan/reduce registry series.
 type opsMetrics struct {
-	batchRequests  *obs.Counter
-	batchOps       *obs.Counter
-	batchOpErrors  *obs.Counter
 	scanRequests   *obs.Counter
 	scanChunks     *obs.Counter
 	scanResumes    *obs.Counter
 	reduceRequests *obs.Counter
 	reduceElems    *obs.Counter
-}
-
-// ---------------------------------------------------------------------------
-// Batch
-
-// batchOp is one entry of a batch request: "get" returns the box's
-// bytes, "put" writes them. Data is base64 of the raw little-endian
-// float64 payload (JSON numbers would lose NaN/Inf and bit-exactness).
-// Gen, when non-zero on a put, generation-gates the write exactly like
-// the X-Tile-Gen header on a single-tile PUT.
-type batchOp struct {
-	Op   string  `json:"op"`
-	Lo   []int64 `json:"lo"`
-	Hi   []int64 `json:"hi"`
-	Data string  `json:"data_b64,omitempty"`
-	Gen  uint64  `json:"gen,omitempty"`
-}
-
-type batchRequest struct {
-	Ops []batchOp `json:"ops"`
-}
-
-// batchResult reports one op's outcome with single-tile semantics:
-// 200 a get served, 204 a put applied, 4xx the op was rejected. The
-// batch as a whole answers 200 whenever it was well-formed enough to
-// run — per-op status is the partial-failure contract.
-type batchResult struct {
-	Status int    `json:"status"`
-	Error  string `json:"error,omitempty"`
-	Elems  int64  `json:"elems,omitempty"`
-	Data   string `json:"data_b64,omitempty"`
-	Gen    uint64 `json:"gen,omitempty"`
-	Stale  bool   `json:"stale,omitempty"`
-}
-
-type batchResponse struct {
-	Results []batchResult `json:"results"`
-	Failed  int           `json:"failed"`
-}
-
-func (fe *FrontEnd) handleBatch(w http.ResponseWriter, r *http.Request) {
-	ar, ok := fe.lookup(w, r.PathValue("name"))
-	if !ok {
-		return
-	}
-	var req batchRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxBatchBody)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad batch body: %v", err)
-		return
-	}
-	if len(req.Ops) == 0 {
-		httpError(w, http.StatusBadRequest, "batch needs at least one op")
-		return
-	}
-	if len(req.Ops) > maxBatchOps {
-		httpError(w, http.StatusBadRequest, "batch of %d ops over the limit of %d", len(req.Ops), maxBatchOps)
-		return
-	}
-	fe.ops.batchRequests.Inc()
-	resp := batchResponse{Results: make([]batchResult, len(req.Ops))}
-	for i, op := range req.Ops {
-		// A client that hung up gets no more ops run on its behalf, as
-		// a scan stops before its next chunk.
-		if r.Context().Err() != nil {
-			resp.Results[i] = batchResult{Status: http.StatusServiceUnavailable, Error: "request canceled"}
-			resp.Failed++
-			continue
-		}
-		resp.Results[i] = fe.batchOne(r, ar, op)
-		fe.ops.batchOps.Inc()
-		if resp.Results[i].Status >= 400 {
-			fe.ops.batchOpErrors.Inc()
-			resp.Failed++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// batchOne runs one op with exactly the single-tile handlers'
-// semantics: the same box validation and limits, and the same plane
-// read and write paths.
-func (fe *FrontEnd) batchOne(r *http.Request, ar Array, op batchOp) batchResult {
-	box, status, msg := resolveBox(ar, op.Lo, op.Hi, fe.cfg.MaxTileElems)
-	if status != 0 {
-		return batchResult{Status: status, Error: msg}
-	}
-	raw := box.Size() * ooc.ElemSize
-	switch op.Op {
-	case "get":
-		payload, gen, err := fe.plane.ReadBox(r.Context(), ar, box, renderRaw)
-		if err != nil {
-			status, msg := fe.failure(err)
-			return batchResult{Status: status, Error: msg}
-		}
-		fe.meterWire(raw, int64(len(payload)))
-		res := batchResult{
-			Status: http.StatusOK,
-			Elems:  box.Size(),
-			Data:   base64.StdEncoding.EncodeToString(payload),
-			Gen:    gen,
-		}
-		ooc.PutBuf(payload)
-		return res
-	case "put":
-		body, err := base64.StdEncoding.DecodeString(op.Data)
-		if err != nil {
-			return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("bad data_b64: %v", err)}
-		}
-		data := ooc.GetF64(int(box.Size()))
-		defer ooc.PutF64(data)
-		if err := DecodeTile(body, false, data); err != nil {
-			return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("%v (%v)", err, box)}
-		}
-		fe.meterWire(raw, raw)
-		stored, stale, err := fe.plane.WriteBox(r.Context(), ar, box, data, op.Gen)
-		if err != nil {
-			status, msg := fe.failure(err)
-			return batchResult{Status: status, Error: msg}
-		}
-		return batchResult{Status: http.StatusNoContent, Elems: box.Size(), Gen: stored, Stale: stale}
-	default:
-		return batchResult{Status: http.StatusBadRequest, Error: fmt.Sprintf("unknown op %q (get, put)", op.Op)}
-	}
 }
 
 // ---------------------------------------------------------------------------

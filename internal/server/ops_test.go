@@ -126,80 +126,6 @@ func randData(rng *rand.Rand, n int64) []float64 {
 	return out
 }
 
-// TestBatchSemantics checks the per-op contract: statuses, payload
-// round-trips, and explicit partial failure.
-func TestBatchSemantics(t *testing.T) {
-	_, hs := opsServer(t, Config{})
-	opsCreate(t, hs.URL, "A", []int64{16, 16}, "row")
-
-	put := func(box layout.Box, data []float64) batchOp {
-		return batchOp{Op: "put", Lo: box.Lo, Hi: box.Hi,
-			Data: base64.StdEncoding.EncodeToString(encodePayload(data))}
-	}
-	b1 := layout.NewBox([]int64{0, 0}, []int64{4, 4})
-	b2 := layout.NewBox([]int64{4, 4}, []int64{8, 12})
-	d1 := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
-	d2 := make([]float64, b2.Size())
-	for i := range d2 {
-		d2[i] = -float64(i)
-	}
-
-	body, _ := json.Marshal(batchRequest{Ops: []batchOp{
-		put(b1, d1),
-		put(b2, d2),
-		{Op: "get", Lo: b1.Lo, Hi: b1.Hi},
-		{Op: "get", Lo: []int64{0}, Hi: []int64{4}},           // wrong rank
-		{Op: "frobnicate", Lo: b1.Lo, Hi: b1.Hi},              // unknown op
-		{Op: "get", Lo: []int64{12, 12}, Hi: []int64{12, 16}}, // empty box
-	}})
-	resp, err := opsClient.Post(hs.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("batch: status %d", resp.StatusCode)
-	}
-	var out batchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 6 {
-		t.Fatalf("batch returned %d results, want 6", len(out.Results))
-	}
-	wantStatus := []int{204, 204, 200, 400, 400, 400}
-	for i, want := range wantStatus {
-		if out.Results[i].Status != want {
-			t.Errorf("op %d: status %d, want %d (%s)", i, out.Results[i].Status, want, out.Results[i].Error)
-		}
-	}
-	if out.Failed != 3 {
-		t.Errorf("failed = %d, want 3", out.Failed)
-	}
-	got, _ := base64.StdEncoding.DecodeString(out.Results[2].Data)
-	if !bytes.Equal(got, encodePayload(d1)) {
-		t.Error("batch get did not round-trip the batch put")
-	}
-	// The batch is observably identical to single-tile ops: a plain
-	// tile GET sees the batch's writes.
-	if payload, _ := opsGetTile(t, hs.URL, "A", b2); !bytes.Equal(payload, encodePayload(d2)) {
-		t.Error("tile GET does not see the batch PUT")
-	}
-
-	// Malformed body and empty op list are request-level 400s.
-	for _, bad := range []string{`{"ops": []}`, `{"ops": [`, `nonsense`} {
-		resp, err := opsClient.Post(hs.URL+"/v1/arrays/A/batch", "application/json", strings.NewReader(bad))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("batch body %q: status %d, want 400", bad, resp.StatusCode)
-		}
-	}
-}
-
 // scanAll runs one scan request and decodes every frame.
 func scanAll(t testing.TB, base, name, query string, compress bool) ([]*ScanChunk, uint64) {
 	t.Helper()
@@ -449,12 +375,9 @@ func TestReduceMatchesClientFold(t *testing.T) {
 
 // TestOperatorConformance is the differential suite's single-node
 // (occd) half; internal/cluster runs the router+3-node half. Across
-// seeds, batch GET/PUT must be observably identical to the same boxes
-// issued as sequential single-tile ops (byte-equal contents AND equal
-// reported write generations), scans must equal concatenated tile GETs
-// in plan order, and reduce must equal the client-side fold. The
-// reference plane replays the same seeded op sequence one tile at a
-// time.
+// seeds, generation-gated single-tile PUTs land on the plane; then its
+// scans must equal concatenated tile GETs in plan order, and its
+// reduce must equal the client-side fold over a tile GET.
 func TestOperatorConformance(t *testing.T) {
 	seeds := 20
 	if testing.Short() {
@@ -465,99 +388,18 @@ func TestOperatorConformance(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			_, subject := opsServer(t, Config{})
-			_, ref := opsServer(t, Config{})
 			layoutName := "row"
 			if seed%2 == 1 {
 				layoutName = "col"
 			}
 			opsCreate(t, subject.URL, "A", dims, layoutName)
-			opsCreate(t, ref.URL, "A", dims, layoutName)
 
 			rng := rand.New(rand.NewSource(int64(seed)*7919 + 17))
-			var written []layout.Box
-			gen := uint64(0)
-			// Write phase: batches of generation-gated puts against the
-			// subject; the identical writes land one tile at a time on
-			// the reference.
-			for round := 0; round < 6; round++ {
-				n := 1 + rng.Intn(5)
-				ops := make([]batchOp, 0, n)
-				type w struct {
-					box  layout.Box
-					data []float64
-					gen  uint64
-				}
-				var ws []w
-				for i := 0; i < n; i++ {
-					box := randBox(rng, dims, 16)
-					data := randData(rng, box.Size())
-					gen++
-					ops = append(ops, batchOp{Op: "put", Lo: box.Lo, Hi: box.Hi,
-						Data: base64.StdEncoding.EncodeToString(encodePayload(data)), Gen: gen})
-					ws = append(ws, w{box, data, gen})
-					written = append(written, box)
-				}
-				body, _ := json.Marshal(batchRequest{Ops: ops})
-				resp, err := opsClient.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var out batchResponse
-				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				for i, res := range out.Results {
-					if res.Status != http.StatusNoContent {
-						t.Fatalf("round %d op %d: status %d (%s)", round, i, res.Status, res.Error)
-					}
-				}
-				for _, w := range ws {
-					opsPutTile(t, ref.URL, "A", w.box, w.data, w.gen)
-				}
-			}
-
-			// Whole-array contents and per-box generations agree.
-			full := layout.NewBox([]int64{0, 0}, dims)
-			subjectBytes, _ := opsGetTile(t, subject.URL, "A", full)
-			refBytes, _ := opsGetTile(t, ref.URL, "A", full)
-			if !bytes.Equal(subjectBytes, refBytes) {
-				t.Fatal("batch writes diverged from sequential single-tile writes")
-			}
-			for _, box := range written {
-				_, sg := opsGetTile(t, subject.URL, "A", box)
-				_, rg := opsGetTile(t, ref.URL, "A", box)
-				if sg != rg {
-					t.Fatalf("box %v: subject gen %d, reference gen %d", box, sg, rg)
-				}
-			}
-
-			// Batch GET ≡ individual GETs of the same boxes.
-			gets := make([]batchOp, 0, 4)
-			for i := 0; i < 4; i++ {
-				b := randBox(rng, dims, 20)
-				gets = append(gets, batchOp{Op: "get", Lo: b.Lo, Hi: b.Hi})
-			}
-			body, _ := json.Marshal(batchRequest{Ops: gets})
-			resp, err := opsClient.Post(subject.URL+"/v1/arrays/A/batch", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out batchResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			for i, res := range out.Results {
-				b := layout.NewBox(gets[i].Lo, gets[i].Hi)
-				refPayload, refGen := opsGetTile(t, ref.URL, "A", b)
-				got, _ := base64.StdEncoding.DecodeString(res.Data)
-				if !bytes.Equal(got, refPayload) {
-					t.Fatalf("batch get %v differs from single-tile GET", b)
-				}
-				if res.Gen != refGen {
-					t.Fatalf("batch get %v: gen %d, single-tile gen %d", b, res.Gen, refGen)
-				}
+			// Write phase: generation-gated single-tile puts.
+			for gen := uint64(1); gen <= 18; gen++ {
+				box := randBox(rng, dims, 16)
+				data := randData(rng, box.Size())
+				opsPutTile(t, subject.URL, "A", box, data, gen)
 			}
 
 			// Scan ≡ concatenated tile GETs in plan order, resumable at
@@ -579,7 +421,7 @@ func TestOperatorConformance(t *testing.T) {
 				if ch.Box.String() != plan[i].String() {
 					t.Fatalf("chunk %d box %v, plan %v", i, ch.Box, plan[i])
 				}
-				refPayload, _ := opsGetTile(t, ref.URL, "A", ch.Box)
+				refPayload, _ := opsGetTile(t, subject.URL, "A", ch.Box)
 				if !bytes.Equal(encodePayload(ch.Data), refPayload) {
 					t.Fatalf("scan chunk %d differs from tile GET of %v", i, ch.Box)
 				}
@@ -599,7 +441,7 @@ func TestOperatorConformance(t *testing.T) {
 
 			// Reduce ≡ client-side fold over a single-tile GET.
 			redBox := randBox(rng, dims, 32)
-			refPayload, _ := opsGetTile(t, ref.URL, "A", redBox)
+			refPayload, _ := opsGetTile(t, subject.URL, "A", redBox)
 			refData := make([]float64, redBox.Size())
 			decodePayload(refPayload, refData)
 			var sum float64
@@ -683,67 +525,9 @@ func FuzzScanCursor(f *testing.F) {
 	})
 }
 
-// FuzzBatchRequest: arbitrary batch bodies must answer 2xx/4xx — never
-// panic, never 5xx, and never corrupt an array a valid op didn't
-// target (array G stays untouched whatever happens to F).
-func FuzzBatchRequest(f *testing.F) {
-	srv, hs := newFuzzServer(f)
-	if _, err := srv.plane.disk.CreateArray(ir.NewArray("G", 8, 8), layout.RowMajor(8, 8)); err != nil {
-		f.Fatal(err)
-	}
-	sentinel := layout.NewBox([]int64{0, 0}, []int64{8, 8})
-	data := make([]float64, sentinel.Size())
-	for i := range data {
-		data[i] = float64(i) * 1.5
-	}
-	req, _ := http.NewRequest(http.MethodPut,
-		hs.URL+"/v1/arrays/G/tile?"+boxQuery(sentinel), bytes.NewReader(encodePayload(data)))
-	if resp, err := opsClient.Do(req); err != nil || resp.StatusCode != 204 {
-		f.Fatalf("seed sentinel write failed: %v", err)
-	} else {
-		resp.Body.Close()
-	}
-
-	ok, _ := json.Marshal(batchRequest{Ops: []batchOp{
-		{Op: "put", Lo: []int64{0, 0}, Hi: []int64{4, 4},
-			Data: base64.StdEncoding.EncodeToString(make([]byte, 16*8))},
-		{Op: "get", Lo: []int64{0, 0}, Hi: []int64{4, 4}},
-	}})
-	f.Add(ok)
-	f.Add([]byte(`{"ops":[{"op":"get","lo":[0,0],"hi":[999999,999999]}]}`))
-	f.Add([]byte(`{"ops":[{"op":"put","lo":[0,0],"hi":[4,4],"data_b64":"!!!"}]}`))
-	f.Add([]byte(`{"ops":[{"op":"get","lo":[-1,-1],"hi":[4,4]}]}`))
-	f.Add([]byte(`{"ops":[{"op":"get","lo":[0],"hi":[4]}]}`))
-	f.Add([]byte(`{`))
-	f.Add([]byte(`{"ops":[{"op":"get","lo":[0,0,0,0,0,0,0,0],"hi":[1,1,1,1,1,1,1,1]}]}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		resp, err := opsClient.Post(hs.URL+"/v1/arrays/F/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode >= 500 {
-			t.Fatalf("batch body %.60q: status %d", body, resp.StatusCode)
-		}
-		// The untargeted array's tile survives bit-for-bit.
-		greq, _ := http.NewRequest(http.MethodGet, hs.URL+"/v1/arrays/G/tile?"+boxQuery(sentinel), nil)
-		gresp, err := opsClient.Do(greq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _ := io.ReadAll(gresp.Body)
-		gresp.Body.Close()
-		if gresp.StatusCode != 200 || !bytes.Equal(got, encodePayload(data)) {
-			t.Fatal("a batch against F disturbed array G")
-		}
-	})
-}
-
-// TestBatchEngineErrorMapping pins the per-op status an engine
-// failure maps to: a closed engine is a retryable 503, anything else
-// is a described 500.
-func TestBatchEngineErrorMapping(t *testing.T) {
+// TestEngineFailureStatus pins the status an engine failure maps to:
+// a closed engine is a retryable 503, anything else is a described 500.
+func TestEngineFailureStatus(t *testing.T) {
 	ts := newTestServer(t, Config{}, nil)
 	if code, _ := ts.srv.front.failure(ooc.ErrEngineClosed); code != http.StatusServiceUnavailable {
 		t.Errorf("closed engine: %d, want 503", code)
@@ -817,5 +601,50 @@ func TestScanStopsAfterHangUp(t *testing.T) {
 		if k > p.hangAt {
 			t.Fatalf("chunks read %v: chunk %d was read after the client hung up during chunk %d", p.read, k, p.hangAt)
 		}
+	}
+}
+
+// reduceSink keeps the client-side fold of BenchmarkReduceVsGetSum live.
+var reduceSink float64
+
+// BenchmarkReduceVsGetSum prices the pushed-down reduce against what a
+// client does without it: GET the same box and fold it locally. Both
+// arms run over loopback HTTP against a warm cache, on the n×n corner
+// of a 256×256 row-major array (DESIGN.md §3.2, "Batch and reduce,
+// priced").
+func BenchmarkReduceVsGetSum(b *testing.B) {
+	_, hs := opsServer(b, Config{})
+	opsCreate(b, hs.URL, "A", []int64{256, 256}, "row")
+	full := layout.NewBox([]int64{0, 0}, []int64{256, 256})
+	opsPutTile(b, hs.URL, "A", full, randData(rand.New(rand.NewSource(1)), full.Size()), 0)
+	for _, n := range []int64{32, 128, 256} {
+		box := layout.NewBox([]int64{0, 0}, []int64{n, n})
+		body, _ := json.Marshal(reduceRequest{Op: "sum", Lo: box.Lo, Hi: box.Hi})
+		b.Run(fmt.Sprintf("n=%d/reduce", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				resp, err := opsClient.Post(hs.URL+"/v1/arrays/A/reduce", "application/json", bytes.NewReader(body))
+				if err != nil {
+					b.Fatal(err)
+				}
+				var out reduceResponse
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					b.Fatalf("reduce: status %d, %v", resp.StatusCode, err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("n=%d/get-sum", n), func(b *testing.B) {
+			data := make([]float64, box.Size())
+			for i := 0; i < b.N; i++ {
+				payload, _ := opsGetTile(b, hs.URL, "A", box)
+				decodePayload(payload, data)
+				var s float64
+				for _, v := range data {
+					s += v
+				}
+				reduceSink = s
+			}
+		})
 	}
 }

@@ -117,11 +117,8 @@ type FrontStats struct {
 	WireBytes    int64 `json:"wire_bytes"`
 }
 
-// OpsStats is the batch/scan/reduce scorecard block of /v1/stats.
+// OpsStats is the scan/reduce scorecard block of /v1/stats.
 type OpsStats struct {
-	BatchRequests  int64 `json:"batch_requests"`
-	BatchOps       int64 `json:"batch_ops"`
-	BatchOpErrors  int64 `json:"batch_op_errors"`
 	ScanRequests   int64 `json:"scan_requests"`
 	ScanChunks     int64 `json:"scan_chunks"`
 	ScanResumes    int64 `json:"scan_resumes"`

@@ -7,7 +7,7 @@
 // The package has two halves joined by the Plane interface (plane.go).
 // FrontEnd (front.go, ops.go) is the one HTTP surface — routes,
 // admission, box validation, payload and codec negotiation, the
-// tile/batch/scan/reduce/array handlers — and serves
+// tile/scan/reduce/array handlers — and serves
 // any Plane; internal/cluster mounts the same front end over its
 // fan-out. This file is the plane occd serves: the local engine.
 //
@@ -49,7 +49,6 @@
 //	GET  /v1/arrays/{name}                   one array's metadata
 //	GET  /v1/arrays/{name}/tile?lo=i,j&hi=k,l   read a tile
 //	PUT  /v1/arrays/{name}/tile?lo=i,j&hi=k,l   write a tile
-//	POST /v1/arrays/{name}/batch             many tile ops, one request (ops.go)
 //	GET  /v1/arrays/{name}/scan?lo=&hi=      streaming layout-aware range scan (ops.go)
 //	POST /v1/arrays/{name}/reduce            pushed-down sum/min/max/count (ops.go)
 package server
@@ -61,7 +60,6 @@ import (
 	"net/http"
 	"slices"
 	"sync"
-	"time"
 
 	"outcore/internal/ir"
 	"outcore/internal/keyhash"
@@ -80,8 +78,6 @@ type Config struct {
 	// QueueDepth bounds how many requests may wait for an inflight
 	// slot (default 64). Beyond it the server answers 503.
 	QueueDepth int
-	// RetryAfter is the hint returned with 503 responses (default 1s).
-	RetryAfter time.Duration
 	// MaxArrayElems caps the total element count of a created array
 	// (overflow-checked product of its dims). 0 means
 	// DefaultMaxArrayElems; negative disables the cap. Beyond it,
@@ -469,7 +465,6 @@ func New(d *ooc.Disk, eng *ooc.Engine, cfg Config) *Server {
 		Reg:           reg,
 		MaxInflight:   cfg.MaxInflight,
 		QueueDepth:    cfg.QueueDepth,
-		RetryAfter:    cfg.RetryAfter,
 		MaxArrayElems: cfg.MaxArrayElems,
 		MaxTileElems:  cfg.MaxTileElems,
 		Series: FrontSeries{
@@ -583,7 +578,7 @@ func (p *enginePlane) read(ar *ooc.Array, lk *tileLock, box layout.Box, render f
 // WriteBox lands one write: per-cell LWW generation merge under the
 // exclusive lock, and flush-before-ack under
 // DurablePuts. A write that applies to its whole box — every ungated
-// PUT, batch op, hint replay and read-repair rewrite — is a blind
+// PUT, hint replay and read-repair rewrite — is a blind
 // engine Store and reads nothing; only a gen-gated write that newer
 // overlapping writes partly supersede reads the tile to merge into.
 func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src []float64, gen uint64) (uint64, bool, error) {
