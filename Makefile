@@ -99,15 +99,17 @@ bench-counts:
 # Deterministic chaos sweep: the dst/faultfs test suites under -race,
 # then CHAOS_EPISODES seeded simulation episodes of every kind: storage
 # (power cuts, torn writes, failing syncs; plain and WAL),
-# then cluster, operators and admission over a router + 3 nodes. A
-# failing episode prints its reproducer. Nightly CI runs this plus one
-# random seed.
+# then cluster (plain, and with every node's WAL replayed through the
+# node open path at each restart), operators and admission over a
+# router + 3 nodes. A failing episode prints its reproducer. Nightly CI
+# runs this plus one random seed.
 CHAOS_EPISODES ?= 50
 chaos:
 	$(GO) test -race ./internal/dst/ ./internal/faultfs/
 	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES)
 	$(GO) run ./cmd/occhaos -episodes $(CHAOS_EPISODES) -wal
 	$(GO) run ./cmd/occhaos -kind cluster -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
+	$(GO) run ./cmd/occhaos -kind cluster -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2 -wal
 	$(GO) run ./cmd/occhaos -kind operators -episodes $(CHAOS_EPISODES) -ops 60 -nodes 3 -replicas 2
 	$(GO) run ./cmd/occhaos -kind admission -episodes $(CHAOS_EPISODES) -nodes 3 -replicas 2
 

@@ -27,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"outcore/internal/codegen"
 	"outcore/internal/faultfs"
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
@@ -45,10 +44,10 @@ func main() {
 	n3 := flag.Int64("n3", 16, "extent of 3-D array dimensions")
 	n4 := flag.Int64("n4", 6, "extent of 4-D array dimensions")
 	maxCall := flag.Int64("maxcall", 8192, "per-call element cap (0 = unlimited)")
-	cacheTiles := flag.Int("cache-tiles", 256, "resident tile bound (LRU)")
+	cacheTiles := flag.Int("cache-tiles", 256, "resident tile bound (LRU, >= 1)")
 	stripes := flag.Int("stripes", 1, "with -dir: stripe each array's backing file this many ways (A.s<i>.dat); reopening with -keep needs the count the directory was written with")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "admission queue depth beyond -inflight")
+	queue := flag.Int("queue", 64, "admission queue depth beyond -inflight (0 = 64)")
 	maxArrayElems := flag.Int64("max-array-elems", 0, "cap on a created array's element count (0 = default, <0 = unlimited)")
 	maxTileElems := flag.Int64("max-tile-elems", 0, "cap on one tile request's element count (0 = default, <0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
@@ -60,9 +59,23 @@ func main() {
 	clusterNode := flag.String("cluster-node", "", "label this daemon as cluster storage node ID in /v1/stats (placement is router-side; write-generation headers do not depend on it)")
 	flag.Parse()
 
-	if *stripes < 1 {
-		fmt.Fprintf(os.Stderr, "occd: -stripes: stripe count %d out of range (valid: >= 1)\n", *stripes)
-		os.Exit(2)
+	for _, c := range []struct {
+		name, valid string
+		bad         bool
+	}{
+		{"cache-tiles", ">= 1", *cacheTiles < 1},
+		{"stripes", ">= 1", *stripes < 1},
+		{"inflight", ">= 0", *inflight < 0},
+		{"queue", ">= 0", *queue < 0},
+		{"wal-cap-words", ">= 0", *walCap < 0},
+		{"wal-checkpoint", ">= 0", *walCheckpoint < 0},
+		{"drain-timeout", ">= 0", *drainTimeout < 0},
+		{"keep", "false without -dir", *keep && *dir == ""},
+	} {
+		if c.bad {
+			fmt.Fprintf(os.Stderr, "occd: -%s: %v out of range (valid: %s)\n", c.name, flag.Lookup(c.name).Value, c.valid)
+			os.Exit(2)
+		}
 	}
 
 	sink := &obs.Sink{Metrics: obs.NewRegistry()}
@@ -91,6 +104,7 @@ func main() {
 			Obs:             sink,
 		})
 	}
+	var catalog []server.Array
 	if *kernel != "" {
 		k, ok := suite.ByName(*kernel)
 		if !ok {
@@ -107,20 +121,16 @@ func main() {
 		prog := k.Build(suite.Config{N2: *n2, N3: *n3, N4: *n4})
 		plan, err := suite.PlanFor(prog, ver)
 		fail(err)
-		if inj != nil {
-			inj.Heal() // array creation passes through; the storm starts with serving
+		for _, a := range prog.Arrays {
+			catalog = append(catalog, server.Array{Name: a.Name, Dims: a.Dims, Layout: plan.LayoutOf(a, nil)})
 		}
-		_, err = codegen.SetupDiskOn(d, prog, plan, nil)
-		fail(err)
-		if inj != nil {
-			inj.Arm()
-		}
-		log.Printf("occd: created %d arrays for %s/%s", len(prog.Arrays), k.Name, ver)
+		log.Printf("occd: opening %d arrays for %s/%s", len(catalog), k.Name, ver)
 	}
-	fail(replayWAL(d)) // a no-op without -wal
 
-	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: *cacheTiles, Obs: sink})
-	srv := server.New(d, eng, server.Config{
+	if inj != nil {
+		inj.Heal() // the open passes through; the storm starts with serving
+	}
+	srv, err := server.Open(d, catalog, ooc.EngineOptions{CacheTiles: *cacheTiles, Obs: sink}, server.Config{
 		MaxInflight:   *inflight,
 		QueueDepth:    *queue,
 		MaxArrayElems: *maxArrayElems,
@@ -129,6 +139,13 @@ func main() {
 		NodeID:        *clusterNode,
 		Obs:           sink,
 	})
+	fail(err)
+	if inj != nil {
+		inj.Arm()
+	}
+	if w := d.WALStats(); w != nil && w.ReplayedRecords+w.DiscardedRecords > 0 {
+		log.Printf("occd: WAL replay: %d records applied, %d stale/torn discarded", w.ReplayedRecords, w.DiscardedRecords)
+	}
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 	if *clusterNode != "" {
 		log.Printf("occd: cluster node %q; placement is router-side", *clusterNode)
@@ -164,35 +181,6 @@ func main() {
 	}
 	fail(srv.Drain())
 	log.Print("occd: drained; dirty tiles flushed and synced")
-}
-
-// replayWAL re-applies the log tail a crashed occd left behind, so with
-// -keep its acked writes reappear before serving starts. A record whose
-// array this start did not create (occd re-creates only -kernel arrays)
-// cannot be applied, and the next checkpoint would drop it: such a log
-// refuses the start, naming the arrays. A refused start abandons the
-// disk, so it leaves neither a checkpoint nor its locks behind.
-func replayWAL(d *ooc.Disk) (err error) {
-	defer func() {
-		if err != nil {
-			d.Abandon()
-		}
-	}()
-	rep, err := d.ReplayWAL()
-	if err != nil {
-		return err
-	}
-	if rep.Applied+rep.Discarded+rep.Skipped > 0 {
-		log.Printf("occd: WAL replay: %d records applied, %d stale/torn discarded, %d skipped",
-			rep.Applied, rep.Discarded, rep.Skipped)
-	}
-	if rep.Skipped > 0 {
-		return fmt.Errorf("WAL replay: %d acked records name arrays this start did not create (%s); "+
-			"refusing to serve, since a checkpoint would drop them: re-create those arrays before replay, "+
-			"or move the log (__wal0.log) aside to discard their writes",
-			rep.Skipped, strings.Join(rep.SkippedArrays, ", "))
-	}
-	return nil
 }
 
 func fail(err error) {

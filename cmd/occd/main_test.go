@@ -1,40 +1,86 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"outcore/internal/faultfs"
 	"outcore/internal/ir"
 	"outcore/internal/layout"
 	"outcore/internal/ooc"
+	"outcore/internal/server"
 )
 
-// TestReplayRefusesUnknownArrays drives occd's WAL open path over a
-// crash: an array made at run time (as POST /v1/arrays makes one), one
-// acked tile write, a power cut before any checkpoint. A restart that
-// does not re-create the array must refuse to serve, naming it, rather
-// than leave the record for the next checkpoint to drop; a restart that
-// does re-create it must apply the record.
+// TestMain doubles as the occd binary: with OCCD_ARGS set, the test
+// binary runs main on those arguments, so a test can check the exit
+// status and output of a real command line.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("OCCD_ARGS"); ok {
+		os.Args = append([]string{"occd"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestRejectsOutOfRange: every numeric knob outside its range, and
+// -keep without -dir, is a usage error (exit 2) naming the flag and
+// the valid range, before anything is opened — never a silent default.
+// A command line that is accepted serves until killed, which the
+// deadline turns into a failure.
+func TestRejectsOutOfRange(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-cache-tiles 0", "-cache-tiles: 0 out of range (valid: >= 1)"},
+		{"-cache-tiles -3", "-cache-tiles: -3 out of range (valid: >= 1)"},
+		{"-stripes 0", "-stripes: 0 out of range (valid: >= 1)"},
+		{"-inflight -1", "-inflight: -1 out of range (valid: >= 0)"},
+		{"-queue -1", "-queue: -1 out of range (valid: >= 0)"},
+		{"-wal -wal-cap-words -8", "-wal-cap-words: -8 out of range (valid: >= 0)"},
+		{"-wal -wal-checkpoint -1s", "-wal-checkpoint: -1s out of range (valid: >= 0)"},
+		{"-drain-timeout -1s", "-drain-timeout: -1s out of range (valid: >= 0)"},
+		{"-keep", "-keep: true out of range (valid: false without -dir)"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0])
+		cmd.Env = append(os.Environ(), "OCCD_ARGS=-addr 127.0.0.1:0 "+c.args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), c.want) {
+			t.Errorf("occd %s: %v, stderr %q; want exit 2 with %q", c.args, err, stderr.String(), c.want)
+		}
+	}
+}
+
+// TestReplayRefusesUnknownArrays drives the open path occd starts
+// through (server.Open) over a crash: an array made at run time (as
+// POST /v1/arrays makes one), one acked tile write, a power cut before
+// any checkpoint. A restart whose catalog lacks the array must refuse
+// to serve, naming it, rather than leave the record for the next
+// checkpoint to drop; a restart whose catalog has it must apply the
+// record.
 func TestReplayRefusesUnknownArrays(t *testing.T) {
 	inj := faultfs.New(7, faultfs.Profile{})
-	meta := ir.NewArray("A", 32, 32)
 	box := layout.NewBox([]int64{0, 0}, []int64{8, 8})
-	open := func(create bool) (*ooc.Disk, *ooc.Array) {
-		d := ooc.NewDisk(0).WrapBackend(inj.Wrap).EnableWAL(ooc.WALOptions{CapWords: 1 << 15})
-		if !create {
-			return d, nil
-		}
-		ar, err := d.CreateArray(meta, layout.RowMajor(32, 32))
-		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		return d, ar
+	catalog := []server.Array{{Name: "A", Dims: []int64{32, 32}, Layout: layout.RowMajor(32, 32)}}
+	disk := func() *ooc.Disk {
+		return ooc.NewDisk(0).WrapBackend(inj.Wrap).EnableWAL(ooc.WALOptions{CapWords: 1 << 15})
 	}
 
-	d, ar := open(true)
+	d := disk()
+	ar, err := d.CreateArray(ir.NewArray("A", 32, 32), layout.RowMajor(32, 32))
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
 	eng := ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 4})
 	hd, err := eng.Acquire(ar, box)
 	if err != nil {
@@ -50,26 +96,27 @@ func TestReplayRefusesUnknownArrays(t *testing.T) {
 	eng.Abandon()
 	inj.Crash()
 
-	d, _ = open(false)
-	if err := replayWAL(d); err == nil || !strings.Contains(err.Error(), "(A)") {
-		t.Fatalf("restart without A: replayWAL = %v, want a refusal naming A", err)
+	if _, err := server.Open(disk(), nil, ooc.EngineOptions{CacheTiles: 4}, server.Config{}); err == nil ||
+		!strings.Contains(err.Error(), "(A)") {
+		t.Fatalf("restart without A: Open = %v, want a refusal naming A", err)
 	}
 	inj.Crash()
 
-	d, ar = open(true)
-	if err := replayWAL(d); err != nil {
+	d = disk()
+	srv, err := server.Open(d, catalog, ooc.EngineOptions{CacheTiles: 4}, server.Config{})
+	if err != nil {
 		t.Fatalf("restart with A: %v", err)
 	}
-	eng = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 4})
-	defer eng.Close()
-	hd, err = eng.Acquire(ar, box)
+	tile, err := d.ArrayByName("A").ReadTile(box)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := hd.Tile().Data()[0]; got != 42 {
+	if got := tile.Data()[0]; got != 42 {
 		t.Fatalf("acked tile reads %v after replay, want 42", got)
 	}
-	eng.Release(hd, false)
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // TestRefusedStartReleasesLocks runs the same refusal over a real
@@ -114,9 +161,9 @@ func TestRefusedStartReleasesLocks(t *testing.T) {
 	}
 
 	for start := 1; start <= 2; start++ {
-		err := replayWAL(open(true))
+		_, err := server.Open(open(true), nil, ooc.EngineOptions{CacheTiles: 4}, server.Config{})
 		if err == nil || !strings.Contains(err.Error(), "(A)") {
-			t.Fatalf("refused start %d: replayWAL = %v, want a refusal naming A", start, err)
+			t.Fatalf("refused start %d: Open = %v, want a refusal naming A", start, err)
 		}
 	}
 	if locks, _ := filepath.Glob(filepath.Join(dir, "*.lock")); len(locks) > 0 {

@@ -48,7 +48,7 @@ func register(fs *flag.FlagSet) *options {
 	fs.Float64Var(&o.putFrac, "put-frac", 0.4, "storage: fraction of client ops that are PUTs")
 	fs.IntVar(&o.flushEvery, "flush-every", 20, "storage: ~one flush per this many steps (<0 disables)")
 	fs.IntVar(&o.crashEvery, "crash-every", 50, "storage: ~one power cut per this many steps (<0 disables)")
-	fs.BoolVar(&o.wal, "wal", false, "storage: writes append to a write-ahead log, crashes land mid-commit/mid-compaction, and every reboot replays the surviving log tail")
+	fs.BoolVar(&o.wal, "wal", false, "every kind: writes append to a write-ahead log, crashes land mid-commit/mid-compaction, and every reboot (each cluster node's included) replays the surviving log tail")
 	fs.Float64Var(&o.syncDrop, "sync-drop", 0, "storage: probability a sync LIES (reports success, persists nothing) on top of the storm — episodes are expected to fail")
 	fs.IntVar(&o.nodes, "nodes", 3, "cluster kinds: storage nodes per episode")
 	fs.IntVar(&o.replicas, "replicas", 2, "cluster kinds: copies per tile")

@@ -215,7 +215,9 @@ func runClusterConformanceSeed(t *testing.T, seed int64, nodes int) {
 			for i := 0; i < lc.Nodes(); i++ {
 				lc.Kill(i)
 			}
-			lc.Heal()
+			if err := lc.Heal(); err != nil {
+				t.Fatalf("heal after power cut: %v", err)
+			}
 			ref.eng.Abandon()
 			ref.inj.Crash()
 			ref.open(t)

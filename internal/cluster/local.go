@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"outcore/internal/faultfs"
-	"outcore/internal/ir"
 	"outcore/internal/layout"
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
@@ -70,7 +69,6 @@ type LocalNode struct {
 
 	inj     *faultfs.Injector
 	disk    *ooc.Disk
-	eng     *ooc.Engine
 	srv     *server.Server
 	handler atomic.Pointer[http.Handler]
 	hsrv    *httptest.Server
@@ -106,8 +104,7 @@ type LocalCluster struct {
 	routerSrv *httptest.Server
 	nodes     []*LocalNode
 	clients   []*NodeClient
-	arrays    []server.Array // creations to replay on node restart
-	busy      atomic.Int64   // handlers running on the router and every node
+	busy      atomic.Int64 // handlers running on the router and every node
 }
 
 // quiesceBound is how long Quiesce waits: the node client's own
@@ -145,7 +142,10 @@ func NewLocal(o LocalOptions) (*LocalCluster, error) {
 	for i := 0; i < o.Nodes; i++ {
 		n := &LocalNode{ID: fmt.Sprintf("n%d", i)}
 		n.inj = faultfs.New(o.Seed+int64(i)*104729+31, faultfs.Profile{})
-		n.boot(o, lc)
+		if err := n.boot(o); err != nil {
+			lc.closeNodes()
+			return nil, err
+		}
 		n.hsrv = httptest.NewServer(lc.track(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			(*n.handler.Load()).ServeHTTP(w, r)
 		})))
@@ -202,35 +202,37 @@ func (lc *LocalCluster) routerOptions() Options {
 	}
 }
 
-// boot builds the node's disk/engine/server over the injector's
-// surviving bytes (all-zero on first boot) and swaps the handler in.
-func (n *LocalNode) boot(o LocalOptions, lc *LocalCluster) {
-	n.disk = ooc.NewDisk(0).WrapBackend(n.inj.Wrap)
-	if o.WAL {
-		n.disk.EnableWAL(ooc.WALOptions{})
-	}
-	for _, a := range lc.arrays {
-		_, err := n.disk.CreateArray(ir.NewArray(a.Name, a.Dims...), a.Layout)
-		if err != nil && !errors.Is(err, ooc.ErrArrayExists) {
-			panic(fmt.Sprintf("cluster: recreating %s on %s: %v", a.Name, n.ID, err))
+// boot opens the node over the injector's surviving bytes (all-zero on
+// first boot) through server.Open — occd's own start path — with the
+// catalog its last disk held, each array under its own layout (what a
+// data directory's manifest would name), and swaps the handler in. A
+// refused open leaves the node as it was.
+func (n *LocalNode) boot(o LocalOptions) error {
+	var catalog []server.Array
+	if n.disk != nil {
+		for _, ar := range n.disk.Arrays() {
+			catalog = append(catalog, server.Array{Name: ar.Meta.Name, Dims: ar.Meta.Dims, Layout: ar.Layout})
 		}
 	}
-	n.eng = ooc.NewEngine(n.disk, ooc.EngineOptions{CacheTiles: o.CacheTiles})
+	d := ooc.NewDisk(0).WrapBackend(n.inj.Wrap)
 	if o.WAL {
-		if _, err := n.disk.ReplayWAL(); err != nil {
-			panic(fmt.Sprintf("cluster: WAL replay on %s: %v", n.ID, err))
-		}
+		d.EnableWAL(ooc.WALOptions{})
 	}
-	n.srv = server.New(n.disk, n.eng, server.Config{
+	srv, err := server.Open(d, catalog, ooc.EngineOptions{CacheTiles: o.CacheTiles}, server.Config{
 		NodeID:      n.ID,
 		DurablePuts: o.DurablePuts,
 		MaxInflight: o.MaxInflight,
 		QueueDepth:  o.QueueDepth,
 		Obs:         &obs.Sink{Metrics: obs.NewRegistry()},
 	})
-	h := n.srv.Handler()
+	if err != nil {
+		return fmt.Errorf("cluster: opening node %s: %w", n.ID, err)
+	}
+	n.disk, n.srv = d, srv
+	h := srv.Handler()
 	n.handler.Store(&h)
 	n.killed = false
+	return nil
 }
 
 // Nodes returns the node count.
@@ -239,15 +241,9 @@ func (lc *LocalCluster) Nodes() int { return len(lc.nodes) }
 // NodeID returns node i's ID.
 func (lc *LocalCluster) NodeID(i int) string { return lc.nodes[i].ID }
 
-// CreateArray creates an array through the router and records it for
-// node-restart replay.
+// CreateArray creates a row-major array through the router.
 func (lc *LocalCluster) CreateArray(name string, dims ...int64) error {
-	c := NewNodeClient("router", lc.RouterURL)
-	if err := c.CreateArray(name, dims, ""); err != nil {
-		return err
-	}
-	lc.arrays = append(lc.arrays, server.Array{Name: name, Dims: dims, Layout: layout.RowMajor(dims...)})
-	return nil
+	return lc.Client().CreateArray(name, dims, "")
 }
 
 // Client returns a tile client pointed at the router.
@@ -270,7 +266,7 @@ func (lc *LocalCluster) Kill(i int) {
 	if n.killed {
 		return
 	}
-	n.eng.Abandon()
+	n.srv.Abandon()
 	n.inj.Crash()
 	n.killed = true
 }
@@ -280,13 +276,14 @@ func (lc *LocalCluster) Kill(i int) {
 // core with an EMPTY generation table — the restarted replica
 // deliberately forgets freshness and loses every comparison until
 // read-repair or hinted handoff catches it up. The router still
-// considers the node down until its next Probe.
-func (lc *LocalCluster) Restart(i int) {
+// considers the node down until its next Probe. A refused open is
+// returned, naming the node, which stays killed.
+func (lc *LocalCluster) Restart(i int) error {
 	n := lc.nodes[i]
 	if !n.killed {
-		return
+		return nil
 	}
-	n.boot(lc.opts, lc)
+	return n.boot(lc.opts)
 }
 
 // Partition blocks router→node i traffic at the transport.
@@ -304,15 +301,16 @@ func (lc *LocalCluster) Partitioned(i int) bool { return lc.nodes[i].gate.blocke
 
 // Heal restores the whole cluster: partitions lifted, killed nodes
 // restarted, then one router Probe so returned replicas sync their
-// catalogs, drain their hints, and rejoin the live set.
-func (lc *LocalCluster) Heal() {
+// catalogs, drain their hints, and rejoin the live set. It returns
+// every refused restart; those nodes stay killed.
+func (lc *LocalCluster) Heal() error {
+	var errs []error
 	for i, n := range lc.nodes {
 		n.gate.blocked.Store(false)
-		if n.killed {
-			lc.Restart(i)
-		}
+		errs = append(errs, lc.Restart(i))
 	}
 	lc.Router.Probe()
+	return errors.Join(errs...)
 }
 
 // ReplicaNodes returns the indices of the nodes holding box's routing

@@ -192,7 +192,9 @@ func runReadOneOracle(t *testing.T, replicas int, seed int64) {
 			k := rng.Intn(len(faulted))
 			node := faulted[k]
 			faulted = append(faulted[:k], faulted[k+1:]...)
-			lc.Restart(node)
+			if err := lc.Restart(node); err != nil {
+				t.Fatal(err)
+			}
 			lc.Unpartition(node)
 			if rng.Intn(3) == 0 {
 				lc.Router.Probe()

@@ -242,7 +242,9 @@ func TestPartialPutHintedHandoff(t *testing.T) {
 		t.Fatalf("hints pending for node %d = %d, want 1", down, n)
 	}
 
-	lc.Heal()
+	if err := lc.Heal(); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
 	if n := lc.HintsPending(down); n != 0 {
 		t.Fatalf("hints pending after heal = %d, want 0", n)
 	}
@@ -290,7 +292,9 @@ func TestHealConvergesReplicas(t *testing.T) {
 	if _, _, err := cli.PutTile("A", box, fillTile(2, box), 0, true); err != nil {
 		t.Fatalf("put v2: %v", err)
 	}
-	lc.Heal()
+	if err := lc.Heal(); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
 	got, _, err := cli.GetTile("A", box, true)
 	if err != nil {
 		t.Fatalf("get: %v", err)

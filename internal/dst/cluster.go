@@ -106,6 +106,7 @@ func runCluster(o Options) *Result {
 		Replicas:    o.Replicas,
 		TileDim:     tileElems, // 1-D grid: one routing tile per model tile
 		DurablePuts: true,
+		WAL:         o.WAL,
 		HintDir:     o.HintDir,
 		Seed:        o.Seed + 1,
 	}
@@ -336,7 +337,7 @@ func (ep *clusterEpisode) stream(path string, plan []layout.Box, interrupt bool)
 		if cursor == "" {
 			// The leg died before its first chunk (a 503 while a node is
 			// down, or a mid-frame truncation): heal and retry it.
-			ep.lc.Heal()
+			ep.healAll()
 			continue
 		}
 		ep.res.ScanResumes++
@@ -448,7 +449,9 @@ func (ep *clusterEpisode) heal() {
 			continue
 		}
 		ep.res.Heals++
-		ep.lc.Restart(i)
+		if err := ep.lc.Restart(i); err != nil {
+			ep.violate("heal n%d: %v", i, err)
+		}
 		ep.lc.Unpartition(i)
 		ep.lc.Router.Probe()
 		ep.logf("heal n%d", i)
@@ -463,15 +466,23 @@ func (ep *clusterEpisode) powerCut(why string) {
 	for i := 0; i < ep.lc.Nodes(); i++ {
 		ep.lc.Kill(i)
 	}
-	ep.lc.Heal()
+	ep.healAll()
 	ep.logf("power cut (%s)", why)
+}
+
+// healAll heals the whole cluster, recording each node whose open
+// refused as a violation.
+func (ep *clusterEpisode) healAll() {
+	if err := ep.lc.Heal(); err != nil {
+		ep.violate("heal: %v", err)
+	}
 }
 
 // epilogue heals the world and runs every check for every kind.
 func (ep *clusterEpisode) epilogue() {
 	ep.logf("epilogue heal")
 	queued := ep.lc.HintsPendingTotal()
-	ep.lc.Heal()
+	ep.healAll()
 	for round := 0; ep.lc.HintsPendingTotal() > 0; round++ {
 		if round == maxPending {
 			ep.violate("epilogue: %d hints still queued after %d probe rounds", ep.lc.HintsPendingTotal(), round)

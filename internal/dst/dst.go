@@ -118,6 +118,8 @@ type Options struct {
 	// surviving log tail before the durability check — so the contract
 	// under test becomes "acked writes are RECOVERED exactly", crash
 	// points landing mid-commit, mid-apply and mid-compaction included.
+	// In the cluster kinds every node logs, and each restart replays
+	// through the node open path occd ships (server.Open).
 	WAL bool
 
 	// Cluster kinds.

@@ -40,7 +40,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
 
 	"outcore/internal/obs"
 	"outcore/internal/ooc"
@@ -81,8 +80,8 @@ type Profile struct {
 	SyncDrop float64
 	// LatencyTicks adds up to this many virtual ticks of simulated
 	// latency per operation (0 disables). Ticks only advance the
-	// injector's virtual clock and appear in the schedule; wall-clock
-	// sleeping is opt-in via Injector.SetRealDelay.
+	// injector's virtual clock and appear in the schedule; nothing
+	// sleeps.
 	LatencyTicks int64
 }
 
@@ -95,17 +94,16 @@ type injMetrics struct {
 // Injector owns the PRNG, the schedule, and the durable/volatile
 // bookkeeping for every backend it wraps. Create one per episode.
 type Injector struct {
-	mu      sync.Mutex
-	rng     *rand.Rand
-	prof    Profile
-	armed   bool
-	seq     int64
-	ticks   int64
-	faults  int64
-	sched   strings.Builder
-	backs   map[string]*Backend
-	met     *injMetrics
-	perTick time.Duration
+	mu     sync.Mutex
+	rng    *rand.Rand
+	prof   Profile
+	armed  bool
+	seq    int64
+	ticks  int64
+	faults int64
+	sched  strings.Builder
+	backs  map[string]*Backend
+	met    *injMetrics
 }
 
 // New returns an injector drawing every fault decision from seed.
@@ -134,10 +132,6 @@ func (in *Injector) Observe(sink *obs.Sink) *Injector {
 	}
 	return in
 }
-
-// SetRealDelay makes simulated latency real: each virtual tick sleeps
-// d of wall clock (load testing; keep zero for deterministic runs).
-func (in *Injector) SetRealDelay(d time.Duration) { in.mu.Lock(); in.perTick = d; in.mu.Unlock() }
 
 // Heal disarms fault injection: subsequent operations pass through
 // (still recorded). Episodes heal before a final flush so every write
@@ -254,15 +248,14 @@ func (in *Injector) logf(format string, args ...any) {
 func (in *Injector) draw() float64 { return in.rng.Float64() }
 
 // latency draws the operation's simulated latency ticks (callers hold
-// mu); the wall-clock sleep, if configured, is returned for the
-// caller to perform outside the lock.
-func (in *Injector) latency() (int64, time.Duration) {
+// mu).
+func (in *Injector) latency() int64 {
 	if in.prof.LatencyTicks <= 0 {
-		return 0, 0
+		return 0
 	}
 	t := in.rng.Int63n(in.prof.LatencyTicks + 1)
 	in.ticks += t
-	return t, time.Duration(t) * in.perTick
+	return t
 }
 
 // fault counts one injected fault (callers hold mu).
@@ -298,7 +291,7 @@ type Backend struct {
 func (b *Backend) ReadAt(buf []float64, off int64) error {
 	b.in.mu.Lock()
 	b.in.op()
-	ticks, sleep := b.in.latency()
+	ticks := b.in.latency()
 	if b.in.armed && b.in.draw() < b.in.prof.ReadErr {
 		b.in.fault()
 		b.in.logf("r %s off=%d len=%d t=%d -> eio", b.name, off, len(buf), ticks)
@@ -308,9 +301,6 @@ func (b *Backend) ReadAt(buf []float64, off int64) error {
 	b.in.logf("r %s off=%d len=%d t=%d -> ok", b.name, off, len(buf), ticks)
 	err := b.inner.ReadAt(buf, off)
 	b.in.mu.Unlock()
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
 	return err
 }
 
@@ -321,7 +311,7 @@ func (b *Backend) ReadAt(buf []float64, off int64) error {
 func (b *Backend) WriteAt(buf []float64, off int64) error {
 	b.in.mu.Lock()
 	b.in.op()
-	ticks, sleep := b.in.latency()
+	ticks := b.in.latency()
 	n := len(buf) // elements that will actually be applied
 	var verdict string
 	var err error
@@ -365,9 +355,6 @@ func (b *Backend) WriteAt(buf []float64, off int64) error {
 	}
 	b.in.logf("w %s off=%d len=%d t=%d -> %s", b.name, off, len(buf), ticks, verdict)
 	b.in.mu.Unlock()
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
 	return err
 }
 
@@ -377,7 +364,7 @@ func (b *Backend) WriteAt(buf []float64, off int64) error {
 func (b *Backend) Sync() error {
 	b.in.mu.Lock()
 	b.in.op()
-	ticks, sleep := b.in.latency()
+	ticks := b.in.latency()
 	if b.in.armed {
 		p := b.in.prof
 		switch u := b.in.draw(); {
@@ -390,9 +377,6 @@ func (b *Backend) Sync() error {
 			b.in.fault()
 			b.in.logf("s %s pend=%d t=%d -> drop", b.name, len(b.undo), ticks)
 			b.in.mu.Unlock()
-			if sleep > 0 {
-				time.Sleep(sleep)
-			}
 			return nil
 		}
 	}
@@ -402,9 +386,6 @@ func (b *Backend) Sync() error {
 	}
 	b.in.logf("s %s pend=0 t=%d -> ok", b.name, ticks)
 	b.in.mu.Unlock()
-	if sleep > 0 {
-		time.Sleep(sleep)
-	}
 	return err
 }
 

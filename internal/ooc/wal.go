@@ -190,7 +190,6 @@ type WALStats struct {
 	BypassWrites     int64   `json:"bypass_writes"` // unlogged write-throughs: bulk fills, records too large to log
 	ReplayedRecords  int64   `json:"replayed_records"`
 	DiscardedRecords int64   `json:"discarded_records"`
-	SkippedRecords   int64   `json:"skipped_records"` // replayed records naming arrays not (re)created
 }
 
 // walMetrics are the registry series an observed WAL feeds.
@@ -259,7 +258,7 @@ type walCounters struct {
 	appends, appendedWords       int64
 	commits, fsyncs, checkpoints int64
 	bypass                       int64
-	replayed, discarded, skipped int64
+	replayed, discarded          int64
 }
 
 func newWALSet(o WALOptions) *walSet {
@@ -582,7 +581,10 @@ func (ws *walSet) checkpointLocked() error {
 
 // replay scans the log's surviving tail and re-applies the valid
 // records, in log order, to the member backends — reconstructing
-// exactly the write-through order.
+// exactly the write-through order. A record above the watermark whose
+// array is not a member could not be applied, and the next checkpoint
+// would drop it: replay then refuses before applying anything, naming
+// those arrays, and leaves the log as it found it.
 func (ws *walSet) replay() (WALReplay, error) {
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
@@ -592,21 +594,29 @@ func (ws *walSet) replay() (WALReplay, error) {
 		return rep, fmt.Errorf("ooc: WAL replay reading watermark: %w", err)
 	}
 	watermark := math.Float64bits(wm[0])
-	lg := ws.log
 	words := make([]float64, ws.opts.CapWords)
-	if err := lg.back.ReadAt(words, 0); err != nil {
+	if err := ws.log.back.ReadAt(words, 0); err != nil {
 		return rep, fmt.Errorf("ooc: WAL replay reading %s: %w", walLogName, err)
 	}
-	lg.epoch = math.Float64bits(words[0])
-	recs, end := walScan(words, lg.epoch)
-	lg.head = end
-	lg.syncedTo = end // the scanned bytes are, by definition, durable
-	if end < int64(len(words)) && math.Float64bits(words[end]) != 0 {
-		rep.Discarded++
-	}
+	// ensureLog already adopted this epoch and tail as the append point.
+	recs, end := walScan(words, ws.log.epoch)
 	byName := map[string]Backend{}
 	for _, m := range ws.members {
 		byName[m.name] = m.inner
+	}
+	var unknown []string
+	for _, r := range recs {
+		if _, ok := byName[r.name]; !ok && r.seq > watermark && !slices.Contains(unknown, r.name) {
+			unknown = append(unknown, r.name)
+		}
+	}
+	if len(unknown) > 0 {
+		return rep, fmt.Errorf("ooc: WAL replay: acked records name arrays this open did not create (%s); "+
+			"refusing to serve, since a checkpoint would drop them: re-create those arrays before replay, "+
+			"or move the log (%s.log) aside to discard their writes", strings.Join(unknown, ", "), walLogName)
+	}
+	if end < int64(len(words)) && math.Float64bits(words[end]) != 0 {
+		rep.Discarded++
 	}
 	for _, r := range recs {
 		if r.seq <= watermark {
@@ -617,37 +627,20 @@ func (ws *walSet) replay() (WALReplay, error) {
 			rep.Discarded++
 			continue
 		}
-		// Every surviving record retires its sequence number, applied or
-		// not: a skipped record (array not recreated) stays in the log,
-		// and a new append re-using its seq would trip the scan's
-		// monotonicity cut and lose the newer record.
-		if r.seq > ws.seq {
-			ws.seq = r.seq
-		}
-		inner, ok := byName[r.name]
-		if !ok {
-			rep.Skipped++
-			if !slices.Contains(rep.SkippedArrays, r.name) {
-				rep.SkippedArrays = append(rep.SkippedArrays, r.name)
-			}
-			continue
-		}
-		if err := walApply(inner, r.runs, r.data); err != nil {
+		if err := walApply(byName[r.name], r.runs, r.data); err != nil {
 			return rep, fmt.Errorf("ooc: WAL replay applying seq %d to %s: %w", r.seq, r.name, err)
 		}
+		ws.seq = max(ws.seq, r.seq)
 		rep.Applied++
 	}
 	// Never re-allocate a sequence number the watermark covers: replay
 	// after a later crash would discard such a record as stale.
-	if watermark > ws.seq {
-		ws.seq = watermark
-	}
+	ws.seq = max(ws.seq, watermark)
 	if ws.seq > ws.durable.Load() {
 		ws.durable.Store(ws.seq)
 	}
 	ws.c.replayed += rep.Applied
 	ws.c.discarded += rep.Discarded
-	ws.c.skipped += rep.Skipped
 	if m := ws.met; m != nil {
 		m.replayed.Add(rep.Applied)
 		m.discarded.Add(rep.Discarded)
@@ -673,7 +666,6 @@ func (ws *walSet) stats() *WALStats {
 		BypassWrites:     ws.c.bypass,
 		ReplayedRecords:  ws.c.replayed,
 		DiscardedRecords: ws.c.discarded,
-		SkippedRecords:   ws.c.skipped,
 	}
 	if s.Fsyncs > 0 {
 		s.FsyncBatch = float64(s.Commits) / float64(s.Fsyncs)
@@ -1051,9 +1043,6 @@ func walScan(words []float64, epoch uint64) ([]walRecord, int64) {
 type WALReplay struct {
 	Applied   int64 // records re-applied over the member backends
 	Discarded int64 // torn log tail (at most one) plus stale records at or below the watermark
-	Skipped   int64 // valid records naming arrays not (re)created
-
-	SkippedArrays []string // the Skipped records' arrays, in order of first appearance
 }
 
 // EnableWAL turns on write-ahead logging for every subsequently
@@ -1074,24 +1063,21 @@ func (d *Disk) EnableWAL(o WALOptions) *Disk {
 	return d
 }
 
-// WALEnabled reports whether the disk logs writes.
-func (d *Disk) WALEnabled() bool { return d.wal != nil }
-
 // ReplayWAL recovers acknowledged writes after a reopen: it scans the
 // surviving log tail and re-applies the valid records, in sequence
 // order, over the array backends. Call it after recreating the disk's
-// arrays and before tile I/O starts. Records naming arrays that were
-// not recreated are counted in Skipped, their arrays named in
-// SkippedArrays, and left for the next checkpoint to drop, so a caller
-// that must not lose them refuses to go on. On a freshly created disk
-// the log is empty and replay is a no-op.
+// arrays and before tile I/O starts. If any surviving record names an
+// array that was not recreated, it applies nothing and returns an
+// error naming those arrays: the caller must abandon the disk (Close
+// would checkpoint the records away). On a freshly created disk the
+// log is empty and replay is a no-op.
 func (d *Disk) ReplayWAL() (WALReplay, error) {
 	if d.wal == nil {
 		return WALReplay{}, nil
 	}
 	// Open the log if no array creation has yet: a reopened disk with
-	// no arrays recreated still reports its surviving records (as
-	// Skipped) instead of silently scanning nothing.
+	// no arrays recreated still refuses its surviving records instead
+	// of silently scanning nothing.
 	if err := d.wal.ensureLog(d); err != nil {
 		return WALReplay{}, err
 	}

@@ -346,12 +346,10 @@ func TestWALCheckpointTruncates(t *testing.T) {
 
 // TestWALReopenBeforeArraysKeepsEpochAndSeq pins the occd-without-
 // kernel lifecycle: a reopened disk calls ReplayWAL before any client
-// has recreated an array. The replay must still open the kept log
-// and report the surviving records as Skipped; and the life's own
-// appends must adopt the on-disk epoch header and the skipped
-// records' sequence numbers — an append stamped with a stale epoch,
-// or re-using a surviving record's seq, is silently discarded by the
-// NEXT replay's epoch/monotonicity cut (an acked write lost).
+// has recreated an array. The replay must still open the kept log and
+// refuse its surviving records, naming their array, without touching
+// the log; and a later open in the normal order must recover them —
+// the kept epoch header and sequence numbers intact.
 func TestWALReopenBeforeArraysKeepsEpochAndSeq(t *testing.T) {
 	inj := faultfs.New(7, faultfs.Profile{})
 	opts := ooc.WALOptions{CapWords: 1 << 15}
@@ -380,30 +378,19 @@ func TestWALReopenBeforeArraysKeepsEpochAndSeq(t *testing.T) {
 	eng.Abandon()
 	inj.Crash()
 
-	// Life 2: replay BEFORE the array exists — the tile-2 records can
-	// only be skipped — then recreate the array and ack a new write.
+	// Life 2: replay BEFORE the array exists — the tile-(1,1) records
+	// name an array this open did not create, so it must refuse, and
+	// the refused disk is abandoned (Close would checkpoint).
 	d2 := ooc.NewDisk(0).WrapBackend(inj.Wrap).EnableWAL(opts)
-	rep, err := d2.ReplayWAL()
-	if err != nil {
-		t.Fatalf("replay without arrays: %v", err)
+	if _, err := d2.ReplayWAL(); err == nil || !strings.Contains(err.Error(), "(A)") {
+		t.Fatalf("replay without arrays: %v, want a refusal naming A", err)
 	}
-	if rep.Applied != 0 || rep.Skipped == 0 {
-		t.Fatalf("replay without arrays: %+v, want only skipped records", rep)
+	if err := d2.Abandon(); err != nil {
+		t.Fatalf("abandon: %v", err)
 	}
-	if ar, err = d2.CreateArray(meta, lay); err != nil {
-		t.Fatalf("recreate: %v", err)
-	}
-	eng = ooc.NewEngine(d2, ooc.EngineOptions{CacheTiles: 16})
-	writeTile(t, eng, ar, walTile(2, 2), 3)
-	if err := eng.Flush(); err != nil {
-		t.Fatalf("flush: %v", err)
-	}
-	eng.Abandon()
-	inj.Crash()
 
-	// Life 3: the normal order. Life 2's acked write must replay — it
-	// dies here if life 2 stamped a reverted (stale) epoch or re-used
-	// the skipped records' sequence numbers.
+	// Life 3: the normal order. Life 1's acked write must replay — it
+	// dies here if the refused life 2 moved the epoch or the log.
 	d3 := ooc.NewDisk(0).WrapBackend(inj.Wrap).EnableWAL(opts)
 	if ar, err = d3.CreateArray(meta, lay); err != nil {
 		t.Fatalf("recreate: %v", err)
@@ -413,8 +400,8 @@ func TestWALReopenBeforeArraysKeepsEpochAndSeq(t *testing.T) {
 	if _, err := d3.ReplayWAL(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if got := readTile(t, eng, ar, walTile(2, 2)); got != 3 {
-		t.Fatalf("life-2 acked tile = %v after replay, want 3", got)
+	if got := readTile(t, eng, ar, walTile(1, 1)); got != 2 {
+		t.Fatalf("life-1 acked tile = %v after replay, want 2", got)
 	}
 	if got := readTile(t, eng, ar, walTile(0, 0)); got != 1 {
 		t.Fatalf("checkpointed tile = %v, want 1", got)

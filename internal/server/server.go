@@ -476,6 +476,30 @@ func New(d *ooc.Disk, eng *ooc.Engine, cfg Config) *Server {
 	})}
 }
 
+// Open brings a storage node up over the disk's surviving bytes; occd
+// and every in-process cluster node start through it. It creates the
+// catalog's arrays, replays the WAL over them (a record naming any
+// other array refuses the open), and only then starts the engine and
+// the serving core. On any error the disk is abandoned, not closed: a
+// close would checkpoint away the very records a refusal protects, and
+// an abandoned disk leaves no lock behind for the next start.
+func Open(d *ooc.Disk, catalog []Array, eo ooc.EngineOptions, cfg Config) (_ *Server, err error) {
+	defer func() {
+		if err != nil {
+			err = errors.Join(err, d.Abandon())
+		}
+	}()
+	for _, a := range catalog {
+		if _, err := d.CreateArray(ir.NewArray(a.Name, a.Dims...), a.Layout); err != nil {
+			return nil, err
+		}
+	}
+	if _, err := d.ReplayWAL(); err != nil {
+		return nil, err
+	}
+	return New(d, ooc.NewEngine(d, eo), cfg), nil
+}
+
 // Handler returns the HTTP handler to mount (see FrontEnd.Handler).
 func (s *Server) Handler() http.Handler { return s.front.Handler() }
 
@@ -501,6 +525,11 @@ func (s *Server) Drain() error {
 	})
 	return s.drainErr
 }
+
+// Abandon is the crash path for harnesses: the engine drops its cache
+// without writing back, every later request answers 503, and nothing
+// is synced or closed.
+func (s *Server) Abandon() { s.plane.eng.Abandon() }
 
 // Draining reports whether Drain has begun (healthz flips to 503).
 func (s *Server) Draining() bool { return s.front.Draining() }
