@@ -45,13 +45,12 @@ func main() {
 	n4 := flag.Int64("n4", 6, "extent of 4-D array dimensions")
 	maxCall := flag.Int64("maxcall", 8192, "per-call element cap (0 = unlimited)")
 	cacheTiles := flag.Int("cache-tiles", 256, "resident tile bound (LRU, >= 1)")
-	stripes := flag.Int("stripes", 1, "with -dir: stripe each array's backing file this many ways (A.s<i>.dat); reopening with -keep needs the count the directory was written with")
 	inflight := flag.Int("inflight", 0, "max concurrent data-plane requests (0 = 2*GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admission queue depth beyond -inflight (0 = 64)")
 	maxArrayElems := flag.Int64("max-array-elems", 0, "cap on a created array's element count (0 = default, <0 = unlimited)")
 	maxTileElems := flag.Int64("max-tile-elems", 0, "cap on one tile request's element count (0 = default, <0 = unlimited)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
-	wal := flag.Bool("wal", false, "write-ahead log tile writes: acked durability via group-committed log fsyncs instead of per-write stripe fsyncs")
+	wal := flag.Bool("wal", false, "write-ahead log tile writes: acked durability via group-committed log fsyncs instead of per-write array-file fsyncs")
 	walCap := flag.Int64("wal-cap-words", 0, "with -wal: log capacity in 8-byte words (0 = default)")
 	walCheckpoint := flag.Duration("wal-checkpoint", time.Second, "with -wal: background compaction interval (0 = only when the log fills)")
 	durablePuts := flag.Bool("durable-puts", false, "make every tile PUT durable before its 204 (with -wal: via the group commit)")
@@ -64,7 +63,6 @@ func main() {
 		bad         bool
 	}{
 		{"cache-tiles", ">= 1", *cacheTiles < 1},
-		{"stripes", ">= 1", *stripes < 1},
 		{"inflight", ">= 0", *inflight < 0},
 		{"queue", ">= 0", *queue < 0},
 		{"wal-cap-words", ">= 0", *walCap < 0},
@@ -91,10 +89,6 @@ func main() {
 		d.Dir(*dir)
 		if *keep {
 			d.KeepExisting()
-		}
-		if *stripes > 1 {
-			// PFS-style layout: one logical file over several sub-files.
-			d.Stripe(*stripes, 0)
 		}
 	}
 	if *wal {

@@ -39,7 +39,6 @@ func TestRejectsOutOfRange(t *testing.T) {
 	for _, c := range []struct{ args, want string }{
 		{"-cache-tiles 0", "-cache-tiles: 0 out of range (valid: >= 1)"},
 		{"-cache-tiles -3", "-cache-tiles: -3 out of range (valid: >= 1)"},
-		{"-stripes 0", "-stripes: 0 out of range (valid: >= 1)"},
 		{"-inflight -1", "-inflight: -1 out of range (valid: >= 0)"},
 		{"-queue -1", "-queue: -1 out of range (valid: >= 0)"},
 		{"-wal -wal-cap-words -8", "-wal-cap-words: -8 out of range (valid: >= 0)"},

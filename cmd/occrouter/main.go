@@ -43,7 +43,6 @@ func main() {
 	tileDim := flag.Int64("tile-dim", 8, "routing grid edge: requests decompose along this aligned tile grid")
 	hintDir := flag.String("hint-dir", "", "directory for durable handoff hint logs (empty = in-memory hints)")
 	probeEvery := flag.Duration("probe-interval", 2*time.Second, "how often to recheck down nodes and drain owed hints")
-	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on quorum-failure 503s")
 	inflight := flag.Int("inflight", 0, "max concurrently admitted data-plane requests (0 = 4*GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth beyond -inflight (0 = 256)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight requests at shutdown")
@@ -65,7 +64,6 @@ func main() {
 		Replicas:    *replicas,
 		TileDim:     *tileDim,
 		HintDir:     *hintDir,
-		RetryAfter:  *retryAfter,
 		MaxInflight: *inflight,
 		QueueDepth:  *queue,
 		Obs:         sink,

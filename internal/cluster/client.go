@@ -95,21 +95,10 @@ func (c *NodeClient) tileURL(name string, box layout.Box) string {
 	b = append(b, "/v1/arrays/"...)
 	b = append(b, url.PathEscape(name)...)
 	b = append(b, "/tile?lo="...)
-	b = appendCoords(b, box.Lo)
+	b = server.AppendCoordList(b, box.Lo)
 	b = append(b, "&hi="...)
-	b = appendCoords(b, box.Hi)
+	b = server.AppendCoordList(b, box.Hi)
 	return string(b)
-}
-
-// appendCoords appends coordinates in the query form "1,2,3".
-func appendCoords(b []byte, coords []int64) []byte {
-	for d, v := range coords {
-		if d > 0 {
-			b = append(b, ',')
-		}
-		b = strconv.AppendInt(b, v, 10)
-	}
-	return b
 }
 
 // Request header values the client sets as constants, shared so a

@@ -148,48 +148,3 @@ func wholeTile(piece layout.Box, dims []int64, t int64) bool {
 	}
 	return true
 }
-
-// strides returns box's row-major element strides.
-func strides(box layout.Box) []int64 {
-	s := make([]int64, len(box.Lo))
-	acc := int64(1)
-	for d := len(box.Lo) - 1; d >= 0; d-- {
-		s[d] = acc
-		acc *= box.Hi[d] - box.Lo[d]
-	}
-	return s
-}
-
-// copyRegion copies the elements of region (which must be contained in
-// both boxes) from src (srcBox-local row-major) into dst (dstBox-local
-// row-major). The innermost dimension is contiguous in both buffers,
-// so the copy moves whole rows.
-func copyRegion(dst []float64, dstBox layout.Box, src []float64, srcBox layout.Box, region layout.Box) {
-	rank := len(region.Lo)
-	ds, ss := strides(dstBox), strides(srcBox)
-	rowLen := region.Hi[rank-1] - region.Lo[rank-1]
-
-	// Odometer over every region coordinate except the innermost dim.
-	cur := make([]int64, rank)
-	copy(cur, region.Lo)
-	for {
-		var doff, soff int64
-		for d := 0; d < rank; d++ {
-			doff += (cur[d] - dstBox.Lo[d]) * ds[d]
-			soff += (cur[d] - srcBox.Lo[d]) * ss[d]
-		}
-		copy(dst[doff:doff+rowLen], src[soff:soff+rowLen])
-		d := rank - 2
-		for d >= 0 {
-			cur[d]++
-			if cur[d] < region.Hi[d] {
-				break
-			}
-			cur[d] = region.Lo[d]
-			d--
-		}
-		if d < 0 {
-			return
-		}
-	}
-}

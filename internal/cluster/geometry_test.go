@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"outcore/internal/layout"
+	"outcore/internal/server"
 )
 
 // TestGridTilesPartition decomposes random boxes and checks the
@@ -85,8 +86,8 @@ func TestCopyRegionRoundTrip(t *testing.T) {
 		dst := make([]float64, box.Size())
 		for _, piece := range gridTiles(nil, box, 8) {
 			buf := make([]float64, piece.Size())
-			copyRegion(buf, piece, src, box, piece)
-			copyRegion(dst, box, buf, piece, piece)
+			server.CopyRegion(buf, piece, src, box, piece)
+			server.CopyRegion(dst, box, buf, piece, piece)
 		}
 		for i := range src {
 			if dst[i] != src[i] {

@@ -61,7 +61,7 @@ func (r *Router) boxGet(a server.Array, box layout.Box) ([]float64, uint64, erro
 		if gen > maxGen {
 			maxGen = gen
 		}
-		copyRegion(out, box, data, piece, piece)
+		server.CopyRegion(out, box, data, piece, piece)
 	}
 	return out, maxGen, nil
 }
@@ -91,7 +91,7 @@ func (r *Router) boxPut(name string, box layout.Box, data []float64) (uint64, er
 		pdata := data
 		if len(pieces) > 1 {
 			pdata = make([]float64, piece.Size())
-			copyRegion(pdata, piece, data, box, piece)
+			server.CopyRegion(pdata, piece, data, box, piece)
 		}
 		gen, err := r.piecePut(name, piece, pdata)
 		if err != nil {

@@ -103,3 +103,45 @@ func TestRefusedRestartIsAnError(t *testing.T) {
 	}
 	readsAcked(t, lc, box)
 }
+
+// TestKilledNodeFailsHealthz: a killed node answers its health check
+// 503, as a dead process answers none, so a Probe leaves it down
+// instead of syncing its catalog and routing traffic to a disk whose
+// every data request fails. Restarted, it answers 200 and rejoins.
+func TestKilledNodeFailsHealthz(t *testing.T) {
+	lc, err := NewLocal(LocalOptions{Nodes: 2, Replicas: 2, TileDim: testTile, Seed: 5})
+	if err != nil {
+		t.Fatalf("cluster: %v", err)
+	}
+	defer lc.Close()
+	if err := lc.CreateArray("A", testEdge, testEdge); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	down := func() bool {
+		for _, m := range lc.Router.members {
+			if m.client.ID == lc.NodeID(0) {
+				return m.down.Load()
+			}
+		}
+		t.Fatalf("no member %s", lc.NodeID(0))
+		return false
+	}
+
+	lc.Kill(0)
+	if lc.NodeClientDirect(0).Healthz() {
+		t.Fatal("a killed node answers healthz 200")
+	}
+	lc.SetNodeDown(0, true)
+	lc.Router.Probe()
+	if !down() {
+		t.Fatal("Probe marked a killed node up")
+	}
+
+	if err := lc.Restart(0); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	lc.Router.Probe()
+	if !lc.NodeClientDirect(0).Healthz() || down() {
+		t.Fatalf("restarted node: healthz %v, down %v; want 200 and up", lc.NodeClientDirect(0).Healthz(), down())
+	}
+}

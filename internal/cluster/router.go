@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"outcore/internal/keyhash"
 	"outcore/internal/layout"
@@ -43,8 +42,6 @@ type Options struct {
 	// hints in memory — handoff still works, but hints die with the
 	// router process.
 	HintDir string
-	// RetryAfter is the hint returned with 503 responses (default 1s).
-	RetryAfter time.Duration
 	// MaxInflight caps concurrently admitted data-plane requests
 	// (default 4x GOMAXPROCS — fan-out requests spend most of their
 	// time waiting on node I/O, so the router runs wider than a node).
@@ -216,7 +213,6 @@ func NewRouter(o Options) (*Router, error) {
 		Reg:          reg,
 		MaxInflight:  o.MaxInflight,
 		QueueDepth:   o.QueueDepth,
-		RetryAfter:   o.RetryAfter,
 	})
 	return r, nil
 }

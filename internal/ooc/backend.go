@@ -240,7 +240,7 @@ func (d *Disk) sortedArraysLocked() []*Array {
 
 // Close releases every array's backend (file handles and locks for
 // file-backed disks; no-ops otherwise), in name order. A WAL-enabled
-// disk checkpoints first — so the stripes are authoritative after a
+// disk checkpoints first — so the array files are authoritative after a
 // clean shutdown — and closes its logs last; if the checkpoint fails
 // the logs keep their records and the next open replays them.
 func (d *Disk) Close() error {
@@ -302,11 +302,11 @@ func (d *Disk) Sync() error {
 // group-committed log fsync — every concurrent caller shares it.
 func (ar *Array) Sync() error { return ar.backend.Sync() }
 
-// checkKeptLayout refuses to reopen a kept directory under a file
-// layout other than the one that wrote it. The file backends create
-// whatever file is missing, so opening "<name>.s<i>.dat" data unstriped
-// (or the reverse, or with another stripe count) would otherwise serve
-// a fresh zero-filled file beside the real data, without an error.
+// checkKeptLayout refuses to reopen an array a build with striped
+// files (occd -stripes) left as "<name>.s<i>.dat" sub-files. The file
+// backend creates whatever file is missing, so the reopen would
+// otherwise serve a fresh zero-filled "<name>.dat" beside the real
+// data, without an error.
 func (d *Disk) checkKeptLayout(name string) error {
 	if d.dir == "" || !d.keepExisting || d.noBacking {
 		return nil
@@ -315,20 +315,9 @@ func (d *Disk) checkKeptLayout(name string) error {
 		_, err := os.Stat(filepath.Join(d.dir, file))
 		return err == nil
 	}
-	have := 0 // stripe files on disk
-	for exists(fmt.Sprintf("%s.s%d.dat", name, have)) {
-		have++
-	}
-	plain := exists(name + ".dat")
-	switch want := d.stripeN; {
-	case want <= 1 && have > 0 && !plain:
-		return fmt.Errorf("ooc: %s in %s was written striped %d ways; reopen it with the same stripe count (occd -stripes %d)",
-			name, d.dir, have, have)
-	case want > 1 && have == 0 && plain:
-		return fmt.Errorf("ooc: %s in %s was written unstriped; reopen it without striping", name, d.dir)
-	case want > 1 && have > 0 && have != want:
-		return fmt.Errorf("ooc: %s in %s was written striped %d ways, not %d; reopen it with the same stripe count (occd -stripes %d)",
-			name, d.dir, have, want, have)
+	if sub := name + ".s0.dat"; exists(sub) && !exists(name+".dat") {
+		return fmt.Errorf("ooc: %s in %s is striped (%s, written by a build with occd -stripes); this build keeps one file per array: copy the data out with the build that wrote it, then reopen",
+			name, d.dir, sub)
 	}
 	return nil
 }
@@ -346,8 +335,6 @@ func (d *Disk) newBackend(name string, n int64) (Backend, error) {
 	switch {
 	case d.noBacking:
 		b = nullBackend{size: n}
-	case d.stripeN > 1:
-		b, err = d.newStripedDiskBackend(name, n)
 	case d.dir != "":
 		b, err = newFileBackend(filepath.Join(d.dir, name+".dat"), n, d.keepExisting, true)
 	default:

@@ -112,8 +112,6 @@ type Disk struct {
 	dir          string // non-empty: back arrays with real files here
 	keepExisting bool   // file backing: open without truncating
 	noBacking    bool   // measurement-only arrays (no data)
-	stripeN      int    // > 1: stripe each array's backend this many ways
-	stripeUnit   int64  // striping unit in elements (DefaultStripeUnit when 0)
 	wrapBackend  func(name string, b Backend) Backend
 	wal          *walSet // non-nil once EnableWAL configured write-ahead logging
 

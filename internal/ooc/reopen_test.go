@@ -104,58 +104,72 @@ func TestReopenMultiLogWALRefused(t *testing.T) {
 	}
 }
 
-// TestReopenOtherStripingRefused: a directory written with one stripe
-// count reopens with that count and is refused with any other —
-// unstriped included, in both directions.
+// TestReopenOtherStripingRefused: a build with striped files (occd
+// -stripes) kept array A as sub-files "A.s0.dat" … "A.s3.dat". This
+// build keeps one file per array, so a kept reopen must refuse A,
+// naming the sub-file and the fix, before it creates a zero-filled
+// "A.dat" beside the data; the sub-files stay as they were and nothing
+// is left locked. A plain "A.dat" reopens as before.
 func TestReopenOtherStripingRefused(t *testing.T) {
-	for _, c := range []struct {
-		name            string
-		written, reopen int
-	}{
-		{"unstriped as unstriped", 1, 1},
-		{"4 stripes as 4", 4, 4},
-		{"4 stripes as unstriped", 4, 1},
-		{"unstriped as 4 stripes", 1, 4},
-		{"4 stripes as 2", 4, 2},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			meta, lay := reopenArray()
-			dir := t.TempDir()
-			d1 := ooc.NewDisk(0).Dir(dir).Stripe(c.written, 16)
-			ar, err := d1.CreateArray(meta, lay)
-			if err != nil {
+	t.Run("4 stripes as unstriped", func(t *testing.T) {
+		meta, lay := reopenArray()
+		dir := t.TempDir()
+		// A quarter of the array per sub-file, as a 4-way striped build wrote it.
+		sub := bytes.Repeat(binary.LittleEndian.AppendUint64(nil, math.Float64bits(7)), walTestEdge*walTestEdge/4)
+		for i := 0; i < 4; i++ {
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("A.s%d.dat", i)), sub, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ar.Fill(func([]int64) float64 { return 7 })
-			if err := d1.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		before := dirSizes(t, dir)
 
-			d2 := ooc.NewDisk(0).Dir(dir).KeepExisting().Stripe(c.reopen, 16)
-			defer d2.Close()
-			ar2, err := d2.CreateArray(meta, lay)
-			if c.written != c.reopen {
-				if err == nil {
-					eng := ooc.NewEngine(d2, ooc.EngineOptions{})
-					t.Fatalf("reopen succeeded and reads %v, %v where 7 was stored",
-						readTile(t, eng, ar2, walTile(0, 0)), readTile(t, eng, ar2, walTile(3, 3)))
-				}
-				if !strings.Contains(err.Error(), "strip") {
-					t.Fatalf("refusal does not mention striping: %v", err)
-				}
-				return
+		d := ooc.NewDisk(0).Dir(dir).KeepExisting()
+		defer d.Close()
+		ar, err := d.CreateArray(meta, lay)
+		if err == nil {
+			eng := ooc.NewEngine(d, ooc.EngineOptions{})
+			t.Fatalf("reopen succeeded and reads %v where 7 was stored", readTile(t, eng, ar, walTile(0, 0)))
+		}
+		for _, want := range []string{"A.s0.dat", "copy the data out with the build that wrote it"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal does not say %q: %v", want, err)
 			}
-			if err != nil {
-				t.Fatalf("reopen: %v", err)
+		}
+		if after := dirSizes(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refusal changed the directory (A.dat created or a lock left): %v, was %v", after, before)
+		}
+		for i := 0; i < 4; i++ {
+			if got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("A.s%d.dat", i))); err != nil || !bytes.Equal(got, sub) {
+				t.Fatalf("refusal altered A.s%d.dat (read error %v)", i, err)
 			}
-			eng := ooc.NewEngine(d2, ooc.EngineOptions{})
-			for _, box := range []layout.Box{walTile(0, 0), walTile(3, 3)} {
-				if got := readTile(t, eng, ar2, box); got != 7 {
-					t.Fatalf("%v reads %v after reopen, want 7", box, got)
-				}
+		}
+	})
+	t.Run("unstriped as unstriped", func(t *testing.T) {
+		meta, lay := reopenArray()
+		dir := t.TempDir()
+		d1 := ooc.NewDisk(0).Dir(dir)
+		ar, err := d1.CreateArray(meta, lay)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ar.Fill(func([]int64) float64 { return 7 })
+		if err := d1.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		d2 := ooc.NewDisk(0).Dir(dir).KeepExisting()
+		defer d2.Close()
+		ar2, err := d2.CreateArray(meta, lay)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		eng := ooc.NewEngine(d2, ooc.EngineOptions{})
+		for _, box := range []layout.Box{walTile(0, 0), walTile(3, 3)} {
+			if got := readTile(t, eng, ar2, box); got != 7 {
+				t.Fatalf("%v reads %v after reopen, want 7", box, got)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestReopenLegacyWALRefused: a kept "__wal0.log" holding records an
@@ -164,7 +178,7 @@ func TestReopenOtherStripingRefused(t *testing.T) {
 // (the comp bit of a build with WAL compression), at the head or after
 // raw records — carries acknowledged writes. The decoder stops at the
 // first of them exactly as it stops at a torn tail, so without a
-// refusal the reopen would succeed, serve the stripes' stale bytes and
+// refusal the reopen would succeed, serve the array file's stale bytes and
 // append over the records. An all-zero log and one a clean shutdown
 // already checkpointed (its records stale by epoch) are adopted.
 func TestReopenLegacyWALRefused(t *testing.T) {
@@ -271,23 +285,20 @@ func TestReopenLegacyWALRefused(t *testing.T) {
 // the array that wrote it. Reopening it under other dims — and so
 // another size — must be refused with the file and both sizes named,
 // not resized: a shrink would cut off stored elements and a growth
-// would serve zeros past them. Striped sub-files get the same check.
+// would serve zeros past them.
 func TestReopenOtherDimsRefused(t *testing.T) {
 	for _, c := range []struct {
 		name       string
-		stripes    int
 		rows, cols int64 // the reopen's dims; the writer's are walTestEdge square
 	}{
-		{"same dims", 1, walTestEdge, walTestEdge},
-		{"fewer rows", 1, walTestEdge / 2, walTestEdge},
-		{"more columns", 1, walTestEdge, 2 * walTestEdge},
-		{"4 stripes, same dims", 4, walTestEdge, walTestEdge},
-		{"4 stripes, more columns", 4, walTestEdge, 2 * walTestEdge},
+		{"same dims", walTestEdge, walTestEdge},
+		{"fewer rows", walTestEdge / 2, walTestEdge},
+		{"more columns", walTestEdge, 2 * walTestEdge},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			meta, lay := reopenArray()
 			dir := t.TempDir()
-			d1 := ooc.NewDisk(0).Dir(dir).Stripe(c.stripes, 16)
+			d1 := ooc.NewDisk(0).Dir(dir)
 			ar, err := d1.CreateArray(meta, lay)
 			if err != nil {
 				t.Fatal(err)
@@ -298,7 +309,7 @@ func TestReopenOtherDimsRefused(t *testing.T) {
 			}
 			before := dirSizes(t, dir)
 
-			d2 := ooc.NewDisk(0).Dir(dir).KeepExisting().Stripe(c.stripes, 16)
+			d2 := ooc.NewDisk(0).Dir(dir).KeepExisting()
 			defer d2.Close()
 			ar2, err := d2.CreateArray(ir.NewArray("A", c.rows, c.cols), layout.RowMajor(c.rows, c.cols))
 			if c.rows == walTestEdge && c.cols == walTestEdge {
@@ -316,9 +327,9 @@ func TestReopenOtherDimsRefused(t *testing.T) {
 					c.rows, c.cols, before, dirSizes(t, dir))
 			}
 			// One file: 32*32 elements as 8192 bytes, wanted as 16*32 (4096)
-			// or 32*64 (16384). Stripes carry a quarter each.
-			have := int64(walTestEdge*walTestEdge*ooc.ElemSize) / int64(c.stripes)
-			want := c.rows * c.cols * ooc.ElemSize / int64(c.stripes)
+			// or 32*64 (16384).
+			have := int64(walTestEdge * walTestEdge * ooc.ElemSize)
+			want := c.rows * c.cols * ooc.ElemSize
 			for _, s := range []string{".dat", fmt.Sprint(have), fmt.Sprint(want)} {
 				if !strings.Contains(err.Error(), s) {
 					t.Fatalf("refusal does not name %q: %v", s, err)

@@ -3,7 +3,7 @@ package ooc
 // Per-disk write-ahead logging: the durability half of the paper's
 // "restructure when bytes hit disk" argument, applied to acknowledged
 // writes. Without a WAL, a durable PUT pays a synchronous write-back
-// plus an fsync of the (striped) array file it happens to land in —
+// plus an fsync of the array file it happens to land in —
 // a seek-heavy, per-writer cost. With the WAL enabled every tile
 // write-back is first appended as ONE checksummed redo record to one
 // sequential log and then written through to the array backend; an

@@ -73,11 +73,10 @@ type FrontConfig struct {
 	// Series are the admission and wire series only occd publishes.
 	Series FrontSeries
 
-	MaxInflight   int           // admission slots (default 2*GOMAXPROCS)
-	QueueDepth    int           // waiters for a slot (default 64)
-	RetryAfter    time.Duration // hint on 503s (default 1s)
-	MaxArrayElems int64         // see Config
-	MaxTileElems  int64         // see Config
+	MaxInflight   int   // admission slots (default 2*GOMAXPROCS)
+	QueueDepth    int   // waiters for a slot (default 64)
+	MaxArrayElems int64 // see Config
+	MaxTileElems  int64 // see Config
 }
 
 // FrontSeries are series the front end drives but does not name: occd
@@ -121,9 +120,6 @@ func NewFrontEnd(p Plane, cfg FrontConfig) *FrontEnd {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.MaxArrayElems == 0 {
 		cfg.MaxArrayElems = DefaultMaxArrayElems
@@ -261,9 +257,9 @@ func (fe *FrontEnd) admit(next http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// unavailable answers 503 with the configured Retry-After hint.
+// unavailable answers 503 with a fixed one-second Retry-After hint.
 func (fe *FrontEnd) unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retrySeconds(fe.cfg.RetryAfter))
+	w.Header().Set("Retry-After", "1")
 	http.Error(w, msg, http.StatusServiceUnavailable)
 }
 
@@ -292,16 +288,6 @@ func (fe *FrontEnd) planeError(w http.ResponseWriter, err error) {
 func (fe *FrontEnd) meterWire(raw, wire int64) {
 	fe.series.WireRaw.Add(raw)
 	fe.series.WireBytes.Add(wire)
-}
-
-// retrySeconds renders a Retry-After value, rounding up to at least 1
-// (the header carries whole seconds).
-func retrySeconds(d time.Duration) string {
-	secs := int64(math.Ceil(d.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
 }
 
 func (fe *FrontEnd) handleHealthz(w http.ResponseWriter, r *http.Request) {

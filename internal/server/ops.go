@@ -116,8 +116,8 @@ func appendScanCursor(dst []byte, name string, box layout.Box, chunkElems int64,
 	start := len(dst)
 	dst = append(dst, "ooc-scan/1|"...)
 	dst = append(dst, name...)
-	dst = appendCoordList(append(dst, '|'), box.Lo)
-	dst = appendCoordList(append(dst, '|'), box.Hi)
+	dst = AppendCoordList(append(dst, '|'), box.Lo)
+	dst = AppendCoordList(append(dst, '|'), box.Hi)
 	dst = strconv.AppendInt(append(dst, '|'), chunkElems, 10)
 	dst = append(append(dst, '|'), layoutName...)
 	dst = strconv.AppendUint(append(dst, '|'), seq, 10)
@@ -133,8 +133,8 @@ func appendScanCursor(dst []byte, name string, box layout.Box, chunkElems int64,
 	return dst[:start+copy(dst[start:], dst[plain:])]
 }
 
-// appendCoordList appends coordinates in the query form "1,2,3".
-func appendCoordList(dst []byte, c []int64) []byte {
+// AppendCoordList appends coordinates in the query form "1,2,3".
+func AppendCoordList(dst []byte, c []int64) []byte {
 	for i, v := range c {
 		if i > 0 {
 			dst = append(dst, ',')

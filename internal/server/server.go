@@ -394,26 +394,25 @@ func subtractBox(out []layout.Box, a, b layout.Box) []layout.Box {
 	return out
 }
 
-// copyBoxLocal copies region's elements from src to dst, both box-local
-// row-major buffers of box (region must lie inside box). Runs along
-// the innermost dimension are contiguous at identical offsets in both
-// buffers, so the copy moves whole rows.
-func copyBoxLocal(dst, src []float64, box, region layout.Box) {
-	rank := len(box.Lo)
-	strides := make([]int64, rank)
-	acc := int64(1)
-	for d := rank - 1; d >= 0; d-- {
-		strides[d] = acc
-		acc *= box.Hi[d] - box.Lo[d]
-	}
+// CopyRegion copies the elements of region (which must be contained in
+// both boxes) from src (srcBox-local row-major) into dst (dstBox-local
+// row-major). The innermost dimension is contiguous in both buffers,
+// so the copy moves whole rows.
+func CopyRegion(dst []float64, dstBox layout.Box, src []float64, srcBox layout.Box, region layout.Box) {
+	rank := len(region.Lo)
+	ds, ss := strides(dstBox), strides(srcBox)
 	rowLen := region.Hi[rank-1] - region.Lo[rank-1]
-	cur := append([]int64(nil), region.Lo...)
+
+	// Odometer over every region coordinate except the innermost dim.
+	cur := make([]int64, rank)
+	copy(cur, region.Lo)
 	for {
-		var off int64
+		var doff, soff int64
 		for d := 0; d < rank; d++ {
-			off += (cur[d] - box.Lo[d]) * strides[d]
+			doff += (cur[d] - dstBox.Lo[d]) * ds[d]
+			soff += (cur[d] - srcBox.Lo[d]) * ss[d]
 		}
-		copy(dst[off:off+rowLen], src[off:off+rowLen])
+		copy(dst[doff:doff+rowLen], src[soff:soff+rowLen])
 		d := rank - 2
 		for d >= 0 {
 			cur[d]++
@@ -427,6 +426,17 @@ func copyBoxLocal(dst, src []float64, box, region layout.Box) {
 			return
 		}
 	}
+}
+
+// strides returns box's row-major element strides.
+func strides(box layout.Box) []int64 {
+	s := make([]int64, len(box.Lo))
+	acc := int64(1)
+	for d := len(box.Lo) - 1; d >= 0; d-- {
+		s[d] = acc
+		acc *= box.Hi[d] - box.Lo[d]
+	}
+	return s
 }
 
 // lockFor returns (creating on first use) the array's tile lock.
@@ -526,10 +536,15 @@ func (s *Server) Drain() error {
 	return s.drainErr
 }
 
-// Abandon is the crash path for harnesses: the engine drops its cache
-// without writing back, every later request answers 503, and nothing
-// is synced or closed.
-func (s *Server) Abandon() { s.plane.eng.Abandon() }
+// Abandon is the crash path for harnesses: healthz flips to 503 as it
+// does for a drain, the engine drops its cache without writing back,
+// every later request answers 503, and nothing is synced or closed. A
+// dead process answers no health check, so a router must not see this
+// node as back until it restarts.
+func (s *Server) Abandon() {
+	s.front.StopAdmitting()
+	s.plane.eng.Abandon()
+}
 
 // Draining reports whether Drain has begun (healthz flips to 503).
 func (s *Server) Draining() bool { return s.front.Draining() }
@@ -657,7 +672,7 @@ func (p *enginePlane) WriteBox(_ context.Context, a Array, box layout.Box, src [
 		var h *ooc.Handle
 		if h, err = p.eng.Acquire(ar, box); err == nil {
 			for _, region := range apply {
-				copyBoxLocal(h.Tile().Data(), src, box, region)
+				CopyRegion(h.Tile().Data(), box, src, box, region)
 			}
 			p.eng.Release(h, true)
 		}
