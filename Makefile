@@ -7,6 +7,7 @@ FUZZTIME ?= 20s
 # so adding a fuzzer is a one-line change here and zero changes in CI.
 FUZZ_TARGETS := \
 	./internal/fm/:FuzzRange \
+	./internal/codegen/:FuzzCompile \
 	./internal/layout/:FuzzRuns \
 	./internal/layout/:FuzzSegments \
 	./internal/layout/:FuzzBoxOverlaps \

@@ -184,10 +184,10 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	}
 
 	// Tiling legality: the tiled band must be fully permutable under the
-	// TRANSFORMED dependences, a statement's write with itself included.
-	// Traditional tiling bands all k loops, out-of-core tiling the outer
-	// k-1; a permutable k-band makes its prefix permutable too.
-	tds := transformDeps(append(deps.Analyze(n), deps.SelfOutput(n)...), np.T)
+	// dependence cells of the TRANSFORMED nest. Traditional tiling bands
+	// all k loops, out-of-core tiling the outer k-1; a permutable k-band
+	// makes its prefix permutable too.
+	tds := deps.Transformed(n, np.T)
 	full := deps.FullyPermutable(tds, 0, k)
 	if !full && (opts.Strategy == tiling.Traditional || !deps.FullyPermutable(tds, 0, k-1)) {
 		return nil, fmt.Errorf("codegen: nest %d: tiled band not fully permutable under transformed dependences", n.ID)
@@ -278,34 +278,6 @@ func (s *Schedule) writtenArrays() []*ir.Array {
 			seen[a] = true
 			out = append(out, a)
 		}
-	}
-	return out
-}
-
-// transformDeps maps dependence vectors through T.
-func transformDeps(ds []deps.Dependence, t *matrix.Int) []deps.Dependence {
-	out := make([]deps.Dependence, 0, len(ds))
-	for _, d := range ds {
-		if !d.Uniform {
-			nd := d
-			nd.Dirs = deps.TransformDirs(t, d.Dirs)
-			out = append(out, nd)
-			continue
-		}
-		nd := d
-		nd.Distance = t.MulVec(d.Distance)
-		nd.Dirs = make([]deps.Dir, len(nd.Distance))
-		for i, x := range nd.Distance {
-			switch {
-			case x > 0:
-				nd.Dirs[i] = deps.Pos
-			case x < 0:
-				nd.Dirs[i] = deps.Neg
-			default:
-				nd.Dirs[i] = deps.Zero
-			}
-		}
-		out = append(out, nd)
 	}
 	return out
 }

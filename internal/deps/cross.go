@@ -1,9 +1,9 @@
 package deps
 
 import (
+	"slices"
+
 	"outcore/internal/ir"
-	"outcore/internal/matrix"
-	"outcore/internal/rational"
 )
 
 // CrossNestBackward decides whether loop distribution may reorder a
@@ -19,135 +19,22 @@ import (
 // (originally L(c1) ran before E(c2); after distribution the order
 // flips).
 //
-// The analysis solves the joint affine system
-//
-//	refL.L · I_L + oL  ==  refE.L · I_E + oE
-//
-// over (I_L, I_E) and over-approximates the achievable signs of the
-// common-prefix difference I_E − I_L. It returns true (conservatively:
-// "a backward conflict may exist") unless it can prove the difference
-// is never lexicographically positive. Callers must pass references to
-// the SAME array, at least one of which is a write.
+// The conflicts are the dependence polyhedron of refL at I_L and refE
+// at I_E, without loop bounds, and the question is whether one of its
+// cells of the common-prefix difference I_E − I_L is lexicographically
+// positive. It returns true (conservatively: "a backward conflict may
+// exist") unless no such cell is feasible. Callers must pass references
+// to the SAME array, at least one of which is a write.
 func CrossNestBackward(refL, refE ir.Ref, common int) bool {
-	kL, kE := refL.Depth(), refE.Depth()
-	rows := refL.Array.Rank()
-	a := matrix.NewInt(rows, kL+kE)
-	rhs := make([]int64, rows)
-	for r := 0; r < rows; r++ {
-		for j := 0; j < kL; j++ {
-			a.Set(r, j, refL.L.At(r, j))
-		}
-		for j := 0; j < kE; j++ {
-			a.Set(r, kL+j, -refE.L.At(r, j))
-		}
-		rhs[r] = refE.Off[r] - refL.Off[r]
+	kL := refL.Depth()
+	s := newSolver(kL+refE.Depth(), common, nil)
+	for l := 0; l < common; l++ {
+		f := s.form(l)
+		f[l], f[kL+l] = -1, 1
 	}
-	// Integer feasibility per row (GCD test): a rational-only solution
-	// is no conflict.
-	for r := 0; r < rows; r++ {
-		g := rational.GCDAll(a.Row(r)...)
-		if g == 0 {
-			if rhs[r] != 0 {
-				return false
-			}
-			continue
-		}
-		if rhs[r]%g != 0 {
-			return false
-		}
-	}
-	sol, ok := solveAffineSpace(a, rhs)
-	if !ok {
-		return false // no conflict at all
-	}
-	// delta_lvl = I_E[lvl] - I_L[lvl] = x[kL+lvl] - x[lvl].
-	signs := make([]signSet, common)
-	for lvl := 0; lvl < common; lvl++ {
-		free := false
-		for _, kv := range sol.kernel {
-			if kv[kL+lvl]-kv[lvl] != 0 {
-				free = true
-				break
-			}
-		}
-		if free {
-			signs[lvl] = signSet{neg: true, zero: true, pos: true}
-			continue
-		}
-		c := sol.particular[kL+lvl].Sub(sol.particular[lvl])
-		switch c.Sign() {
-		case 1:
-			signs[lvl] = signSet{pos: true}
-		case -1:
-			signs[lvl] = signSet{neg: true}
-		default:
-			signs[lvl] = signSet{zero: true}
-		}
-	}
-	// Lexicographically positive achievable?
-	canZeroSoFar := true
-	for _, s := range signs {
-		if canZeroSoFar && s.pos {
-			return true
-		}
-		canZeroSoFar = canZeroSoFar && s.zero
-		if !canZeroSoFar {
-			return false
-		}
-	}
-	return false
-}
-
-// affineSpace describes the solution set particular + span(kernel).
-type affineSpace struct {
-	particular []rational.Rat
-	kernel     [][]int64
-}
-
-// solveAffineSpace solves a·x = rhs over the rationals, returning a
-// particular solution and an integer kernel basis; ok is false when the
-// system is inconsistent.
-func solveAffineSpace(a *matrix.Int, rhs []int64) (affineSpace, bool) {
-	rows, cols := a.Rows(), a.Cols()
-	aug := matrix.NewRat(rows, cols+1)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			aug.Set(i, j, rational.FromInt(a.At(i, j)))
-		}
-		aug.Set(i, cols, rational.FromInt(rhs[i]))
-	}
-	pivotCols := make([]int, 0, rows)
-	r := 0
-	for c := 0; c < cols && r < rows; c++ {
-		p := -1
-		for i := r; i < rows; i++ {
-			if !aug.At(i, c).IsZero() {
-				p = i
-				break
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		swapRatRows(aug, r, p)
-		scaleRatRow(aug, r, aug.At(r, c).Inv())
-		for i := 0; i < rows; i++ {
-			if i == r || aug.At(i, c).IsZero() {
-				continue
-			}
-			addRatRow(aug, i, r, aug.At(i, c).Neg())
-		}
-		pivotCols = append(pivotCols, c)
-		r++
-	}
-	for i := r; i < rows; i++ {
-		if !aug.At(i, cols).IsZero() {
-			return affineSpace{}, false
-		}
-	}
-	part := make([]rational.Rat, cols)
-	for idx, c := range pivotCols {
-		part[c] = aug.At(idx, cols)
-	}
-	return affineSpace{particular: part, kernel: matrix.KernelBasis(a)}, true
+	backward := false
+	s.cells(refL, refE, func(dirs []Dir, _ []int64) {
+		backward = backward || dirs[slices.IndexFunc(dirs, func(d Dir) bool { return d != Zero })] == Pos
+	})
+	return backward
 }

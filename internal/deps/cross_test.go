@@ -1,10 +1,10 @@
 package deps
 
 import (
+	"slices"
 	"testing"
 
 	"outcore/internal/ir"
-	"outcore/internal/matrix"
 )
 
 func TestCrossNestBackwardSameIteration(t *testing.T) {
@@ -61,38 +61,31 @@ func TestCrossNestBackwardTransposedConservative(t *testing.T) {
 	}
 }
 
-func TestUnderdeterminedDirs(t *testing.T) {
-	// L = [1 0] (rank 1 over 2 vars), rhs 0: level 0 pinned to 0, level
-	// 1 free -> (=, *).
-	l := matrix.FromRows([][]int64{{1, 0}})
-	dirs, ok := underdeterminedDirs(l, []int64{0}, 2)
-	if !ok {
-		t.Fatal("solvable system rejected")
-	}
-	if dirs[0] != Zero || dirs[1] != Star {
-		t.Errorf("dirs = %v", dirs)
-	}
-	// rhs 3: level 0 pinned to 3 -> (<, *).
-	dirs, ok = underdeterminedDirs(l, []int64{3}, 2)
-	if !ok || dirs[0] != Pos {
-		t.Errorf("pinned positive level: %v ok=%v", dirs, ok)
-	}
-	// Fractional pinned level: 2*d0 = 3 has no integer solution.
-	l2 := matrix.FromRows([][]int64{{2, 0}})
-	if _, ok := underdeterminedDirs(l2, []int64{3}, 2); ok {
-		t.Error("fractional pin accepted")
-	}
-	// All levels pinned to zero: loop-independent only.
-	l3 := matrix.FromRows([][]int64{{1, 0}, {0, 1}, {1, 1}})
-	if _, ok := underdeterminedDirs(l3, []int64{0, 0, 0}, 2); ok {
-		t.Error("zero-only solution treated as dependence")
+// TestAnalyzeUnderdetermined: a rank-deficient access pins some levels
+// and leaves the rest free. A(i) = A(i) over (i,j) pins level 0 to 0
+// and frees level 1: (=,<). A(i+3) = A(i) pins it to 3: (3,*), split
+// into the cells (<,<), (<,>) and the distance (3,0).
+func TestAnalyzeUnderdetermined(t *testing.T) {
+	a := ir.NewArray("A", 16)
+	for _, c := range []struct {
+		off  int64
+		want []string
+	}{
+		{0, []string{"anti A (=,<)", "flow A (=,<)", "output A (=,<)"}},
+		{3, []string{"flow A (3,0)", "flow A (<,<)", "flow A (<,>)", "output A (=,<)"}},
+	} {
+		w := ir.RefAffine(a, [][]int64{{1, 0}}, []int64{c.off})
+		n := &ir.Nest{Loops: ir.Rect(8, 8), Body: []*ir.Stmt{ir.Assign(w, []ir.Ref{ir.RefIdx(a, 2, 0)}, "", ir.AddConst(0))}}
+		if got := depStrings(Analyze(n)); !slices.Equal(got, c.want) {
+			t.Errorf("offset %d: %v, want %v", c.off, got, c.want)
+		}
 	}
 }
 
 func TestDependenceStringDirs(t *testing.T) {
 	arr := ir.NewArray("A", 4, 4)
-	d := Dependence{Array: arr, Kind: "output", Dirs: []Dir{Pos, Neg, Zero, Star}}
-	if d.String() != "output A (<,>,=,*)" {
+	d := Dependence{Array: arr, Kind: "output", Dirs: []Dir{Pos, Neg, Zero}}
+	if d.String() != "output A (<,>,=)" {
 		t.Errorf("String = %q", d.String())
 	}
 }

@@ -2,11 +2,25 @@
 // nests and legality checking of linear loop transformations.
 //
 // The optimizer only ever applies a transformation T when T·d remains
-// lexicographically positive for every dependence distance/direction
-// vector d in the nest (the classical legality condition the paper
-// inherits from Wolf & Lam). Distances are computed exactly for
-// uniformly generated references; everything else degrades soundly to
-// direction vectors with unknown (*) components.
+// lexicographically positive for every dependence d in the nest (the
+// classical legality condition the paper inherits from Wolf & Lam).
+// One routine answers every dependence question. For references r1 at
+// iteration I and r2 at I′ it builds the dependence polyhedron
+//
+//	{(I, I′) : L1·I + o1 = L2·I′ + o2, lo ≤ I, I′ ≤ hi},
+//
+// solves its equalities exactly over the integers (a Hermite normal
+// form, which subsumes every GCD test) and splits the difference
+// I′ − I into direction cells level by level, keeping each cell that
+// Fourier–Motzkin finds feasible. Every kept cell is reported in its
+// lexicographically positive orientation, and a write is paired with
+// itself at two different iterations too. A cell whose difference the
+// equalities pin to one vector carries it as an exact Distance.
+//
+// The cell check is rational, tightened by rounding each constraint to
+// its integer points, so a kept cell may hold no integer pair. That is
+// sound for legality: it can refuse a legal transformation, never
+// accept an illegal one.
 package deps
 
 import (
@@ -14,12 +28,12 @@ import (
 	"slices"
 	"strings"
 
+	"outcore/internal/fm"
 	"outcore/internal/ir"
 	"outcore/internal/matrix"
-	"outcore/internal/rational"
 )
 
-// Dir is the sign of one dependence-vector component.
+// Dir is the sign of one component of a dependence cell.
 type Dir int8
 
 // Direction constants: Pos means the component is >= 1, Neg <= -1.
@@ -27,7 +41,6 @@ const (
 	Zero Dir = iota
 	Pos
 	Neg
-	Star // unknown sign
 )
 
 func (d Dir) String() string {
@@ -36,387 +49,370 @@ func (d Dir) String() string {
 		return "="
 	case Pos:
 		return "<"
-	case Neg:
-		return ">"
 	default:
-		return "*"
+		return ">"
 	}
 }
 
-// Dependence records a (possibly conservative) dependence between two
+// Dependence is one direction cell of the dependences between two
 // references to the same array within one nest.
 type Dependence struct {
 	Array    *ir.Array
-	Kind     string  // "flow", "anti", "output", or "input" (input deps kept for reuse analysis)
-	Distance []int64 // exact distance vector when Uniform
-	Uniform  bool
-	Dirs     []Dir // always populated; derived from Distance when Uniform
+	Kind     string  // "flow", "anti" or "output": the source's access, then the sink's
+	Distance []int64 // the exact difference when Uniform
+	Uniform  bool    // every dependent pair of the cell is Distance apart
+	Dirs     []Dir   // the cell: the sign of each component
 }
 
 func (d Dependence) String() string {
 	parts := make([]string, len(d.Dirs))
-	if d.Uniform {
-		for i, x := range d.Distance {
-			parts[i] = fmt.Sprintf("%d", x)
-		}
-	} else {
-		for i, x := range d.Dirs {
+	for i, x := range d.Dirs {
+		if d.Uniform {
+			parts[i] = fmt.Sprint(d.Distance[i])
+		} else {
 			parts[i] = x.String()
 		}
 	}
 	return fmt.Sprintf("%s %s (%s)", d.Kind, d.Array.Name, strings.Join(parts, ","))
 }
 
-// Analyze returns the loop-carried dependences of a nest. Loop-
-// independent dependences (zero distance) are dropped: they constrain
-// statement order inside an iteration, which linear loop
-// transformations preserve. Input (read-read) dependences are not
+// Analyze returns the loop-carried dependences of a nest as cells of
+// I′ − I. Loop-independent dependences (zero difference) are dropped:
+// they constrain statement order inside an iteration, which linear
+// loop transformations preserve. Input (read-read) dependences are not
 // reported.
-func Analyze(n *ir.Nest) []Dependence {
-	var out []Dependence
+func Analyze(n *ir.Nest) []Dependence { return Transformed(n, nil) }
+
+// Transformed returns the dependences of the nest after the loop
+// transformation T (new iteration vector = T·old; nil is the
+// identity): the cells of T·(I′ − I), each oriented lexicographically
+// positive, that is, in the transformed nest's execution order. For a
+// T that is legal under Analyze's cells these are the transformed
+// nest's dependences, which tiling legality reads.
+func Transformed(n *ir.Nest, t *matrix.Int) []Dependence {
+	k := n.Depth()
 	type occ struct {
 		ref   ir.Ref
 		write bool
 	}
-	var occs []occ
+	occs := make([]occ, 0, 8)
 	for _, s := range n.Body {
 		occs = append(occs, occ{s.Out, true})
 		for _, r := range s.In {
 			occs = append(occs, occ{r, false})
 		}
 	}
-	for a := range occs {
-		for b := range occs {
-			if a == b {
-				continue
-			}
-			oa, ob := occs[a], occs[b]
-			if oa.ref.Array != ob.ref.Array {
-				continue
-			}
-			if !oa.write && !ob.write {
-				continue
-			}
-			// Consider each unordered pair once (a < b); pairDependence
-			// itself normalizes the distance to be lexicographically
-			// positive.
-			if a > b {
-				continue
-			}
-			if d, ok := pairDependence(n, oa.ref, ob.ref, oa.write, ob.write); ok {
-				out = append(out, d)
-			}
+	if t == nil {
+		t = matrix.Identity(k)
+	}
+	sol := newSolver(2*k, k, n.Loops)
+	// Component l of the difference, over x = (I, I′): (T row l)·(I′ − I).
+	for l := 0; l < k; l++ {
+		f := sol.form(l)
+		for j := 0; j < k; j++ {
+			f[j], f[k+j] = -t.At(l, j), t.At(l, j)
 		}
 	}
-	return dedup(out)
-}
-
-// SelfOutput returns the output dependences of each statement's write
-// with itself: a write whose subscript omits or folds loops (A(j,i+k)
-// in a nest over i, j, k) stores to one element from many iterations,
-// and their order decides the final value. Analyze does not report
-// these pairs; tiling legality must see them, since a tiled band that
-// reverses two such writes keeps the wrong last value.
-func SelfOutput(n *ir.Nest) []Dependence {
 	var out []Dependence
-	for _, s := range n.Body {
-		d, ok := pairDependence(n, s.Out, s.Out, true, true)
-		if ok && (len(out) == 0 || !slices.ContainsFunc(out, func(o Dependence) bool { return o.String() == d.String() })) {
-			out = append(out, d)
+	for a := range occs {
+		for b := a; b < len(occs); b++ {
+			oa, ob := occs[a], occs[b]
+			if oa.ref.Array != ob.ref.Array || !oa.write && !ob.write {
+				continue
+			}
+			// b == a pairs a write with itself at another iteration.
+			sol.cells(oa.ref, ob.ref, func(dirs []Dir, dist []int64) {
+				src, sink := oa.write, ob.write
+				d := Dependence{Array: oa.ref.Array, Dirs: slices.Clone(dirs), Distance: dist, Uniform: dist != nil}
+				if first := slices.IndexFunc(dirs, func(d Dir) bool { return d != Zero }); dirs[first] == Neg {
+					// r2's instance runs first
+					src, sink = sink, src
+					for i, x := range d.Dirs {
+						d.Dirs[i] = dirOf(-x.sign())
+					}
+					for i := range d.Distance {
+						d.Distance[i] = -d.Distance[i]
+					}
+				}
+				d.Kind = kind(src, sink)
+				if !slices.ContainsFunc(out, d.equal) {
+					out = append(out, d)
+				}
+			})
 		}
 	}
 	return out
 }
 
-// pairDependence tests two same-array references for a loop-carried
-// dependence.
-func pairDependence(n *ir.Nest, r1, r2 ir.Ref, w1, w2 bool) (Dependence, bool) {
-	kind := "flow"
+func kind(srcWrite, sinkWrite bool) string {
 	switch {
-	case w1 && w2:
-		kind = "output"
-	case !w1 && w2:
-		kind = "anti"
-	}
-	k := n.Depth()
-	if sameMatrix(r1.L, r2.L) {
-		// Uniformly generated: L·d == o1 - o2 with d = I2 - I1.
-		rhs := make([]int64, r1.Array.Rank())
-		for i := range rhs {
-			rhs[i] = r1.Off[i] - r2.Off[i]
-		}
-		d, unique, consistent := solveIntLinear(r1.L, rhs)
-		if !consistent {
-			return Dependence{}, false
-		}
-		if unique {
-			if matrix.IsZeroVec(d) {
-				return Dependence{}, false // loop-independent
-			}
-			if !withinTripBounds(n, d) {
-				return Dependence{}, false
-			}
-			d = lexNormalize(d)
-			return Dependence{Array: r1.Array, Kind: kind, Distance: d, Uniform: true, Dirs: dirsOf(d)}, true
-		}
-		// Under-determined: the solution space is particular + kernel.
-		// Components untouched by the kernel are pinned to the particular
-		// solution; the rest are unknown. This keeps reduction-style
-		// dependences like (=,=,*) instead of collapsing to all-stars.
-		if dirs, ok := underdeterminedDirs(r1.L, rhs, k); ok {
-			return Dependence{Array: r1.Array, Kind: kind, Dirs: dirs}, true
-		}
-		return Dependence{}, false
-	}
-	// Differently generated references: per-dimension GCD and Banerjee
-	// tests can disprove; otherwise conservative all-star.
-	for row := 0; row < r1.Array.Rank(); row++ {
-		coefs := append(append([]int64{}, r1.L.Row(row)...), negate(r2.L.Row(row))...)
-		g := rational.GCDAll(coefs...)
-		diff := r2.Off[row] - r1.Off[row]
-		if g == 0 {
-			if diff != 0 {
-				return Dependence{}, false
-			}
-			continue
-		}
-		if diff%g != 0 {
-			return Dependence{}, false
-		}
-	}
-	if banerjeeDisproves(n, r1, r2) {
-		return Dependence{}, false
-	}
-	return Dependence{Array: r1.Array, Kind: kind, Dirs: allStar(k)}, true
-}
-
-// banerjeeDisproves applies the Banerjee bounds test: the equation
-// r1.L·I1 + o1 = r2.L·I2 + o2 has a solution inside the rectangular
-// iteration space only if, per array dimension, zero lies within the
-// interval of (r1 row)·I1 - (r2 row)·I2 + (o1 - o2) over the bounds.
-func banerjeeDisproves(n *ir.Nest, r1, r2 ir.Ref) bool {
-	for row := 0; row < r1.Array.Rank(); row++ {
-		lo := r1.Off[row] - r2.Off[row]
-		hi := lo
-		for j, loop := range n.Loops {
-			addIntervalTerm(&lo, &hi, r1.L.At(row, j), loop.Lo, loop.Hi)
-			addIntervalTerm(&lo, &hi, -r2.L.At(row, j), loop.Lo, loop.Hi)
-		}
-		if lo > 0 || hi < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// addIntervalTerm widens [lo, hi] by c·x with x in [xlo, xhi].
-func addIntervalTerm(lo, hi *int64, c, xlo, xhi int64) {
-	if c >= 0 {
-		*lo += c * xlo
-		*hi += c * xhi
-	} else {
-		*lo += c * xhi
-		*hi += c * xlo
+	case srcWrite && sinkWrite:
+		return "output"
+	case srcWrite:
+		return "flow"
+	default:
+		return "anti"
 	}
 }
 
-// solveIntLinear solves L·d = rhs over the integers. It returns the
-// solution when unique, unique=false when the system is consistent but
-// under-determined, and consistent=false when no integer solution
-// exists.
-func solveIntLinear(l *matrix.Int, rhs []int64) (d []int64, unique, consistent bool) {
-	rows, cols := l.Rows(), l.Cols()
-	// Rational Gaussian elimination on the augmented matrix.
-	aug := matrix.NewRat(rows, cols+1)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			aug.Set(i, j, rational.FromInt(l.At(i, j)))
-		}
-		aug.Set(i, cols, rational.FromInt(rhs[i]))
-	}
-	pivotCols := make([]int, 0, rows)
-	r := 0
-	for c := 0; c < cols && r < rows; c++ {
-		p := -1
-		for i := r; i < rows; i++ {
-			if !aug.At(i, c).IsZero() {
-				p = i
-				break
-			}
-		}
-		if p < 0 {
-			continue
-		}
-		swapRatRows(aug, r, p)
-		scaleRatRow(aug, r, aug.At(r, c).Inv())
-		for i := 0; i < rows; i++ {
-			if i == r || aug.At(i, c).IsZero() {
-				continue
-			}
-			addRatRow(aug, i, r, aug.At(i, c).Neg())
-		}
-		pivotCols = append(pivotCols, c)
-		r++
-	}
-	// Inconsistency: zero row with nonzero rhs.
-	for i := r; i < rows; i++ {
-		if !aug.At(i, cols).IsZero() {
-			return nil, false, false
-		}
-	}
-	if len(pivotCols) < cols {
-		return nil, false, true // under-determined
-	}
-	d = make([]int64, cols)
-	for idx, c := range pivotCols {
-		v := aug.At(idx, cols)
-		if !v.IsInt() {
-			return nil, false, false // rational-only solution: no integer dependence
-		}
-		d[c] = v.Int()
-	}
-	return d, true, true
+func (d Dependence) equal(o Dependence) bool {
+	return d.Array == o.Array && d.Kind == o.Kind && d.Uniform == o.Uniform &&
+		slices.Equal(d.Dirs, o.Dirs) && slices.Equal(d.Distance, o.Distance)
 }
 
-func swapRatRows(m *matrix.Rat, i, j int) {
-	if i == j {
+// solver holds the dependence polyhedron of one reference pair at a
+// time, over x = (I, I′), and the scratch its cell checks reuse.
+type solver struct {
+	n      int
+	loops  []ir.Loop // bounds of each half of x; nil leaves x unbounded
+	levels int
+	forms  []int64 // n words a level: the difference component as a form over x
+	eq     []int64 // n+1 words an equality: coefficients over x, then the right-hand side
+	dirs   []Dir
+	sys    fm.System
+	coefs  []int64 // addLE's scratch
+	unit   []int64 // span's scratch
+	visit  func(dirs []Dir, dist []int64)
+}
+
+// newSolver returns a solver over n variables with levels forms, all
+// zero, for the caller to fill in.
+func newSolver(n, levels int, loops []ir.Loop) *solver {
+	buf := make([]int64, (levels+1)*n)
+	return &solver{n: n, loops: loops, levels: levels, forms: buf[:levels*n], unit: buf[levels*n:]}
+}
+
+// cells calls visit with every direction cell of the forms that the
+// polyhedron of r1 at I and r2 at I′ may hold, level by level in the
+// order Pos, Zero, Neg; dist is the cell's exact value when the
+// equalities pin every form. The all-Zero cell, the loop-independent
+// one, is never visited. visit must not retain dirs.
+func (s *solver) cells(r1, r2 ir.Ref, visit func(dirs []Dir, dist []int64)) {
+	s.eq = s.eq[:0]
+	for d := 0; d < r1.Array.Rank(); d++ {
+		for j := 0; j < r1.Depth(); j++ {
+			s.eq = append(s.eq, r1.L.At(d, j))
+		}
+		for j := 0; j < r2.Depth(); j++ {
+			s.eq = append(s.eq, -r2.L.At(d, j))
+		}
+		s.eq = append(s.eq, r2.Off[d]-r1.Off[d])
+	}
+	s.dirs, s.visit = s.dirs[:0], visit
+	if lat, ok := s.solve(); ok {
+		s.refine(lat, false)
+	}
+}
+
+// refine extends s.dirs one level at a time. lat solves s.eq; checked
+// says whether lat with s.dirs is known feasible. Where a level's form
+// is not constant on lat, its span over the polyhedron decides which
+// signs it can take.
+func (s *solver) refine(lat lattice, checked bool) {
+	l := len(s.dirs)
+	if l == s.levels {
+		if !slices.ContainsFunc(s.dirs, func(d Dir) bool { return d != Zero }) || !checked && !s.feasible(lat) {
+			return
+		}
+		var dist []int64
+		if lat.pinned(s.forms, s.n) {
+			dist = make([]int64, s.levels)
+			for lvl := range dist {
+				dist[lvl], _ = lat.constant(s.form(lvl))
+			}
+		}
+		s.visit(s.dirs, dist)
 		return
 	}
-	for k := 0; k < m.Cols(); k++ {
-		vi, vj := m.At(i, k), m.At(j, k)
-		m.Set(i, k, vj)
-		m.Set(j, k, vi)
+	f := s.form(l)
+	if c, pinned := lat.constant(f); pinned {
+		s.dirs = append(s.dirs, dirOf(c))
+		s.refine(lat, checked)
+		s.dirs = s.dirs[:l]
+		return
 	}
-}
-
-func scaleRatRow(m *matrix.Rat, i int, f rational.Rat) {
-	for k := 0; k < m.Cols(); k++ {
-		m.Set(i, k, m.At(i, k).Mul(f))
-	}
-}
-
-func addRatRow(m *matrix.Rat, dst, src int, f rational.Rat) {
-	for k := 0; k < m.Cols(); k++ {
-		m.Set(dst, k, m.At(dst, k).Add(f.Mul(m.At(src, k))))
-	}
-}
-
-// underdeterminedDirs derives per-level direction info for L·d = rhs
-// with multiple solutions: levels with kernel freedom are Star; pinned
-// levels take the sign of the particular solution. ok is false when a
-// pinned level is fractional (no integer solution) or every level is
-// pinned to zero (loop-independent only).
-func underdeterminedDirs(l *matrix.Int, rhs []int64, k int) ([]Dir, bool) {
-	sol, ok := solveAffineSpace(l, rhs)
+	lo, hi, ok := s.span(lat, f)
 	if !ok {
-		return nil, false
+		return
 	}
-	dirs := make([]Dir, k)
-	anyNonzero := false
-	for lvl := 0; lvl < k; lvl++ {
-		free := false
-		for _, kv := range sol.kernel {
-			if kv[lvl] != 0 {
-				free = true
-				break
-			}
+	if hi >= 1 {
+		s.dirs = append(s.dirs, Pos)
+		s.refine(lat, true)
+		s.dirs = s.dirs[:l]
+	}
+	// The all-Zero cell is loop-independent and never reported.
+	if lo <= 0 && hi >= 0 && (l+1 < s.levels || slices.ContainsFunc(s.dirs, func(d Dir) bool { return d != Zero })) {
+		m := len(s.eq)
+		s.eq = append(append(s.eq, f...), 0)
+		if zl, ok := s.solve(); ok {
+			s.dirs = append(s.dirs, Zero)
+			s.refine(zl, false)
+			s.dirs = s.dirs[:l]
 		}
-		if free {
-			dirs[lvl] = Star
-			anyNonzero = true
+		s.eq = s.eq[:m]
+	}
+	if lo <= -1 {
+		s.dirs = append(s.dirs, Neg)
+		s.refine(lat, true)
+		s.dirs = s.dirs[:l]
+	}
+}
+
+func (s *solver) form(l int) []int64 { return s.forms[l*s.n : (l+1)*s.n] }
+
+func (d Dir) sign() int64 {
+	switch d {
+	case Pos:
+		return 1
+	case Neg:
+		return -1
+	}
+	return 0
+}
+
+func dirOf(c int64) Dir {
+	switch {
+	case c > 0:
+		return Pos
+	case c < 0:
+		return Neg
+	}
+	return Zero
+}
+
+// feasible checks the polyhedron on lat with the signs s.dirs puts on
+// the forms.
+func (s *solver) feasible(lat lattice) bool {
+	s.constrain(lat)
+	return s.sys.Feasible()
+}
+
+// span returns the range of form over the polyhedron on lat with the
+// signs s.dirs puts on the forms; ok is false when it is empty.
+func (s *solver) span(lat lattice, form []int64) (lo, hi int64, ok bool) {
+	s.constrain(lat)
+	s.addLE(lat, form, 1, 0, -1) // form - z <= 0
+	s.addLE(lat, form, -1, 0, 1) // z - form <= 0
+	return s.sys.Span(lat.params())
+}
+
+// constrain loads s.sys with the polyhedron over lat's parameters t
+// and one more variable z, the span's: the loop bounds of both halves
+// of x, and Pos: form >= 1 or Neg: form <= -1 for each level of s.dirs
+// (Zero levels are equalities, so lat holds them).
+func (s *solver) constrain(lat lattice) {
+	s.sys.Reset(lat.params() + 1)
+	for i := 0; s.loops != nil && i < s.n; i++ {
+		s.unit[i] = 1 // x_i as a form
+		loop := s.loops[i%len(s.loops)]
+		s.addLE(lat, s.unit, 1, loop.Hi, 0)
+		s.addLE(lat, s.unit, -1, -loop.Lo, 0)
+		s.unit[i] = 0
+	}
+	for lvl, d := range s.dirs {
+		if d != Zero {
+			s.addLE(lat, s.form(lvl), -d.sign(), -1, 0)
+		}
+	}
+}
+
+// addLE adds scale·row·x + zc·z <= rhs to s.sys on lat's parameters
+// and z.
+func (s *solver) addLE(lat lattice, row []int64, scale, rhs, zc int64) {
+	p := lat.params()
+	s.coefs = slices.Grow(s.coefs[:0], p+1)[:p+1]
+	c := lat.restrict(row, s.coefs[:p])
+	for j := range s.coefs[:p] {
+		s.coefs[j] *= scale
+	}
+	s.coefs[p] = zc
+	s.sys.AddLE(s.coefs, rhs-scale*c)
+}
+
+// lattice is the integer solution set x0 + U·(0, t) of a system of
+// equalities: t ranges over the integers in U's columns from free on.
+type lattice struct {
+	x0   []int64
+	u    *matrix.Int
+	free int
+}
+
+// solve returns the integer solutions of the equalities s.eq; ok is
+// false when there are none. The column Hermite normal form H = A·U
+// turns A·x = b into H·y = b with x = U·y: forward substitution pins
+// y's pivot components (a non-integral or inconsistent one means no
+// integer solution), and U's remaining columns span the integer kernel.
+func (s *solver) solve() (lattice, bool) {
+	w := s.n + 1
+	rows := len(s.eq) / w
+	a := matrix.NewInt(rows, s.n)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < s.n; j++ {
+			a.Set(i, j, s.eq[i*w+j])
+		}
+	}
+	h, u := matrix.HNF(a)
+	y := make([]int64, s.n)
+	p := 0
+	for r := 0; r < rows; r++ {
+		v := s.eq[r*w+s.n]
+		for c := 0; c < p; c++ {
+			v -= h.At(r, c) * y[c]
+		}
+		if p < s.n && h.At(r, p) != 0 {
+			if v%h.At(r, p) != 0 {
+				return lattice{}, false
+			}
+			y[p] = v / h.At(r, p)
+			p++
+		} else if v != 0 {
+			return lattice{}, false
+		}
+	}
+	return lattice{x0: u.MulVec(y), u: u, free: p}, true
+}
+
+func (l lattice) params() int { return l.u.Cols() - l.free }
+
+// restrict writes row·U's free columns into coefs and returns row·x0:
+// row·x = c + coefs·t.
+func (l lattice) restrict(row, coefs []int64) (c int64) {
+	for j := range coefs {
+		coefs[j] = 0
+	}
+	for i, r := range row {
+		if r == 0 {
 			continue
 		}
-		c := sol.particular[lvl]
-		if !c.IsInt() {
-			return nil, false // pinned to a fractional value: no integer solution
-		}
-		switch c.Sign() {
-		case 1:
-			dirs[lvl] = Pos
-			anyNonzero = true
-		case -1:
-			dirs[lvl] = Neg
-			anyNonzero = true
-		default:
-			dirs[lvl] = Zero
+		c += r * l.x0[i]
+		for j := range coefs {
+			coefs[j] += r * l.u.At(i, l.free+j)
 		}
 	}
-	if !anyNonzero {
-		return nil, false // only the zero solution: loop-independent
-	}
-	return dirs, true
+	return c
 }
 
-func sameMatrix(a, b *matrix.Int) bool { return a.Equal(b) }
-
-func withinTripBounds(n *ir.Nest, d []int64) bool {
-	for lvl, x := range d {
-		t := n.Loops[lvl].Trip()
-		if x > t-1 || x < -(t-1) {
+// pinned reports whether every form (n words each) is constant on the
+// lattice.
+func (l lattice) pinned(forms []int64, n int) bool {
+	for f := forms; len(f) > 0; f = f[n:] {
+		if _, ok := l.constant(f[:n]); !ok {
 			return false
 		}
 	}
 	return true
 }
 
-// lexNormalize flips d so it is lexicographically positive (the
-// dependence then runs from the earlier iteration to the later one).
-func lexNormalize(d []int64) []int64 {
-	for _, x := range d {
-		if x > 0 {
-			return d
+// constant reports whether row·x takes one value c on the lattice.
+func (l lattice) constant(row []int64) (c int64, ok bool) {
+	for j := l.free; j < l.u.Cols(); j++ {
+		var v int64
+		for i, r := range row {
+			v += r * l.u.At(i, j)
 		}
-		if x < 0 {
-			out := make([]int64, len(d))
-			for i := range d {
-				out[i] = -d[i]
-			}
-			return out
+		if v != 0 {
+			return 0, false
 		}
 	}
-	return d
-}
-
-func dirsOf(d []int64) []Dir {
-	out := make([]Dir, len(d))
-	for i, x := range d {
-		switch {
-		case x > 0:
-			out[i] = Pos
-		case x < 0:
-			out[i] = Neg
-		default:
-			out[i] = Zero
-		}
-	}
-	return out
-}
-
-func allStar(k int) []Dir {
-	out := make([]Dir, k)
-	for i := range out {
-		out[i] = Star
-	}
-	return out
-}
-
-func negate(v []int64) []int64 {
-	out := make([]int64, len(v))
-	for i, x := range v {
-		out[i] = -x
-	}
-	return out
-}
-
-func dedup(ds []Dependence) []Dependence {
-	seen := map[string]bool{}
-	var out []Dependence
-	for _, d := range ds {
-		key := d.String()
-		if !seen[key] {
-			seen[key] = true
-			out = append(out, d)
-		}
-	}
-	return out
+	return matrix.Dot(row, l.x0), true
 }

@@ -2,6 +2,7 @@ package deps
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -139,45 +140,55 @@ func TestLegalTransformSkewing(t *testing.T) {
 }
 
 func TestLegalTransformIdentityAlwaysLegal(t *testing.T) {
-	// Identity must be legal even for all-star conservative deps.
-	ds := []Dependence{{Array: ir.NewArray("A", 4, 4), Kind: "flow", Dirs: []Dir{Star, Star}}}
+	// Identity must be legal for every analyzed nest, here the
+	// self-transpose A(i,j) = A(j,i), whose only cell is (<,>).
+	a := ir.NewArray("A", 4, 4)
+	nest := &ir.Nest{Loops: ir.Rect(4, 4), Body: []*ir.Stmt{ir.Assign(ir.RefIdx(a, 2, 0, 1), []ir.Ref{ir.RefIdx(a, 2, 1, 0)}, "", ir.AddConst(0))}}
+	ds := Analyze(nest)
 	if !LegalTransform(matrix.Identity(2), ds) {
-		t.Error("identity rejected under conservative dependences")
+		t.Errorf("identity rejected under %v", ds)
 	}
-	// Interchange is NOT provably legal under (*,*).
+	// Interchange maps (<,>) to (>,<): illegal.
 	if LegalTransform(matrix.FromRows([][]int64{{0, 1}, {1, 0}}), ds) {
-		t.Error("interchange accepted under (*,*)")
+		t.Errorf("interchange accepted under %v", ds)
 	}
 }
 
-func TestLexposRefinements(t *testing.T) {
-	refs := lexposRefinements([]Dir{Star, Star})
-	// (+,*) x3 + (0,+) = 4 refinements.
-	if len(refs) != 4 {
-		t.Errorf("refinements = %v", refs)
+// TestAnalyzeLexNegativeCell: in A(i+1,i+1) = A(i+2,i+2) over (i,j)
+// the write at I and the read at I′ meet when i′ = i − 1, whatever j
+// and j′ are. The difference I′ − I is lex-negative, so the cells are
+// reported reversed, as anti dependences (<,*) from the read to the
+// write: (<,<), (<,>) and the distance (1,0).
+func TestAnalyzeLexNegativeCell(t *testing.T) {
+	a := ir.NewArray("A", 8, 8)
+	w := ir.RefAffine(a, [][]int64{{1, 0}, {1, 0}}, []int64{1, 1})
+	r := ir.RefAffine(a, [][]int64{{1, 0}, {1, 0}}, []int64{2, 2})
+	nest := &ir.Nest{Loops: ir.Rect(6, 6), Body: []*ir.Stmt{ir.Assign(w, []ir.Ref{r}, "", ir.AddConst(0))}}
+	got := map[string]bool{}
+	for _, d := range Analyze(nest) {
+		got[d.String()] = true
 	}
-	for _, r := range refs {
-		// First non-zero must be Pos.
-		for _, d := range r {
-			if d == Zero {
-				continue
-			}
-			if d != Pos {
-				t.Errorf("refinement %v not lexpos", r)
-			}
-			break
+	for _, want := range []string{"anti A (<,<)", "anti A (1,0)", "anti A (<,>)", "output A (=,<)"} {
+		if !got[want] {
+			t.Errorf("missing %q in %v", want, got)
 		}
 	}
-	// A leading Neg direction has no lexpos refinement.
-	if got := lexposRefinements([]Dir{Neg, Pos}); len(got) != 0 {
-		t.Errorf("leading-Neg refinements = %v", got)
+	if len(got) != 4 {
+		t.Errorf("cells = %v, want exactly 4", got)
+	}
+	if LegalTransform(matrix.FromRows([][]int64{{-1, 0}, {0, 1}}), Analyze(nest)) {
+		t.Error("reversing i accepted")
 	}
 }
 
 func TestFullyPermutable(t *testing.T) {
 	arr := ir.NewArray("A", 4, 4)
 	mk := func(dist ...int64) Dependence {
-		return Dependence{Array: arr, Kind: "flow", Distance: dist, Uniform: true, Dirs: dirsOf(dist)}
+		d := Dependence{Array: arr, Kind: "flow", Distance: dist, Uniform: true}
+		for _, x := range dist {
+			d.Dirs = append(d.Dirs, dirOf(x))
+		}
+		return d
 	}
 	// Non-negative everywhere: permutable.
 	if !FullyPermutable([]Dependence{mk(1, 0), mk(0, 1), mk(1, 1)}, 0, 2) {
@@ -191,40 +202,36 @@ func TestFullyPermutable(t *testing.T) {
 	if !FullyPermutable([]Dependence{mk(1, -1)}, 1, 2) {
 		t.Error("inner band after satisfaction rejected")
 	}
-	// A leading-zero star refines to (=,+) only: the band is permutable.
-	star := Dependence{Array: arr, Kind: "flow", Dirs: []Dir{Zero, Star}}
-	if !FullyPermutable([]Dependence{star}, 0, 2) {
-		t.Error("(=,*) band rejected; its only lexpos refinement is (=,+)")
+	// Cells: (=,<) keeps the band permutable, (<,>) does not.
+	if !FullyPermutable([]Dependence{{Array: arr, Kind: "flow", Dirs: []Dir{Zero, Pos}}}, 0, 2) {
+		t.Error("(=,<) band rejected")
 	}
-	// A star after a positive component can be negative: not permutable.
-	star2 := Dependence{Array: arr, Kind: "flow", Dirs: []Dir{Pos, Star}}
-	if FullyPermutable([]Dependence{star2}, 0, 2) {
-		t.Error("(<,*) band accepted")
+	if FullyPermutable([]Dependence{{Array: arr, Kind: "flow", Dirs: []Dir{Pos, Neg}}}, 0, 2) {
+		t.Error("(<,>) band accepted")
 	}
 }
 
-func TestSolveIntLinear(t *testing.T) {
-	l := matrix.FromRows([][]int64{{1, 0}, {0, 1}})
-	d, unique, consistent := solveIntLinear(l, []int64{3, -2})
-	if !consistent || !unique || d[0] != 3 || d[1] != -2 {
-		t.Errorf("solve = %v %v %v", d, unique, consistent)
-	}
-	// Singular consistent: under-determined.
-	l2 := matrix.FromRows([][]int64{{1, 1}, {2, 2}})
-	_, unique, consistent = solveIntLinear(l2, []int64{1, 2})
-	if !consistent || unique {
-		t.Error("under-determined case mishandled")
-	}
-	// Inconsistent.
-	_, _, consistent = solveIntLinear(l2, []int64{1, 3})
-	if consistent {
-		t.Error("inconsistent case accepted")
-	}
-	// Rational-only solution: no integer dependence.
-	l3 := matrix.FromRows([][]int64{{2, 0}, {0, 1}})
-	_, _, consistent = solveIntLinear(l3, []int64{1, 0})
-	if consistent {
-		t.Error("fractional solution accepted")
+// TestAnalyzeEqualitiesExact: the equalities are solved over the
+// integers, so a unique solution pins the distance, a rank-deficient
+// system leaves free levels (a cell that zeroes one pins the rest), and
+// an inconsistent or fractional-only one has no dependence.
+func TestAnalyzeEqualitiesExact(t *testing.T) {
+	a := ir.NewArray("A", 40, 40)
+	for _, c := range []struct {
+		name string
+		w, r ir.Ref
+		want []string
+	}{
+		{"unique", ir.RefAffine(a, [][]int64{{1, 0}, {0, 1}}, []int64{3, 0}), ir.RefAffine(a, [][]int64{{1, 0}, {0, 1}}, []int64{0, 2}), []string{"flow A (3,-2)"}},
+		{"under-determined", ir.RefAffine(a, [][]int64{{1, 1}, {2, 2}}, []int64{1, 2}), ir.RefAffine(a, [][]int64{{1, 1}, {2, 2}}, []int64{0, 0}),
+			[]string{"anti A (<,>)", "flow A (0,1)", "flow A (1,0)", "flow A (<,>)", "output A (<,>)"}},
+		{"inconsistent", ir.RefAffine(a, [][]int64{{1, 1}, {2, 2}}, []int64{1, 3}), ir.RefAffine(a, [][]int64{{1, 1}, {2, 2}}, []int64{0, 0}), []string{"output A (<,>)"}},
+		{"fractional", ir.RefAffine(a, [][]int64{{2, 0}, {0, 1}}, []int64{1, 0}), ir.RefAffine(a, [][]int64{{2, 0}, {0, 1}}, []int64{0, 0}), nil},
+	} {
+		n := &ir.Nest{Loops: ir.Rect(8, 8), Body: []*ir.Stmt{ir.Assign(c.w, []ir.Ref{c.r}, "", ir.AddConst(0))}}
+		if got := depStrings(Analyze(n)); !slices.Equal(got, c.want) {
+			t.Errorf("%s: %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
@@ -249,7 +256,10 @@ func TestPropertyUniformDistanceCorrect(t *testing.T) {
 			if !d.Uniform {
 				return false
 			}
-			want := lexNormalize([]int64{c0, c1})
+			want := []int64{c0, c1}
+			if c0 < 0 || c0 == 0 && c1 < 0 {
+				want = []int64{-c0, -c1}
+			}
 			if d.Distance[0] != want[0] || d.Distance[1] != want[1] {
 				return false
 			}
@@ -290,12 +300,12 @@ func TestPropertyLegalityConsistentWithExecution(t *testing.T) {
 
 func TestDependenceString(t *testing.T) {
 	arr := ir.NewArray("A", 4, 4)
-	d := Dependence{Array: arr, Kind: "flow", Distance: []int64{1, 0}, Uniform: true, Dirs: dirsOf([]int64{1, 0})}
+	d := Dependence{Array: arr, Kind: "flow", Distance: []int64{1, 0}, Uniform: true, Dirs: []Dir{Pos, Zero}}
 	if d.String() != "flow A (1,0)" {
 		t.Errorf("String = %q", d.String())
 	}
-	d2 := Dependence{Array: arr, Kind: "anti", Dirs: []Dir{Star, Zero}}
-	if d2.String() != "anti A (*,=)" {
+	d2 := Dependence{Array: arr, Kind: "anti", Dirs: []Dir{Pos, Zero}}
+	if d2.String() != "anti A (<,=)" {
 		t.Errorf("String = %q", d2.String())
 	}
 }
@@ -308,9 +318,16 @@ func TestBanerjeeDisprovesDisjointRegions(t *testing.T) {
 	w := ir.RefAffine(a, [][]int64{{1, 0}}, []int64{0})
 	r := ir.RefAffine(a, [][]int64{{0, 1}}, []int64{8})
 	nest := &ir.Nest{Loops: ir.Rect(8, 8), Body: []*ir.Stmt{ir.Assign(w, []ir.Ref{r}, "", ir.AddConst(0))}}
-	if ds := Analyze(nest); len(ds) != 0 {
+	if ds := writeReadCells(nest); len(ds) != 0 {
 		t.Errorf("disjoint regions reported dependent: %v", ds)
 	}
+}
+
+// writeReadCells drops the output cells of Analyze: a write A(i) over
+// (i,j) stores to one element from every j, a real (=,<) output
+// dependence beside the write-read pairs these tests are about.
+func writeReadCells(n *ir.Nest) []Dependence {
+	return slices.DeleteFunc(Analyze(n), func(d Dependence) bool { return d.Kind == "output" })
 }
 
 func TestBanerjeeKeepsOverlap(t *testing.T) {
@@ -333,59 +350,64 @@ func TestBanerjeeScaledCoefficients(t *testing.T) {
 	r1 := ir.RefAffine(a, [][]int64{{0, 4}}, []int64{2})
 	r2 := ir.RefAffine(a, [][]int64{{0, 2}}, []int64{32})
 	nest1 := &ir.Nest{Loops: ir.Rect(8, 8), Body: []*ir.Stmt{ir.Assign(w, []ir.Ref{r1}, "", ir.AddConst(0))}}
-	if ds := Analyze(nest1); len(ds) != 0 {
+	if ds := writeReadCells(nest1); len(ds) != 0 {
 		t.Errorf("GCD-separable refs dependent: %v", ds)
 	}
 	nest2 := &ir.Nest{Loops: ir.Rect(8, 8), Body: []*ir.Stmt{ir.Assign(w, []ir.Ref{r2}, "", ir.AddConst(0))}}
-	if ds := Analyze(nest2); len(ds) != 0 {
+	if ds := writeReadCells(nest2); len(ds) != 0 {
 		t.Errorf("Banerjee-separable refs dependent: %v", ds)
 	}
 }
 
-func TestTransformDirs(t *testing.T) {
-	interchange := matrix.FromRows([][]int64{{0, 1}, {1, 0}})
-	got := TransformDirs(interchange, []Dir{Zero, Pos})
-	if got[0] != Pos || got[1] != Zero {
-		t.Errorf("interchange of (=,<) = %v", got)
+// TestTransformedCells: the cells of T·(I′ − I), oriented in the
+// transformed order. The stencil's (1,0) and (0,1) swap under
+// interchange; under the skew [[1,1],[0,1]] the cell (<,>) of
+// A(i,j) = A(j,i) spreads over every sign of i′+j′ − (i+j)... which is
+// always 0: i′+j′ = j+i, so the skewed cell is (=,<) after orientation.
+func TestTransformedCells(t *testing.T) {
+	nest, _ := stencilNest(8)
+	got := depStrings(Transformed(nest, matrix.FromRows([][]int64{{0, 1}, {1, 0}})))
+	if want := []string{"flow A (0,1)", "flow A (1,0)"}; !slices.Equal(got, want) {
+		t.Errorf("interchanged stencil = %v, want %v", got, want)
 	}
-	// Skew [[1,1],[0,1]] of (+,-): first component + + - = ambiguous.
-	skew := matrix.FromRows([][]int64{{1, 1}, {0, 1}})
-	got = TransformDirs(skew, []Dir{Pos, Neg})
-	if got[0] != Star || got[1] != Neg {
-		t.Errorf("skew of (<,>) = %v", got)
-	}
-	// Stars stay stars where touched, zeros where annihilated.
-	got = TransformDirs(matrix.FromRows([][]int64{{1, 0}, {0, 0}}), []Dir{Star, Pos})
-	if got[0] != Star || got[1] != Zero {
-		t.Errorf("projection of (*,<) = %v", got)
+	a := ir.NewArray("A", 8, 8)
+	tr := &ir.Nest{Loops: ir.Rect(8, 8), Body: []*ir.Stmt{ir.Assign(ir.RefIdx(a, 2, 0, 1), []ir.Ref{ir.RefIdx(a, 2, 1, 0)}, "", ir.AddConst(0))}}
+	got = depStrings(Transformed(tr, matrix.FromRows([][]int64{{1, 1}, {0, 1}})))
+	if want := []string{"anti A (=,<)", "flow A (=,<)"}; !slices.Equal(got, want) {
+		t.Errorf("skewed transpose = %v, want %v", got, want)
 	}
 }
 
-// TestSelfOutput: a write that folds or omits loops depends on itself,
-// and an injective one does not.
-func TestSelfOutput(t *testing.T) {
+// TestAnalyzeSelfOutput: a write that folds or omits loops depends on
+// itself, and an injective one does not.
+func TestAnalyzeSelfOutput(t *testing.T) {
 	a := ir.NewArray("A", 40, 40)
 	for _, c := range []struct {
 		name string
 		out  ir.Ref
-		want string // "" = no self dependence
+		want []string
 	}{
-		{"injective", ir.RefIdx(a, 2, 1, 0), ""},
-		{"omits k", ir.RefIdx(a, 3, 0, 1), "output A (=,=,*)"},
-		{"scaled, omits i", ir.RefAffine(a, [][]int64{{0, 2, 0}, {0, 0, 1}}, []int64{0, 0}), "output A (*,=,=)"},
-		{"folds i+k", ir.RefAffine(a, [][]int64{{0, 1, 0}, {1, 0, 1}}, []int64{0, 0}), "output A (*,=,*)"},
+		{"injective", ir.RefIdx(a, 2, 1, 0), nil},
+		{"omits k", ir.RefIdx(a, 3, 0, 1), []string{"output A (=,=,<)"}},
+		{"omits i", ir.RefIdx(a, 3, 2, 1), []string{"output A (<,=,=)"}},
+		{"scaled, omits i", ir.RefAffine(a, [][]int64{{0, 2, 0}, {0, 0, 1}}, []int64{0, 0}), []string{"output A (<,=,=)"}},
+		{"folds i+k", ir.RefAffine(a, [][]int64{{0, 1, 0}, {1, 0, 1}}, []int64{0, 0}), []string{"output A (<,=,>)"}},
 	} {
 		n := &ir.Nest{Loops: ir.Rect(8, 8, 8)[:c.out.Depth()], Body: []*ir.Stmt{
 			ir.Assign(c.out, nil, "", ir.AddConst(0)),
 		}}
-		var got string
-		if ds := SelfOutput(n); len(ds) > 1 {
-			t.Fatalf("%s: %v, want at most one dependence", c.name, ds)
-		} else if len(ds) == 1 {
-			got = ds[0].String()
-		}
-		if got != c.want {
-			t.Errorf("%s: SelfOutput = %q, want %q", c.name, got, c.want)
+		if got := depStrings(Analyze(n)); !slices.Equal(got, c.want) {
+			t.Errorf("%s: Analyze = %q, want %q", c.name, got, c.want)
 		}
 	}
+}
+
+// depStrings renders dependences, sorted.
+func depStrings(ds []Dependence) []string {
+	var out []string
+	for _, d := range ds {
+		out = append(out, d.String())
+	}
+	slices.Sort(out)
+	return out
 }

@@ -5,26 +5,10 @@ import "outcore/internal/matrix"
 // signSet is the over-approximated set of achievable signs of a value.
 type signSet struct{ neg, zero, pos bool }
 
+// signOfDir is the sign of coef·x for x in direction d.
 func signOfDir(d Dir, coef int64) signSet {
-	if coef == 0 {
-		return signSet{zero: true}
-	}
-	switch d {
-	case Zero:
-		return signSet{zero: true}
-	case Pos:
-		if coef > 0 {
-			return signSet{pos: true}
-		}
-		return signSet{neg: true}
-	case Neg:
-		if coef > 0 {
-			return signSet{neg: true}
-		}
-		return signSet{pos: true}
-	default: // Star
-		return signSet{neg: true, zero: true, pos: true}
-	}
+	v := d.sign() * coef
+	return signSet{neg: v < 0, zero: v == 0, pos: v > 0}
 }
 
 // sumSigns over-approximates the achievable signs of a sum of terms of
@@ -56,64 +40,16 @@ func sumSigns(terms []signSet) signSet {
 
 // LegalTransform reports whether applying the loop transformation T
 // (new iteration vector = T * old) keeps every dependence
-// lexicographically positive. The check is exact for uniform distances
-// and conservatively sound for direction vectors: it never accepts an
-// illegal transformation, but may reject a legal one.
+// lexicographically positive. The check is exact for pinned distances
+// and conservatively sound for cells: it never accepts an illegal
+// transformation, but may reject a legal one.
 func LegalTransform(t *matrix.Int, ds []Dependence) bool {
 	for _, d := range ds {
-		if d.Uniform {
-			if !lexPositive(t.MulVec(d.Distance)) {
-				return false
-			}
-			continue
-		}
-		// Direction vectors describe dependences of the ORIGINAL nest,
-		// which are lexicographically positive by construction; expand
-		// unknown components and prune lex-negative refinements before
-		// checking.
-		for _, ref := range lexposRefinements(d.Dirs) {
-			if !legalDirs(t, ref) {
-				return false
-			}
+		if d.Uniform && !lexPositive(t.MulVec(d.Distance)) || !d.Uniform && !legalDirs(t, d.Dirs) {
+			return false
 		}
 	}
 	return true
-}
-
-// lexposRefinements expands Star components into {Pos, Zero, Neg} and
-// keeps only refinements whose first non-Zero component is Pos (i.e.
-// genuine, lexicographically positive dependences). The all-Zero
-// refinement (loop-independent) is dropped.
-func lexposRefinements(dirs []Dir) [][]Dir {
-	var out [][]Dir
-	cur := make([]Dir, len(dirs))
-	var rec func(i int, decided bool)
-	rec = func(i int, decided bool) {
-		if i == len(dirs) {
-			if decided {
-				c := make([]Dir, len(cur))
-				copy(c, cur)
-				out = append(out, c)
-			}
-			return
-		}
-		choices := []Dir{dirs[i]}
-		if dirs[i] == Star {
-			if decided {
-				choices = []Dir{Pos, Zero, Neg}
-			} else {
-				choices = []Dir{Pos, Zero} // leading Neg would be lex-negative
-			}
-		} else if !decided && dirs[i] == Neg {
-			return // inconsistent with lex positivity
-		}
-		for _, c := range choices {
-			cur[i] = c
-			rec(i+1, decided || c == Pos || c == Neg)
-		}
-	}
-	rec(0, false)
-	return out
 }
 
 func lexPositive(v []int64) bool {
@@ -155,28 +91,17 @@ func legalDirs(t *matrix.Int, dirs []Dir) bool {
 // fully permutable band: every dependence not already satisfied by an
 // outer level has non-negative components at all levels of the band.
 // Rectangular tiling of the band is legal exactly in that case.
-// Direction vectors are expanded to their lexicographically positive
-// refinements first, so a reduction dependence (=,=,*) counts as
-// (=,=,+).
 func FullyPermutable(ds []Dependence, lo, hi int) bool {
 	for _, d := range ds {
-		if d.Uniform {
-			if !bandNonNegative(d.Dirs, lo, hi) {
-				return false
-			}
-			continue
-		}
-		for _, ref := range lexposRefinements(d.Dirs) {
-			if !bandNonNegative(ref, lo, hi) {
-				return false
-			}
+		if !bandNonNegative(d.Dirs, lo, hi) {
+			return false
 		}
 	}
 	return true
 }
 
-// bandNonNegative checks one star-free direction vector: satisfied by a
-// positive component before the band, or non-negative throughout it.
+// bandNonNegative checks one cell: satisfied by a positive component
+// before the band, or non-negative throughout it.
 func bandNonNegative(dirs []Dir, lo, hi int) bool {
 	for lvl := 0; lvl < lo && lvl < len(dirs); lvl++ {
 		if dirs[lvl] == Pos {
@@ -189,32 +114,4 @@ func bandNonNegative(dirs []Dir, lo, hi int) bool {
 		}
 	}
 	return true
-}
-
-// TransformDirs conservatively maps a direction vector through the
-// loop transformation T: each transformed component's sign is derived
-// by sign-set arithmetic over the consistent original instances, with
-// Star wherever the sign is ambiguous. Used to re-check band
-// permutability after a transformation when exact distances are
-// unknown.
-func TransformDirs(t *matrix.Int, dirs []Dir) []Dir {
-	out := make([]Dir, t.Rows())
-	for row := 0; row < t.Rows(); row++ {
-		terms := make([]signSet, len(dirs))
-		for j, d := range dirs {
-			terms[j] = signOfDir(d, t.At(row, j))
-		}
-		s := sumSigns(terms)
-		switch {
-		case s.pos && !s.neg && !s.zero:
-			out[row] = Pos
-		case s.neg && !s.pos && !s.zero:
-			out[row] = Neg
-		case s.zero && !s.pos && !s.neg:
-			out[row] = Zero
-		default:
-			out[row] = Star
-		}
-	}
-	return out
 }

@@ -11,6 +11,8 @@ package fm
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"outcore/internal/matrix"
 	"outcore/internal/rational"
@@ -22,10 +24,15 @@ type constraint struct {
 	rhs   rational.Rat
 }
 
-// System is a conjunction of affine inequalities over k variables.
+// System is a conjunction of affine inequalities with integer
+// coefficients over k variables.
 type System struct {
 	k    int
-	cons []constraint
+	rows []int64 // k+1 words a constraint: coefs·x <= rhs, rhs last
+	// Span's scratch, kept so a caller that refills the system with
+	// Reset and AddLE checks it again without allocating.
+	cur, next []int64
+	seen      []int32
 }
 
 // NewSystem returns an empty system over k variables.
@@ -36,20 +43,28 @@ func (s *System) AddLE(coefs []int64, rhs int64) {
 	if len(coefs) != s.k {
 		panic("fm: coefficient length mismatch")
 	}
-	c := constraint{coefs: make([]rational.Rat, s.k), rhs: rational.FromInt(rhs)}
-	for j, x := range coefs {
-		c.coefs[j] = rational.FromInt(x)
-	}
-	s.cons = append(s.cons, c)
+	s.rows = append(append(s.rows, coefs...), rhs)
 }
 
 // AddGE adds sum coefs[j]·x_j >= rhs.
 func (s *System) AddGE(coefs []int64, rhs int64) {
-	neg := make([]int64, len(coefs))
-	for j, x := range coefs {
-		neg[j] = -x
+	if len(coefs) != s.k {
+		panic("fm: coefficient length mismatch")
 	}
-	s.AddLE(neg, -rhs)
+	for _, x := range coefs {
+		s.rows = append(s.rows, -x)
+	}
+	s.rows = append(s.rows, -rhs)
+}
+
+// Reset empties the system and sets its variable count to k, keeping
+// its storage, which it sizes for 64 constraints at once rather than
+// growing it a constraint at a time.
+func (s *System) Reset(k int) {
+	s.k, s.rows = k, s.rows[:0]
+	if cap(s.rows) < 32*(k+1) {
+		s.rows = make([]int64, 0, 64*(k+1))
+	}
 }
 
 // TransformedBounds builds the constraint system for I' where the
@@ -83,7 +98,14 @@ type Bounds struct {
 // and returns per-level bound constraints.
 func (s *System) Eliminate() *Bounds {
 	b := &Bounds{k: s.k, levels: make([][]constraint, s.k)}
-	cur := append([]constraint(nil), s.cons...)
+	var cur []constraint
+	for r := s.rows; len(r) > 0; r = r[s.k+1:] {
+		c := constraint{coefs: make([]rational.Rat, s.k), rhs: rational.FromInt(r[s.k])}
+		for j, x := range r[:s.k] {
+			c.coefs[j] = rational.FromInt(x)
+		}
+		cur = append(cur, c)
+	}
 	for lvl := s.k - 1; lvl >= 0; lvl-- {
 		var with, without []constraint
 		for _, c := range cur {
@@ -257,4 +279,179 @@ func (b *Bounds) Count() int64 {
 	var n int64
 	b.Enumerate(func([]int64) { n++ })
 	return n
+}
+
+// Feasible reports whether the system can hold an integer point: false
+// proves that it holds none, true that its tightened rational shadow
+// (see Span) is non-empty.
+func (s *System) Feasible() bool {
+	_, _, ok := s.Span(-1)
+	return ok
+}
+
+// Span returns the integer range [lo, hi] of variable v over the
+// system (lo is math.MinInt64 and hi math.MaxInt64 where unbounded);
+// ok false proves that the system holds no integer point. A v outside
+// 0..k-1 only checks that.
+//
+// It runs Fourier-Motzkin on the integer rows, each time eliminating
+// the variable other than v with the fewest lower×upper pairs, and
+// keeps every row tight: the gcd of its coefficients is divided out and
+// its bound rounded down, which changes none of the row's integer
+// points, and of rows with equal coefficients only the tightest is
+// kept. A combined row built from more than e+1 input rows after e
+// eliminations is implied by the others and dropped (Chernikov's
+// rule). The range is that of the tightened rational shadow: an
+// integer point at each end is likely but not proven (Pugh's Omega
+// test is the exact refinement). An elimination that would outgrow
+// maxSpanRows answers the unbounded range, which proves nothing.
+func (s *System) Span(v int) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	// Working rows carry one more word after the bound: the set of input
+	// rows combined into them, as a bit mask (0, never dropped, when
+	// there are more than 64 inputs).
+	w := s.k + 2
+	n := len(s.rows) / (s.k + 1)
+	if m := 4 * n * w; cap(s.cur) < m {
+		buf := make([]int64, 2*m)
+		s.cur, s.next = buf[:0:m], buf[m:m]
+	}
+	cur, next := s.cur[:0], s.next[:0]
+	defer func() { s.cur, s.next = cur, next }()
+	for i, r := 0, s.rows; i < n; i, r = i+1, r[s.k+1:] {
+		cur = append(cur, r[:s.k+1]...)
+		if n <= 64 {
+			cur = append(cur, 1<<i)
+		} else {
+			cur = append(cur, 0)
+		}
+	}
+	for elim := 1; ; elim++ {
+		if cur, ok = s.tighten(cur, w); !ok {
+			return lo, hi, false
+		}
+		e, best := -1, 0
+		for j := 0; j < s.k; j++ {
+			lows, ups := 0, 0
+			for r := cur; len(r) > 0; r = r[w:] {
+				if r[j] < 0 {
+					lows++
+				} else if r[j] > 0 {
+					ups++
+				}
+			}
+			if j != v && lows+ups > 0 && (e < 0 || lows*ups-lows-ups < best) {
+				e, best = j, lows*ups-lows-ups
+			}
+		}
+		if e < 0 {
+			break
+		}
+		if len(cur)/w+best > maxSpanRows { // the rows the elimination leaves
+			return lo, hi, true
+		}
+		next = next[:0]
+		for r := cur; len(r) > 0; r = r[w:] {
+			if r[e] == 0 {
+				next = append(next, r[:w]...)
+			}
+		}
+		for l := cur; len(l) > 0; l = l[w:] {
+			if l[e] >= 0 {
+				continue
+			}
+			for u := cur; len(u) > 0; u = u[w:] {
+				if u[e] <= 0 {
+					continue
+				}
+				hist := l[w-1] | u[w-1]
+				if bits.OnesCount64(uint64(hist)) > elim+1 {
+					continue
+				}
+				g := rational.GCD(l[e], u[e])
+				fl, fu := u[e]/g, -l[e]/g
+				for j := 0; j < w-1; j++ {
+					next = append(next, addChecked(mulChecked(fl, l[j]), mulChecked(fu, u[j])))
+				}
+				next = append(next, hist)
+			}
+		}
+		cur, next = next, cur
+	}
+	// Every row left reads ±x_v <= bound: tighten made the coefficient ±1.
+	for r := cur; len(r) > 0; r = r[w:] {
+		if r[v] > 0 {
+			hi = min(hi, r[s.k])
+		} else {
+			lo = max(lo, -r[s.k])
+		}
+	}
+	return lo, hi, lo <= hi
+}
+
+// maxSpanRows bounds the rows Span carries between eliminations.
+const maxSpanRows = 4096
+
+// tighten divides each row of rows (w words each: coefficients, the
+// bound, a mask) by the gcd of its coefficients, rounding the bound
+// down, drops rows without variables (ok is false when one of them
+// reads 0 <= negative) and keeps the tightest of rows with equal
+// coefficients, found through an open-addressing table in s.seen. It
+// works in place and returns the kept prefix.
+func (s *System) tighten(rows []int64, w int) ([]int64, bool) {
+	k, n := w-2, 0
+	size := 16
+	for size < 2*len(rows)/w {
+		size *= 2
+	}
+	s.seen = slices.Grow(s.seen[:0], size)[:size]
+	clear(s.seen)
+next:
+	for r := rows; len(r) > 0; r = r[w:] {
+		g := int64(0)
+		for _, x := range r[:k] {
+			if g = rational.GCD(g, x); g == 1 {
+				break
+			}
+		}
+		if g == 0 {
+			if r[k] < 0 {
+				return nil, false
+			}
+			continue
+		}
+		h := uint64(14695981039346656037)
+		for j := range r[:k] {
+			if g > 1 {
+				r[j] /= g
+			}
+			h = (h ^ uint64(r[j])) * 1099511628211
+		}
+		if g > 1 {
+			r[k] = floorDiv(r[k], g)
+		}
+		for i := int(h) & (size - 1); ; i = (i + 1) & (size - 1) {
+			if s.seen[i] == 0 {
+				s.seen[i] = int32(n + 1)
+				break
+			}
+			if kept := rows[int(s.seen[i]-1)*w:][:w]; slices.Equal(kept[:k], r[:k]) {
+				if r[k] < kept[k] {
+					copy(kept[k:], r[k:w])
+				}
+				continue next
+			}
+		}
+		copy(rows[n*w:], r[:w])
+		n++
+	}
+	return rows[:n*w], true
+}
+
+func addChecked(a, b int64) int64 {
+	s := a + b
+	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
+		panic("fm: addition overflow in feasibility check")
+	}
+	return s
 }

@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -187,4 +188,74 @@ func TestAddLEValidation(t *testing.T) {
 		}
 	}()
 	s.AddLE([]int64{1}, 0)
+}
+
+// TestFeasibleTightens: 1 <= 2x <= 1 holds at x = 1/2 only, so the
+// rational system is feasible and the integer one is not; rounding each
+// row to its integer points proves that. 1 <= 2x <= 2 holds at x = 1.
+func TestFeasibleTightens(t *testing.T) {
+	for _, c := range []struct {
+		hi   int64
+		want bool
+	}{{1, false}, {2, true}} {
+		s := NewSystem(1)
+		s.AddGE([]int64{2}, 1)
+		s.AddLE([]int64{2}, c.hi)
+		if got := s.Feasible(); got != c.want {
+			t.Errorf("1 <= 2x <= %d: Feasible = %v, want %v", c.hi, got, c.want)
+		}
+	}
+}
+
+// TestSpanContainsEveryPoint checks Feasible and Span against
+// enumeration on random bounded systems: every integer point's value of
+// the spanned variable lies in the span, an infeasible answer means no
+// point, and an unconstrained side reads unbounded.
+func TestSpanContainsEveryPoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for it := 0; it < 500; it++ {
+		k := 1 + rng.Intn(3)
+		s := NewSystem(k)
+		box := NewSystem(k)
+		for j := 0; j < k; j++ {
+			e := make([]int64, k)
+			e[j] = 1
+			box.AddGE(e, -3)
+			box.AddLE(e, 3)
+		}
+		s.rows = append(s.rows, box.rows...)
+		for c := 0; c < 1+rng.Intn(4); c++ {
+			coefs := make([]int64, k)
+			for j := range coefs {
+				coefs[j] = int64(rng.Intn(7) - 3)
+			}
+			s.AddLE(coefs, int64(rng.Intn(9)-4))
+		}
+		v := rng.Intn(k)
+		lo, hi, ok := s.Span(v)
+		var points int
+		box.Eliminate().Enumerate(func(x []int64) {
+			for r := s.rows; len(r) > 0; r = r[k+1:] {
+				var sum int64
+				for j, c := range r[:k] {
+					sum += c * x[j]
+				}
+				if sum > r[k] {
+					return
+				}
+			}
+			points++
+			if !ok || x[v] < lo || x[v] > hi {
+				t.Fatalf("system %v: point %v outside span [%d,%d] of x%d (ok %v)", s.rows, x, lo, hi, v, ok)
+			}
+		})
+		if points > 0 && !s.Feasible() {
+			t.Fatalf("system %v: %d points, Feasible false", s.rows, points)
+		}
+	}
+	s := NewSystem(2)
+	s.AddLE([]int64{1, 1}, 4)
+	if lo, hi, ok := s.Span(0); !ok || lo != math.MinInt64 || hi != math.MaxInt64 {
+		t.Errorf("x0 + x1 <= 4: span of x0 = [%d,%d] ok %v, want unbounded", lo, hi, ok)
+	}
 }

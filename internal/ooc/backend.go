@@ -84,11 +84,9 @@ type fileBackend struct {
 // exclusive use (see the single-writer contract on Backend). With keep
 // false the file is created zero-filled, truncating any previous
 // contents; with keep true existing contents survive and the file is
-// resized to n elements. With exact also set, a non-empty file of any
-// other size is refused instead: an array file that size was written
-// under other dims, and resizing it would cut off stored elements or
-// serve zeros past them.
-func newFileBackend(path string, n int64, keep, exact bool) (*fileBackend, error) {
+// resized to n elements (Disk.CheckKept refuses a kept array file of
+// another size before it gets here).
+func newFileBackend(path string, n int64, keep bool) (*fileBackend, error) {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
@@ -122,16 +120,6 @@ func newFileBackend(path string, n int64, keep, exact bool) (*fileBackend, error
 		f.Close()
 		os.Remove(lock)
 		return nil, err
-	}
-	if keep && exact {
-		info, err := f.Stat()
-		if err != nil {
-			return fail(err)
-		}
-		if have := info.Size(); have != 0 && have != n*ElemSize {
-			return fail(fmt.Errorf("ooc: kept array file %s holds %d bytes, not the %d this array needs: "+
-				"reopen it with the dims that wrote it", path, have, n*ElemSize))
-		}
 	}
 	if err := f.Truncate(n * ElemSize); err != nil {
 		return fail(err)
@@ -302,22 +290,32 @@ func (d *Disk) Sync() error {
 // group-committed log fsync — every concurrent caller shares it.
 func (ar *Array) Sync() error { return ar.backend.Sync() }
 
-// checkKeptLayout refuses to reopen an array a build with striped
-// files (occd -stripes) left as "<name>.s<i>.dat" sub-files. The file
-// backend creates whatever file is missing, so the reopen would
-// otherwise serve a fresh zero-filled "<name>.dat" beside the real
-// data, without an error.
-func (d *Disk) checkKeptLayout(name string) error {
+// CheckKept refuses to reopen what a kept directory holds for the
+// array name of elems elements when this build cannot serve it: a
+// "<name>.dat" of any other non-zero size (written under other dims:
+// resizing it would cut off stored elements or serve zeros past them),
+// or only the "<name>.s<i>.dat" sub-files a build with striped files
+// (occd -stripes) left, beside which the file backend would create a
+// fresh zero-filled "<name>.dat" without an error. It opens nothing,
+// so a refusal leaves the directory as it found it. CreateArray runs it
+// before the WAL log is opened; a caller creating several arrays runs
+// it for all of them first, since the first creation opens the log.
+func (d *Disk) CheckKept(name string, elems int64) error {
 	if d.dir == "" || !d.keepExisting || d.noBacking {
 		return nil
 	}
-	exists := func(file string) bool {
-		_, err := os.Stat(filepath.Join(d.dir, file))
-		return err == nil
+	path := filepath.Join(d.dir, name+".dat")
+	info, err := os.Stat(path)
+	if err == nil && info.Size() != 0 && info.Size() != elems*ElemSize {
+		return fmt.Errorf("ooc: kept array file %s holds %d bytes, not the %d this array needs: "+
+			"reopen it with the dims that wrote it", path, info.Size(), elems*ElemSize)
 	}
-	if sub := name + ".s0.dat"; exists(sub) && !exists(name+".dat") {
-		return fmt.Errorf("ooc: %s in %s is striped (%s, written by a build with occd -stripes); this build keeps one file per array: copy the data out with the build that wrote it, then reopen",
-			name, d.dir, sub)
+	if err != nil {
+		sub := name + ".s0.dat"
+		if _, err := os.Stat(filepath.Join(d.dir, sub)); err == nil {
+			return fmt.Errorf("ooc: %s in %s is striped (%s, written by a build with occd -stripes); this build keeps one file per array: copy the data out with the build that wrote it, then reopen",
+				name, d.dir, sub)
+		}
 	}
 	return nil
 }
@@ -325,9 +323,6 @@ func (d *Disk) checkKeptLayout(name string) error {
 // newBackend picks the backend for a new array per the disk's
 // configuration, wrapped by any WrapBackend instrumentation.
 func (d *Disk) newBackend(name string, n int64) (Backend, error) {
-	if err := d.checkKeptLayout(name); err != nil {
-		return nil, err
-	}
 	var (
 		b   Backend
 		err error
@@ -336,7 +331,7 @@ func (d *Disk) newBackend(name string, n int64) (Backend, error) {
 	case d.noBacking:
 		b = nullBackend{size: n}
 	case d.dir != "":
-		b, err = newFileBackend(filepath.Join(d.dir, name+".dat"), n, d.keepExisting, true)
+		b, err = newFileBackend(filepath.Join(d.dir, name+".dat"), n, d.keepExisting)
 	default:
 		b = newMemBackend(n)
 	}

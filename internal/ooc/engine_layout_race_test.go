@@ -12,7 +12,8 @@ import (
 // layouts from several goroutines through one engine, starting on a
 // layout no call has touched yet: whatever tables Runs/Segments/Offset
 // need must be safe to reach from concurrent ReadTiles that hold only
-// the array's shared lock. Run under -race (ROADMAP item 4).
+// the array's shared lock. Run under -race: concurrency on the exotic
+// layouts is what the serving tests never touch.
 func TestEngineServesExoticLayoutsConcurrently(t *testing.T) {
 	const n, m, edge, workers, rounds = 16, 12, 4, 6, 8
 	kinds := map[string]func() *layout.Layout{

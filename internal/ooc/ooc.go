@@ -218,6 +218,9 @@ func (d *Disk) CreateArray(a *ir.Array, l *layout.Layout) (*Array, error) {
 	if l.Size() != a.Len() {
 		return nil, fmt.Errorf("ooc: layout size %d != array size %d for %s", l.Size(), a.Len(), a.Name)
 	}
+	if err := d.CheckKept(a.Name, a.Len()); err != nil {
+		return nil, err
+	}
 	if d.wal != nil {
 		if n := len(a.Name); n == 0 || n > MaxNameLen {
 			return nil, fmt.Errorf("ooc: array name of %d bytes cannot be framed in a WAL record (1..%d)", n, MaxNameLen)

@@ -306,7 +306,7 @@ func (ws *walSet) ensureLog(d *Disk) error {
 	open := func(name string, words int64) (Backend, error) {
 		var b Backend = newMemBackend(words)
 		if d.dir != "" {
-			fb, err := newFileBackend(filepath.Join(d.dir, name+".log"), words, d.keepExisting, false)
+			fb, err := newFileBackend(filepath.Join(d.dir, name+".log"), words, d.keepExisting)
 			if err != nil {
 				return nil, fmt.Errorf("ooc: opening WAL file %s: %w", name, err)
 			}

@@ -1,6 +1,5 @@
 // Multi-tile operators: the layout-aware streaming range scan and
-// pushed-down reductions. These are the serving-plane answer to
-// ROADMAP item 4 — aggregate traffic should move bytes-out, not
+// pushed-down reductions. Aggregate traffic should move bytes-out, not
 // tiles-out, and a range read should cost one round-trip planned from
 // the array's layout hyperplane instead of one HTTP request per tile.
 //

@@ -499,8 +499,18 @@ func Open(d *ooc.Disk, catalog []Array, eo ooc.EngineOptions, cfg Config) (_ *Se
 			err = errors.Join(err, d.Abandon())
 		}
 	}()
-	for _, a := range catalog {
-		if _, err := d.CreateArray(ir.NewArray(a.Name, a.Dims...), a.Layout); err != nil {
+	// Every kept array is checked before any is created: the first
+	// creation opens the WAL log, and a refusal must leave the directory
+	// as it found it.
+	arrays := make([]*ir.Array, len(catalog))
+	for i, a := range catalog {
+		arrays[i] = ir.NewArray(a.Name, a.Dims...)
+		if err := d.CheckKept(a.Name, arrays[i].Len()); err != nil {
+			return nil, err
+		}
+	}
+	for i, a := range catalog {
+		if _, err := d.CreateArray(arrays[i], a.Layout); err != nil {
 			return nil, err
 		}
 	}

@@ -18,10 +18,6 @@ import (
 // out-of-core slab does not fit, so Build falls back to tiling all k
 // loops, and it must either refuse that band or execute it bit for
 // bit.
-//
-// l-opt is left out: its plan reverses a loop the self output
-// dependence orders, which deps.Analyze does not yet see (it skips
-// self pairs), so it is wrong at every budget, fallback or not.
 func TestFallbackChecksFullBand(t *testing.T) {
 	a, b := ir.NewArray("A", 2, 26), ir.NewArray("B", 12, 12)
 	p := &ir.Program{Name: "fallback", Arrays: []*ir.Array{a, b}, Nests: []*ir.Nest{
@@ -32,9 +28,6 @@ func TestFallbackChecksFullBand(t *testing.T) {
 	}}
 	init := seed(p, 7)
 	for _, v := range Versions {
-		if v == LOpt {
-			continue
-		}
 		plan, err := PlanFor(p, v)
 		if err != nil {
 			t.Fatal(err)
