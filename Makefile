@@ -72,10 +72,10 @@ loc:
 
 # Layer microbenchmarks (layout run/segment walks, tile read and
 # write-back per layout kind, the logged tile write under a WAL, the
-# engine miss path, the tile executor through a synchronous engine),
-# six samples each: pipe two runs into benchstat to compare commits.
+# engine miss path, the tile executor through a synchronous engine, the
+# schedule compiler), six samples each: pipe two runs into benchstat to compare commits.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile|AcquireMiss|Execute' -benchmem -count 6 ./internal/layout ./internal/ooc ./internal/codegen
+	$(GO) test -run '^$$' -bench 'Runs|Segments|ReadTile|WriteTile|WALAppendTile|AcquireMiss|Execute|Build' -benchmem -count 6 ./internal/layout ./internal/ooc ./internal/codegen
 
 # The repository benchmark's runner-independent gate: one short round of
 # each BENCHMARK.json workload at a fixed seed, comparing the metrics

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"outcore/internal/codegen"
+	"outcore/internal/core"
 	"outcore/internal/ir"
 	"outcore/internal/ooc"
 	"outcore/internal/suite"
@@ -53,6 +54,68 @@ func BenchmarkExecuteEngine(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.StartTimer()
+			}
+		})
+	}
+}
+
+// buildCase is one kernel under the c-opt plan at the repository
+// benchmark's kernels configuration: n2=64, N3 12, N4 4 and a budget of
+// 1/128 of the program's data, each of whose nests Build compiles.
+type buildCase struct {
+	name string
+	prog *ir.Program
+	plan *core.Plan
+	opts codegen.Options
+}
+
+func buildCases(tb testing.TB) []buildCase {
+	var out []buildCase
+	for _, name := range []string{"mat", "mxm", "trans", "syr2k"} {
+		k, _ := suite.ByName(name)
+		prog := k.Build(suite.Config{N2: 64, N3: 12, N4: 4})
+		plan, err := suite.PlanFor(prog, suite.COpt)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		opts := codegen.Options{Strategy: suite.StrategyFor(suite.COpt), MemBudget: suite.MemBudget(prog, 128)}
+		out = append(out, buildCase{name, prog, plan, opts})
+	}
+	return out
+}
+
+func (c buildCase) build(tb testing.TB) {
+	for _, n := range c.prog.Nests {
+		if _, err := codegen.Build(n, c.plan.Nests[n], c.opts); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestBuildAllocs pins the allocations of compiling each kernel's
+// schedule: RunProgram compiles every nest again on every run, so they
+// recur once per run and processor. The counts are exact; a change
+// that moves them must say so here.
+func TestBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates on its own")
+	}
+	want := map[string]float64{"mat": 51, "mxm": 72, "trans": 49, "syr2k": 76}
+	for _, c := range buildCases(t) {
+		if got := testing.AllocsPerRun(50, func() { c.build(t) }); got != want[c.name] {
+			t.Errorf("%s: Build allocates %v objects per call, want %v", c.name, got, want[c.name])
+		}
+	}
+}
+
+// BenchmarkBuild times compiling each kernel's schedule, the compile
+// step RunProgram repeats on every run, and reports its allocations.
+func BenchmarkBuild(b *testing.B) {
+	for _, c := range buildCases(b) {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.build(b)
 			}
 		})
 	}

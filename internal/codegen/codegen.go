@@ -87,7 +87,6 @@ type Schedule struct {
 	stmts     []schedStmt
 	refs      []schedRef
 	groups    []*refGroup
-	writes    map[*ir.Array]bool
 	qLast     []int64 // Q's last column: the original-space step of the innermost loop
 }
 
@@ -97,6 +96,8 @@ type refGroup struct {
 	id   int         // index of the first group of arr: (id, box) names one engine tile
 	m    *matrix.Int // composite access L·Q
 	offs [][]int64   // offsets of the member references
+	// written: a statement of the nest writes arr.
+	written bool
 	// blind: on a dense tile the nest writes every element of the
 	// group's footprint and reads none, so the engine path stores the
 	// tile without reading it (see writeOnly).
@@ -128,58 +129,72 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	for i, l := range n.Loops {
 		lo[i], hi[i] = l.Lo, l.Hi
 	}
-	s := &Schedule{Nest: n, Plan: np, writes: map[*ir.Array]bool{}, dryRun: opts.DryRun, engine: opts.Engine}
+	nin := 0
+	for _, st := range n.Body {
+		nin += len(st.In)
+	}
+	nrefs := len(n.Body) + nin
+	s := &Schedule{Nest: n, Plan: np, dryRun: opts.DryRun, engine: opts.Engine,
+		stmts: make([]schedStmt, 0, len(n.Body)), refs: make([]schedRef, 0, nrefs),
+		groups: make([]*refGroup, 0, nrefs), qLast: make([]int64, k)}
 	if s.trace = opts.Obs.TraceOf(); s.trace != nil {
 		s.traceName = fmt.Sprintf("nest-%d", n.ID)
 	}
 	s.bounds = fm.TransformedBounds(np.Q, lo, hi).Eliminate()
 
-	groupOf := func(r ir.Ref) int {
-		m := r.L.Mul(np.Q)
-		for gi, g := range s.groups {
-			if g.arr == r.Array && g.m.Equal(m) {
-				g.offs = append(g.offs, r.Off)
-				return gi
-			}
-		}
-		id := len(s.groups)
-		for gi, g := range s.groups {
-			if g.arr == r.Array {
-				id = gi
-				break
-			}
-		}
-		s.groups = append(s.groups, &refGroup{arr: r.Array, id: id, m: m, offs: [][]int64{r.Off}})
-		return len(s.groups) - 1
-	}
+	// Room for a group per reference, so s.groups' pointers never move.
+	groups := make([]refGroup, 0, nrefs)
+	var lq *matrix.Int // L·Q of the reference being grouped; a new group keeps it
 	refOf := func(r ir.Ref) int {
-		s.refs = append(s.refs, schedRef{group: groupOf(r), off: r.Off})
+		lq = r.L.MulTo(lq, np.Q)
+		gi := slices.IndexFunc(s.groups, func(g *refGroup) bool { return g.arr == r.Array && g.m.Equal(lq) })
+		if gi < 0 {
+			id := slices.IndexFunc(s.groups, func(g *refGroup) bool { return g.arr == r.Array })
+			gi = len(s.groups)
+			if id < 0 {
+				id = gi
+			}
+			groups = append(groups, refGroup{arr: r.Array, id: id, m: lq})
+			s.groups, lq = append(s.groups, &groups[gi]), nil
+		}
+		s.refs = append(s.refs, schedRef{group: gi, off: r.Off})
 		return len(s.refs) - 1
 	}
+	ins := make([]int, nin)
 	for _, st := range n.Body {
-		ss := schedStmt{st: st, out: refOf(st.Out)}
-		s.writes[st.Out.Array] = true
-		for _, r := range st.In {
-			ss.in = append(ss.in, refOf(r))
+		ss := schedStmt{st: st, out: refOf(st.Out), in: ins[:len(st.In):len(st.In)]}
+		for i, r := range st.In {
+			ss.in[i] = refOf(r)
 		}
+		ins = ins[len(st.In):]
 		s.stmts = append(s.stmts, ss)
 	}
-	for r := 0; r < k; r++ {
-		s.qLast = append(s.qLast, np.Q.At(r, k-1))
+	for r := range s.qLast {
+		s.qLast[r] = np.Q.At(r, k-1)
 	}
-	for _, g := range s.groups {
+	// Each group's member offsets, in reference order, share one array.
+	offs := make([][]int64, 0, nrefs)
+	for gi, g := range s.groups {
+		from := len(offs)
+		for _, r := range s.refs {
+			if r.group == gi {
+				offs = append(offs, r.off)
+			}
+		}
+		g.offs = offs[from:len(offs):len(offs)]
+		g.written = slices.ContainsFunc(n.Body, func(st *ir.Stmt) bool { return st.Out.Array == g.arr })
 		g.blind = s.writeOnly(g)
 	}
 	// A written array must have exactly one access-matrix group.
-	for _, a := range s.writtenArrays() {
+	for _, st := range n.Body {
 		count := 0
 		for _, g := range s.groups {
-			if g.arr == a {
+			if g.arr == st.Out.Array {
 				count++
 			}
 		}
 		if count > 1 {
-			return nil, fmt.Errorf("codegen: nest %d: array %s is written and accessed through %d access patterns; aliased multi-pattern updates are not supported", n.ID, a.Name, count)
+			return nil, fmt.Errorf("codegen: nest %d: array %s is written and accessed through %d access patterns; aliased multi-pattern updates are not supported", n.ID, st.Out.Array.Name, count)
 		}
 	}
 
@@ -194,13 +209,14 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 	}
 
 	tlo, thi := tiling.TransformedBox(np.T, lo, hi)
-	spec, err := tiling.Choose(s.groupAccesses(), tlo, thi, opts.MemBudget, opts.Strategy)
+	acc := s.groupAccesses()
+	spec, err := tiling.Choose(acc, tlo, thi, opts.MemBudget, opts.Strategy)
 	if err != nil && opts.Strategy == tiling.OutOfCore && !opts.NoFallback {
 		// A nest whose innermost loop sweeps too much data for the budget
 		// (e.g. many small vectors) falls back to traditional tiling, as
 		// a real out-of-core compiler must. That tiles the innermost loop
 		// too, so the band checked above grows by one.
-		spec, err = tiling.Choose(s.groupAccesses(), tlo, thi, opts.MemBudget, tiling.Traditional)
+		spec, err = tiling.Choose(acc, tlo, thi, opts.MemBudget, tiling.Traditional)
 		if err == nil && !full {
 			return nil, fmt.Errorf("codegen: nest %d: out-of-core slab does not fit the budget and the traditional fallback's band is not fully permutable under transformed dependences", n.ID)
 		}
@@ -218,7 +234,7 @@ func Build(n *ir.Nest, np *core.NestPlan, opts Options) (*Schedule, error) {
 // of g's access matrix is one ±1 in a column of its own, so the points
 // of a dense tile cover the footprint box exactly.
 func (s *Schedule) writeOnly(g *refGroup) bool {
-	if !s.writes[g.arr] {
+	if !g.written {
 		return false
 	}
 	for _, st := range s.Nest.Body {
@@ -260,23 +276,10 @@ func (s *Schedule) writeOnly(g *refGroup) bool {
 // footprint inputs (one RefAccess per group per member offset; the
 // estimator unions offsets within a group key).
 func (s *Schedule) groupAccesses() []tiling.RefAccess {
-	var out []tiling.RefAccess
+	out := make([]tiling.RefAccess, 0, len(s.refs))
 	for gi, g := range s.groups {
 		for _, off := range g.offs {
 			out = append(out, tiling.RefAccess{Array: g.arr, M: g.m, Off: off, Group: gi})
-		}
-	}
-	return out
-}
-
-func (s *Schedule) writtenArrays() []*ir.Array {
-	var out []*ir.Array
-	seen := map[*ir.Array]bool{}
-	for _, st := range s.stmts {
-		a := st.st.Out.Array
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
 		}
 	}
 	return out
@@ -490,7 +493,7 @@ func (x *executor) tile(origin []int64) error {
 }
 
 // written reports whether request req's group is written by the nest.
-func (x *executor) written(req int) bool { return x.s.writes[x.s.groups[x.reqGroup[req]].arr] }
+func (x *executor) written(req int) bool { return x.s.groups[x.reqGroup[req]].written }
 
 // memoryTile reads the group footprints under the Memory budget (or
 // only accounts for them in a dry run), executes, and writes the

@@ -508,7 +508,7 @@ func TestCorruptFootprintPanicsOutsideTile(t *testing.T) {
 			sched.engine = ooc.NewEngine(d, ooc.EngineOptions{CacheTiles: 8})
 		}
 		for _, g := range sched.groups {
-			if !sched.writes[g.arr] {
+			if !g.written {
 				// A fresh slice: the references share the original.
 				g.offs[0] = []int64{g.offs[0][0] + 1, g.offs[0][1]}
 			}

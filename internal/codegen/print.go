@@ -68,8 +68,8 @@ func (s *Schedule) String() string {
 	}
 	// Write-back (deterministic order).
 	var written []string
-	for _, a := range s.writtenArrays() {
-		written = append(written, a.Name)
+	for _, st := range s.stmts {
+		written = append(written, st.st.Out.Array.Name)
 	}
 	writeIndent()
 	fmt.Fprintf(&b, "< write data tiles for %s >\n", strings.Join(dedupStrings(written), ", "))

@@ -1,11 +1,12 @@
-// Package fm implements Fourier-Motzkin elimination over exact
-// rationals, used to generate loop bounds for linearly transformed
-// iteration spaces: given the original rectangular bounds Lo <= I <= Hi
-// and I = Q·I', the constraints on I' are 2k affine inequalities, and
-// eliminating inner variables yields, level by level, the bounds each
-// transformed loop must scan. The elimination is exact; its result is
-// compiled once to integers, so Range — evaluated once per loop row by
-// generated schedules — runs in overflow-checked int64 arithmetic.
+// Package fm implements Fourier-Motzkin elimination in integers, used
+// to generate loop bounds for linearly transformed iteration spaces:
+// given the original rectangular bounds Lo <= I <= Hi and I = Q·I', the
+// constraints on I' are 2k affine inequalities, and eliminating inner
+// variables yields, level by level, the bounds each transformed loop
+// must scan. The inputs are integer rows and each elimination combines
+// two of them with integer factors, so the elimination is exact in
+// overflow-checked int64 arithmetic, as is Range — evaluated once per
+// loop row by generated schedules.
 package fm
 
 import (
@@ -15,14 +16,7 @@ import (
 	"slices"
 
 	"outcore/internal/matrix"
-	"outcore/internal/rational"
 )
-
-// constraint encodes sum coefs[j]·x_j <= rhs.
-type constraint struct {
-	coefs []rational.Rat
-	rhs   rational.Rat
-}
 
 // System is a conjunction of affine inequalities with integer
 // coefficients over k variables.
@@ -72,9 +66,12 @@ func (s *System) Reset(k int) {
 // (Q integer, typically unimodular).
 func TransformedBounds(q *matrix.Int, lo, hi []int64) *System {
 	k := q.Cols()
-	s := NewSystem(k)
+	s := &System{k: k, rows: make([]int64, 0, 2*q.Rows()*(k+1))}
+	r := make([]int64, k)
 	for row := 0; row < q.Rows(); row++ {
-		r := q.Row(row)
+		for j := range r {
+			r[j] = q.At(row, j)
+		}
 		s.AddLE(r, hi[row])
 		s.AddGE(r, lo[row])
 	}
@@ -85,100 +82,72 @@ func TransformedBounds(q *matrix.Int, lo, hi []int64) *System {
 // constraints mentioning x_l with all deeper variables eliminated, so
 // the loop bounds at level l are computable from x_0..x_{l-1}.
 type Bounds struct {
-	k      int
-	levels [][]constraint // levels[l]: constraints over x_0..x_l with coefs[l] != 0
-	outer  []constraint   // constraints with no variables (feasibility checks)
-	// ints[l] is levels[l] compiled to integers, l+2 words per
-	// constraint: coefs[0..l] and rhs, scaled by the LCM of their
-	// denominators. Range evaluates only these.
-	ints [][]int64
+	k int
+	// ints[l] holds level l's constraints, l+2 words each: coefs[0..l]
+	// (coefs[l] != 0) and rhs. Range evaluates these.
+	ints  [][]int64
+	outer []int64 // right-hand sides of the variable-free residual constraints 0 <= rhs
 }
 
 // Eliminate runs Fourier-Motzkin from the innermost variable outward
-// and returns per-level bound constraints.
+// and returns per-level bound constraints. At level l every working row
+// is l+2 words: coefs[0..l] and rhs, the deeper coefficients being
+// zero. Rows are combined as c_u·lower + (−c_l)·upper without dividing
+// out a gcd, so each level keeps the rows, in the order, that the exact
+// rational elimination derives.
 func (s *System) Eliminate() *Bounds {
-	b := &Bounds{k: s.k, levels: make([][]constraint, s.k)}
-	var cur []constraint
-	for r := s.rows; len(r) > 0; r = r[s.k+1:] {
-		c := constraint{coefs: make([]rational.Rat, s.k), rhs: rational.FromInt(r[s.k])}
-		for j, x := range r[:s.k] {
-			c.coefs[j] = rational.FromInt(x)
-		}
-		cur = append(cur, c)
-	}
+	b := &Bounds{k: s.k, ints: make([][]int64, s.k)}
+	cur, w := s.rows, s.k+1
 	for lvl := s.k - 1; lvl >= 0; lvl-- {
-		var with, without []constraint
-		for _, c := range cur {
-			if !c.coefs[lvl].IsZero() {
-				with = append(with, c)
+		lows, ups := 0, 0
+		for r := cur; len(r) > 0; r = r[w:] {
+			if r[lvl] < 0 {
+				lows++
+			} else if r[lvl] > 0 {
+				ups++
+			}
+		}
+		with := make([]int64, 0, (lows+ups)*w)
+		next := make([]int64, 0, (len(cur)/w-lows-ups+lows*ups)*(w-1))
+		for r := cur; len(r) > 0; r = r[w:] {
+			if r[lvl] != 0 {
+				with = append(with, r[:w]...)
 			} else {
-				without = append(without, c)
+				next = append(append(next, r[:lvl]...), r[lvl+1])
 			}
 		}
-		b.levels[lvl] = with
-		// Combine each lower bound with each upper bound on x_lvl.
-		var lows, ups []constraint
-		for _, c := range with {
-			if c.coefs[lvl].Sign() > 0 {
-				ups = append(ups, c)
-			} else {
-				lows = append(lows, c)
+		b.ints[lvl] = with
+		// Combine each lower bound on x_lvl (coefficient c_l < 0) with
+		// each upper bound (c_u > 0).
+		for l := with; len(l) > 0; l = l[w:] {
+			if l[lvl] > 0 {
+				continue
 			}
-		}
-		cur = without
-		for _, lc := range lows {
-			for _, uc := range ups {
-				// lc: a·x + c_l·x_lvl <= b1 with c_l < 0  => x_lvl >= (...)
-				// uc: a'·x + c_u·x_lvl <= b2 with c_u > 0 => x_lvl <= (...)
-				// Eliminate: c_u·lc + (-c_l)·uc.
-				cu := uc.coefs[lvl]
-				cl := lc.coefs[lvl].Neg()
-				nc := constraint{coefs: make([]rational.Rat, s.k)}
-				for j := 0; j < s.k; j++ {
-					nc.coefs[j] = cu.Mul(lc.coefs[j]).Add(cl.Mul(uc.coefs[j]))
+			ncl := mulChecked(-1, l[lvl])
+			for u := with; len(u) > 0; u = u[w:] {
+				cu := u[lvl]
+				if cu < 0 {
+					continue
 				}
-				nc.rhs = cu.Mul(lc.rhs).Add(cl.Mul(uc.rhs))
-				if !nc.coefs[lvl].IsZero() {
-					panic("fm: elimination failed to cancel")
+				mulChecked(cu, ncl) // x_lvl's coefficient cancels, but its products must fit
+				for j, x := range l[:w] {
+					if j != lvl {
+						next = append(next, addChecked(mulChecked(cu, x), mulChecked(ncl, u[j])))
+					}
 				}
-				cur = append(cur, nc)
 			}
 		}
+		cur, w = next, w-1
 	}
-	b.ints = make([][]int64, s.k)
-	for lvl, cs := range b.levels {
-		for _, c := range cs {
-			scale := c.rhs.Den()
-			for _, x := range c.coefs[:lvl+1] {
-				scale = rational.LCM(scale, x.Den())
-			}
-			for _, x := range c.coefs[:lvl+1] {
-				b.ints[lvl] = append(b.ints[lvl], mulChecked(x.Num(), scale/x.Den()))
-			}
-			b.ints[lvl] = append(b.ints[lvl], mulChecked(c.rhs.Num(), scale/c.rhs.Den()))
-		}
-	}
-	b.outer = nil
-	for _, c := range cur {
-		allZero := true
-		for _, x := range c.coefs {
-			if !x.IsZero() {
-				allZero = false
-				break
-			}
-		}
-		if allZero {
-			b.outer = append(b.outer, c)
-		}
-	}
+	b.outer = cur
 	return b
 }
 
 // Feasible reports whether the variable-free residual constraints hold
 // (an infeasible system has empty iteration space).
 func (b *Bounds) Feasible() bool {
-	for _, c := range b.outer {
-		if rational.Zero.Cmp(c.rhs) > 0 {
+	for _, rhs := range b.outer {
+		if rhs < 0 {
 			return false
 		}
 	}
@@ -187,8 +156,8 @@ func (b *Bounds) Feasible() bool {
 
 // Range returns the integer bounds [lo, hi] of variable lvl given the
 // values of x_0..x_{lvl-1}. empty is true when no integer value
-// satisfies the constraints. It runs in int64 and panics, as rational
-// arithmetic does, on an evaluation that overflows.
+// satisfies the constraints. It runs in int64 and panics on an
+// evaluation that overflows.
 func (b *Bounds) Range(lvl int, outer []int64) (lo, hi int64, empty bool) {
 	if lvl >= b.k || len(outer) < lvl {
 		panic(fmt.Sprintf("fm: Range(%d) with %d outer values", lvl, len(outer)))
@@ -368,7 +337,7 @@ func (s *System) Span(v int) (lo, hi int64, ok bool) {
 				if bits.OnesCount64(uint64(hist)) > elim+1 {
 					continue
 				}
-				g := rational.GCD(l[e], u[e])
+				g := gcd(l[e], u[e])
 				fl, fu := u[e]/g, -l[e]/g
 				for j := 0; j < w-1; j++ {
 					next = append(next, addChecked(mulChecked(fl, l[j]), mulChecked(fu, u[j])))
@@ -410,7 +379,7 @@ next:
 	for r := rows; len(r) > 0; r = r[w:] {
 		g := int64(0)
 		for _, x := range r[:k] {
-			if g = rational.GCD(g, x); g == 1 {
+			if g = gcd(g, x); g == 1 {
 				break
 			}
 		}
@@ -451,7 +420,21 @@ next:
 func addChecked(a, b int64) int64 {
 	s := a + b
 	if (a > 0 && b > 0 && s < 0) || (a < 0 && b < 0 && s >= 0) {
-		panic("fm: addition overflow in feasibility check")
+		panic("fm: addition overflow")
 	}
 	return s
+}
+
+// gcd returns the non-negative greatest common divisor of a and b, with
+// gcd(0, 0) == 0. It panics on math.MinInt64, whose magnitude int64
+// cannot hold.
+func gcd(a, b int64) int64 {
+	if a == math.MinInt64 || b == math.MinInt64 {
+		panic("fm: gcd of math.MinInt64")
+	}
+	a, b = max(a, -a), max(b, -b)
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }

@@ -4,16 +4,99 @@ import (
 	"math"
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"outcore/internal/matrix"
 	"outcore/internal/rational"
 )
 
+// ratConstraint encodes sum coefs[j]·x_j <= rhs in exact rationals.
+type ratConstraint struct {
+	coefs []rational.Rat
+	rhs   rational.Rat
+}
+
+// ratBounds is the reference elimination's result: per level, the
+// constraints over x_0..x_l with coefs[l] != 0; the residual
+// variable-free constraints; and both compiled to integers as the
+// integer elimination must produce them.
+type ratBounds struct {
+	levels [][]ratConstraint
+	outer  []ratConstraint
+	ints   [][]int64
+	rhs    []int64
+}
+
+// eliminateRational is the reference Fourier-Motzkin elimination over
+// exact rationals: each lower bound on x_l is combined with each upper
+// bound as c_u·lower + (−c_l)·upper, and the rows of each level are
+// compiled to integers by scaling with the LCM of their denominators.
+func eliminateRational(s *System) *ratBounds {
+	b := &ratBounds{levels: make([][]ratConstraint, s.k), ints: make([][]int64, s.k)}
+	var cur []ratConstraint
+	for r := s.rows; len(r) > 0; r = r[s.k+1:] {
+		c := ratConstraint{coefs: make([]rational.Rat, s.k), rhs: rational.FromInt(r[s.k])}
+		for j, x := range r[:s.k] {
+			c.coefs[j] = rational.FromInt(x)
+		}
+		cur = append(cur, c)
+	}
+	for lvl := s.k - 1; lvl >= 0; lvl-- {
+		var with, without, lows, ups []ratConstraint
+		for _, c := range cur {
+			switch c.coefs[lvl].Sign() {
+			case 0:
+				without = append(without, c)
+			case 1:
+				with, ups = append(with, c), append(ups, c)
+			default:
+				with, lows = append(with, c), append(lows, c)
+			}
+		}
+		b.levels[lvl] = with
+		cur = without
+		for _, lc := range lows {
+			for _, uc := range ups {
+				cu, cl := uc.coefs[lvl], lc.coefs[lvl].Neg()
+				nc := ratConstraint{coefs: make([]rational.Rat, s.k)}
+				for j := range nc.coefs {
+					nc.coefs[j] = cu.Mul(lc.coefs[j]).Add(cl.Mul(uc.coefs[j]))
+				}
+				nc.rhs = cu.Mul(lc.rhs).Add(cl.Mul(uc.rhs))
+				if !nc.coefs[lvl].IsZero() {
+					panic("fm: elimination failed to cancel")
+				}
+				cur = append(cur, nc)
+			}
+		}
+	}
+	for lvl, cs := range b.levels {
+		for _, c := range cs {
+			scale := c.rhs.Den()
+			for _, x := range c.coefs[:lvl+1] {
+				scale = rational.LCM(scale, x.Den())
+			}
+			for _, x := range c.coefs[:lvl+1] {
+				b.ints[lvl] = append(b.ints[lvl], x.Num()*(scale/x.Den()))
+			}
+			b.ints[lvl] = append(b.ints[lvl], c.rhs.Num()*(scale/c.rhs.Den()))
+		}
+	}
+	for _, c := range cur {
+		if slices.ContainsFunc(c.coefs, func(x rational.Rat) bool { return !x.IsZero() }) {
+			continue
+		}
+		b.outer = append(b.outer, c)
+		b.rhs = append(b.rhs, c.rhs.Int())
+	}
+	return b
+}
+
 // rationalRange is the reference evaluation of Range: the level's
 // constraints evaluated in exact rationals, then rounded inward. The
 // integer Range must agree with it wherever it does not overflow.
-func (b *Bounds) rationalRange(lvl int, outer []int64) (lo, hi int64, empty bool) {
+func (b *ratBounds) rationalRange(lvl int, outer []int64) (lo, hi int64, empty bool) {
 	haveLo, haveHi := false, false
 	var bestLo, bestHi rational.Rat
 	for _, c := range b.levels[lvl] {
@@ -36,6 +119,35 @@ func (b *Bounds) rationalRange(lvl int, outer []int64) (lo, hi int64, empty bool
 	}
 	l, h := bestLo.Ceil(), bestHi.Floor()
 	return l, h, l > h
+}
+
+// TestEliminateMatchesRational checks the integer elimination against
+// the rational reference word for word: every level's rows, in order,
+// and the residual right-hand sides, over random unimodular Q
+// (interchanges, reversals, negative skews) and boxes with negative
+// bounds, at depths 1 to 4.
+func TestEliminateMatchesRational(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for trial := 0; trial < 600; trial++ {
+		k := 1 + rng.Intn(4)
+		q := randomUnimodular(rng, k)
+		lo := make([]int64, k)
+		hi := make([]int64, k)
+		for d := range lo {
+			lo[d] = int64(rng.Intn(41) - 30)
+			hi[d] = lo[d] + int64(rng.Intn(12)) - 1 // an empty box in one of twelve dimensions
+		}
+		sys := TransformedBounds(q, lo, hi)
+		want, got := eliminateRational(sys), sys.Eliminate()
+		for lvl := range k {
+			if !slices.Equal(got.ints[lvl], want.ints[lvl]) {
+				t.Fatalf("Q=%v box=[%v,%v] level %d: rows %v, rational %v", q, lo, hi, lvl, got.ints[lvl], want.ints[lvl])
+			}
+		}
+		if !slices.Equal(got.outer, want.rhs) {
+			t.Fatalf("Q=%v box=[%v,%v] residual rhs %v, rational %v", q, lo, hi, got.outer, want.rhs)
+		}
+	}
 }
 
 // randomUnimodular composes interchanges, reversals and skews (with
@@ -78,11 +190,12 @@ func TestPropertyIntegerRangeMatchesRational(t *testing.T) {
 			lo[d] = int64(rng.Intn(11) - 7)
 			hi[d] = lo[d] + int64(rng.Intn(5))
 		}
-		b := TransformedBounds(q, lo, hi).Eliminate()
+		sys := TransformedBounds(q, lo, hi)
+		b, ref := sys.Eliminate(), eliminateRational(sys)
 		iv := make([]int64, k)
 		var walk func(lvl int)
 		walk = func(lvl int) {
-			wl, wh, we := b.rationalRange(lvl, iv[:lvl])
+			wl, wh, we := ref.rationalRange(lvl, iv[:lvl])
 			gl, gh, ge := b.Range(lvl, iv[:lvl])
 			if gl != wl || gh != wh || ge != we {
 				t.Fatalf("Q=%v box=[%v,%v] Range(%d, %v) = [%d,%d] %v, rational [%d,%d] %v",

@@ -114,11 +114,22 @@ func (m *Int) Transpose() *Int {
 }
 
 // Mul returns m * n, panicking on a shape mismatch.
-func (m *Int) Mul(n *Int) *Int {
+func (m *Int) Mul(n *Int) *Int { return m.MulTo(nil, n) }
+
+// MulTo stores m * n in dst, reusing dst's storage when it has room
+// (dst may be nil, but neither m nor n), and returns it. It panics on
+// a shape mismatch.
+func (m *Int) MulTo(dst, n *Int) *Int {
 	if m.cols != n.rows {
 		panic(fmt.Sprintf("matrix: mul shape mismatch %dx%d * %dx%d", m.rows, m.cols, n.rows, n.cols))
 	}
-	p := NewInt(m.rows, n.cols)
+	p := dst
+	if p == nil || cap(p.a) < m.rows*n.cols {
+		p = NewInt(m.rows, n.cols)
+	} else {
+		p.rows, p.cols, p.a = m.rows, n.cols, p.a[:m.rows*n.cols]
+		clear(p.a)
+	}
 	for i := 0; i < m.rows; i++ {
 		for k := 0; k < m.cols; k++ {
 			mik := m.At(i, k)

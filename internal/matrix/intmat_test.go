@@ -57,6 +57,26 @@ func TestMul(t *testing.T) {
 	}
 }
 
+// TestMulTo reuses one destination across products of different
+// shapes: each result equals Mul's, and the storage is kept whenever it
+// has room.
+func TestMulTo(t *testing.T) {
+	a := FromRows([][]int64{{1, 2}, {3, 4}})
+	b := FromRows([][]int64{{5, 6, -1}, {7, 8, 2}})
+	row := FromRows([][]int64{{2, -3}})
+	var dst *Int
+	for _, c := range []struct{ m, n *Int }{{a, b}, {row, a}, {a, a}, {row, b}} {
+		prev := dst
+		dst = c.m.MulTo(dst, c.n)
+		if want := c.m.Mul(c.n); !dst.Equal(want) {
+			t.Errorf("MulTo =\n%s want\n%s", dst, want)
+		}
+		if prev != nil && cap(prev.a) >= len(dst.a) && dst != prev {
+			t.Errorf("MulTo reallocated a %dx%d result into room for %d", dst.rows, dst.cols, cap(prev.a))
+		}
+	}
+}
+
 func TestMulVecAndVecMul(t *testing.T) {
 	a := FromRows([][]int64{{1, 2, 3}, {4, 5, 6}})
 	if got := a.MulVec([]int64{1, 0, -1}); got[0] != -2 || got[1] != -2 {

@@ -1,10 +1,10 @@
 // Package rational implements exact rational arithmetic on int64
 // numerators and denominators.
 //
-// The compiler analyses in this repository (kernel computation,
-// Fourier-Motzkin elimination, matrix inversion) require exact
-// arithmetic: floating point would silently turn "is this entry zero?"
-// into a tolerance question and corrupt layout decisions. Values stay
+// The compiler analyses in this repository (kernel computation, matrix
+// inversion) require exact arithmetic: floating point would silently
+// turn "is this entry zero?" into a tolerance question and corrupt
+// layout decisions. Values stay
 // tiny in practice (loop transformation matrices have small integer
 // entries), so int64 fractions with overflow checks are both faster and
 // simpler than math/big.

@@ -18,6 +18,7 @@ package tiling
 
 import (
 	"fmt"
+	"slices"
 
 	"outcore/internal/ir"
 	"outcore/internal/matrix"
@@ -99,68 +100,86 @@ func TransformedBox(t *matrix.Int, lo, hi []int64) (tlo, thi []int64) {
 // references over a tile-shaped iteration box, clipped to the array
 // extents.
 func Footprint(refs []RefAccess, sizes []int64) int64 {
-	type key struct {
-		arr   *ir.Array
-		group int
-	}
-	type rangeBox struct {
-		lo, hi []int64
-	}
-	boxes := map[key]*rangeBox{}
-	var order []key
-	for _, r := range refs {
-		rank := r.Array.Rank()
-		k := key{r.Array, r.Group}
-		b, ok := boxes[k]
-		if !ok {
-			b = &rangeBox{lo: make([]int64, rank), hi: make([]int64, rank)}
-			for d := 0; d < rank; d++ {
-				b.lo[d] = 1 << 62
-				b.hi[d] = -(1 << 62)
-			}
-			boxes[k] = b
-			order = append(order, k)
+	return newFootprint(refs).eval(sizes)
+}
+
+// footprint evaluates Footprint for one reference set at many tile
+// sizes: the (array, group) boxes are resolved once, and every
+// evaluation refills one buffer.
+type footprint struct {
+	refs []RefAccess
+	box  []fpBox // per reference
+	lohi []int64
+}
+
+// fpBox locates a reference's box: rank lows, then rank highs, from
+// lohi[at]. first marks the box's first reference; boxes lie in
+// first-reference order.
+type fpBox struct {
+	at    int
+	first bool
+}
+
+func newFootprint(refs []RefAccess) footprint {
+	f := footprint{refs: refs, box: make([]fpBox, len(refs))}
+	words := 0
+	for i, r := range refs {
+		if j := slices.IndexFunc(refs[:i], func(o RefAccess) bool { return o.Array == r.Array && o.Group == r.Group }); j >= 0 {
+			f.box[i] = fpBox{at: f.box[j].at}
+		} else {
+			f.box[i], words = fpBox{words, true}, words+2*r.Array.Rank()
 		}
-		for d := 0; d < rank; d++ {
+	}
+	f.lohi = make([]int64, words)
+	return f
+}
+
+// bounds returns the box refs[i] widens, and whether i is its first
+// reference.
+func (f footprint) bounds(i int) (lo, hi []int64, first bool) {
+	rank, b := f.refs[i].Array.Rank(), f.box[i]
+	return f.lohi[b.at : b.at+rank], f.lohi[b.at+rank : b.at+2*rank], b.first
+}
+
+func (f footprint) eval(sizes []int64) int64 {
+	for i, r := range f.refs {
+		bLo, bHi, first := f.bounds(i)
+		for d := range bLo {
+			if first {
+				bLo[d], bHi[d] = 1<<62, -(1 << 62)
+			}
 			// Range of M_d·x + off_d over 0 <= x_j < sizes_j (tile-local).
 			lo, hi := r.Off[d], r.Off[d]
 			for j := 0; j < r.M.Cols(); j++ {
-				c := r.M.At(d, j)
-				span := sizes[j] - 1
-				if span < 0 {
-					span = 0
-				}
-				if c > 0 {
+				if c, span := r.M.At(d, j), max(sizes[j]-1, 0); c > 0 {
 					hi += c * span
 				} else {
 					lo += c * span
 				}
 			}
-			if lo < b.lo[d] {
-				b.lo[d] = lo
-			}
-			if hi > b.hi[d] {
-				b.hi[d] = hi
-			}
+			bLo[d], bHi[d] = min(bLo[d], lo), max(bHi[d], hi)
 		}
 	}
 	var total int64
-	for _, k := range order {
-		b := boxes[k]
+	for i, r := range f.refs {
+		lo, hi, first := f.bounds(i)
+		if !first {
+			continue
+		}
 		size := int64(1)
-		for d := 0; d < k.arr.Rank(); d++ {
-			ext := b.hi[d] - b.lo[d] + 1
-			if ext > k.arr.Dims[d] {
-				ext = k.arr.Dims[d] // a tile never holds more than the array
-			}
-			if ext < 1 {
-				ext = 1
-			}
-			size *= ext
+		for d := range lo {
+			size *= max(min(hi[d]-lo[d]+1, r.Array.Dims[d]), 1) // a tile never holds more than the array
 		}
 		total += size
 	}
 	return total
+}
+
+// budgetError reports a budget that even B=1 exceeds.
+type budgetError struct{ need, budget int64 }
+
+func (e *budgetError) Error() string {
+	return fmt.Sprintf("tiling: even B=1 exceeds the memory budget (%d > %d elements)", e.need, e.budget)
 }
 
 // Choose picks the largest scalar tile parameter B whose footprint fits
@@ -168,24 +187,16 @@ func Footprint(refs []RefAccess, sizes []int64) int64 {
 // transformed bounding box [tlo, thi].
 func Choose(refs []RefAccess, tlo, thi []int64, memBudget int64, strat Strategy) (Spec, error) {
 	k := len(tlo)
-	extent := make([]int64, k)
 	maxExt := int64(1)
 	for d := 0; d < k; d++ {
-		extent[d] = thi[d] - tlo[d] + 1
-		if extent[d] > maxExt {
-			maxExt = extent[d]
-		}
+		maxExt = max(maxExt, thi[d]-tlo[d]+1)
 	}
+	sizes := make([]int64, k)
 	sizesFor := func(b int64) []int64 {
-		sizes := make([]int64, k)
 		for d := 0; d < k; d++ {
-			switch {
-			case strat == OutOfCore && d == k-1:
-				sizes[d] = extent[d] // innermost untiled
-			case b > extent[d]:
-				sizes[d] = extent[d]
-			default:
-				sizes[d] = b
+			sizes[d] = thi[d] - tlo[d] + 1
+			if d < k-1 || strat != OutOfCore { // OutOfCore leaves the innermost untiled
+				sizes[d] = min(sizes[d], b)
 			}
 		}
 		return sizes
@@ -193,15 +204,15 @@ func Choose(refs []RefAccess, tlo, thi []int64, memBudget int64, strat Strategy)
 	if memBudget <= 0 {
 		return Spec{Strategy: strat, Lo: tlo, Hi: thi, Sizes: sizesFor(maxExt), B: maxExt}, nil
 	}
+	f := newFootprint(refs)
+	if need := f.eval(sizesFor(1)); need > memBudget {
+		return Spec{}, &budgetError{need, memBudget}
+	}
 	// Binary search the largest feasible B.
 	lo, hi := int64(1), maxExt
-	if Footprint(refs, sizesFor(1)) > memBudget {
-		return Spec{}, fmt.Errorf("tiling: even B=1 exceeds the memory budget (%d > %d elements)",
-			Footprint(refs, sizesFor(1)), memBudget)
-	}
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
-		if Footprint(refs, sizesFor(mid)) <= memBudget {
+		if f.eval(sizesFor(mid)) <= memBudget {
 			lo = mid
 		} else {
 			hi = mid - 1
